@@ -58,5 +58,6 @@ from .zeros import (  # noqa: F401
     sample_section,
     sample_tuple,
     zero_pairing,
+    zero_pairings,
     zeros_on_curve,
 )

@@ -2,8 +2,9 @@
 
 Every kernel has a numba ``@njit`` build and a pure-numpy build computing the
 same values; ``KAHLERLAB_NO_NUMBA=1`` (or a missing numba) selects numpy.
-``active_backend()`` reports which one is live.  benchmarks/bench_kernels.py
-compares the two.
+``active_backend()`` reports which one is live.  ``benchmarks/run.py --trace
+1`` reports the calls and self time of ``eval_monomials`` per workload; run
+it with and without ``KAHLERLAB_NO_NUMBA=1`` to compare the two.
 
 Kernels:
 

@@ -542,32 +542,48 @@ def ddc_pairing(scalar_field, form, rule, integrable=False):
     ``hessian(chart, Z)`` and ``omega_part`` (None on P1, basis coefficients
     on surfaces, where the form is chi times that combination).
     """
-    m = rule.manifold
     total = 0.0
     for b in rule.capped_blocks():
         u = np.asarray(scalar_field(b.chart, b.points), dtype=float)
-        bad = ~np.isfinite(u)
-        w = None
-        if np.any(bad):
-            nbad = int(np.count_nonzero(bad))
-            if not integrable or nbad > max(8, u.size // 10000):
-                raise ConfigurationError(
-                    f"non-finite potential at {nbad} nodes; "
-                    "pass integrable=True only for quasi-psh potentials")
-            u = np.where(bad, 0.0, u)
-            w = bad
-        H = form.hessian(b.chart, b.points)
-        if m.dim == 1:
-            dens = np.real(H) / math.pi
-            wq = b.weights_lebesgue.copy()
-        else:
-            omega_a = _form_omega_matrix(m, form, b.chart, b.points)
-            dens = wedge_density_11(H, omega_a)
-            wq = b.weights_lebesgue / 4.0
-        if w is not None:
-            wq = np.where(w, 0.0, wq)
-        total += float(np.dot(u * dens, wq))
+        u = finite_potential(u, integrable)
+        total += float(np.dot(u, ddc_weights(form, b)))
     return total
+
+
+def ddc_weights(form, block):
+    """Node weights of ``u -> int u dd^c(form)`` over one quadrature block.
+
+    Each entry is the ``dd^c`` density of the form times the quadrature
+    weight of its node, so ``np.dot(u, ddc_weights(form, block))`` is the
+    block's share of ``ddc_pairing`` for a field with node values u.  The
+    vector does not depend on u: one serves every field paired with the
+    form.
+    """
+    m = block.manifold
+    H = form.hessian(block.chart, block.points)
+    if m.dim == 1:
+        return (np.real(H) / math.pi) * block.weights_lebesgue
+    omega_a = _form_omega_matrix(m, form, block.chart, block.points)
+    return wedge_density_11(H, omega_a) * (block.weights_lebesgue / 4.0)
+
+
+def finite_potential(u, integrable):
+    """Node values of a potential with its non-finite entries set to 0.
+
+    ``u`` holds one block's node values, or one column of them per field.
+    Integrable (quasi-psh) potentials may be non-finite at a few isolated
+    nodes, whose quadrature weight is then dropped; more than ``max(8,
+    nodes // 10000)`` in one column, or any without ``integrable``, raises.
+    """
+    bad = ~np.isfinite(u)
+    if not np.any(bad):
+        return u
+    nbad = int(np.max(np.count_nonzero(bad, axis=0)))
+    if not integrable or nbad > max(8, u.shape[0] // 10000):
+        raise ConfigurationError(
+            f"non-finite potential at {nbad} nodes; "
+            "pass integrable=True only for quasi-psh potentials")
+    return np.where(bad, 0.0, u)
 
 
 def _form_omega_matrix(manifold, form, chart, Z):

@@ -27,8 +27,8 @@ from .fscurrents import descriptor_form_pairing, descriptor_wedge_pairing
 from .geometry import quadrature_nodes
 from .sections import build_section_space
 from .testforms import test_form_dictionary
-from .zeros import (_seed_key, common_zeros, divisor_zero_set, sample_section,
-                    sample_tuple, zero_pairing, zeros_on_curve)
+from .zeros import (_seed_key, common_zeros, sample_tuple, zero_pairing,
+                    zero_pairings)
 
 
 def dictionary_signature(forms):
@@ -98,13 +98,6 @@ def wedge_vector(desc_a, desc_b, forms, rule, ident="", meta=None,
     wedge = wedge_descriptors(desc_a, desc_b)
     vals = [descriptor_wedge_pairing(desc_a.manifold, wedge, f, rule,
                                      line_resolution) for f in forms]
-    return PairingVector(ident, vals, forms, meta)
-
-
-def zero_current_vector(zeroset, forms, scale=1.0, rule=None, ident="",
-                        meta=None):
-    """Pairings of ``scale * [zero set]`` against the dictionary."""
-    vals = [scale * zero_pairing(zeroset, f, rule) for f in forms]
     return PairingVector(ident, vals, forms, meta)
 
 
@@ -333,20 +326,14 @@ def approximation_run(h_list, g_list, schedule, samples=1, seed=0, rule=None,
             try:
                 spaces = [build_section_space(hk, p, adjoint=adjoint)
                           for hk in interp]
-                vecs = np.empty((samples, len(dictionary)))
-                for i in range(samples):
-                    s_seed = cell_seed + (i,)
-                    if m == 1:
-                        sec = sample_section(spaces[0], s_seed)
-                        if manifold.dim == 1:
-                            zs, zrule = zeros_on_curve(sec), None
-                        else:
-                            zs, zrule = divisor_zero_set(sec), rule
-                    else:
-                        zs, zrule = common_zeros(
-                            sample_tuple(spaces, s_seed)), None
-                    vecs[i] = [zero_pairing(zs, f, zrule)
-                               for f in dictionary]
+                seeds = [cell_seed + (i,) for i in range(samples)]
+                if m == 1:
+                    vecs = zero_pairings(spaces[0], seeds, dictionary, rule)
+                else:
+                    vecs = np.empty((samples, len(dictionary)))
+                    for i, s in enumerate(seeds):
+                        zs = common_zeros(sample_tuple(spaces, s))
+                        vecs[i] = [zero_pairing(zs, f) for f in dictionary]
                 mean = vecs.mean(axis=0) / float(p) ** m
                 vec = PairingVector(f"zeros[eps={eps:g},p={p}]", mean,
                                     signature)

@@ -26,8 +26,7 @@ from .reports import (REPORT_SCHEMA, fit_loglog, svg_chart, write_csv,
                       write_json, write_log)
 from .sections import log_bergman_sup, space_dimension
 from .testforms import test_form_dictionary
-from .zeros import (divisor_zero_set, sample_section, zero_pairing,
-                    zeros_on_curve)
+from .zeros import zero_pairings
 
 
 def _base_report(cfg):
@@ -182,13 +181,9 @@ def _run_equidistribution(cfg, report):
         c_cal = None
         for pi, p in enumerate(cfg.p_grid):
             space = _space(cfg, report, h, p)
-            errs = np.empty((cfg.samples, len(forms)))
-            for i in range(cfg.samples):
-                sec = sample_section(space, cfg.seed + (mi, pi, i))
-                zs = (zeros_on_curve(sec) if man.dim == 1
-                      else divisor_zero_set(sec))
-                pair = np.array([zero_pairing(zs, f, zrule) for f in forms])
-                errs[i] = np.abs(pair / p - targets)
+            seeds = [cfg.seed + (mi, pi, i) for i in range(cfg.samples)]
+            pairs = zero_pairings(space, seeds, forms, zrule)
+            errs = np.abs(pairs / p - targets)
             per_sample_max = errs.max(axis=1)
             mean_err = float(per_sample_max.mean())
             if c_cal is None:
@@ -405,14 +400,8 @@ def _run_expected_zero(cfg, report):
         for pi, p in enumerate(cfg.p_grid):
             space = _space(cfg, report, h, p)
             targets = space.p * fs_pairings(space, forms, rule)
-            vals = np.empty((cfg.samples, len(forms)))
-            for i in range(cfg.samples):
-                sec = sample_section(space, cfg.seed + (mi, pi, i))
-                if man.dim == 1:
-                    zs, zr = zeros_on_curve(sec), None
-                else:
-                    zs, zr = divisor_zero_set(sec), rule
-                vals[i] = [zero_pairing(zs, f, zr) for f in forms]
+            seeds = [cfg.seed + (mi, pi, i) for i in range(cfg.samples)]
+            vals = zero_pairings(space, seeds, forms, rule)
             within = 0
             gaps, envelopes = [], []
             for fi, f in enumerate(forms):

@@ -810,26 +810,6 @@ def integrate(field, rule, integrable=False):
     return total
 
 
-def pair_11_with_function(matrix_field, chi_field, rule):
-    """``int chi * T`` for a (1,1)-current T given by its matrix density.
-
-    On P1 the pairing is against a test *function*; on surfaces this computes
-    ``int chi * T ^ omega``-style wedges only when the caller passes the
-    already-wedged scalar density; see ``wedge_density`` helpers below.
-    """
-    m = rule.manifold
-    total = 0.0
-    for b in rule.capped_blocks():
-        dens = matrix_field(b.chart, b.points)
-        chi = chi_field(b.chart, b.points)
-        if m.dim == 1:
-            total += float(np.dot(np.real(dens) * np.real(chi),
-                                  b.weights_lebesgue) / math.pi)
-        else:
-            raise NumericalError("use wedge_density for surface pairings")
-    return total
-
-
 def wedge_density_11(A, B):
     """Scalar density (w.r.t. dV) of ``A ^ B`` for two (1,1)-matrices.
 

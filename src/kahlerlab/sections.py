@@ -209,12 +209,24 @@ class SectionSpace:
 
     # -- chart evaluation ------------------------------------------------------
 
+    def monomial_values(self, chart, Z):
+        """Scaled basis values at chart points without the forced factors.
+
+        Entry ``j`` is ``scale_j * z^alpha_j``; multiplied by ``prod_j
+        Q_j(z)^{k_j}`` it gives ``basis_values``.  Callers that want
+        logarithms add ``sum_j k_j log|Q_j|`` instead, which stays finite
+        where that product underflows.
+        """
+        Z = np.atleast_2d(np.asarray(Z, dtype=complex))
+        cols = _chart_columns(self.manifold, chart)
+        return eval_monomials(Z, self.exponents[:, cols], self.scales)
+
     def basis_values(self, chart, Z, derivs=False):
         """Scaled basis values (and chart derivatives) at chart points."""
         Z = np.atleast_2d(np.asarray(Z, dtype=complex))
         cols = _chart_columns(self.manifold, chart)
         E = self.exponents[:, cols]
-        B = eval_monomials(Z, E, self.scales)
+        B = self.monomial_values(chart, Z)
         if self.sigma_polys:
             S = np.ones(Z.shape[0], dtype=complex)
             for Q, k in self.sigma_polys:

@@ -19,7 +19,9 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .bundles import curvature_pairing, ddc_pairing, pair_omega_basis
+from .bundles import (curvature_pairing, ddc_weights, finite_potential,
+                      pair_omega_basis)
+from .bundles import ddc_pairing  # noqa: F401 - stays importable from here
 from .errors import (
     ConfigurationError,
     DegenerateSpaceError,
@@ -41,6 +43,11 @@ _RESIDUAL_CAP = 1e-7
 
 # Entropy of the deterministic frame rotations used by the surface solver.
 _ROTATION_ENTROPY = 172803
+
+# Log-norm values (nodes x sections) evaluated per chunk by the batched
+# divisor pairing, about 1.5 MB of temporaries; the products are memory
+# bound, so larger chunks gain no speed and only raise peak memory.
+_LOG_NORM_CHUNK = 1 << 16
 
 
 def _seed_key(seed):
@@ -95,14 +102,15 @@ class Section:
         return self.space.manifold
 
     def log_norm(self, chart, Z):
-        """``log |s|_h`` at chart points (``-inf`` on the zero divisor)."""
+        """``log |s|_h`` at chart points (``-inf`` on the zero divisor).
+
+        The forced factors of the space enter through ``_log_norm_base``,
+        as logarithms, so nodes near an off-axis pole keep finite values.
+        """
         Z = np.atleast_2d(np.asarray(Z, dtype=complex))
-        with np.errstate(divide="ignore"):
-            u = np.log(np.abs(self.poly.chart_poly(chart).eval(Z)))
-        u -= self.space.p * self.space.metric.weight(chart, Z)
-        if self.space.adjoint:
-            u += 0.5 * np.log(self.manifold.canonical_factor(chart, Z))
-        return u
+        sp = self.space
+        return (_log_modulus(sp.monomial_values(chart, Z) @ self.coeffs)
+                + _log_norm_base(sp, chart, Z))
 
 
 class SectionTuple:
@@ -653,7 +661,8 @@ def zero_pairing(zeroset, form, rule=None):
     Point configurations pair with the plain function values.  Divisors pair
     through the global potential: the log-norm integrates against ``dd^c`` of
     the form, and the curvature of the twisted metric restores the closed
-    part.  Singular metrics want a rule refined at their pole centers.
+    part; the computation is that of ``zero_pairings`` with one section and
+    one form.  Singular metrics want a rule refined at their pole centers.
     """
     if zeroset.mode == "points":
         if form.omega_part is not None:
@@ -666,19 +675,89 @@ def zero_pairing(zeroset, form, rule=None):
         return float(sum(k * v for (_, k), v
                          in zip(zeroset.points, vals)))
     sec = zeroset.section
-    sp = sec.space
-    m = sp.manifold
+    return float(_divisor_pairings(sec.space, sec.coeffs[:, None], [form],
+                                   rule)[0, 0])
+
+
+def zero_pairings(space, seeds, forms, rule=None):
+    """``<[s_i = 0], f_j>`` for ``s_i = sample_section(space, seeds[i])``.
+
+    Returns the (samples, forms) matrix.  On curves each sample's zeros are
+    located and paired as points; ``rule`` is not used.  On surfaces the
+    zero divisors pair through their log-norm potentials over ``rule``:
+
+        <[s = 0], f> = int log|s|_h dd^c f + p <c1(L, h), f> (+ <c1(K), f>)
+
+    where the last term enters for adjoint spaces.  The integral is linear
+    in ``log|s|_h``, so every form contributes one weight vector per
+    quadrature block (``dd^c`` density times quadrature weight) and one
+    constant, whatever the number of sections; the sections' log-norms fill
+    a (nodes, samples) matrix whose product with those weights gives the
+    pairings.
+    """
+    forms = list(forms)
+    if space.manifold.dim == 1:
+        out = np.empty((len(seeds), len(forms)))
+        for i, seed in enumerate(seeds):
+            zs = zeros_on_curve(sample_section(space, seed))
+            out[i] = [zero_pairing(zs, f) for f in forms]
+        return out
+    C = np.stack([sample_section(space, seed).coeffs for seed in seeds],
+                 axis=1)
+    return _divisor_pairings(space, C, forms, rule)
+
+
+def _divisor_pairings(space, C, forms, rule):
+    """Divisor pairings of the sections with coefficient columns ``C``.
+
+    Per quadrature block the forms' node weights, the scaled monomials and
+    the sample-independent part of the log-norm are computed once; the
+    sections are evaluated together, in column chunks that keep each
+    (nodes, samples) array within ``_LOG_NORM_CHUNK`` entries.  A section
+    non-finite at too many nodes of a block raises as in ``ddc_pairing``.
+    """
+    m = space.manifold
     if rule is None:
         raise ConfigurationError("divisor pairings need a quadrature rule")
-    if m.dim == 2 and form.omega_part is None:
+    if m.dim == 2 and any(f.omega_part is None for f in forms):
         raise ConfigurationError(
             "divisor currents on surfaces pair with omega-carrying forms")
-    total = ddc_pairing(sec.log_norm, form, rule, integrable=True)
-    total += sp.p * curvature_pairing(sp.metric, form, rule)
-    if sp.adjoint:
-        for i, cdeg in enumerate(m.canonical_degree):
-            total += cdeg * pair_omega_basis(i, form, rule)
-    return total
+    out = np.zeros((C.shape[1], len(forms)))
+    for b in rule.capped_blocks():
+        W = np.stack([ddc_weights(f, b) for f in forms], axis=1)
+        M = space.monomial_values(b.chart, b.points)
+        base = _log_norm_base(space, b.chart, b.points)
+        step = max(1, _LOG_NORM_CHUNK // M.shape[0])
+        for lo in range(0, C.shape[1], step):
+            U = _log_modulus(M @ C[:, lo:lo + step]) + base[:, None]
+            out[lo:lo + step] += finite_potential(U, integrable=True).T @ W
+    for j, f in enumerate(forms):
+        const = space.p * curvature_pairing(space.metric, f, rule)
+        if space.adjoint:
+            for i, cdeg in enumerate(m.canonical_degree):
+                const += cdeg * pair_omega_basis(i, f, rule)
+        out[:, j] += const
+    return out
+
+
+def _log_modulus(values):
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(values))
+
+
+def _log_norm_base(space, chart, Z):
+    """The part of ``log |s|_h`` shared by every section of the space.
+
+    Metric weight, adjoint twist and the forced factors ``sum_j k_j
+    log|Q_j|``: adding ``log`` of the monomial part of a section gives its
+    log-norm.
+    """
+    u = -space.p * space.metric.weight(chart, Z)
+    if space.adjoint:
+        u += 0.5 * np.log(space.manifold.canonical_factor(chart, Z))
+    for Q, k in space.sigma_polys:
+        u += k * _log_modulus(Q.chart_poly(chart).eval(Z))
+    return u
 
 
 def expected_zero_residual(space, form, num_samples, seed, rule=None,
@@ -700,13 +779,8 @@ def expected_zero_residual(space, form, num_samples, seed, rule=None,
                                 singular_refinement=centers)
     target = space.p * fs_pairing(space, form, rule, route=route)
     key = _seed_key(seed)
-    vals = np.empty(num_samples)
-    for i in range(num_samples):
-        s = sample_section(space, key + (i,))
-        if m.dim == 1:
-            vals[i] = zero_pairing(zeros_on_curve(s), form)
-        else:
-            vals[i] = zero_pairing(divisor_zero_set(s), form, rule)
+    vals = zero_pairings(space, [key + (i,) for i in range(num_samples)],
+                         [form], rule)[:, 0]
     gap = abs(float(vals.mean()) - target)
     se = float(vals.std(ddof=1)) / math.sqrt(num_samples)
     return gap, se

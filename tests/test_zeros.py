@@ -4,19 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from kahlerlab.bundles import LineBundle, Metric
+from kahlerlab.bundles import (LineBundle, Metric, curvature_pairing,
+                               ddc_pairing, pair_omega_basis)
 from kahlerlab.errors import (ConfigurationError, DegenerateSpaceError,
                               GeneralPositionError)
 from kahlerlab.fscurrents import fs_pairing
 from kahlerlab.geometry import build_manifold, quadrature_nodes
 from kahlerlab.polynomials import (SectionPoly, coordinate_section,
                                    linear_section)
-from kahlerlab.sections import build_section_space
+from kahlerlab.sections import SectionSpace, build_section_space
 from kahlerlab.testforms import TestForm, constant_form, test_form_dictionary
 from kahlerlab.zeros import (Section, SectionTuple, common_zeros,
                              divisor_zero_set, empirical_general_position,
                              expected_zero_residual, sample_section,
-                             sample_tuple, zero_pairing, zeros_on_curve)
+                             sample_tuple, zero_pairing, zero_pairings,
+                             zeros_on_curve)
 
 
 @pytest.fixture(scope="module")
@@ -318,6 +320,117 @@ def test_divisor_and_point_pairings_agree(p1):
         p1, 32, singular_refinement=[pt for pt, _ in zs.points])
     for f in test_form_dictionary(p1, 1, count=6):
         assert abs(zero_pairing(zs, f) - zero_pairing(div, f, refined)) < 1e-8
+
+
+def test_off_axis_pole_divisor_and_point_pairings_agree(p1):
+    # p = 8 forces Q^4 into every section; on nodes refined towards the
+    # root of Q the expanded product underflows, its logarithm must not
+    Q = linear_section(p1, [1.0, 0.6 + 0.3j])
+    h = Metric.log_pole(LineBundle(p1, 2), Q, 0.5)
+    sp = build_section_space(h, 8)
+    sec = sample_section(sp, (3, 1))
+    zs = zeros_on_curve(sec)
+    div = divisor_zero_set(sec)
+    rule = quadrature_nodes(p1, 48, singular_refinement=h.refinement_centers())
+    one = constant_form(p1)
+    assert abs(zero_pairing(zs, one) - zero_pairing(div, one, rule)) < 1e-10
+    # the zeros of the section itself are not refined, hence the looser cap
+    for f in test_form_dictionary(p1, 1, count=3)[1:]:
+        assert abs(zero_pairing(zs, f) - zero_pairing(div, f, rule)) < 5e-4
+
+
+def _loop_divisor_pairing(sec, form, rule):
+    """One section's divisor pairing as one ddc_pairing of the log-norm of
+    its expanded polynomial, plus the curvature terms."""
+    sp = sec.space
+
+    def log_norm(chart, Z):
+        with np.errstate(divide="ignore"):
+            u = np.log(np.abs(sec.poly.chart_poly(chart).eval(Z)))
+        u -= sp.p * sp.metric.weight(chart, Z)
+        if sp.adjoint:
+            u += 0.5 * np.log(sp.manifold.canonical_factor(chart, Z))
+        return u
+
+    total = ddc_pairing(log_norm, form, rule, integrable=True)
+    total += sp.p * curvature_pairing(sp.metric, form, rule)
+    if sp.adjoint:
+        for i, cdeg in enumerate(sp.manifold.canonical_degree):
+            total += cdeg * pair_omega_basis(i, form, rule)
+    return total
+
+
+@pytest.mark.parametrize("case", ["fs", "coordinate-pole"])
+def test_batched_surface_pairings_match_the_per_sample_loop(p2, case):
+    if case == "fs":
+        h, p, samples, count = Metric.fubini_study(LineBundle(p2, 1)), 5, 4, 3
+    else:
+        h = Metric.log_pole(LineBundle(p2, 1), coordinate_section(p2, 0), 0.5)
+        p, samples, count = 7, 2, 3
+    sp = build_section_space(h, p)
+    rule = quadrature_nodes(p2, 8,
+                            singular_refinement=h.refinement_centers() or None)
+    forms = test_form_dictionary(p2, 1, count=count)
+    seeds = [(41, i) for i in range(samples)]
+    batch = zero_pairings(sp, seeds, forms, rule)
+    assert batch.shape == (samples, count)
+    for i, seed in enumerate(seeds):
+        sec = sample_section(sp, seed)
+        for j, f in enumerate(forms):
+            single = zero_pairing(divisor_zero_set(sec), f, rule)
+            assert abs(batch[i, j] - single) <= 1e-12 * abs(single)
+            loop = _loop_divisor_pairing(sec, f, rule)
+            assert abs(batch[i, j] - loop) <= 1e-12 * abs(loop)
+
+
+def test_curve_pairings_keep_the_point_route(p1):
+    sp = fs_space(p1, 1, 6)
+    forms = test_form_dictionary(p1, 1, count=4)
+    seeds = [(43, i) for i in range(5)]
+    batch = zero_pairings(sp, seeds, forms)
+    loop = [[zero_pairing(zeros_on_curve(sample_section(sp, s)), f)
+             for f in forms] for s in seeds]
+    assert np.array_equal(batch, np.array(loop))
+    # the divisor route on curves, against the loop, over a refined rule
+    sec = sample_section(sp, seeds[0])
+    rule = quadrature_nodes(
+        p1, 12, singular_refinement=[pt for pt, _ in
+                                     zeros_on_curve(sec).points])
+    for f in forms[:2]:
+        single = zero_pairing(divisor_zero_set(sec), f, rule)
+        loop = _loop_divisor_pairing(sec, f, rule)
+        assert abs(single - loop) <= 1e-12 * abs(loop)
+
+
+@pytest.mark.parametrize("nbad, raises", [(3, False), (40, True)])
+def test_nonfinite_guard_in_single_and_batched_pairings(p2, monkeypatch,
+                                                        nbad, raises):
+    sp = fs_space(p2, 1, 5)
+    rule = quadrature_nodes(p2, 8)
+    forms = test_form_dictionary(p2, 1, count=2)
+    seeds = [(44, 0), (44, 1)]
+    clean = zero_pairings(sp, seeds, forms, rule)
+    plain = SectionSpace.monomial_values
+
+    def vanishing(self, chart, Z):
+        vals = plain(self, chart, Z)
+        vals[:nbad] = 0.0    # every section vanishes at the first nodes
+        return vals
+
+    monkeypatch.setattr(SectionSpace, "monomial_values", vanishing)
+    div = divisor_zero_set(sample_section(sp, seeds[0]))
+    if raises:
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            zero_pairing(div, forms[1], rule)
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            zero_pairings(sp, seeds, forms, rule)
+        return
+    # a few isolated nodes lose their weight and nothing else changes
+    batch = zero_pairings(sp, seeds, forms, rule)
+    assert np.all(np.isfinite(batch))
+    assert np.max(np.abs(batch - clean)) < 1e-3
+    assert abs(zero_pairing(div, forms[1], rule) - batch[0, 1]) \
+        <= 1e-12 * abs(batch[0, 1])
 
 
 def test_divisor_pairing_needs_rule_and_section(p1):
