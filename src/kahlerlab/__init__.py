@@ -42,9 +42,12 @@ from .testforms import TestForm, constant_form, test_form_dictionary  # noqa: F4
 from .fscurrents import (  # noqa: F401
     descriptor_form_pairing,
     descriptor_wedge_pairing,
+    descriptor_wedge_pairings,
     divisor_pairing,
     fs_pairing,
     fs_pairings,
+    fs_wedge_pairing,
+    fs_wedge_pairings,
     fs_wedge_self_pairing,
 )
 from .zeros import (  # noqa: F401

@@ -56,10 +56,6 @@ class LineBundle:
     def __hash__(self):
         return hash(("LineBundle", self.manifold.kind, self.degree))
 
-    @property
-    def total_degree(self):
-        return sum(self.degree)
-
     def reference_weight(self, chart, Z):
         lf = self.manifold.log_factors(chart, Z)
         return lf @ (0.5 * np.asarray(self.degree, dtype=float))
@@ -586,12 +582,15 @@ def finite_potential(u, integrable):
     return np.where(bad, 0.0, u)
 
 
-def _form_omega_matrix(manifold, form, chart, Z):
+def _form_omega_matrix(manifold, form, chart, Z, mats=None):
+    """The form's omega part at chart points; ``mats`` may hold the basis
+    matrices at those points, one per factor, already evaluated."""
     acc = None
     for i, c in enumerate(np.asarray(form.omega_part, dtype=float)):
         if c == 0.0:
             continue
-        mat = manifold.omega_basis_matrix(i, chart, Z)
+        mat = (mats[i] if mats is not None
+               else manifold.omega_basis_matrix(i, chart, Z))
         acc = c * mat if acc is None else acc + c * mat
     if acc is None:
         acc = np.zeros((Z.shape[0], 2, 2), dtype=complex)
@@ -642,11 +641,11 @@ def descriptor_pairing_p1(descriptor, form, rule):
         if comp[0] == "coord":
             pt = np.zeros((1, 2), dtype=complex)
             pt[0, 1 - comp[1]] = 1.0
-            total += nu * _form_value_at(m, form, pt)
+            total += nu * float(form_values_hom(m, form, pt)[0])
         else:
             Q = comp[2]
             for root in _p1_roots(Q):
-                total += nu * _form_value_at(m, form, root[None, :])
+                total += nu * float(form_values_hom(m, form, root[None, :])[0])
     if descriptor.circle:
         theta = 2.0 * np.pi * (np.arange(256) + 0.5) / 256
         Z = np.exp(1j * theta)[:, None]
@@ -655,12 +654,13 @@ def descriptor_pairing_p1(descriptor, form, rule):
     return total
 
 
-def _form_value_at(manifold, form, points):
-    pts = manifold.normalize(points)
+def form_values_hom(manifold, form, points):
+    """chi at homogeneous points, preserving order."""
+    pts = manifold.normalize(np.atleast_2d(np.asarray(points, dtype=complex)))
     charts = manifold.chart_of(pts)
-    out = 0.0
+    out = np.empty(pts.shape[0], dtype=float)
     for c in np.unique(charts):
         sel = charts == c
         Z = manifold.to_chart(pts[sel], int(c))
-        out += float(np.sum(np.asarray(form.chi(int(c), Z), dtype=float)))
+        out[sel] = np.asarray(form.chi(int(c), Z), dtype=float)
     return out

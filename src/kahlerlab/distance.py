@@ -23,7 +23,8 @@ import numpy as np
 from .bundles import Metric, wedge_descriptors
 from .errors import (ConfigurationError, GeneralPositionError, KahlerlabError,
                      UnsupportedMetricError)
-from .fscurrents import descriptor_form_pairing, descriptor_wedge_pairing
+from .fscurrents import (descriptor_form_pairing, descriptor_wedge_pairing,
+                         descriptor_wedge_pairings)
 from .geometry import quadrature_nodes
 from .sections import build_section_space
 from .testforms import test_form_dictionary
@@ -96,8 +97,8 @@ def descriptor_vector(descriptor, forms, rule, ident="", meta=None,
 def wedge_vector(desc_a, desc_b, forms, rule, ident="", meta=None,
                  line_resolution=None):
     wedge = wedge_descriptors(desc_a, desc_b)
-    vals = [descriptor_wedge_pairing(desc_a.manifold, wedge, f, rule,
-                                     line_resolution) for f in forms]
+    vals = descriptor_wedge_pairings(desc_a.manifold, wedge, forms, rule,
+                                     line_resolution)
     return PairingVector(ident, vals, forms, meta)
 
 

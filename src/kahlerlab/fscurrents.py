@@ -19,6 +19,16 @@ square of the current into the smooth part, divisor restrictions of the
 reduced family, and transverse intersection points; a divisor paired with
 itself contributes nothing, matching the closed-form wedge convention in
 :mod:`kahlerlab.bundles`.
+
+Block-outer rule: every pairing takes a list of forms and loops over the
+quadrature blocks outside and the forms inside.  What does not depend on
+the form (log Bergman values, reduced Hessians, omega basis matrices and
+their wedge densities, quadrature weights, embedded line points, transverse
+intersection points) is computed once per block; per form only ``chi`` and
+its ``dd^c`` weights are.  Nothing outlives the call.  Each form's total
+accumulates in the same order as it would alone, so the one-form functions
+(``fs_pairing``, ``fs_wedge_pairing``, ``descriptor_wedge_pairing``) are
+one-entry calls of the batched ones and return the same bits.
 """
 
 from __future__ import annotations
@@ -29,58 +39,40 @@ import numpy as np
 
 from ._kernels import eval_monomials
 from .bundles import (_coord_intersection, _p1_roots, curvature_pairing,
-                      ddc_pairing, _form_omega_matrix, pair_omega_basis,
+                      ddc_weights, finite_potential, _form_omega_matrix,
+                      form_values_hom, pair_omega_basis,
                       descriptor_pairing_p1)
 from .errors import (ConfigurationError, GeneralPositionError, NumericalError)
 from .geometry import build_manifold, quadrature_nodes, wedge_density_11
 
 __all__ = [
-    "fs_pairing", "fs_pairings", "fs_wedge_self_pairing", "form_values_hom",
-    "divisor_pairing", "descriptor_form_pairing", "descriptor_wedge_pairing",
-    "BergmanField", "ReducedHessianField",
+    "fs_pairing", "fs_pairings", "fs_wedge_pairing", "fs_wedge_pairings",
+    "fs_wedge_self_pairing", "form_values_hom", "divisor_pairing",
+    "descriptor_form_pairing", "descriptor_wedge_pairing",
+    "descriptor_wedge_pairings", "ReducedHessianField",
 ]
 
 
 # ---------------------------------------------------------------------------
-# cached per-block fields
+# form-independent fields
 # ---------------------------------------------------------------------------
 
 
-class BergmanField:
-    """Log Bergman values cached per quadrature block.
-
-    Keyed by ``id`` of the node array, so a single instance may be shared
-    across many test forms on the same rule but must not outlive the rule.
-    """
-
-    def __init__(self, space):
-        self.space = space
-        self._cache = {}
-
-    def __call__(self, chart, Z):
-        key = (chart, id(Z))
-        if key not in self._cache:
-            self._cache[key] = self.space.log_bergman(chart, Z)
-        return self._cache[key]
-
-
 class ReducedHessianField:
-    """Pointwise Hessian of ``log F_red / (2p)`` cached per block.
+    """Pointwise Hessian of ``log F_red / (2p)`` of one space.
 
-    Returns ``(H, bad)`` where H is (N,) on curves and (N, 2, 2) on
-    surfaces and ``bad`` flags nodes where the reduced family vanished
-    (isolated; their quadrature weight is dropped by the caller).
+    Called with a block's chart and nodes it returns ``(H, bad)`` where H
+    is (N,) on curves and (N, 2, 2) on surfaces and ``bad`` flags nodes
+    where the reduced family vanished (isolated; their quadrature weight is
+    dropped by the caller).  It keeps nothing: the pairings call it once
+    per block and serve every form from that one value.
     """
 
     def __init__(self, space):
         self.space = space
-        self._cache = {}
 
     def __call__(self, chart, Z):
-        key = (chart, id(Z))
-        if key not in self._cache:
-            self._cache[key] = _reduced_hessian(self.space, chart, Z)
-        return self._cache[key]
+        return _reduced_hessian(self.space, chart, Z)
 
 
 def _reduced_hessian(space, chart, Z):
@@ -106,21 +98,20 @@ def _reduced_hessian(space, chart, Z):
     return H, bad
 
 
-# ---------------------------------------------------------------------------
-# point evaluation of test forms
-# ---------------------------------------------------------------------------
+def _drop_vanished(bad, weights, what):
+    """Block weights without the nodes where a reduced family vanished.
+
+    A few isolated nodes are expected; more than ``max(8, nodes // 10000)``
+    in one block means the family is degenerate and raises.
+    """
+    nbad = int(np.count_nonzero(bad))
+    if nbad > max(8, bad.shape[0] // 10000):
+        raise NumericalError(f"{what} vanished at {nbad} quadrature nodes")
+    return np.where(bad, 0.0, weights) if nbad else weights
 
 
-def form_values_hom(manifold, form, points):
-    """chi at homogeneous points, preserving order."""
-    pts = manifold.normalize(np.atleast_2d(np.asarray(points, dtype=complex)))
-    charts = manifold.chart_of(pts)
-    out = np.empty(pts.shape[0], dtype=float)
-    for c in np.unique(charts):
-        sel = charts == c
-        Z = manifold.to_chart(pts[sel], int(c))
-        out[sel] = np.asarray(form.chi(int(c), Z), dtype=float)
-    return out
+def _chi(form, block):
+    return np.asarray(form.chi(block.chart, block.points), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -128,60 +119,64 @@ def form_values_hom(manifold, form, points):
 # ---------------------------------------------------------------------------
 
 
-def fs_pairing(space, form, rule, route="potential", line_resolution=None,
-               _field=None):
+def fs_pairing(space, form, rule, route="potential", line_resolution=None):
     """``<(1/2p) dd^c log F_p, form>`` for an orthonormalized space."""
-    if space.manifold.dim == 2 and form.omega_part is None:
-        raise ConfigurationError(
-            "(1,1)-current pairings on surfaces need omega-carrying forms")
-    if route == "potential":
-        field = _field if _field is not None else BergmanField(space)
-        total = curvature_pairing(space.metric, form, rule)
-        if space.adjoint:
-            for i, cdeg in enumerate(space.manifold.canonical_degree):
-                total += (cdeg / space.p) * pair_omega_basis(i, form, rule)
-        total += ddc_pairing(field, form, rule, integrable=True) / (2.0 * space.p)
-        return total
-    if route != "derivative":
-        raise ConfigurationError(f"unknown pairing route {route!r}")
-    field = _field if _field is not None else ReducedHessianField(space)
-    total = _pointwise_pairing(field, form, rule)
-    for comp, k in space.base_divisors:
-        total += (k / space.p) * divisor_pairing(
-            space.manifold, comp, form, resolution=line_resolution)
-    return total
+    return float(fs_pairings(space, [form], rule, route, line_resolution)[0])
 
 
 def fs_pairings(space, forms, rule, route="potential", line_resolution=None):
-    """Pair one space against many forms, sharing the per-block cache."""
-    field = (BergmanField(space) if route == "potential"
-             else ReducedHessianField(space))
-    return np.array([
-        fs_pairing(space, f, rule, route, line_resolution, _field=field)
-        for f in forms])
+    """:func:`fs_pairing` of one space against each form, as an array."""
+    forms = list(forms)
+    if space.manifold.dim == 2 and any(f.omega_part is None for f in forms):
+        raise ConfigurationError(
+            "(1,1)-current pairings on surfaces need omega-carrying forms")
+    if route == "potential":
+        return _potential_pairings(space, forms, rule)
+    if route != "derivative":
+        raise ConfigurationError(f"unknown pairing route {route!r}")
+    totals = _pointwise_pairings(space, forms, rule)
+    for comp, k in space.base_divisors:
+        totals += (k / space.p) * _divisor_pairings(
+            space.manifold, comp, forms, line_resolution)
+    return totals
 
 
-def _pointwise_pairing(field, form, rule):
+def _potential_pairings(space, forms, rule):
+    ddc = np.zeros(len(forms))
+    for b in rule.capped_blocks():
+        u = finite_potential(space.log_bergman(b.chart, b.points), True)
+        for i, f in enumerate(forms):
+            ddc[i] += float(np.dot(u, ddc_weights(f, b)))
+    totals = np.empty(len(forms))
+    for i, f in enumerate(forms):
+        total = curvature_pairing(space.metric, f, rule)
+        if space.adjoint:
+            for j, cdeg in enumerate(space.manifold.canonical_degree):
+                total += (cdeg / space.p) * pair_omega_basis(j, f, rule)
+        totals[i] = total + ddc[i] / (2.0 * space.p)
+    return totals
+
+
+def _pointwise_pairings(space, forms, rule):
     m = rule.manifold
-    total = 0.0
+    field = ReducedHessianField(space)
+    totals = np.zeros(len(forms))
     for b in rule.capped_blocks():
         H, bad = field(b.chart, b.points)
-        nbad = int(np.count_nonzero(bad))
-        if nbad > max(8, b.points.shape[0] // 10000):
-            raise NumericalError(
-                f"reduced family vanished at {nbad} quadrature nodes")
-        chi = np.asarray(form.chi(b.chart, b.points), dtype=float)
         if m.dim == 1:
+            wq = _drop_vanished(bad, b.weights_lebesgue, "reduced family")
             dens = np.real(H) / math.pi
-            wq = b.weights_lebesgue
         else:
-            Mf = _form_omega_matrix(m, form, b.chart, b.points)
-            dens = wedge_density_11(H, Mf)
-            wq = b.weights_lebesgue / 4.0
-        if nbad:
-            wq = np.where(bad, 0.0, wq)
-        total += float(np.dot(chi * dens, wq))
-    return total
+            wq = _drop_vanished(bad, b.weights_lebesgue / 4.0,
+                                "reduced family")
+            mats = [m.omega_basis_matrix(i, b.chart, b.points)
+                    for i in range(m.factors)]
+        for i, f in enumerate(forms):
+            if m.dim == 2:
+                dens = wedge_density_11(H, _form_omega_matrix(
+                    m, f, b.chart, b.points, mats))
+            totals[i] += float(np.dot(_chi(f, b) * dens, wq))
+    return totals
 
 
 # ---------------------------------------------------------------------------
@@ -197,30 +192,28 @@ def divisor_pairing(manifold, comp, form, resolution=None):
     the restriction integral over a coordinate divisor; polynomial
     components of surfaces have no closed-form parametrization here.
     """
+    return float(_divisor_pairings(manifold, comp, [form], resolution)[0])
+
+
+def _divisor_pairings(manifold, comp, forms, resolution):
     if manifold.dim == 1:
         if comp[0] == "coord":
             pt = np.zeros((1, 2), dtype=complex)
             pt[0, 1 - comp[1]] = 1.0
-            return float(form_values_hom(manifold, form, pt)[0])
-        return float(sum(form_values_hom(manifold, form, r[None, :])[0]
-                         for r in _p1_roots(comp[2])))
+            return np.array([form_values_hom(manifold, f, pt)[0]
+                             for f in forms])
+        roots = _p1_roots(comp[2])
+        return np.array([sum(form_values_hom(manifold, f, r[None, :])[0]
+                             for r in roots) for f in forms])
     if comp[0] != "coord":
         raise GeneralPositionError(
             "surface divisor pairings need coordinate components")
-    if form.omega_part is None:
+    if any(f.omega_part is None for f in forms):
         raise ConfigurationError(
             "pairing a divisor on a surface needs a (1,1) test form")
-    embed, _, omega_index = _line_embedding(manifold, comp)
-    coeff = float(np.asarray(form.omega_part, dtype=float)[omega_index])
-    if coeff == 0.0:
-        return 0.0
-    line_m, rule = _line_rule(resolution)
-    total = 0.0
-    for b in rule.capped_blocks():
-        pts = embed(line_m.from_chart(b.points, b.chart))
-        chi = form_values_hom(manifold, form, pts)
-        total += coeff * float(np.dot(chi, b.weights_volume))
-    return total
+    return _divisor_omega_pairings(manifold, comp,
+                                   [f.omega_part for f in forms], forms,
+                                   resolution)
 
 
 def _line_embedding(manifold, comp):
@@ -293,44 +286,59 @@ def descriptor_wedge_pairing(manifold, wedge, form, rule, line_resolution=None):
     ``wedge`` is the output of :func:`kahlerlab.bundles.wedge_descriptors`;
     ``form`` must be a scalar test function (no omega part).
     """
-    if form.omega_part is not None:
+    return float(descriptor_wedge_pairings(manifold, wedge, [form], rule,
+                                           line_resolution)[0])
+
+
+def descriptor_wedge_pairings(manifold, wedge, forms, rule,
+                              line_resolution=None):
+    """:func:`descriptor_wedge_pairing` against each form, as an array."""
+    forms = list(forms)
+    if any(f.omega_part is not None for f in forms):
         raise ConfigurationError("bidegree (2,2) currents pair with functions")
-    total = 0.0
+    totals = np.zeros(len(forms))
     pairs = np.asarray(wedge["omega_pairs"], dtype=float)
+    nf = manifold.factors
     for b in rule.capped_blocks():
-        chi = np.asarray(form.chi(b.chart, b.points), dtype=float)
         mats = [manifold.omega_basis_matrix(i, b.chart, b.points)
-                for i in range(manifold.factors)]
+                for i in range(nf)]
+        dens = [(pairs[i, j], wedge_density_11(mats[i], mats[j]))
+                for i in range(nf) for j in range(nf) if pairs[i, j] != 0.0]
         wq = b.weights_lebesgue / 4.0
-        for i in range(manifold.factors):
-            for j in range(manifold.factors):
-                if pairs[i, j] != 0.0:
-                    dens = wedge_density_11(mats[i], mats[j])
-                    total += pairs[i, j] * float(np.dot(chi * dens, wq))
+        for fi, f in enumerate(forms):
+            chi = _chi(f, b)
+            for c, d in dens:
+                totals[fi] += c * float(np.dot(chi * d, wq))
     for comp, vec in wedge["divisor_omega"]:
-        total += _divisor_omega_pairing(manifold, comp, vec, form,
-                                        line_resolution)
+        totals += _divisor_omega_pairings(manifold, comp, [vec] * len(forms),
+                                          forms, line_resolution)
     for pt, mass in wedge["points"]:
-        total += mass * float(form_values_hom(manifold, form, pt[None, :])[0])
-    return total
+        for fi, f in enumerate(forms):
+            totals[fi] += mass * float(
+                form_values_hom(manifold, f, pt[None, :])[0])
+    return totals
 
 
-def _divisor_omega_pairing(manifold, comp, omega_vec, form, resolution):
-    """``int_D chi * (omega_vec . basis)|_D`` over a coordinate divisor."""
+def _divisor_omega_pairings(manifold, comp, omega_vecs, forms, resolution):
+    """``int_D chi_f * (omega_vec_f . basis)|_D`` over a coordinate divisor,
+    one entry per form, with the divisor's line points embedded once."""
     if comp[0] != "coord":
         raise GeneralPositionError(
             "surface divisor pairings need coordinate components")
     embed, _, omega_index = _line_embedding(manifold, comp)
-    coeff = float(np.asarray(omega_vec, dtype=float)[omega_index])
-    if coeff == 0.0:
-        return 0.0
+    coeffs = [float(np.asarray(v, dtype=float)[omega_index])
+              for v in omega_vecs]
+    live = [i for i, c in enumerate(coeffs) if c != 0.0]
+    totals = np.zeros(len(forms))
+    if not live:
+        return totals
     line_m, rule = _line_rule(resolution)
-    total = 0.0
     for b in rule.capped_blocks():
         pts = embed(line_m.from_chart(b.points, b.chart))
-        chi = form_values_hom(manifold, form, pts)
-        total += coeff * float(np.dot(chi, b.weights_volume))
-    return total
+        for i in live:
+            chi = form_values_hom(manifold, forms[i], pts)
+            totals[i] += coeffs[i] * float(np.dot(chi, b.weights_volume))
+    return totals
 
 
 # ---------------------------------------------------------------------------
@@ -347,17 +355,24 @@ def fs_wedge_pairing(space_a, space_b, form, rule, line_resolution=None):
     component shared by both collections carries no intersection mass:
     both local potentials depend on the same coordinate there.
     """
+    return float(fs_wedge_pairings(space_a, space_b, [form], rule,
+                                   line_resolution)[0])
+
+
+def fs_wedge_pairings(space_a, space_b, forms, rule, line_resolution=None):
+    """:func:`fs_wedge_pairing` against each form, as an array."""
+    forms = list(forms)
     m = space_a.manifold
     if m.dim != 2:
         raise ConfigurationError("current wedges need a surface")
     if space_b.manifold.kind != m.kind:
         raise ConfigurationError("both factors must live on one manifold")
-    if form.omega_part is not None:
+    if any(f.omega_part is not None for f in forms):
         raise ConfigurationError("bidegree (2,2) currents pair with functions")
     same = space_b is space_a
     field_a = ReducedHessianField(space_a)
-    field_b = field_a if same else ReducedHessianField(space_b)
-    total = 0.0
+    field_b = ReducedHessianField(space_b)
+    totals = np.zeros(len(forms))
     for b in rule.capped_blocks():
         Ha, bad = field_a(b.chart, b.points)
         if same:
@@ -365,22 +380,30 @@ def fs_wedge_pairing(space_a, space_b, form, rule, line_resolution=None):
         else:
             Hb, bad_b = field_b(b.chart, b.points)
             bad = bad | bad_b
-        nbad = int(np.count_nonzero(bad))
-        if nbad > max(8, b.points.shape[0] // 10000):
-            raise NumericalError(
-                f"reduced families vanished at {nbad} quadrature nodes")
-        chi = np.asarray(form.chi(b.chart, b.points), dtype=float)
+        wq = _drop_vanished(bad, b.weights_lebesgue / 4.0,
+                            "reduced families")
         dens = wedge_density_11(Ha, Hb)
-        wq = b.weights_lebesgue / 4.0
-        if nbad:
-            wq = np.where(bad, 0.0, wq)
-        total += float(np.dot(chi * dens, wq))
-    for comp, k in space_a.base_divisors:
-        total += (k / space_a.p) * _restricted_pairing(
-            space_b, comp, form, line_resolution)
-    for comp, k in space_b.base_divisors:
-        total += (k / space_b.p) * _restricted_pairing(
-            space_a, comp, form, line_resolution)
+        for i, f in enumerate(forms):
+            totals[i] += float(np.dot(_chi(f, b) * dens, wq))
+    on_a = [_restricted_pairings(space_b, comp, forms, line_resolution)
+            for comp, _ in space_a.base_divisors]
+    on_b = on_a if same else [
+        _restricted_pairings(space_a, comp, forms, line_resolution)
+        for comp, _ in space_b.base_divisors]
+    for (_, k), r in zip(space_a.base_divisors, on_a):
+        totals += (k / space_a.p) * r
+    for (_, k), r in zip(space_b.base_divisors, on_b):
+        totals += (k / space_b.p) * r
+    for w, pt in _transverse_points(space_a, space_b):
+        for i, f in enumerate(forms):
+            totals[i] += w * float(form_values_hom(m, f, pt[None, :])[0])
+    return totals
+
+
+def _transverse_points(space_a, space_b):
+    """``(weight, point)`` of each transverse intersection between the
+    forced divisors of the two spaces."""
+    out = []
     for comp_a, ka in space_a.base_divisors:
         for comp_b, kb in space_b.base_divisors:
             if comp_a[0] != "coord" or comp_b[0] != "coord":
@@ -389,15 +412,13 @@ def fs_wedge_pairing(space_a, space_b, form, rule, line_resolution=None):
                     "divisors only")
             if comp_a[1] == comp_b[1]:
                 continue
-            pts = _coord_intersection(m, comp_a[1], comp_b[1])
+            pts = _coord_intersection(space_a.manifold, comp_a[1], comp_b[1])
             if pts is None:
                 raise GeneralPositionError(
                     f"divisors {comp_a} and {comp_b} are not in general "
                     "position")
-            for pt in pts:
-                total += (ka * kb / (space_a.p * space_b.p)) * float(
-                    form_values_hom(m, form, pt[None, :])[0])
-    return total
+            out += [(ka * kb / (space_a.p * space_b.p), pt) for pt in pts]
+    return out
 
 
 def fs_wedge_self_pairing(space, form, rule, line_resolution=None):
@@ -409,15 +430,16 @@ def fs_wedge_self_pairing(space, form, rule, line_resolution=None):
     return fs_wedge_pairing(space, space, form, rule, line_resolution)
 
 
-def _restricted_pairing(space, comp, form, resolution):
-    """``<[D] ^ beta, chi>``: the reduced current restricted to a divisor."""
+def _restricted_pairings(space, comp, forms, resolution):
+    """``<[D] ^ beta, chi_f>`` for each form: the reduced current
+    restricted to a divisor, its family evaluated once per line block."""
     m = space.manifold
     Rc, q_line = _line_family(space, comp)
     line_m, rule = _line_rule(resolution, q_line)
     embed, _, _ = _line_embedding(m, comp)
     p = space.p
     exps = np.arange(q_line + 1)
-    total = 0.0
+    totals = np.zeros(len(forms))
     for b in rule.capped_blocks():
         Z = b.points
         e = exps if b.chart == 0 else q_line - exps
@@ -431,10 +453,12 @@ def _restricted_pairing(space, comp, form, resolution):
         Fa = np.einsum("nj,nj->n", dV, np.conj(V))
         Faa = np.einsum("nj,nj->n", np.abs(dV), np.abs(dV))
         H = np.real(Faa * Fs - np.abs(Fa) ** 2) / Fs ** 2 / (2.0 * p)
-        chi = form_values_hom(m, form, embed(line_m.from_chart(Z, b.chart)))
+        pts = embed(line_m.from_chart(Z, b.chart))
         wq = np.where(bad, 0.0, b.weights_lebesgue)
-        total += float(np.dot(chi * H / math.pi, wq))
-    return total
+        for i, f in enumerate(forms):
+            chi = form_values_hom(m, f, pts)
+            totals[i] += float(np.dot(chi * H / math.pi, wq))
+    return totals
 
 
 def _line_family(space, comp):

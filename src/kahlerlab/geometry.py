@@ -107,13 +107,6 @@ class Manifold:
 
     # -- charts ------------------------------------------------------------
 
-    def chart_labels(self):
-        if self.kind == "P1":
-            return [(0,), (1,)]
-        if self.kind == "P2":
-            return [(0,), (1,), (2,)]
-        return [(0, 0), (0, 1), (1, 0), (1, 1)]
-
     def chart_of(self, points, seam=None):
         """Index of the chart region owning each point (ties -> lowest)."""
         pts = np.atleast_2d(np.asarray(points, dtype=complex))

@@ -34,8 +34,8 @@ from .errors import (ConfigurationError, DegenerateSpaceError,
                      EmptySpaceError, IllConditionedError, NumericalError,
                      UnsupportedMetricError)
 from .geometry import quadrature_nodes
-from .polynomials import (SectionPoly, _chart_columns, coordinate_section,
-                          degree_tuple, monomial_exponents)
+from .polynomials import (SectionPoly, _chart_columns, degree_tuple,
+                          monomial_exponents)
 
 TWO_PI = 2.0 * math.pi
 
@@ -182,16 +182,6 @@ class SectionSpace:
     @property
     def dim(self):
         return self.exponents.shape[0]
-
-    def base_polynomials(self):
-        """Forced common factors as ``(SectionPoly, order)`` pairs."""
-        out = []
-        for comp, k in self.base_divisors:
-            if comp[0] == "coord":
-                out.append((coordinate_section(self.manifold, comp[1]), k))
-            else:
-                out.append((comp[2], k))
-        return out
 
     def section_polynomial(self, coeffs):
         """The section with the given coefficients in the scaled basis."""

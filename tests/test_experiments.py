@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from kahlerlab.config import parse_config
+from kahlerlab.errors import EmptySpaceError
 from kahlerlab.experiments import emit_report, run_study
 from kahlerlab.geometry import quadrature_nodes
 from kahlerlab.sections import build_section_space
@@ -16,17 +18,21 @@ def _expected_zero_config(cache):
     })
 
 
+def _assert_same_bytes(cold, warm, tmp_path):
+    a = emit_report(cold, tmp_path / "cold")
+    b = emit_report(warm, tmp_path / "warm")
+    for kind in ("csv", "json", "svg"):
+        with open(a[kind], "rb") as fa, open(b[kind], "rb") as fb:
+            assert fa.read() == fb.read()
+
+
 def test_expected_zero_reports_replay_and_match_the_sample_loop(tmp_path):
     cfg = _expected_zero_config(tmp_path / "cache")
     cold = run_study(cfg)
     warm = run_study(cfg)
     assert (cold["cache"], warm["cache"]) == ({"hits": 0, "misses": 1},
                                               {"hits": 1, "misses": 0})
-    a = emit_report(cold, tmp_path / "cold")
-    b = emit_report(warm, tmp_path / "warm")
-    for kind in ("csv", "json", "svg"):
-        with open(a[kind], "rb") as fa, open(b[kind], "rb") as fb:
-            assert fa.read() == fb.read()
+    _assert_same_bytes(cold, warm, tmp_path)
 
     # the study seeds sample i as (master..., metric index, p index, i)
     man = cfg.manifold
@@ -41,3 +47,28 @@ def test_expected_zero_reports_replay_and_match_the_sample_loop(tmp_path):
     assert [r["form"] for r in rows] == [f.label for f in forms]
     for r, mean in zip(rows, loop.mean(axis=0)):
         assert abs(r["mc_mean"] - mean) <= 1e-12 * abs(mean)
+
+
+def _surface_convergence_config(cache, p_grid):
+    return parse_config({
+        "study": "fs-convergence", "manifold": "P2",
+        "metrics": [{"h": {"kind": "log_pole", "t": 0.5,
+                           "Q": {"coord": 0}}}],
+        "p_grid": p_grid, "dict_count": 2, "seed": [0], "cache": str(cache),
+    })
+
+
+def test_surface_convergence_replays_and_checks_the_wedge_mass(tmp_path):
+    cfg = _surface_convergence_config(tmp_path / "cache", [6, 10])
+    cold = run_study(cfg)
+    warm = run_study(cfg)
+    assert warm["cache"] == {"hits": 2, "misses": 0}
+    _assert_same_bytes(cold, warm, tmp_path)
+    # the square of the family current loses (k/p)^2 on its base divisor
+    masses = cold["summary"]["metrics"][0]["masses"]
+    assert [round(r["expected"], 9) for r in masses] == [0.0, 0.24]
+    assert cold["flags"]["mass_ok"]
+
+    cfg = _surface_convergence_config(tmp_path / "cache", [4, 5])
+    with pytest.raises(EmptySpaceError):
+        run_study(cfg)

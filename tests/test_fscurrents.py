@@ -1,14 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 
-from kahlerlab.bundles import (LineBundle, Metric, curvature_pairing,
+from kahlerlab import fscurrents
+from kahlerlab._kernels import eval_monomials
+from kahlerlab.bundles import (LineBundle, Metric, _coord_intersection,
+                               curvature_pairing, ddc_pairing,
                                pair_omega_basis, wedge_descriptors)
-from kahlerlab.errors import ConfigurationError, GeneralPositionError
+from kahlerlab.errors import (ConfigurationError, GeneralPositionError,
+                              NumericalError)
 from kahlerlab.fscurrents import (descriptor_form_pairing,
-                                  descriptor_wedge_pairing, divisor_pairing,
+                                  descriptor_wedge_pairing,
+                                  descriptor_wedge_pairings, divisor_pairing,
                                   form_values_hom, fs_pairing, fs_pairings,
-                                  fs_wedge_self_pairing)
-from kahlerlab.geometry import build_manifold, quadrature_nodes
+                                  fs_wedge_pairings, fs_wedge_self_pairing)
+from kahlerlab.geometry import (build_manifold, quadrature_nodes,
+                                wedge_density_11)
 from kahlerlab.polynomials import SectionPoly, coordinate_section
 from kahlerlab.sections import build_section_space
 from kahlerlab.testforms import constant_form, test_form_dictionary
@@ -202,3 +210,169 @@ def test_form_point_values_preserve_order(p2):
     vals = form_values_hom(p2, f, pts)
     single = [form_values_hom(p2, f, pts[i:i + 1])[0] for i in range(40)]
     assert np.allclose(vals, single, atol=1e-14)
+
+
+# -- batched pairings against per-form loops -----------------------------------
+#
+# The references below pair one form at a time, block by block, the way a
+# single pairing is defined; the batched routines must reproduce them.
+
+
+def _chi(form, block):
+    return np.asarray(form.chi(block.chart, block.points), dtype=float)
+
+
+def _ref_restricted(space, comp, form, resolution):
+    Rc, q_line = fscurrents._line_family(space, comp)
+    line_m, rule = fscurrents._line_rule(resolution, q_line)
+    embed, _, _ = fscurrents._line_embedding(space.manifold, comp)
+    exps = np.arange(q_line + 1)
+    total = 0.0
+    for b in rule.capped_blocks():
+        e = exps if b.chart == 0 else q_line - exps
+        V = eval_monomials(b.points, e[:, None], np.ones(q_line + 1)) @ Rc
+        dV = eval_monomials(b.points, np.maximum(e - 1, 0)[:, None],
+                            e.astype(float)) @ Rc
+        F = np.einsum("nj,nj->n", np.abs(V), np.abs(V))
+        bad = F < 1e-290
+        Fs = np.where(bad, 1.0, F)
+        Fa = np.einsum("nj,nj->n", dV, np.conj(V))
+        Faa = np.einsum("nj,nj->n", np.abs(dV), np.abs(dV))
+        H = np.real(Faa * Fs - np.abs(Fa) ** 2) / Fs ** 2 / (2.0 * space.p)
+        chi = form_values_hom(space.manifold, form,
+                              embed(line_m.from_chart(b.points, b.chart)))
+        wq = np.where(bad, 0.0, b.weights_lebesgue)
+        total += float(np.dot(chi * H / math.pi, wq))
+    return total
+
+
+def _ref_fs_wedge(sa, sb, form, rule, resolution):
+    m = sa.manifold
+    total = 0.0
+    for b in rule.capped_blocks():
+        Ha, bad_a = fscurrents._reduced_hessian(sa, b.chart, b.points)
+        Hb, bad_b = fscurrents._reduced_hessian(sb, b.chart, b.points)
+        bad = bad_a | bad_b
+        assert np.count_nonzero(bad) <= max(8, b.points.shape[0] // 10000)
+        wq = np.where(bad, 0.0, b.weights_lebesgue / 4.0)
+        total += float(np.dot(_chi(form, b) * wedge_density_11(Ha, Hb), wq))
+    for comp, k in sa.base_divisors:
+        total += (k / sa.p) * _ref_restricted(sb, comp, form, resolution)
+    for comp, k in sb.base_divisors:
+        total += (k / sb.p) * _ref_restricted(sa, comp, form, resolution)
+    for comp_a, ka in sa.base_divisors:
+        for comp_b, kb in sb.base_divisors:
+            if comp_a[1] != comp_b[1]:
+                for pt in _coord_intersection(m, comp_a[1], comp_b[1]):
+                    total += (ka * kb / (sa.p * sb.p)) * float(
+                        form_values_hom(m, form, pt[None, :])[0])
+    return total
+
+
+def _ref_descriptor_wedge(m, wedge, form, rule, resolution):
+    pairs = wedge["omega_pairs"]
+    total = 0.0
+    for b in rule.capped_blocks():
+        mats = [m.omega_basis_matrix(i, b.chart, b.points)
+                for i in range(m.factors)]
+        for i in range(m.factors):
+            for j in range(m.factors):
+                if pairs[i, j] != 0.0:
+                    dens = wedge_density_11(mats[i], mats[j])
+                    total += pairs[i, j] * float(np.dot(
+                        _chi(form, b) * dens, b.weights_lebesgue / 4.0))
+    line_m, line_rule = fscurrents._line_rule(resolution)
+    for comp, vec in wedge["divisor_omega"]:
+        embed, _, omega_index = fscurrents._line_embedding(m, comp)
+        for b in line_rule.capped_blocks():
+            chi = form_values_hom(m, form,
+                                  embed(line_m.from_chart(b.points, b.chart)))
+            total += vec[omega_index] * float(np.dot(chi, b.weights_volume))
+    for pt, mass in wedge["points"]:
+        total += mass * float(form_values_hom(m, form, pt[None, :])[0])
+    return total
+
+
+def _wedge_case(name):
+    """(manifold, metric a, metric b, p) of one wedge test case."""
+    if name == "P1xP1":
+        m = build_manifold("P1xP1")
+        h = two_pole_metric(m, LineBundle(m, (1, 2)), 0.5, 0.25, i0=0, i1=2)
+        return m, h, h, 6
+    m = build_manifold("P2")
+    L = LineBundle(m, 1)
+    ha = Metric.log_pole(L, coordinate_section(m, 0), 0.5)
+    if name == "P2-self":
+        return m, ha, ha, 8
+    # poles on distinct coordinates meet in a transverse point
+    return m, ha, Metric.log_pole(L, coordinate_section(m, 1), 0.25), 8
+
+
+@pytest.mark.parametrize("case", ["P2-self", "P2-transverse", "P1xP1"])
+def test_batched_wedge_pairings_match_the_per_form_loop(case):
+    m, ha, hb, p = _wedge_case(case)
+    sa = build_section_space(ha, p, resolution=16)
+    sb = sa if hb is ha else build_section_space(hb, p, resolution=16)
+    assert sa.base_divisors and sb.base_divisors
+    rule = quadrature_nodes(m, 8)
+    forms = test_form_dictionary(m, 2, 4)
+    got = fs_wedge_pairings(sa, sb, forms, rule, line_resolution=16)
+    ref = [_ref_fs_wedge(sa, sb, f, rule, 16) for f in forms]
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+    wedge = wedge_descriptors(ha.curvature_descriptor(),
+                              hb.curvature_descriptor())
+    if case == "P2-transverse":
+        assert len(wedge["points"]) == 1
+    got = descriptor_wedge_pairings(m, wedge, forms, rule, line_resolution=16)
+    ref = [_ref_descriptor_wedge(m, wedge, f, rule, 16) for f in forms]
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+    assert got[1] == descriptor_wedge_pairing(m, wedge, forms[1], rule,
+                                              line_resolution=16)
+
+
+def test_batched_potential_pairings_match_the_per_form_loop(p1):
+    L = LineBundle(p1, 2)
+    h = Metric.log_pole(L, coordinate_section(p1, 0), 0.5)
+    sp = build_section_space(h, 8)
+    rule = quadrature_nodes(p1, 32, singular_refinement=h.refinement_centers())
+    forms = test_form_dictionary(p1, 1, 5)
+    ref = []
+    for f in forms:
+        total = curvature_pairing(h, f, rule)
+        total += (-2 / sp.p) * pair_omega_basis(0, f, rule)
+        total += ddc_pairing(sp.log_bergman, f, rule,
+                             integrable=True) / (2.0 * sp.p)
+        ref.append(total)
+    np.testing.assert_allclose(fs_pairings(sp, forms, rule), ref,
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("nbad", [3, 40])
+def test_vanished_nodes_are_dropped_or_raise(p2, monkeypatch, nbad):
+    h = Metric.log_pole(LineBundle(p2, 1), coordinate_section(p2, 0), 0.5)
+    sp = build_section_space(h, 8, resolution=16)
+    rule = quadrature_nodes(p2, 8)
+    forms = test_form_dictionary(p2, 2, 3)
+    clean = fs_wedge_pairings(sp, sp, forms, rule, line_resolution=16)
+    reduced_hessian = fscurrents._reduced_hessian
+
+    def flagged(space, chart, Z):
+        # H stays finite at the flagged nodes: only the weights drop them
+        H, bad = reduced_hessian(space, chart, Z)
+        bad = bad.copy()
+        bad[:nbad] = True
+        return H, bad
+
+    monkeypatch.setattr(fscurrents, "_reduced_hessian", flagged)
+    omega_forms = [constant_form(p2, omega_part=[1.0])]
+    if nbad > 8:
+        with pytest.raises(NumericalError):
+            fs_wedge_pairings(sp, sp, forms, rule, line_resolution=16)
+        with pytest.raises(NumericalError):
+            fs_pairings(sp, omega_forms, rule, route="derivative")
+        return
+    got = fs_wedge_pairings(sp, sp, forms, rule, line_resolution=16)
+    ref = [_ref_fs_wedge(sp, sp, f, rule, 16) for f in forms]
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+    assert np.all(got != clean)
