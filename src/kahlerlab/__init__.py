@@ -34,7 +34,6 @@ from .bundles import (  # noqa: F401
 from .sections import (  # noqa: F401
     SectionSpace,
     build_section_space,
-    dimension_profile,
     log_bergman_sup,
     space_dimension,
 )
@@ -48,7 +47,6 @@ from .fscurrents import (  # noqa: F401
     fs_pairings,
     fs_wedge_pairing,
     fs_wedge_pairings,
-    fs_wedge_self_pairing,
 )
 from .zeros import (  # noqa: F401
     Section,
@@ -58,6 +56,7 @@ from .zeros import (  # noqa: F401
     divisor_zero_set,
     empirical_general_position,
     expected_zero_residual,
+    expected_zero_residuals,
     sample_section,
     sample_tuple,
     zero_pairing,

@@ -27,8 +27,8 @@ from .errors import (
     GeneralPositionError,
     UnsupportedMetricError,
 )
-from .geometry import wedge_density_11
-from .polynomials import SectionPoly, degree_tuple
+from .geometry import too_many_dropped, wedge_density_11
+from .polynomials import degree_tuple
 
 # ---------------------------------------------------------------------------
 # bundles
@@ -361,7 +361,8 @@ class Metric:
         return seen
 
     def curvature_descriptor(self):
-        """Closed-form c1(L, h) if every atom supports one, else None."""
+        """Closed-form c1(L, h); raises ``UnsupportedMetricError`` unless
+        every atom supports one."""
         omega = np.asarray(self.bundle.degree, dtype=float)
         divisors = {}
         payloads = {}
@@ -369,7 +370,9 @@ class Metric:
         for coeff, atom in self.atoms:
             terms = atom.descriptor_terms(self.manifold)
             if terms is None:
-                return None
+                raise UnsupportedMetricError(
+                    f"the curvature of {self.label()} has no closed-form "
+                    "decomposition")
             avec, divs, circ = terms
             omega = omega + coeff * avec
             circle += coeff * circ
@@ -568,14 +571,15 @@ def finite_potential(u, integrable):
 
     ``u`` holds one block's node values, or one column of them per field.
     Integrable (quasi-psh) potentials may be non-finite at a few isolated
-    nodes, whose quadrature weight is then dropped; more than ``max(8,
-    nodes // 10000)`` in one column, or any without ``integrable``, raises.
+    nodes, whose quadrature weight is then dropped; more than
+    ``geometry.too_many_dropped`` allows in one column, or any without
+    ``integrable``, raises.
     """
     bad = ~np.isfinite(u)
     if not np.any(bad):
         return u
     nbad = int(np.max(np.count_nonzero(bad, axis=0)))
-    if not integrable or nbad > max(8, u.shape[0] // 10000):
+    if not integrable or too_many_dropped(nbad, u.shape[0]):
         raise ConfigurationError(
             f"non-finite potential at {nbad} nodes; "
             "pass integrable=True only for quasi-psh potentials")
@@ -628,29 +632,6 @@ def curvature_pairing(metric, form, rule):
     if metric.atoms:
         total += ddc_pairing(lambda c, Z: metric.psi(c, Z), form, rule,
                              integrable=not metric.smooth)
-    return total
-
-
-def descriptor_pairing_p1(descriptor, form, rule):
-    """``<T, chi>`` on P1 from the closed-form decomposition."""
-    m = descriptor.manifold
-    if m.kind != "P1":
-        raise ConfigurationError("this pairing is the P1 evaluator")
-    total = descriptor.omega[0] * pair_omega_basis(0, form, rule)
-    for comp, nu in descriptor.divisors:
-        if comp[0] == "coord":
-            pt = np.zeros((1, 2), dtype=complex)
-            pt[0, 1 - comp[1]] = 1.0
-            total += nu * float(form_values_hom(m, form, pt)[0])
-        else:
-            Q = comp[2]
-            for root in _p1_roots(Q):
-                total += nu * float(form_values_hom(m, form, root[None, :])[0])
-    if descriptor.circle:
-        theta = 2.0 * np.pi * (np.arange(256) + 0.5) / 256
-        Z = np.exp(1j * theta)[:, None]
-        vals = np.asarray(form.chi(0, Z), dtype=float)
-        total += descriptor.circle * float(vals.mean())
     return total
 
 

@@ -26,6 +26,7 @@ from .bundles import LineBundle, LogPoleAtom, Metric
 from .errors import ConfigurationError
 from .geometry import Manifold
 from .polynomials import SectionPoly, coordinate_section
+from .zeros import MIN_EXPECTED_ZERO_SAMPLES
 
 STUDIES = ("bergman", "dimension", "equidistribution", "fs-convergence",
            "approximation", "expected-zero")
@@ -167,6 +168,11 @@ def parse_config(data):
     samples = int(data.get("samples", 100))
     if samples < 1:
         raise ConfigurationError("samples must be >= 1")
+    if study == "expected-zero" and samples < MIN_EXPECTED_ZERO_SAMPLES:
+        raise ConfigurationError(
+            "the expected-zero study needs at least "
+            f"{MIN_EXPECTED_ZERO_SAMPLES} samples for a stable standard "
+            "error")
 
     seed = data.get("seed", [0])
     if isinstance(seed, int):

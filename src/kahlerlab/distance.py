@@ -21,8 +21,7 @@ import math
 import numpy as np
 
 from .bundles import Metric, wedge_descriptors
-from .errors import (ConfigurationError, GeneralPositionError, KahlerlabError,
-                     UnsupportedMetricError)
+from .errors import ConfigurationError, GeneralPositionError, KahlerlabError
 from .fscurrents import (descriptor_form_pairing, descriptor_wedge_pairing,
                          descriptor_wedge_pairings)
 from .geometry import quadrature_nodes
@@ -105,14 +104,6 @@ def wedge_vector(desc_a, desc_b, forms, rule, ident="", meta=None,
 # -- interpolation expansion ----------------------------------------------------
 
 
-def _closed_descriptor(metric):
-    d = metric.curvature_descriptor()
-    if d is None:
-        raise UnsupportedMetricError(
-            f"no closed-form curvature decomposition for {metric.label()}")
-    return d
-
-
 def multilinear_expansion_residual(h_list, g_list, eps, form, rule,
                                    line_resolution=None):
     """Two-route check of the interpolated-curvature wedge.
@@ -134,10 +125,10 @@ def multilinear_expansion_residual(h_list, g_list, eps, form, rule,
         raise ConfigurationError("more factors than the dimension carries")
     if eps < 0:
         raise ConfigurationError("interpolation weight must be >= 0")
-    dh = [_closed_descriptor(h) for h in h_list]
-    dg = [_closed_descriptor(g) for g in g_list]
+    dh = [h.curvature_descriptor() for h in h_list]
+    dg = [g.curvature_descriptor() for g in g_list]
 
-    interp = [_closed_descriptor(Metric.interpolate(h, g, eps))
+    interp = [Metric.interpolate(h, g, eps).curvature_descriptor()
               for h, g in zip(h_list, g_list)]
     if m == 1:
         direct = descriptor_form_pairing(interp[0], form, rule,
@@ -297,13 +288,13 @@ def approximation_run(h_list, g_list, schedule, samples=1, seed=0, rule=None,
     if rule is None:
         rule = quadrature_nodes(manifold, 48 if manifold.dim == 1 else 16)
 
-    dg = [_closed_descriptor(g) for g in g_list]
+    dg = [g.curvature_descriptor() for g in g_list]
     for d in dg:
         if np.any(d.omega <= 0):
             raise ConfigurationError(
                 "the smoothing metrics g must have strictly positive "
                 "curvature form part")
-    dh = [_closed_descriptor(h) for h in h_list]
+    dh = [h.curvature_descriptor() for h in h_list]
     if m == 1:
         target = descriptor_vector(dh[0], dictionary, rule, "target",
                                    line_resolution=line_resolution)

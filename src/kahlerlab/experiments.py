@@ -14,11 +14,11 @@ import numpy as np
 from scipy import stats
 
 from . import __version__
-from .bundles import CurrentDescriptor, Metric, wedge_descriptors
+from .bundles import CurrentDescriptor, wedge_descriptors
 from .cache import cached_space
 from .config import config_fragment, config_hash
 from .distance import ApproximationSchedule, approximation_run
-from .errors import ConfigurationError, UnsupportedMetricError
+from .errors import ConfigurationError
 from .fscurrents import (descriptor_form_pairing, descriptor_wedge_pairings,
                          fs_pairings, fs_wedge_pairings)
 from .geometry import quadrature_nodes
@@ -26,7 +26,7 @@ from .reports import (REPORT_SCHEMA, fit_loglog, svg_chart, write_csv,
                       write_json, write_log)
 from .sections import _coord_factor, log_bergman_sup, space_dimension
 from .testforms import test_form_dictionary
-from .zeros import zero_pairings
+from .zeros import expected_zero_residuals, zero_pairings
 
 
 def _base_report(cfg):
@@ -65,11 +65,10 @@ def _target_rule(cfg):
     return quadrature_nodes(cfg.manifold, res)
 
 
-def _potential_rule(cfg, metric, surface_default=8):
+def _potential_rule(cfg, metric):
     """Refined at the metric's pole centers: potentials are log-singular
     there and plain tensor rules lose their spectral accuracy."""
-    res = cfg.resolution or (48 if cfg.manifold.dim == 1
-                             else surface_default)
+    res = cfg.resolution or (48 if cfg.manifold.dim == 1 else 8)
     centers = metric.refinement_centers()
     return quadrature_nodes(cfg.manifold, res,
                             singular_refinement=centers or None)
@@ -170,10 +169,6 @@ def _run_equidistribution(cfg, report):
         h = entry["h"]
         label = h.label()
         desc = h.curvature_descriptor()
-        if desc is None:
-            raise UnsupportedMetricError(
-                f"the curvature of {label} has no closed form to test "
-                "equidistribution against")
         targets = np.array([descriptor_form_pairing(desc, f, trule)
                             for f in forms])
         zrule = _potential_rule(cfg, h) if man.dim == 2 else None
@@ -250,15 +245,6 @@ def _family_class(space):
     return CurrentDescriptor(m, omega / space.p, divisors, 0.0)
 
 
-def _closed(metric):
-    desc = metric.curvature_descriptor()
-    if desc is None:
-        raise UnsupportedMetricError(
-            f"the curvature of {metric.label()} has no closed form to "
-            "converge to")
-    return desc
-
-
 def _run_fs_convergence(cfg, report):
     """Family currents against their curvature limit.
 
@@ -286,13 +272,15 @@ def _run_fs_convergence(cfg, report):
     for ui, (ha, hb) in enumerate(units):
         if hb is None:
             label = ha.label()
-            targets = [descriptor_form_pairing(_closed(ha), f, trule)
+            desc = ha.curvature_descriptor()
+            targets = [descriptor_form_pairing(desc, f, trule)
                        for f in forms]
             vrule = _potential_rule(cfg, ha)
         else:
             label = (ha.label() if hb is ha
                      else f"{ha.label()} ^ {hb.label()}")
-            wedge = wedge_descriptors(_closed(ha), _closed(hb))
+            wedge = wedge_descriptors(ha.curvature_descriptor(),
+                                      hb.curvature_descriptor())
             targets = descriptor_wedge_pairings(man, wedge, forms,
                                                 trule).tolist()
             vrule = quadrature_nodes(man, cfg.resolution or 16)
@@ -405,9 +393,6 @@ def _run_approximation(cfg, report):
 
 
 def _run_expected_zero(cfg, report):
-    if cfg.samples < 100:
-        raise ConfigurationError(
-            "at least 100 samples are needed for a stable standard error")
     man = cfg.manifold
     forms = test_form_dictionary(man, 1, cfg.dict_count)
     summaries = []
@@ -417,34 +402,28 @@ def _run_expected_zero(cfg, report):
         rule = _potential_rule(cfg, h)
         for pi, p in enumerate(cfg.p_grid):
             space = _space(cfg, report, h, p)
-            targets = space.p * fs_pairings(space, forms, rule)
-            seeds = [cfg.seed + (mi, pi, i) for i in range(cfg.samples)]
-            vals = zero_pairings(space, seeds, forms, rule)
-            within = 0
-            gaps, envelopes = [], []
+            targets, means, gaps, ses = expected_zero_residuals(
+                space, forms, cfg.samples, cfg.seed + (mi, pi), rule)
+            # zero-variance pairings (the mass is a.s. constant) get an
+            # absolute floor instead of a vacuous 3 * 0 band
+            within = gaps <= np.maximum(3.0 * ses, 1e-9)
             for fi, f in enumerate(forms):
-                mean = float(vals[:, fi].mean())
-                se = float(vals[:, fi].std(ddof=1)) / math.sqrt(cfg.samples)
-                gap = abs(mean - float(targets[fi]))
-                # zero-variance pairings (the mass is a.s. constant) get an
-                # absolute floor instead of a vacuous 3 * 0 band
-                ok = gap <= max(3.0 * se, 1e-9)
-                within += ok
-                gaps.append(gap)
-                envelopes.append(3.0 * se)
                 report["rows"].append({
                     "metric": label, "p": p, "form": f.label,
-                    "target": float(targets[fi]), "mc_mean": mean,
-                    "gap": gap, "se": se, "within_3se": bool(ok),
+                    "target": float(targets[fi]),
+                    "mc_mean": float(means[fi]), "gap": float(gaps[fi]),
+                    "se": float(ses[fi]), "within_3se": bool(within[fi]),
                 })
             summaries.append({"metric": label, "p": p,
-                              "within_fraction": within / len(forms)})
+                              "within_fraction":
+                              int(within.sum()) / len(forms)})
             if mi == 0:
                 idx = list(range(1, len(forms) + 1))
                 report["series"].append(
-                    {"label": f"gap p={p}", "x": idx, "y": gaps})
+                    {"label": f"gap p={p}", "x": idx, "y": gaps.tolist()})
                 report["series"].append(
-                    {"label": f"3se p={p}", "x": idx, "y": envelopes})
+                    {"label": f"3se p={p}", "x": idx,
+                     "y": (3.0 * ses).tolist()})
     report["columns"] = ["metric", "p", "form", "target", "mc_mean",
                          "gap", "se", "within_3se"]
     report["summary"] = {"cells": summaries}

@@ -40,14 +40,14 @@ import numpy as np
 from ._kernels import eval_monomials
 from .bundles import (_coord_intersection, _p1_roots, curvature_pairing,
                       ddc_weights, finite_potential, _form_omega_matrix,
-                      form_values_hom, pair_omega_basis,
-                      descriptor_pairing_p1)
+                      form_values_hom, pair_omega_basis)
 from .errors import (ConfigurationError, GeneralPositionError, NumericalError)
-from .geometry import build_manifold, quadrature_nodes, wedge_density_11
+from .geometry import (build_manifold, quadrature_nodes, too_many_dropped,
+                       wedge_density_11)
 
 __all__ = [
     "fs_pairing", "fs_pairings", "fs_wedge_pairing", "fs_wedge_pairings",
-    "fs_wedge_self_pairing", "form_values_hom", "divisor_pairing",
+    "form_values_hom", "divisor_pairing",
     "descriptor_form_pairing", "descriptor_wedge_pairing",
     "descriptor_wedge_pairings", "ReducedHessianField",
 ]
@@ -76,17 +76,13 @@ class ReducedHessianField:
 
 
 def _reduced_hessian(space, chart, Z):
-    n = space.manifold.dim
     V, dV = space.reduced_section_values(chart, Z, derivs=True)
+    if space.manifold.dim == 1:
+        return _curve_hessian(V, dV[0], space.p)
     F = np.einsum("nj,nj->n", np.abs(V), np.abs(V))
     bad = F < 1e-290
     Fs = np.where(bad, 1.0, F)
     scale = 1.0 / (2.0 * space.p)
-    if n == 1:
-        Fa = np.einsum("nj,nj->n", dV[0], np.conj(V))
-        Faa = np.einsum("nj,nj->n", np.abs(dV[0]), np.abs(dV[0]))
-        H = scale * (Faa * Fs - np.abs(Fa) ** 2) / Fs ** 2
-        return np.where(bad, 0.0, np.real(H)), bad
     H = np.empty((Z.shape[0], 2, 2), dtype=complex)
     for a in range(2):
         Fa = np.einsum("nj,nj->n", dV[a], np.conj(V))
@@ -98,14 +94,31 @@ def _reduced_hessian(space, chart, Z):
     return H, bad
 
 
+def _curve_hessian(V, dV, p):
+    """``(F_aa F - |F_a|^2) / (2p F^2)`` of a family on a curve chart.
+
+    ``V`` and ``dV`` hold the family's values and chart derivatives, one
+    column per member, and ``F = sum |V|^2``.  Returns ``(H, bad)`` with
+    ``bad`` flagging the nodes where F vanished; H is 0 there.
+    """
+    F = np.einsum("nj,nj->n", np.abs(V), np.abs(V))
+    bad = F < 1e-290
+    Fs = np.where(bad, 1.0, F)
+    Fa = np.einsum("nj,nj->n", dV, np.conj(V))
+    Faa = np.einsum("nj,nj->n", np.abs(dV), np.abs(dV))
+    H = np.real(Faa * Fs - np.abs(Fa) ** 2) / Fs ** 2 / (2.0 * p)
+    return np.where(bad, 0.0, H), bad
+
+
 def _drop_vanished(bad, weights, what):
     """Block weights without the nodes where a reduced family vanished.
 
-    A few isolated nodes are expected; more than ``max(8, nodes // 10000)``
-    in one block means the family is degenerate and raises.
+    A few isolated nodes are expected; more than
+    ``geometry.too_many_dropped`` allows in one block means the family is
+    degenerate and raises.
     """
     nbad = int(np.count_nonzero(bad))
-    if nbad > max(8, bad.shape[0] // 10000):
+    if too_many_dropped(nbad, bad.shape[0]):
         raise NumericalError(f"{what} vanished at {nbad} quadrature nodes")
     return np.where(bad, 0.0, weights) if nbad else weights
 
@@ -264,11 +277,13 @@ def _line_rule(resolution, q_line=0):
 
 
 def descriptor_form_pairing(descriptor, form, rule, line_resolution=None):
-    """``<T, form>`` for a closed-form (1,1)-current on any model."""
+    """``<T, form>`` for a closed-form (1,1)-current on any model.
+
+    The circle measure of a P1 current pairs as the mean of the test
+    function over 256 midpoints of the unit circle.
+    """
     m = descriptor.manifold
-    if m.kind == "P1":
-        return descriptor_pairing_p1(descriptor, form, rule)
-    if form.omega_part is None:
+    if m.dim == 2 and form.omega_part is None:
         raise ConfigurationError(
             "(1,1)-current pairings on surfaces need omega-carrying forms")
     total = 0.0
@@ -277,6 +292,11 @@ def descriptor_form_pairing(descriptor, form, rule, line_resolution=None):
             total += c * pair_omega_basis(i, form, rule)
     for comp, nu in descriptor.divisors:
         total += nu * divisor_pairing(m, comp, form, resolution=line_resolution)
+    if descriptor.circle:
+        theta = 2.0 * np.pi * (np.arange(256) + 0.5) / 256
+        chi = np.asarray(form.chi(0, np.exp(1j * theta)[:, None]),
+                         dtype=float)
+        total += descriptor.circle * float(chi.mean())
     return total
 
 
@@ -421,15 +441,6 @@ def _transverse_points(space_a, space_b):
     return out
 
 
-def fs_wedge_self_pairing(space, form, rule, line_resolution=None):
-    """``<gamma_p ^ gamma_p, chi>`` on a surface.
-
-    The diagonal case of :func:`fs_wedge_pairing`; the shared reduced
-    family is evaluated once per block.
-    """
-    return fs_wedge_pairing(space, space, form, rule, line_resolution)
-
-
 def _restricted_pairings(space, comp, forms, resolution):
     """``<[D] ^ beta, chi_f>`` for each form: the reduced current
     restricted to a divisor, its family evaluated once per line block."""
@@ -437,7 +448,6 @@ def _restricted_pairings(space, comp, forms, resolution):
     Rc, q_line = _line_family(space, comp)
     line_m, rule = _line_rule(resolution, q_line)
     embed, _, _ = _line_embedding(m, comp)
-    p = space.p
     exps = np.arange(q_line + 1)
     totals = np.zeros(len(forms))
     for b in rule.capped_blocks():
@@ -447,14 +457,9 @@ def _restricted_pairings(space, comp, forms, resolution):
                            np.ones(q_line + 1)) @ Rc
         dV = eval_monomials(Z, np.maximum(e - 1, 0)[:, None].astype(np.int64),
                             e.astype(float)) @ Rc
-        F = np.einsum("nj,nj->n", np.abs(V), np.abs(V))
-        bad = F < 1e-290
-        Fs = np.where(bad, 1.0, F)
-        Fa = np.einsum("nj,nj->n", dV, np.conj(V))
-        Faa = np.einsum("nj,nj->n", np.abs(dV), np.abs(dV))
-        H = np.real(Faa * Fs - np.abs(Fa) ** 2) / Fs ** 2 / (2.0 * p)
+        H, bad = _curve_hessian(V, dV, space.p)
+        wq = _drop_vanished(bad, b.weights_lebesgue, "restricted family")
         pts = embed(line_m.from_chart(Z, b.chart))
-        wq = np.where(bad, 0.0, b.weights_lebesgue)
         for i, f in enumerate(forms):
             chi = form_values_hom(m, f, pts)
             totals[i] += float(np.dot(chi * H / math.pi, wq))

@@ -573,8 +573,7 @@ class QuadratureRule:
     def capped_blocks(self, max_nodes=250_000):
         """Blocks partitioned to at most ``max_nodes`` nodes each.
 
-        The list is built once and memoized, so per-block caches keyed on
-        node-array identity stay valid for the lifetime of the rule.
+        The list is built once and memoized.
         """
         if self._capped is None:
             self._capped = [sb for b in self.blocks
@@ -774,6 +773,16 @@ def _coord_divisor_targets(m, chart, idx, rad):
                 rad[1].append(0.0)
 
 
+def too_many_dropped(nbad, nodes):
+    """Whether ``nbad`` of a block's ``nodes`` are too many to drop.
+
+    A block may lose the weight of a few isolated nodes where a field is
+    non-finite or a family vanishes; more than ``max(8, nodes // 10000)``
+    means the field itself is at fault.
+    """
+    return nbad > max(8, nodes // 10000)
+
+
 def integrate(field, rule, integrable=False):
     """Integrate a scalar field against ``omega^n`` (total mass one).
 
@@ -794,7 +803,7 @@ def integrate(field, rule, integrable=False):
         bad = ~np.isfinite(vals)
         if np.any(bad):
             nbad = int(np.count_nonzero(bad))
-            if not integrable or nbad > max(8, vals.size // 10000):
+            if not integrable or too_many_dropped(nbad, vals.size):
                 raise NumericalError(
                     f"non-finite field values at {nbad} nodes of chart {b.chart}")
             vals = np.where(bad, 0.0, vals)

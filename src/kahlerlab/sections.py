@@ -211,51 +211,20 @@ class SectionSpace:
         cols = _chart_columns(self.manifold, chart)
         return eval_monomials(Z, self.exponents[:, cols], self.scales)
 
-    def basis_values(self, chart, Z, derivs=False):
-        """Scaled basis values (and chart derivatives) at chart points."""
-        Z = np.atleast_2d(np.asarray(Z, dtype=complex))
-        cols = _chart_columns(self.manifold, chart)
-        E = self.exponents[:, cols]
+    def basis_values(self, chart, Z):
+        """Scaled basis values at chart points."""
         B = self.monomial_values(chart, Z)
-        if self.sigma_polys:
-            S = np.ones(Z.shape[0], dtype=complex)
-            for Q, k in self.sigma_polys:
-                S *= Q.chart_poly(chart).eval(Z) ** k
-        else:
-            S = None
-        if not derivs:
-            return B if S is None else B * S[:, None]
+        if not self.sigma_polys:
+            return B
+        Z = np.atleast_2d(np.asarray(Z, dtype=complex))
+        S = np.ones(Z.shape[0], dtype=complex)
+        for Q, k in self.sigma_polys:
+            S *= Q.chart_poly(chart).eval(Z) ** k
+        return B * S[:, None]
 
-        dB = []
-        for ax in range(len(cols)):
-            Em = E.copy()
-            Em[:, ax] = np.maximum(E[:, ax] - 1, 0)
-            dB.append(eval_monomials(Z, Em,
-                                     self.scales * E[:, ax].astype(float)))
-        if S is None:
-            return B, dB
-        dS = []
-        for ax in range(len(cols)):
-            acc = np.zeros(Z.shape[0], dtype=complex)
-            for Q, k in self.sigma_polys:
-                cp = Q.chart_poly(chart)
-                vals = cp.eval(Z)
-                dvals = cp.deriv(ax).eval(Z)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    acc += k * np.where(vals != 0, dvals / vals, 0.0)
-            dS.append(acc)
-        full = B * S[:, None]
-        dfull = [dB[ax] * S[:, None] + full * dS[ax][:, None]
-                 for ax in range(len(cols))]
-        return full, dfull
-
-    def section_values(self, chart, Z, derivs=False):
-        """Orthonormal section values (and derivatives) in the chart frame."""
-        C = self.coeff_matrix()
-        if not derivs:
-            return self.basis_values(chart, Z) @ C
-        B, dB = self.basis_values(chart, Z, derivs=True)
-        return B @ C, [d @ C for d in dB]
+    def section_values(self, chart, Z):
+        """Orthonormal section values in the chart frame."""
+        return self.basis_values(chart, Z) @ self.coeff_matrix()
 
     def reduced_section_values(self, chart, Z, derivs=False):
         """Orthonormal sections divided by their forced common factors.
@@ -580,16 +549,6 @@ def space_dimension(metric, p, adjoint=True):
         return SectionSpace(metric, p, adjoint=adjoint).dim
     except EmptySpaceError:
         return 0
-
-
-def dimension_profile(metric, p_values, adjoint=True):
-    """Dimension versus power, with the p^n-normalized ratio."""
-    n = metric.manifold.dim
-    rows = []
-    for p in p_values:
-        d = space_dimension(metric, int(p), adjoint=adjoint)
-        rows.append({"p": int(p), "dim": d, "ratio": d / float(p) ** n})
-    return rows
 
 
 def log_bergman_sup(space, grid_count=400, exclude=(), exclude_radius=0.0):

@@ -29,7 +29,7 @@ from .errors import (
     NumericalError,
     RootFindingError,
 )
-from .fscurrents import form_values_hom, fs_pairing
+from .fscurrents import form_values_hom, fs_pairings
 from .geometry import quadrature_nodes
 from .polynomials import SectionPoly
 
@@ -48,6 +48,9 @@ _ROTATION_ENTROPY = 172803
 # divisor pairing, about 1.5 MB of temporaries; the products are memory
 # bound, so larger chunks gain no speed and only raise peak memory.
 _LOG_NORM_CHUNK = 1 << 16
+
+# Fewest samples behind a Monte Carlo mean and its standard error.
+MIN_EXPECTED_ZERO_SAMPLES = 100
 
 
 def _seed_key(seed):
@@ -725,12 +728,18 @@ def _divisor_pairings(space, C, forms, rule):
     out = np.zeros((C.shape[1], len(forms)))
     for b in rule.capped_blocks():
         W = np.stack([ddc_weights(f, b) for f in forms], axis=1)
+        if len(forms) == 1:
+            # BLAS sums a one-column product (gemv) in another order than
+            # a wider one (gemm); a repeated column keeps a form's pairings
+            # the same bits whatever forms it is batched with
+            W = np.repeat(W, 2, axis=1)
         M = space.monomial_values(b.chart, b.points)
         base = _log_norm_base(space, b.chart, b.points)
         step = max(1, _LOG_NORM_CHUNK // M.shape[0])
         for lo in range(0, C.shape[1], step):
             U = _log_modulus(M @ C[:, lo:lo + step]) + base[:, None]
-            out[lo:lo + step] += finite_potential(U, integrable=True).T @ W
+            P = finite_potential(U, integrable=True).T @ W
+            out[lo:lo + step] += P[:, :len(forms)]
     for j, f in enumerate(forms):
         const = space.p * curvature_pairing(space.metric, f, rule)
         if space.adjoint:
@@ -760,8 +769,7 @@ def _log_norm_base(space, chart, Z):
     return u
 
 
-def expected_zero_residual(space, form, num_samples, seed, rule=None,
-                           route="potential"):
+def expected_zero_residual(space, form, num_samples, seed, rule=None):
     """Monte Carlo gap between mean zero pairings and the family current.
 
     Returns ``(gap, standard_error)`` where the gap compares the sample mean
@@ -769,18 +777,35 @@ def expected_zero_residual(space, form, num_samples, seed, rule=None,
     exact expectation under the sampling law), and the second entry is the
     standard error of that mean.
     """
-    if num_samples < 100:
+    _, _, gaps, ses = expected_zero_residuals(space, [form], num_samples,
+                                              seed, rule)
+    return float(gaps[0]), float(ses[0])
+
+
+def expected_zero_residuals(space, forms, num_samples, seed, rule=None):
+    """:func:`expected_zero_residual` of each form, from one set of samples.
+
+    Sample ``i`` is ``sample_section(space, seed + (i,))``.  Returns the
+    arrays ``(targets, means, gaps, ses)``: ``p`` times the family current
+    pairing, the sample mean of the zero pairings, their absolute gap and
+    the standard error of the mean.  Without ``rule`` the potential rule is
+    refined at the metric's pole centers.
+    """
+    if num_samples < MIN_EXPECTED_ZERO_SAMPLES:
         raise ConfigurationError(
-            "at least 100 samples are needed for a stable standard error")
+            f"at least {MIN_EXPECTED_ZERO_SAMPLES} samples are needed for a "
+            "stable standard error")
+    forms = list(forms)
     m = space.manifold
     if rule is None:
         centers = space.metric.refinement_centers() or None
         rule = quadrature_nodes(m, 48 if m.dim == 1 else 8,
                                 singular_refinement=centers)
-    target = space.p * fs_pairing(space, form, rule, route=route)
+    targets = space.p * fs_pairings(space, forms, rule)
     key = _seed_key(seed)
     vals = zero_pairings(space, [key + (i,) for i in range(num_samples)],
-                         [form], rule)[:, 0]
-    gap = abs(float(vals.mean()) - target)
-    se = float(vals.std(ddof=1)) / math.sqrt(num_samples)
-    return gap, se
+                         forms, rule)
+    means = np.array([col.mean() for col in vals.T])
+    ses = np.array([col.std(ddof=1) for col in vals.T])
+    ses = ses / math.sqrt(num_samples)
+    return targets, means, np.abs(means - targets), ses

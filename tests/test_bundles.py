@@ -10,9 +10,9 @@ from kahlerlab.bundles import (
     LineBundle,
     Metric,
     curvature_pairing,
-    descriptor_pairing_p1,
     wedge_descriptors,
 )
+from kahlerlab.fscurrents import descriptor_form_pairing
 from kahlerlab.testforms import TestForm, constant_form, test_form_dictionary as form_dictionary
 
 
@@ -48,7 +48,7 @@ def test_p1_curvature_pairing_matches_closed_form(p1):
         assert abs(desc.mass() - 3.0) < 1e-12
         for f in forms:
             a = curvature_pairing(metric, f, rule)
-            b = descriptor_pairing_p1(desc, f, rule)
+            b = descriptor_form_pairing(desc, f, rule)
             assert abs(a - b) < 1e-7
 
 

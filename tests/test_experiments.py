@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from kahlerlab.config import parse_config
-from kahlerlab.errors import EmptySpaceError
+from kahlerlab.errors import (ConfigurationError, EmptySpaceError,
+                              UnsupportedMetricError)
 from kahlerlab.experiments import emit_report, run_study
 from kahlerlab.geometry import quadrature_nodes
 from kahlerlab.sections import build_section_space
@@ -10,11 +11,12 @@ from kahlerlab.testforms import test_form_dictionary
 from kahlerlab.zeros import divisor_zero_set, sample_section, zero_pairing
 
 
-def _expected_zero_config(cache):
+def _expected_zero_config(cache, samples=100):
     return parse_config({
         "study": "expected-zero", "manifold": "P2",
         "metrics": [{"h": {"kind": "fs"}}], "p_grid": [4],
-        "samples": 100, "dict_count": 2, "seed": [5], "cache": str(cache),
+        "samples": samples, "dict_count": 2, "seed": [5],
+        "cache": str(cache),
     })
 
 
@@ -47,6 +49,38 @@ def test_expected_zero_reports_replay_and_match_the_sample_loop(tmp_path):
     assert [r["form"] for r in rows] == [f.label for f in forms]
     for r, mean in zip(rows, loop.mean(axis=0)):
         assert abs(r["mc_mean"] - mean) <= 1e-12 * abs(mean)
+
+
+def test_expected_zero_config_needs_100_samples(tmp_path):
+    # rejected at parse time, before any space is built or cached
+    with pytest.raises(ConfigurationError):
+        _expected_zero_config(tmp_path / "cache", samples=99)
+
+
+def test_dimension_study_reports_the_projective_dimension():
+    cfg = parse_config({
+        "study": "dimension", "manifold": "P2", "adjoint": False,
+        "metrics": [{"h": {"kind": "fs"}}], "p_grid": [4, 8],
+    })
+    rows = run_study(cfg)["rows"]
+    assert rows[0] == {"p": 4, "dim": 15, "d_p": 14, "ratio": 14 / 16}
+    assert rows[1]["dim"] == 45
+
+
+_SMOOTHED_MAX = {"kind": "smoothed_max", "t": 0.5, "c": 0.1,
+                 "Q1": {"coord": 0}, "Q2": {"coord": 1}}
+
+
+@pytest.mark.parametrize("study", ["equidistribution", "fs-convergence"])
+def test_studies_without_a_closed_form_curvature_are_refused(study,
+                                                              tmp_path):
+    cfg = parse_config({
+        "study": study, "manifold": "P1",
+        "metrics": [{"h": _SMOOTHED_MAX}], "p_grid": [4],
+        "samples": 2, "cache": str(tmp_path / "cache"),
+    })
+    with pytest.raises(UnsupportedMetricError):
+        run_study(cfg)
 
 
 def _surface_convergence_config(cache, p_grid):

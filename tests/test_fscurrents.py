@@ -14,7 +14,7 @@ from kahlerlab.fscurrents import (descriptor_form_pairing,
                                   descriptor_wedge_pairing,
                                   descriptor_wedge_pairings, divisor_pairing,
                                   form_values_hom, fs_pairing, fs_pairings,
-                                  fs_wedge_pairings, fs_wedge_self_pairing)
+                                  fs_wedge_pairing, fs_wedge_pairings)
 from kahlerlab.geometry import (build_manifold, quadrature_nodes,
                                 wedge_density_11)
 from kahlerlab.polynomials import SectionPoly, coordinate_section
@@ -117,7 +117,7 @@ def test_surface_masses_are_exact(p2):
     # paired against itself carries no mass
     one = constant_form(p2)
     wedge_target = target ** 2 - 2 * (4 / p) ** 2
-    assert abs(fs_wedge_self_pairing(sp, one, rule) - wedge_target) < 1e-10
+    assert abs(fs_wedge_pairing(sp, sp, one, rule) - wedge_target) < 1e-10
 
 
 def test_product_masses_are_exact():
@@ -136,7 +136,7 @@ def test_product_masses_are_exact():
     # the squared mass matches the full product of classes
     one = constant_form(m)
     full = 2 * (1 - 2 / p) * (2 - 2 / p)
-    assert abs(fs_wedge_self_pairing(sp, one, rule) - full) < 1e-9
+    assert abs(fs_wedge_pairing(sp, sp, one, rule) - full) < 1e-9
 
 
 # -- divisor restriction integrals -------------------------------------------
@@ -195,10 +195,11 @@ def test_pairing_guards(p1, p2):
     with pytest.raises(ConfigurationError):
         fs_pairing(sp, constant_form(p2, omega_part=[1.0]), rule, route="nope")
     with pytest.raises(ConfigurationError):
-        fs_wedge_self_pairing(sp, constant_form(p2, omega_part=[1.0]), rule)
+        fs_wedge_pairing(sp, sp, constant_form(p2, omega_part=[1.0]), rule)
     sp1 = build_section_space(Metric.fubini_study(LineBundle(p1, 1)), 4)
     with pytest.raises(ConfigurationError):
-        fs_wedge_self_pairing(sp1, constant_form(p1), quadrature_nodes(p1, 8))
+        fs_wedge_pairing(sp1, sp1, constant_form(p1),
+                         quadrature_nodes(p1, 8))
     Q = SectionPoly(p2, 1, np.array([[1, 0, 0]]), np.array([1.0]))
     with pytest.raises(GeneralPositionError):
         divisor_pairing(p2, ("poly", 0, Q), constant_form(p2, omega_part=[1.0]))
@@ -222,7 +223,9 @@ def _chi(form, block):
     return np.asarray(form.chi(block.chart, block.points), dtype=float)
 
 
-def _ref_restricted(space, comp, form, resolution):
+def _ref_restricted(space, comp, form, resolution, nflag=0):
+    """The restricted pairing, with the first ``nflag`` nodes of each line
+    block dropped as if the family vanished there."""
     Rc, q_line = fscurrents._line_family(space, comp)
     line_m, rule = fscurrents._line_rule(resolution, q_line)
     embed, _, _ = fscurrents._line_embedding(space.manifold, comp)
@@ -235,6 +238,7 @@ def _ref_restricted(space, comp, form, resolution):
                             e.astype(float)) @ Rc
         F = np.einsum("nj,nj->n", np.abs(V), np.abs(V))
         bad = F < 1e-290
+        bad[:nflag] = True
         Fs = np.where(bad, 1.0, F)
         Fa = np.einsum("nj,nj->n", dV, np.conj(V))
         Faa = np.einsum("nj,nj->n", np.abs(dV), np.abs(dV))
@@ -374,5 +378,33 @@ def test_vanished_nodes_are_dropped_or_raise(p2, monkeypatch, nbad):
         return
     got = fs_wedge_pairings(sp, sp, forms, rule, line_resolution=16)
     ref = [_ref_fs_wedge(sp, sp, f, rule, 16) for f in forms]
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+    assert np.all(got != clean)
+
+
+@pytest.mark.parametrize("nbad", [3, 40])
+def test_vanished_line_nodes_are_dropped_or_raise(p2, monkeypatch, nbad):
+    h = Metric.log_pole(LineBundle(p2, 1), coordinate_section(p2, 0), 0.5)
+    sp = build_section_space(h, 8, resolution=16)
+    comp = sp.base_divisors[0][0]
+    # the forms of the dictionary that do not vanish on {z0 = 0}
+    forms = [test_form_dictionary(p2, 2, 10)[i] for i in (0, 6, 9)]
+    clean = fscurrents._restricted_pairings(sp, comp, forms, 16)
+    curve_hessian = fscurrents._curve_hessian
+
+    def flagged(V, dV, p):
+        # H stays finite at the flagged nodes: only the weights drop them
+        H, bad = curve_hessian(V, dV, p)
+        bad = bad.copy()
+        bad[:nbad] = True
+        return H, bad
+
+    monkeypatch.setattr(fscurrents, "_curve_hessian", flagged)
+    if nbad > 8:
+        with pytest.raises(NumericalError):
+            fscurrents._restricted_pairings(sp, comp, forms, 16)
+        return
+    got = fscurrents._restricted_pairings(sp, comp, forms, 16)
+    ref = [_ref_restricted(sp, comp, f, 16, nflag=nbad) for f in forms]
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
     assert np.all(got != clean)

@@ -1,0 +1,59 @@
+"""Every name a package module imports is used in that module.
+
+No linter ships with the package, so this is the unused-import check:
+each module of ``src/kahlerlab`` is parsed with ``ast`` and the names its
+imports bind are compared with the names its code reads.  ``__init__.py``
+re-exports by importing, so it is exempt, as is any import line marked
+``# noqa: F401`` (a name kept importable from a module on purpose).
+A name listed in ``__all__`` counts as used.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kahlerlab"
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def _imported_names(tree, lines):
+    """(name, line) of each binding made by an import statement."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "__future__":
+                continue
+            names = [a.asname or a.name for a in node.names]
+        else:
+            continue
+        span = lines[node.lineno - 1:node.end_lineno]
+        if any("# noqa: F401" in line for line in span):
+            continue
+        out += [(name, node.lineno) for name in names]
+    return out
+
+
+def _used_names(tree):
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used |= {e.value for e in node.value.elts
+                     if isinstance(e, ast.Constant)}
+    return used
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_uses_every_name_it_imports(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    used = _used_names(tree)
+    unused = [f"{name} (line {line})"
+              for name, line in _imported_names(tree, source.splitlines())
+              if name not in used]
+    assert not unused, f"{module} imports unused names: {unused}"

@@ -13,9 +13,9 @@ from kahlerlab.errors import (ConfigurationError, EmptySpaceError,
                               IllConditionedError, UnsupportedMetricError)
 from kahlerlab.geometry import build_manifold, quadrature_nodes
 from kahlerlab.polynomials import SectionPoly, coordinate_section
-from kahlerlab.sections import (build_section_space, dimension_profile,
-                                log_bergman_sup, section_degree,
-                                space_dimension, vanishing_order_required)
+from kahlerlab.sections import (build_section_space, log_bergman_sup,
+                                section_degree, space_dimension,
+                                vanishing_order_required)
 
 P1 = build_manifold("P1")
 P2 = build_manifold("P2")
@@ -50,13 +50,6 @@ def test_reference_dimensions(p):
     assert space_dimension(fs2, p, adjoint=False) == (p + 1) * (p + 2) // 2
     assert space_dimension(fs11, p, adjoint=True) == (p - 1) ** 2
     assert space_dimension(fs11, p, adjoint=False) == (p + 1) ** 2
-
-
-def test_dimension_profile_ratio():
-    fs2 = Metric.fubini_study(LineBundle(P2, 1))
-    rows = dimension_profile(fs2, [4, 8], adjoint=False)
-    assert rows[0] == {"p": 4, "dim": 15, "ratio": 15 / 16}
-    assert rows[1]["dim"] == 45
 
 
 # -- integrability filter ------------------------------------------------------
@@ -256,14 +249,14 @@ def test_section_polynomial_roundtrip():
 def test_section_derivatives_match_finite_differences():
     L = LineBundle(P1, 1)
     Q1, _ = _generic_pair()
-    h = Metric.log_pole(L, Q1, 0.7)  # sigma-filtered basis, product rule
+    h = Metric.log_pole(L, Q1, 0.7)  # sigma-filtered basis
     sp = build_section_space(h, 16)
     Z = np.array([[0.31 + 0.20j], [-0.55 + 0.41j]])
-    V, (V1,) = sp.section_values(0, Z, derivs=True)
+    V, (V1,) = sp.reduced_section_values(0, Z, derivs=True)
     eps = 1e-6
     for k, step in enumerate((eps, 1j * eps)):
-        num = (sp.section_values(0, Z + step)
-               - sp.section_values(0, Z - step)) / (2 * step)
+        num = (sp.reduced_section_values(0, Z + step)
+               - sp.reduced_section_values(0, Z - step)) / (2 * step)
         err = np.max(np.abs(num - V1))
         assert err < 1e-5
 

@@ -16,7 +16,8 @@ from kahlerlab.sections import SectionSpace, build_section_space
 from kahlerlab.testforms import TestForm, constant_form, test_form_dictionary
 from kahlerlab.zeros import (Section, SectionTuple, common_zeros,
                              divisor_zero_set, empirical_general_position,
-                             expected_zero_residual, sample_section,
+                             expected_zero_residual,
+                             expected_zero_residuals, sample_section,
                              sample_tuple, zero_pairing, zero_pairings,
                              zeros_on_curve)
 
@@ -473,6 +474,17 @@ def test_expected_pairing_matches_prediction_on_surfaces(p2):
     assert gap < 3 * se
     gap, _ = expected_zero_residual(sp, constant_form(p2, [1.0]), 100, (32,))
     assert gap < 1e-6
+
+
+@pytest.mark.parametrize("kind", ["P1", "P2"])
+def test_expected_residuals_match_the_one_form_call(kind):
+    m = build_manifold(kind)
+    sp = fs_space(m, 1, 5)
+    forms = test_form_dictionary(m, 1, count=3)
+    targets, means, gaps, ses = expected_zero_residuals(sp, forms, 100, (41,))
+    np.testing.assert_array_equal(gaps, np.abs(means - targets))
+    for j, f in enumerate(forms):
+        assert (gaps[j], ses[j]) == expected_zero_residual(sp, f, 100, (41,))
 
 
 def test_sample_budget_is_validated(p1):
