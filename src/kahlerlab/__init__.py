@@ -57,6 +57,7 @@ from .zeros import (  # noqa: F401
     empirical_general_position,
     expected_zero_residual,
     expected_zero_residuals,
+    point_pairings,
     sample_section,
     sample_tuple,
     zero_pairing,

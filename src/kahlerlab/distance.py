@@ -27,7 +27,7 @@ from .fscurrents import (descriptor_form_pairing, descriptor_wedge_pairing,
 from .geometry import quadrature_nodes
 from .sections import build_section_space
 from .testforms import test_form_dictionary
-from .zeros import (_seed_key, common_zeros, sample_tuple, zero_pairing,
+from .zeros import (_seed_key, common_zeros, point_pairings, sample_tuple,
                     zero_pairings)
 
 
@@ -322,10 +322,9 @@ def approximation_run(h_list, g_list, schedule, samples=1, seed=0, rule=None,
                 if m == 1:
                     vecs = zero_pairings(spaces[0], seeds, dictionary, rule)
                 else:
-                    vecs = np.empty((samples, len(dictionary)))
-                    for i, s in enumerate(seeds):
-                        zs = common_zeros(sample_tuple(spaces, s))
-                        vecs[i] = [zero_pairing(zs, f) for f in dictionary]
+                    vecs = point_pairings(
+                        [common_zeros(sample_tuple(spaces, s))
+                         for s in seeds], dictionary)
                 mean = vecs.mean(axis=0) / float(p) ** m
                 vec = PairingVector(f"zeros[eps={eps:g},p={p}]", mean,
                                     signature)

@@ -26,7 +26,7 @@ from .reports import (REPORT_SCHEMA, fit_loglog, svg_chart, write_csv,
                       write_json, write_log)
 from .sections import _coord_factor, log_bergman_sup, space_dimension
 from .testforms import test_form_dictionary
-from .zeros import expected_zero_residuals, zero_pairings
+from .zeros import expected_zero_residuals, potential_rule, zero_pairings
 
 
 def _base_report(cfg):
@@ -63,15 +63,6 @@ def _space(cfg, report, metric, p):
 def _target_rule(cfg):
     res = cfg.resolution or (48 if cfg.manifold.dim == 1 else 16)
     return quadrature_nodes(cfg.manifold, res)
-
-
-def _potential_rule(cfg, metric):
-    """Refined at the metric's pole centers: potentials are log-singular
-    there and plain tensor rules lose their spectral accuracy."""
-    res = cfg.resolution or (48 if cfg.manifold.dim == 1 else 8)
-    centers = metric.refinement_centers()
-    return quadrature_nodes(cfg.manifold, res,
-                            singular_refinement=centers or None)
 
 
 def _lambda(kind):
@@ -171,7 +162,7 @@ def _run_equidistribution(cfg, report):
         desc = h.curvature_descriptor()
         targets = np.array([descriptor_form_pairing(desc, f, trule)
                             for f in forms])
-        zrule = _potential_rule(cfg, h) if man.dim == 2 else None
+        zrule = potential_rule(h, cfg.resolution) if man.dim == 2 else None
         mean_curve = []
         c_cal = None
         for pi, p in enumerate(cfg.p_grid):
@@ -275,7 +266,7 @@ def _run_fs_convergence(cfg, report):
             desc = ha.curvature_descriptor()
             targets = [descriptor_form_pairing(desc, f, trule)
                        for f in forms]
-            vrule = _potential_rule(cfg, ha)
+            vrule = potential_rule(ha, cfg.resolution)
         else:
             label = (ha.label() if hb is ha
                      else f"{ha.label()} ^ {hb.label()}")
@@ -399,7 +390,7 @@ def _run_expected_zero(cfg, report):
     for mi, entry in enumerate(cfg.metrics):
         h = entry["h"]
         label = h.label()
-        rule = _potential_rule(cfg, h)
+        rule = potential_rule(h, cfg.resolution)
         for pi, p in enumerate(cfg.p_grid):
             space = _space(cfg, report, h, p)
             targets, means, gaps, ses = expected_zero_residuals(

@@ -9,6 +9,13 @@ elimination in a generically rotated frame, followed by Newton polish in the
 original coordinates.  Point totals are checked against the intersection
 number of the effective degrees, never inferred.
 
+The point layer works on whole arrays: the raw zeros of one section (or
+pair) are clustered in one pass over their pairwise distances, the Newton
+polish of one elimination attempt moves all its points together, and
+``point_pairings`` evaluates each form once on the stacked points of many
+zero sets.  Divisor pairings (``zero_pairings`` on surfaces) batch the
+sections' log-norms per quadrature block.
+
 Seed records are integer tuples ``(master, index, ...)``; every derived
 stream is spawned from the master entropy through the remaining entries, so
 per-sample results do not depend on evaluation order.
@@ -37,6 +44,10 @@ from .polynomials import SectionPoly
 # have simple zeros almost surely, so clusters of size > 1 only appear in
 # constructed degenerate inputs.
 _CLUSTER_RADIUS = 1e-8
+
+# Point pairs whose distances ``_cluster`` computes at once, which bounds its
+# temporaries to a few MB whatever the number of zeros.
+_CLUSTER_PAIRS = 1 << 14
 
 # Relative evaluation residual accepted for a computed intersection point.
 _RESIDUAL_CAP = 1e-7
@@ -209,17 +220,33 @@ class ZeroSet:
 
 
 def _cluster(manifold, raw):
-    points = []
-    for pt in raw:
-        pt = manifold.normalize(np.asarray(pt, dtype=complex)[None])[0]
-        for i, (c, k) in enumerate(points):
-            if float(manifold.chordal_distance(pt[None], c[None])[0]) \
-                    < _CLUSTER_RADIUS:
-                points[i] = (c, k + 1)
+    """``(point, multiplicity)`` pairs of raw zeros (rows, homogeneous).
+
+    Greedy in input order: a point joins the first cluster whose first
+    point lies within ``_CLUSTER_RADIUS`` of it, or else starts a new one.
+    The distances of all pairs are computed together, so the greedy pass
+    runs only when some pair is that close.
+    """
+    pts = manifold.normalize(raw)
+    first, second = np.triu_indices(len(pts), 1)
+    near = np.zeros(first.size, dtype=bool)
+    for lo in range(0, first.size, _CLUSTER_PAIRS):
+        sl = slice(lo, lo + _CLUSTER_PAIRS)
+        near[sl] = manifold.chordal_distance(
+            pts[second[sl]], pts[first[sl]]) < _CLUSTER_RADIUS
+    if not near.any():
+        return [(pt, 1) for pt in pts]
+    close = set(zip(first[near].tolist(), second[near].tolist()))
+    heads, counts = [], []
+    for j in range(len(pts)):
+        for c, i in enumerate(heads):
+            if (i, j) in close:
+                counts[c] += 1
                 break
         else:
-            points.append((pt, 1))
-    return points
+            heads.append(j)
+            counts.append(1)
+    return [(pts[i], k) for i, k in zip(heads, counts)]
 
 
 def zeros_on_curve(section):
@@ -254,8 +281,10 @@ def zeros_on_curve(section):
     far = np.abs(roots) > 1.0
     if np.any(far):
         roots[far] = 1.0 / _newton_p1(poly.chart_poly(1), 1.0 / roots[far])
-    raw = [np.array([1.0, z]) for z in roots]
-    raw += [np.array([0.0, 1.0])] * (q - deg0)
+    raw = np.zeros((q, 2), dtype=complex)
+    raw[:deg0, 0] = 1.0
+    raw[:deg0, 1] = roots
+    raw[deg0:, 1] = 1.0
     return ZeroSet(m, "points", points=_cluster(m, raw), section=sec,
                    degrees=(q,), target=q)
 
@@ -478,12 +507,8 @@ def _intersection_attempt(m, polys, bez, key, failures):
         for i in range(g):
             rot_pts.append(m.from_chart([[x, ys[min(i, len(ys) - 1)]]], 0)[0])
 
-    raw = []
-    worst = 0.0
-    for pt in unrotate(np.array(rot_pts)):
-        polished, res = _polish_surface(m, polys, pt)
-        worst = max(worst, res)
-        raw.append(polished)
+    raw, res = _polish_surface(m, polys, unrotate(np.array(rot_pts)))
+    worst = float(res.max())
     if worst > _RESIDUAL_CAP:
         failures.append(f"rotation {key}: residual {worst:.2e} after polish")
         return None
@@ -535,42 +560,89 @@ def _admissible_ys(m, rots, ga, gb, x, g, cap=1e-5):
     return out
 
 
-def _polish_surface(m, polys, pt, steps=30):
-    pt = m.normalize(np.asarray(pt, dtype=complex)[None])[0]
-    chart = int(m.chart_of(pt[None])[0])
-    cps = [p.chart_poly(chart) for p in polys]
-    dps = [[cp.deriv(0), cp.deriv(1)] for cp in cps]
+def _polish_surface(m, polys, pts, steps=30):
+    """Damped Newton polish of approximate common zeros (homogeneous rows).
+
+    Each point moves in the chart of its largest coordinate, by its own
+    rule: at most ``steps`` Newton steps, each halved up to 9 times until
+    the scaled residual drops; a point stops when no halving helps, when
+    its Jacobian is singular or once the residual is below 1e-15.  Points
+    sharing a chart are stepped together.  Returns the polished points and
+    the residual of each, the larger of the two sections' values relative
+    to their coefficient norms.
+    """
+    pts = m.normalize(pts)
+    charts = m.chart_of(pts)
     scales = np.array([np.linalg.norm(p.coeffs) for p in polys])
-    z = m.to_chart(pt[None], chart)[0]
+    out = np.empty_like(pts)
+    for chart in np.unique(charts).tolist():
+        sel = charts == chart
+        z = _newton_chart([p.chart_poly(chart) for p in polys],
+                          m.to_chart(pts[sel], chart), scales, steps)
+        out[sel] = m.from_chart(z, chart)
+    res = np.max([np.abs(p.eval_hom(out)) / s
+                  for p, s in zip(polys, scales)], axis=0)
+    return out, res
+
+
+def _newton_chart(cps, z, scales, steps):
+    """The Newton iteration of ``_polish_surface`` on chart points ``z``."""
+    dps = [[cp.deriv(0), cp.deriv(1)] for cp in cps]
 
     def fval(zz):
-        return np.array([cp.eval(zz[None])[0] for cp in cps])
+        return np.stack([cp.eval(zz) for cp in cps], axis=1)
 
+    def resid(f):
+        return np.max(np.abs(f) / scales, axis=1)
+
+    z = z.copy()
     f = fval(z)
-    best = float(np.max(np.abs(f) / scales))
+    best = resid(f)
+    live = np.arange(len(z))
     for _ in range(steps):
-        J = np.array([[dps[i][j].eval(z[None])[0] for j in range(2)]
-                      for i in range(2)])
-        try:
-            step = np.linalg.solve(J, -f)
-        except np.linalg.LinAlgError:
+        if not live.size:
             break
-        improved = False
+        J = np.stack([np.stack([d.eval(z[live]) for d in row], axis=1)
+                      for row in dps], axis=1)
+        step, solved = _solve_stacked(J, -f[live])
+        live, step = live[solved], step[solved]
+        improved = np.zeros(live.size, dtype=bool)
+        todo = np.arange(live.size)
         for _ in range(9):
-            zc = z + step
+            idx = live[todo]
+            zc = z[idx] + step[todo]
             fc = fval(zc)
-            rc = float(np.max(np.abs(fc) / scales))
-            if rc < best:
-                z, f, best = zc, fc, rc
-                improved = True
+            rc = resid(fc)
+            ok = rc < best[idx]
+            z[idx[ok]], f[idx[ok]], best[idx[ok]] = zc[ok], fc[ok], rc[ok]
+            improved[todo[ok]] = True
+            todo = todo[~ok]
+            if not todo.size:
                 break
-            step = 0.5 * step
-        if not improved or best < 1e-15:
-            break
-    hom = m.from_chart(z[None], chart)[0]
-    res = float(max(np.abs(p.eval_hom(hom[None])[0])
-                    / np.linalg.norm(p.coeffs) for p in polys))
-    return hom, res
+            step[todo] = 0.5 * step[todo]
+        live = live[improved & ~(best[live] < 1e-15)]
+    return z
+
+
+def _solve_stacked(J, rhs):
+    """Solutions of the 2x2 systems ``J[i] x = rhs[i]`` and which exist.
+
+    LAPACK rejects a whole stack for one singular member, so only then are
+    the systems solved one by one to find it.
+    """
+    try:
+        return (np.linalg.solve(J, rhs[:, :, None])[:, :, 0],
+                np.ones(len(rhs), dtype=bool))
+    except np.linalg.LinAlgError:
+        pass
+    out = np.zeros_like(rhs)
+    ok = np.ones(len(rhs), dtype=bool)
+    for i in range(len(rhs)):
+        try:
+            out[i] = np.linalg.solve(J[i], rhs[i])
+        except np.linalg.LinAlgError:
+            ok[i] = False
+    return out, ok
 
 
 # -- deterministic generic rotations ------------------------------------------
@@ -661,33 +733,58 @@ def divisor_zero_set(section):
 def zero_pairing(zeroset, form, rule=None):
     """``<[zero set], form>``.
 
-    Point configurations pair with the plain function values.  Divisors pair
-    through the global potential: the log-norm integrates against ``dd^c`` of
-    the form, and the curvature of the twisted metric restores the closed
-    part; the computation is that of ``zero_pairings`` with one section and
-    one form.  Singular metrics want a rule refined at their pole centers.
+    Point configurations pair with the plain function values; this is
+    ``point_pairings`` of one set and one form.  Divisors pair through the
+    global potential: the log-norm integrates against ``dd^c`` of the form,
+    and the curvature of the twisted metric restores the closed part; the
+    computation is that of ``zero_pairings`` with one section and one form.
+    Singular metrics want a rule refined at their pole centers.
     """
     if zeroset.mode == "points":
-        if form.omega_part is not None:
-            raise ConfigurationError(
-                "point masses pair with scalar test functions")
-        if not zeroset.points:
-            return 0.0
-        vals = form_values_hom(zeroset.manifold, form,
-                               np.stack([p for p, _ in zeroset.points]))
-        return float(sum(k * v for (_, k), v
-                         in zip(zeroset.points, vals)))
+        return float(point_pairings([zeroset], [form])[0, 0])
     sec = zeroset.section
     return float(_divisor_pairings(sec.space, sec.coeffs[:, None], [form],
                                    rule)[0, 0])
+
+
+def point_pairings(zerosets, forms):
+    """``<[Z_i], f_j>`` of point zero sets ``Z_i``: the (sets, forms) matrix.
+
+    A point pairs with the form's function value times its multiplicity.
+    The points of all sets are stacked and each form is evaluated on them
+    once; the products are summed per set in point order, so every entry is
+    the same number whatever other sets share the call.  Forms must be
+    scalar (no omega part).
+    """
+    zerosets = list(zerosets)
+    forms = list(forms)
+    if any(zs.mode != "points" for zs in zerosets):
+        raise ConfigurationError("point pairings take point zero sets")
+    if any(f.omega_part is not None for f in forms):
+        raise ConfigurationError(
+            "point masses pair with scalar test functions")
+    out = np.zeros((len(zerosets), len(forms)))
+    points = [(pt, k) for zs in zerosets for pt, k in zs.points]
+    if not points:
+        return out
+    owner = np.repeat(np.arange(len(zerosets)),
+                      [len(zs.points) for zs in zerosets])
+    mult = np.array([k for _, k in points])
+    P = np.stack([pt for pt, _ in points])
+    man = zerosets[0].manifold
+    for j, f in enumerate(forms):
+        out[:, j] = np.bincount(owner, weights=mult * form_values_hom(
+            man, f, P), minlength=len(zerosets))
+    return out
 
 
 def zero_pairings(space, seeds, forms, rule=None):
     """``<[s_i = 0], f_j>`` for ``s_i = sample_section(space, seeds[i])``.
 
     Returns the (samples, forms) matrix.  On curves each sample's zeros are
-    located and paired as points; ``rule`` is not used.  On surfaces the
-    zero divisors pair through their log-norm potentials over ``rule``:
+    located and all samples pair as points in one ``point_pairings`` call;
+    ``rule`` is not used.  On surfaces the zero divisors pair through their
+    log-norm potentials over ``rule``:
 
         <[s = 0], f> = int log|s|_h dd^c f + p <c1(L, h), f> (+ <c1(K), f>)
 
@@ -700,11 +797,9 @@ def zero_pairings(space, seeds, forms, rule=None):
     """
     forms = list(forms)
     if space.manifold.dim == 1:
-        out = np.empty((len(seeds), len(forms)))
-        for i, seed in enumerate(seeds):
-            zs = zeros_on_curve(sample_section(space, seed))
-            out[i] = [zero_pairing(zs, f) for f in forms]
-        return out
+        return point_pairings(
+            [zeros_on_curve(sample_section(space, seed)) for seed in seeds],
+            forms)
     C = np.stack([sample_section(space, seed).coeffs for seed in seeds],
                  axis=1)
     return _divisor_pairings(space, C, forms, rule)
@@ -769,6 +864,19 @@ def _log_norm_base(space, chart, Z):
     return u
 
 
+def potential_rule(metric, resolution=None):
+    """The quadrature rule of log-norm potentials of ``metric``'s sections.
+
+    Resolution 48 on curves and 8 on surfaces unless ``resolution`` is
+    given, refined at the metric's pole centers: potentials are
+    log-singular there and plain tensor rules lose their spectral accuracy.
+    """
+    m = metric.manifold
+    res = resolution or (48 if m.dim == 1 else 8)
+    centers = metric.refinement_centers()
+    return quadrature_nodes(m, res, singular_refinement=centers or None)
+
+
 def expected_zero_residual(space, form, num_samples, seed, rule=None):
     """Monte Carlo gap between mean zero pairings and the family current.
 
@@ -788,19 +896,16 @@ def expected_zero_residuals(space, forms, num_samples, seed, rule=None):
     Sample ``i`` is ``sample_section(space, seed + (i,))``.  Returns the
     arrays ``(targets, means, gaps, ses)``: ``p`` times the family current
     pairing, the sample mean of the zero pairings, their absolute gap and
-    the standard error of the mean.  Without ``rule`` the potential rule is
-    refined at the metric's pole centers.
+    the standard error of the mean.  ``rule`` defaults to the
+    ``potential_rule`` of the space's metric.
     """
     if num_samples < MIN_EXPECTED_ZERO_SAMPLES:
         raise ConfigurationError(
             f"at least {MIN_EXPECTED_ZERO_SAMPLES} samples are needed for a "
             "stable standard error")
     forms = list(forms)
-    m = space.manifold
     if rule is None:
-        centers = space.metric.refinement_centers() or None
-        rule = quadrature_nodes(m, 48 if m.dim == 1 else 8,
-                                singular_refinement=centers)
+        rule = potential_rule(space.metric)
     targets = space.p * fs_pairings(space, forms, rule)
     key = _seed_key(seed)
     vals = zero_pairings(space, [key + (i,) for i in range(num_samples)],

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+from kahlerlab.bundles import form_values_hom
 from kahlerlab.config import parse_config
 from kahlerlab.errors import (ConfigurationError, EmptySpaceError,
                               UnsupportedMetricError)
 from kahlerlab.experiments import emit_report, run_study
+from kahlerlab.fscurrents import descriptor_form_pairing
 from kahlerlab.geometry import quadrature_nodes
 from kahlerlab.sections import build_section_space
 from kahlerlab.testforms import test_form_dictionary
-from kahlerlab.zeros import divisor_zero_set, sample_section, zero_pairing
+from kahlerlab.zeros import (divisor_zero_set, sample_section, zero_pairing,
+                             zeros_on_curve)
 
 
 def _expected_zero_config(cache, samples=100):
@@ -49,6 +52,46 @@ def test_expected_zero_reports_replay_and_match_the_sample_loop(tmp_path):
     assert [r["form"] for r in rows] == [f.label for f in forms]
     for r, mean in zip(rows, loop.mean(axis=0)):
         assert abs(r["mc_mean"] - mean) <= 1e-12 * abs(mean)
+
+
+def test_curve_equidistribution_replays_and_matches_the_sample_loop(
+        tmp_path):
+    cfg = parse_config({
+        "study": "equidistribution", "manifold": "P1",
+        "metrics": [{"h": {"kind": "fs"}}], "p_grid": [4, 6],
+        "samples": 5, "dict_count": 3, "seed": [9],
+        "cache": str(tmp_path / "cache"),
+    })
+    cold = run_study(cfg)
+    warm = run_study(cfg)
+    assert warm["cache"] == {"hits": 2, "misses": 0}
+    _assert_same_bytes(cold, warm, tmp_path)
+
+    # sample i at power index pi is seeded (master..., metric 0, pi, i);
+    # each zero pairs with the form's value times its multiplicity
+    man, h = cfg.manifold, cfg.metrics[0]["h"]
+    forms = test_form_dictionary(man, 1, 3)
+    rule = quadrature_nodes(man, 48)
+    targets = [descriptor_form_pairing(h.curvature_descriptor(), f, rule)
+               for f in forms]
+    series = {f.label: [] for f in forms}
+    for pi, p in enumerate(cfg.p_grid):
+        space = build_section_space(h, p, adjoint=cfg.adjoint)
+        errs = []
+        for i in range(cfg.samples):
+            zs = zeros_on_curve(sample_section(space, cfg.seed + (0, pi, i)))
+            pts = np.stack([pt for pt, _ in zs.points])
+            row = []
+            for f, t in zip(forms, targets):
+                vals = form_values_hom(man, f, pts)
+                pair = sum(k * v for (_, k), v in zip(zs.points, vals))
+                row.append(abs(pair / p - t))
+            errs.append(row)
+        for f, err in zip(forms, np.mean(errs, axis=0)):
+            series[f.label].append(float(err))
+    assert [s["label"] for s in cold["series"]] == list(series)
+    for s in cold["series"]:
+        assert s["x"] == [4, 6] and s["y"] == series[s["label"]]
 
 
 def test_expected_zero_config_needs_100_samples(tmp_path):

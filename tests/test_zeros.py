@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from kahlerlab import zeros
 from kahlerlab.bundles import (LineBundle, Metric, curvature_pairing,
-                               ddc_pairing, pair_omega_basis)
+                               ddc_pairing, form_values_hom, pair_omega_basis)
 from kahlerlab.errors import (ConfigurationError, DegenerateSpaceError,
                               GeneralPositionError)
 from kahlerlab.fscurrents import fs_pairing
@@ -17,9 +18,9 @@ from kahlerlab.testforms import TestForm, constant_form, test_form_dictionary
 from kahlerlab.zeros import (Section, SectionTuple, common_zeros,
                              divisor_zero_set, empirical_general_position,
                              expected_zero_residual,
-                             expected_zero_residuals, sample_section,
-                             sample_tuple, zero_pairing, zero_pairings,
-                             zeros_on_curve)
+                             expected_zero_residuals, point_pairings,
+                             sample_section, sample_tuple, zero_pairing,
+                             zero_pairings, zeros_on_curve)
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +176,48 @@ def test_zero_count_always_matches_the_degree(cs):
         assert worst / np.linalg.norm(s.coeffs) < 1e-6
 
 
+def _greedy_clusters(m, raw, radius):
+    """Clusters one point at a time: each joins the first cluster whose
+    first point is within ``radius``."""
+    out = []
+    for pt in raw:
+        pt = m.normalize(np.asarray(pt, dtype=complex)[None])[0]
+        for i, (c, k) in enumerate(out):
+            if float(m.chordal_distance(pt[None], c[None])[0]) < radius:
+                out[i] = (c, k + 1)
+                break
+        else:
+            out.append((pt, 1))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["P1", "P2", "P1xP1"])
+def test_cluster_follows_the_greedy_rule(kind):
+    m = build_manifold(kind)
+    rng = np.random.default_rng(3)
+    far = rng.standard_normal((4, m.hom_len)) \
+        + 1j * rng.standard_normal((4, m.hom_len))
+    a = m.normalize(far[:1])[0]
+    # a chain: a ~ b and b ~ c at 0.6 radius, but a and c 1.2 radii apart
+    e = np.zeros(m.hom_len, dtype=complex)
+    e[1] = 1.0
+    unit = float(m.chordal_distance(a[None], (a + 1e-6 * e)[None])[0]) / 1e-6
+    b = a + 0.6e-8 / unit * e
+    c = a + 1.2e-8 / unit * e
+    assert 0.5e-8 < float(m.chordal_distance(a[None], b[None])[0]) < 1e-8
+    assert 0.5e-8 < float(m.chordal_distance(b[None], c[None])[0]) < 1e-8
+    assert float(m.chordal_distance(a[None], c[None])[0]) > 1e-8
+    double = far[2]
+    for raw in ([a, b, c, far[1]],
+                [far[1], double, c, b, double, a, far[3]],
+                list(far)):
+        got = zeros._cluster(m, raw)
+        want = _greedy_clusters(m, raw, zeros._CLUSTER_RADIUS)
+        assert [k for _, k in got] == [k for _, k in want]
+        assert all(np.array_equal(g, w) for (g, _), (w, _) in zip(got, want))
+    assert [k for _, k in zeros._cluster(m, [a, b, c, far[1]])] == [2, 1, 1]
+
+
 # -- pairing against point configurations -------------------------------------
 
 
@@ -195,6 +238,46 @@ def test_point_pairing_rejects_omega_forms(p1):
     s = SectionPoly.from_coeff_map(p1, 2, {(0, 2): 1.0, (2, 0): -1.0})
     with pytest.raises(ConfigurationError):
         zero_pairing(zeros_on_curve(s), constant_form(p1, [1.0]))
+    with pytest.raises(ConfigurationError):
+        point_pairings([zeros_on_curve(s)],
+                       [constant_form(p1), constant_form(p1, [1.0])])
+
+
+def test_point_pairings_match_the_per_set_sum(p1, p2, pp):
+    sp = fs_space(p1, 1, 7)
+    curve = [zeros_on_curve(sample_section(sp, (19, i))) for i in range(4)]
+    # a degree-0 section has no zeros: its row is zero
+    curve.insert(2, zeros_on_curve(SectionPoly.from_coeff_map(
+        p1, 0, {(0, 0): 1.0})))
+    # z1^3 vanishes to order 3 at [1 : 0]
+    curve.append(zeros_on_curve(SectionPoly.from_coeff_map(
+        p1, 3, {(0, 3): 1.0})))
+    forms = test_form_dictionary(p1, 1, count=6)
+    got = point_pairings(curve, forms)
+    assert np.array_equal(got, np.array(
+        [[_loop_point_pairing(zs, f) for f in forms] for zs in curve]))
+    assert not got[2].any()
+
+    sp = fs_space(p2, 1, 5)
+    surface = [common_zeros(sample_tuple([sp, sp], (23, i)))
+               for i in range(3)]
+    # a double point: the line z2 = 0 touches the conic z1^2 = z0 z2
+    conic = SectionPoly.from_coeff_map(p2, 2, {(0, 2, 0): 1.0,
+                                              (1, 0, 1): -1.0})
+    surface.insert(1, common_zeros([conic, coordinate_section(p2, 2)]))
+    forms = test_form_dictionary(p2, 2, count=6)
+    assert np.array_equal(point_pairings(surface, forms), np.array(
+        [[_loop_point_pairing(zs, f) for f in forms] for zs in surface]))
+
+    # the parallel fiber pair of P1xP1 has no common zeros
+    s1 = SectionPoly.from_coeff_map(
+        pp, (1, 0), {(1, 0, 0, 0): 2.0, (0, 1, 0, 0): 1.0})
+    s3 = SectionPoly.from_coeff_map(
+        pp, (1, 0), {(1, 0, 0, 0): 1.0, (0, 1, 0, 0): 1.0})
+    empty = common_zeros([s1, s3])
+    assert np.array_equal(
+        point_pairings([empty], test_form_dictionary(pp, 2, count=3)),
+        np.zeros((1, 3)))
 
 
 # -- surface intersections ----------------------------------------------------
@@ -283,6 +366,88 @@ def test_tangential_intersection_carries_multiplicity(p2):
     assert zs.points[0][1] == 2
     e0 = np.array([1.0, 0.0, 0.0], dtype=complex)
     assert float(p2.chordal_distance(e0[None], zs.points[0][0][None])[0]) < 1e-6
+
+
+def _polish_one(m, polys, pt, steps=30):
+    """Damped Newton polish of one point, a step at a time."""
+    pt = m.normalize(np.asarray(pt, dtype=complex)[None])[0]
+    chart = int(m.chart_of(pt[None])[0])
+    cps = [p.chart_poly(chart) for p in polys]
+    dps = [[cp.deriv(0), cp.deriv(1)] for cp in cps]
+    scales = np.array([np.linalg.norm(p.coeffs) for p in polys])
+    z = m.to_chart(pt[None], chart)[0]
+
+    def fval(zz):
+        return np.array([cp.eval(zz[None])[0] for cp in cps])
+
+    f = fval(z)
+    best = float(np.max(np.abs(f) / scales))
+    for _ in range(steps):
+        J = np.array([[dps[i][j].eval(z[None])[0] for j in range(2)]
+                      for i in range(2)])
+        try:
+            step = np.linalg.solve(J, -f)
+        except np.linalg.LinAlgError:
+            break
+        improved = False
+        for _ in range(9):
+            fc = fval(z + step)
+            rc = float(np.max(np.abs(fc) / scales))
+            if rc < best:
+                z, f, best = z + step, fc, rc
+                improved = True
+                break
+            step = 0.5 * step
+        if not improved or best < 1e-15:
+            break
+    return m.from_chart(z[None], chart)[0]
+
+
+@pytest.mark.parametrize("case", ["fs-cubics", "pole-sextics"])
+def test_batched_polish_matches_the_per_point_polish(p2, monkeypatch, case):
+    calls = []
+    batched = zeros._polish_surface
+
+    def record(m, polys, pts):
+        out, res = batched(m, polys, pts)
+        calls.append((polys, pts, out, res))
+        return out, res
+
+    monkeypatch.setattr(zeros, "_polish_surface", record)
+    if case == "fs-cubics":
+        # the pair of test_random_plane_pair_meets_the_intersection_bound
+        sp = fs_space(p2, 1, 6)
+        zs = common_zeros(sample_tuple([sp, sp], (11, 0)))
+        assert zs.total_multiplicity == 9
+    else:
+        # coordinate poles as in the approximation study, not adjoint
+        spaces = [build_section_space(Metric.log_pole(
+            LineBundle(p2, 1), coordinate_section(p2, i), 0.25), 6,
+            adjoint=False) for i in (0, 1)]
+        zs = common_zeros(sample_tuple(spaces, (7, 2)))
+        assert zs.total_multiplicity == 36
+    polys, pts, out, res = calls[-1]
+    assert len(pts) == zs.total_multiplicity
+    for pt, got, r in zip(pts, out, res):
+        want = _polish_one(p2, polys, pt)
+        assert float(p2.chordal_distance(got[None], want[None])[0]) <= 1e-12
+        assert r <= zeros._RESIDUAL_CAP
+    # started further off, points take several steps and step halvings
+    rng = np.random.default_rng(1)
+    far = pts + 0.1 * (rng.standard_normal(pts.shape)
+                       + 1j * rng.standard_normal(pts.shape))
+    out, _ = batched(p2, polys, far)
+    want = np.array([_polish_one(p2, polys, pt) for pt in far])
+    assert np.all(p2.chordal_distance(out, want) <= 1e-12)
+
+
+def test_singular_jacobian_stops_only_its_own_point():
+    J = np.array([np.eye(2), np.zeros((2, 2)), 2 * np.eye(2)],
+                 dtype=complex)
+    rhs = np.array([[1, 2], [3, 4], [2, 6]], dtype=complex)
+    x, ok = zeros._solve_stacked(J, rhs)
+    assert ok.tolist() == [True, False, True]
+    assert np.array_equal(x[ok], np.array([[1, 2], [1, 3]], dtype=complex))
 
 
 # -- empirical general position ------------------------------------------------
@@ -384,12 +549,22 @@ def test_batched_surface_pairings_match_the_per_sample_loop(p2, case):
             assert abs(batch[i, j] - loop) <= 1e-12 * abs(loop)
 
 
+def _loop_point_pairing(zs, form):
+    """One set's point pairing: function values times multiplicities,
+    summed in point order."""
+    if not zs.points:
+        return 0.0
+    vals = form_values_hom(zs.manifold, form,
+                           np.stack([pt for pt, _ in zs.points]))
+    return float(sum(k * v for (_, k), v in zip(zs.points, vals)))
+
+
 def test_curve_pairings_keep_the_point_route(p1):
     sp = fs_space(p1, 1, 6)
     forms = test_form_dictionary(p1, 1, count=4)
     seeds = [(43, i) for i in range(5)]
     batch = zero_pairings(sp, seeds, forms)
-    loop = [[zero_pairing(zeros_on_curve(sample_section(sp, s)), f)
+    loop = [[_loop_point_pairing(zeros_on_curve(sample_section(sp, s)), f)
              for f in forms] for s in seeds]
     assert np.array_equal(batch, np.array(loop))
     # the divisor route on curves, against the loop, over a refined rule
