@@ -11,7 +11,6 @@ import math
 import os
 
 import numpy as np
-from scipy import stats
 
 from . import __version__
 from .bundles import CurrentDescriptor, wedge_descriptors
@@ -22,8 +21,8 @@ from .errors import ConfigurationError
 from .fscurrents import (descriptor_form_pairing, descriptor_wedge_pairings,
                          fs_pairings, fs_wedge_pairings)
 from .geometry import quadrature_nodes
-from .reports import (REPORT_SCHEMA, fit_loglog, svg_chart, write_csv,
-                      write_json, write_log)
+from .reports import (REPORT_SCHEMA, fit_loglog, linregress, svg_chart,
+                      write_csv, write_json, write_log)
 from .sections import _coord_factor, log_bergman_sup, space_dimension
 from .testforms import test_form_dictionary
 from .zeros import expected_zero_residuals, potential_rule, zero_pairings
@@ -128,8 +127,8 @@ def _run_bergman(cfg, report):
         decreasing = all(b < a for a, b in zip(sups, sups[1:]))
         xs = [math.log(p) / p for p in cfg.p_grid]
         if len(set(xs)) > 1:
-            fit = stats.linregress(xs, sups)
-            slope, r2 = float(fit.slope), float(fit.rvalue) ** 2
+            slope, _, r, _ = linregress(xs, sups)
+            slope, r2 = float(slope), float(r) ** 2
         else:
             slope, r2 = None, None
         summaries.append({"metric": label, "decreasing": decreasing,

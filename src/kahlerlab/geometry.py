@@ -37,7 +37,6 @@ import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import ndtri
 
 from .errors import ConfigurationError, NumericalError
 
@@ -270,8 +269,9 @@ class Manifold:
         """A deterministic, well-spread set of points (N, hom_len).
 
         Low-discrepancy (Halton) sequences pushed through the Gaussian
-        quantile give FS-uniform homogeneous vectors; no RNG involved, so
-        grids are reproducible across runs and platforms.
+        quantile (:func:`_ndtri`, a numpy port of the Cephes ``ndtri``)
+        give FS-uniform homogeneous vectors; no RNG involved, so grids are
+        reproducible across runs and platforms.
         """
         if self.kind == "P1xP1":
             a = _halton_unitary(count, 2, offset=offset, base_shift=0)
@@ -301,7 +301,6 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
 def _halton(idx, base):
     out = np.zeros(len(idx))
-    f = 1.0
     i = np.asarray(idx, dtype=np.int64) + 1
     fb = 1.0 / base
     scale = fb
@@ -312,14 +311,93 @@ def _halton(idx, base):
     return out
 
 
+# Cephes ndtri (Moshier): rational approximations of the inverse normal CDF,
+# highest-degree coefficient first; the leading 1 of each Q is implicit.
+_NDTRI_S2PI = 2.50662827463100050242E0
+_NDTRI_EXPM2 = 0.13533528323661269189      # exp(-2)
+_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
+             -5.66762857469070293439E1, 1.39312609387279679503E1,
+             -1.23916583867381258016E0)
+_NDTRI_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
+             8.63602421390890590575E1, -2.25462687854119370527E2,
+             2.00260212380060660359E2, -8.20372256168333339912E1,
+             1.59056225126211695515E1, -1.18331621121330003142E0)
+_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
+             5.71628192246421288162E1, 4.40805073893200834700E1,
+             1.46849561928858024014E1, 2.18663306850790267539E0,
+             -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+             -8.57456785154685413611E-4)
+_NDTRI_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
+             4.13172038254672030440E1, 1.50425385692907503408E1,
+             2.50464946208309415979E0, -1.42182922854787788574E-1,
+             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
+             3.93881025292474443415E0, 1.33303460815807542389E0,
+             2.01485389549179081538E-1, 1.23716634817820021358E-2,
+             3.01581553508235416007E-4, 2.65806974686737550832E-6,
+             6.23974539184983293730E-9)
+_NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
+             1.37702099489081330271E0, 2.16236993594496635890E-1,
+             1.34204006088543189037E-2, 3.28014464682127739104E-4,
+             2.89247864745380683936E-6, 6.79019408009981274425E-9)
+
+
+def _polevl(x, coef):
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x, coef):
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _libm_log(x):
+    # math.log, not np.log: numpy's vectorized log differs from libm in the
+    # last bit on about 1e-4 of the tail inputs, which would move the grids
+    return np.array([math.log(v) for v in x.tolist()])
+
+
+def _ndtri(u):
+    """Inverse of the standard normal CDF on ``[0, 1]``, elementwise.
+
+    A port of the Cephes ``ndtri`` with its operation order, so that it
+    returns the same bits as ``scipy.special.ndtri``.
+    """
+    u = np.asarray(u, dtype=float)
+    out = np.empty_like(u)
+    upper = u > 1.0 - _NDTRI_EXPM2
+    y = np.where(upper, 1.0 - u, u)
+    mid = y > _NDTRI_EXPM2
+    ym = y[mid] - 0.5
+    y2 = ym * ym
+    x = ym + ym * (y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0))
+    out[mid] = x * _NDTRI_S2PI
+    edge = y == 0.0
+    out[edge] = np.where(upper[edge], np.inf, -np.inf)
+    tail = ~mid & ~edge
+    x = np.sqrt(-2.0 * _libm_log(y[tail]))
+    x0 = x - _libm_log(x) / x
+    z = 1.0 / x
+    near = x < 8.0
+    x1 = np.empty_like(x)
+    zn, zf = z[near], z[~near]
+    x1[near] = zn * _polevl(zn, _NDTRI_P1) / _p1evl(zn, _NDTRI_Q1)
+    x1[~near] = zf * _polevl(zf, _NDTRI_P2) / _p1evl(zf, _NDTRI_Q2)
+    x = x0 - x1
+    out[tail] = np.where(upper[tail], x, -x)
+    return out
+
+
 def _halton_unitary(count, clen, offset=0, base_shift=0):
     idx = np.arange(offset, offset + count)
-    cols = []
-    for j in range(2 * clen):
-        u = _halton(idx, _PRIMES[(base_shift + j) % len(_PRIMES)])
-        u = np.clip(u, 1e-12, 1.0 - 1e-12)
-        cols.append(ndtri(u))
-    g = np.asarray(cols).T
+    u = np.array([_halton(idx, _PRIMES[(base_shift + j) % len(_PRIMES)])
+                  for j in range(2 * clen)])
+    g = _ndtri(np.clip(u, 1e-12, 1.0 - 1e-12)).T
     vec = g[:, :clen] + 1j * g[:, clen:]
     vec /= np.linalg.norm(vec, axis=1, keepdims=True)
     return vec

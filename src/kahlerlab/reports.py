@@ -13,7 +13,6 @@ import math
 import time
 
 import numpy as np
-from scipy import stats
 
 REPORT_SCHEMA = "kahlerlab-report/1"
 
@@ -69,6 +68,32 @@ def write_log(path, lines):
             fh.write(f"{stamp} {line}\n")
 
 
+def linregress(x, y):
+    """Least-squares line through ``(x, y)``: ``(slope, intercept, rvalue,
+    stderr)``.
+
+    The formulas and operation order of ``scipy.stats.linregress`` (moment
+    sums from ``np.cov(bias=1)``, ``r`` clipped to [-1, 1] and NaN when both
+    a variance and the covariance vanish, ``stderr`` 0 for two points), so
+    fits keep their bits without scipy.  ``x`` must not be constant.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(x)
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.nan if ssxym == 0 else 0.0
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    slope = ssxym / ssxm
+    intercept = y.mean() - slope * x.mean()
+    if n == 2:
+        stderr = 0.0
+    else:
+        stderr = np.sqrt((1 - r**2) * ssym / ssxm / (n - 2))
+    return slope, intercept, r, stderr
+
+
 def fit_loglog(x, y):
     """Least-squares slope of log y against log x over positive pairs."""
     pairs = [(a, b) for a, b in zip(x, y)
@@ -79,11 +104,11 @@ def fit_loglog(x, y):
     ly = [math.log(b) for _, b in pairs]
     if max(lx) == min(lx):
         return None
-    fit = stats.linregress(lx, ly)
-    return {"slope": float(fit.slope),
-            "intercept": float(fit.intercept),
-            "r2": float(fit.rvalue) ** 2,
-            "stderr": float(fit.stderr),
+    slope, intercept, r, stderr = linregress(lx, ly)
+    return {"slope": float(slope),
+            "intercept": float(intercept),
+            "r2": float(r) ** 2,
+            "stderr": float(stderr),
             "n": len(pairs)}
 
 

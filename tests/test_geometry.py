@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from kahlerlab.errors import ConfigurationError, NumericalError
 from kahlerlab.geometry import (
+    _PRIMES,
+    _halton,
+    _ndtri,
     build_manifold,
     integrate,
     quadrature_nodes,
@@ -209,3 +214,35 @@ def test_sample_grid_deterministic_and_spread():
             d[i] = 1.0
             dmin = min(dmin, d.min())
         assert dmin > 1e-3
+
+
+def _sample_grid_columns(count):
+    """The clipped Halton columns that ``sample_grid(count)`` feeds to the
+    inverse normal CDF on P1, P2 and P1xP1 (its second factor at
+    ``base_shift=4``)."""
+    idx = np.arange(count)
+    cols = []
+    for clen, shift in ((2, 0), (3, 0), (2, 4)):
+        for j in range(2 * clen):
+            u = _halton(idx, _PRIMES[(shift + j) % len(_PRIMES)])
+            cols.append(np.clip(u, 1e-12, 1.0 - 1e-12))
+    return np.concatenate(cols)
+
+
+def test_ndtri_port_matches_scipy_bit_for_bit():
+    special = pytest.importorskip("scipy.special")
+    # np.log in place of math.log changes a few of the dense tail points
+    tiny = np.logspace(-300, -13, 4001)
+    tail = np.linspace(1e-12, math.exp(-2), 20001)
+    u = np.concatenate([_sample_grid_columns(400), _sample_grid_columns(600),
+                        [1e-12, 1.0 - 1e-12, 0.5], tiny, 1.0 - tiny,
+                        tail, 1.0 - tail])
+    got, ref = _ndtri(u), special.ndtri(u)
+    assert got.tobytes() == ref.tobytes()
+    # the central branch and both tails (z = sqrt(-2 log y) below and above
+    # 8) ran, on both sides of 1/2
+    y = np.minimum(u, 1.0 - u)
+    for lo, hi in ((math.exp(-2), 0.5), (math.exp(-32), math.exp(-2)),
+                   (0.0, math.exp(-32))):
+        sel = (y > lo) & (y <= hi)
+        assert np.any(sel & (u < 0.5)) and np.any(sel & (u > 0.5))

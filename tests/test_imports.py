@@ -1,14 +1,18 @@
-"""Every name a package module imports is used in that module.
+"""Import hygiene: every name a package module imports is used in that
+module, and importing the package loads no scipy.
 
-No linter ships with the package, so this is the unused-import check:
-each module of ``src/kahlerlab`` is parsed with ``ast`` and the names its
-imports bind are compared with the names its code reads.  ``__init__.py``
+No linter ships with the package, so the first check is the unused-import
+check: each module of ``src/kahlerlab`` is parsed with ``ast`` and the names
+its imports bind are compared with the names its code reads.  ``__init__.py``
 re-exports by importing, so it is exempt, as is any import line marked
 ``# noqa: F401`` (a name kept importable from a module on purpose).
 A name listed in ``__all__`` counts as used.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +61,16 @@ def test_module_uses_every_name_it_imports(module):
               for name, line in _imported_names(tree, source.splitlines())
               if name not in used]
     assert not unused, f"{module} imports unused names: {unused}"
+
+
+def test_package_imports_without_scipy():
+    # scipy is a test-only dependency: the runtime must not load it
+    code = ("import sys, kahlerlab, kahlerlab.experiments\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))\n")
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert out.stdout.strip() == "[]"
