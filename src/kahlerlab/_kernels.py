@@ -7,8 +7,9 @@ time of ``eval_monomials`` per workload.
 Kernels:
 
 * ``eval_monomials``: batched scaled-monomial evaluation (basis x points).
-* ``gram_contract``: Gram assembly from radial profiles and angular Fourier
-  modes of a smooth weight (the separable fast path).
+* ``gram_contract``: Gram assembly from radial profiles and angular modes
+  of a real weight; both tensor Gram paths use it (``modes`` with FFT
+  modes on uniform angles, ``nodes`` with cos/sin moments on refined ones).
 """
 
 import numpy as np
@@ -53,8 +54,8 @@ def gram_contract(rad, what, didx):
     """G[a, b] = sum_r rad[r, a] rad[r, b] what[r, didx[a, b]].
 
     ``rad`` are real radial profiles (scaled monomial moduli times measure
-    and reference weight factors), ``what`` the angular Fourier modes of the
-    weight, ``didx`` the mode index of each basis pair.  ``didx`` must be
+    and weight factors), ``what`` the angular modes of the weight, ``didx``
+    the mode index of each basis pair.  ``didx`` must be
     symmetric up to mode conjugation (the weight is real), so the result is
     Hermitian.
     """

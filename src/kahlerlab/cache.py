@@ -2,9 +2,10 @@
 
 The expensive step in every study is the Gram solve behind
 :meth:`SectionSpace.coeff_matrix`.  Its result depends only on the metric,
-the power, the adjoint flag, the quadrature resolution, and the Gram
-method, so it can be keyed by a canonical JSON fingerprint of exactly
-those inputs and replayed across runs.
+the power, the adjoint flag and the Gram numerics (method, quadrature
+plan, resolution and ``sections.NUMERICS_VERSION``), so it can be keyed by
+a canonical JSON fingerprint of exactly those inputs and replayed across
+runs; an entry written by code with other numerics misses.
 
 Entries are gzip-compressed JSON blobs named by the SHA-256 of their key
 fragment.  Writes are atomic (temp file then rename) so interrupted runs
@@ -92,14 +93,14 @@ def space_payload(space):
     }
 
 
-def space_fragment(metric, p, adjoint, resolution, method):
+def space_fragment(space):
+    """Key fragment of a space's orthonormalization (builds no nodes)."""
     return {
         "what": "section-space",
-        "metric": metric_fingerprint(metric),
-        "p": int(p),
-        "adjoint": bool(adjoint),
-        "resolution": resolution if resolution is None else int(resolution),
-        "method": method,
+        "metric": metric_fingerprint(space.metric),
+        "p": space.p,
+        "adjoint": space.adjoint,
+        "gram": space.gram_fingerprint(),
     }
 
 
@@ -114,12 +115,12 @@ def cached_space(metric, p, adjoint=True, resolution=None, cache_dir=None,
     if cache_dir is None:
         return build_section_space(metric, p, adjoint=adjoint,
                                    resolution=resolution, method=method), "off"
-    key = cache_key(space_fragment(metric, p, adjoint, resolution, method))
+    space = build_section_space(metric, p, adjoint=adjoint,
+                                resolution=resolution, method=method,
+                                orthonormalize=False)
+    key = cache_key(space_fragment(space))
     payload = cache_get(cache_dir, key)
     if payload is not None and payload.get("schema") == SCHEMA:
-        space = build_section_space(metric, p, adjoint=adjoint,
-                                    resolution=resolution, method=method,
-                                    orthonormalize=False)
         if payload["dim"] == space.dim:
             coeff = (np.asarray(payload["coeff_re"], dtype=float)
                      + 1j * np.asarray(payload["coeff_im"], dtype=float))
@@ -127,7 +128,5 @@ def cached_space(metric, p, adjoint=True, resolution=None, cache_dir=None,
                                    payload["method"])
             return space, "hit"
         warnings.warn("cache entry dimension mismatch, recomputing")
-    space = build_section_space(metric, p, adjoint=adjoint,
-                                resolution=resolution, method=method)
     cache_put(cache_dir, key, space_payload(space))
     return space, "miss"

@@ -18,8 +18,11 @@ Three Gram assembly strategies share one orthonormalization path:
 * smooth weights and coordinate-axis poles: the angular dependence enters
   through finitely many Fourier modes of ``e^{-2 p psi}``, so an FFT over the
   uniform angular grids contracts radial basis profiles against those modes;
-* poles along curves in general position (P1 only): node-wise assembly in log
-  space on a mesh refined toward the pole points.
+* poles along curves in general position (P1 only): the same separable
+  contraction on a mesh refined toward the pole points, where the angular
+  moments of the node weight are taken by a cos/sin matmul over the
+  non-uniform refined angles and the radial profiles carry each row's
+  largest log weight.
 
 All three run in log space wherever magnitudes can leave the comfortable
 range of double precision; overflow is detected and raised, never clipped.
@@ -46,6 +49,11 @@ CONDITION_CAP = 1.0e12
 # Largest per-factor section degree for which raw chart-frame monomial values
 # provably stay inside double range on the (seam-deformed) chart regions.
 _MAX_DEGREE = 400
+
+# Version of the Gram numerics, part of every cache key.  Bump it whenever a
+# change moves the bits of a Gram matrix, so that cached orthonormalizations
+# from older code miss.  Version 2: separable ``nodes`` assembly.
+NUMERICS_VERSION = 2
 
 _MODE_TABLE_BYTES = 2.5e8
 _LOG_FLOOR = -745.0
@@ -265,22 +273,58 @@ class SectionSpace:
             return "diagonal"
         return "modes"
 
-    def gram(self):
-        if self._gram is None:
-            method = self._dispatch()
-            if method == "diagonal" and not (self.metric.torus_invariant
-                                             and not self.sigma_polys):
+    def gram_plan(self):
+        """The Gram method and the parameters of its quadrature rule.
+
+        The parameters are the keyword arguments ``quadrature_nodes`` takes
+        besides the resolution and the refinement centers.  No node is
+        built, so the plan is cheap enough to key caches on.
+        """
+        method = self._dispatch()
+        if method == "diagonal":
+            if not (self.metric.torus_invariant and not self.sigma_polys):
                 raise ConfigurationError(
                     "diagonal Gram assembly needs a rotation-invariant "
                     "metric with coordinate-axis poles only")
+            rad_min, rad_order, _ = self._axis_plan()
+            return method, {"radial_min": rad_min, "radial_order": rad_order,
+                            "angular_override": 1}
+        if method == "modes":
+            rad_min, rad_order, ang_min = self._axis_plan()
+            return method, {"radial_min": rad_min, "radial_order": rad_order,
+                            "angular_min": ang_min}
+        if method == "nodes":
+            if self.manifold.kind != "P1":
+                raise UnsupportedMetricError(
+                    "Gram assembly for poles along curves in general "
+                    "position is only supported on P1")
+            q = self.q[0]
+            return method, {
+                "radial_min": max(q // 2 + 12, self._resolution or 24),
+                "angular_min": int(8.5 * q) + 32}
+        raise ConfigurationError(f"unknown gram method {method!r}")
+
+    def gram_fingerprint(self):
+        """JSON-ready identity of the Gram numerics, built without nodes."""
+        method, plan = self.gram_plan()
+        return {"numerics": NUMERICS_VERSION, "method": method,
+                "resolution": self._resolution or 24, "rule": plan}
+
+    def gram(self):
+        if self._gram is None:
+            method, plan = self.gram_plan()
+            self.rule = quadrature_nodes(
+                self.manifold, self._resolution or 24,
+                singular_refinement=self.metric.refinement_centers(), **plan)
             if method == "diagonal":
                 self._gram = self._gram_diagonal()
-            elif method == "modes":
-                self._gram = self._gram_modes()
-            elif method == "nodes":
-                self._gram = self._gram_nodes()
             else:
-                raise ConfigurationError(f"unknown gram method {method!r}")
+                block_gram = (self._gram_modes_block if method == "modes"
+                              else self._gram_nodes_block)
+                G = np.zeros((self.dim, self.dim), dtype=complex)
+                for block in self.rule.blocks:
+                    G += block_gram(block)
+                self._gram = G
             self.gram_method = method
         return self._gram
 
@@ -331,14 +375,8 @@ class SectionSpace:
         return LR, phi_ref, w_rad
 
     def _gram_diagonal(self):
-        rad_min, rad_order, _ = self._axis_plan()
-        rule = quadrature_nodes(
-            self.manifold, self._resolution or 24,
-            singular_refinement=self.metric.refinement_centers(),
-            radial_min=rad_min, radial_order=rad_order, angular_override=1)
-        self.rule = rule
         diag = np.zeros(self.dim)
-        for block in rule.blocks:
+        for block in self.rule.blocks:
             cols = _chart_columns(self.manifold, block.chart)
             E = self.exponents[:, cols].astype(float)
             LR = np.log(np.abs(block.points))
@@ -350,19 +388,6 @@ class SectionSpace:
                     "Gram integrand overflows double precision")
             diag += self._measure_weights(block) @ np.exp(arg)
         return np.diag(diag).astype(complex)
-
-    def _gram_modes(self):
-        m = self.manifold
-        rad_min, rad_order, ang_min = self._axis_plan()
-        rule = quadrature_nodes(
-            m, self._resolution or 24,
-            singular_refinement=self.metric.refinement_centers(),
-            radial_min=rad_min, radial_order=rad_order, angular_min=ang_min)
-        self.rule = rule
-        G = np.zeros((self.dim, self.dim), dtype=complex)
-        for block in rule.blocks:
-            G += self._gram_modes_block(block)
-        return G
 
     def _gram_modes_block(self, block):
         m = self.manifold
@@ -419,45 +444,53 @@ class SectionSpace:
             lw = np.log(w_rad)
         arg = (LR @ E.T.astype(float) + self.log_scales[None, :]
                - self.p * phi_ref[:, None] + 0.5 * lw[:, None])
-        if arg.max() > 690.0:
+        # gram_contract multiplies two profiles, so their product must fit
+        if 2.0 * arg.max() > 690.0:
             raise NumericalError("Gram integrand overflows double precision")
         rad = np.exp(arg)
         return gram_contract(rad, np.ascontiguousarray(what),
                              didx.astype(np.int64))
 
-    def _gram_nodes(self):
-        m = self.manifold
-        if m.kind != "P1":
-            raise UnsupportedMetricError(
-                "Gram assembly for poles along curves in general position "
-                "is only supported on P1")
-        q = self.q[0]
-        rule = quadrature_nodes(
-            m, self._resolution or 24,
-            singular_refinement=self.metric.refinement_centers(),
-            radial_min=max(q // 2 + 12, self._resolution or 24),
-            angular_min=int(8.5 * q) + 32)
-        self.rule = rule
-        G = np.zeros((self.dim, self.dim), dtype=complex)
-        chunk = max(1, int(2e6) // max(self.dim, 1))
-        for block in rule.blocks:
-            w_all = self._measure_weights(block)
-            pts = block.points
-            for lo in range(0, pts.shape[0], chunk):
-                sl = slice(lo, lo + chunk)
-                B = self.basis_values(block.chart, pts[sl])
-                phi = self.metric.weight(block.chart, pts[sl])
-                absB = np.abs(B)
-                with np.errstate(divide="ignore"):
-                    L = np.log(absB) - self.p * phi[:, None]
-                if L.max() > 300.0:
-                    raise NumericalError(
-                        "Gram integrand overflows double precision")
-                Efield = np.zeros_like(B)
-                nz = absB > 0.0
-                Efield[nz] = np.exp(L[nz]) * (B[nz] / absB[nz])
-                G += (Efield * w_all[sl, None]).T @ np.conj(Efield)
-        return G
+    def _gram_nodes_block(self, block):
+        """One block's Gram from radial profiles and angular moments.
+
+        On the tensor grid ``z = r e^{i theta}`` of a P1 block a product of
+        basis elements is ``s_a s_b r^(e_a + e_b) e^{i (e_a - e_b) theta}
+        |prod_j Q_j^k_j|^2``.  So the node sum splits into the real node
+        weight ``ell = -2 p phi + sum_j 2 k_j log|Q_j| + log w``, its
+        angular moments per radius (a cos/sin matmul, so refined non-uniform
+        angles are fine), and the radial profiles ``exp(log s_a + e_a log r
+        + c(r) / 2)``, where ``c(r)`` is the row maximum of ``ell``.
+        """
+        Z = block.points
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ell = (np.log(self._measure_weights(block))
+                   - 2.0 * self.p * self.metric.weight(block.chart, Z))
+            for Q, k in self.sigma_polys:
+                ell += 2.0 * k * np.log(np.abs(
+                    Q.chart_poly(block.chart).eval(Z)))
+        # nan is inf - inf at a node on {Q_j = 0}, where the forced factor
+        # vanishes with the basis, so the node contributes nothing
+        ell[np.isnan(ell)] = -np.inf
+        ell = ell.reshape(block.shape)
+        c = ell.max(axis=1)
+        if c.max() == np.inf:
+            raise NumericalError("Gram weight is infinite at a node")
+        c[c == -np.inf] = 0.0
+        dens = np.exp(ell - c[:, None])
+
+        (ax,) = block.axes
+        E = self.exponents[:, _chart_columns(self.manifold, block.chart)[0]]
+        qe = int(E.max())
+        phase = np.multiply.outer(ax.theta, np.arange(-qe, qe + 1))
+        what = dens @ np.cos(phase) + 1j * (dens @ np.sin(phase))
+        arg = (np.multiply.outer(np.log(ax.radius), E)
+               + self.log_scales[None, :] + 0.5 * c[:, None])
+        # gram_contract multiplies two profiles, so their product must fit
+        if 2.0 * arg.max() > 690.0:
+            raise NumericalError("Gram integrand overflows double precision")
+        return gram_contract(np.exp(arg), what,
+                             E[:, None] - E[None, :] + qe)
 
     # -- orthonormalization ------------------------------------------------------
 

@@ -1,0 +1,71 @@
+"""Cache keys carry the Gram numerics.
+
+An orthonormalization cached by code with other Gram numerics (a bumped
+``sections.NUMERICS_VERSION`` or another quadrature plan) must miss and be
+recomputed; an entry written by the same numerics must still hit.
+"""
+
+import os
+
+import numpy as np
+
+from kahlerlab import sections
+from kahlerlab.bundles import LineBundle, Metric
+from kahlerlab.cache import cache_key, cached_space, space_fragment
+from kahlerlab.geometry import build_manifold
+from kahlerlab.polynomials import SectionPoly
+from kahlerlab.sections import build_section_space
+
+P1 = build_manifold("P1")
+
+
+def _off_axis_pole():
+    Q = SectionPoly.from_coeff_map(P1, 1, {(1, 0): 1.0, (0, 1): 0.6 + 0.3j})
+    return Metric.log_pole(LineBundle(P1, 2), Q, 0.5)
+
+
+def _entries(cache_dir):
+    return sorted(os.listdir(cache_dir))
+
+
+def test_key_is_computed_without_quadrature_nodes(monkeypatch):
+    def no_nodes(*args, **kwargs):
+        raise AssertionError("the cache key built quadrature nodes")
+
+    monkeypatch.setattr(sections, "quadrature_nodes", no_nodes)
+    sp = build_section_space(_off_axis_pole(), 4, orthonormalize=False)
+    gram = space_fragment(sp)["gram"]
+    assert gram["numerics"] == sections.NUMERICS_VERSION
+    assert gram["method"] == "nodes"
+    assert gram["rule"] == {"radial_min": 24, "angular_min": 83}
+
+
+def test_entry_under_other_numerics_misses_and_is_rewritten(tmp_path,
+                                                           monkeypatch):
+    h = _off_axis_pole()
+    cache_dir = str(tmp_path)
+    monkeypatch.setattr(sections, "NUMERICS_VERSION",
+                        sections.NUMERICS_VERSION - 1)
+    _, status = cached_space(h, 4, cache_dir=cache_dir)
+    assert status == "miss"
+    old = _entries(cache_dir)
+    monkeypatch.undo()
+
+    space, status = cached_space(h, 4, cache_dir=cache_dir)
+    assert status == "miss"
+    new = [e for e in _entries(cache_dir) if e not in old]
+    assert new == [cache_key(space_fragment(space)) + ".json.gz"]
+
+    again, status = cached_space(h, 4, cache_dir=cache_dir)
+    assert status == "hit"
+    assert np.array_equal(again.coeff_matrix(), space.coeff_matrix())
+
+
+def test_other_rule_plan_misses(tmp_path):
+    h = _off_axis_pole()
+    cache_dir = str(tmp_path)
+    assert cached_space(h, 4, cache_dir=cache_dir)[1] == "miss"
+    assert cached_space(h, 4, cache_dir=cache_dir)[1] == "hit"
+    # resolution 48 raises the nodes plan's radial_min from 24 to 48
+    assert cached_space(h, 4, resolution=48, cache_dir=cache_dir)[1] == "miss"
+    assert len(_entries(cache_dir)) == 2

@@ -8,10 +8,13 @@ exactly the dimension, and dimensions follow the degree-counting formulas.
 import numpy as np
 import pytest
 
+from kahlerlab import sections
 from kahlerlab.bundles import LineBundle, Metric, SmoothedMaxAtom
 from kahlerlab.errors import (ConfigurationError, EmptySpaceError,
-                              IllConditionedError, UnsupportedMetricError)
-from kahlerlab.geometry import build_manifold, quadrature_nodes
+                              IllConditionedError, NumericalError,
+                              UnsupportedMetricError)
+from kahlerlab.geometry import (Axis, Block, QuadratureRule, build_manifold,
+                                quadrature_nodes)
 from kahlerlab.polynomials import SectionPoly, coordinate_section
 from kahlerlab.sections import (build_section_space, log_bergman_sup,
                                 section_degree, space_dimension,
@@ -26,6 +29,12 @@ def _generic_pair():
     Q1 = SectionPoly.from_coeff_map(P1, 2, {(2, 0): 1.0, (0, 2): -0.5})
     Q2 = SectionPoly.from_coeff_map(P1, 2, {(1, 1): 1.0, (2, 0): 0.3})
     return Q1, Q2
+
+
+def _off_axis_pole(t=0.5):
+    # the pole of the benchmark's p1-zeros workload
+    Q = SectionPoly.from_coeff_map(P1, 1, {(1, 0): 1.0, (0, 1): 0.6 + 0.3j})
+    return Metric.log_pole(LineBundle(P1, 2), Q, t)
 
 
 # -- degrees and dimensions ----------------------------------------------------
@@ -193,6 +202,99 @@ def test_generic_pole_gram_unsupported_on_surfaces():
     h = Metric.log_pole(L, Q, 0.5)
     with pytest.raises(UnsupportedMetricError):
         build_section_space(h, 8)
+
+
+# -- the separable nodes Gram against the node-wise formula ---------------------
+
+
+def _nodewise_gram(space, rule):
+    """sum over nodes of w E conj(E), E = exp(log|B| - p phi) B / |B|.
+
+    Nodes where the basis vanishes contribute nothing.
+    """
+    G = np.zeros((space.dim, space.dim), dtype=complex)
+    for block in rule.blocks:
+        w_all = (block.weights_lebesgue if space.adjoint
+                 else block.weights_volume)
+        for lo in range(0, block.num_nodes, 50_000):
+            sl = slice(lo, lo + 50_000)
+            Z = block.points[sl]
+            B = space.basis_values(block.chart, Z)
+            absB = np.abs(B)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                L = (np.log(absB)
+                     - space.p * space.metric.weight(block.chart, Z)[:, None])
+            E = np.zeros_like(B)
+            nz = absB > 0.0
+            E[nz] = np.exp(L[nz]) * (B[nz] / absB[nz])
+            G += (E * w_all[sl, None]).T @ np.conj(E)
+    return G
+
+
+@pytest.mark.parametrize("case,p,forced", [
+    ("off-axis", 4, True), ("off-axis", 8, True),
+    ("sigma-filtered", 16, True), ("point-centers", 4, False)])
+def test_nodes_gram_matches_the_nodewise_sum(case, p, forced):
+    if case == "off-axis":
+        h = _off_axis_pole()
+    elif case == "sigma-filtered":
+        h = Metric.log_pole(LineBundle(P1, 1), _generic_pair()[0], 0.7)
+    else:
+        h = _off_axis_pole(t=0.1)  # p t < 1: no forced vanishing
+    sp = build_section_space(h, p, orthonormalize=False)
+    G = sp.gram()
+    assert sp.gram_method == "nodes"
+    assert bool(sp.sigma_polys) == forced
+    assert np.max(np.abs(G - _nodewise_gram(sp, sp.rule))) <= 1e-13
+
+
+def _rule_through_pole(monkeypatch):
+    """A hand-built P1 block with a node at z = 1, the zero of z0 - z1."""
+    ax = Axis("p1", np.array([0.25, 0.5]), np.array([0.25, 0.25]),
+              np.array([0.0, 0.5, 1.0, 1.5]) * np.pi,
+              np.full(4, 0.5 * np.pi), True)
+    rule = QuadratureRule(P1, 24, [Block(P1, 0, [ax])], [], None)
+    monkeypatch.setattr(sections, "quadrature_nodes",
+                        lambda *args, **kwargs: rule)
+    Q = SectionPoly.from_coeff_map(P1, 1, {(1, 0): 1.0, (0, 1): -1.0})
+    assert Q.chart_poly(0).eval(rule.blocks[0].points)[4] == 0.0
+    return rule, Q
+
+
+def test_node_on_forced_pole_contributes_nothing(monkeypatch):
+    rule, Q = _rule_through_pole(monkeypatch)
+    sp = build_section_space(Metric.log_pole(LineBundle(P1, 1), Q, 0.5), 8,
+                             orthonormalize=False)
+    assert sp.sigma_polys[0][1] == 4
+    G = sp.gram()
+    assert np.all(np.isfinite(G))
+    assert np.max(np.abs(G - _nodewise_gram(sp, rule))) <= 1e-13
+
+
+def test_infinite_node_weight_raises(monkeypatch):
+    _, Q = _rule_through_pole(monkeypatch)
+    # p t < 1: no forced factor cancels the pole at the node
+    sp = build_section_space(Metric.log_pole(LineBundle(P1, 1), Q, 0.1), 4,
+                             orthonormalize=False)
+    assert not sp.sigma_polys
+    with pytest.raises(NumericalError):
+        sp.gram()
+
+
+@pytest.mark.parametrize("method", ["nodes", "modes"])
+def test_gram_overflow_raises_on_tensor_paths(method):
+    if method == "nodes":
+        h, p = _off_axis_pole(), 4
+    else:
+        Q1, Q2 = _generic_pair()
+        h, p = Metric.smoothed_max(LineBundle(P1, 1), Q1, Q2, 0.7, 0.6), 8
+    sp = build_section_space(h, p, orthonormalize=False)
+    assert sp._dispatch() == method
+    # each profile fits in double range, their products do not
+    sp.log_scales = sp.log_scales + 400.0
+    sp.scales = np.exp(sp.log_scales)
+    with pytest.raises(NumericalError):
+        sp.gram()
 
 
 # -- orthonormalization --------------------------------------------------------
