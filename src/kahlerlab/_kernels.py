@@ -35,7 +35,9 @@ def eval_monomials(points, exponents, scales):
     n = points.shape[0]
     m = exponents.shape[0]
     out = np.empty((n, m), dtype=np.complex128)
-    chunk = max(1, int(4e6) // max(m * points.shape[1], 1))
+    # the power array holds at most 2^20 complex entries (16 MB); powers and
+    # products are taken per row, so the chunking leaves every bit alone
+    chunk = max(1, (1 << 20) // max(m * points.shape[1], 1))
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
         # power-broadcast: (c, 1, k) ** (1, M, k) -> product over k

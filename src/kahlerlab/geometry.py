@@ -582,25 +582,28 @@ class Block:
         self._wleb = wleb
 
     def split(self, max_nodes):
-        """Partition along the first radial axis into bounded sub-blocks.
+        """Yield sub-blocks of at most ``max_nodes`` nodes, cut along the
+        first radial axis (one radial row where a row alone is larger).
 
         Sub-blocks cover the same region with the same nodes, so integrals
         over them add up exactly; consumers use this to bound the size of
-        per-block work arrays.
+        per-block work arrays.  Each holds whole rows of the first radial
+        axis, with every angle and every later axis, so a row-wise
+        reduction or FFT over a sub-block equals the whole block's.
+
+        Sub-blocks are fresh, even when one suffices, and build their own
+        meshes on first use; this block's mesh stays unbuilt.  A loop over
+        the generator therefore holds one sub-block's mesh at a time.
         """
-        if self.num_nodes <= max_nodes:
-            return [self]
         ax0 = self.axes[0]
         per_node = self.num_nodes // len(ax0.x)
         group = max(1, max_nodes // max(per_node, 1))
-        out = []
         for i in range(0, len(ax0.x), group):
             sl = slice(i, i + group)
             sub = Axis(ax0.style, ax0.x[sl], ax0.wx[sl], ax0.theta,
                        ax0.wtheta, ax0.theta_uniform)
-            out.append(Block(self.manifold, self.chart,
-                             [sub] + list(self.axes[1:])))
-        return out
+            yield Block(self.manifold, self.chart,
+                        [sub] + list(self.axes[1:]))
 
     @property
     def points(self):

@@ -52,10 +52,15 @@ _MAX_DEGREE = 400
 
 # Version of the Gram numerics, part of every cache key.  Bump it whenever a
 # change moves the bits of a Gram matrix, so that cached orthonormalizations
-# from older code miss.  Version 2: separable ``nodes`` assembly.
-NUMERICS_VERSION = 2
+# from older code miss.  Version 2: separable ``nodes`` assembly.  Version
+# 3: ``nodes`` angular moments taken per radial slab, whose matmuls round
+# differently from the whole block's (up to 1.3e-15 relative).
+NUMERICS_VERSION = 3
 
 _MODE_TABLE_BYTES = 2.5e8
+# Node budget of one radial slab of the tensor Gram paths (see ``gram``): a
+# slab's node-sized arrays take 0.5 MB real, 1 MB complex.
+_SLAB_NODES = 65_536
 _LOG_FLOOR = -745.0
 
 
@@ -311,6 +316,15 @@ class SectionSpace:
                 "resolution": self._resolution or 24, "rule": plan}
 
     def gram(self):
+        """The Gram matrix of the scaled basis, assembled once and kept.
+
+        Builds ``self.rule`` from ``gram_plan`` and sums the per-block
+        Grams of the dispatched method.  The tensor paths (``modes`` and
+        ``nodes``) walk each block in radial slabs of at most
+        ``_SLAB_NODES`` nodes and never build a block's whole mesh, so their
+        node-sized work arrays stay near 1 MB each however finely the rule
+        is refined; only arrays of one row per radius span a whole block.
+        """
         if self._gram is None:
             method, plan = self.gram_plan()
             self.rule = quadrature_nodes(
@@ -390,6 +404,15 @@ class SectionSpace:
         return np.diag(diag).astype(complex)
 
     def _gram_modes_block(self, block):
+        """One block's Gram from radial profiles and FFT angular modes.
+
+        The block is walked in radial slabs of at most ``_SLAB_NODES``
+        nodes; each slab yields its rows of the radial profiles and of the
+        angular modes ``what`` (one FFT per angular line), and one
+        ``gram_contract`` call runs on the concatenated rows.  Node-sized
+        arrays therefore never exceed one slab, and the block's own mesh is
+        never built.
+        """
         m = self.manifold
         for ax in block.axes:
             if not ax.theta_uniform:
@@ -397,14 +420,7 @@ class SectionSpace:
                     "Fourier-mode Gram assembly needs uniform angular grids")
         cols = _chart_columns(m, block.chart)
         E = self.exponents[:, cols]
-        shape = block.shape
         naxes = len(block.axes)
-
-        psi = self.metric.psi(block.chart, block.points)
-        expo = -2.0 * self.p * psi
-        if expo.max() > 690.0:
-            raise NumericalError("pole weight overflows double precision")
-        W = np.exp(expo).reshape(shape)
 
         # angular transform: Theta[delta] = sum_k wtheta W(theta_k) e^{i
         # delta theta_k}, computed by FFT with the midpoint phase shift
@@ -419,36 +435,47 @@ class SectionSpace:
             ph.append(np.exp(1j * math.pi * d / M) * ax.wtheta[0])
             nm.append(d.size)
 
-        LR, phi_ref, w_rad = self._radial_split(block)
-        R = LR.shape[0]
+        R = int(np.prod([len(ax.x) for ax in block.axes]))
         if R * int(np.prod(nm)) * 16 > _MODE_TABLE_BYTES:
             raise ConfigurationError(
                 "Fourier mode table too large; lower the resolution or "
                 "the section degree")
-
         if naxes == 1:
-            F = np.fft.fft(W, axis=1)
-            what = F[:, idx[0]] * ph[0][None, :]
             didx = (E[:, 0][:, None] - E[:, 0][None, :]) + qax[0]
         else:
-            F = np.fft.fftn(W, axes=(1, 3))
-            gath = F[:, idx[0]][:, :, :, idx[1]]
-            gath = gath.transpose(0, 2, 1, 3)
-            what = gath.reshape(R, nm[0] * nm[1])
-            what = what * np.outer(ph[0], ph[1]).ravel()[None, :]
             d1 = (E[:, 0][:, None] - E[:, 0][None, :]) + qax[0]
             d2 = (E[:, 1][:, None] - E[:, 1][None, :]) + qax[1]
             didx = d1 * nm[1] + d2
 
-        with np.errstate(divide="ignore"):
-            lw = np.log(w_rad)
-        arg = (LR @ E.T.astype(float) + self.log_scales[None, :]
-               - self.p * phi_ref[:, None] + 0.5 * lw[:, None])
-        # gram_contract multiplies two profiles, so their product must fit
-        if 2.0 * arg.max() > 690.0:
-            raise NumericalError("Gram integrand overflows double precision")
-        rad = np.exp(arg)
-        return gram_contract(rad, np.ascontiguousarray(what),
+        rads, whats = [], []
+        for slab in block.split(_SLAB_NODES):
+            psi = self.metric.psi(slab.chart, slab.points)
+            expo = -2.0 * self.p * psi
+            if expo.max() > 690.0:
+                raise NumericalError("pole weight overflows double precision")
+            W = np.exp(expo).reshape(slab.shape)
+            if naxes == 1:
+                F = np.fft.fft(W, axis=1)
+                what = F[:, idx[0]] * ph[0][None, :]
+            else:
+                F = np.fft.fftn(W, axes=(1, 3))
+                gath = F[:, idx[0]][:, :, :, idx[1]]
+                gath = gath.transpose(0, 2, 1, 3)
+                what = gath.reshape(-1, nm[0] * nm[1])
+                what = what * np.outer(ph[0], ph[1]).ravel()[None, :]
+
+            LR, phi_ref, w_rad = self._radial_split(slab)
+            with np.errstate(divide="ignore"):
+                lw = np.log(w_rad)
+            arg = (LR @ E.T.astype(float) + self.log_scales[None, :]
+                   - self.p * phi_ref[:, None] + 0.5 * lw[:, None])
+            # gram_contract multiplies two profiles, so products must fit
+            if 2.0 * arg.max() > 690.0:
+                raise NumericalError(
+                    "Gram integrand overflows double precision")
+            rads.append(np.exp(arg))
+            whats.append(what)
+        return gram_contract(np.concatenate(rads), np.concatenate(whats),
                              didx.astype(np.int64))
 
     def _gram_nodes_block(self, block):
@@ -461,35 +488,43 @@ class SectionSpace:
         angular moments per radius (a cos/sin matmul, so refined non-uniform
         angles are fine), and the radial profiles ``exp(log s_a + e_a log r
         + c(r) / 2)``, where ``c(r)`` is the row maximum of ``ell``.
-        """
-        Z = block.points
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ell = (np.log(self._measure_weights(block))
-                   - 2.0 * self.p * self.metric.weight(block.chart, Z))
-            for Q, k in self.sigma_polys:
-                ell += 2.0 * k * np.log(np.abs(
-                    Q.chart_poly(block.chart).eval(Z)))
-        # nan is inf - inf at a node on {Q_j = 0}, where the forced factor
-        # vanishes with the basis, so the node contributes nothing
-        ell[np.isnan(ell)] = -np.inf
-        ell = ell.reshape(block.shape)
-        c = ell.max(axis=1)
-        if c.max() == np.inf:
-            raise NumericalError("Gram weight is infinite at a node")
-        c[c == -np.inf] = 0.0
-        dens = np.exp(ell - c[:, None])
 
+        The block is walked in radial slabs of at most ``_SLAB_NODES``
+        nodes, so ``ell`` and its density never exceed one slab and the
+        block's own mesh is never built.  Slabs hold whole angular rows,
+        so each ``c(r)`` is the row maximum over the whole block.
+        """
         (ax,) = block.axes
         E = self.exponents[:, _chart_columns(self.manifold, block.chart)[0]]
         qe = int(E.max())
         phase = np.multiply.outer(ax.theta, np.arange(-qe, qe + 1))
-        what = dens @ np.cos(phase) + 1j * (dens @ np.sin(phase))
+        cos, sin = np.cos(phase), np.sin(phase)
+        cs, whats = [], []
+        for slab in block.split(_SLAB_NODES):
+            Z = slab.points
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ell = (np.log(self._measure_weights(slab))
+                       - 2.0 * self.p * self.metric.weight(slab.chart, Z))
+                for Q, k in self.sigma_polys:
+                    ell += 2.0 * k * np.log(np.abs(
+                        Q.chart_poly(slab.chart).eval(Z)))
+            # nan is inf - inf at a node on {Q_j = 0}, where the forced
+            # factor vanishes with the basis, so the node contributes nothing
+            ell[np.isnan(ell)] = -np.inf
+            ell = ell.reshape(slab.shape)
+            c = ell.max(axis=1)
+            if c.max() == np.inf:
+                raise NumericalError("Gram weight is infinite at a node")
+            c[c == -np.inf] = 0.0
+            dens = np.exp(ell - c[:, None])
+            whats.append(dens @ cos + 1j * (dens @ sin))
+            cs.append(c)
         arg = (np.multiply.outer(np.log(ax.radius), E)
-               + self.log_scales[None, :] + 0.5 * c[:, None])
+               + self.log_scales[None, :] + 0.5 * np.concatenate(cs)[:, None])
         # gram_contract multiplies two profiles, so their product must fit
         if 2.0 * arg.max() > 690.0:
             raise NumericalError("Gram integrand overflows double precision")
-        return gram_contract(np.exp(arg), what,
+        return gram_contract(np.exp(arg), np.concatenate(whats),
                              E[:, None] - E[None, :] + qe)
 
     # -- orthonormalization ------------------------------------------------------

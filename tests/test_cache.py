@@ -1,17 +1,21 @@
-"""Cache keys carry the Gram numerics.
+"""Cache keys carry the Gram numerics; damaged entries are recomputed.
 
 An orthonormalization cached by code with other Gram numerics (a bumped
 ``sections.NUMERICS_VERSION`` or another quadrature plan) must miss and be
-recomputed; an entry written by the same numerics must still hit.
+recomputed; an entry written by the same numerics must still hit.  An
+unreadable or mismatched entry warns and is rewritten, and a failed write
+leaves no temporary file behind.
 """
 
 import os
 
 import numpy as np
+import pytest
 
-from kahlerlab import sections
+from kahlerlab import cache, sections
 from kahlerlab.bundles import LineBundle, Metric
-from kahlerlab.cache import cache_key, cached_space, space_fragment
+from kahlerlab.cache import (cache_get, cache_key, cache_path, cache_put,
+                             cached_space, space_fragment)
 from kahlerlab.geometry import build_manifold
 from kahlerlab.polynomials import SectionPoly
 from kahlerlab.sections import build_section_space
@@ -69,3 +73,51 @@ def test_other_rule_plan_misses(tmp_path):
     # resolution 48 raises the nodes plan's radial_min from 24 to 48
     assert cached_space(h, 4, resolution=48, cache_dir=cache_dir)[1] == "miss"
     assert len(_entries(cache_dir)) == 2
+
+
+# -- damaged entries and failed writes -----------------------------------------
+
+
+def test_truncated_entry_warns_and_is_rewritten(tmp_path):
+    h = _off_axis_pole()
+    cache_dir = str(tmp_path)
+    space, status = cached_space(h, 4, cache_dir=cache_dir)
+    assert status == "miss"
+    path = cache_path(cache_dir, cache_key(space_fragment(space)))
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(blob[:len(blob) // 2])
+
+    with pytest.warns(UserWarning, match="unreadable cache entry"):
+        again, status = cached_space(h, 4, cache_dir=cache_dir)
+    assert status == "miss"
+    assert cache_get(cache_dir, cache_key(space_fragment(again))) is not None
+    replay, status = cached_space(h, 4, cache_dir=cache_dir)
+    assert status == "hit"
+    assert np.array_equal(replay.coeff_matrix(), space.coeff_matrix())
+
+
+def test_entry_of_wrong_dimension_warns_and_is_recomputed(tmp_path):
+    h = _off_axis_pole()
+    cache_dir = str(tmp_path)
+    space, _ = cached_space(h, 4, cache_dir=cache_dir)
+    key = cache_key(space_fragment(space))
+    payload = cache_get(cache_dir, key)
+    cache_put(cache_dir, key, dict(payload, dim=space.dim + 1))
+
+    with pytest.warns(UserWarning, match="dimension mismatch"):
+        again, status = cached_space(h, 4, cache_dir=cache_dir)
+    assert status == "miss"
+    assert cache_get(cache_dir, key)["dim"] == space.dim
+    assert cached_space(h, 4, cache_dir=cache_dir)[1] == "hit"
+
+
+def test_failed_rename_leaves_no_temporary_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(cache.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        cache_put(str(tmp_path), "k", {"x": 1})
+    assert _entries(str(tmp_path)) == []

@@ -5,6 +5,8 @@ the identity in the scaled monomial basis, the reference Bergman function is
 exactly the dimension, and dimensions follow the degree-counting formulas.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -295,6 +297,85 @@ def test_gram_overflow_raises_on_tensor_paths(method):
     sp.scales = np.exp(sp.log_scales)
     with pytest.raises(NumericalError):
         sp.gram()
+
+
+# -- the slab walk of the tensor Gram paths -----------------------------------
+
+
+def _smoothed_max(manifold):
+    """A smoothed max of two sections off the coordinate axes: modes Gram."""
+    if manifold is P1:
+        Q1, Q2 = _generic_pair()
+        return Metric.smoothed_max(LineBundle(P1, 1), Q1, Q2, 0.7, 0.6), 8
+    if manifold is P2:
+        Q1 = SectionPoly.from_coeff_map(P2, 1, {(1, 0, 0): 1.0,
+                                                (0, 1, 0): 0.5})
+        Q2 = SectionPoly.from_coeff_map(P2, 1, {(0, 0, 1): 1.0,
+                                                (0, 1, 0): -0.3})
+        return Metric.smoothed_max(LineBundle(P2, 1), Q1, Q2, 0.1, 0.5), 8
+    Q1 = SectionPoly.from_coeff_map(P11, (1, 1), {(1, 0, 1, 0): 1.0,
+                                                  (0, 1, 0, 1): 0.5})
+    Q2 = SectionPoly.from_coeff_map(P11, (1, 1), {(1, 0, 0, 1): 1.0,
+                                                  (0, 1, 1, 0): -0.3})
+    return Metric.smoothed_max(LineBundle(P11, (1, 1)), Q1, Q2, 0.1, 0.5), 6
+
+
+@pytest.mark.parametrize("case", ["nodes", "modes-P2", "modes-P1xP1"])
+def test_gram_builds_only_slab_meshes(case, monkeypatch):
+    if case == "nodes":
+        h, p = _off_axis_pole(), 8
+    else:
+        h, p = _smoothed_max(P2 if case == "modes-P2" else P11)
+    built = []
+    build = Block._build
+
+    def spy(block):
+        built.append(block.num_nodes)
+        build(block)
+
+    monkeypatch.setattr(Block, "_build", spy)
+    sp = build_section_space(h, p, orthonormalize=False)
+    sp.gram()
+    assert sp.gram_method == case.split("-")[0]
+    assert max(built) <= sections._SLAB_NODES
+    # every node is built exactly once, and never by a block of the rule
+    assert sum(built) == sp.rule.num_nodes
+    assert all(b._mesh is None for b in sp.rule.blocks)
+
+
+def test_nodes_gram_traced_memory_stays_slab_sized():
+    sp = build_section_space(_off_axis_pole(), 8, orthonormalize=False)
+    tracemalloc.start()
+    try:
+        sp.gram()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole-block assembly peaked at 58 MB on this 405k-node rule
+    assert sp.rule.num_nodes > 400_000
+    assert peak < 24 * 2 ** 20
+
+
+@pytest.mark.parametrize("p", [4, 8])
+def test_slab_boundaries_keep_the_nodewise_sum(p, monkeypatch):
+    monkeypatch.setattr(sections, "_SLAB_NODES", 30_000)
+    sp = build_section_space(_off_axis_pole(), p, orthonormalize=False)
+    G = sp.gram()
+    refined = max(sp.rule.blocks, key=lambda b: b.num_nodes)
+    assert len(list(refined.split(sections._SLAB_NODES))) >= 10
+    assert np.max(np.abs(G - _nodewise_gram(sp, sp.rule))) <= 1e-13
+
+
+@pytest.mark.parametrize("manifold", [P1, P2, P11], ids=lambda m: m.kind)
+def test_modes_gram_is_independent_of_the_slab_size(manifold, monkeypatch):
+    h, p = _smoothed_max(manifold)
+    grams = []
+    for budget in (1 << 40, 1):  # one slab per block, one radial row each
+        monkeypatch.setattr(sections, "_SLAB_NODES", budget)
+        sp = build_section_space(h, p, resolution=16, orthonormalize=False)
+        grams.append(sp.gram())
+        assert sp.gram_method == "modes"
+    assert np.array_equal(grams[0], grams[1])
 
 
 # -- orthonormalization --------------------------------------------------------
