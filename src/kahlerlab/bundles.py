@@ -640,7 +640,7 @@ def form_values_hom(manifold, form, points):
     pts = manifold.normalize(np.atleast_2d(np.asarray(points, dtype=complex)))
     charts = manifold.chart_of(pts)
     out = np.empty(pts.shape[0], dtype=float)
-    for c in np.unique(charts):
+    for c in np.flatnonzero(np.bincount(charts)):
         sel = charts == c
         Z = manifold.to_chart(pts[sel], int(c))
         out[sel] = np.asarray(form.chi(int(c), Z), dtype=float)

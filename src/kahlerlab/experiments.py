@@ -273,7 +273,7 @@ def _run_fs_convergence(cfg, report):
                                       hb.curvature_descriptor())
             targets = descriptor_wedge_pairings(man, wedge, forms,
                                                 trule).tolist()
-            vrule = quadrature_nodes(man, cfg.resolution or 16)
+            vrule = trule
         err_table = []
         masses = []
         for p in cfg.p_grid:

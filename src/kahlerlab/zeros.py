@@ -575,7 +575,7 @@ def _polish_surface(m, polys, pts, steps=30):
     charts = m.chart_of(pts)
     scales = np.array([np.linalg.norm(p.coeffs) for p in polys])
     out = np.empty_like(pts)
-    for chart in np.unique(charts).tolist():
+    for chart in np.flatnonzero(np.bincount(charts)).tolist():
         sel = charts == chart
         z = _newton_chart([p.chart_poly(chart) for p in polys],
                           m.to_chart(pts[sel], chart), scales, steps)

@@ -1,5 +1,6 @@
 """Import hygiene: every name a package module imports is used in that
-module, and importing the package loads no scipy.
+module, importing the package loads no scipy, and running a study loads no
+``numpy.ma``.
 
 No linter ships with the package, so the first check is the unused-import
 check: each module of ``src/kahlerlab`` is parsed with ``ast`` and the names
@@ -10,6 +11,7 @@ A name listed in ``__all__`` counts as used.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -74,3 +76,33 @@ def test_package_imports_without_scipy():
                          capture_output=True, text=True, timeout=120,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_studies_run_without_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on first use, 13-15 ms of every fresh
+    # process; these two smoke-size studies reach both chart loops that
+    # once called it (form_values_hom and the surface Newton polish)
+    docs = [
+        {"study": "equidistribution", "manifold": "P1", "degree": 2,
+         "metrics": [{"h": {"kind": "log_pole", "t": 0.5, "Q": {
+             "degree": 1,
+             "terms": [[[1, 0], 1.0, 0.0], [[0, 1], 0.6, 0.3]]}}}],
+         "p_grid": [4, 6], "samples": 3},
+        {"study": "approximation", "manifold": "P2",
+         "metrics": [{"h": {"kind": "log_pole", "t": 0.25,
+                            "Q": {"coord": c}}} for c in (0, 1)],
+         "eps_list": [0.5], "p_grid": [4], "samples": 1, "dict_count": 2},
+    ]
+    code = ("import json, sys\n"
+            "from kahlerlab.config import parse_config\n"
+            "from kahlerlab.experiments import emit_report, run_study\n"
+            "for i, doc in enumerate(json.loads(sys.argv[1])):\n"
+            "    doc.update(seed=[0], cache=sys.argv[2] + f'/cache{i}')\n"
+            "    emit_report(run_study(parse_config(doc)), sys.argv[2])\n"
+            "print('numpy.ma' in sys.modules)\n")
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(docs),
+                          str(tmp_path)], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    assert out.stdout.strip() == "False"
