@@ -302,6 +302,8 @@ def approximation_run(h_list, g_list, schedule, samples=1, seed=0, rule=None,
         _check_target_position(dh)
         target = wedge_vector(dh[0], dh[1], dictionary, rule, "target",
                               line_resolution=line_resolution)
+        # point pairings need no rule: free it and its memos for the cells
+        rule = None
 
     key = _seed_key(seed)
     signature = dictionary_signature(dictionary)

@@ -344,12 +344,13 @@ def _run_approximation(cfg, report):
     h_list = [e["h"] for e in pairs]
     g_list = [e["g"] for e in pairs]
     dictionary = test_form_dictionary(man, m, cfg.dict_count)
-    rule = _target_rule(cfg)
     schedule = ApproximationSchedule(cfg.eps_list, cfg.p_grid,
                                      cfg.thresholds)
+    # no local name for the rule: on surfaces the run frees it once the
+    # target is paired
     result = approximation_run(h_list, g_list, schedule,
                                samples=cfg.samples, seed=cfg.seed,
-                               rule=rule, dictionary=dictionary,
+                               rule=_target_rule(cfg), dictionary=dictionary,
                                adjoint=cfg.adjoint)
     for r in result["rows"]:
         report["rows"].append({

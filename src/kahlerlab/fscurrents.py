@@ -22,17 +22,24 @@ itself contributes nothing, matching the closed-form wedge convention in
 
 Block-outer rule: every pairing takes a list of forms and loops over the
 quadrature blocks outside and the forms inside.  What does not depend on
-the form (log Bergman values, reduced Hessians, omega basis matrices and
-their wedge densities, quadrature weights, embedded line points, transverse
-intersection points) is computed once per block; per form only ``chi`` and
-its ``dd^c`` weights are.  Nothing outlives the call.  Each form's total
-accumulates in the same order as it would alone, so the one-form functions
-(``fs_pairing``, ``fs_wedge_pairing``, ``descriptor_wedge_pairing``) are
-one-entry calls of the batched ones and return the same bits.
+the form (log Bergman values, reduced Hessians, omega basis matrices,
+quadrature weights, embedded line points, transverse intersection points)
+is computed once per block; per form only ``chi`` and its ``dd^c`` weights
+are.  Each form's total accumulates in the same order as it would alone,
+so the one-form functions (``fs_pairing``, ``fs_wedge_pairing``,
+``descriptor_wedge_pairing``) are one-entry calls of the batched ones and
+return the same bits.
+
+What depends on neither the form list nor p lives with the quadrature
+rule, so a sweep over p on one rule computes it once: ``chi`` on the rule's
+blocks (:meth:`geometry.Block.form_values`), the wedge densities of the
+reference forms, the divisor line rules (:meth:`QuadratureRule.line_rule`)
+and ``chi`` at their embedded nodes.  It is freed with the rule.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -123,10 +130,6 @@ def _drop_vanished(bad, weights, what):
     return np.where(bad, 0.0, weights) if nbad else weights
 
 
-def _chi(form, block):
-    return np.asarray(form.chi(block.chart, block.points), dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # main pairing, two routes
 # ---------------------------------------------------------------------------
@@ -150,7 +153,7 @@ def fs_pairings(space, forms, rule, route="potential", line_resolution=None):
     totals = _pointwise_pairings(space, forms, rule)
     for comp, k in space.base_divisors:
         totals += (k / space.p) * _divisor_pairings(
-            space.manifold, comp, forms, line_resolution)
+            space.manifold, comp, forms, line_resolution, rule)
     return totals
 
 
@@ -188,7 +191,7 @@ def _pointwise_pairings(space, forms, rule):
             if m.dim == 2:
                 dens = wedge_density_11(H, _form_omega_matrix(
                     m, f, b.chart, b.points, mats))
-            totals[i] += float(np.dot(_chi(f, b) * dens, wq))
+            totals[i] += float(np.dot(b.form_values(f) * dens, wq))
     return totals
 
 
@@ -208,7 +211,7 @@ def divisor_pairing(manifold, comp, form, resolution=None):
     return float(_divisor_pairings(manifold, comp, [form], resolution)[0])
 
 
-def _divisor_pairings(manifold, comp, forms, resolution):
+def _divisor_pairings(manifold, comp, forms, resolution, surface=None):
     if manifold.dim == 1:
         if comp[0] == "coord":
             pt = np.zeros((1, 2), dtype=complex)
@@ -226,7 +229,7 @@ def _divisor_pairings(manifold, comp, forms, resolution):
             "pairing a divisor on a surface needs a (1,1) test form")
     return _divisor_omega_pairings(manifold, comp,
                                    [f.omega_part for f in forms], forms,
-                                   resolution)
+                                   resolution, surface)
 
 
 def _line_embedding(manifold, comp):
@@ -265,10 +268,31 @@ def _line_embedding(manifold, comp):
     return embed, slots, omega_index
 
 
-def _line_rule(resolution, q_line=0):
-    line_m = build_manifold("P1")
+def _line_rule(resolution, q_line=0, surface=None):
+    """The P1 rule over a divisor line at ``resolution``, by default
+    ``max(48, 2 q_line)``.
+
+    With the surface rule it serves, the line rule is that rule's
+    :meth:`QuadratureRule.line_rule`, shared by every pairing on it;
+    without one it is built afresh.
+    """
     res = resolution if resolution is not None else max(48, 2 * q_line)
-    return line_m, quadrature_nodes(line_m, res)
+    if surface is None:
+        return quadrature_nodes(build_manifold("P1"), res)
+    return surface.line_rule(res)
+
+
+def _line_values(manifold, comp, forms, block, embed):
+    """chi of each form at a line block's nodes embedded on ``comp``.
+
+    The values are kept in the line block's memo under ``(form, comp)``;
+    the nodes are embedded only when a form is missing there.
+    """
+    pts = functools.cache(
+        lambda: embed(block.manifold.from_chart(block.points, block.chart)))
+    return [block.memo((f, comp),
+                       lambda f=f: form_values_hom(manifold, f, pts()))
+            for f in forms]
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +315,8 @@ def descriptor_form_pairing(descriptor, form, rule, line_resolution=None):
         if c != 0.0:
             total += c * pair_omega_basis(i, form, rule)
     for comp, nu in descriptor.divisors:
-        total += nu * divisor_pairing(m, comp, form, resolution=line_resolution)
+        total += nu * float(_divisor_pairings(m, comp, [form],
+                                              line_resolution, rule)[0])
     if descriptor.circle:
         theta = 2.0 * np.pi * (np.arange(256) + 0.5) / 256
         chi = np.asarray(form.chi(0, np.exp(1j * theta)[:, None]),
@@ -319,19 +344,23 @@ def descriptor_wedge_pairings(manifold, wedge, forms, rule,
     totals = np.zeros(len(forms))
     pairs = np.asarray(wedge["omega_pairs"], dtype=float)
     nf = manifold.factors
+    live = [(i, j) for i in range(nf) for j in range(nf)
+            if pairs[i, j] != 0.0]
     for b in rule.capped_blocks():
-        mats = [manifold.omega_basis_matrix(i, b.chart, b.points)
-                for i in range(nf)]
-        dens = [(pairs[i, j], wedge_density_11(mats[i], mats[j]))
-                for i in range(nf) for j in range(nf) if pairs[i, j] != 0.0]
+        mats = functools.cache(
+            lambda i: manifold.omega_basis_matrix(i, b.chart, b.points))
+        dens = [(pairs[i, j], b.memo(
+                    ("omega_wedge", i, j),
+                    lambda: wedge_density_11(mats(i), mats(j))))
+                for i, j in live]
         wq = b.weights_lebesgue / 4.0
         for fi, f in enumerate(forms):
-            chi = _chi(f, b)
+            chi = b.form_values(f)
             for c, d in dens:
                 totals[fi] += c * float(np.dot(chi * d, wq))
     for comp, vec in wedge["divisor_omega"]:
         totals += _divisor_omega_pairings(manifold, comp, [vec] * len(forms),
-                                          forms, line_resolution)
+                                          forms, line_resolution, rule)
     for pt, mass in wedge["points"]:
         for fi, f in enumerate(forms):
             totals[fi] += mass * float(
@@ -339,9 +368,17 @@ def descriptor_wedge_pairings(manifold, wedge, forms, rule,
     return totals
 
 
-def _divisor_omega_pairings(manifold, comp, omega_vecs, forms, resolution):
+def _divisor_omega_pairings(manifold, comp, omega_vecs, forms, resolution,
+                            surface=None):
     """``int_D chi_f * (omega_vec_f . basis)|_D`` over a coordinate divisor,
-    one entry per form, with the divisor's line points embedded once."""
+    one entry per form.
+
+    The line rule is the surface rule's (see :func:`_line_rule`), and chi
+    at its embedded nodes stays in the line blocks' memo under ``(form,
+    comp)``: both live as long as ``surface``, so the targets, every p and
+    the expected masses of a study on one rule share them.  Without
+    ``surface`` both are built for this call.
+    """
     if comp[0] != "coord":
         raise GeneralPositionError(
             "surface divisor pairings need coordinate components")
@@ -352,11 +389,11 @@ def _divisor_omega_pairings(manifold, comp, omega_vecs, forms, resolution):
     totals = np.zeros(len(forms))
     if not live:
         return totals
-    line_m, rule = _line_rule(resolution)
+    rule = _line_rule(resolution, surface=surface)
     for b in rule.capped_blocks():
-        pts = embed(line_m.from_chart(b.points, b.chart))
-        for i in live:
-            chi = form_values_hom(manifold, forms[i], pts)
+        chis = _line_values(manifold, comp, [forms[i] for i in live], b,
+                            embed)
+        for i, chi in zip(live, chis):
             totals[i] += coeffs[i] * float(np.dot(chi, b.weights_volume))
     return totals
 
@@ -404,11 +441,11 @@ def fs_wedge_pairings(space_a, space_b, forms, rule, line_resolution=None):
                             "reduced families")
         dens = wedge_density_11(Ha, Hb)
         for i, f in enumerate(forms):
-            totals[i] += float(np.dot(_chi(f, b) * dens, wq))
-    on_a = [_restricted_pairings(space_b, comp, forms, line_resolution)
+            totals[i] += float(np.dot(b.form_values(f) * dens, wq))
+    on_a = [_restricted_pairings(space_b, comp, forms, line_resolution, rule)
             for comp, _ in space_a.base_divisors]
     on_b = on_a if same else [
-        _restricted_pairings(space_a, comp, forms, line_resolution)
+        _restricted_pairings(space_a, comp, forms, line_resolution, rule)
         for comp, _ in space_b.base_divisors]
     for (_, k), r in zip(space_a.base_divisors, on_a):
         totals += (k / space_a.p) * r
@@ -441,12 +478,16 @@ def _transverse_points(space_a, space_b):
     return out
 
 
-def _restricted_pairings(space, comp, forms, resolution):
+def _restricted_pairings(space, comp, forms, resolution, surface=None):
     """``<[D] ^ beta, chi_f>`` for each form: the reduced current
-    restricted to a divisor, its family evaluated once per line block."""
+    restricted to a divisor, its family evaluated once per line block.
+
+    The line rule and chi on it come from ``surface`` as in
+    :func:`_divisor_omega_pairings`; only the family depends on p.
+    """
     m = space.manifold
     Rc, q_line = _line_family(space, comp)
-    line_m, rule = _line_rule(resolution, q_line)
+    rule = _line_rule(resolution, q_line, surface)
     embed, _, _ = _line_embedding(m, comp)
     exps = np.arange(q_line + 1)
     totals = np.zeros(len(forms))
@@ -459,9 +500,8 @@ def _restricted_pairings(space, comp, forms, resolution):
                             e.astype(float)) @ Rc
         H, bad = _curve_hessian(V, dV, space.p)
         wq = _drop_vanished(bad, b.weights_lebesgue, "restricted family")
-        pts = embed(line_m.from_chart(Z, b.chart))
-        for i, f in enumerate(forms):
-            chi = form_values_hom(m, f, pts)
+        chis = _line_values(m, comp, forms, b, embed)
+        for i, chi in enumerate(chis):
             totals[i] += float(np.dot(chi * H / math.pi, wq))
     return totals
 

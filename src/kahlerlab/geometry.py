@@ -520,7 +520,17 @@ class Axis:
 
 
 class Block:
-    """Tensor quadrature over one chart region."""
+    """Tensor quadrature over one chart region.
+
+    Besides its nodes and weights, built on first use, a block keeps a memo
+    of node values that do not depend on the power p: the test-form values
+    of :meth:`form_values` and what the pairings store with :meth:`memo`
+    (wedge densities of the reference forms, form values at embedded
+    divisor-line nodes).  Each entry is a read-only array kept
+    for as long as the block lives; the blocks of
+    :meth:`QuadratureRule.capped_blocks` live as long as their rule, so a
+    study's memo goes with its target rule.
+    """
 
     def __init__(self, manifold, chart, axes):
         self.manifold = manifold
@@ -529,6 +539,7 @@ class Block:
         self._mesh = None
         self._wvol = None
         self._wleb = None
+        self._memo = {}
 
     @property
     def shape(self):
@@ -605,6 +616,36 @@ class Block:
             yield Block(self.manifold, self.chart,
                         [sub] + list(self.axes[1:]))
 
+    def memo(self, key, compute):
+        """The array ``compute()`` gives at this block's nodes, computed on
+        the first call for ``key`` and kept read-only.
+
+        ``key`` must name values that never change, such as an immutable
+        test form; it is held for as long as the block.
+        """
+        vals = self._memo.get(key)
+        if vals is None:
+            vals = compute()
+            vals.flags.writeable = False
+            self._memo[key] = vals
+        return vals
+
+    def form_values(self, form):
+        """``form.chi`` at this block's nodes as a read-only float array.
+
+        A form is evaluated once per block and kept in the memo, keyed by
+        the form object itself (forms are immutable: ``with_scale`` makes a
+        new one).  A constant form keeps no node array, only its one value
+        broadcast to the nodes.
+        """
+        def chi():
+            vals = np.asarray(form.chi(self.chart, self.points), dtype=float)
+            if form.constant:
+                return np.broadcast_to(vals[0], vals.shape)
+            return vals
+
+        return self.memo(form, chi)
+
     @property
     def points(self):
         if self._mesh is None:
@@ -646,6 +687,7 @@ class QuadratureRule:
         self.singular_refinement = singular_refinement
         self.seam = seam
         self._capped = None
+        self._line_rules = {}
 
     @property
     def num_nodes(self):
@@ -654,12 +696,26 @@ class QuadratureRule:
     def capped_blocks(self, max_nodes=250_000):
         """Blocks partitioned to at most ``max_nodes`` nodes each.
 
-        The list is built once and memoized.
+        The list is built once and memoized.  Its blocks keep their nodes,
+        weights and memo of p-independent values (see :class:`Block`) for
+        as long as this rule lives; drop the rule to free them.
         """
         if self._capped is None:
             self._capped = [sb for b in self.blocks
                             for sb in b.split(max_nodes)]
         return self._capped
+
+    def line_rule(self, resolution):
+        """The P1 rule at ``resolution`` for integrals over lines in this
+        surface, such as divisor restrictions.
+
+        It is built once per resolution and kept with this rule, so every
+        pairing on this rule shares it and the memo of its blocks.
+        """
+        if resolution not in self._line_rules:
+            self._line_rules[resolution] = quadrature_nodes(
+                build_manifold("P1"), resolution)
+        return self._line_rules[resolution]
 
     def nodes_homogeneous(self):
         out = [self.manifold.from_chart(b.points, b.chart)

@@ -74,6 +74,11 @@ class TestForm:
         self.scale = float(scale)
         self._charts = {}
 
+    @property
+    def constant(self):
+        """Whether chi is a constant (the form has no sections A, B)."""
+        return self.A is None
+
     # -- chart data ----------------------------------------------------------
 
     def _chart(self, chart):

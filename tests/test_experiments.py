@@ -1,6 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
+from kahlerlab import distance, experiments
 from kahlerlab.bundles import form_values_hom
 from kahlerlab.config import parse_config
 from kahlerlab.errors import (ConfigurationError, EmptySpaceError,
@@ -149,3 +152,50 @@ def test_surface_convergence_replays_and_checks_the_wedge_mass(tmp_path):
     cfg = _surface_convergence_config(tmp_path / "cache", [4, 5])
     with pytest.raises(EmptySpaceError):
         run_study(cfg)
+
+
+def _record_target_rules(monkeypatch):
+    refs = []
+    target_rule = experiments._target_rule
+
+    def recorded(cfg):
+        rule = target_rule(cfg)
+        refs.append(weakref.ref(rule))
+        return rule
+
+    monkeypatch.setattr(experiments, "_target_rule", recorded)
+    return refs
+
+
+def test_study_frees_its_target_rule(tmp_path, monkeypatch):
+    # the rule carries the memo of p-independent values: nothing may keep it
+    refs = _record_target_rules(monkeypatch)
+    report = run_study(_surface_convergence_config(tmp_path / "cache",
+                                                   [5, 6]))
+    assert report["flags"]["mass_ok"]
+    assert len(refs) == 1 and refs[0]() is None
+
+
+def test_surface_approximation_frees_its_target_rule_before_the_cells(
+        tmp_path, monkeypatch):
+    refs = _record_target_rules(monkeypatch)
+    alive = []
+    point_pairings = distance.point_pairings
+
+    def recorded(zero_sets, forms):
+        alive.append(refs[0]() is not None)
+        return point_pairings(zero_sets, forms)
+
+    monkeypatch.setattr(distance, "point_pairings", recorded)
+    cfg = parse_config({
+        "study": "approximation", "manifold": "P2",
+        "metrics": [{"h": {"kind": "log_pole", "t": 0.25,
+                           "Q": {"coord": 0}}},
+                    {"h": {"kind": "log_pole", "t": 0.25,
+                           "Q": {"coord": 1}}}],
+        "eps_list": [0.5], "p_grid": [4], "samples": 1, "dict_count": 2,
+        "seed": [0], "cache": str(tmp_path / "cache"),
+    })
+    report = run_study(cfg)
+    assert [r["status"] for r in report["rows"]] == ["ok"]
+    assert alive == [False]

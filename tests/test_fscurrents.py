@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kahlerlab import fscurrents
+from kahlerlab import fscurrents, geometry
 from kahlerlab._kernels import eval_monomials
 from kahlerlab.bundles import (LineBundle, Metric, _coord_intersection,
                                curvature_pairing, ddc_pairing,
@@ -227,7 +227,8 @@ def _ref_restricted(space, comp, form, resolution, nflag=0):
     """The restricted pairing, with the first ``nflag`` nodes of each line
     block dropped as if the family vanished there."""
     Rc, q_line = fscurrents._line_family(space, comp)
-    line_m, rule = fscurrents._line_rule(resolution, q_line)
+    rule = fscurrents._line_rule(resolution, q_line)
+    line_m = rule.manifold
     embed, _, _ = fscurrents._line_embedding(space.manifold, comp)
     exps = np.arange(q_line + 1)
     total = 0.0
@@ -285,7 +286,8 @@ def _ref_descriptor_wedge(m, wedge, form, rule, resolution):
                     dens = wedge_density_11(mats[i], mats[j])
                     total += pairs[i, j] * float(np.dot(
                         _chi(form, b) * dens, b.weights_lebesgue / 4.0))
-    line_m, line_rule = fscurrents._line_rule(resolution)
+    line_rule = fscurrents._line_rule(resolution)
+    line_m = line_rule.manifold
     for comp, vec in wedge["divisor_omega"]:
         embed, _, omega_index = fscurrents._line_embedding(m, comp)
         for b in line_rule.capped_blocks():
@@ -408,3 +410,71 @@ def test_vanished_line_nodes_are_dropped_or_raise(p2, monkeypatch, nbad):
     ref = [_ref_restricted(sp, comp, f, 16, nflag=nbad) for f in forms]
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
     assert np.all(got != clean)
+
+
+# -- p-independent values live with the rule -------------------------------------
+
+
+def _wedge_spaces(case):
+    m, ha, hb, p = _wedge_case(case)
+    sa = build_section_space(ha, p, resolution=16)
+    sb = sa if hb is ha else build_section_space(hb, p, resolution=16)
+    wedge = wedge_descriptors(ha.curvature_descriptor(),
+                              hb.curvature_descriptor())
+    return m, sa, sb, wedge
+
+
+def test_wedge_pairings_on_one_rule_build_one_line_rule(monkeypatch):
+    m, sa, sb, wedge = _wedge_spaces("P2-transverse")
+    rule = quadrature_nodes(m, 8)
+    forms = test_form_dictionary(m, 2, 3)
+    built = []
+    build = geometry.quadrature_nodes
+
+    def counted(manifold, resolution, *args, **kwargs):
+        built.append((manifold.kind, resolution))
+        return build(manifold, resolution, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "quadrature_nodes", counted)
+    first = fs_wedge_pairings(sa, sb, forms, rule, line_resolution=16)
+    second = fs_wedge_pairings(sa, sb, forms, rule, line_resolution=16)
+    descriptor_wedge_pairings(m, wedge, forms, rule, line_resolution=16)
+    assert built == [("P1", 16)]
+    assert first.tobytes() == second.tobytes()
+
+
+@pytest.mark.parametrize("case", ["P2-transverse", "P1xP1"])
+def test_reused_rule_gives_the_fresh_rule_floats(case):
+    m, sa, sb, wedge = _wedge_spaces(case)
+    forms = test_form_dictionary(m, 2, 4)
+    omega_forms = test_form_dictionary(m, 1, 4)
+
+    def pairings(rule):
+        return np.concatenate([
+            fs_wedge_pairings(sa, sb, forms, rule, line_resolution=16),
+            descriptor_wedge_pairings(m, wedge, forms, rule,
+                                      line_resolution=16),
+            fs_pairings(sa, omega_forms, rule, route="derivative",
+                        line_resolution=16),
+        ])
+
+    reused = quadrature_nodes(m, 8)
+    first = pairings(reused)
+    again = pairings(reused)
+    fresh = pairings(quadrature_nodes(m, 8))
+    assert again.tobytes() == first.tobytes() == fresh.tobytes()
+
+
+def test_divisor_lines_keep_separate_values(p2):
+    # |z_0|^2-type forms vanish on {z0 = 0} but not on {z1 = 0}, so a memo
+    # keyed by the form alone would hand the second line the first's values
+    forms = test_form_dictionary(p2, 2, 4)[1:]
+    vecs = [[1.0]] * len(forms)
+    rule = quadrature_nodes(p2, 8)
+    shared = [fscurrents._divisor_omega_pairings(
+        p2, ("coord", i), vecs, forms, 16, rule) for i in (0, 1)]
+    fresh = [fscurrents._divisor_omega_pairings(
+        p2, ("coord", i), vecs, forms, 16) for i in (0, 1)]
+    assert not np.array_equal(shared[0], shared[1])
+    for got, ref in zip(shared, fresh):
+        assert got.tobytes() == ref.tobytes()

@@ -13,6 +13,7 @@ from kahlerlab.geometry import (
     quadrature_nodes,
     wedge_density_11,
 )
+from kahlerlab.testforms import test_form_dictionary
 
 KINDS = ["P1", "P2", "P1xP1"]
 
@@ -246,3 +247,84 @@ def test_ndtri_port_matches_scipy_bit_for_bit():
                    (0.0, math.exp(-32))):
         sel = (y > lo) & (y <= hi)
         assert np.any(sel & (u < 0.5)) and np.any(sel & (u > 0.5))
+
+
+# -- the per-block memo of p-independent values ---------------------------------
+
+
+def _counting_chi(form, calls):
+    chi = form.chi
+
+    def counted(chart, Z):
+        calls.append(chart)
+        return chi(chart, Z)
+
+    form.chi = counted
+
+
+def test_form_values_equal_chi_bit_for_bit():
+    m = build_manifold("P2")
+    rule = quadrature_nodes(m, 8)
+    for form in test_form_dictionary(m, 2, 4):
+        for b in rule.capped_blocks():
+            ref = form.chi(b.chart, b.points)
+            got = b.form_values(form)
+            assert got.dtype == np.float64
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+            again = b.form_values(form)
+            assert np.array_equal(again.view(np.int64), ref.view(np.int64))
+
+
+def test_form_values_call_chi_once_per_block_and_form():
+    m = build_manifold("P2")
+    rule = quadrature_nodes(m, 8)
+    const, form = test_form_dictionary(m, 2, 2)
+    assert const.constant and not form.constant
+    calls, const_calls = [], []
+    _counting_chi(form, calls)
+    _counting_chi(const, const_calls)
+    blocks = rule.capped_blocks()
+    for _ in range(3):
+        for b in blocks:
+            b.form_values(form)
+            b.form_values(const)
+    assert sorted(calls) == sorted(b.chart for b in blocks)
+    assert sorted(const_calls) == sorted(b.chart for b in blocks)
+    # a constant form keeps one value, not a node array
+    assert all(b.form_values(const).strides == (0,) for b in blocks)
+    # a new form (with_scale makes one) is a new key
+    scaled = form.with_scale(2.0 * form.scale)
+    b = blocks[0]
+    assert np.array_equal(b.form_values(scaled), 2.0 * b.form_values(form))
+
+
+def test_form_values_are_read_only():
+    m = build_manifold("P1")
+    b = quadrature_nodes(m, 8).capped_blocks()[0]
+    for form in test_form_dictionary(m, 1, 2):
+        vals = b.form_values(form)
+        assert not vals.flags.writeable
+        with pytest.raises(ValueError):
+            vals[0] = 1.0
+
+
+def test_memo_keeps_one_array_per_key():
+    b = quadrature_nodes(build_manifold("P1"), 8).capped_blocks()[0]
+    calls = []
+
+    def compute():
+        calls.append(1)
+        return np.ones(b.num_nodes)
+
+    first = b.memo("key", compute)
+    assert b.memo("key", compute) is first
+    assert len(calls) == 1 and not first.flags.writeable
+    assert b.memo(("key", 1), compute) is not first
+
+
+def test_line_rules_are_kept_per_resolution():
+    rule = quadrature_nodes(build_manifold("P2"), 8)
+    line = rule.line_rule(16)
+    assert line.manifold.kind == "P1" and line.resolution == 16
+    assert rule.line_rule(16) is line
+    assert rule.line_rule(24) is not line
