@@ -16,6 +16,15 @@ atoms have closed-form curvature expose a :class:`CurrentDescriptor` (smooth
 multiple of the reference forms + weighted divisors + circle measure), and
 ``curvature_pairing`` evaluates ``<c1(L, h), phi>`` for any metric by moving
 ``dd^c`` onto the test form, which is exact for closed-form cross-checks.
+
+Every current here is a global potential plus a closed class, so one
+routine, :func:`form_pairings`, walks a rule's blocks for both kinds of
+term: the forms against the reference basis and against ``dd^c`` of given
+potentials, all forms and potentials in one pass.  ``pair_omega_basis``,
+``ddc_pairing`` and ``curvature_pairing`` are one-form calls of it; the
+potential route of :mod:`kahlerlab.fscurrents` (metric, Bergman function,
+canonical class) and the closed part of the divisor pairings of
+:mod:`kahlerlab.zeros` each take one call for all their forms.
 """
 
 import math
@@ -534,36 +543,85 @@ def _coord_intersection(manifold, i, j):
 # ---------------------------------------------------------------------------
 
 
-def ddc_pairing(scalar_field, form, rule, integrable=False):
-    """``int_X u dd^c(form)`` for a scalar field u.
+def form_pairings(forms, rule, fields=()):
+    """The reference and potential terms of each form, in one pass.
 
-    ``form`` follows the test-form protocol: ``chi(chart, Z)``,
-    ``hessian(chart, Z)`` and ``omega_part`` (None on P1, basis coefficients
-    on surfaces, where the form is chi times that combination).
+    Returns ``(om, ddc)`` with ``om[i, j] = <omega_i ^ (forms[j]), 1>`` over
+    the reference basis and ``ddc[k, j] = int_X u_k dd^c(forms[j])`` for the
+    ``(u_k, integrable_k)`` pairs of the sequence ``fields``: each
+    ``u_k(chart, Z)`` gives a scalar field's node values, non-finite ones
+    handled as in :func:`finite_potential`.  Forms follow the test-form
+    protocol: ``chi(chart, Z)``, ``hessian(chart, Z)`` and ``omega_part``
+    (None on P1, basis coefficients on surfaces, where the form is chi
+    times that combination).
+
+    Per block the basis matrices, every field and each form's ``chi`` and
+    ``dd^c`` weights are evaluated once; each entry adds its blocks' shares
+    in block order, so a form's entries do not depend on the other forms or
+    fields of the call.
     """
-    total = 0.0
+    m = rule.manifold
+    om = np.zeros((m.factors, len(forms)))
+    ddc = np.zeros((len(fields), len(forms)))
     for b in rule.capped_blocks():
-        u = np.asarray(scalar_field(b.chart, b.points), dtype=float)
-        u = finite_potential(u, integrable)
-        total += float(np.dot(u, ddc_weights(form, b)))
-    return total
+        om_b, ddc_b = _block_pairings(forms, b, fields)
+        om += om_b
+        ddc += ddc_b
+    return om, ddc
 
 
-def ddc_weights(form, block):
-    """Node weights of ``u -> int u dd^c(form)`` over one quadrature block.
+def _block_pairings(forms, block, fields):
+    """One block's shares of :func:`form_pairings`, as ``(om, ddc)``.
 
-    Each entry is the ``dd^c`` density of the form times the quadrature
-    weight of its node, so ``np.dot(u, ddc_weights(form, block))`` is the
-    block's share of ``ddc_pairing`` for a field with node values u.  The
-    vector does not depend on u: one serves every field paired with the
-    form.
+    Its node arrays die when it returns, so none is alive while the next
+    block's fields are evaluated.
     """
     m = block.manifold
+    us = [finite_potential(np.asarray(u(block.chart, block.points),
+                                      dtype=float), integrable)
+          for u, integrable in fields]
+    mats = [m.omega_basis_matrix(i, block.chart, block.points)
+            for i in range(m.factors)]
+    om = np.zeros((m.factors, len(forms)))
+    ddc = np.zeros((len(us), len(forms)))
+    for j, f in enumerate(forms):
+        chi = np.asarray(f.chi(block.chart, block.points), dtype=float)
+        if m.dim == 1:
+            om[0, j] = float(np.dot(chi * np.real(mats[0]),
+                                    block.weights_lebesgue)) / math.pi
+        else:
+            Bm = _form_omega_matrix(f, mats)
+            wq = block.weights_lebesgue / 4.0
+            om[:, j] = [float(np.dot(chi * wedge_density_11(A, Bm), wq))
+                        for A in mats]
+        if us:
+            W = ddc_weights(f, block, mats)
+            ddc[:, j] = [float(np.dot(u, W)) for u in us]
+    return om, ddc
+
+
+def ddc_pairing(scalar_field, form, rule, integrable=False):
+    """``int_X u dd^c(form)`` for a scalar field u (see
+    :func:`form_pairings`)."""
+    _, ddc = form_pairings([form], rule, [(scalar_field, integrable)])
+    return float(ddc[0, 0])
+
+
+def ddc_weights(form, block, mats):
+    """Node weights of ``u -> int u dd^c(form)`` over one quadrature block.
+
+    ``mats`` holds the block's reference basis matrices, one per factor.
+    Each entry is the ``dd^c`` density of the form times the quadrature
+    weight of its node, so ``np.dot(u, ddc_weights(form, block, mats))`` is
+    the block's share of ``ddc_pairing`` for a field with node values u.
+    The vector does not depend on u: one serves every field paired with the
+    form.
+    """
     H = form.hessian(block.chart, block.points)
-    if m.dim == 1:
+    if block.manifold.dim == 1:
         return (np.real(H) / math.pi) * block.weights_lebesgue
-    omega_a = _form_omega_matrix(m, form, block.chart, block.points)
-    return wedge_density_11(H, omega_a) * (block.weights_lebesgue / 4.0)
+    return (wedge_density_11(H, _form_omega_matrix(form, mats))
+            * (block.weights_lebesgue / 4.0))
 
 
 def finite_potential(u, integrable):
@@ -586,53 +644,48 @@ def finite_potential(u, integrable):
     return np.where(bad, 0.0, u)
 
 
-def _form_omega_matrix(manifold, form, chart, Z, mats=None):
-    """The form's omega part at chart points; ``mats`` may hold the basis
-    matrices at those points, one per factor, already evaluated."""
+def _form_omega_matrix(form, mats):
+    """The form's omega part from a block's basis matrices ``mats``, one
+    per factor."""
     acc = None
-    for i, c in enumerate(np.asarray(form.omega_part, dtype=float)):
+    for c, mat in zip(np.asarray(form.omega_part, dtype=float), mats):
         if c == 0.0:
             continue
-        mat = (mats[i] if mats is not None
-               else manifold.omega_basis_matrix(i, chart, Z))
         acc = c * mat if acc is None else acc + c * mat
-    if acc is None:
-        acc = np.zeros((Z.shape[0], 2, 2), dtype=complex)
-    return acc
+    return np.zeros_like(mats[0]) if acc is None else acc
 
 
 def pair_omega_basis(index, form, rule):
     """``<omega_index ^ (form), 1>``: the smooth reference pairing."""
-    m = rule.manifold
-    total = 0.0
-    for b in rule.capped_blocks():
-        chi = np.asarray(form.chi(b.chart, b.points), dtype=float)
-        if m.dim == 1:
-            dens = np.real(m.omega_basis_matrix(index, b.chart, b.points))
-            total += float(np.dot(chi * dens, b.weights_lebesgue)) / math.pi
-        else:
-            A = m.omega_basis_matrix(index, b.chart, b.points)
-            Bm = _form_omega_matrix(m, form, b.chart, b.points)
-            dens = wedge_density_11(A, Bm)
-            total += float(np.dot(chi * dens, b.weights_lebesgue / 4.0))
-    return total
+    return float(form_pairings([form], rule)[0][index, 0])
 
 
-def curvature_pairing(metric, form, rule):
-    """``<c1(L, h), form>`` by moving dd^c onto the test form.
+def curvature_pairings(metric, forms, rule, fields=()):
+    """``<c1(L, h), f>`` for each form, by moving dd^c onto the forms.
 
     Exact for the smooth reference part; the potential term integrates the
     bounded-above perturbation against dd^c(form), so no derivative of the
-    (possibly singular) weight is ever taken.
+    (possibly singular) weight is ever taken.  ``fields`` ride along in the
+    same :func:`form_pairings` pass.  Returns ``(totals, om, ddc)``: the
+    pairings and that pass's ``om`` and ``ddc`` of ``fields``.
     """
-    total = 0.0
+    fields = list(fields)
+    extra = len(fields)
+    if metric.atoms:
+        fields.append((metric.psi, not metric.smooth))
+    om, ddc = form_pairings(forms, rule, fields)
+    totals = np.zeros(len(forms))
     for i, d in enumerate(metric.bundle.degree):
         if d != 0:
-            total += d * pair_omega_basis(i, form, rule)
+            totals += d * om[i]
     if metric.atoms:
-        total += ddc_pairing(lambda c, Z: metric.psi(c, Z), form, rule,
-                             integrable=not metric.smooth)
-    return total
+        totals += ddc[extra]
+    return totals, om, ddc[:extra]
+
+
+def curvature_pairing(metric, form, rule):
+    """:func:`curvature_pairings` of one form."""
+    return float(curvature_pairings(metric, [form], rule)[0][0])
 
 
 def form_values_hom(manifold, form, points):

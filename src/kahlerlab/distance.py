@@ -86,26 +86,21 @@ def ds_distance(a, b):
 # -- builders -----------------------------------------------------------------
 
 
-def descriptor_vector(descriptor, forms, rule, ident="", meta=None,
-                      line_resolution=None):
-    vals = [descriptor_form_pairing(descriptor, f, rule, line_resolution)
-            for f in forms]
+def descriptor_vector(descriptor, forms, rule, ident="", meta=None):
+    vals = [descriptor_form_pairing(descriptor, f, rule) for f in forms]
     return PairingVector(ident, vals, forms, meta)
 
 
-def wedge_vector(desc_a, desc_b, forms, rule, ident="", meta=None,
-                 line_resolution=None):
+def wedge_vector(desc_a, desc_b, forms, rule, ident="", meta=None):
     wedge = wedge_descriptors(desc_a, desc_b)
-    vals = descriptor_wedge_pairings(desc_a.manifold, wedge, forms, rule,
-                                     line_resolution)
+    vals = descriptor_wedge_pairings(desc_a.manifold, wedge, forms, rule)
     return PairingVector(ident, vals, forms, meta)
 
 
 # -- interpolation expansion ----------------------------------------------------
 
 
-def multilinear_expansion_residual(h_list, g_list, eps, form, rule,
-                                   line_resolution=None):
+def multilinear_expansion_residual(h_list, g_list, eps, form, rule):
     """Two-route check of the interpolated-curvature wedge.
 
     Route one pairs the wedge of the curvatures of the interpolated metrics
@@ -131,12 +126,10 @@ def multilinear_expansion_residual(h_list, g_list, eps, form, rule,
     interp = [Metric.interpolate(h, g, eps).curvature_descriptor()
               for h, g in zip(h_list, g_list)]
     if m == 1:
-        direct = descriptor_form_pairing(interp[0], form, rule,
-                                         line_resolution)
+        direct = descriptor_form_pairing(interp[0], form, rule)
     else:
         direct = descriptor_wedge_pairing(
-            manifold, wedge_descriptors(interp[0], interp[1]), form, rule,
-            line_resolution)
+            manifold, wedge_descriptors(interp[0], interp[1]), form, rule)
 
     expansion = 0.0
     weight0 = (1.0 + eps) ** (-m)
@@ -147,12 +140,11 @@ def multilinear_expansion_residual(h_list, g_list, eps, form, rule,
         if w == 0.0:
             continue
         if m == 1:
-            expansion += w * descriptor_form_pairing(picked[0], form, rule,
-                                                     line_resolution)
+            expansion += w * descriptor_form_pairing(picked[0], form, rule)
         else:
             expansion += w * descriptor_wedge_pairing(
                 manifold, wedge_descriptors(picked[0], picked[1]), form,
-                rule, line_resolution)
+                rule)
     return abs(direct - expansion)
 
 
@@ -258,7 +250,7 @@ def _check_target_position(descriptors):
 
 
 def approximation_run(h_list, g_list, schedule, samples=1, seed=0, rule=None,
-                      dictionary=None, adjoint=None, line_resolution=None):
+                      dictionary=None, adjoint=None):
     """Measure how fast scaled random zero sets approach a wedge of curvatures.
 
     For every (eps_j, p) cell the metrics are interpolated, section spaces
@@ -296,12 +288,10 @@ def approximation_run(h_list, g_list, schedule, samples=1, seed=0, rule=None,
                 "curvature form part")
     dh = [h.curvature_descriptor() for h in h_list]
     if m == 1:
-        target = descriptor_vector(dh[0], dictionary, rule, "target",
-                                   line_resolution=line_resolution)
+        target = descriptor_vector(dh[0], dictionary, rule, "target")
     else:
         _check_target_position(dh)
-        target = wedge_vector(dh[0], dh[1], dictionary, rule, "target",
-                              line_resolution=line_resolution)
+        target = wedge_vector(dh[0], dh[1], dictionary, rule, "target")
         # point pairings need no rule: free it and its memos for the cells
         rule = None
 

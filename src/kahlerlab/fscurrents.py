@@ -25,10 +25,12 @@ quadrature blocks outside and the forms inside.  What does not depend on
 the form (log Bergman values, reduced Hessians, omega basis matrices,
 quadrature weights, embedded line points, transverse intersection points)
 is computed once per block; per form only ``chi`` and its ``dd^c`` weights
-are.  Each form's total accumulates in the same order as it would alone,
-so the one-form functions (``fs_pairing``, ``fs_wedge_pairing``,
-``descriptor_wedge_pairing``) are one-entry calls of the batched ones and
-return the same bits.
+are.  The potential route takes all its terms (reference forms, metric
+perturbation, log Bergman function) from one
+:func:`bundles.form_pairings` pass.  Each form's total accumulates in the
+same order as it would alone, so the one-form functions (``fs_pairing``,
+``fs_wedge_pairing``, ``descriptor_wedge_pairing``) are one-entry calls of
+the batched ones and return the same bits.
 
 What depends on neither the form list nor p lives with the quadrature
 rule, so a sweep over p on one rule computes it once: ``chi`` on the rule's
@@ -45,9 +47,11 @@ import math
 import numpy as np
 
 from ._kernels import eval_monomials
-from .bundles import (_coord_intersection, _p1_roots, curvature_pairing,
-                      ddc_weights, finite_potential, _form_omega_matrix,
-                      form_values_hom, pair_omega_basis)
+from .bundles import (_coord_intersection, _p1_roots, _form_omega_matrix,
+                      curvature_pairings, form_pairings, form_values_hom)
+# benchmarks/tracer.py patches curvature_pairing here; tests/test_distance.py
+# imports pair_omega_basis from here
+from .bundles import curvature_pairing, pair_omega_basis  # noqa: F401
 from .errors import (ConfigurationError, GeneralPositionError, NumericalError)
 from .geometry import (build_manifold, quadrature_nodes, too_many_dropped,
                        wedge_density_11)
@@ -135,12 +139,12 @@ def _drop_vanished(bad, weights, what):
 # ---------------------------------------------------------------------------
 
 
-def fs_pairing(space, form, rule, route="potential", line_resolution=None):
+def fs_pairing(space, form, rule, route="potential"):
     """``<(1/2p) dd^c log F_p, form>`` for an orthonormalized space."""
-    return float(fs_pairings(space, [form], rule, route, line_resolution)[0])
+    return float(fs_pairings(space, [form], rule, route)[0])
 
 
-def fs_pairings(space, forms, rule, route="potential", line_resolution=None):
+def fs_pairings(space, forms, rule, route="potential"):
     """:func:`fs_pairing` of one space against each form, as an array."""
     forms = list(forms)
     if space.manifold.dim == 2 and any(f.omega_part is None for f in forms):
@@ -153,24 +157,19 @@ def fs_pairings(space, forms, rule, route="potential", line_resolution=None):
     totals = _pointwise_pairings(space, forms, rule)
     for comp, k in space.base_divisors:
         totals += (k / space.p) * _divisor_pairings(
-            space.manifold, comp, forms, line_resolution, rule)
+            space.manifold, comp, forms, rule)
     return totals
 
 
 def _potential_pairings(space, forms, rule):
-    ddc = np.zeros(len(forms))
-    for b in rule.capped_blocks():
-        u = finite_potential(space.log_bergman(b.chart, b.points), True)
-        for i, f in enumerate(forms):
-            ddc[i] += float(np.dot(u, ddc_weights(f, b)))
-    totals = np.empty(len(forms))
-    for i, f in enumerate(forms):
-        total = curvature_pairing(space.metric, f, rule)
-        if space.adjoint:
-            for j, cdeg in enumerate(space.manifold.canonical_degree):
-                total += (cdeg / space.p) * pair_omega_basis(j, f, rule)
-        totals[i] = total + ddc[i] / (2.0 * space.p)
-    return totals
+    """``<c1(L, h), f> (+ <c1(K_X), f> / p) + int log B_p dd^c f / 2p``,
+    every term from one pass over the rule."""
+    totals, om, (ddc,) = curvature_pairings(
+        space.metric, forms, rule, [(space.log_bergman, True)])
+    if space.adjoint:
+        for j, cdeg in enumerate(space.manifold.canonical_degree):
+            totals += (cdeg / space.p) * om[j]
+    return totals + ddc / (2.0 * space.p)
 
 
 def _pointwise_pairings(space, forms, rule):
@@ -189,8 +188,7 @@ def _pointwise_pairings(space, forms, rule):
                     for i in range(m.factors)]
         for i, f in enumerate(forms):
             if m.dim == 2:
-                dens = wedge_density_11(H, _form_omega_matrix(
-                    m, f, b.chart, b.points, mats))
+                dens = wedge_density_11(H, _form_omega_matrix(f, mats))
             totals[i] += float(np.dot(b.form_values(f) * dens, wq))
     return totals
 
@@ -200,7 +198,7 @@ def _pointwise_pairings(space, forms, rule):
 # ---------------------------------------------------------------------------
 
 
-def divisor_pairing(manifold, comp, form, resolution=None):
+def divisor_pairing(manifold, comp, form):
     """``<[D], form>`` for one singular component.
 
     On curves divisors are point masses and the form is a test function.
@@ -208,10 +206,10 @@ def divisor_pairing(manifold, comp, form, resolution=None):
     the restriction integral over a coordinate divisor; polynomial
     components of surfaces have no closed-form parametrization here.
     """
-    return float(_divisor_pairings(manifold, comp, [form], resolution)[0])
+    return float(_divisor_pairings(manifold, comp, [form])[0])
 
 
-def _divisor_pairings(manifold, comp, forms, resolution, surface=None):
+def _divisor_pairings(manifold, comp, forms, surface=None):
     if manifold.dim == 1:
         if comp[0] == "coord":
             pt = np.zeros((1, 2), dtype=complex)
@@ -229,7 +227,7 @@ def _divisor_pairings(manifold, comp, forms, resolution, surface=None):
             "pairing a divisor on a surface needs a (1,1) test form")
     return _divisor_omega_pairings(manifold, comp,
                                    [f.omega_part for f in forms], forms,
-                                   resolution, surface)
+                                   surface)
 
 
 def _line_embedding(manifold, comp):
@@ -268,15 +266,15 @@ def _line_embedding(manifold, comp):
     return embed, slots, omega_index
 
 
-def _line_rule(resolution, q_line=0, surface=None):
-    """The P1 rule over a divisor line at ``resolution``, by default
-    ``max(48, 2 q_line)``.
+def _line_rule(q_line=0, surface=None):
+    """The P1 rule over a divisor line at resolution ``max(48, 2 q_line)``,
+    for families of degree ``q_line`` on it.
 
     With the surface rule it serves, the line rule is that rule's
     :meth:`QuadratureRule.line_rule`, shared by every pairing on it;
     without one it is built afresh.
     """
-    res = resolution if resolution is not None else max(48, 2 * q_line)
+    res = max(48, 2 * q_line)
     if surface is None:
         return quadrature_nodes(build_manifold("P1"), res)
     return surface.line_rule(res)
@@ -300,7 +298,7 @@ def _line_values(manifold, comp, forms, block, embed):
 # ---------------------------------------------------------------------------
 
 
-def descriptor_form_pairing(descriptor, form, rule, line_resolution=None):
+def descriptor_form_pairing(descriptor, form, rule):
     """``<T, form>`` for a closed-form (1,1)-current on any model.
 
     The circle measure of a P1 current pairs as the mean of the test
@@ -311,12 +309,13 @@ def descriptor_form_pairing(descriptor, form, rule, line_resolution=None):
         raise ConfigurationError(
             "(1,1)-current pairings on surfaces need omega-carrying forms")
     total = 0.0
-    for i, c in enumerate(descriptor.omega):
-        if c != 0.0:
-            total += c * pair_omega_basis(i, form, rule)
+    if np.any(descriptor.omega != 0.0):
+        om = form_pairings([form], rule)[0][:, 0]
+        for i, c in enumerate(descriptor.omega):
+            if c != 0.0:
+                total += c * om[i]
     for comp, nu in descriptor.divisors:
-        total += nu * float(_divisor_pairings(m, comp, [form],
-                                              line_resolution, rule)[0])
+        total += nu * float(_divisor_pairings(m, comp, [form], rule)[0])
     if descriptor.circle:
         theta = 2.0 * np.pi * (np.arange(256) + 0.5) / 256
         chi = np.asarray(form.chi(0, np.exp(1j * theta)[:, None]),
@@ -325,18 +324,16 @@ def descriptor_form_pairing(descriptor, form, rule, line_resolution=None):
     return total
 
 
-def descriptor_wedge_pairing(manifold, wedge, form, rule, line_resolution=None):
+def descriptor_wedge_pairing(manifold, wedge, form, rule):
     """``<A ^ B, chi>`` from a closed-form wedge decomposition.
 
     ``wedge`` is the output of :func:`kahlerlab.bundles.wedge_descriptors`;
     ``form`` must be a scalar test function (no omega part).
     """
-    return float(descriptor_wedge_pairings(manifold, wedge, [form], rule,
-                                           line_resolution)[0])
+    return float(descriptor_wedge_pairings(manifold, wedge, [form], rule)[0])
 
 
-def descriptor_wedge_pairings(manifold, wedge, forms, rule,
-                              line_resolution=None):
+def descriptor_wedge_pairings(manifold, wedge, forms, rule):
     """:func:`descriptor_wedge_pairing` against each form, as an array."""
     forms = list(forms)
     if any(f.omega_part is not None for f in forms):
@@ -360,7 +357,7 @@ def descriptor_wedge_pairings(manifold, wedge, forms, rule,
                 totals[fi] += c * float(np.dot(chi * d, wq))
     for comp, vec in wedge["divisor_omega"]:
         totals += _divisor_omega_pairings(manifold, comp, [vec] * len(forms),
-                                          forms, line_resolution, rule)
+                                          forms, rule)
     for pt, mass in wedge["points"]:
         for fi, f in enumerate(forms):
             totals[fi] += mass * float(
@@ -368,8 +365,7 @@ def descriptor_wedge_pairings(manifold, wedge, forms, rule,
     return totals
 
 
-def _divisor_omega_pairings(manifold, comp, omega_vecs, forms, resolution,
-                            surface=None):
+def _divisor_omega_pairings(manifold, comp, omega_vecs, forms, surface=None):
     """``int_D chi_f * (omega_vec_f . basis)|_D`` over a coordinate divisor,
     one entry per form.
 
@@ -389,7 +385,7 @@ def _divisor_omega_pairings(manifold, comp, omega_vecs, forms, resolution,
     totals = np.zeros(len(forms))
     if not live:
         return totals
-    rule = _line_rule(resolution, surface=surface)
+    rule = _line_rule(surface=surface)
     for b in rule.capped_blocks():
         chis = _line_values(manifold, comp, [forms[i] for i in live], b,
                             embed)
@@ -403,7 +399,7 @@ def _divisor_omega_pairings(manifold, comp, omega_vecs, forms, resolution,
 # ---------------------------------------------------------------------------
 
 
-def fs_wedge_pairing(space_a, space_b, form, rule, line_resolution=None):
+def fs_wedge_pairing(space_a, space_b, form, rule):
     """``<gamma_a ^ gamma_b, chi>`` for two section spaces over one surface.
 
     The product expands into the pointwise wedge of the two reduced
@@ -412,11 +408,10 @@ def fs_wedge_pairing(space_a, space_b, form, rule, line_resolution=None):
     component shared by both collections carries no intersection mass:
     both local potentials depend on the same coordinate there.
     """
-    return float(fs_wedge_pairings(space_a, space_b, [form], rule,
-                                   line_resolution)[0])
+    return float(fs_wedge_pairings(space_a, space_b, [form], rule)[0])
 
 
-def fs_wedge_pairings(space_a, space_b, forms, rule, line_resolution=None):
+def fs_wedge_pairings(space_a, space_b, forms, rule):
     """:func:`fs_wedge_pairing` against each form, as an array."""
     forms = list(forms)
     m = space_a.manifold
@@ -442,11 +437,10 @@ def fs_wedge_pairings(space_a, space_b, forms, rule, line_resolution=None):
         dens = wedge_density_11(Ha, Hb)
         for i, f in enumerate(forms):
             totals[i] += float(np.dot(b.form_values(f) * dens, wq))
-    on_a = [_restricted_pairings(space_b, comp, forms, line_resolution, rule)
+    on_a = [_restricted_pairings(space_b, comp, forms, rule)
             for comp, _ in space_a.base_divisors]
-    on_b = on_a if same else [
-        _restricted_pairings(space_a, comp, forms, line_resolution, rule)
-        for comp, _ in space_b.base_divisors]
+    on_b = on_a if same else [_restricted_pairings(space_a, comp, forms, rule)
+                              for comp, _ in space_b.base_divisors]
     for (_, k), r in zip(space_a.base_divisors, on_a):
         totals += (k / space_a.p) * r
     for (_, k), r in zip(space_b.base_divisors, on_b):
@@ -478,7 +472,7 @@ def _transverse_points(space_a, space_b):
     return out
 
 
-def _restricted_pairings(space, comp, forms, resolution, surface=None):
+def _restricted_pairings(space, comp, forms, surface=None):
     """``<[D] ^ beta, chi_f>`` for each form: the reduced current
     restricted to a divisor, its family evaluated once per line block.
 
@@ -487,7 +481,7 @@ def _restricted_pairings(space, comp, forms, resolution, surface=None):
     """
     m = space.manifold
     Rc, q_line = _line_family(space, comp)
-    rule = _line_rule(resolution, q_line, surface)
+    rule = _line_rule(q_line, surface)
     embed, _, _ = _line_embedding(m, comp)
     exps = np.arange(q_line + 1)
     totals = np.zeros(len(forms))

@@ -11,8 +11,6 @@ Monomial enumeration order is fixed (lexicographic in the reduced exponents)
 so bases, Gram matrices and cached results are reproducible byte for byte.
 """
 
-import math
-
 import numpy as np
 
 from ._kernels import eval_monomials
@@ -122,14 +120,6 @@ class ChartPoly:
                   self.coeffs)
         return out
 
-    @classmethod
-    def from_dense(cls, grid):
-        grid = np.asarray(grid, dtype=complex)
-        nz = np.nonzero(grid)
-        coeffs = grid[nz]
-        exps = np.stack(nz, axis=1).astype(np.int64)
-        return cls(exps, coeffs, grid.ndim)
-
 
 # ---------------------------------------------------------------------------
 # homogeneous sections
@@ -214,69 +204,6 @@ class SectionPoly:
             return None
         return int(self.exponents[live, coord].min())
 
-    def divide_coordinate(self, coord, k):
-        """Exact division by z_coord^k (requires vanishing order >= k)."""
-        if k == 0:
-            return self
-        ordv = self.vanishing_order(coord)
-        if ordv is None or ordv < k:
-            raise ConfigurationError("section does not vanish to that order")
-        e = self.exponents.copy()
-        e[:, coord] -= k
-        m = self.manifold
-        if m.kind == "P1xP1":
-            d1, d2 = self.degree
-            deg = (d1 - k, d2) if coord < 2 else (d1, d2 - k)
-        else:
-            deg = (self.degree[0] - k,)
-        return SectionPoly(m, deg, e, self.coeffs.copy())
-
-    def restrict_line(self, A, B):
-        """Restriction to the line {t0 A + t1 B} on P2, as a binary form.
-
-        Returns the P1 section s(t0 A + t1 B) of the same degree; exact, via
-        discrete Fourier interpolation of the parametrized values.
-        """
-        m = self.manifold
-        if m.kind != "P2":
-            raise ConfigurationError("line restriction is a P2 operation")
-        d = self.degree[0]
-        A = np.asarray(A, dtype=complex)
-        B = np.asarray(B, dtype=complex)
-        M = d + 1
-        w = np.exp(2j * np.pi * np.arange(M) / M)
-        pts = A[None, :] + w[:, None] * B[None, :]
-        # F(1, w_k) = sum_j c_j w^{jk} -> inverse transform is fft(vals)/M
-        vals = self.eval_hom(pts)
-        coeffs = np.fft.fft(vals) / M  # c_j = coeff of t0^{d-j} t1^j
-        from . import geometry  # local import to avoid a cycle at load time
-        p1 = geometry.build_manifold("P1")
-        exps = np.stack([d - np.arange(M), np.arange(M)], axis=1)
-        return SectionPoly(p1, d, exps.astype(np.int64), coeffs)
-
-    def fix_factor(self, factor, point):
-        """On P1xP1, freeze one factor at a point; returns a P1 section."""
-        m = self.manifold
-        if m.kind != "P1xP1":
-            raise ConfigurationError("fix_factor is a product operation")
-        pt = np.asarray(point, dtype=complex).reshape(2)
-        from . import geometry
-        p1 = geometry.build_manifold("P1")
-        if factor == 0:
-            scale = pt[0] ** self.exponents[:, 0] * pt[1] ** self.exponents[:, 1]
-            exps = self.exponents[:, 2:]
-            deg = self.degree[1]
-        else:
-            scale = pt[0] ** self.exponents[:, 2] * pt[1] ** self.exponents[:, 3]
-            exps = self.exponents[:, :2]
-            deg = self.degree[0]
-        acc = {}
-        for e, c in zip(exps, self.coeffs * scale):
-            key = tuple(int(x) for x in e)
-            acc[key] = acc.get(key, 0.0) + c
-        acc = {k: v for k, v in acc.items() if v != 0}
-        return SectionPoly.from_coeff_map(p1, deg, acc)
-
 
 def _chart_columns(manifold, chart):
     """Homogeneous columns that become the affine coordinates of a chart."""
@@ -308,15 +235,3 @@ def linear_section(manifold, coeffs):
     e = np.eye(manifold.hom_len, dtype=np.int64)
     live = np.abs(c) > 0
     return SectionPoly(manifold, 1, e[live], c[live])
-
-
-def multinomial(degree, exps):
-    """Multinomial coefficient d! / prod(e_i!) for exponent rows."""
-    exps = np.atleast_2d(exps)
-    out = np.empty(exps.shape[0])
-    for i, row in enumerate(exps):
-        v = math.factorial(int(degree))
-        for e in row:
-            v //= math.factorial(int(e))
-        out[i] = float(v)
-    return out

@@ -26,9 +26,9 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .bundles import (curvature_pairing, ddc_weights, finite_potential,
-                      pair_omega_basis)
-from .bundles import ddc_pairing  # noqa: F401 - stays importable from here
+from .bundles import curvature_pairings, ddc_weights, finite_potential
+# benchmarks/test_benchmark.py checks that the tracer patches these here
+from .bundles import curvature_pairing, ddc_pairing  # noqa: F401
 from .errors import (
     ConfigurationError,
     DegenerateSpaceError,
@@ -812,7 +812,9 @@ def _divisor_pairings(space, C, forms, rule):
     the sample-independent part of the log-norm are computed once; the
     sections are evaluated together, in column chunks that keep each
     (nodes, samples) array within ``_LOG_NORM_CHUNK`` entries.  A section
-    non-finite at too many nodes of a block raises as in ``ddc_pairing``.
+    non-finite at too many nodes of a block raises as in
+    ``bundles.finite_potential``.  The closed part ``p <c1(L, h), f> (+
+    <c1(K_X), f>)`` comes from one ``curvature_pairings`` pass for all forms.
     """
     m = space.manifold
     if rule is None:
@@ -822,7 +824,10 @@ def _divisor_pairings(space, C, forms, rule):
             "divisor currents on surfaces pair with omega-carrying forms")
     out = np.zeros((C.shape[1], len(forms)))
     for b in rule.capped_blocks():
-        W = np.stack([ddc_weights(f, b) for f in forms], axis=1)
+        mats = [m.omega_basis_matrix(i, b.chart, b.points)
+                for i in range(m.factors)]
+        W = np.stack([ddc_weights(f, b, mats) for f in forms], axis=1)
+        del mats  # free before the section product, the block's peak
         if len(forms) == 1:
             # BLAS sums a one-column product (gemv) in another order than
             # a wider one (gemm); a repeated column keeps a form's pairings
@@ -835,13 +840,12 @@ def _divisor_pairings(space, C, forms, rule):
             U = _log_modulus(M @ C[:, lo:lo + step]) + base[:, None]
             P = finite_potential(U, integrable=True).T @ W
             out[lo:lo + step] += P[:, :len(forms)]
-    for j, f in enumerate(forms):
-        const = space.p * curvature_pairing(space.metric, f, rule)
-        if space.adjoint:
-            for i, cdeg in enumerate(m.canonical_degree):
-                const += cdeg * pair_omega_basis(i, f, rule)
-        out[:, j] += const
-    return out
+    closed, om, _ = curvature_pairings(space.metric, forms, rule)
+    const = space.p * closed
+    if space.adjoint:
+        for i, cdeg in enumerate(m.canonical_degree):
+            const += cdeg * om[i]
+    return out + const
 
 
 def _log_modulus(values):

@@ -10,9 +10,13 @@ from kahlerlab.bundles import (
     LineBundle,
     Metric,
     curvature_pairing,
+    finite_potential,
+    form_pairings,
     wedge_descriptors,
 )
-from kahlerlab.fscurrents import descriptor_form_pairing
+from kahlerlab.fscurrents import descriptor_form_pairing, fs_pairings
+from kahlerlab.geometry import Manifold, wedge_density_11
+from kahlerlab.sections import build_section_space
 from kahlerlab.testforms import TestForm, constant_form, test_form_dictionary as form_dictionary
 
 
@@ -165,3 +169,114 @@ def test_total_wedge_mass_bookkeeping(p2):
         total += float(np.sum(vec))  # coordinate line pairs omega_i to 1
     total += sum(mass for _, mass in W["points"])
     assert abs(total - 4.0) < 1e-12
+
+
+# -- one pass over the rule against per-form, per-term block loops ------------
+#
+# The references pair one form with one basis form or one field at a time,
+# block by block, the way the two kinds of term are defined.
+
+
+def _ref_form_omega_matrix(m, form, chart, Z):
+    acc = None
+    for i, c in enumerate(np.asarray(form.omega_part, dtype=float)):
+        if c == 0.0:
+            continue
+        mat = m.omega_basis_matrix(i, chart, Z)
+        acc = c * mat if acc is None else acc + c * mat
+    if acc is None:
+        acc = np.zeros((Z.shape[0], 2, 2), dtype=complex)
+    return acc
+
+
+def _ref_pair_omega_basis(index, form, rule):
+    m = rule.manifold
+    total = 0.0
+    for b in rule.capped_blocks():
+        chi = np.asarray(form.chi(b.chart, b.points), dtype=float)
+        if m.dim == 1:
+            dens = np.real(m.omega_basis_matrix(index, b.chart, b.points))
+            total += float(np.dot(chi * dens, b.weights_lebesgue)) / math.pi
+        else:
+            A = m.omega_basis_matrix(index, b.chart, b.points)
+            Bm = _ref_form_omega_matrix(m, form, b.chart, b.points)
+            dens = wedge_density_11(A, Bm)
+            total += float(np.dot(chi * dens, b.weights_lebesgue / 4.0))
+    return total
+
+
+def _ref_ddc_pairing(scalar_field, form, rule, integrable):
+    m = rule.manifold
+    total = 0.0
+    for b in rule.capped_blocks():
+        u = np.asarray(scalar_field(b.chart, b.points), dtype=float)
+        u = finite_potential(u, integrable)
+        H = form.hessian(b.chart, b.points)
+        if m.dim == 1:
+            w = (np.real(H) / math.pi) * b.weights_lebesgue
+        else:
+            omega_a = _ref_form_omega_matrix(m, form, b.chart, b.points)
+            w = wedge_density_11(H, omega_a) * (b.weights_lebesgue / 4.0)
+        total += float(np.dot(u, w))
+    return total
+
+
+def _pole_case(kind):
+    m = build_manifold(kind)
+    if kind == "P1":
+        # off-axis pole: the refinement center is not a coordinate point
+        Q = SectionPoly.from_coeff_map(m, 1, {(1, 0): 1.0, (0, 1): 0.6 + 0.3j})
+        return m, Metric.log_pole(LineBundle(m, 2), Q, 0.5), 32
+    deg = (1, 2) if kind == "P1xP1" else 1
+    return m, Metric.log_pole(LineBundle(m, deg), coordinate_section(m, 0),
+                              0.5), 8
+
+
+@pytest.mark.parametrize("kind", ["P1", "P2", "P1xP1"])
+def test_form_pairings_match_per_form_block_loops(kind):
+    m, h, res = _pole_case(kind)
+    rule = quadrature_nodes(m, res,
+                            singular_refinement=h.refinement_centers())
+    forms = form_dictionary(m, 1, 4)
+    A = coordinate_section(m, 1)
+    # |z_1|^2-type chi, the first factor's on the product: the dictionary's
+    # first forms there vary along the pole-free factor only
+    forms.append(TestForm(m, 1.0, A, A, None if m.dim == 1 else
+                          m.omega_coeffs(), "t1"))
+    fields = [(h.psi, True),
+              (lambda chart, Z: np.cos(np.abs(Z[:, 0]) + np.abs(Z[:, -1])),
+               False)]
+    om, ddc = form_pairings(forms, rule, fields)
+    ref_om = [[_ref_pair_omega_basis(i, f, rule) for f in forms]
+              for i in range(m.factors)]
+    ref_ddc = [[_ref_ddc_pairing(u, f, rule, integrable) for f in forms]
+               for u, integrable in fields]
+    np.testing.assert_array_equal(om, ref_om)
+    np.testing.assert_array_equal(ddc, ref_ddc)
+    assert abs(ddc[0, -1]) > 1e-3 and np.any(ddc[1] != 0.0)
+
+
+def test_potential_route_evaluates_each_form_once_per_block(p2, monkeypatch):
+    h = Metric.log_pole(LineBundle(p2, 1), coordinate_section(p2, 0), 0.5)
+    sp = build_section_space(h, 6)
+    rule = quadrature_nodes(p2, 8, singular_refinement=h.refinement_centers())
+    assert len(rule.capped_blocks()) == 3
+    forms = form_dictionary(p2, 1, 3)
+    calls = {"hessian": 0, "chi": 0, "omega_basis_matrix": 0}
+
+    def counted(cls, name):
+        method = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(TestForm, "hessian")
+    counted(TestForm, "chi")
+    counted(Manifold, "omega_basis_matrix")
+    fs_pairings(sp, forms, rule)
+    assert calls["hessian"] == 9
+    assert calls["omega_basis_matrix"] == 3
+    assert calls["chi"] <= 9

@@ -223,11 +223,11 @@ def _chi(form, block):
     return np.asarray(form.chi(block.chart, block.points), dtype=float)
 
 
-def _ref_restricted(space, comp, form, resolution, nflag=0):
+def _ref_restricted(space, comp, form, nflag=0):
     """The restricted pairing, with the first ``nflag`` nodes of each line
     block dropped as if the family vanished there."""
     Rc, q_line = fscurrents._line_family(space, comp)
-    rule = fscurrents._line_rule(resolution, q_line)
+    rule = fscurrents._line_rule(q_line)
     line_m = rule.manifold
     embed, _, _ = fscurrents._line_embedding(space.manifold, comp)
     exps = np.arange(q_line + 1)
@@ -251,7 +251,7 @@ def _ref_restricted(space, comp, form, resolution, nflag=0):
     return total
 
 
-def _ref_fs_wedge(sa, sb, form, rule, resolution):
+def _ref_fs_wedge(sa, sb, form, rule):
     m = sa.manifold
     total = 0.0
     for b in rule.capped_blocks():
@@ -262,9 +262,9 @@ def _ref_fs_wedge(sa, sb, form, rule, resolution):
         wq = np.where(bad, 0.0, b.weights_lebesgue / 4.0)
         total += float(np.dot(_chi(form, b) * wedge_density_11(Ha, Hb), wq))
     for comp, k in sa.base_divisors:
-        total += (k / sa.p) * _ref_restricted(sb, comp, form, resolution)
+        total += (k / sa.p) * _ref_restricted(sb, comp, form)
     for comp, k in sb.base_divisors:
-        total += (k / sb.p) * _ref_restricted(sa, comp, form, resolution)
+        total += (k / sb.p) * _ref_restricted(sa, comp, form)
     for comp_a, ka in sa.base_divisors:
         for comp_b, kb in sb.base_divisors:
             if comp_a[1] != comp_b[1]:
@@ -274,7 +274,7 @@ def _ref_fs_wedge(sa, sb, form, rule, resolution):
     return total
 
 
-def _ref_descriptor_wedge(m, wedge, form, rule, resolution):
+def _ref_descriptor_wedge(m, wedge, form, rule):
     pairs = wedge["omega_pairs"]
     total = 0.0
     for b in rule.capped_blocks():
@@ -286,7 +286,7 @@ def _ref_descriptor_wedge(m, wedge, form, rule, resolution):
                     dens = wedge_density_11(mats[i], mats[j])
                     total += pairs[i, j] * float(np.dot(
                         _chi(form, b) * dens, b.weights_lebesgue / 4.0))
-    line_rule = fscurrents._line_rule(resolution)
+    line_rule = fscurrents._line_rule()
     line_m = line_rule.manifold
     for comp, vec in wedge["divisor_omega"]:
         embed, _, omega_index = fscurrents._line_embedding(m, comp)
@@ -322,19 +322,18 @@ def test_batched_wedge_pairings_match_the_per_form_loop(case):
     assert sa.base_divisors and sb.base_divisors
     rule = quadrature_nodes(m, 8)
     forms = test_form_dictionary(m, 2, 4)
-    got = fs_wedge_pairings(sa, sb, forms, rule, line_resolution=16)
-    ref = [_ref_fs_wedge(sa, sb, f, rule, 16) for f in forms]
+    got = fs_wedge_pairings(sa, sb, forms, rule)
+    ref = [_ref_fs_wedge(sa, sb, f, rule) for f in forms]
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
     wedge = wedge_descriptors(ha.curvature_descriptor(),
                               hb.curvature_descriptor())
     if case == "P2-transverse":
         assert len(wedge["points"]) == 1
-    got = descriptor_wedge_pairings(m, wedge, forms, rule, line_resolution=16)
-    ref = [_ref_descriptor_wedge(m, wedge, f, rule, 16) for f in forms]
+    got = descriptor_wedge_pairings(m, wedge, forms, rule)
+    ref = [_ref_descriptor_wedge(m, wedge, f, rule) for f in forms]
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
-    assert got[1] == descriptor_wedge_pairing(m, wedge, forms[1], rule,
-                                              line_resolution=16)
+    assert got[1] == descriptor_wedge_pairing(m, wedge, forms[1], rule)
 
 
 def test_batched_potential_pairings_match_the_per_form_loop(p1):
@@ -360,7 +359,7 @@ def test_vanished_nodes_are_dropped_or_raise(p2, monkeypatch, nbad):
     sp = build_section_space(h, 8, resolution=16)
     rule = quadrature_nodes(p2, 8)
     forms = test_form_dictionary(p2, 2, 3)
-    clean = fs_wedge_pairings(sp, sp, forms, rule, line_resolution=16)
+    clean = fs_wedge_pairings(sp, sp, forms, rule)
     reduced_hessian = fscurrents._reduced_hessian
 
     def flagged(space, chart, Z):
@@ -374,12 +373,12 @@ def test_vanished_nodes_are_dropped_or_raise(p2, monkeypatch, nbad):
     omega_forms = [constant_form(p2, omega_part=[1.0])]
     if nbad > 8:
         with pytest.raises(NumericalError):
-            fs_wedge_pairings(sp, sp, forms, rule, line_resolution=16)
+            fs_wedge_pairings(sp, sp, forms, rule)
         with pytest.raises(NumericalError):
             fs_pairings(sp, omega_forms, rule, route="derivative")
         return
-    got = fs_wedge_pairings(sp, sp, forms, rule, line_resolution=16)
-    ref = [_ref_fs_wedge(sp, sp, f, rule, 16) for f in forms]
+    got = fs_wedge_pairings(sp, sp, forms, rule)
+    ref = [_ref_fs_wedge(sp, sp, f, rule) for f in forms]
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
     assert np.all(got != clean)
 
@@ -391,7 +390,7 @@ def test_vanished_line_nodes_are_dropped_or_raise(p2, monkeypatch, nbad):
     comp = sp.base_divisors[0][0]
     # the forms of the dictionary that do not vanish on {z0 = 0}
     forms = [test_form_dictionary(p2, 2, 10)[i] for i in (0, 6, 9)]
-    clean = fscurrents._restricted_pairings(sp, comp, forms, 16)
+    clean = fscurrents._restricted_pairings(sp, comp, forms)
     curve_hessian = fscurrents._curve_hessian
 
     def flagged(V, dV, p):
@@ -404,10 +403,10 @@ def test_vanished_line_nodes_are_dropped_or_raise(p2, monkeypatch, nbad):
     monkeypatch.setattr(fscurrents, "_curve_hessian", flagged)
     if nbad > 8:
         with pytest.raises(NumericalError):
-            fscurrents._restricted_pairings(sp, comp, forms, 16)
+            fscurrents._restricted_pairings(sp, comp, forms)
         return
-    got = fscurrents._restricted_pairings(sp, comp, forms, 16)
-    ref = [_ref_restricted(sp, comp, f, 16, nflag=nbad) for f in forms]
+    got = fscurrents._restricted_pairings(sp, comp, forms)
+    ref = [_ref_restricted(sp, comp, f, nflag=nbad) for f in forms]
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
     assert np.all(got != clean)
 
@@ -436,10 +435,10 @@ def test_wedge_pairings_on_one_rule_build_one_line_rule(monkeypatch):
         return build(manifold, resolution, *args, **kwargs)
 
     monkeypatch.setattr(geometry, "quadrature_nodes", counted)
-    first = fs_wedge_pairings(sa, sb, forms, rule, line_resolution=16)
-    second = fs_wedge_pairings(sa, sb, forms, rule, line_resolution=16)
-    descriptor_wedge_pairings(m, wedge, forms, rule, line_resolution=16)
-    assert built == [("P1", 16)]
+    first = fs_wedge_pairings(sa, sb, forms, rule)
+    second = fs_wedge_pairings(sa, sb, forms, rule)
+    descriptor_wedge_pairings(m, wedge, forms, rule)
+    assert built == [("P1", 48)]
     assert first.tobytes() == second.tobytes()
 
 
@@ -451,11 +450,9 @@ def test_reused_rule_gives_the_fresh_rule_floats(case):
 
     def pairings(rule):
         return np.concatenate([
-            fs_wedge_pairings(sa, sb, forms, rule, line_resolution=16),
-            descriptor_wedge_pairings(m, wedge, forms, rule,
-                                      line_resolution=16),
-            fs_pairings(sa, omega_forms, rule, route="derivative",
-                        line_resolution=16),
+            fs_wedge_pairings(sa, sb, forms, rule),
+            descriptor_wedge_pairings(m, wedge, forms, rule),
+            fs_pairings(sa, omega_forms, rule, route="derivative"),
         ])
 
     reused = quadrature_nodes(m, 8)
@@ -472,9 +469,9 @@ def test_divisor_lines_keep_separate_values(p2):
     vecs = [[1.0]] * len(forms)
     rule = quadrature_nodes(p2, 8)
     shared = [fscurrents._divisor_omega_pairings(
-        p2, ("coord", i), vecs, forms, 16, rule) for i in (0, 1)]
+        p2, ("coord", i), vecs, forms, rule) for i in (0, 1)]
     fresh = [fscurrents._divisor_omega_pairings(
-        p2, ("coord", i), vecs, forms, 16) for i in (0, 1)]
+        p2, ("coord", i), vecs, forms) for i in (0, 1)]
     assert not np.array_equal(shared[0], shared[1])
     for got, ref in zip(shared, fresh):
         assert got.tobytes() == ref.tobytes()
