@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from kahlerlab.errors import ConfigurationError, GeneralPositionError
-from kahlerlab.geometry import build_manifold, quadrature_nodes
+from kahlerlab.geometry import (Manifold, build_manifold, quadrature_nodes,
+                                wedge_density_11)
 from kahlerlab.polynomials import SectionPoly, coordinate_section
 from kahlerlab.bundles import (
     LineBundle,
@@ -15,7 +16,6 @@ from kahlerlab.bundles import (
     wedge_descriptors,
 )
 from kahlerlab.fscurrents import descriptor_form_pairing, fs_pairings
-from kahlerlab.geometry import Manifold, wedge_density_11
 from kahlerlab.sections import build_section_space
 from kahlerlab.testforms import TestForm, constant_form, test_form_dictionary as form_dictionary
 
