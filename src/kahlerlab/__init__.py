@@ -40,6 +40,7 @@ from .sections import (  # noqa: F401
 from .testforms import TestForm, constant_form, test_form_dictionary  # noqa: F401
 from .fscurrents import (  # noqa: F401
     descriptor_form_pairing,
+    descriptor_form_pairings,
     descriptor_wedge_pairing,
     descriptor_wedge_pairings,
     divisor_pairing,

@@ -22,8 +22,8 @@ import numpy as np
 
 from .bundles import Metric, wedge_descriptors
 from .errors import ConfigurationError, GeneralPositionError, KahlerlabError
-from .fscurrents import (descriptor_form_pairing, descriptor_wedge_pairing,
-                         descriptor_wedge_pairings)
+from .fscurrents import (descriptor_form_pairing, descriptor_form_pairings,
+                         descriptor_wedge_pairing, descriptor_wedge_pairings)
 from .geometry import quadrature_nodes
 from .sections import build_section_space
 from .testforms import test_form_dictionary
@@ -87,7 +87,7 @@ def ds_distance(a, b):
 
 
 def descriptor_vector(descriptor, forms, rule, ident="", meta=None):
-    vals = [descriptor_form_pairing(descriptor, f, rule) for f in forms]
+    vals = descriptor_form_pairings(descriptor, forms, rule)
     return PairingVector(ident, vals, forms, meta)
 
 

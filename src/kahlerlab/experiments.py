@@ -18,8 +18,9 @@ from .cache import cached_space
 from .config import config_fragment, config_hash
 from .distance import ApproximationSchedule, approximation_run
 from .errors import ConfigurationError
-from .fscurrents import (descriptor_form_pairing, descriptor_wedge_pairings,
-                         fs_pairings, fs_wedge_pairings)
+from .fscurrents import (descriptor_form_pairing, descriptor_form_pairings,
+                         descriptor_wedge_pairings, fs_pairings,
+                         fs_wedge_pairings)
 from .geometry import quadrature_nodes
 from .reports import (REPORT_SCHEMA, fit_loglog, linregress, svg_chart,
                       write_csv, write_json, write_log)
@@ -159,8 +160,7 @@ def _run_equidistribution(cfg, report):
         h = entry["h"]
         label = h.label()
         desc = h.curvature_descriptor()
-        targets = np.array([descriptor_form_pairing(desc, f, trule)
-                            for f in forms])
+        targets = descriptor_form_pairings(desc, forms, trule)
         zrule = potential_rule(h, cfg.resolution) if man.dim == 2 else None
         mean_curve = []
         c_cal = None
@@ -263,8 +263,7 @@ def _run_fs_convergence(cfg, report):
         if hb is None:
             label = ha.label()
             desc = ha.curvature_descriptor()
-            targets = [descriptor_form_pairing(desc, f, trule)
-                       for f in forms]
+            targets = descriptor_form_pairings(desc, forms, trule).tolist()
             vrule = potential_rule(ha, cfg.resolution)
         else:
             label = (ha.label() if hb is ha

@@ -29,8 +29,9 @@ are.  The potential route takes all its terms (reference forms, metric
 perturbation, log Bergman function) from one
 :func:`bundles.form_pairings` pass.  Each form's total accumulates in the
 same order as it would alone, so the one-form functions (``fs_pairing``,
-``fs_wedge_pairing``, ``descriptor_wedge_pairing``) are one-entry calls of
-the batched ones and return the same bits.
+``fs_wedge_pairing``, ``descriptor_form_pairing``,
+``descriptor_wedge_pairing``) are one-entry calls of the batched ones and
+return the same bits.
 
 What depends on neither the form list nor p lives with the quadrature
 rule, so a sweep over p on one rule computes it once: ``chi`` on the rule's
@@ -58,8 +59,8 @@ from .geometry import (build_manifold, quadrature_nodes, too_many_dropped,
 
 __all__ = [
     "fs_pairing", "fs_pairings", "fs_wedge_pairing", "fs_wedge_pairings",
-    "form_values_hom", "divisor_pairing",
-    "descriptor_form_pairing", "descriptor_wedge_pairing",
+    "form_values_hom", "divisor_pairing", "descriptor_form_pairing",
+    "descriptor_form_pairings", "descriptor_wedge_pairing",
     "descriptor_wedge_pairings", "ReducedHessianField",
 ]
 
@@ -304,24 +305,34 @@ def descriptor_form_pairing(descriptor, form, rule):
     The circle measure of a P1 current pairs as the mean of the test
     function over 256 midpoints of the unit circle.
     """
+    return float(descriptor_form_pairings(descriptor, [form], rule)[0])
+
+
+def descriptor_form_pairings(descriptor, forms, rule):
+    """:func:`descriptor_form_pairing` against each form, as an array.
+
+    One :func:`bundles.form_pairings` pass serves every form's omega terms.
+    """
+    forms = list(forms)
     m = descriptor.manifold
-    if m.dim == 2 and form.omega_part is None:
+    if m.dim == 2 and any(f.omega_part is None for f in forms):
         raise ConfigurationError(
             "(1,1)-current pairings on surfaces need omega-carrying forms")
-    total = 0.0
+    totals = np.zeros(len(forms))
     if np.any(descriptor.omega != 0.0):
-        om = form_pairings([form], rule)[0][:, 0]
+        om = form_pairings(forms, rule)[0]
         for i, c in enumerate(descriptor.omega):
             if c != 0.0:
-                total += c * om[i]
+                totals += c * om[i]
     for comp, nu in descriptor.divisors:
-        total += nu * float(_divisor_pairings(m, comp, [form], rule)[0])
+        totals += nu * _divisor_pairings(m, comp, forms, rule)
     if descriptor.circle:
         theta = 2.0 * np.pi * (np.arange(256) + 0.5) / 256
-        chi = np.asarray(form.chi(0, np.exp(1j * theta)[:, None]),
-                         dtype=float)
-        total += descriptor.circle * float(chi.mean())
-    return total
+        for j, f in enumerate(forms):
+            chi = np.asarray(f.chi(0, np.exp(1j * theta)[:, None]),
+                             dtype=float)
+            totals[j] += descriptor.circle * float(chi.mean())
+    return totals
 
 
 def descriptor_wedge_pairing(manifold, wedge, form, rule):

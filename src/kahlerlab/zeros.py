@@ -10,11 +10,13 @@ original coordinates.  Point totals are checked against the intersection
 number of the effective degrees, never inferred.
 
 The point layer works on whole arrays: the raw zeros of one section (or
-pair) are clustered in one pass over their pairwise distances, the Newton
-polish of one elimination attempt moves all its points together, and
-``point_pairings`` evaluates each form once on the stacked points of many
-zero sets.  Divisor pairings (``zero_pairings`` on surfaces) batch the
-sections' log-norms per quadrature block.
+pair) are clustered in one pass over their pairwise distances, one
+elimination attempt works on stacks (one call for its Sylvester
+determinants, one per fiber degree for its companion matrices, one
+scoring and one Newton polish for all its points), and ``point_pairings``
+evaluates each form once on the stacked points of many zero sets.  Divisor
+pairings (``zero_pairings`` on surfaces) batch the sections' log-norms per
+quadrature block.
 
 Seed records are integer tuples ``(master, index, ...)``; every derived
 stream is spawned from the master entropy through the remaining entries, so
@@ -236,9 +238,17 @@ def _cluster(manifold, raw):
             pts[second[sl]], pts[first[sl]]) < _CLUSTER_RADIUS
     if not near.any():
         return [(pt, 1) for pt in pts]
-    close = set(zip(first[near].tolist(), second[near].tolist()))
+    heads, counts = _greedy(
+        len(pts), set(zip(first[near].tolist(), second[near].tolist())))
+    return [(pts[i], k) for i, k in zip(heads, counts)]
+
+
+def _greedy(n, close):
+    """``(heads, counts)`` of the greedy grouping of items ``0..n-1``: item
+    j joins the first group whose head i has ``(i, j)`` in ``close``, or
+    else heads a new group."""
     heads, counts = [], []
-    for j in range(len(pts)):
+    for j in range(n):
         for c, i in enumerate(heads):
             if (i, j) in close:
                 counts[c] += 1
@@ -246,7 +256,7 @@ def _cluster(manifold, raw):
         else:
             heads.append(j)
             counts.append(1)
-    return [(pts[i], k) for i, k in zip(heads, counts)]
+    return heads, counts
 
 
 def zeros_on_curve(section):
@@ -375,54 +385,51 @@ def _unit_dense(poly):
 
 def _binary_resultant_zero(a, b):
     # full nominal-length coefficient vectors keep roots at infinity visible
-    va = np.zeros(a.degree[0] + 1, dtype=complex)
-    vb = np.zeros(b.degree[0] + 1, dtype=complex)
-    va[a.exponents[:, 1]] = a.coeffs
-    vb[b.exponents[:, 1]] = b.coeffs
+    va = np.zeros((1, a.degree[0] + 1), dtype=complex)
+    vb = np.zeros((1, b.degree[0] + 1), dtype=complex)
+    va[0, a.exponents[:, 1]] = a.coeffs
+    vb[0, b.exponents[:, 1]] = b.coeffs
     va /= np.linalg.norm(va)
     vb /= np.linalg.norm(vb)
-    det, had = _sylvester_det(va, vb)
-    return abs(det) <= 1e-12 * max(had, 1e-60)
+    det, had = _sylvester_dets(va, vb)
+    return abs(det[0]) <= 1e-12 * max(had[0], 1e-60)
 
 
 def _resultant_zero(ga, gb, axis, count):
+    """Whether all ``count`` resultant samples along ``axis`` vanish."""
     ts = 0.91 * np.exp(2j * np.pi * (np.arange(count) + 0.37) / count)
-    for t in ts:
-        det, had = _sylvester_det(_coeff_slice(ga, t, axis),
-                                  _coeff_slice(gb, t, axis))
-        if abs(det) > 1e-12 * max(had, 1e-60):
+    for t in ts[:, None]:
+        det, had = _sylvester_dets(_coeff_slices(ga, t, axis),
+                                   _coeff_slices(gb, t, axis))
+        if abs(det[0]) > 1e-12 * max(had[0], 1e-60):
             return False
     return True
 
 
-def _coeff_slice(grid, t, axis):
-    """Coefficients along ``axis`` after fixing the other variable at t."""
+def _coeff_slices(grid, ts, axis):
+    """Coefficient rows along ``axis`` after fixing the other variable at
+    each value of ``ts``, one row per value."""
     g = grid if axis == 1 else grid.T
-    return np.atleast_1d(npoly.polyval(t, g))
+    return npoly.polyval(ts, g).T
 
 
-def _sylvester_det(va, vb):
-    """Resultant determinant of two coefficient vectors (ascending order).
+def _sylvester_dets(VA, VB):
+    """Resultant determinants of stacked coefficient rows (ascending order).
 
-    Returns ``(det, hadamard)`` where the second entry is the product of
-    row norms; determinants below roundoff times that bound are
+    Row k of ``VA`` and row k of ``VB`` give the k-th Sylvester matrix.
+    Returns ``(dets, hadamard)``, where the second holds each matrix's
+    product of row norms; determinants below roundoff times that bound are
     indistinguishable from zero.
     """
-    m = len(va) - 1
-    n = len(vb) - 1
-    if m < 0 or n < 0:
-        return 0.0, 1.0
-    if m + n == 0:
-        return 1.0, 1.0
-    S = np.zeros((m + n, m + n), dtype=complex)
-    ra = va[::-1]
-    rb = vb[::-1]
+    m, n = VA.shape[1] - 1, VB.shape[1] - 1
+    # two constants (m = n = 0) give empty matrices, of determinant 1
+    S = np.zeros((len(VA), m + n, m + n), dtype=complex)
     for i in range(n):
-        S[i, i:i + m + 1] = ra
+        S[:, i, i:i + m + 1] = VA[:, ::-1]
     for j in range(m):
-        S[n + j, j:j + n + 1] = rb
-    had = float(np.prod(np.linalg.norm(S, axis=1)))
-    return complex(np.linalg.det(S)), had
+        S[:, n + j, j:j + n + 1] = VB[:, ::-1]
+    had = np.prod(np.linalg.norm(S, axis=2), axis=1)
+    return np.linalg.det(S), had
 
 
 # ---------------------------------------------------------------------------
@@ -439,12 +446,13 @@ def _bezout_pair(kind, da, db):
 def common_zeros(members):
     """Common zeros of two sections on a surface, with multiplicities.
 
-    One variable is eliminated through sampled Sylvester determinants in a
-    deterministic generic unitary frame (which keeps every intersection
-    point affine and separates their first coordinates); interpolated
-    resultant roots are back-substituted, polished by damped Newton in the
-    original coordinates, and clustered.  The total must equal the
-    intersection number of the effective degrees.
+    An attempt works in a deterministic generic unitary frame, which keeps
+    every point affine and separates first coordinates: the eliminant is
+    interpolated from Sylvester determinants at ``bez + 1`` unit roots
+    (``bez`` the intersection number of the effective degrees), the fiber
+    roots of best residual over its grouped roots complete the points, and
+    damped Newton polishes them in the original coordinates.  After three
+    failed frames ``RootFindingError`` gives each one's reason.
     """
     tup = members if isinstance(members, SectionTuple) else None
     polys = [_as_poly(s) for s in (members if tup is None else tup.members)]
@@ -487,27 +495,22 @@ def _intersection_attempt(m, polys, bez, key, failures):
     gb = rots[1].chart_poly(0).dense()
 
     ts = np.exp(2j * np.pi * np.arange(bez + 1) / (bez + 1))
-    dets = np.array([_sylvester_det(_coeff_slice(ga, t, 1),
-                                    _coeff_slice(gb, t, 1))[0]
-                     for t in ts])
+    dets, _ = _sylvester_dets(_coeff_slices(ga, ts, 1),
+                              _coeff_slices(gb, ts, 1))
     # values at the unit roots w^{jk} invert through the forward transform
     rc = np.fft.fft(dets) / (bez + 1)
     if abs(rc[bez]) <= 1e-9 * np.abs(rc).max():
         failures.append(f"rotation {key}: eliminant degree dropped")
         return None
-    xs = np.roots(rc[::-1])
+    xs, counts = _grouped(np.roots(rc[::-1]))
+    ys = _admissible_ys(m, rots, (ga, gb), xs, counts)
+    if ys is None:
+        failures.append(f"rotation {key}: no fiber roots over one "
+                        "eliminant root")
+        return None
+    rot_pts = m.from_chart(np.stack([np.repeat(xs, counts), ys], axis=1), 0)
 
-    rot_pts = []
-    for x, g in _grouped(xs):
-        ys = _admissible_ys(m, rots, ga, gb, x, g)
-        if not ys:
-            failures.append(f"rotation {key}: no fiber roots over one "
-                            "eliminant root")
-            return None
-        for i in range(g):
-            rot_pts.append(m.from_chart([[x, ys[min(i, len(ys) - 1)]]], 0)[0])
-
-    raw, res = _polish_surface(m, polys, unrotate(np.array(rot_pts)))
+    raw, res = _polish_surface(m, polys, unrotate(rot_pts))
     worst = float(res.max())
     if worst > _RESIDUAL_CAP:
         failures.append(f"rotation {key}: residual {worst:.2e} after polish")
@@ -516,47 +519,84 @@ def _intersection_attempt(m, polys, bez, key, failures):
 
 
 def _grouped(xs, radius=1e-7):
-    groups = []
-    for x in xs:
-        for i, (c, g) in enumerate(groups):
-            if abs(x - c) < radius * max(1.0, abs(c)):
-                groups[i] = (c, g + 1)
-                break
-        else:
-            groups.append((x, 1))
-    return groups
+    """Greedy groups of eliminant roots, as ``(centres, counts)``.
+
+    A root joins the first group whose centre, its first member, lies
+    within ``radius * max(1, |centre|)`` of it, or else starts a new group.
+    """
+    near = np.triu(np.abs(xs[None, :] - xs[:, None])
+                   < radius * np.maximum(1.0, np.abs(xs))[:, None], 1)
+    if not near.any():
+        return xs, np.ones(len(xs), dtype=int)
+    first, second = np.nonzero(near)
+    heads, counts = _greedy(
+        len(xs), set(zip(first.tolist(), second.tolist())))
+    return xs[heads], np.array(counts)
 
 
-def _admissible_ys(m, rots, ga, gb, x, g, cap=1e-5):
-    cands = []
-    for grid in (ga, gb):
-        v = _coeff_slice(grid, x, 1)
-        top = np.abs(v).max()
-        if top == 0.0:
-            continue
-        keep = len(v)
-        while keep > 1 and abs(v[keep - 1]) <= 1e-12 * top:
-            keep -= 1
-        if keep > 1:
-            cands.extend(np.roots(v[keep - 1::-1]))
-    if not cands:
-        return []
-    pts = m.from_chart(np.stack([np.full(len(cands), x, dtype=complex),
-                                 np.asarray(cands)], axis=1), 0)
+def _admissible_ys(m, rots, grids, xs, counts, cap=1e-5):
+    """``counts[k]`` second coordinates over each ``xs[k]``, in a row, or
+    None when some root has none.
+
+    Candidates are the fiber roots of each section, scored together by the
+    larger relative value of the rotated sections; per root the best within
+    ``cap`` are taken, skipping near-duplicates, the last one repeated.
+    """
+    fibers = [np.concatenate(rs) for rs in zip(
+        *[_fiber_roots(_coeff_slices(g, xs, 1)) for g in grids])]
+    sizes = [len(f) for f in fibers]
+    if min(sizes) == 0:
+        return None
+    cands = np.concatenate(fibers)
+    pts = m.from_chart(np.stack([np.repeat(xs, sizes), cands], axis=1), 0)
     res = np.zeros(len(cands))
     for rp in rots:
         res = np.maximum(
             res, np.abs(rp.eval_hom(pts)) / np.linalg.norm(rp.coeffs))
-    order = np.argsort(res)
-    out = []
-    for i in order:
-        if res[i] > cap:
-            break
-        y = complex(cands[i])
-        if all(abs(y - y0) >= 1e-7 * max(1.0, abs(y0)) for y0 in out):
-            out.append(y)
-        if len(out) == g:
-            break
+    ys = []
+    for f, r, g in zip(fibers, np.split(res, np.cumsum(sizes)[:-1]), counts):
+        out = []
+        for i in np.argsort(r):
+            if r[i] > cap:
+                break
+            y = complex(f[i])
+            if all(abs(y - y0) >= 1e-7 * max(1.0, abs(y0)) for y0 in out):
+                out.append(y)
+            if len(out) == g:
+                break
+        if not out:
+            return None
+        ys.extend(out[min(j, len(out) - 1)] for j in range(g))
+    return np.array(ys)
+
+
+def _fiber_roots(V):
+    """``np.roots`` of each row of ascending coefficients ``V`` once its top
+    coefficients of at most 1e-12 times the row's largest are cut (none for
+    a zero row or a constant).
+
+    Rows of one cut length are one stack of companion matrices, built as
+    ``np.roots`` builds them; rows with a zero coefficient, whose ends
+    ``np.roots`` strips, go to ``np.roots``.
+    """
+    A = np.abs(V)
+    top = A.max(axis=1)
+    keep = V.shape[1] - np.argmax((A > 1e-12 * top[:, None])[:, ::-1], axis=1)
+    out = [np.zeros(0, dtype=complex)] * len(V)
+    stacks = {}
+    for i in np.flatnonzero((top != 0.0) & (keep > 1)).tolist():
+        n = int(keep[i])
+        if np.all(V[i, :n] != 0):
+            stacks.setdefault(n, []).append(i)
+        else:
+            out[i] = np.roots(V[i, n - 1::-1])
+    for n, rows in stacks.items():
+        P = V[rows, n - 1::-1]
+        C = np.zeros((len(rows), n - 1, n - 1), dtype=complex)
+        C[:, 0] = -P[:, 1:] / P[:, :1]
+        C[:, np.arange(1, n - 1), np.arange(n - 2)] = 1.0
+        for i, r in zip(rows, np.linalg.eigvals(C)):
+            out[i] = r
     return out
 
 

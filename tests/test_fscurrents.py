@@ -6,11 +6,12 @@ import pytest
 from kahlerlab import fscurrents, geometry
 from kahlerlab._kernels import eval_monomials
 from kahlerlab.bundles import (LineBundle, Metric, _coord_intersection,
-                               curvature_pairing, ddc_pairing,
+                               curvature_pairing, ddc_pairing, form_pairings,
                                pair_omega_basis, wedge_descriptors)
 from kahlerlab.errors import (ConfigurationError, GeneralPositionError,
                               NumericalError)
 from kahlerlab.fscurrents import (descriptor_form_pairing,
+                                  descriptor_form_pairings,
                                   descriptor_wedge_pairing,
                                   descriptor_wedge_pairings, divisor_pairing,
                                   form_values_hom, fs_pairing, fs_pairings,
@@ -170,6 +171,58 @@ def test_closed_form_current_matches_stokes_route():
             a = curvature_pairing(h, f, rule)
             b = descriptor_form_pairing(desc, f, rule)
             assert abs(a - b) < tol, (kind, f.label, abs(a - b))
+
+
+def _ref_descriptor_form_pairing(descriptor, form, rule):
+    """``<T, form>`` one form per pass over the rule."""
+    m = descriptor.manifold
+    total = 0.0
+    if np.any(descriptor.omega != 0.0):
+        om = form_pairings([form], rule)[0][:, 0]
+        for i, c in enumerate(descriptor.omega):
+            if c != 0.0:
+                total += c * om[i]
+    for comp, nu in descriptor.divisors:
+        total += nu * float(
+            fscurrents._divisor_pairings(m, comp, [form], rule)[0])
+    if descriptor.circle:
+        theta = 2.0 * np.pi * (np.arange(256) + 0.5) / 256
+        chi = np.asarray(form.chi(0, np.exp(1j * theta)[:, None]),
+                         dtype=float)
+        total += descriptor.circle * float(chi.mean())
+    return total
+
+
+@pytest.mark.parametrize("kind", ["P1", "P2", "P1xP1"])
+def test_descriptor_form_pairings_match_the_per_form_passes(monkeypatch,
+                                                            kind):
+    m = build_manifold(kind)
+    L = LineBundle(m, 1 if kind != "P1xP1" else (1, 1))
+    if kind == "P1":
+        # omega, a divisor and the circle measure
+        h = Metric(L, Metric.log_pole(L, coordinate_section(m, 0), 0.5).atoms
+                   + Metric.max_log(L, 0.25).atoms)
+    elif kind == "P2":
+        h = two_pole_metric(m, L, 0.25, 0.5)
+    else:
+        h = Metric.log_pole(L, coordinate_section(m, 2), 0.5)
+    desc = h.curvature_descriptor()
+    rule = quadrature_nodes(m, 8 if m.dim == 2 else 16,
+                            singular_refinement=h.refinement_centers())
+    forms = test_form_dictionary(m, 1, 6)
+    want = [_ref_descriptor_form_pairing(desc, f, rule) for f in forms]
+    calls = []
+    basis = type(m).omega_basis_matrix
+
+    def counted(self, *args):
+        calls.append(args[0])
+        return basis(self, *args)
+
+    monkeypatch.setattr(type(m), "omega_basis_matrix", counted)
+    got = descriptor_form_pairings(desc, forms, rule)
+    np.testing.assert_array_equal(got, want)
+    assert len(calls) == m.factors * len(rule.capped_blocks())
+    assert descriptor_form_pairing(desc, forms[2], rule) == want[2]
 
 
 def test_descriptor_wedge_mass(p2):

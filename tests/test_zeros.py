@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 from scipy import stats
 
 from kahlerlab import zeros
@@ -448,6 +449,228 @@ def test_singular_jacobian_stops_only_its_own_point():
     x, ok = zeros._solve_stacked(J, rhs)
     assert ok.tolist() == [True, False, True]
     assert np.array_equal(x[ok], np.array([[1, 2], [1, 3]], dtype=complex))
+
+
+# -- stacked elimination against the per-sample, per-root loops ---------------
+
+
+def _ref_sylvester_det(va, vb):
+    """One Sylvester determinant and its Hadamard bound, matrix by matrix."""
+    m, n = len(va) - 1, len(vb) - 1
+    if m < 0 or n < 0:
+        return 0.0, 1.0
+    if m + n == 0:
+        return 1.0, 1.0
+    S = np.zeros((m + n, m + n), dtype=complex)
+    for i in range(n):
+        S[i, i:i + m + 1] = va[::-1]
+    for j in range(m):
+        S[n + j, j:j + n + 1] = vb[::-1]
+    return (complex(np.linalg.det(S)),
+            float(np.prod(np.linalg.norm(S, axis=1))))
+
+
+def _ref_trimmed_length(v):
+    """Length of a coefficient row after trimming its top (0 if zero)."""
+    top = np.abs(v).max()
+    if top == 0.0:
+        return 0
+    keep = len(v)
+    while keep > 1 and abs(v[keep - 1]) <= 1e-12 * top:
+        keep -= 1
+    return keep
+
+
+def _ref_fiber_roots(v):
+    """``np.roots`` of one coefficient row after trimming its top."""
+    keep = _ref_trimmed_length(v)
+    return list(np.roots(v[keep - 1::-1])) if keep > 1 else []
+
+
+def _ref_admissible_ys(m, rots, ga, gb, x, g, cap=1e-5):
+    cands = []
+    for grid in (ga, gb):
+        cands.extend(_ref_fiber_roots(
+            np.atleast_1d(npoly.polyval(x, grid))))
+    if not cands:
+        return []
+    pts = m.from_chart(np.stack([np.full(len(cands), x, dtype=complex),
+                                 np.asarray(cands)], axis=1), 0)
+    res = np.zeros(len(cands))
+    for rp in rots:
+        res = np.maximum(
+            res, np.abs(rp.eval_hom(pts)) / np.linalg.norm(rp.coeffs))
+    out = []
+    for i in np.argsort(res):
+        if res[i] > cap:
+            break
+        y = complex(cands[i])
+        if all(abs(y - y0) >= 1e-7 * max(1.0, abs(y0)) for y0 in out):
+            out.append(y)
+        if len(out) == g:
+            break
+    return out
+
+
+def _ref_attempt(m, polys, bez, key):
+    """``(dets, xs, rot_pts, group sizes)`` of one elimination attempt,
+    one determinant per sample and one fiber solve per root."""
+    rots, _ = zeros._rotate_pair(m, polys, key)
+    ga = rots[0].chart_poly(0).dense()
+    gb = rots[1].chart_poly(0).dense()
+    ts = np.exp(2j * np.pi * np.arange(bez + 1) / (bez + 1))
+    dets = np.array([_ref_sylvester_det(
+        np.atleast_1d(npoly.polyval(t, ga)),
+        np.atleast_1d(npoly.polyval(t, gb)))[0] for t in ts])
+    rc = np.fft.fft(dets) / (bez + 1)
+    xs = np.roots(rc[::-1])
+    groups = []
+    for x in xs:
+        for i, (c, g) in enumerate(groups):
+            if abs(x - c) < 1e-7 * max(1.0, abs(c)):
+                groups[i] = (c, g + 1)
+                break
+        else:
+            groups.append((x, 1))
+    rot_pts = []
+    for x, g in groups:
+        ys = _ref_admissible_ys(m, rots, ga, gb, x, g)
+        for i in range(g):
+            rot_pts.append(m.from_chart([[x, ys[min(i, len(ys) - 1)]]], 0)[0])
+    return dets, xs, np.array(rot_pts), [g for _, g in groups]
+
+
+def _attempt_cases(case):
+    """``(manifold, polys)`` of the pairs the stacked attempt is held to."""
+    if case == "fs-cubics":
+        p2 = build_manifold("P2")
+        sp = fs_space(p2, 1, 6)
+        return p2, [s.poly for s in sample_tuple([sp, sp], (11, 0))]
+    if case == "pole-sextics":
+        p2 = build_manifold("P2")
+        spaces = [build_section_space(Metric.log_pole(
+            LineBundle(p2, 1), coordinate_section(p2, i), 0.25), 6,
+            adjoint=False) for i in (0, 1)]
+        return p2, [s.poly for s in sample_tuple(spaces, (7, 2))]
+    if case == "bidegree":
+        pp = build_manifold("P1xP1")
+        sp = fs_space(pp, (1, 1), 5)
+        return pp, [s.poly for s in sample_tuple([sp, sp], (21, 5))]
+    p2 = build_manifold("P2")
+    conic = SectionPoly.from_coeff_map(p2, 2, {(0, 2, 0): 1.0,
+                                               (1, 0, 1): -1.0})
+    return p2, [conic, coordinate_section(p2, 2)]
+
+
+@pytest.mark.parametrize("case", ["fs-cubics", "pole-sextics", "bidegree",
+                                  "tangent"])
+def test_stacked_attempt_matches_the_per_root_loop(monkeypatch, case):
+    m, polys = _attempt_cases(case)
+    seen = {}
+    stacked_dets, grouped = zeros._sylvester_dets, zeros._grouped
+    rotate = zeros._rotate_pair
+
+    def dets(VA, VB):
+        out = stacked_dets(VA, VB)
+        seen["dets"] = out[0]
+        return out
+
+    def groups(xs):
+        seen["xs"] = xs
+        out = grouped(xs)
+        seen["counts"] = out[1]
+        return out
+
+    def rotate_pair(m, polys, key):
+        rots, unrotate = rotate(m, polys, key)
+
+        def record(pts):
+            seen["rot_pts"] = pts
+            return unrotate(pts)
+
+        return rots, record
+
+    monkeypatch.setattr(zeros, "_sylvester_dets", dets)
+    monkeypatch.setattr(zeros, "_grouped", groups)
+    monkeypatch.setattr(zeros, "_rotate_pair", rotate_pair)
+    bez = zeros._bezout_pair(m.kind, polys[0].degree, polys[1].degree)
+    assert zeros._intersection_attempt(m, polys, bez, 0, []) is not None
+    want_dets, want_xs, want_pts, want_counts = _ref_attempt(m, polys, bez, 0)
+    np.testing.assert_array_equal(seen["dets"], want_dets)
+    np.testing.assert_array_equal(seen["xs"], want_xs)
+    np.testing.assert_array_equal(seen["rot_pts"], want_pts)
+    assert seen["counts"].tolist() == want_counts
+    assert max(want_counts) == (2 if case == "tangent" else 1)
+
+
+def test_stacked_sylvester_matches_one_matrix_at_a_time():
+    rng = np.random.default_rng(3)
+    for m, n in [(0, 0), (0, 3), (2, 0), (3, 4), (6, 6)]:
+        VA = rng.standard_normal((5, m + 1)) + 1j * rng.standard_normal(
+            (5, m + 1))
+        VB = rng.standard_normal((5, n + 1)) + 1j * rng.standard_normal(
+            (5, n + 1))
+        dets, had = zeros._sylvester_dets(VA, VB)
+        want = [_ref_sylvester_det(a, b) for a, b in zip(VA, VB)]
+        np.testing.assert_array_equal(dets, [d for d, _ in want])
+        np.testing.assert_array_equal(had, [h for _, h in want])
+
+
+fiber_row = st.tuples(
+    st.integers(1, 7), st.integers(0, 3), st.booleans(), st.booleans(),
+    st.integers(0, 2 ** 32 - 1))
+
+
+@given(st.lists(fiber_row, min_size=1, max_size=8), st.integers(1, 7))
+@settings(deadline=None, max_examples=60)
+def test_stacked_fiber_roots_match_np_roots(specs, width):
+    """Rows of one width: some trimmed at the top (tiny or zero leading
+    coefficients), some with a zero constant term, some all zero, and
+    width 1 or rows trimmed to a constant."""
+    rows = []
+    for live, tiny, zero_const, zero_row, seed in specs:
+        rng = np.random.default_rng(seed)
+        v = np.zeros(width, dtype=complex)
+        live = min(live, width)
+        v[:live] = rng.standard_normal(live) + 1j * rng.standard_normal(live)
+        v[live:live + tiny] = 1e-14 * (1 + 1j)
+        if zero_const:
+            v[0] = 0.0
+        if zero_row:
+            v[:] = 0.0
+        rows.append(v)
+    V = np.array(rows)
+    got = zeros._fiber_roots(V)
+    assert len(got) == len(rows)
+    for v, r in zip(V, got):
+        np.testing.assert_array_equal(r, _ref_fiber_roots(v))
+
+
+def test_one_attempt_stacks_its_lapack_calls(monkeypatch):
+    m, polys = _attempt_cases("fs-cubics")
+    bez = zeros._bezout_pair(m.kind, polys[0].degree, polys[1].degree)
+    _, xs, _, counts = _ref_attempt(m, polys, bez, 0)
+    assert bez == 9 and counts == [1] * bez
+    rots, _ = zeros._rotate_pair(m, polys, 0)
+    lengths = {_ref_trimmed_length(np.atleast_1d(npoly.polyval(
+        x, r.chart_poly(0).dense()))) for x in xs for r in rots}
+    calls = {"det": 0, "eigvals": 0}
+
+    def count(name, fn):
+        def wrapped(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return wrapped
+
+    monkeypatch.setattr(zeros.np.linalg, "det",
+                        count("det", np.linalg.det))
+    monkeypatch.setattr(zeros.np.linalg, "eigvals",
+                        count("eigvals", np.linalg.eigvals))
+    # np.roots reaches LAPACK through its own import of eigvals
+    monkeypatch.setattr(zeros.np, "roots", count("eigvals", np.roots))
+    assert zeros._intersection_attempt(m, polys, bez, 0, []) is not None
+    assert calls["det"] <= 1
+    assert calls["eigvals"] <= 1 + 2 * len(lengths - {0, 1})
 
 
 # -- empirical general position ------------------------------------------------
