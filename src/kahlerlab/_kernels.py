@@ -15,27 +15,31 @@ Kernels:
 
 * the broadcast ``points[:, None, :] ** exponents[None]`` and ``prod`` over
   the axes, one complex power per point, monomial and axis; it runs on
-  small inputs, where its fixed cost is the lower, and on one axis, where a
-  table takes as many powers;
-* power tables: one power per point, axis and distinct exponent, then a
-  product of gathered table columns.  On a P2 chart basis of degree 10 (66
-  monomials, 11 distinct exponents per axis) it takes a sixth of the
-  powers and is three to four times faster on many points.  Its products
-  also cost less than ``prod`` along a short axis, so it is faster even
-  where no exponent repeats, as for one monomial on many points.
+  small inputs, where its fixed cost is the lower, and on one axis where
+  most monomials take a power, as a P1 chart basis does;
+* power tables, on one axis and on several alike: one table row per axis
+  and distinct exponent, then the product of each output column, axis by
+  axis.  Exponents 0 and 1 take no power at all, which is all of the work
+  on the 2-term pole polynomials of P1 that the nodes Gram evaluates on
+  every radial slab; a P2 chart basis of degree 10 (66 monomials, 11
+  distinct exponents per axis) takes a sixth of the broadcast's powers.
 
 Both give every value the bits of the broadcast, signs of zero included
-(``tests/test_kernels.py``).  That holds because the table keeps numpy's
-complex ``**`` (an integer exponent below 100 is binary exponentiation)
-and the product repeats what ``prod`` does along an axis: start from
-``1+0j`` and multiply the factors in axis order, each by the scalar product
-``(ar*br - ai*bi, ar*bi + ai*br)``, here written on the real and imaginary
-parts.  Two shortcuts move bits.  numpy's vectorized complex ``*`` rounds
-differently from that scalar product, in a last bit of many products.  A
-gather followed by ``prod`` keeps the bits only while the gathered array
-has the axis innermost; with the axis outermost, numpy reduces it by that
-vectorized ``*`` over whole slices.  Either layout also needs the
-``(n, m, k)`` complex array that the tables avoid.
+(``tests/test_kernels.py``).  That rests on three facts of numpy:
+
+* ``z ** 0`` is ``1+0j`` for every ``z``, and ``z ** 1`` is ``z``, except
+  that a zero base gives ``+0+0j`` whatever the signs of its parts.  The
+  tables write these two rows without a power;
+* a scalar exponent takes other paths than an array one: ``z ** 2`` is
+  numpy's ``square``, which rounds differently.  The tables take every
+  other power as ``z ** np.array([e])``;
+* ``prod`` along an axis starts from ``1+0j`` and multiplies the factors in
+  axis order, each by the scalar product ``(ar*br - ai*bi, ar*bi +
+  ai*br)``; the tables write that out on contiguous real and imaginary
+  arrays.  numpy's vectorized complex ``*`` rounds differently from that
+  scalar product, in a last bit of many products, so it is not used for
+  the products.  It is used for the real ``scales``: with a zero imaginary
+  part, every way of rounding the complex product gives the same bits.
 """
 
 import numpy as np
@@ -50,17 +54,26 @@ def active_backend():
 # ---------------------------------------------------------------------------
 
 
-# Rows are taken in chunks that bound the work arrays: the broadcast's
-# complex power array holds at most _WORK_ENTRIES entries, and each real
-# factor or product array of the tables (about seven are alive at once) at
-# most _TABLE_ENTRIES, which also keeps them in cache.  Powers and products
-# are taken per row, so chunking leaves every bit alone.
-_WORK_ENTRIES = 1 << 20
-_TABLE_ENTRIES = 1 << 15
+# Rows are taken in chunks.  The broadcast's complex power array holds at
+# most _WORK_ENTRIES entries (2 MB).  The tables take _TABLE_ROWS rows at a
+# time, enough to pay for the numpy calls per distinct exponent, and
+# multiply them out in slices of at most _PRODUCT_ENTRIES values, which
+# keep the work arrays in cache.  Powers and products are taken per row,
+# so chunking leaves every bit alone.
+_WORK_ENTRIES = 1 << 17
+_TABLE_ROWS = 4096
+_PRODUCT_ENTRIES = 1 << 15
 
 # Tables pay for their set-up (distinct exponents, gathers) from about this
-# many values n * m on, on two and three axes alike (2-5k entries n*m*k).
+# many values n * m on.  On one axis they take as many products as ``prod``
+# and save only the powers of exponents 0 and 1, so there they run only
+# where at most half the monomials take a power.
 _TABLE_MIN_VALUES = 2048
+
+# Below this many output columns, a copy or product over all columns runs
+# along the short column axis innermost, row after row; one numpy call per
+# column is faster.
+_FEW_COLUMNS = 8
 
 
 def eval_monomials(points, exponents, scales):
@@ -68,9 +81,9 @@ def eval_monomials(points, exponents, scales):
 
     Bit for bit equal to the broadcast
     ``(points[:, None, :] ** exponents[None]).prod(axis=2) * scales``,
-    whichever strategy runs (see the module docstring): power tables on
-    two or more axes and at least ``_TABLE_MIN_VALUES`` values ``n * m``,
-    the broadcast otherwise.
+    whichever strategy runs (see the module docstring): power tables from
+    ``_TABLE_MIN_VALUES`` values ``n * m`` on, the broadcast below and on
+    one axis where most monomials take a power.
     """
     points = np.ascontiguousarray(points, dtype=np.complex128)
     exponents = np.ascontiguousarray(exponents, dtype=np.int64)
@@ -81,58 +94,109 @@ def eval_monomials(points, exponents, scales):
     n, k = points.shape
     m = exponents.shape[0]
     out = np.empty((n, m), dtype=np.complex128)
-    if k >= 2 and n * m >= _TABLE_MIN_VALUES:
-        _table_products(points, exponents, out)
+    if n * m >= _TABLE_MIN_VALUES \
+            and (k > 1 or 2 * np.count_nonzero(exponents > 1) <= m):
+        _column_products(points, exponents, scales, out)
     else:
-        _broadcast_products(points, exponents, out)
-    out *= scales[None, :]
+        _broadcast_products(points, exponents, scales, out)
     return out
 
 
-def _broadcast_products(points, exponents, out):
+def _broadcast_products(points, exponents, scales, out):
     """One power per point, monomial and axis, then ``prod`` over the axes."""
     chunk = max(1, _WORK_ENTRIES // max(exponents.size, 1))
     for lo in range(0, points.shape[0], chunk):
         hi = min(lo + chunk, points.shape[0])
         vals = points[lo:hi, None, :] ** exponents[None, :, :]
         out[lo:hi] = vals.prod(axis=2)
+    out *= scales[None, :]
 
 
-def _table_products(points, exponents, out):
+def _column_products(points, exponents, scales, out):
     """One power per point, axis and distinct exponent, then the product of
-    the gathered columns, axis by axis, in the arithmetic of ``prod``.
+    each output column, axis by axis, in the arithmetic of ``prod``, and
+    its scale.
 
-    ``prod`` over an axis starts from ``1+0j`` and multiplies the factors
-    in axis order, each by the scalar product ``(ar*br - ai*bi, ar*bi +
-    ai*br)``; that is written out here on the real and imaginary parts.
+    Each output column is a contiguous row of the work arrays, gathered
+    from the table rows of its exponents; the first table already carries
+    the ``1+0j`` that ``prod`` starts from.  Each slice of rows is scaled
+    while it is in cache.
     """
     n, k = points.shape
     m = exponents.shape[0]
     # sorted distinct exponents of each axis (np.unique would load
-    # numpy.ma), and the table column of each monomial
+    # numpy.ma), and the table row of each monomial
     s = np.sort(exponents, axis=0)
     first = np.ones(s.shape, dtype=bool)
     np.not_equal(s[1:], s[:-1], out=first[1:])
     distinct = [s[first[:, a], a] for a in range(k)]
-    cols = [np.searchsorted(u, exponents[:, a])
+    rows = [np.searchsorted(u, exponents[:, a])
             for a, u in enumerate(distinct)]
     parts = out.view(np.float64).reshape(n, m, 2)
-    chunk = max(1, _TABLE_ENTRIES // m)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        # powers of each axis, real and imaginary parts interleaved
-        tables = [(points[lo:hi, a, None] ** u).view(np.float64)
+    step = max(1, _PRODUCT_ENTRIES // max(m, 1))
+    column_scales = scales.tolist()
+    for lo in range(0, n, _TABLE_ROWS):
+        hi = min(lo + _TABLE_ROWS, n)
+        tables = [_power_table(points[lo:hi, a], u, a == 0)
                   for a, u in enumerate(distinct)]
-        # 1+0j times the first factor, taken on its table
-        tr, ti = tables[0][:, 0::2], tables[0][:, 1::2]
-        pr = (tr - 0.0 * ti)[:, cols[0]]
-        pi = (ti + 0.0 * tr)[:, cols[0]]
-        for table, col in zip(tables[1:], cols[1:]):
-            tr = table[:, 0::2][:, col]
-            ti = table[:, 1::2][:, col]
-            pr, pi = pr * tr - pi * ti, pr * ti + pi * tr
-        parts[lo:hi, :, 0] = pr
-        parts[lo:hi, :, 1] = pi
+        for i in range(0, hi - lo, step):
+            sub = slice(i, i + step)
+            pr, pi = tables[0][0][rows[0], sub], tables[0][1][rows[0], sub]
+            for (tr, ti), row in zip(tables[1:], rows[1:]):
+                tr, ti = tr[row, sub], ti[row, sub]
+                pr, pi = pr * tr - pi * ti, pr * ti + pi * tr
+            dst = slice(lo + i, lo + i + pr.shape[1])
+            if m < _FEW_COLUMNS:
+                for j, scale in enumerate(column_scales):
+                    parts[dst, j, 0] = pr[j]
+                    parts[dst, j, 1] = pi[j]
+                    out[dst, j] *= scale
+            else:
+                parts[dst, :, 0] = pr.T
+                parts[dst, :, 1] = pi.T
+                out[dst] *= scales[None, :]
+
+
+def _power_table(z, exps, first):
+    """Real and imaginary parts of ``z ** e``, one contiguous row per
+    exponent ``e`` of the sorted ``exps``, with the bits of numpy's complex
+    ``**``; on the ``first`` axis, times the ``1+0j`` that ``prod`` starts
+    from.
+    """
+    re = np.empty((len(exps), len(z)))
+    im = np.empty((len(exps), len(z)))
+    # rows of exponents 0 and 1 lie between those of negative exponents
+    # and those from 2 on, which take one power each
+    lo, hi = np.searchsorted(exps, [0, 2])
+    for rows in (slice(0, lo), slice(hi, len(exps))):
+        if rows.start < rows.stop:
+            # array exponents, as the broadcast takes them
+            vals = z ** exps[rows, None]
+            _start(vals.real, vals.imag, re[rows], im[rows], first)
+    for i in range(lo, hi):
+        if exps[i] == 0:
+            # 1+0j, and so is 1+0j times 1+0j
+            re[i] = 1.0
+            im[i] = 0.0
+        else:
+            _start(z.real, z.imag, re[i], im[i], first)
+            if not z.all():
+                zero = z == 0
+                re[i, zero] = 0.0
+                im[i, zero] = 0.0
+    return re, im
+
+
+def _start(vr, vi, re, im, first):
+    """re + i im = vr + i vi, times 1+0j on the first axis."""
+    if first:
+        np.multiply(vi, 0.0, out=im)
+        np.subtract(vr, im, out=re)
+        np.multiply(vr, 0.0, out=im)
+        np.add(vi, im, out=im)
+    else:
+        re[...] = vr
+        im[...] = vi
 
 
 # ---------------------------------------------------------------------------

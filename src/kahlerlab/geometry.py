@@ -554,14 +554,12 @@ class Block:
 
     def _build(self):
         axs = self.axes
-        grids = []
-        for ax in axs:
-            grids.extend([ax.radius, ax.theta])
-        mesh = np.meshgrid(*grids, indexing="ij")
-        coords = []
-        for i in range(len(axs)):
-            coords.append(mesh[2 * i] * np.exp(1j * mesh[2 * i + 1]))
-        Z = np.stack([c.ravel() for c in coords], axis=1)
+        Z = np.empty(self.shape + (len(axs),), dtype=np.complex128)
+        for i, ax in enumerate(axs):
+            # one phase per angle; nodes keep r * exp(1j * theta) bit for bit
+            col = np.multiply.outer(ax.radius, np.exp(1j * ax.theta))
+            Z[..., i] = col.reshape(col.shape + (1, 1) * (len(axs) - 1 - i))
+        Z = Z.reshape(-1, len(axs))
 
         # Lebesgue weight (2^n dV) and unit-volume weight (omega^n)
         wleb_parts = []

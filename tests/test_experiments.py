@@ -3,7 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
-from kahlerlab import distance, experiments
+from kahlerlab import _kernels, distance, experiments
 from kahlerlab.bundles import form_values_hom
 from kahlerlab.config import parse_config
 from kahlerlab.errors import (ConfigurationError, EmptySpaceError,
@@ -199,3 +199,44 @@ def test_surface_approximation_frees_its_target_rule_before_the_cells(
     report = run_study(cfg)
     assert [r["status"] for r in report["rows"]] == ["ok"]
     assert alive == [False]
+
+
+_LOG_POLE_OFF_AXES = {
+    "kind": "log_pole", "t": 0.5,
+    "Q": {"degree": 1, "terms": [[[1, 0], 1.0, 0.0], [[0, 1], 0.6, 0.3]]},
+}
+
+
+@pytest.mark.parametrize("doc", [
+    {"study": "equidistribution", "manifold": "P1", "degree": 2,
+     "metrics": [{"h": _LOG_POLE_OFF_AXES}], "p_grid": [4, 6],
+     "samples": 3},
+    {"study": "fs-convergence", "manifold": "P2",
+     "metrics": [{"h": {"kind": "log_pole", "t": 0.5,
+                        "Q": {"coord": 0}}}],
+     "p_grid": [5, 6], "dict_count": 2},
+], ids=["P1-equidistribution", "P2-fs-convergence"])
+def test_monomial_kernel_strategy_never_reaches_a_report(doc, tmp_path,
+                                                         monkeypatch):
+    # the same study with power tables and with the broadcast alone, each
+    # on a cache of its own, writes the same bytes
+    tables = []
+    column_products = _kernels._column_products
+
+    def counted(*args):
+        tables.append(args[0].shape)
+        return column_products(*args)
+
+    monkeypatch.setattr(_kernels, "_column_products", counted)
+
+    def run(name):
+        return run_study(parse_config(
+            {**doc, "seed": [0], "cache": str(tmp_path / name)}))
+
+    with_tables = run("tables")
+    assert tables
+    monkeypatch.setattr(_kernels, "_TABLE_MIN_VALUES", 2 ** 62)
+    tables.clear()
+    broadcast_only = run("broadcast")
+    assert not tables
+    _assert_same_bytes(with_tables, broadcast_only, tmp_path)

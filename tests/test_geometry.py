@@ -328,3 +328,36 @@ def test_line_rules_are_kept_per_resolution():
     assert line.manifold.kind == "P1" and line.resolution == 16
     assert rule.line_rule(16) is line
     assert rule.line_rule(24) is not line
+
+
+def _meshgrid_points(block):
+    # the former Block._build formula: one phase per node of the mesh
+    grids = []
+    for ax in block.axes:
+        grids.extend([ax.radius, ax.theta])
+    mesh = np.meshgrid(*grids, indexing="ij")
+    return np.stack([(mesh[2 * i] * np.exp(1j * mesh[2 * i + 1])).ravel()
+                     for i in range(len(block.axes))], axis=1)
+
+
+# an off-axis point refines the angles of P1 as well as its radii; on the
+# surfaces a point center would make blocks of billions of nodes
+_REFINEMENT = {"P1": [("coord", 0), [1.0, 0.6 + 0.3j]],
+               "P2": [("coord", 0)], "P1xP1": [("coord", 0), ("coord", 1)]}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("refined", [False, True])
+def test_block_points_have_the_bits_of_the_meshgrid_formula(kind, refined):
+    m = build_manifold(kind)
+    rule = quadrature_nodes(m, 8, singular_refinement=(
+        _REFINEMENT[kind] if refined else None))
+    if refined:
+        assert rule.num_nodes > quadrature_nodes(m, 8).num_nodes
+    for b in rule.blocks:
+        for block in [b, *b.split(max(1, b.num_nodes // 3))]:
+            got = block.points.view(np.float64)
+            want = _meshgrid_points(block).view(np.float64)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -1,10 +1,10 @@
 """``eval_monomials`` against the broadcast formula, bit for bit.
 
-The kernel takes per-axis power tables on inputs of two or more axes above
-a size cut-over and the broadcast below it.  Either way every value must
-carry the bits of the broadcast formula (``_broadcast`` below, the kernel's
-former body): signs of zero included, since callers take logarithms and
-arguments of these values.
+The kernel takes per-axis power tables above a size cut-over, on one axis
+and on several alike, and the broadcast below it.  Either way every value
+must carry the bits of the broadcast formula (``_broadcast`` below, the
+kernel's former body): signs of zero included, since callers take
+logarithms and arguments of these values.
 """
 
 import tracemalloc
@@ -45,6 +45,13 @@ def _points(rng, n, k, special=0.3):
     return parts.view(np.complex128)[..., 0]
 
 
+def _with_zero_bases(points):
+    # exact zero bases with all four signs of their parts in front
+    zeros = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]])
+    zeros = np.repeat(zeros[:, None, :], points.shape[1], axis=1)
+    return np.concatenate([zeros.view(np.complex128)[..., 0], points])
+
+
 def _p2_chart_exponents(degree):
     return np.array([(i, j) for i in range(degree + 1)
                      for j in range(degree + 1 - i)], dtype=np.int64)
@@ -81,42 +88,75 @@ _RNG = np.random.default_rng(20)
           np.ones(3)))
 @example((_points(_RNG, 700, 4), _RNG.integers(0, 100, size=(9, 4)),
           np.ones(9)))
+# one axis above the cut-over: exponents 0 and 1 take no power, and a zero
+# base to the exponent 1 is +0+0j whatever its signs
+@example((_with_zero_bases(_points(_RNG, 1100, 1)), np.array([[0], [1]]),
+          np.ones(2)))
+@example((_with_zero_bases(_points(_RNG, 700, 1)), np.array([[0], [1], [2]]),
+          np.ones(3)))
+# a scalar exponent 2 would take numpy's square path, which rounds
+# differently from the broadcast's array power
+@example((_points(_RNG, 1100, 2, special=0), np.array([[2, 0], [0, 2]]),
+          np.ones(2)))
 def test_eval_monomials_has_the_bits_of_the_broadcast(inputs):
     points, exponents, scales = inputs
     _assert_same_bits(eval_monomials(points, exponents, scales),
                       _broadcast(points, exponents, scales))
 
 
-@pytest.mark.parametrize("n, m, k, tables", [
-    (1, 66, 2, False),
-    (31, 66, 2, False),
-    (32, 66, 2, True),
-    (2047, 1, 2, False),
-    (2048, 1, 2, True),
-    (700, 3, 3, True),
-    (100_000, 3, 1, False),
+def _cut(n, column, k, tables, id=None):
+    # id: n-m-k-tables (and the exponents, where two rows share that)
+    return pytest.param(n, column, k, tables,
+                        id=id or f"{n}-{len(column)}-{k}-{tables}")
+
+
+@pytest.mark.parametrize("n, column, k, tables", [
+    _cut(1, [1] * 66, 2, False),
+    _cut(31, [1] * 66, 2, False),
+    _cut(32, [1] * 66, 2, True),
+    _cut(2047, [1], 2, False),
+    _cut(2048, [1], 2, True),
+    _cut(700, [1, 1, 1], 3, True),
+    _cut(100_000, [2, 2, 2], 2, True),
+    # one axis: the tables run where at most half the monomials take a power
+    _cut(682, [1, 1, 1], 1, False),
+    _cut(683, [1, 1, 1], 1, True),
+    _cut(2047, [0], 1, False),
+    _cut(100_000, [2, 2, 2], 1, False),
+    _cut(100_000, [0, 1, 2], 1, True),
+    _cut(100_000, [0, 2, 3], 1, False, "100000-3-1-False-e023"),
 ])
-def test_cut_over_depends_on_the_input_shape(n, m, k, tables, monkeypatch):
+def test_cut_over_depends_on_the_input_shape(n, column, k, tables,
+                                             monkeypatch):
     ran = []
-    for name in ("_table_products", "_broadcast_products"):
+    for name in ("_column_products", "_broadcast_products"):
         real = getattr(_kernels, name)
         monkeypatch.setattr(
             _kernels, name,
             lambda *a, name=name, real=real: (ran.append(name), real(*a)))
-    eval_monomials(np.ones((n, k)), np.ones((m, k), np.int64), np.ones(m))
-    assert ran == ["_table_products" if tables else "_broadcast_products"]
+    exponents = np.repeat(np.array(column)[:, None], k, axis=1)
+    eval_monomials(np.ones((n, k)), exponents, np.ones(len(column)))
+    assert ran == ["_column_products" if tables else "_broadcast_products"]
 
 
-@pytest.mark.parametrize("k, m", [(1, 66), (2, 66), (3, 10)])
-def test_chunk_boundaries_leave_the_bits_alone(k, m):
-    # two full chunks of rows and one more, at the kernel's own budgets
-    if k == 1:
+@pytest.mark.parametrize("k, m, top", [
+    pytest.param(1, 66, 2, id="1-66"),
+    pytest.param(2, 66, 10, id="2-66"),
+    pytest.param(3, 10, 10, id="3-10"),
+    pytest.param(1, 66, 10, id="1-66-broadcast"),
+])
+def test_chunk_boundaries_leave_the_bits_alone(k, m, top):
+    # two full chunks of rows and one more, at the kernel's own budgets:
+    # rows of the tables, where the last slice of products in a chunk ends
+    # short as well, and on one axis with most exponents above 1, entries
+    # of the broadcast
+    if k == 1 and top > 2:
         chunk = _kernels._WORK_ENTRIES // m
     else:
-        chunk = _kernels._TABLE_ENTRIES // m
+        chunk = _kernels._TABLE_ROWS
     rng = np.random.default_rng(k)
     points = _points(rng, 2 * chunk + 1, k)
-    exponents = rng.integers(0, 11, size=(m, k))
+    exponents = rng.integers(0, top + 1, size=(m, k))
     scales = rng.uniform(-2, 2, size=m)
     _assert_same_bits(eval_monomials(points, exponents, scales),
                       _broadcast(points, exponents, scales))
@@ -134,5 +174,26 @@ def test_large_block_peaks_no_higher_than_the_broadcast():
     finally:
         tracemalloc.stop()
     # the broadcast peaked 32 MB above its 252 MB output (a 16 MB power
-    # array, its product and the copy into the output); tables take ~2 MB
+    # array, its product and the copy into the output); tables take ~4 MB
+    assert peak - out.nbytes < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("exponents", [
+    np.arange(15)[:, None],      # the P1 degree-14 chart basis
+    np.array([[0], [1]]),        # a 2-term pole polynomial Q
+], ids=["basis", "Q"])
+def test_large_one_axis_block_peaks_no_higher_than_the_broadcast(exponents):
+    # the one-axis twin of the test above, on 250,000 rows
+    rng = np.random.default_rng(1)
+    points = _points(rng, 250_000, 1, special=0)
+    tracemalloc.start()
+    try:
+        out = eval_monomials(points, exponents, np.ones(len(exponents)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the broadcast in chunks of 2^20 entries peaked 16 MB (Q) and 32 MB
+    # (basis) above its output; Q now takes the tables (~0.5 MB) and the
+    # basis, where most monomials take a power, the broadcast in chunks of
+    # 2^17 entries (~4 MB)
     assert peak - out.nbytes < 8 * 2 ** 20
