@@ -54,25 +54,31 @@ def active_backend():
 # ---------------------------------------------------------------------------
 
 
-# Rows are taken in chunks.  The broadcast's complex power array holds at
-# most _WORK_ENTRIES entries (2 MB).  The tables take _TABLE_ROWS rows at a
-# time, enough to pay for the numpy calls per distinct exponent, and
-# multiply them out in slices of at most _PRODUCT_ENTRIES values, which
-# keep the work arrays in cache.  Powers and products are taken per row,
-# so chunking leaves every bit alone.
+# Rows are taken in chunks that bound the work arrays: the broadcast's
+# complex power array holds at most _WORK_ENTRIES entries (2 MB), and each
+# real work array of the tables at most _TABLE_ENTRIES, which also keeps
+# them in cache.  Powers and products are taken per row, so chunking leaves
+# every bit alone.
 _WORK_ENTRIES = 1 << 17
-_TABLE_ROWS = 4096
-_PRODUCT_ENTRIES = 1 << 15
+_TABLE_ENTRIES = 1 << 15
 
 # Tables pay for their set-up (distinct exponents, gathers) from about this
 # many values n * m on.  On one axis they take as many products as ``prod``
 # and save only the powers of exponents 0 and 1, so there they run only
-# where at most half the monomials take a power.
+# where at most half the monomials take a power (an exponent below 0 or
+# above 1).  That boundary is tuned only roughly: on 60,000 points the
+# tables take 0.56x the broadcast's time on a P1 basis of degree 2, 0.90x
+# on degree 3 and 0.99x on degree 4, but on 5,000 points 1.3x on degree 3.
+# The benchmark's one-axis inputs mostly lie far from it, taking no power
+# (the pole polynomials of P1) or nearly all (the P1 bases); the nearest,
+# exponents {0, 1, 2} on 4,608 points in a P2 study, take 1.07x on the
+# tables (0.35 ms against 0.32 ms).
 _TABLE_MIN_VALUES = 2048
 
 # Below this many output columns, a copy or product over all columns runs
 # along the short column axis innermost, row after row; one numpy call per
-# column is faster.
+# column is faster (the 2-term pole polynomials of P1 take about half the
+# time, and a cold p1-zeros run 0.90x).
 _FEW_COLUMNS = 8
 
 
@@ -95,7 +101,8 @@ def eval_monomials(points, exponents, scales):
     m = exponents.shape[0]
     out = np.empty((n, m), dtype=np.complex128)
     if n * m >= _TABLE_MIN_VALUES \
-            and (k > 1 or 2 * np.count_nonzero(exponents > 1) <= m):
+            and (k > 1 or 2 * np.count_nonzero((exponents < 0)
+                                               | (exponents > 1)) <= m):
         _column_products(points, exponents, scales, out)
     else:
         _broadcast_products(points, exponents, scales, out)
@@ -119,7 +126,7 @@ def _column_products(points, exponents, scales, out):
 
     Each output column is a contiguous row of the work arrays, gathered
     from the table rows of its exponents; the first table already carries
-    the ``1+0j`` that ``prod`` starts from.  Each slice of rows is scaled
+    the ``1+0j`` that ``prod`` starts from.  Each chunk of rows is scaled
     while it is in cache.
     """
     n, k = points.shape
@@ -133,28 +140,25 @@ def _column_products(points, exponents, scales, out):
     rows = [np.searchsorted(u, exponents[:, a])
             for a, u in enumerate(distinct)]
     parts = out.view(np.float64).reshape(n, m, 2)
-    step = max(1, _PRODUCT_ENTRIES // max(m, 1))
     column_scales = scales.tolist()
-    for lo in range(0, n, _TABLE_ROWS):
-        hi = min(lo + _TABLE_ROWS, n)
+    chunk = max(1, _TABLE_ENTRIES // m)
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
         tables = [_power_table(points[lo:hi, a], u, a == 0)
                   for a, u in enumerate(distinct)]
-        for i in range(0, hi - lo, step):
-            sub = slice(i, i + step)
-            pr, pi = tables[0][0][rows[0], sub], tables[0][1][rows[0], sub]
-            for (tr, ti), row in zip(tables[1:], rows[1:]):
-                tr, ti = tr[row, sub], ti[row, sub]
-                pr, pi = pr * tr - pi * ti, pr * ti + pi * tr
-            dst = slice(lo + i, lo + i + pr.shape[1])
-            if m < _FEW_COLUMNS:
-                for j, scale in enumerate(column_scales):
-                    parts[dst, j, 0] = pr[j]
-                    parts[dst, j, 1] = pi[j]
-                    out[dst, j] *= scale
-            else:
-                parts[dst, :, 0] = pr.T
-                parts[dst, :, 1] = pi.T
-                out[dst] *= scales[None, :]
+        pr, pi = tables[0][0][rows[0]], tables[0][1][rows[0]]
+        for (tr, ti), row in zip(tables[1:], rows[1:]):
+            tr, ti = tr[row], ti[row]
+            pr, pi = pr * tr - pi * ti, pr * ti + pi * tr
+        if m < _FEW_COLUMNS:
+            for j, scale in enumerate(column_scales):
+                parts[lo:hi, j, 0] = pr[j]
+                parts[lo:hi, j, 1] = pi[j]
+                out[lo:hi, j] *= scale
+        else:
+            parts[lo:hi, :, 0] = pr.T
+            parts[lo:hi, :, 1] = pi.T
+            out[lo:hi] *= scales[None, :]
 
 
 def _power_table(z, exps, first):

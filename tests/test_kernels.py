@@ -128,38 +128,48 @@ def _cut(n, column, k, tables, id=None):
 ])
 def test_cut_over_depends_on_the_input_shape(n, column, k, tables,
                                              monkeypatch):
+    ran = _spy_on_strategies(monkeypatch)
+    exponents = np.repeat(np.array(column)[:, None], k, axis=1)
+    eval_monomials(np.ones((n, k)), exponents, np.ones(len(column)))
+    assert ran == ["_column_products" if tables else "_broadcast_products"]
+
+
+def _spy_on_strategies(monkeypatch):
+    """Record the name of each strategy of ``eval_monomials`` that runs."""
     ran = []
     for name in ("_column_products", "_broadcast_products"):
         real = getattr(_kernels, name)
         monkeypatch.setattr(
             _kernels, name,
             lambda *a, name=name, real=real: (ran.append(name), real(*a)))
-    exponents = np.repeat(np.array(column)[:, None], k, axis=1)
-    eval_monomials(np.ones((n, k)), exponents, np.ones(len(column)))
-    assert ran == ["_column_products" if tables else "_broadcast_products"]
+    return ran
 
 
-@pytest.mark.parametrize("k, m, top", [
-    pytest.param(1, 66, 2, id="1-66"),
-    pytest.param(2, 66, 10, id="2-66"),
-    pytest.param(3, 10, 10, id="3-10"),
-    pytest.param(1, 66, 10, id="1-66-broadcast"),
+@pytest.mark.parametrize("k, m, top, tables", [
+    pytest.param(1, 66, 2, True, id="1-66"),
+    pytest.param(2, 66, 10, True, id="2-66"),
+    pytest.param(3, 10, 10, True, id="3-10"),
+    pytest.param(1, 66, 10, False, id="1-66-broadcast"),
 ])
-def test_chunk_boundaries_leave_the_bits_alone(k, m, top):
-    # two full chunks of rows and one more, at the kernel's own budgets:
-    # rows of the tables, where the last slice of products in a chunk ends
-    # short as well, and on one axis with most exponents above 1, entries
-    # of the broadcast
-    if k == 1 and top > 2:
-        chunk = _kernels._WORK_ENTRIES // m
+def test_chunk_boundaries_leave_the_bits_alone(k, m, top, tables,
+                                              monkeypatch):
+    # two full chunks of rows and one more, at the budget of the strategy
+    # that runs: the tables, and on one axis with most exponents above 1,
+    # the broadcast.  Exponents cycle through 0..top on the first axis, so
+    # that each row takes the strategy it names.
+    if tables:
+        chunk = _kernels._TABLE_ENTRIES // m
     else:
-        chunk = _kernels._TABLE_ROWS
+        chunk = _kernels._WORK_ENTRIES // m
     rng = np.random.default_rng(k)
     points = _points(rng, 2 * chunk + 1, k)
     exponents = rng.integers(0, top + 1, size=(m, k))
+    exponents[:, 0] = np.arange(m) % (top + 1)
     scales = rng.uniform(-2, 2, size=m)
-    _assert_same_bits(eval_monomials(points, exponents, scales),
-                      _broadcast(points, exponents, scales))
+    ran = _spy_on_strategies(monkeypatch)
+    values = eval_monomials(points, exponents, scales)
+    assert ran == ["_column_products" if tables else "_broadcast_products"]
+    _assert_same_bits(values, _broadcast(points, exponents, scales))
 
 
 def test_large_block_peaks_no_higher_than_the_broadcast():
@@ -174,7 +184,7 @@ def test_large_block_peaks_no_higher_than_the_broadcast():
     finally:
         tracemalloc.stop()
     # the broadcast peaked 32 MB above its 252 MB output (a 16 MB power
-    # array, its product and the copy into the output); tables take ~4 MB
+    # array, its product and the copy into the output); tables take ~2 MB
     assert peak - out.nbytes < 8 * 2 ** 20
 
 
@@ -193,7 +203,7 @@ def test_large_one_axis_block_peaks_no_higher_than_the_broadcast(exponents):
     finally:
         tracemalloc.stop()
     # the broadcast in chunks of 2^20 entries peaked 16 MB (Q) and 32 MB
-    # (basis) above its output; Q now takes the tables (~0.5 MB) and the
+    # (basis) above its output; Q now takes the tables (~1.5 MB) and the
     # basis, where most monomials take a power, the broadcast in chunks of
     # 2^17 entries (~4 MB)
     assert peak - out.nbytes < 8 * 2 ** 20
