@@ -43,7 +43,6 @@ from .fscurrents import (  # noqa: F401
     descriptor_form_pairings,
     descriptor_wedge_pairing,
     descriptor_wedge_pairings,
-    divisor_pairing,
     fs_pairing,
     fs_pairings,
     fs_wedge_pairing,
@@ -56,7 +55,6 @@ from .zeros import (  # noqa: F401
     common_zeros,
     divisor_zero_set,
     empirical_general_position,
-    expected_zero_residual,
     expected_zero_residuals,
     point_pairings,
     sample_section,

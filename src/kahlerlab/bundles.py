@@ -21,10 +21,10 @@ Every current here is a global potential plus a closed class, so one
 routine, :func:`form_pairings`, walks a rule's blocks for both kinds of
 term: the forms against the reference basis and against ``dd^c`` of given
 potentials, all forms and potentials in one pass.  ``pair_omega_basis``,
-``ddc_pairing`` and ``curvature_pairing`` are one-form calls of it; the
-potential route of :mod:`kahlerlab.fscurrents` (metric, Bergman function,
-canonical class) and the closed part of the divisor pairings of
-:mod:`kahlerlab.zeros` each take one call for all their forms.
+``ddc_pairing`` and ``curvature_pairing`` are one-form calls of it.  Its
+per-block pieces, :func:`omega_terms` and :func:`ddc_weights`, also serve
+:func:`kahlerlab.fscurrents.log_norm_pairings`, which pairs family currents
+and zero divisors in its own walk over the blocks.
 """
 
 import math
@@ -585,19 +585,25 @@ def _block_pairings(forms, block, fields):
     om = np.zeros((m.factors, len(forms)))
     ddc = np.zeros((len(us), len(forms)))
     for j, f in enumerate(forms):
-        chi = np.asarray(f.chi(block.chart, block.points), dtype=float)
-        if m.dim == 1:
-            om[0, j] = float(np.dot(chi * np.real(mats[0]),
-                                    block.weights_lebesgue)) / math.pi
-        else:
-            Bm = _form_omega_matrix(f, mats)
-            wq = block.weights_lebesgue / 4.0
-            om[:, j] = [float(np.dot(chi * wedge_density_11(A, Bm), wq))
-                        for A in mats]
+        om[:, j] = omega_terms(f, block, mats)
         if us:
             W = ddc_weights(f, block, mats)
             ddc[:, j] = [float(np.dot(u, W)) for u in us]
     return om, ddc
+
+
+def omega_terms(form, block, mats):
+    """One block's shares of ``<omega_i ^ (form), 1>``, one per factor.
+
+    ``mats`` holds the block's reference basis matrices, one per factor.
+    """
+    chi = np.asarray(form.chi(block.chart, block.points), dtype=float)
+    if block.manifold.dim == 1:
+        return [float(np.dot(chi * np.real(mats[0]),
+                             block.weights_lebesgue)) / math.pi]
+    Bm = _form_omega_matrix(form, mats)
+    wq = block.weights_lebesgue / 4.0
+    return [float(np.dot(chi * wedge_density_11(A, Bm), wq)) for A in mats]
 
 
 def ddc_pairing(scalar_field, form, rule, integrable=False):
@@ -660,32 +666,22 @@ def pair_omega_basis(index, form, rule):
     return float(form_pairings([form], rule)[0][index, 0])
 
 
-def curvature_pairings(metric, forms, rule, fields=()):
-    """``<c1(L, h), f>`` for each form, by moving dd^c onto the forms.
+def curvature_pairing(metric, form, rule):
+    """``<c1(L, h), form>``, by moving dd^c onto the form.
 
     Exact for the smooth reference part; the potential term integrates the
     bounded-above perturbation against dd^c(form), so no derivative of the
-    (possibly singular) weight is ever taken.  ``fields`` ride along in the
-    same :func:`form_pairings` pass.  Returns ``(totals, om, ddc)``: the
-    pairings and that pass's ``om`` and ``ddc`` of ``fields``.
+    (possibly singular) weight is ever taken.
     """
-    fields = list(fields)
-    extra = len(fields)
-    if metric.atoms:
-        fields.append((metric.psi, not metric.smooth))
-    om, ddc = form_pairings(forms, rule, fields)
-    totals = np.zeros(len(forms))
+    fields = [(metric.psi, not metric.smooth)] if metric.atoms else []
+    om, ddc = form_pairings([form], rule, fields)
+    total = 0.0
     for i, d in enumerate(metric.bundle.degree):
         if d != 0:
-            totals += d * om[i]
+            total += d * om[i, 0]
     if metric.atoms:
-        totals += ddc[extra]
-    return totals, om, ddc[:extra]
-
-
-def curvature_pairing(metric, form, rule):
-    """:func:`curvature_pairings` of one form."""
-    return float(curvature_pairings(metric, [form], rule)[0][0])
+        total += ddc[0, 0]
+    return float(total)
 
 
 def form_values_hom(manifold, form, points):

@@ -13,18 +13,18 @@ import os
 import numpy as np
 
 from . import __version__
-from .bundles import CurrentDescriptor, wedge_descriptors
+from .bundles import wedge_descriptors
 from .cache import cached_space
 from .config import config_fragment, config_hash
 from .distance import ApproximationSchedule, approximation_run
 from .errors import ConfigurationError
-from .fscurrents import (descriptor_form_pairing, descriptor_form_pairings,
-                         descriptor_wedge_pairings, fs_pairings,
-                         fs_wedge_pairings)
+from .fscurrents import (_family_class, descriptor_form_pairing,
+                         descriptor_form_pairings, descriptor_wedge_pairings,
+                         fs_pairings, fs_wedge_pairings)
 from .geometry import quadrature_nodes
 from .reports import (REPORT_SCHEMA, fit_loglog, linregress, svg_chart,
                       write_csv, write_json, write_log)
-from .sections import _coord_factor, log_bergman_sup, space_dimension
+from .sections import log_bergman_sup, space_dimension
 from .testforms import test_form_dictionary
 from .zeros import expected_zero_residuals, potential_rule, zero_pairings
 
@@ -211,28 +211,6 @@ def _run_equidistribution(cfg, report):
     report["axes"] = ["p", "mean pairing error"]
     if lead["slope"] is not None:
         report["annotation"] = f"slope {lead['slope']:.2f}"
-
-
-def _family_class(space):
-    """The class of the family current with its forced divisors kept.
-
-    ``(q - sum_D k_D deg D) / p`` over the reference forms plus ``(k_D / p)
-    [D]``: cohomologous to ``q / p``, but a wedge of two such classes drops
-    the self-intersection of a shared divisor, as the wedge of the family
-    currents does.
-    """
-    m = space.manifold
-    omega = np.asarray(space.q, dtype=float)
-    divisors = []
-    for comp, k in space.base_divisors:
-        if comp[0] == "coord":
-            degree = np.zeros(m.factors)
-            degree[_coord_factor(m, comp[1])] = 1.0
-        else:
-            degree = np.asarray(comp[2].degree, dtype=float)
-        omega = omega - k * degree
-        divisors.append((comp, k / space.p))
-    return CurrentDescriptor(m, omega / space.p, divisors, 0.0)
 
 
 def _run_fs_convergence(cfg, report):

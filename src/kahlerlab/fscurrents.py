@@ -5,8 +5,8 @@ current is ``(1/2p) dd^c log F``.  Two independent evaluation routes are
 provided and kept deliberately separate:
 
 * ``"potential"`` moves dd^c onto the test form, so only the globally
-  defined potential pieces (Bergman function, metric weight, reference
-  volume factor) are ever sampled.  It tolerates any admissible metric.
+  defined log-norm potential of the family is ever sampled.  It tolerates
+  any admissible metric.
 
 * ``"derivative"`` differentiates the reduced family pointwise and adds the
   forced divisor parts explicitly; the pointwise Hessian never sees the
@@ -17,18 +17,24 @@ Agreement of the two routes is a strong end-to-end check and is exercised
 by the test suite.  Wedge pairings (surfaces, bidegree (2,2)) decompose the
 square of the current into the smooth part, divisor restrictions of the
 reduced family, and transverse intersection points; a divisor paired with
-itself contributes nothing, matching the closed-form wedge convention in
-:mod:`kahlerlab.bundles`.
+itself contributes nothing, by the rule of
+:func:`kahlerlab.bundles.wedge_descriptors` applied to the families'
+classes (:func:`_family_class`).
+
+One routine, :func:`log_norm_pairings`, pairs both a family current and
+the zero divisors of single sections (``E[Z_s] = p gamma_p``): each is
+``dd^c`` of a log-norm potential plus the closed class ``p c1(L) (+
+c1(K_X))`` of the reference metric.  The potential is taken in the
+reference frame, so the metric perturbation cancels between its two parts
+and is never evaluated.
 
 Block-outer rule: every pairing takes a list of forms and loops over the
 quadrature blocks outside and the forms inside.  What does not depend on
-the form (log Bergman values, reduced Hessians, omega basis matrices,
+the form (log-norm potentials, reduced Hessians, omega basis matrices,
 quadrature weights, embedded line points, transverse intersection points)
-is computed once per block; per form only ``chi`` and its ``dd^c`` weights
-are.  The potential route takes all its terms (reference forms, metric
-perturbation, log Bergman function) from one
-:func:`bundles.form_pairings` pass.  Each form's total accumulates in the
-same order as it would alone, so the one-form functions (``fs_pairing``,
+is computed once per block; per form only ``chi``, its omega terms and its
+``dd^c`` weights are.  Each form's total accumulates in the same order as
+it would alone, so the one-form functions (``fs_pairing``,
 ``fs_wedge_pairing``, ``descriptor_form_pairing``,
 ``descriptor_wedge_pairing``) are one-entry calls of the batched ones and
 return the same bits.
@@ -48,21 +54,27 @@ import math
 import numpy as np
 
 from ._kernels import eval_monomials
-from .bundles import (_coord_intersection, _p1_roots, _form_omega_matrix,
-                      curvature_pairings, form_pairings, form_values_hom)
-# benchmarks/tracer.py patches curvature_pairing here; tests/test_distance.py
-# imports pair_omega_basis from here
-from .bundles import curvature_pairing, pair_omega_basis  # noqa: F401
+from .bundles import (CurrentDescriptor, _form_omega_matrix, _p1_roots,
+                      ddc_weights, finite_potential, form_pairings,
+                      form_values_hom, omega_terms, wedge_descriptors)
+# benchmarks/tracer.py patches curvature_pairing here
+from .bundles import curvature_pairing  # noqa: F401
 from .errors import (ConfigurationError, GeneralPositionError, NumericalError)
 from .geometry import (build_manifold, quadrature_nodes, too_many_dropped,
                        wedge_density_11)
+from .sections import _coord_factor
 
 __all__ = [
     "fs_pairing", "fs_pairings", "fs_wedge_pairing", "fs_wedge_pairings",
-    "form_values_hom", "divisor_pairing", "descriptor_form_pairing",
+    "form_values_hom", "log_norm_pairings", "descriptor_form_pairing",
     "descriptor_form_pairings", "descriptor_wedge_pairing",
     "descriptor_wedge_pairings", "ReducedHessianField",
 ]
+
+# Log-norm values (nodes x columns) evaluated per chunk by
+# ``log_norm_pairings``, about 1.5 MB of temporaries; the products are
+# memory bound, so larger chunks gain no speed and only raise peak memory.
+_LOG_NORM_CHUNK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +160,10 @@ def fs_pairing(space, form, rule, route="potential"):
 def fs_pairings(space, forms, rule, route="potential"):
     """:func:`fs_pairing` of one space against each form, as an array."""
     forms = list(forms)
-    if space.manifold.dim == 2 and any(f.omega_part is None for f in forms):
-        raise ConfigurationError(
-            "(1,1)-current pairings on surfaces need omega-carrying forms")
+    _require_omega_parts(space.manifold, forms)
     if route == "potential":
-        return _potential_pairings(space, forms, rule)
+        return log_norm_pairings(space, space.coeff_matrix(), forms, rule,
+                                 family=True)[0] / space.p
     if route != "derivative":
         raise ConfigurationError(f"unknown pairing route {route!r}")
     totals = _pointwise_pairings(space, forms, rule)
@@ -162,15 +173,97 @@ def fs_pairings(space, forms, rule, route="potential"):
     return totals
 
 
-def _potential_pairings(space, forms, rule):
-    """``<c1(L, h), f> (+ <c1(K_X), f> / p) + int log B_p dd^c f / 2p``,
-    every term from one pass over the rule."""
-    totals, om, (ddc,) = curvature_pairings(
-        space.metric, forms, rule, [(space.log_bergman, True)])
+def _require_omega_parts(manifold, forms):
+    if manifold.dim == 2 and any(f.omega_part is None for f in forms):
+        raise ConfigurationError(
+            "(1,1)-current pairings on surfaces need omega-carrying forms")
+
+
+def log_norm_pairings(space, C, forms, rule, family=False):
+    """``int u dd^c f + p <c1(L), f> (+ <c1(K_X), f>)`` for the log-norm
+    potentials u of the sections with coefficient columns ``C``.
+
+    Column j's potential is its reference-frame log-norm ``log|M c_j| +
+    base``: ``M`` holds the scaled monomials and ``base`` (see
+    :func:`_log_norm_base`) the rest, so the metric perturbation, which
+    would enter both terms, cancels and ``c1(L)`` is the reference class.
+    Row j of the (columns, forms) result is ``<[s_j = 0], f>``.  With
+    ``family`` the columns are one family with potential ``1/2 log sum_j
+    |M c_j|^2 + base``, and the one row is p times its current pairing.
+
+    Per block the basis matrices, each form's omega terms and ``dd^c``
+    weights and ``M`` are computed once.  Single sections go in column
+    chunks of at most ``_LOG_NORM_CHUNK`` (nodes, columns) entries; a
+    family, no larger than ``M``, goes in one product.  A potential
+    non-finite at too many nodes of a block raises as in
+    ``bundles.finite_potential``.
+    """
+    forms = list(forms)
+    m = space.manifold
+    if rule is None:
+        raise ConfigurationError("log-norm pairings need a quadrature rule")
+    _require_omega_parts(m, forms)
+    out = np.zeros((1 if family else C.shape[1], len(forms)))
+    om = np.zeros((m.factors, len(forms)))
+    for b in rule.capped_blocks():
+        mats = [m.omega_basis_matrix(i, b.chart, b.points)
+                for i in range(m.factors)]
+        for j, f in enumerate(forms):
+            om[:, j] += omega_terms(f, b, mats)
+        ws = [ddc_weights(f, b, mats) for f in forms]
+        del mats  # free before the section product, the block's peak
+        M = space.monomial_values(b.chart, b.points)
+        base = _log_norm_base(space, b.chart, b.points)
+        if family:
+            A = np.abs(M @ C)
+            u = 0.5 * _log_modulus(np.einsum("nj,nj->n", A, A)) + base
+            u = finite_potential(u, integrable=True)
+            # one contiguous dot per form, as form_pairings sums a field
+            out[0] += [float(np.dot(u, w)) for w in ws]
+            continue
+        W = np.stack(ws, axis=1)
+        if len(forms) == 1:
+            # BLAS sums a one-column product (gemv) in another order than
+            # a wider one (gemm); a repeated column keeps a form's pairings
+            # the same bits whatever forms it is batched with
+            W = np.repeat(W, 2, axis=1)
+        step = max(1, _LOG_NORM_CHUNK // M.shape[0])
+        for lo in range(0, C.shape[1], step):
+            U = _log_modulus(M @ C[:, lo:lo + step]) + base[:, None]
+            P = finite_potential(U, integrable=True).T @ W
+            out[lo:lo + step] += P[:, :len(forms)]
+    closed = np.zeros(len(forms))
+    for i, d in enumerate(space.metric.bundle.degree):
+        if d != 0:
+            closed += d * om[i]
+    const = space.p * closed
     if space.adjoint:
-        for j, cdeg in enumerate(space.manifold.canonical_degree):
-            totals += (cdeg / space.p) * om[j]
-    return totals + ddc / (2.0 * space.p)
+        for i, cdeg in enumerate(m.canonical_degree):
+            const += cdeg * om[i]
+    return out + const
+
+
+def _log_modulus(values):
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(values))
+
+
+def _log_norm_base(space, chart, Z):
+    """The part of a log-norm potential shared by every section of the
+    space, in the reference frame.
+
+    ``-p phi_ref`` (+ ``1/2 log`` of the canonical factor for adjoint
+    spaces) plus the forced factors ``sum_j k_j log|Q_j|``, taken as
+    logarithms so that nodes near an off-axis pole keep finite values:
+    adding ``log`` of the monomial part of a section gives its log-norm
+    for the reference metric.
+    """
+    u = -space.p * space.metric.bundle.reference_weight(chart, Z)
+    if space.adjoint:
+        u += 0.5 * np.log(space.manifold.canonical_factor(chart, Z))
+    for Q, k in space.sigma_polys:
+        u += k * _log_modulus(Q.chart_poly(chart).eval(Z))
+    return u
 
 
 def _pointwise_pairings(space, forms, rule):
@@ -199,18 +292,14 @@ def _pointwise_pairings(space, forms, rule):
 # ---------------------------------------------------------------------------
 
 
-def divisor_pairing(manifold, comp, form):
-    """``<[D], form>`` for one singular component.
+def _divisor_pairings(manifold, comp, forms, surface=None):
+    """``<[D], f>`` of one singular component for each form.
 
     On curves divisors are point masses and the form is a test function.
     On surfaces the form must carry an ``omega_part`` and the pairing is
     the restriction integral over a coordinate divisor; polynomial
     components of surfaces have no closed-form parametrization here.
     """
-    return float(_divisor_pairings(manifold, comp, [form])[0])
-
-
-def _divisor_pairings(manifold, comp, forms, surface=None):
     if manifold.dim == 1:
         if comp[0] == "coord":
             pt = np.zeros((1, 2), dtype=complex)
@@ -315,9 +404,7 @@ def descriptor_form_pairings(descriptor, forms, rule):
     """
     forms = list(forms)
     m = descriptor.manifold
-    if m.dim == 2 and any(f.omega_part is None for f in forms):
-        raise ConfigurationError(
-            "(1,1)-current pairings on surfaces need omega-carrying forms")
+    _require_omega_parts(m, forms)
     totals = np.zeros(len(forms))
     if np.any(descriptor.omega != 0.0):
         om = form_pairings(forms, rule)[0]
@@ -415,9 +502,11 @@ def fs_wedge_pairing(space_a, space_b, form, rule):
 
     The product expands into the pointwise wedge of the two reduced
     families, each family restricted to the other's forced divisors, and
-    the transverse intersections between the two divisor collections.  A
-    component shared by both collections carries no intersection mass:
-    both local potentials depend on the same coordinate there.
+    the transverse intersections between the two divisor collections,
+    taken from :func:`bundles.wedge_descriptors` of the two families'
+    classes.  A component shared by both collections carries no
+    intersection mass: both local potentials depend on the same coordinate
+    there.
     """
     return float(fs_wedge_pairings(space_a, space_b, [form], rule)[0])
 
@@ -456,31 +545,33 @@ def fs_wedge_pairings(space_a, space_b, forms, rule):
         totals += (k / space_a.p) * r
     for (_, k), r in zip(space_b.base_divisors, on_b):
         totals += (k / space_b.p) * r
-    for w, pt in _transverse_points(space_a, space_b):
+    wedge = wedge_descriptors(_family_class(space_a), _family_class(space_b))
+    for pt, mass in wedge["points"]:
         for i, f in enumerate(forms):
-            totals[i] += w * float(form_values_hom(m, f, pt[None, :])[0])
+            totals[i] += mass * float(form_values_hom(m, f, pt[None, :])[0])
     return totals
 
 
-def _transverse_points(space_a, space_b):
-    """``(weight, point)`` of each transverse intersection between the
-    forced divisors of the two spaces."""
-    out = []
-    for comp_a, ka in space_a.base_divisors:
-        for comp_b, kb in space_b.base_divisors:
-            if comp_a[0] != "coord" or comp_b[0] != "coord":
-                raise GeneralPositionError(
-                    "transverse divisor terms are available for coordinate "
-                    "divisors only")
-            if comp_a[1] == comp_b[1]:
-                continue
-            pts = _coord_intersection(space_a.manifold, comp_a[1], comp_b[1])
-            if pts is None:
-                raise GeneralPositionError(
-                    f"divisors {comp_a} and {comp_b} are not in general "
-                    "position")
-            out += [(ka * kb / (space_a.p * space_b.p), pt) for pt in pts]
-    return out
+def _family_class(space):
+    """The class of the family current with its forced divisors kept.
+
+    ``(q - sum_D k_D deg D) / p`` over the reference forms plus ``(k_D / p)
+    [D]``: cohomologous to ``q / p``, but a wedge of two such classes drops
+    the self-intersection of a shared divisor, as the wedge of the family
+    currents does.
+    """
+    m = space.manifold
+    omega = np.asarray(space.q, dtype=float)
+    divisors = []
+    for comp, k in space.base_divisors:
+        if comp[0] == "coord":
+            degree = np.zeros(m.factors)
+            degree[_coord_factor(m, comp[1])] = 1.0
+        else:
+            degree = np.asarray(comp[2].degree, dtype=float)
+        omega = omega - k * degree
+        divisors.append((comp, k / space.p))
+    return CurrentDescriptor(m, omega / space.p, divisors, 0.0)
 
 
 def _restricted_pairings(space, comp, forms, surface=None):

@@ -15,8 +15,9 @@ elimination attempt works on stacks (one call for its Sylvester
 determinants, one per fiber degree for its companion matrices, one
 scoring and one Newton polish for all its points), and ``point_pairings``
 evaluates each form once on the stacked points of many zero sets.  Divisor
-pairings (``zero_pairings`` on surfaces) batch the sections' log-norms per
-quadrature block.
+pairings (``zero_pairings`` on surfaces, divisor-mode ``zero_pairing``) are
+:func:`kahlerlab.fscurrents.log_norm_pairings` of the sections'
+coefficients, which batches their log-norms per quadrature block.
 
 Seed records are integer tuples ``(master, index, ...)``; every derived
 stream is spawned from the master entropy through the remaining entries, so
@@ -28,7 +29,6 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .bundles import curvature_pairings, ddc_weights, finite_potential
 # benchmarks/test_benchmark.py checks that the tracer patches these here
 from .bundles import curvature_pairing, ddc_pairing  # noqa: F401
 from .errors import (
@@ -38,7 +38,8 @@ from .errors import (
     NumericalError,
     RootFindingError,
 )
-from .fscurrents import form_values_hom, fs_pairings
+from .fscurrents import (_log_modulus, _log_norm_base, form_values_hom,
+                         fs_pairings, log_norm_pairings)
 from .geometry import quadrature_nodes
 from .polynomials import SectionPoly
 
@@ -56,11 +57,6 @@ _RESIDUAL_CAP = 1e-7
 
 # Entropy of the deterministic frame rotations used by the surface solver.
 _ROTATION_ENTROPY = 172803
-
-# Log-norm values (nodes x sections) evaluated per chunk by the batched
-# divisor pairing, about 1.5 MB of temporaries; the products are memory
-# bound, so larger chunks gain no speed and only raise peak memory.
-_LOG_NORM_CHUNK = 1 << 16
 
 # Fewest samples behind a Monte Carlo mean and its standard error.
 MIN_EXPECTED_ZERO_SAMPLES = 100
@@ -121,12 +117,14 @@ class Section:
         """``log |s|_h`` at chart points (``-inf`` on the zero divisor).
 
         The forced factors of the space enter through ``_log_norm_base``,
-        as logarithms, so nodes near an off-axis pole keep finite values.
+        as logarithms, so nodes near an off-axis pole keep finite values;
+        the metric perturbation enters as ``-p psi``.
         """
         Z = np.atleast_2d(np.asarray(Z, dtype=complex))
         sp = self.space
         return (_log_modulus(sp.monomial_values(chart, Z) @ self.coeffs)
-                + _log_norm_base(sp, chart, Z))
+                + _log_norm_base(sp, chart, Z)
+                - sp.p * sp.metric.psi(chart, Z))
 
 
 class SectionTuple:
@@ -776,14 +774,14 @@ def zero_pairing(zeroset, form, rule=None):
     Point configurations pair with the plain function values; this is
     ``point_pairings`` of one set and one form.  Divisors pair through the
     global potential: the log-norm integrates against ``dd^c`` of the form,
-    and the curvature of the twisted metric restores the closed part; the
-    computation is that of ``zero_pairings`` with one section and one form.
+    and the curvature class restores the closed part; the computation is
+    that of ``zero_pairings`` with one section and one form.
     Singular metrics want a rule refined at their pole centers.
     """
     if zeroset.mode == "points":
         return float(point_pairings([zeroset], [form])[0, 0])
     sec = zeroset.section
-    return float(_divisor_pairings(sec.space, sec.coeffs[:, None], [form],
+    return float(log_norm_pairings(sec.space, sec.coeffs[:, None], [form],
                                    rule)[0, 0])
 
 
@@ -828,12 +826,14 @@ def zero_pairings(space, seeds, forms, rule=None):
 
         <[s = 0], f> = int log|s|_h dd^c f + p <c1(L, h), f> (+ <c1(K), f>)
 
-    where the last term enters for adjoint spaces.  The integral is linear
-    in ``log|s|_h``, so every form contributes one weight vector per
-    quadrature block (``dd^c`` density times quadrature weight) and one
-    constant, whatever the number of sections; the sections' log-norms fill
-    a (nodes, samples) matrix whose product with those weights gives the
-    pairings.
+    where the last term enters for adjoint spaces.  The metric perturbation
+    enters both terms and cancels, so :func:`fscurrents.log_norm_pairings`
+    pairs the reference-frame log-norms with the reference class instead.
+    The integral is linear in the log-norm, so every form contributes one
+    weight vector per quadrature block (``dd^c`` density times quadrature
+    weight) and one constant, whatever the number of sections; the
+    sections' log-norms fill a (nodes, samples) matrix whose product with
+    those weights gives the pairings.
     """
     forms = list(forms)
     if space.manifold.dim == 1:
@@ -842,70 +842,7 @@ def zero_pairings(space, seeds, forms, rule=None):
             forms)
     C = np.stack([sample_section(space, seed).coeffs for seed in seeds],
                  axis=1)
-    return _divisor_pairings(space, C, forms, rule)
-
-
-def _divisor_pairings(space, C, forms, rule):
-    """Divisor pairings of the sections with coefficient columns ``C``.
-
-    Per quadrature block the forms' node weights, the scaled monomials and
-    the sample-independent part of the log-norm are computed once; the
-    sections are evaluated together, in column chunks that keep each
-    (nodes, samples) array within ``_LOG_NORM_CHUNK`` entries.  A section
-    non-finite at too many nodes of a block raises as in
-    ``bundles.finite_potential``.  The closed part ``p <c1(L, h), f> (+
-    <c1(K_X), f>)`` comes from one ``curvature_pairings`` pass for all forms.
-    """
-    m = space.manifold
-    if rule is None:
-        raise ConfigurationError("divisor pairings need a quadrature rule")
-    if m.dim == 2 and any(f.omega_part is None for f in forms):
-        raise ConfigurationError(
-            "divisor currents on surfaces pair with omega-carrying forms")
-    out = np.zeros((C.shape[1], len(forms)))
-    for b in rule.capped_blocks():
-        mats = [m.omega_basis_matrix(i, b.chart, b.points)
-                for i in range(m.factors)]
-        W = np.stack([ddc_weights(f, b, mats) for f in forms], axis=1)
-        del mats  # free before the section product, the block's peak
-        if len(forms) == 1:
-            # BLAS sums a one-column product (gemv) in another order than
-            # a wider one (gemm); a repeated column keeps a form's pairings
-            # the same bits whatever forms it is batched with
-            W = np.repeat(W, 2, axis=1)
-        M = space.monomial_values(b.chart, b.points)
-        base = _log_norm_base(space, b.chart, b.points)
-        step = max(1, _LOG_NORM_CHUNK // M.shape[0])
-        for lo in range(0, C.shape[1], step):
-            U = _log_modulus(M @ C[:, lo:lo + step]) + base[:, None]
-            P = finite_potential(U, integrable=True).T @ W
-            out[lo:lo + step] += P[:, :len(forms)]
-    closed, om, _ = curvature_pairings(space.metric, forms, rule)
-    const = space.p * closed
-    if space.adjoint:
-        for i, cdeg in enumerate(m.canonical_degree):
-            const += cdeg * om[i]
-    return out + const
-
-
-def _log_modulus(values):
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(values))
-
-
-def _log_norm_base(space, chart, Z):
-    """The part of ``log |s|_h`` shared by every section of the space.
-
-    Metric weight, adjoint twist and the forced factors ``sum_j k_j
-    log|Q_j|``: adding ``log`` of the monomial part of a section gives its
-    log-norm.
-    """
-    u = -space.p * space.metric.weight(chart, Z)
-    if space.adjoint:
-        u += 0.5 * np.log(space.manifold.canonical_factor(chart, Z))
-    for Q, k in space.sigma_polys:
-        u += k * _log_modulus(Q.chart_poly(chart).eval(Z))
-    return u
+    return log_norm_pairings(space, C, forms, rule)
 
 
 def potential_rule(metric, resolution=None):
@@ -921,27 +858,15 @@ def potential_rule(metric, resolution=None):
     return quadrature_nodes(m, res, singular_refinement=centers or None)
 
 
-def expected_zero_residual(space, form, num_samples, seed, rule=None):
-    """Monte Carlo gap between mean zero pairings and the family current.
-
-    Returns ``(gap, standard_error)`` where the gap compares the sample mean
-    of ``<[s_i = 0], form>`` with ``p`` times the family current pairing (the
-    exact expectation under the sampling law), and the second entry is the
-    standard error of that mean.
-    """
-    _, _, gaps, ses = expected_zero_residuals(space, [form], num_samples,
-                                              seed, rule)
-    return float(gaps[0]), float(ses[0])
-
-
 def expected_zero_residuals(space, forms, num_samples, seed, rule=None):
-    """:func:`expected_zero_residual` of each form, from one set of samples.
+    """Monte Carlo gaps between mean zero pairings and the family current.
 
     Sample ``i`` is ``sample_section(space, seed + (i,))``.  Returns the
-    arrays ``(targets, means, gaps, ses)``: ``p`` times the family current
-    pairing, the sample mean of the zero pairings, their absolute gap and
-    the standard error of the mean.  ``rule`` defaults to the
-    ``potential_rule`` of the space's metric.
+    per-form arrays ``(targets, means, gaps, ses)``: ``p`` times the family
+    current pairing (the exact expectation under the sampling law), the
+    sample mean of the zero pairings, their absolute gap and the standard
+    error of the mean.  ``rule`` defaults to the ``potential_rule`` of the
+    space's metric.
     """
     if num_samples < MIN_EXPECTED_ZERO_SAMPLES:
         raise ConfigurationError(

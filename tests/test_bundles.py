@@ -18,6 +18,7 @@ from kahlerlab.bundles import (
 from kahlerlab.fscurrents import descriptor_form_pairing, fs_pairings
 from kahlerlab.sections import build_section_space
 from kahlerlab.testforms import TestForm, constant_form, test_form_dictionary as form_dictionary
+from kahlerlab.zeros import zero_pairings
 
 
 @pytest.fixture(scope="module")
@@ -258,11 +259,11 @@ def test_form_pairings_match_per_form_block_loops(kind):
 
 def test_potential_route_evaluates_each_form_once_per_block(p2, monkeypatch):
     h = Metric.log_pole(LineBundle(p2, 1), coordinate_section(p2, 0), 0.5)
-    sp = build_section_space(h, 6)
+    sp = build_section_space(h, 8)    # dimension 3: sections to sample
     rule = quadrature_nodes(p2, 8, singular_refinement=h.refinement_centers())
     assert len(rule.capped_blocks()) == 3
     forms = form_dictionary(p2, 1, 3)
-    calls = {"hessian": 0, "chi": 0, "omega_basis_matrix": 0}
+    calls = {}
 
     def counted(cls, name):
         method = getattr(cls, name)
@@ -276,7 +277,14 @@ def test_potential_route_evaluates_each_form_once_per_block(p2, monkeypatch):
     counted(TestForm, "hessian")
     counted(TestForm, "chi")
     counted(Manifold, "omega_basis_matrix")
-    fs_pairings(sp, forms, rule)
-    assert calls["hessian"] == 9
-    assert calls["omega_basis_matrix"] == 3
-    assert calls["chi"] <= 9
+    counted(Metric, "psi")
+    seeds = [(5, i) for i in range(4)]
+    for pair in (lambda: fs_pairings(sp, forms, rule),
+                 lambda: zero_pairings(sp, seeds, forms, rule)):
+        calls.update(hessian=0, chi=0, omega_basis_matrix=0, psi=0)
+        pair()
+        # the metric perturbation cancels between potential and closed part
+        assert calls["psi"] == 0
+        assert calls["hessian"] == 9
+        assert calls["omega_basis_matrix"] == 3
+        assert calls["chi"] <= 9

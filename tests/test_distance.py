@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kahlerlab.bundles import LineBundle, Metric
+from kahlerlab.bundles import LineBundle, Metric, pair_omega_basis
 from kahlerlab.distance import (ApproximationSchedule, PairingVector,
                                 approximation_run, descriptor_vector,
                                 diagonal_sequence, dictionary_signature,
@@ -9,7 +9,7 @@ from kahlerlab.distance import (ApproximationSchedule, PairingVector,
                                 wedge_vector)
 from kahlerlab.errors import (ConfigurationError, GeneralPositionError,
                               UnsupportedMetricError)
-from kahlerlab.fscurrents import form_values_hom, pair_omega_basis
+from kahlerlab.fscurrents import form_values_hom
 from kahlerlab.geometry import build_manifold, quadrature_nodes
 from kahlerlab.polynomials import coordinate_section, linear_section
 from kahlerlab.testforms import test_form_dictionary

@@ -5,15 +5,16 @@ import pytest
 
 from kahlerlab import fscurrents, geometry
 from kahlerlab._kernels import eval_monomials
-from kahlerlab.bundles import (LineBundle, Metric, _coord_intersection,
-                               curvature_pairing, ddc_pairing, form_pairings,
-                               pair_omega_basis, wedge_descriptors)
+from kahlerlab.bundles import (CurrentDescriptor, LineBundle, Metric,
+                               _coord_intersection, curvature_pairing,
+                               ddc_pairing, form_pairings, pair_omega_basis,
+                               wedge_descriptors)
 from kahlerlab.errors import (ConfigurationError, GeneralPositionError,
                               NumericalError)
 from kahlerlab.fscurrents import (descriptor_form_pairing,
                                   descriptor_form_pairings,
                                   descriptor_wedge_pairing,
-                                  descriptor_wedge_pairings, divisor_pairing,
+                                  descriptor_wedge_pairings,
                                   form_values_hom, fs_pairing, fs_pairings,
                                   fs_wedge_pairing, fs_wedge_pairings)
 from kahlerlab.geometry import (build_manifold, quadrature_nodes,
@@ -143,20 +144,29 @@ def test_product_masses_are_exact():
 # -- divisor restriction integrals -------------------------------------------
 
 
+def _divisor_current(m, comp):
+    """``[D]`` of one component as a closed-form current."""
+    return CurrentDescriptor(m, np.zeros(m.factors), [(comp, 1.0)])
+
+
 def test_divisor_restriction_pairings(p2):
     z0 = coordinate_section(p2, 0)
     from kahlerlab.testforms import TestForm
     chi = TestForm(p2, 1.0, z0, z0, omega_part=[1.0], label="vanishing")
-    # chi vanishes identically on its own divisor
-    assert divisor_pairing(p2, ("coord", 0), chi) == 0.0
     one_w = constant_form(p2, [1.0])
-    assert abs(divisor_pairing(p2, ("coord", 0), one_w) - 1.0) < 1e-12
+    got = descriptor_form_pairings(_divisor_current(p2, ("coord", 0)),
+                                   [chi, one_w], quadrature_nodes(p2, 8))
+    # chi vanishes identically on its own divisor
+    assert got[0] == 0.0
+    assert abs(got[1] - 1.0) < 1e-12
 
     m = build_manifold("P1xP1")
-    for vec, target in (([1.0, 0.0], 0.0), ([0.0, 1.0], 1.0)):
-        f = constant_form(m, omega_part=vec)
-        got = divisor_pairing(m, ("coord", 0), f)
-        assert abs(got - target) < 1e-12
+    forms = [constant_form(m, omega_part=[1.0, 0.0]),
+             constant_form(m, omega_part=[0.0, 1.0])]
+    got = descriptor_form_pairings(_divisor_current(m, ("coord", 0)), forms,
+                                   quadrature_nodes(m, 8))
+    assert abs(got[0] - 0.0) < 1e-12
+    assert abs(got[1] - 1.0) < 1e-12
 
 
 def test_closed_form_current_matches_stokes_route():
@@ -255,7 +265,8 @@ def test_pairing_guards(p1, p2):
                          quadrature_nodes(p1, 8))
     Q = SectionPoly(p2, 1, np.array([[1, 0, 0]]), np.array([1.0]))
     with pytest.raises(GeneralPositionError):
-        divisor_pairing(p2, ("poly", 0, Q), constant_form(p2, omega_part=[1.0]))
+        descriptor_form_pairings(_divisor_current(p2, ("poly", 0, Q)),
+                                 [constant_form(p2, omega_part=[1.0])], rule)
 
 
 def test_form_point_values_preserve_order(p2):
@@ -395,13 +406,23 @@ def test_batched_potential_pairings_match_the_per_form_loop(p1):
     sp = build_section_space(h, 8)
     rule = quadrature_nodes(p1, 32, singular_refinement=h.refinement_centers())
     forms = test_form_dictionary(p1, 1, 5)
+
+    def family_log_norm(chart, Z):
+        # 1/2 log of the family's squared norm in the reference frame
+        V = sp.monomial_values(chart, Z) @ sp.coeff_matrix()
+        F = np.einsum("nj,nj->n", np.abs(V), np.abs(V))
+        base = -sp.p * L.reference_weight(chart, Z)
+        base += 0.5 * np.log(p1.canonical_factor(chart, Z))
+        return 0.5 * np.log(F) + base
+
+    # forms odd under a symmetry pair to rounding noise (~1e-17), so the
+    # reference adds its terms in the routine's order
     ref = []
     for f in forms:
-        total = curvature_pairing(h, f, rule)
-        total += (-2 / sp.p) * pair_omega_basis(0, f, rule)
-        total += ddc_pairing(sp.log_bergman, f, rule,
-                             integrable=True) / (2.0 * sp.p)
-        ref.append(total)
+        om = pair_omega_basis(0, f, rule)
+        total = ddc_pairing(family_log_norm, f, rule, integrable=True)
+        total += sp.p * (2 * om) - 2 * om
+        ref.append(total / sp.p)
     np.testing.assert_allclose(fs_pairings(sp, forms, rule), ref,
                                rtol=1e-12, atol=0)
 

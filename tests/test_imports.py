@@ -1,6 +1,6 @@
 """Import hygiene: every name a package module imports is used in that
-module, importing the package loads no scipy, and running a study loads no
-``numpy.ma``.
+module, importing the package loads no scipy, running a study loads no
+``numpy.ma``, and every function the benchmark's tracer patches exists.
 
 No linter ships with the package, so the first check is the unused-import
 check: each module of ``src/kahlerlab`` is parsed with ``ast`` and the names
@@ -11,6 +11,7 @@ A name listed in ``__all__`` counts as used.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kahlerlab"
+TRACER = PACKAGE.parent.parent / "benchmarks" / "tracer.py"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py")
                  if p.name != "__init__.py")
 
@@ -106,3 +108,26 @@ def test_studies_run_without_numpy_ma(tmp_path):
                           str(tmp_path)], env=env, capture_output=True,
                          text=True, timeout=300, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _tracer_spans():
+    """``SPANS`` of the benchmark's tracer, read from its source."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "SPANS"
+                        for t in node.targets)):
+            return ast.literal_eval(node.value)
+    raise AssertionError("tracer.py defines no SPANS")
+
+
+def test_every_traced_function_resolves():
+    # the tracer patches these by name; a rename would break --trace runs
+    missing = []
+    for name, module, path in _tracer_spans():
+        target = importlib.import_module(f"kahlerlab.{module}")
+        for attr in path.split("."):
+            target = getattr(target, attr, None)
+        if not callable(target):
+            missing.append(f"{name}: kahlerlab.{module}.{path}")
+    assert not missing, f"tracer targets not found: {missing}"
