@@ -2,20 +2,25 @@
 
 Sampling draws standard complex Gaussian coefficients in the orthonormal
 frame of a section space and normalizes, which is the unique unitarily
-invariant law on the projective space of sections.  Zero sets on curves come
-from companion-matrix roots with a second-chart Newton pass for roots near
-infinity; on surfaces, pairs of sections are intersected by resultant
-elimination in a generically rotated frame, followed by Newton polish in the
-original coordinates.  Point totals are checked against the intersection
-number of the effective degrees, never inferred.
+invariant law on the projective space of sections.  Zero sets on curves are
+found for a batch of sections at once: the forced zeros of the space
+(coordinate powers and the roots of its pole sections) are read off
+exactly, and the reduced polynomials' roots come from stacked companion
+matrices with one second-chart Newton pass for roots near infinity.  On
+surfaces, pairs of sections are intersected by resultant elimination in a
+generically rotated frame, followed by Newton polish in the original
+coordinates.  Point totals are checked against the intersection number of
+the effective degrees, never inferred.
 
-The point layer works on whole arrays: the raw zeros of one section (or
-pair) are clustered in one pass over their pairwise distances, one
-elimination attempt works on stacks (one call for its Sylvester
-determinants, one per fiber degree for its companion matrices, one
-scoring and one Newton polish for all its points), and ``point_pairings``
-evaluates each form once on the stacked points of many zero sets.  Divisor
-pairings (``zero_pairings`` on surfaces, divisor-mode ``zero_pairing``) are
+The point layer works on whole arrays: ``curve_zero_sets`` takes one
+companion ``eigvals`` call per polynomial length and clusters the zeros of
+all its sections in one pass over their pairwise distances; the raw zeros
+of one surface pair are clustered the same way; one elimination attempt
+works on stacks (one call for its Sylvester determinants, one per fiber
+degree for its companion matrices, one scoring and one Newton polish for
+all its points), and ``point_pairings`` evaluates each form once on the
+stacked points of many zero sets.  Divisor pairings (``zero_pairings`` on
+surfaces, divisor-mode ``zero_pairing``) are
 :func:`kahlerlab.fscurrents.log_norm_pairings` of the sections'
 coefficients, which batches their log-norms per quadrature block.
 
@@ -29,6 +34,7 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .bundles import _p1_roots
 # benchmarks/test_benchmark.py checks that the tracer patches these here
 from .bundles import curvature_pairing, ddc_pairing  # noqa: F401
 from .errors import (
@@ -224,94 +230,193 @@ def _cluster(manifold, raw):
 
     Greedy in input order: a point joins the first cluster whose first
     point lies within ``_CLUSTER_RADIUS`` of it, or else starts a new one.
-    The distances of all pairs are computed together, so the greedy pass
-    runs only when some pair is that close.
+    This is ``_cluster_sets`` of one set whose rows count once each.
     """
-    pts = manifold.normalize(raw)
-    first, second = np.triu_indices(len(pts), 1)
-    near = np.zeros(first.size, dtype=bool)
-    for lo in range(0, first.size, _CLUSTER_PAIRS):
-        sl = slice(lo, lo + _CLUSTER_PAIRS)
-        near[sl] = manifold.chordal_distance(
-            pts[second[sl]], pts[first[sl]]) < _CLUSTER_RADIUS
-    if not near.any():
-        return [(pt, 1) for pt in pts]
-    heads, counts = _greedy(
-        len(pts), set(zip(first[near].tolist(), second[near].tolist())))
-    return [(pts[i], k) for i, k in zip(heads, counts)]
+    raw = np.asarray(raw, dtype=complex)
+    return _cluster_sets(manifold, raw[None], [1] * len(raw))[0]
 
 
-def _greedy(n, close):
+def _cluster_sets(manifold, raw, mult):
+    """``_cluster`` of each set ``raw[s]`` (sets, rows, homogeneous), whose
+    row ``i`` counts ``mult[i]`` times.
+
+    The distances of the pairs within every set are computed together, in
+    chunks of ``_CLUSTER_PAIRS``, so the greedy pass runs only for the sets
+    where some pair is that close.
+    """
+    sets, n = raw.shape[:2]
+    pts = manifold.normalize(raw.reshape(sets * n, raw.shape[2])).reshape(
+        raw.shape)
+    first, second = np.triu_indices(n, 1)
+    near = np.zeros(sets * first.size, dtype=bool)
+    for lo in range(0, near.size, _CLUSTER_PAIRS):
+        s, k = np.divmod(np.arange(lo, min(lo + _CLUSTER_PAIRS, near.size)),
+                         first.size)
+        near[lo:lo + s.size] = manifold.chordal_distance(
+            pts[s, second[k]], pts[s, first[k]]) < _CLUSTER_RADIUS
+    out = []
+    for s, close in enumerate(near.reshape(sets, first.size)):
+        if not close.any():
+            out.append(list(zip(pts[s], mult)))
+            continue
+        heads, counts = _greedy(
+            n, set(zip(first[close].tolist(), second[close].tolist())), mult)
+        out.append([(pts[s, i], k) for i, k in zip(heads, counts)])
+    return out
+
+
+def _greedy(n, close, weights=None):
     """``(heads, counts)`` of the greedy grouping of items ``0..n-1``: item
     j joins the first group whose head i has ``(i, j)`` in ``close``, or
-    else heads a new group."""
+    else heads a new group.  A group counts its items' ``weights`` (one
+    each by default)."""
     heads, counts = [], []
     for j in range(n):
+        w = 1 if weights is None else weights[j]
         for c, i in enumerate(heads):
             if (i, j) in close:
-                counts[c] += 1
+                counts[c] += w
                 break
         else:
             heads.append(j)
-            counts.append(1)
+            counts.append(w)
     return heads, counts
 
 
 def zeros_on_curve(section):
     """All zeros of a section on the curve, with multiplicities.
 
-    Companion-matrix roots of the chart-zero polynomial cover the finite
-    zeros; roots outside the unit disc get a Newton pass in the opposite
-    chart, and the vanishing order at the far pole is read off the exponents
-    exactly, so the total always equals the section degree.
+    A `Section` is the one-column call of :func:`curve_zero_sets`.  For a
+    bare `SectionPoly` the coordinate powers it is divisible by are read
+    off its exponents as forced zeros, and the quotient is solved as a
+    section's reduced polynomial is.
     """
-    poly = _as_poly(section)
-    m = poly.manifold
-    if m.kind != "P1":
+    if isinstance(section, Section):
+        zs = curve_zero_sets(section.space, section.coeffs[:, None])[0]
+        zs.section = section
+        return zs
+    poly = section
+    if poly.manifold.kind != "P1":
         raise ConfigurationError("curve zeros are a P1 operation")
     if poly.is_zero:
         raise ConfigurationError("the zero section vanishes everywhere")
-    q = poly.degree[0]
-    sec = section if isinstance(section, Section) else None
-    if q == 0:
-        return ZeroSet(m, "points", points=[], section=sec,
-                       degrees=(0,), target=0)
-    c = poly.chart_poly(0).dense()
-    deg0 = len(c) - 1
+    live = poly.coeffs != 0
+    shift = poly.exponents[live].min(axis=0)
+    R = np.zeros((1, poly.degree[0] - int(shift.sum()) + 1), dtype=complex)
+    np.add.at(R[0], poly.exponents[live, 1] - shift[1], poly.coeffs[live])
+    forced = _forced_curve_zeros(shift, ())
+    return _curve_zero_sets(poly.manifold, R, forced)[0]
+
+
+def curve_zero_sets(space, C):
+    """The zero sets of the sections of a curve space with coefficient
+    columns ``C`` (dim, samples), the matrix that
+    :func:`fscurrents.log_norm_pairings` takes.
+
+    Every section of the space is ``prod_j Q_j^{k_j}`` times coordinate
+    powers times a reduced polynomial, whose dense chart-zero coefficients
+    are ``C * scales`` placed at the reduced exponents.  The forced zeros
+    are read off exactly, once for all columns: the coordinate shift gives
+    ``[0:1]`` and ``[1:0]``, and each root of ``Q_j`` counts ``k_j``
+    times.  The reduced polynomials are solved together
+    (``_curve_zero_sets``).
+    """
+    m = space.manifold
+    if m.kind != "P1":
+        raise ConfigurationError("curve zeros are a P1 operation")
+    C = np.asarray(C, dtype=complex)
+    if C.ndim != 2 or C.shape[0] != space.dim:
+        raise ConfigurationError("coefficient length mismatch")
+    reduced = (space.exponents - space.coordinate_shift[None, :])[:, 1]
+    R = np.zeros((C.shape[1], space.q_reduced[0] + 1), dtype=complex)
+    R[:, reduced] = (C * space.scales[:, None]).T
+    return _curve_zero_sets(
+        m, R, _forced_curve_zeros(space.coordinate_shift, space.sigma_polys))
+
+
+def _forced_curve_zeros(shift, sigma_polys):
+    """``(point, multiplicity)`` pairs of the forced zeros on P1: the
+    coordinate powers ``z0^shift[0] z1^shift[1]`` and the factors
+    ``Q_j^{k_j}``."""
+    out = [(np.array([0.0, 1.0], dtype=complex), int(shift[0])),
+           (np.array([1.0, 0.0], dtype=complex), int(shift[1]))]
+    out += [(pt, k) for Q, k in sigma_polys for pt in _p1_roots(Q)]
+    return [(pt, k) for pt, k in out if k > 0]
+
+
+def _curve_zero_sets(m, R, forced):
+    """Point zero sets of reduced polynomials times forced zeros on P1.
+
+    Row ``i`` of ``R`` holds the ascending chart-zero coefficients of a
+    reduced polynomial of degree ``R.shape[1] - 1``; its vanishing order
+    at ``[0:1]`` is the number of its top coefficients that are exactly
+    zero.  Its finite roots come from ``_companion_roots``, one stacked
+    companion solve per length; roots outside the unit disc get a guarded
+    Newton pass in the opposite chart (``_newton_far``), all rows at once.
+    Each set holds the ``forced`` points with their multiplicities, then
+    the row's own zeros, clustered by ``_cluster_sets``, so its total is
+    the degree of the reduced polynomial plus the forced multiplicities.
+    """
+    nz = R != 0
+    if not nz.any(axis=1).all():
+        raise ConfigurationError("the zero section vanishes everywhere")
+    qr = R.shape[1] - 1
+    lengths = R.shape[1] - np.argmax(nz[:, ::-1], axis=1)
     try:
-        roots = np.roots(c[::-1]) if deg0 > 0 else np.zeros(0, dtype=complex)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+        roots = _companion_roots(R, lengths)
+    except np.linalg.LinAlgError as exc:
         raise RootFindingError(f"companion eigenvalues failed: {exc}")
-    if roots.size != deg0 or not np.all(np.isfinite(roots)):
-        raise RootFindingError(
-            f"degree {deg0} chart polynomial produced {roots.size} finite "
-            "roots")
-    far = np.abs(roots) > 1.0
-    if np.any(far):
-        roots[far] = 1.0 / _newton_p1(poly.chart_poly(1), 1.0 / roots[far])
-    raw = np.zeros((q, 2), dtype=complex)
-    raw[:deg0, 0] = 1.0
-    raw[:deg0, 1] = roots
-    raw[deg0:, 1] = 1.0
-    return ZeroSet(m, "points", points=_cluster(m, raw), section=sec,
-                   degrees=(q,), target=q)
+    sizes = lengths - 1
+    for r, n in zip(roots, sizes.tolist()):
+        if r.size != n or not np.all(np.isfinite(r)):
+            raise RootFindingError(
+                f"degree {n} chart polynomial produced "
+                f"{int(np.isfinite(r).sum())} finite roots")
+    z = np.concatenate(roots)
+    far = np.abs(z) > 1.0
+    if far.any():
+        owner = np.repeat(np.arange(len(R)), sizes)
+        z[far] = 1.0 / _newton_far(R[owner[far]], 1.0 / z[far])
+    # own zeros: the finite roots, then [0:1] for each cut top coefficient
+    finite = np.arange(qr)[None, :] < sizes[:, None]
+    raw = np.zeros((len(R), len(forced) + qr, 2), dtype=complex)
+    raw[:, :len(forced)] = np.reshape([pt for pt, _ in forced], (-1, 2))
+    raw[:, len(forced):, 0] = finite
+    raw[:, len(forced):, 1] = 1.0
+    raw[:, len(forced):, 1][finite] = z
+    mult = [k for _, k in forced] + [1] * qr
+    q = sum(mult)
+    return [ZeroSet(m, "points", points=pts, degrees=(q,), target=q)
+            for pts in _cluster_sets(m, raw, mult)]
 
 
-def _newton_p1(cp, w, steps=3):
-    """A few guarded Newton steps on a one-variable chart polynomial."""
-    w = np.array(w, dtype=complex)
-    dp = cp.deriv(0)
-    f = cp.eval(w[:, None])
+def _newton_far(A, w, steps=3):
+    """Guarded Newton steps on the roots ``w`` of the opposite chart.
+
+    Root ``i`` belongs to the polynomial with ascending chart-zero
+    coefficients ``A[i]``, that is ``sum_a A[i, a] w^(n - a)`` with
+    ``n = A.shape[1] - 1`` in the chart ``w = z0 / z1``.  A step is taken
+    only where it lowers ``|f|``; a rejected step would repeat itself, so
+    such a root stays put.
+    """
+
+    def horner(w):
+        f = np.zeros_like(w)
+        df = np.zeros_like(w)
+        for col in A.T:
+            df = df * w + f
+            f = f * w + col
+        return f, df
+
+    f, df = horner(w)
     for _ in range(steps):
-        df = dp.eval(w[:, None])
         ok = df != 0
         cand = np.where(ok, w - f / np.where(ok, df, 1.0), w)
-        fc = cp.eval(cand[:, None])
+        fc, dfc = horner(cand)
         better = ok & (np.abs(fc) < np.abs(f))
         w = np.where(better, cand, w)
         f = np.where(better, fc, f)
-        if not np.any(better):
-            break
+        df = np.where(better, dfc, df)
     return w
 
 
@@ -571,20 +676,26 @@ def _admissible_ys(m, rots, grids, xs, counts, cap=1e-5):
 def _fiber_roots(V):
     """``np.roots`` of each row of ascending coefficients ``V`` once its top
     coefficients of at most 1e-12 times the row's largest are cut (none for
-    a zero row or a constant).
-
-    Rows of one cut length are one stack of companion matrices, built as
-    ``np.roots`` builds them; rows with a zero coefficient, whose ends
-    ``np.roots`` strips, go to ``np.roots``.
-    """
+    a zero row or a constant), by ``_companion_roots``."""
     A = np.abs(V)
     top = A.max(axis=1)
     keep = V.shape[1] - np.argmax((A > 1e-12 * top[:, None])[:, ::-1], axis=1)
+    return _companion_roots(V, np.where(top != 0.0, keep, 0))
+
+
+def _companion_roots(V, lengths):
+    """``np.roots`` of the first ``lengths[i]`` ascending coefficients of
+    each row ``V[i]`` (none below length 2), bit for bit.
+
+    Rows of one length are one stack of companion matrices, built as
+    ``np.roots`` builds them; rows with a zero coefficient at either end,
+    which ``np.roots`` strips, go to ``np.roots``.
+    """
     out = [np.zeros(0, dtype=complex)] * len(V)
     stacks = {}
-    for i in np.flatnonzero((top != 0.0) & (keep > 1)).tolist():
-        n = int(keep[i])
-        if np.all(V[i, :n] != 0):
+    for i in np.flatnonzero(lengths > 1).tolist():
+        n = int(lengths[i])
+        if V[i, 0] != 0 and V[i, n - 1] != 0:
             stacks.setdefault(n, []).append(i)
         else:
             out[i] = np.roots(V[i, n - 1::-1])
@@ -819,10 +930,11 @@ def point_pairings(zerosets, forms):
 def zero_pairings(space, seeds, forms, rule=None):
     """``<[s_i = 0], f_j>`` for ``s_i = sample_section(space, seeds[i])``.
 
-    Returns the (samples, forms) matrix.  On curves each sample's zeros are
-    located and all samples pair as points in one ``point_pairings`` call;
-    ``rule`` is not used.  On surfaces the zero divisors pair through their
-    log-norm potentials over ``rule``:
+    Returns the (samples, forms) matrix.  The samples' coefficients are
+    the columns of one matrix ``C``.  On curves the zero sets of all
+    samples come from one :func:`curve_zero_sets` call and pair as points
+    in one ``point_pairings`` call; ``rule`` is not used.  On surfaces the
+    zero divisors pair through their log-norm potentials over ``rule``:
 
         <[s = 0], f> = int log|s|_h dd^c f + p <c1(L, h), f> (+ <c1(K), f>)
 
@@ -836,12 +948,10 @@ def zero_pairings(space, seeds, forms, rule=None):
     those weights gives the pairings.
     """
     forms = list(forms)
-    if space.manifold.dim == 1:
-        return point_pairings(
-            [zeros_on_curve(sample_section(space, seed)) for seed in seeds],
-            forms)
     C = np.stack([sample_section(space, seed).coeffs for seed in seeds],
                  axis=1)
+    if space.manifold.dim == 1:
+        return point_pairings(curve_zero_sets(space, C), forms)
     return log_norm_pairings(space, C, forms, rule)
 
 

@@ -9,7 +9,8 @@ from kahlerlab import zeros
 from kahlerlab.bundles import (LineBundle, Metric, curvature_pairing,
                                ddc_pairing, form_values_hom, pair_omega_basis)
 from kahlerlab.errors import (ConfigurationError, DegenerateSpaceError,
-                              GeneralPositionError)
+                              EmptySpaceError, GeneralPositionError,
+                              RootFindingError)
 from kahlerlab.fscurrents import fs_pairing
 from kahlerlab.geometry import build_manifold, quadrature_nodes
 from kahlerlab.polynomials import (SectionPoly, coordinate_section,
@@ -17,7 +18,8 @@ from kahlerlab.polynomials import (SectionPoly, coordinate_section,
 from kahlerlab.sections import SectionSpace, build_section_space
 from kahlerlab.testforms import TestForm, constant_form, test_form_dictionary
 from kahlerlab.zeros import (Section, SectionTuple, common_zeros,
-                             divisor_zero_set, empirical_general_position,
+                             curve_zero_sets, divisor_zero_set,
+                             empirical_general_position,
                              expected_zero_residuals, point_pairings,
                              sample_section, sample_tuple, zero_pairing,
                              zero_pairings, zeros_on_curve)
@@ -136,6 +138,13 @@ def test_coordinate_power_concentrates_at_one_point(p1):
     zs = zeros_on_curve(SectionPoly.from_coeff_map(p1, k, {(k, 0): 1.0}))
     assert [(0.0, 1.0)] == [tuple(np.abs(pt)) for pt, _ in zs.points]
     assert zs.points[0][1] == k
+    # a section whose top coefficients are exactly zero vanishes at [0 : 1]
+    sp = fs_space(p1, 1, 4)
+    c = np.zeros(sp.dim)
+    c[0] = 1.0
+    zs = zeros_on_curve(Section(sp, c))
+    assert [(0.0, 1.0)] == [tuple(np.abs(pt)) for pt, _ in zs.points]
+    assert zs.points[0][1] == sp.q[0] == 2
 
 
 def test_random_section_zeros_are_complete_and_vanish(p1):
@@ -154,6 +163,20 @@ def test_zeros_on_curve_rejects_bad_input(p1, p2):
         zeros_on_curve(SectionPoly.from_coeff_map(p1, 2, {}))
     with pytest.raises(ConfigurationError):
         zeros_on_curve(coordinate_section(p2, 0))
+    sp = fs_space(p1, 1, 6)
+    C = np.ones((sp.dim, 3), dtype=complex)
+    with pytest.raises(ConfigurationError):
+        curve_zero_sets(fs_space(p2, 1, 4), C)
+    with pytest.raises(ConfigurationError):
+        curve_zero_sets(sp, C[1:])
+    C[:, 1] = 0.0
+    with pytest.raises(ConfigurationError):
+        curve_zero_sets(sp, C)
+    # a non-finite coefficient in any column fails the whole call
+    C[:, 1] = 1.0
+    C[2, 2] = np.nan
+    with pytest.raises(RootFindingError):
+        curve_zero_sets(sp, C)
 
 
 coefficient = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).map(
@@ -216,6 +239,170 @@ def test_cluster_follows_the_greedy_rule(kind):
         assert [k for _, k in got] == [k for _, k in want]
         assert all(np.array_equal(g, w) for (g, _), (w, _) in zip(got, want))
     assert [k for _, k in zeros._cluster(m, [a, b, c, far[1]])] == [2, 1, 1]
+
+
+# -- batched curve zeros against the per-sample route -------------------------
+
+
+def _parent_newton_p1(cp, w, steps=3):
+    """A few guarded Newton steps on a one-variable chart polynomial."""
+    w = np.array(w, dtype=complex)
+    dp = cp.deriv(0)
+    f = cp.eval(w[:, None])
+    for _ in range(steps):
+        df = dp.eval(w[:, None])
+        ok = df != 0
+        cand = np.where(ok, w - f / np.where(ok, df, 1.0), w)
+        fc = cp.eval(cand[:, None])
+        better = ok & (np.abs(fc) < np.abs(f))
+        w = np.where(better, cand, w)
+        f = np.where(better, fc, f)
+        if not np.any(better):
+            break
+    return w
+
+
+def _parent_cluster(m, raw):
+    """Greedy clusters of raw zeros from all pairwise distances at once."""
+    pts = m.normalize(raw)
+    first, second = np.triu_indices(len(pts), 1)
+    near = m.chordal_distance(pts[second], pts[first]) < zeros._CLUSTER_RADIUS
+    if not near.any():
+        return [(pt, 1) for pt in pts]
+    heads, counts = zeros._greedy(
+        len(pts), set(zip(first[near].tolist(), second[near].tolist())))
+    return [(pts[i], k) for i, k in zip(heads, counts)]
+
+
+def _parent_curve_zeros(sec):
+    """One section's zeros the per-sample way: roots of the expanded
+    polynomial (forced factors multiplied in), Newton on the far ones in
+    the other chart, then clustering."""
+    poly = sec.poly
+    m, q = poly.manifold, poly.degree[0]
+    c = poly.chart_poly(0).dense()
+    deg0 = len(c) - 1
+    roots = np.roots(c[::-1]) if deg0 > 0 else np.zeros(0, dtype=complex)
+    assert roots.size == deg0
+    far = np.abs(roots) > 1.0
+    if np.any(far):
+        roots[far] = 1.0 / _parent_newton_p1(poly.chart_poly(1),
+                                              1.0 / roots[far])
+    raw = np.zeros((q, 2), dtype=complex)
+    raw[:deg0, 0] = 1.0
+    raw[:deg0, 1] = roots
+    raw[deg0:, 1] = 1.0
+    return zeros.ZeroSet(m, "points", points=_parent_cluster(m, raw),
+                         degrees=(q,), target=q)
+
+
+def _curve_metric(m, kind, degree):
+    L = LineBundle(m, degree)
+    if kind == "fs":
+        return Metric.fubini_study(L)
+    if kind == "max_log":
+        return Metric.max_log(L, 0.5)
+    return Metric.log_pole(L, coordinate_section(m, int(kind[-1])), 0.5)
+
+
+@pytest.mark.parametrize("kind", ["fs", "max_log", "coord0", "coord1"])
+def test_batched_curve_zeros_match_the_per_sample_route(p1, kind):
+    forms = test_form_dictionary(p1, 1, count=4)
+    checked = 0
+    for degree in (1, 2, 3):
+        h = _curve_metric(p1, kind, degree)
+        for p in range(3, 13):
+            for adjoint in (True, False):
+                try:
+                    sp = SectionSpace(h, p, adjoint=adjoint)
+                except EmptySpaceError:
+                    continue
+                if sp.dim < 2:
+                    continue
+                secs = [sample_section(sp, (47, p, i)) for i in range(60)]
+                got = curve_zero_sets(
+                    sp, np.stack([s.coeffs for s in secs], axis=1))
+                want = [_parent_curve_zeros(s) for s in secs]
+                for g, w in zip(got, want):
+                    assert sorted(k for _, k in g.points) == \
+                        sorted(k for _, k in w.points)
+                    assert g.total_multiplicity == sp.q[0]
+                np.testing.assert_allclose(point_pairings(got, forms),
+                                           point_pairings(want, forms),
+                                           rtol=0, atol=1e-12)
+                checked += 1
+    assert checked >= 50
+
+
+_Q_LINEAR = ((1, 0), 1.0), ((0, 1), 0.6 + 0.3j)
+_Q_QUADRATIC = ((2, 0), 1.0), ((1, 1), 0.3 - 0.5j), ((0, 2), 0.8 + 0.1j)
+
+
+@pytest.mark.parametrize("terms, degree, p, k", [
+    (_Q_LINEAR, 2, 8, 4), (_Q_LINEAR, 2, 12, 6), (_Q_QUADRATIC, 3, 12, 3)])
+def test_forced_zeros_are_exact(p1, terms, degree, p, k):
+    Q = SectionPoly.from_coeff_map(p1, len(terms) - 1, dict(terms))
+    sp = SectionSpace(Metric.log_pole(LineBundle(p1, degree), Q, 0.5), p)
+    assert [kj for _, kj in sp.sigma_polys] == [k]
+    roots = p1.normalize(np.stack(zeros._p1_roots(Q)))
+    sets = curve_zero_sets(sp, np.stack(
+        [sample_section(sp, (48, i)).coeffs for i in range(20)], axis=1))
+    for zs in sets:
+        assert zs.total_multiplicity == sp.q[0]
+        pts = np.stack([pt for pt, _ in zs.points])
+        for root in roots:
+            d = p1.chordal_distance(pts, root[None])
+            hit = np.flatnonzero(d < 1e-8)
+            assert hit.size == 1 and d[hit[0]] <= 1e-15
+            assert zs.points[hit[0]][1] == k
+
+
+def test_curve_roots_take_one_eigvals_call_per_length(p1, monkeypatch):
+    Q = SectionPoly.from_coeff_map(p1, 1, dict(_Q_LINEAR))
+    sp = SectionSpace(Metric.log_pole(LineBundle(p1, 2), Q, 0.5), 8)
+    seeds = [(49, i) for i in range(40)]
+    calls = {"eigvals": 0, "roots": 0}
+
+    def count(name, fn):
+        def wrapped(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return wrapped
+
+    monkeypatch.setattr(zeros.np.linalg, "eigvals",
+                        count("eigvals", np.linalg.eigvals))
+    monkeypatch.setattr(zeros.np, "roots", count("roots", np.roots))
+    zero_pairings(sp, seeds, [constant_form(p1)])
+    # every sample has the full reduced length; np.roots solves Q once
+    assert calls == {"eigvals": 1, "roots": 1}
+
+
+def test_curve_zero_sets_do_not_depend_on_the_batch(p1, monkeypatch):
+    Q = SectionPoly.from_coeff_map(p1, 1, dict(_Q_LINEAR))
+    sp = SectionSpace(Metric.log_pole(LineBundle(p1, 2), Q, 0.5), 8)
+    secs = [sample_section(sp, (50, i)) for i in range(40)]
+    # exact double zeros, which cluster: z^2 divides the reduced polynomial
+    # of sample 3, and the top two coefficients of sample 7 vanish
+    for i, cut in ((3, slice(0, 2)), (7, slice(-2, None))):
+        c = secs[i].coeffs.copy()
+        c[cut] = 0.0
+        secs[i] = Section(sp, c)
+    batch = curve_zero_sets(sp, np.stack([s.coeffs for s in secs], axis=1))
+    for i, pole in ((3, (1.0, 0.0)), (7, (0.0, 1.0))):
+        assert batch[i].total_multiplicity == sp.q[0]
+        assert [k for pt, k in batch[i].points
+                if tuple(np.abs(pt)) == pole] == [2]
+    # chunks of 7 pairs split the pairs of every set at some boundary
+    monkeypatch.setattr(zeros, "_CLUSTER_PAIRS", 7)
+    chunked = curve_zero_sets(sp, np.stack([s.coeffs for s in secs],
+                                           axis=1))
+    for sec, b, c in zip(secs, batch, chunked):
+        alone = zeros_on_curve(sec)
+        assert alone.section is sec
+        for zs in (b, c):
+            assert [k for _, k in zs.points] == [k for _, k in alone.points]
+            for (pt, _), (ref, _) in zip(zs.points, alone.points):
+                np.testing.assert_array_equal(pt, ref)
 
 
 # -- pairing against point configurations -------------------------------------
@@ -617,17 +804,18 @@ def test_stacked_sylvester_matches_one_matrix_at_a_time():
 
 fiber_row = st.tuples(
     st.integers(1, 7), st.integers(0, 3), st.booleans(), st.booleans(),
-    st.integers(0, 2 ** 32 - 1))
+    st.booleans(), st.integers(0, 2 ** 32 - 1))
 
 
 @given(st.lists(fiber_row, min_size=1, max_size=8), st.integers(1, 7))
 @settings(deadline=None, max_examples=60)
 def test_stacked_fiber_roots_match_np_roots(specs, width):
     """Rows of one width: some trimmed at the top (tiny or zero leading
-    coefficients), some with a zero constant term, some all zero, and
-    width 1 or rows trimmed to a constant."""
+    coefficients), some with a zero constant or middle term, some all zero,
+    and width 1 or rows trimmed to a constant.  The uncut call of curve
+    zeros drops only exactly zero top coefficients, as ``np.roots`` does."""
     rows = []
-    for live, tiny, zero_const, zero_row, seed in specs:
+    for live, tiny, zero_const, zero_mid, zero_row, seed in specs:
         rng = np.random.default_rng(seed)
         v = np.zeros(width, dtype=complex)
         live = min(live, width)
@@ -635,6 +823,8 @@ def test_stacked_fiber_roots_match_np_roots(specs, width):
         v[live:live + tiny] = 1e-14 * (1 + 1j)
         if zero_const:
             v[0] = 0.0
+        if zero_mid and live > 2:
+            v[live // 2] = 0.0
         if zero_row:
             v[:] = 0.0
         rows.append(v)
@@ -643,6 +833,11 @@ def test_stacked_fiber_roots_match_np_roots(specs, width):
     assert len(got) == len(rows)
     for v, r in zip(V, got):
         np.testing.assert_array_equal(r, _ref_fiber_roots(v))
+    nz = V != 0
+    lengths = np.where(nz.any(axis=1),
+                       width - np.argmax(nz[:, ::-1], axis=1), 0)
+    for v, r in zip(V, zeros._companion_roots(V, lengths)):
+        np.testing.assert_array_equal(r, np.roots(v[::-1]))
 
 
 def test_one_attempt_stacks_its_lapack_calls(monkeypatch):
