@@ -20,9 +20,9 @@ Kernels:
 * power tables, on one axis and on several alike: one table row per axis
   and distinct exponent, then the product of each output column, axis by
   axis.  Exponents 0 and 1 take no power at all, which is all of the work
-  on the 2-term pole polynomials of P1 that the nodes Gram evaluates on
-  every radial slab; a P2 chart basis of degree 10 (66 monomials, 11
-  distinct exponents per axis) takes a sixth of the broadcast's powers.
+  on the one-monomial sections of the test forms; a P2 chart basis of
+  degree 10 (66 monomials, 11 distinct exponents per axis) takes a sixth of
+  the broadcast's powers.
 
 Both give every value the bits of the broadcast, signs of zero included
 (``tests/test_kernels.py``).  That rests on three facts of numpy:
@@ -69,17 +69,12 @@ _TABLE_ENTRIES = 1 << 15
 # above 1).  That boundary is tuned only roughly: on 60,000 points the
 # tables take 0.56x the broadcast's time on a P1 basis of degree 2, 0.90x
 # on degree 3 and 0.99x on degree 4, but on 5,000 points 1.3x on degree 3.
-# The benchmark's one-axis inputs mostly lie far from it, taking no power
-# (the pole polynomials of P1) or nearly all (the P1 bases); the nearest,
-# exponents {0, 1, 2} on 4,608 points in a P2 study, take 1.07x on the
-# tables (0.35 ms against 0.32 ms).
+# The benchmark's one-axis inputs lie far from it, taking no power or nearly
+# all (the P1 bases).  Those taking none are the one-monomial test-form
+# sections on the 4,608-point blocks of a P1 target rule: there the tables
+# take 0.8-1.1x the broadcast's time on exponent 0 and 1.2-1.3x (about 10
+# us more) on exponent 1; exponents {0, 1, 2} on such a block take 0.6-0.7x.
 _TABLE_MIN_VALUES = 2048
-
-# Below this many output columns, a copy or product over all columns runs
-# along the short column axis innermost, row after row; one numpy call per
-# column is faster (the 2-term pole polynomials of P1 take about half the
-# time, and a cold p1-zeros run 0.90x).
-_FEW_COLUMNS = 8
 
 
 def eval_monomials(points, exponents, scales):
@@ -140,7 +135,6 @@ def _column_products(points, exponents, scales, out):
     rows = [np.searchsorted(u, exponents[:, a])
             for a, u in enumerate(distinct)]
     parts = out.view(np.float64).reshape(n, m, 2)
-    column_scales = scales.tolist()
     chunk = max(1, _TABLE_ENTRIES // m)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
@@ -150,15 +144,9 @@ def _column_products(points, exponents, scales, out):
         for (tr, ti), row in zip(tables[1:], rows[1:]):
             tr, ti = tr[row], ti[row]
             pr, pi = pr * tr - pi * ti, pr * ti + pi * tr
-        if m < _FEW_COLUMNS:
-            for j, scale in enumerate(column_scales):
-                parts[lo:hi, j, 0] = pr[j]
-                parts[lo:hi, j, 1] = pi[j]
-                out[lo:hi, j] *= scale
-        else:
-            parts[lo:hi, :, 0] = pr.T
-            parts[lo:hi, :, 1] = pi.T
-            out[lo:hi] *= scales[None, :]
+        parts[lo:hi, :, 0] = pr.T
+        parts[lo:hi, :, 1] = pi.T
+        out[lo:hi] *= scales[None, :]
 
 
 def _power_table(z, exps, first):

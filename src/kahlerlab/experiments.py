@@ -50,6 +50,12 @@ def _base_report(cfg):
 
 
 def _space(cfg, report, metric, p):
+    """The (cached) orthonormalized space, logged to the sidecar.
+
+    One log line per space names its metric, power, dimension, Gram method
+    and condition, the Gram rule's node count (``-`` on a cache hit, which
+    builds no rule) and the cache status.
+    """
     space, status = cached_space(metric, p, adjoint=cfg.adjoint,
                                  resolution=cfg.resolution,
                                  cache_dir=cfg.cache)
@@ -57,6 +63,12 @@ def _space(cfg, report, metric, p):
         report["cache"]["hits"] += 1
     elif status == "miss":
         report["cache"]["misses"] += 1
+    nodes = "-" if space.rule is None else space.rule.num_nodes
+    report["log"].append(
+        f"space {metric.label()} p={p} dim={space.dim} "
+        f"gram_method={space.gram_method} "
+        f"gram_condition={space.gram_condition:.6g} nodes={nodes} "
+        f"cache={status}")
     return space
 
 

@@ -19,10 +19,13 @@ Three Gram assembly strategies share one orthonormalization path:
   through finitely many Fourier modes of ``e^{-2 p psi}``, so an FFT over the
   uniform angular grids contracts radial basis profiles against those modes;
 * poles along curves in general position (P1 only): the same separable
-  contraction on a mesh refined toward the pole points, where the angular
+  contraction on a grid refined toward the pole points, where the angular
   moments of the node weight are taken by a cos/sin matmul over the
   non-uniform refined angles and the radial profiles carry each row's
-  largest log weight.
+  largest log weight.  The node weight is assembled from per-radius and
+  per-angle vectors and one ``log|Q|`` per pole polynomial ``Q``, which
+  nets the forced factor ``|Q|^(2k)`` against the pole weight; no node
+  mesh is built unless an atom other than a log pole needs one.
 
 All three run in log space wherever magnitudes can leave the comfortable
 range of double precision; overflow is detected and raised, never clipped.
@@ -33,6 +36,7 @@ import math
 import numpy as np
 
 from ._kernels import eval_monomials, gram_contract
+from .bundles import _poly_norm_key
 from .errors import (ConfigurationError, DegenerateSpaceError,
                      EmptySpaceError, IllConditionedError, NumericalError,
                      UnsupportedMetricError)
@@ -54,8 +58,10 @@ _MAX_DEGREE = 400
 # change moves the bits of a Gram matrix, so that cached orthonormalizations
 # from older code miss.  Version 2: separable ``nodes`` assembly.  Version
 # 3: ``nodes`` angular moments taken per radial slab, whose matmuls round
-# differently from the whole block's (up to 1.3e-15 relative).
-NUMERICS_VERSION = 3
+# differently from the whole block's (up to 1.3e-15 relative).  Version 4:
+# separable node weight, one log|Q| per pole (within 2e-15 of version 3 on
+# the off-axis pole of O(2) at p = 4, 5, 7, 8).
+NUMERICS_VERSION = 4
 
 _MODE_TABLE_BYTES = 2.5e8
 # Node budget of one radial slab of the tensor Gram paths (see ``gram``): a
@@ -106,6 +112,20 @@ def vanishing_order_required(p, lelong_coeff):
     ``e^{-2 p phi}`` iff ``k > p * nu - 1``; the threshold case is excluded.
     """
     return int(math.floor(p * lelong_coeff - 1.0 + 1e-9)) + 1
+
+
+def _log_ratio(Q, rep):
+    """``log|Q / rep|`` for two polynomials of one ``_poly_norm_key``."""
+    j = int(np.argmax(np.abs(Q.coeffs)))
+    (i,) = np.flatnonzero((rep.exponents == Q.exponents[j]).all(axis=1))
+    return math.log(abs(Q.coeffs[j])) - math.log(abs(rep.coeffs[i]))
+
+
+def _pole_on_grid(coeffs, exps, radius, phases):
+    """A one-variable chart polynomial on the tensor grid ``r e^{i theta}``:
+    the table ``c_k r^e_k`` (radius x term) times the table ``e^{i e_k
+    theta}`` (term x angle)."""
+    return (coeffs * np.power.outer(radius, exps)) @ phases
 
 
 def _coord_factor(manifold, coord):
@@ -478,6 +498,47 @@ class SectionSpace:
         return gram_contract(np.concatenate(rads), np.concatenate(whats),
                              didx.astype(np.int64))
 
+    def _node_weight_terms(self):
+        """The real node weight of the ``nodes`` Gram, in separable parts.
+
+        Returns ``(ref, const, poles, others)`` such that, at ``z = r e^{i
+        theta}``,
+
+            ell = log w(r) + log w(theta) + ref log(1 + r^2) + const
+                  + sum_Q kappa_Q log|Q(z)| - 2 p sum_others c psi(z).
+
+        ``poles`` lists each distinct pole polynomial once (matched by
+        ``bundles._poly_norm_key``) as ``[Q, kappa_Q, forced]``, where
+        ``kappa_Q = 2 k_Q - 2 p sum c t / deg Q`` nets the forced factor
+        ``|Q|^(2 k_Q)`` against the log-pole atoms on ``Q``, and ``forced``
+        says that the basis vanishes on ``{Q = 0}``.  A scaled copy of a
+        listed polynomial adds its log scale to ``const``.  The atoms that
+        are not log poles come back as ``others``, pairs ``(c, atom)``.
+        """
+        p = self.p
+        ref = -p * float(self.metric.bundle.degree[0])
+        const = 0.0
+        poles = {}
+        others = []
+
+        def add(Q, kappa, forced):
+            nonlocal const
+            entry = poles.setdefault(_poly_norm_key(Q), [Q, 0.0, False])
+            entry[1] += kappa
+            entry[2] |= forced
+            const += kappa * _log_ratio(Q, entry[0])
+
+        for c, atom in self.metric.atoms:
+            if atom.kind != "log_pole":
+                others.append((c, atom))
+                continue
+            s = c * atom.t / atom.dtot
+            ref += p * s * atom.Q.degree[0]
+            add(atom.Q, -2.0 * p * s, False)
+        for Q, k in self.sigma_polys:
+            add(Q, 2.0 * k, True)
+        return ref, const, list(poles.values()), others
+
     def _gram_nodes_block(self, block):
         """One block's Gram from radial profiles and angular moments.
 
@@ -489,29 +550,54 @@ class SectionSpace:
         angles are fine), and the radial profiles ``exp(log s_a + e_a log r
         + c(r) / 2)``, where ``c(r)`` is the row maximum of ``ell``.
 
+        ``ell`` is assembled from the parts of ``_node_weight_terms``, each
+        pole polynomial on the grid being a per-radius table times a
+        per-angle one.  So the two powers of ``|Q|`` share one logarithm,
+        ``kappa_Q = 0`` takes none, and only atoms other than log poles are
+        evaluated at the nodes and build a mesh, one slab's at a time.
+
         The block is walked in radial slabs of at most ``_SLAB_NODES``
-        nodes, so ``ell`` and its density never exceed one slab and the
-        block's own mesh is never built.  Slabs hold whole angular rows,
-        so each ``c(r)`` is the row maximum over the whole block.
+        nodes, so ``ell`` and its density never exceed one slab.  Slabs
+        hold whole angular rows, so each ``c(r)`` is the row maximum over
+        the whole block.
         """
         (ax,) = block.axes
         E = self.exponents[:, _chart_columns(self.manifold, block.chart)[0]]
         qe = int(E.max())
         phase = np.multiply.outer(ax.theta, np.arange(-qe, qe + 1))
         cos, sin = np.cos(phase), np.sin(phase)
+        ref, const, poles, others = self._node_weight_terms()
+        tables = []
+        for Q, kappa, forced in poles:
+            cp = Q.chart_poly(block.chart)
+            e = cp.exponents[:, 0]
+            tables.append((cp.coeffs, e, np.exp(1j * np.multiply.outer(
+                e, ax.theta)), kappa, forced))
+        with np.errstate(divide="ignore"):
+            b = np.log(ax.wtheta if self.adjoint else ax.wtheta / TWO_PI)
         cs, whats = [], []
         for slab in block.split(_SLAB_NODES):
-            Z = slab.points
+            sax = slab.axes[0]
+            r = sax.radius
             with np.errstate(divide="ignore", invalid="ignore"):
-                ell = (np.log(self._measure_weights(slab))
-                       - 2.0 * self.p * self.metric.weight(slab.chart, Z))
-                for Q, k in self.sigma_polys:
-                    ell += 2.0 * k * np.log(np.abs(
-                        Q.chart_poly(slab.chart).eval(Z)))
-            # nan is inf - inf at a node on {Q_j = 0}, where the forced
-            # factor vanishes with the basis, so the node contributes nothing
+                a = (np.log(sax.leb_factor if self.adjoint else sax.wx)
+                     + ref * np.log1p(r * r) + const)
+                ell = np.add.outer(a, b)
+                for coeffs, e, phases, kappa, forced in tables:
+                    vals = _pole_on_grid(coeffs, e, r, phases)
+                    if kappa:
+                        ell += kappa * np.log(np.abs(vals))
+                    if forced:
+                        # the forced factor vanishes with the basis, so
+                        # the node contributes nothing
+                        ell[vals == 0.0] = -np.inf
+                for coeff, atom in others:
+                    ell -= 2.0 * self.p * coeff * atom.psi(
+                        self.manifold, slab.chart, slab.points).reshape(
+                            slab.shape)
+            # nan is inf - inf, at a node where a vanishing forced factor
+            # or measure weight meets a pole: it contributes nothing
             ell[np.isnan(ell)] = -np.inf
-            ell = ell.reshape(slab.shape)
             c = ell.max(axis=1)
             if c.max() == np.inf:
                 raise NumericalError("Gram weight is infinite at a node")

@@ -97,6 +97,40 @@ def test_curve_equidistribution_replays_and_matches_the_sample_loop(
         assert s["x"] == [4, 6] and s["y"] == series[s["label"]]
 
 
+def test_each_space_is_logged_to_the_sidecar_only(tmp_path):
+    doc = {
+        "study": "equidistribution", "manifold": "P1", "degree": 2,
+        "metrics": [{"h": {"kind": "log_pole", "t": 0.5, "Q": {
+            "degree": 1, "terms": [[[1, 0], 1.0, 0.0], [[0, 1], 0.6, 0.3]]}}}],
+        "p_grid": [4, 5], "samples": 2, "dict_count": 2, "seed": [3],
+    }
+    reports = {"off": run_study(parse_config(doc))}
+    doc["cache"] = str(tmp_path / "cache")
+    reports["miss"] = run_study(parse_config(doc))
+    reports["hit"] = run_study(parse_config(doc))
+    label = parse_config(doc).metrics[0]["h"].label()
+    paths = {k: emit_report(r, tmp_path / k) for k, r in reports.items()}
+    for status, report in reports.items():
+        lines = [ln for ln in report["log"] if ln.startswith("space ")]
+        assert len(lines) == 2
+        for line, p in zip(lines, (4, 5)):
+            assert line.startswith(f"space {label} p={p} dim=")
+            assert "gram_method=nodes gram_condition=" in line
+            assert line.endswith(f"cache={status}")
+            assert ("nodes=-" in line) == (status == "hit")
+        with open(paths[status]["log"], encoding="utf-8") as fh:
+            sidecar = fh.read()  # each line after a time stamp
+        assert all(f" {ln}\n" in sidecar for ln in lines)
+    assert "nodes=320776 cache=miss" in reports["miss"]["log"][0]
+    for kind in ("csv", "json", "svg"):
+        blobs = set()
+        for status in reports:
+            with open(paths[status][kind], "rb") as fh:
+                blobs.add(fh.read())
+        assert len(blobs) == 1
+        assert b"gram_condition" not in blobs.pop()
+
+
 def test_expected_zero_config_needs_100_samples(tmp_path):
     # rejected at parse time, before any space is built or cached
     with pytest.raises(ConfigurationError):

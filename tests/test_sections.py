@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from kahlerlab import sections
-from kahlerlab.bundles import LineBundle, Metric, SmoothedMaxAtom
+from kahlerlab.bundles import (LineBundle, LogPoleAtom, MaxLogAtom, Metric,
+                               SmoothedMaxAtom)
 from kahlerlab.errors import (ConfigurationError, EmptySpaceError,
                               IllConditionedError, NumericalError,
                               UnsupportedMetricError)
 from kahlerlab.geometry import (Axis, Block, QuadratureRule, build_manifold,
                                 quadrature_nodes)
-from kahlerlab.polynomials import SectionPoly, coordinate_section
+from kahlerlab.polynomials import ChartPoly, SectionPoly, coordinate_section
 from kahlerlab.sections import (build_section_space, log_bergman_sup,
                                 section_degree, space_dimension,
                                 vanishing_order_required)
@@ -33,10 +34,21 @@ def _generic_pair():
     return Q1, Q2
 
 
+def _off_axis_q(scale=1.0):
+    return SectionPoly.from_coeff_map(
+        P1, 1, {(1, 0): scale, (0, 1): scale * (0.6 + 0.3j)})
+
+
 def _off_axis_pole(t=0.5):
     # the pole of the benchmark's p1-zeros workload
-    Q = SectionPoly.from_coeff_map(P1, 1, {(1, 0): 1.0, (0, 1): 0.6 + 0.3j})
-    return Metric.log_pole(LineBundle(P1, 2), Q, t)
+    return Metric.log_pole(LineBundle(P1, 2), _off_axis_q(), t)
+
+
+def _scaled_copies():
+    # two log poles on one divisor, given by proportional polynomials
+    return Metric(LineBundle(P1, 2), [(1.0, LogPoleAtom(_off_axis_q(), 0.3)),
+                                      (1.0, LogPoleAtom(_off_axis_q(1.5),
+                                                        0.3))])
 
 
 # -- degrees and dimensions ----------------------------------------------------
@@ -233,17 +245,43 @@ def _nodewise_gram(space, rule):
     return G
 
 
+def _nodes_case(case):
+    """The metric of one node-wise reference case."""
+    if case in ("off-axis", "adjoint-off"):
+        return _off_axis_pole()
+    if case == "sigma-filtered":
+        return Metric.log_pole(LineBundle(P1, 1), _generic_pair()[0], 0.7)
+    if case == "point-centers":
+        return _off_axis_pole(t=0.1)  # p t < 1: no forced vanishing
+    if case == "pole+max_log":
+        return Metric(LineBundle(P1, 2),
+                      [(1.0, LogPoleAtom(_off_axis_q(), 0.5)),
+                       (0.6, MaxLogAtom(0.5))])
+    if case == "interpolate-smoothed":
+        Q1, Q2 = _generic_pair()
+        g = Metric.smoothed_max(LineBundle(P1, 2), Q1, Q2, 0.7, 0.6)
+        return Metric.interpolate(_off_axis_pole(), g, 0.5)
+    if case == "degree-2-pole":
+        # kappa_Q = -0.5 at p = 5, -1 at p = 6.  Below -1 the nodes nearest
+        # a root (|Q| ~ 1e-8) carry the eps / |Q| rounding of Q into the
+        # Gram, at 2e-11 for kappa_Q = -1.6 by either evaluation of Q
+        return Metric.log_pole(LineBundle(P1, 3), _generic_pair()[0], 0.5)
+    assert case == "scaled-copies"
+    return _scaled_copies()
+
+
 @pytest.mark.parametrize("case,p,forced", [
     ("off-axis", 4, True), ("off-axis", 8, True),
-    ("sigma-filtered", 16, True), ("point-centers", 4, False)])
+    ("sigma-filtered", 16, True), ("point-centers", 4, False),
+    ("pole+max_log", 5, True), ("pole+max_log", 6, True),
+    ("interpolate-smoothed", 5, True), ("interpolate-smoothed", 6, True),
+    ("adjoint-off", 5, True), ("adjoint-off", 6, True),
+    ("degree-2-pole", 5, True), ("degree-2-pole", 6, True),
+    ("scaled-copies", 5, True)])
 def test_nodes_gram_matches_the_nodewise_sum(case, p, forced):
-    if case == "off-axis":
-        h = _off_axis_pole()
-    elif case == "sigma-filtered":
-        h = Metric.log_pole(LineBundle(P1, 1), _generic_pair()[0], 0.7)
-    else:
-        h = _off_axis_pole(t=0.1)  # p t < 1: no forced vanishing
-    sp = build_section_space(h, p, orthonormalize=False)
+    sp = build_section_space(_nodes_case(case), p,
+                             adjoint=case != "adjoint-off",
+                             orthonormalize=False)
     G = sp.gram()
     assert sp.gram_method == "nodes"
     assert bool(sp.sigma_polys) == forced
@@ -337,10 +375,48 @@ def test_gram_builds_only_slab_meshes(case, monkeypatch):
     sp = build_section_space(h, p, orthonormalize=False)
     sp.gram()
     assert sp.gram_method == case.split("-")[0]
-    assert max(built) <= sections._SLAB_NODES
-    # every node is built exactly once, and never by a block of the rule
-    assert sum(built) == sp.rule.num_nodes
+    if case == "nodes":
+        # a log-pole weight comes from per-axis tables: no node is built
+        assert built == []
+    else:
+        assert max(built) <= sections._SLAB_NODES
+        # every node is built exactly once, and never by a block of the rule
+        assert sum(built) == sp.rule.num_nodes
     assert all(b._mesh is None for b in sp.rule.blocks)
+
+
+def test_nodes_gram_takes_each_pole_once_per_slab(monkeypatch):
+    calls, built = [], []
+    pole_on_grid = sections._pole_on_grid
+
+    def spy(*args):
+        calls.append(args[2].size)
+        return pole_on_grid(*args)
+
+    def no_eval(*args):
+        raise AssertionError("a pole polynomial is evaluated at the nodes")
+
+    monkeypatch.setattr(sections, "_pole_on_grid", spy)
+    monkeypatch.setattr(ChartPoly, "eval", no_eval)
+    monkeypatch.setattr(Block, "_build", lambda block: built.append(block))
+    # two atoms and the forced factor share one divisor
+    sp = build_section_space(_scaled_copies(), 5, orthonormalize=False)
+    sp.gram()
+    slabs = [s for b in sp.rule.blocks for s in b.split(sections._SLAB_NODES)]
+    assert len(calls) == len(slabs)
+    assert sum(calls) == sum(len(s.axes[0].x) for s in slabs)
+    assert built == []
+
+
+@pytest.mark.parametrize("p", [4, 8])
+def test_forced_order_at_the_lelong_threshold_gives_the_identity(p):
+    # k = p t: the forced factor cancels the pole weight exactly, leaving
+    # the reference weight on the cofactor
+    sp = build_section_space(_off_axis_pole(), p, orthonormalize=False)
+    _, _, poles, others = sp._node_weight_terms()
+    assert [(kappa, forced) for _, kappa, forced in poles] == [(0.0, True)]
+    assert others == []
+    assert np.max(np.abs(sp.gram() - np.eye(sp.dim))) <= 1e-13
 
 
 def test_nodes_gram_traced_memory_stays_slab_sized():
@@ -354,6 +430,9 @@ def test_nodes_gram_traced_memory_stays_slab_sized():
     # the whole-block assembly peaked at 58 MB on this 405k-node rule
     assert sp.rule.num_nodes > 400_000
     assert peak < 24 * 2 ** 20
+    # slab meshes peaked at 8.5 MB, the per-axis tables of a log-pole
+    # weight at 3.6 MB
+    assert peak < 5 * 2 ** 20
 
 
 @pytest.mark.parametrize("p", [4, 8])
