@@ -204,16 +204,20 @@ def gram_contract(rad, what, didx):
     the mode index of each basis pair.  ``didx`` must be
     symmetric up to mode conjugation (the weight is real), so the result is
     Hermitian.
+
+    Each chunk takes the two steps that ``einsum("ra,rb,rab->ab",
+    optimize=True)`` takes on m >= 2 members and at least m rows, so there
+    it has that call's bits; the first step runs in place.
     """
     rad = np.ascontiguousarray(rad, dtype=np.float64)
     what = np.ascontiguousarray(what, dtype=np.complex128)
     didx = np.ascontiguousarray(didx, dtype=np.int64)
     m = rad.shape[1]
     G = np.zeros((m, m), dtype=np.complex128)
-    chunk = max(1, int(2e6) // max(m * m, 1))
+    chunk = max(1, (1 << 18) // max(m * m, 1))  # 4 MB of gathered modes
     for lo in range(0, rad.shape[0], chunk):
-        hi = min(lo + chunk, rad.shape[0])
-        r = rad[lo:hi]
-        w = what[lo:hi][:, didx]  # (c, m, m)
-        G += np.einsum("ra,rb,rab->ab", r, r, w, optimize=True)
+        r = rad[lo:lo + chunk]
+        w = what[lo:lo + chunk][:, didx]  # (c, m, m)
+        w *= r[:, :, None]
+        G += np.einsum("abr,rb->ab", w.transpose(1, 2, 0), r, optimize=True)
     return G

@@ -17,16 +17,17 @@ multiple of the reference forms + weighted divisors + circle measure), and
 ``curvature_pairing`` evaluates ``<c1(L, h), phi>`` for any metric by moving
 ``dd^c`` onto the test form, which is exact for closed-form cross-checks.
 
-Every current here is a global potential plus a closed class, so one
-routine, :func:`form_pairings`, walks a rule's blocks for both kinds of
-term: the forms against the reference basis and against ``dd^c`` of given
-potentials, all forms and potentials in one pass.  ``pair_omega_basis``,
-``ddc_pairing`` and ``curvature_pairing`` are one-form calls of it.  Its
-per-block pieces, :func:`omega_terms` and :func:`ddc_weights`, also serve
-:func:`kahlerlab.fscurrents.log_norm_pairings`, which pairs family currents
-and zero divisors in its own walk over the blocks.
+Every current here is a global potential plus a closed class, and every
+pairing of the package walks a rule's blocks through one routine,
+:func:`pair_blocks`: the forms against the reference basis, against
+``dd^c`` of potentials and against pointwise densities, all forms,
+potentials and densities in one pass.  Each form's per-block omega terms
+and ``dd^c`` weights stay in the block's memo, so every later walk over
+the rule reuses them.  ``pair_omega_basis``, ``ddc_pairing`` and
+``curvature_pairing`` are one-form calls of it.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -543,91 +544,99 @@ def _coord_intersection(manifold, i, j):
 # ---------------------------------------------------------------------------
 
 
-def form_pairings(forms, rule, fields=()):
-    """The reference and potential terms of each form, in one pass.
+def pair_blocks(rule, forms, potentials=(), densities=()):
+    """Pair forms with the reference basis, potentials and densities in one
+    walk over the rule's capped blocks; returns ``(om, pot, dens)``.
 
-    Returns ``(om, ddc)`` with ``om[i, j] = <omega_i ^ (forms[j]), 1>`` over
-    the reference basis and ``ddc[k, j] = int_X u_k dd^c(forms[j])`` for the
-    ``(u_k, integrable_k)`` pairs of the sequence ``fields``: each
-    ``u_k(chart, Z)`` gives a scalar field's node values, non-finite ones
-    handled as in :func:`finite_potential`.  Forms follow the test-form
-    protocol: ``chi(chart, Z)``, ``hessian(chart, Z)`` and ``omega_part``
-    (None on P1, basis coefficients on surfaces, where the form is chi
-    times that combination).
+    ``om[i, j] = <omega_i ^ (forms[j]), 1>`` for the forms with omega terms
+    (all on curves, those with an ``omega_part`` on surfaces).  ``pot[r, j]
+    = int_X u_r dd^c(forms[j])`` (0.0 without potentials): a potential maps
+    a block to finite node values, each (N,) array one row paired by
+    ``np.dot``, each (N, k) array k rows paired by one matrix product.
+    ``dens[k, j]`` sums ``c * np.dot(integrand(chi_j, forms[j]), w)`` over
+    the blocks' ``(c, integrand, w)`` terms from ``densities[k](block,
+    mats)``, with ``chi_j`` from :meth:`Block.form_values`, ``c`` a number
+    or one per form and ``mats(i)`` the basis matrix of factor i.
 
-    Per block the basis matrices, every field and each form's ``chi`` and
-    ``dd^c`` weights are evaluated once; each entry adds its blocks' shares
-    in block order, so a form's entries do not depend on the other forms or
-    fields of the call.
+    Omega terms and ``dd^c`` weights stay in each block's memo under
+    ``(form, "omega_terms")`` and ``(form, "ddc_weights")`` for every later
+    walk.  The basis matrices, taken once per block, are freed before the
+    potentials, the block's peak.  Entries add shares in block order; a
+    matrix product's last bits can move with the number of forms.
     """
     m = rule.manifold
+    forms = list(forms)
     om = np.zeros((m.factors, len(forms)))
-    ddc = np.zeros((len(fields), len(forms)))
+    dens = np.zeros((len(densities), len(forms)))
+    pot = 0.0
     for b in rule.capped_blocks():
-        om_b, ddc_b = _block_pairings(forms, b, fields)
-        om += om_b
-        ddc += ddc_b
-    return om, ddc
+        mats = functools.cache(
+            lambda i, b=b: m.omega_basis_matrix(i, b.chart, b.points))
+        for j, f in enumerate(forms):
+            if f.manifold.dim == 1 or f.omega_part is not None:
+                om[:, j] += b.memo((f, "omega_terms"),
+                                   lambda: _omega_terms(f, b, mats))
+        ws = [b.memo((f, "ddc_weights"), lambda: _ddc_weights(f, b, mats))
+              for f in forms] if potentials else []
+        for row, density in zip(dens, densities):
+            for c, integrand, w in density(b, mats):
+                row += c * np.array([float(np.dot(
+                    integrand(b.form_values(f), f), w)) for f in forms])
+        del mats  # free before the potentials, the block's peak
+        if not potentials:
+            continue
+        W = np.stack(ws, axis=1)
+        if len(forms) == 1:
+            # BLAS sums a one-column product (gemv) in another order than a
+            # wider one (gemm); a repeated column keeps a lone form on gemm
+            W = np.repeat(W, 2, axis=1)
+        rows = []
+        for U in (U for u in potentials for U in u(b)):
+            rows += ([[float(np.dot(U, w)) for w in ws]] if U.ndim == 1
+                     else list((U.T @ W)[:, :len(forms)]))
+        pot = pot + np.array(rows).reshape(-1, len(forms))
+    return om, pot, dens
 
 
-def _block_pairings(forms, block, fields):
-    """One block's shares of :func:`form_pairings`, as ``(om, ddc)``.
-
-    Its node arrays die when it returns, so none is alive while the next
-    block's fields are evaluated.
-    """
-    m = block.manifold
-    us = [finite_potential(np.asarray(u(block.chart, block.points),
-                                      dtype=float), integrable)
-          for u, integrable in fields]
-    mats = [m.omega_basis_matrix(i, block.chart, block.points)
-            for i in range(m.factors)]
-    om = np.zeros((m.factors, len(forms)))
-    ddc = np.zeros((len(us), len(forms)))
-    for j, f in enumerate(forms):
-        om[:, j] = omega_terms(f, block, mats)
-        if us:
-            W = ddc_weights(f, block, mats)
-            ddc[:, j] = [float(np.dot(u, W)) for u in us]
-    return om, ddc
-
-
-def omega_terms(form, block, mats):
-    """One block's shares of ``<omega_i ^ (form), 1>``, one per factor.
-
-    ``mats`` holds the block's reference basis matrices, one per factor.
-    """
+def _omega_terms(form, block, mats):
+    """One block's shares of ``<omega_i ^ (form), 1>``, one per factor,
+    ``mats(i)`` the block's basis matrix of factor i."""
     chi = np.asarray(form.chi(block.chart, block.points), dtype=float)
     if block.manifold.dim == 1:
-        return [float(np.dot(chi * np.real(mats[0]),
-                             block.weights_lebesgue)) / math.pi]
+        return np.array([float(np.dot(chi * np.real(mats(0)),
+                                      block.weights_lebesgue)) / math.pi])
     Bm = _form_omega_matrix(form, mats)
     wq = block.weights_lebesgue / 4.0
-    return [float(np.dot(chi * wedge_density_11(A, Bm), wq)) for A in mats]
+    return np.array([float(np.dot(chi * wedge_density_11(mats(i), Bm), wq))
+                     for i in range(block.manifold.factors)])
 
 
-def ddc_pairing(scalar_field, form, rule, integrable=False):
-    """``int_X u dd^c(form)`` for a scalar field u (see
-    :func:`form_pairings`)."""
-    _, ddc = form_pairings([form], rule, [(scalar_field, integrable)])
-    return float(ddc[0, 0])
-
-
-def ddc_weights(form, block, mats):
-    """Node weights of ``u -> int u dd^c(form)`` over one quadrature block.
-
-    ``mats`` holds the block's reference basis matrices, one per factor.
-    Each entry is the ``dd^c`` density of the form times the quadrature
-    weight of its node, so ``np.dot(u, ddc_weights(form, block, mats))`` is
-    the block's share of ``ddc_pairing`` for a field with node values u.
-    The vector does not depend on u: one serves every field paired with the
-    form.
-    """
+def _ddc_weights(form, block, mats):
+    """Node weights of ``u -> int u dd^c(form)`` over one block: the form's
+    ``dd^c`` density times the quadrature weights, ``mats(i)`` the block's
+    basis matrix of factor i.  A constant form takes no Hessian; its zero
+    weights are one value broadcast to the nodes."""
+    if form.constant:
+        return np.broadcast_to(0.0, (block.num_nodes,))
     H = form.hessian(block.chart, block.points)
     if block.manifold.dim == 1:
         return (np.real(H) / math.pi) * block.weights_lebesgue
     return (wedge_density_11(H, _form_omega_matrix(form, mats))
             * (block.weights_lebesgue / 4.0))
+
+
+def _field_potential(u, integrable):
+    """The :func:`pair_blocks` potential of a scalar field ``u(chart, Z)``,
+    its non-finite values handled as in :func:`finite_potential`."""
+    return lambda b: [finite_potential(
+        np.asarray(u(b.chart, b.points), dtype=float), integrable)]
+
+
+def ddc_pairing(scalar_field, form, rule, integrable=False):
+    """``int_X u dd^c(form)`` for a scalar field ``u(chart, Z)`` (see
+    :func:`pair_blocks`)."""
+    potential = _field_potential(scalar_field, integrable)
+    return float(pair_blocks(rule, [form], [potential])[1][0, 0])
 
 
 def finite_potential(u, integrable):
@@ -651,19 +660,19 @@ def finite_potential(u, integrable):
 
 
 def _form_omega_matrix(form, mats):
-    """The form's omega part from a block's basis matrices ``mats``, one
-    per factor."""
+    """The form's omega part from a block's basis matrices, ``mats(i)``
+    that of factor i."""
     acc = None
-    for c, mat in zip(np.asarray(form.omega_part, dtype=float), mats):
+    for i, c in enumerate(np.asarray(form.omega_part, dtype=float)):
         if c == 0.0:
             continue
-        acc = c * mat if acc is None else acc + c * mat
-    return np.zeros_like(mats[0]) if acc is None else acc
+        acc = c * mats(i) if acc is None else acc + c * mats(i)
+    return np.zeros_like(mats(0)) if acc is None else acc
 
 
 def pair_omega_basis(index, form, rule):
     """``<omega_index ^ (form), 1>``: the smooth reference pairing."""
-    return float(form_pairings([form], rule)[0][index, 0])
+    return float(pair_blocks(rule, [form])[0][index, 0])
 
 
 def curvature_pairing(metric, form, rule):
@@ -673,14 +682,15 @@ def curvature_pairing(metric, form, rule):
     bounded-above perturbation against dd^c(form), so no derivative of the
     (possibly singular) weight is ever taken.
     """
-    fields = [(metric.psi, not metric.smooth)] if metric.atoms else []
-    om, ddc = form_pairings([form], rule, fields)
+    potentials = ([_field_potential(metric.psi, not metric.smooth)]
+                  if metric.atoms else [])
+    om, pot, _ = pair_blocks(rule, [form], potentials)
     total = 0.0
     for i, d in enumerate(metric.bundle.degree):
         if d != 0:
             total += d * om[i, 0]
     if metric.atoms:
-        total += ddc[0, 0]
+        total += pot[0, 0]
     return float(total)
 
 

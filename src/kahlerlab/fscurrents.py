@@ -28,35 +28,34 @@ c1(K_X))`` of the reference metric.  The potential is taken in the
 reference frame, so the metric perturbation cancels between its two parts
 and is never evaluated.
 
-Block-outer rule: every pairing takes a list of forms and loops over the
-quadrature blocks outside and the forms inside.  What does not depend on
-the form (log-norm potentials, reduced Hessians, omega basis matrices,
-quadrature weights, embedded line points, transverse intersection points)
-is computed once per block; per form only ``chi``, its omega terms and its
-``dd^c`` weights are.  Each form's total accumulates in the same order as
-it would alone, so the one-form functions (``fs_pairing``,
-``fs_wedge_pairing``, ``descriptor_form_pairing``,
-``descriptor_wedge_pairing``) are one-entry calls of the batched ones and
-return the same bits.
+Block-outer rule: every pairing takes a list of forms and walks the
+quadrature blocks through :func:`bundles.pair_blocks`, the blocks outside
+and the forms inside.  What does not depend on the form (log-norm
+potentials, reduced Hessians, omega basis matrices, quadrature weights)
+is computed once per block and handed to it as a potential or a density.
+Each form's total accumulates in the same order as it would alone, so the
+one-form functions (``fs_pairing``, ``fs_wedge_pairing``,
+``descriptor_form_pairing``, ``descriptor_wedge_pairing``) are one-entry
+calls of the batched ones and return the same bits.
 
 What depends on neither the form list nor p lives with the quadrature
-rule, so a sweep over p on one rule computes it once: ``chi`` on the rule's
-blocks (:meth:`geometry.Block.form_values`), the wedge densities of the
-reference forms, the divisor line rules (:meth:`QuadratureRule.line_rule`)
-and ``chi`` at their embedded nodes.  It is freed with the rule.
+rule, so a sweep over p on one rule computes it once: each form's ``chi``,
+omega terms and ``dd^c`` weights, the wedge densities of the reference
+forms, the divisor line rules (:meth:`QuadratureRule.line_rule`) and
+``chi`` at their embedded nodes.  It is freed with the rule.
 """
 
 from __future__ import annotations
 
-import functools
+import dataclasses
 import math
 
 import numpy as np
 
 from ._kernels import eval_monomials
 from .bundles import (CurrentDescriptor, _form_omega_matrix, _p1_roots,
-                      ddc_weights, finite_potential, form_pairings,
-                      form_values_hom, omega_terms, wedge_descriptors)
+                      finite_potential, form_values_hom, pair_blocks,
+                      wedge_descriptors)
 # benchmarks/tracer.py patches curvature_pairing here
 from .bundles import curvature_pairing  # noqa: F401
 from .errors import (ConfigurationError, GeneralPositionError, NumericalError)
@@ -162,8 +161,8 @@ def fs_pairings(space, forms, rule, route="potential"):
     forms = list(forms)
     _require_omega_parts(space.manifold, forms)
     if route == "potential":
-        return log_norm_pairings(space, space.coeff_matrix(), forms, rule,
-                                 family=True)[0] / space.p
+        return log_norm_pairings(space, forms, rule,
+                                 family=space.coeff_matrix())[0] / space.p
     if route != "derivative":
         raise ConfigurationError(f"unknown pairing route {route!r}")
     totals = _pointwise_pairings(space, forms, rule)
@@ -179,59 +178,43 @@ def _require_omega_parts(manifold, forms):
             "(1,1)-current pairings on surfaces need omega-carrying forms")
 
 
-def log_norm_pairings(space, C, forms, rule, family=False):
-    """``int u dd^c f + p <c1(L), f> (+ <c1(K_X), f>)`` for the log-norm
-    potentials u of the sections with coefficient columns ``C``.
+def log_norm_pairings(space, forms, rule, sections=None, family=None):
+    """``int u dd^c f + p <c1(L), f> (+ <c1(K_X), f>)`` for log-norm
+    potentials u of the space, in one walk over the rule.
 
-    Column j's potential is its reference-frame log-norm ``log|M c_j| +
-    base``: ``M`` holds the scaled monomials and ``base`` (see
+    A section with coefficient column c has the reference-frame log-norm
+    ``log|M c| + base``: ``M`` holds the scaled monomials and ``base`` (see
     :func:`_log_norm_base`) the rest, so the metric perturbation, which
     would enter both terms, cancels and ``c1(L)`` is the reference class.
-    Row j of the (columns, forms) result is ``<[s_j = 0], f>``.  With
-    ``family`` the columns are one family with potential ``1/2 log sum_j
-    |M c_j|^2 + base``, and the one row is p times its current pairing.
-
-    Per block the basis matrices, each form's omega terms and ``dd^c``
-    weights and ``M`` are computed once.  Single sections go in column
-    chunks of at most ``_LOG_NORM_CHUNK`` (nodes, columns) entries; a
-    family, no larger than ``M``, goes in one product.  A potential
-    non-finite at too many nodes of a block raises as in
-    ``bundles.finite_potential``.
+    The result has, with ``family``, first p times the current pairing of
+    the family with coefficient columns ``family`` (potential ``1/2 log
+    sum_j |M c_j|^2 + base``), then a row ``<[s_j = 0], f>`` per column
+    c_j of ``sections``.  ``M`` and ``base`` serve all rows of a block.  A
+    family goes in one product, sections in column chunks of at most
+    ``_LOG_NORM_CHUNK`` (nodes, columns) entries.  A potential non-finite
+    at too many nodes of a block raises as in ``bundles.finite_potential``.
     """
     forms = list(forms)
     m = space.manifold
     if rule is None:
         raise ConfigurationError("log-norm pairings need a quadrature rule")
     _require_omega_parts(m, forms)
-    out = np.zeros((1 if family else C.shape[1], len(forms)))
-    om = np.zeros((m.factors, len(forms)))
-    for b in rule.capped_blocks():
-        mats = [m.omega_basis_matrix(i, b.chart, b.points)
-                for i in range(m.factors)]
-        for j, f in enumerate(forms):
-            om[:, j] += omega_terms(f, b, mats)
-        ws = [ddc_weights(f, b, mats) for f in forms]
-        del mats  # free before the section product, the block's peak
+
+    def log_norms(b):
         M = space.monomial_values(b.chart, b.points)
         base = _log_norm_base(space, b.chart, b.points)
-        if family:
-            A = np.abs(M @ C)
+        if family is not None:
+            A = np.abs(M @ family)
             u = 0.5 * _log_modulus(np.einsum("nj,nj->n", A, A)) + base
-            u = finite_potential(u, integrable=True)
-            # one contiguous dot per form, as form_pairings sums a field
-            out[0] += [float(np.dot(u, w)) for w in ws]
-            continue
-        W = np.stack(ws, axis=1)
-        if len(forms) == 1:
-            # BLAS sums a one-column product (gemv) in another order than
-            # a wider one (gemm); a repeated column keeps a form's pairings
-            # the same bits whatever forms it is batched with
-            W = np.repeat(W, 2, axis=1)
-        step = max(1, _LOG_NORM_CHUNK // M.shape[0])
-        for lo in range(0, C.shape[1], step):
-            U = _log_modulus(M @ C[:, lo:lo + step]) + base[:, None]
-            P = finite_potential(U, integrable=True).T @ W
-            out[lo:lo + step] += P[:, :len(forms)]
+            del A  # node-by-member sized: free before the sections' chunks
+            yield finite_potential(u, integrable=True)
+        if sections is not None:
+            step = max(1, _LOG_NORM_CHUNK // M.shape[0])
+            for lo in range(0, sections.shape[1], step):
+                U = _log_modulus(M @ sections[:, lo:lo + step]) + base[:, None]
+                yield finite_potential(U, integrable=True)
+
+    om, out, _ = pair_blocks(rule, forms, [log_norms])
     closed = np.zeros(len(forms))
     for i, d in enumerate(space.metric.bundle.degree):
         if d != 0:
@@ -269,22 +252,18 @@ def _log_norm_base(space, chart, Z):
 def _pointwise_pairings(space, forms, rule):
     m = rule.manifold
     field = ReducedHessianField(space)
-    totals = np.zeros(len(forms))
-    for b in rule.capped_blocks():
+
+    def reduced(b, mats):
         H, bad = field(b.chart, b.points)
         if m.dim == 1:
             wq = _drop_vanished(bad, b.weights_lebesgue, "reduced family")
             dens = np.real(H) / math.pi
-        else:
-            wq = _drop_vanished(bad, b.weights_lebesgue / 4.0,
-                                "reduced family")
-            mats = [m.omega_basis_matrix(i, b.chart, b.points)
-                    for i in range(m.factors)]
-        for i, f in enumerate(forms):
-            if m.dim == 2:
-                dens = wedge_density_11(H, _form_omega_matrix(f, mats))
-            totals[i] += float(np.dot(b.form_values(f) * dens, wq))
-    return totals
+            return [(1.0, lambda chi, f: chi * dens, wq)]
+        wq = _drop_vanished(bad, b.weights_lebesgue / 4.0, "reduced family")
+        return [(1.0, lambda chi, f: chi * wedge_density_11(
+            H, _form_omega_matrix(f, mats)), wq)]
+
+    return pair_blocks(rule, forms, densities=[reduced])[2][0]
 
 
 # ---------------------------------------------------------------------------
@@ -370,17 +349,21 @@ def _line_rule(q_line=0, surface=None):
     return surface.line_rule(res)
 
 
-def _line_values(manifold, comp, forms, block, embed):
-    """chi of each form at a line block's nodes embedded on ``comp``.
+@dataclasses.dataclass(frozen=True)
+class _LineForm:
+    """A test function of a surface on the line rule of its coordinate
+    divisor ``comp``; equal restrictions share a line block's memo entry."""
 
-    The values are kept in the line block's memo under ``(form, comp)``;
-    the nodes are embedded only when a form is missing there.
-    """
-    pts = functools.cache(
-        lambda: embed(block.manifold.from_chart(block.points, block.chart)))
-    return [block.memo((f, comp),
-                       lambda f=f: form_values_hom(manifold, f, pts()))
-            for f in forms]
+    manifold: object
+    form: object
+    comp: tuple
+    omega_part = None
+    constant = False  # full value arrays, summed by BLAS as they were
+
+    def chi(self, chart, Z):
+        embed, _, _ = _line_embedding(self.manifold, self.comp)
+        line = build_manifold("P1").from_chart(Z, chart)
+        return form_values_hom(self.manifold, self.form, embed(line))
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +383,14 @@ def descriptor_form_pairing(descriptor, form, rule):
 def descriptor_form_pairings(descriptor, forms, rule):
     """:func:`descriptor_form_pairing` against each form, as an array.
 
-    One :func:`bundles.form_pairings` pass serves every form's omega terms.
+    One :func:`bundles.pair_blocks` pass serves every form's omega terms.
     """
     forms = list(forms)
     m = descriptor.manifold
     _require_omega_parts(m, forms)
     totals = np.zeros(len(forms))
     if np.any(descriptor.omega != 0.0):
-        om = form_pairings(forms, rule)[0]
+        om = pair_blocks(rule, forms)[0]
         for i, c in enumerate(descriptor.omega):
             if c != 0.0:
                 totals += c * om[i]
@@ -436,23 +419,19 @@ def descriptor_wedge_pairings(manifold, wedge, forms, rule):
     forms = list(forms)
     if any(f.omega_part is not None for f in forms):
         raise ConfigurationError("bidegree (2,2) currents pair with functions")
-    totals = np.zeros(len(forms))
     pairs = np.asarray(wedge["omega_pairs"], dtype=float)
     nf = manifold.factors
     live = [(i, j) for i in range(nf) for j in range(nf)
             if pairs[i, j] != 0.0]
-    for b in rule.capped_blocks():
-        mats = functools.cache(
-            lambda i: manifold.omega_basis_matrix(i, b.chart, b.points))
-        dens = [(pairs[i, j], b.memo(
-                    ("omega_wedge", i, j),
-                    lambda: wedge_density_11(mats(i), mats(j))))
-                for i, j in live]
+
+    def omega_wedges(b, mats):
         wq = b.weights_lebesgue / 4.0
-        for fi, f in enumerate(forms):
-            chi = b.form_values(f)
-            for c, d in dens:
-                totals[fi] += c * float(np.dot(chi * d, wq))
+        return [(pairs[i, j], lambda chi, f, d=b.memo(
+                    ("omega_wedge", i, j),
+                    lambda: wedge_density_11(mats(i), mats(j))): chi * d, wq)
+                for i, j in live]
+
+    totals = pair_blocks(rule, forms, densities=[omega_wedges])[2][0]
     for comp, vec in wedge["divisor_omega"]:
         totals += _divisor_omega_pairings(manifold, comp, [vec] * len(forms),
                                           forms, rule)
@@ -468,27 +447,25 @@ def _divisor_omega_pairings(manifold, comp, omega_vecs, forms, surface=None):
     one entry per form.
 
     The line rule is the surface rule's (see :func:`_line_rule`), and chi
-    at its embedded nodes stays in the line blocks' memo under ``(form,
-    comp)``: both live as long as ``surface``, so the targets, every p and
-    the expected masses of a study on one rule share them.  Without
-    ``surface`` both are built for this call.
+    at its embedded nodes stays in its blocks' memo (:class:`_LineForm`):
+    both live as long as ``surface``, so the targets, every p and the
+    expected masses of a study on one rule share them.  Without ``surface``
+    both are built for this call.
     """
     if comp[0] != "coord":
         raise GeneralPositionError(
             "surface divisor pairings need coordinate components")
-    embed, _, omega_index = _line_embedding(manifold, comp)
-    coeffs = [float(np.asarray(v, dtype=float)[omega_index])
-              for v in omega_vecs]
-    live = [i for i, c in enumerate(coeffs) if c != 0.0]
+    _, _, omega_index = _line_embedding(manifold, comp)
+    coeffs = np.array([float(np.asarray(v, dtype=float)[omega_index])
+                       for v in omega_vecs])
+    live = np.flatnonzero(coeffs)
     totals = np.zeros(len(forms))
-    if not live:
-        return totals
-    rule = _line_rule(surface=surface)
-    for b in rule.capped_blocks():
-        chis = _line_values(manifold, comp, [forms[i] for i in live], b,
-                            embed)
-        for i, chi in zip(live, chis):
-            totals[i] += coeffs[i] * float(np.dot(chi, b.weights_volume))
+    if live.size:
+        totals[live] = pair_blocks(
+            _line_rule(surface=surface),
+            [_LineForm(manifold, forms[i], comp) for i in live],
+            densities=[lambda b, mats: [(coeffs[live], lambda chi, f: chi,
+                                         b.weights_volume)]])[2][0]
     return totals
 
 
@@ -524,8 +501,8 @@ def fs_wedge_pairings(space_a, space_b, forms, rule):
     same = space_b is space_a
     field_a = ReducedHessianField(space_a)
     field_b = ReducedHessianField(space_b)
-    totals = np.zeros(len(forms))
-    for b in rule.capped_blocks():
+
+    def reduced_wedge(b, mats):
         Ha, bad = field_a(b.chart, b.points)
         if same:
             Hb = Ha
@@ -535,8 +512,9 @@ def fs_wedge_pairings(space_a, space_b, forms, rule):
         wq = _drop_vanished(bad, b.weights_lebesgue / 4.0,
                             "reduced families")
         dens = wedge_density_11(Ha, Hb)
-        for i, f in enumerate(forms):
-            totals[i] += float(np.dot(b.form_values(f) * dens, wq))
+        return [(1.0, lambda chi, f: chi * dens, wq)]
+
+    totals = pair_blocks(rule, forms, densities=[reduced_wedge])[2][0]
     on_a = [_restricted_pairings(space_b, comp, forms, rule)
             for comp, _ in space_a.base_divisors]
     on_b = on_a if same else [_restricted_pairings(space_a, comp, forms, rule)
@@ -581,13 +559,10 @@ def _restricted_pairings(space, comp, forms, surface=None):
     The line rule and chi on it come from ``surface`` as in
     :func:`_divisor_omega_pairings`; only the family depends on p.
     """
-    m = space.manifold
     Rc, q_line = _line_family(space, comp)
-    rule = _line_rule(q_line, surface)
-    embed, _, _ = _line_embedding(m, comp)
     exps = np.arange(q_line + 1)
-    totals = np.zeros(len(forms))
-    for b in rule.capped_blocks():
+
+    def restricted(b, mats):
         Z = b.points
         e = exps if b.chart == 0 else q_line - exps
         V = eval_monomials(Z, e[:, None].astype(np.int64),
@@ -596,10 +571,11 @@ def _restricted_pairings(space, comp, forms, surface=None):
                             e.astype(float)) @ Rc
         H, bad = _curve_hessian(V, dV, space.p)
         wq = _drop_vanished(bad, b.weights_lebesgue, "restricted family")
-        chis = _line_values(m, comp, forms, b, embed)
-        for i, chi in enumerate(chis):
-            totals[i] += float(np.dot(chi * H / math.pi, wq))
-    return totals
+        return [(1.0, lambda chi, f: chi * H / math.pi, wq)]
+
+    return pair_blocks(_line_rule(q_line, surface),
+                       [_LineForm(space.manifold, f, comp) for f in forms],
+                       densities=[restricted])[2][0]
 
 
 def _line_family(space, comp):

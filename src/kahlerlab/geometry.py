@@ -523,13 +523,12 @@ class Block:
     """Tensor quadrature over one chart region.
 
     Besides its nodes and weights, built on first use, a block keeps a memo
-    of node values that do not depend on the power p: the test-form values
-    of :meth:`form_values` and what the pairings store with :meth:`memo`
-    (wedge densities of the reference forms, form values at embedded
-    divisor-line nodes).  Each entry is a read-only array kept
-    for as long as the block lives; the blocks of
-    :meth:`QuadratureRule.capped_blocks` live as long as their rule, so a
-    study's memo goes with its target rule.
+    of values that do not depend on the power p: the test-form values of
+    :meth:`form_values`, each form's omega terms and ``dd^c`` weights
+    (``bundles.pair_blocks``), wedge densities of the reference forms and
+    form values at embedded divisor-line nodes.  Each entry is a read-only
+    array kept for as long as the block lives; the blocks of
+    :meth:`QuadratureRule.capped_blocks` live and die with their rule.
     """
 
     def __init__(self, manifold, chart, axes):
@@ -695,8 +694,9 @@ class QuadratureRule:
         """Blocks partitioned to at most ``max_nodes`` nodes each.
 
         The list is built once and memoized.  Its blocks keep their nodes,
-        weights and memo of p-independent values (see :class:`Block`) for
-        as long as this rule lives; drop the rule to free them.
+        weights and memo (see :class:`Block`; a paired form's ``chi`` and
+        ``dd^c`` weights take 8 bytes per node each) while this rule lives;
+        drop the rule to free them.
         """
         if self._capped is None:
             self._capped = [sb for b in self.blocks

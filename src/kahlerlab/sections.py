@@ -60,8 +60,11 @@ _MAX_DEGREE = 400
 # 3: ``nodes`` angular moments taken per radial slab, whose matmuls round
 # differently from the whole block's (up to 1.3e-15 relative).  Version 4:
 # separable node weight, one log|Q| per pole (within 2e-15 of version 3 on
-# the off-axis pole of O(2) at p = 4, 5, 7, 8).
-NUMERICS_VERSION = 4
+# the off-axis pole of O(2) at p = 4, 5, 7, 8).  Version 5:
+# ``gram_contract`` chunks of at most 2^18 gathered entries, which move the
+# Grams past that size (up to 5.3e-16 relative on the P1xP1 smoothed max
+# at p = 10).
+NUMERICS_VERSION = 5
 
 _MODE_TABLE_BYTES = 2.5e8
 # Node budget of one radial slab of the tensor Gram paths (see ``gram``): a

@@ -45,7 +45,7 @@ from .errors import (
     RootFindingError,
 )
 from .fscurrents import (_log_modulus, _log_norm_base, form_values_hom,
-                         fs_pairings, log_norm_pairings)
+                         log_norm_pairings)
 from .geometry import quadrature_nodes
 from .polynomials import SectionPoly
 
@@ -892,8 +892,8 @@ def zero_pairing(zeroset, form, rule=None):
     if zeroset.mode == "points":
         return float(point_pairings([zeroset], [form])[0, 0])
     sec = zeroset.section
-    return float(log_norm_pairings(sec.space, sec.coeffs[:, None], [form],
-                                   rule)[0, 0])
+    return float(log_norm_pairings(sec.space, [form], rule,
+                                   sections=sec.coeffs[:, None])[0, 0])
 
 
 def point_pairings(zerosets, forms):
@@ -952,7 +952,7 @@ def zero_pairings(space, seeds, forms, rule=None):
                  axis=1)
     if space.manifold.dim == 1:
         return point_pairings(curve_zero_sets(space, C), forms)
-    return log_norm_pairings(space, C, forms, rule)
+    return log_norm_pairings(space, forms, rule, sections=C)
 
 
 def potential_rule(metric, resolution=None):
@@ -976,7 +976,8 @@ def expected_zero_residuals(space, forms, num_samples, seed, rule=None):
     current pairing (the exact expectation under the sampling law), the
     sample mean of the zero pairings, their absolute gap and the standard
     error of the mean.  ``rule`` defaults to the ``potential_rule`` of the
-    space's metric.
+    space's metric.  One walk over it pairs the family and, on surfaces,
+    the samples' zero divisors; on curves the zeros pair as points.
     """
     if num_samples < MIN_EXPECTED_ZERO_SAMPLES:
         raise ConfigurationError(
@@ -985,10 +986,15 @@ def expected_zero_residuals(space, forms, num_samples, seed, rule=None):
     forms = list(forms)
     if rule is None:
         rule = potential_rule(space.metric)
-    targets = space.p * fs_pairings(space, forms, rule)
     key = _seed_key(seed)
-    vals = zero_pairings(space, [key + (i,) for i in range(num_samples)],
-                         forms, rule)
+    C = np.stack([sample_section(space, key + (i,)).coeffs
+                  for i in range(num_samples)], axis=1)
+    curve = space.manifold.dim == 1
+    rows = log_norm_pairings(space, forms, rule, sections=None if curve else C,
+                             family=space.coeff_matrix())
+    targets = space.p * (rows[0] / space.p)
+    vals = (point_pairings(curve_zero_sets(space, C), forms) if curve
+            else rows[1:])
     means = np.array([col.mean() for col in vals.T])
     ses = np.array([col.std(ddof=1) for col in vals.T])
     ses = ses / math.sqrt(num_samples)

@@ -12,7 +12,7 @@ from kahlerlab.bundles import (
     Metric,
     curvature_pairing,
     finite_potential,
-    form_pairings,
+    pair_blocks,
     wedge_descriptors,
 )
 from kahlerlab.fscurrents import descriptor_form_pairing, fs_pairings
@@ -247,7 +247,10 @@ def test_form_pairings_match_per_form_block_loops(kind):
     fields = [(h.psi, True),
               (lambda chart, Z: np.cos(np.abs(Z[:, 0]) + np.abs(Z[:, -1])),
                False)]
-    om, ddc = form_pairings(forms, rule, fields)
+    om, ddc, _ = pair_blocks(rule, forms, [
+        lambda b, u=u, integrable=integrable: [finite_potential(
+            np.asarray(u(b.chart, b.points), dtype=float), integrable)]
+        for u, integrable in fields])
     ref_om = [[_ref_pair_omega_basis(i, f, rule) for f in forms]
               for i in range(m.factors)]
     ref_ddc = [[_ref_ddc_pairing(u, f, rule, integrable) for f in forms]
@@ -279,12 +282,15 @@ def test_potential_route_evaluates_each_form_once_per_block(p2, monkeypatch):
     counted(Manifold, "omega_basis_matrix")
     counted(Metric, "psi")
     seeds = [(5, i) for i in range(4)]
-    for pair in (lambda: fs_pairings(sp, forms, rule),
-                 lambda: zero_pairings(sp, seeds, forms, rule)):
+    assert forms[0].constant and not any(f.constant for f in forms[1:])
+    # the second walk takes every form's weights from the blocks' memo
+    for pair, walks in ((lambda: fs_pairings(sp, forms, rule), 1),
+                        (lambda: zero_pairings(sp, seeds, forms, rule), 0)):
         calls.update(hessian=0, chi=0, omega_basis_matrix=0, psi=0)
         pair()
         # the metric perturbation cancels between potential and closed part
         assert calls["psi"] == 0
-        assert calls["hessian"] == 9
-        assert calls["omega_basis_matrix"] == 3
-        assert calls["chi"] <= 9
+        # a constant form has zero dd^c weights and takes no Hessian
+        assert calls["hessian"] == 6 * walks
+        assert calls["omega_basis_matrix"] == 3 * walks
+        assert calls["chi"] <= 9 * walks

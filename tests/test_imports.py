@@ -1,6 +1,7 @@
 """Import hygiene: every name a package module imports is used in that
 module, importing the package loads no scipy, running a study loads no
-``numpy.ma``, and every function the benchmark's tracer patches exists.
+``numpy.ma``, every function the benchmark's tracer patches exists, and
+no pairing walks a rule's blocks outside ``bundles.pair_blocks``.
 
 No linter ships with the package, so the first check is the unused-import
 check: each module of ``src/kahlerlab`` is parsed with ``ast`` and the names
@@ -131,3 +132,39 @@ def test_every_traced_function_resolves():
         if not callable(target):
             missing.append(f"{name}: kahlerlab.{module}.{path}")
     assert not missing, f"tracer targets not found: {missing}"
+
+
+# The functions that may walk a rule's capped blocks: the one pairing walker
+# and geometry's own integration helpers.
+BLOCK_WALKERS = {
+    "bundles.pair_blocks",
+    "geometry.integrate",
+    "geometry.QuadratureRule.nodes_homogeneous",
+    "geometry.QuadratureRule.weights",
+}
+
+
+def _capped_block_users(node, scope):
+    """Qualified names of the functions under ``node`` that reach
+    ``.capped_blocks``, ``scope`` naming ``node`` itself."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            found |= _capped_block_users(child, f"{scope}.{child.name}")
+            continue
+        if isinstance(child, ast.Attribute) and child.attr == "capped_blocks":
+            found.add(scope)
+        found |= _capped_block_users(child, scope)
+    return found
+
+
+def test_pairings_walk_blocks_only_through_pair_blocks():
+    users = set()
+    for module in MODULES:
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        users |= _capped_block_users(tree, module[:-len(".py")])
+    assert "bundles.pair_blocks" in users
+    assert users <= BLOCK_WALKERS, (
+        f"walks over capped_blocks() outside pair_blocks: "
+        f"{sorted(users - BLOCK_WALKERS)}")

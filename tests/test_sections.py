@@ -435,6 +435,21 @@ def test_nodes_gram_traced_memory_stays_slab_sized():
     assert peak < 5 * 2 ** 20
 
 
+def test_tensor_gram_traced_memory_stays_chunk_sized():
+    h, _ = _smoothed_max(P11)
+    sp = build_section_space(h, 10, orthonormalize=False)
+    tracemalloc.start()
+    try:
+        sp.gram()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sp.gram_method == "modes" and sp.dim == 81
+    # gram_contract's 2e6-entry gather and the einsum temporary of the
+    # same size held 61.4 of a 75.5 MB peak
+    assert peak < 25 * 2 ** 20
+
+
 @pytest.mark.parametrize("p", [4, 8])
 def test_slab_boundaries_keep_the_nodewise_sum(p, monkeypatch):
     monkeypatch.setattr(sections, "_SLAB_NODES", 30_000)
