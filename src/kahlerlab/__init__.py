@@ -12,7 +12,6 @@ from .errors import (  # noqa: F401
     DegenerateSpaceError,
     RootFindingError,
     GeneralPositionError,
-    NonIntegrableError,
     UnsupportedMetricError,
 )
 from .geometry import (  # noqa: F401

@@ -169,7 +169,7 @@ class LogPoleAtom(_Atom):
         if self.torus_invariant:
             e = self.Q.exponents[0]
             return [("coord", i) for i in range(len(e)) if e[i] > 0]
-        if manifold.kind == "P1":
+        if manifold.dim == 1:
             return [pt for pt in _p1_roots(self.Q)]
         return []
 
@@ -191,7 +191,7 @@ class MaxLogAtom(_Atom):
         self.t = float(t)
 
     def psi(self, manifold, chart, Z):
-        if manifold.kind != "P1":
+        if manifold.dim != 1:
             raise UnsupportedMetricError("max_log atoms live on P1")
         r2 = np.abs(Z[:, 0]) ** 2
         return self.t * (0.5 * np.log(np.maximum(1.0, r2))
@@ -354,12 +354,8 @@ class Metric:
         payloads = {}
         for coeff, atom in self.atoms:
             for comp, nu in atom.components(self.manifold):
-                if comp[0] == "coord":
-                    key = comp
-                    payloads[key] = comp
-                else:
-                    key = ("poly", comp[1])
-                    payloads[key] = comp
+                key = component_key(comp)
+                payloads[key] = comp
                 acc[key] = acc.get(key, 0.0) + coeff * nu
         return [(payloads[k], v) for k, v in acc.items() if v > 0]
 
@@ -387,7 +383,7 @@ class Metric:
             omega = omega + coeff * avec
             circle += coeff * circ
             for comp, nu in divs:
-                key = comp[:2] if comp[0] == "poly" else comp
+                key = component_key(comp)
                 payloads[key] = comp
                 divisors[key] = divisors.get(key, 0.0) + coeff * nu
         div_list = [(payloads[k], v) for k, v in divisors.items() if v != 0.0]
@@ -425,7 +421,7 @@ class CurrentDescriptor:
         divisors = {}
         payloads = {}
         for comp, nu in list(self.divisors) + list(other.divisors):
-            key = comp[:2] if comp[0] == "poly" else comp
+            key = component_key(comp)
             payloads[key] = comp
             divisors[key] = divisors.get(key, 0.0) + nu
         div_list = [(payloads[k], v) for k, v in divisors.items() if v != 0.0]
@@ -438,45 +434,49 @@ class CurrentDescriptor:
         total = float(self.omega @ _omega_factor_masses(m))
         for comp, nu in self.divisors:
             total += nu * _divisor_omega_mass(m, comp)
-        if m.kind == "P1":
+        if m.dim == 1:
             total += self.circle
         return total
 
     def lelong_coefficient(self, comp_key):
         for comp, nu in self.divisors:
-            key = comp[:2] if comp[0] == "poly" else comp
-            if key == comp_key:
+            if component_key(comp) == comp_key:
                 return nu
         return 0.0
 
 
+def component_key(comp):
+    """The identity of a divisor component: a coordinate component
+    ``("coord", i)`` is its own key, a polynomial one ``("poly", key, Q)``
+    is keyed by ``("poly", key)`` without the polynomial."""
+    return comp[:2] if comp[0] == "poly" else comp
+
+
+def _class_mass(manifold, degree):
+    """``<c ^ omega^{n-1}, 1>`` of the class ``c = sum_f degree_f omega_f``,
+    with ``omega = sum_f omega_f / omega_norm``."""
+    m = manifold
+    ones = (1,) * m.factors
+    return (m.intersection_number([degree] + [ones] * (m.dim - 1))
+            / m.omega_norm ** (m.dim - 1))
+
+
 def _omega_factor_masses(manifold):
     """<omega_i ^ omega^{n-1}, 1> for the basis forms."""
-    if manifold.kind == "P1":
-        return np.array([1.0])
-    if manifold.kind == "P2":
-        return np.array([1.0])
-    # omega_i ^ (omega_1 + omega_2)/sqrt(2): only the cross term survives
-    r = 1.0 / math.sqrt(2.0)
-    return np.array([r, r])
+    return np.array([_class_mass(manifold, _unit_degree(manifold, f))
+                     for f in range(manifold.factors)])
+
+
+def _unit_degree(manifold, factor):
+    return tuple(int(f == factor) for f in range(manifold.factors))
 
 
 def _divisor_omega_mass(manifold, comp):
     """<[D] ^ omega^{n-1}, 1> for one component."""
-    m = manifold
     if comp[0] == "coord":
-        if m.kind == "P1":
-            return 1.0
-        if m.kind == "P2":
-            return 1.0
-        return 1.0 / math.sqrt(2.0)
-    Q = comp[2]
-    if m.kind == "P1":
-        return float(sum(Q.degree))
-    if m.kind == "P2":
-        return float(Q.degree[0])
-    d1, d2 = Q.degree
-    return (d1 + d2) / math.sqrt(2.0)
+        return _class_mass(manifold, _unit_degree(
+            manifold, manifold.coord_factors[comp[1]]))
+    return _class_mass(manifold, comp[2].degree)
 
 
 def wedge_descriptors(A, B):
@@ -521,21 +521,20 @@ def wedge_descriptors(A, B):
 
 
 def _coord_intersection(manifold, i, j):
-    """Transverse intersection points of coordinate divisors (or None)."""
+    """Transverse intersection points of coordinate divisors (or None).
+
+    The divisors meet in one point when, in every factor, exactly one
+    coordinate is left nonzero, which is then 1; otherwise (two lines of
+    one P1 factor) they do not meet.
+    """
     if i == j:
         return None
-    if manifold.kind == "P2":
-        k = ({0, 1, 2} - {i, j}).pop()
-        p = np.zeros(3, dtype=complex)
-        p[k] = 1.0
-        return [p]
-    # product: lines from the same factor never meet transversally
-    if (i < 2) == (j < 2):
-        return []
-    zi, wj = (i, j) if i < 2 else (j, i)
-    p = np.zeros(4, dtype=complex)
-    p[1 - zi] = 1.0
-    p[2 + (1 - (wj - 2))] = 1.0
+    p = np.zeros(manifold.hom_len, dtype=complex)
+    for sl in manifold.factor_slices:
+        free = [k for k in range(sl.start, sl.stop) if k not in (i, j)]
+        if len(free) != 1:
+            return []
+        p[free[0]] = 1.0
     return [p]
 
 
@@ -692,6 +691,35 @@ def curvature_pairing(metric, form, rule):
     if metric.atoms:
         total += pot[0, 0]
     return float(total)
+
+
+def curve_divisor_points(comp):
+    """The points of a divisor component of P1, repeated by multiplicity:
+    ``[0:1]`` or ``[1:0]`` for ``("coord", i)``, the roots of ``Q`` for a
+    polynomial component ``("poly", key, Q)``."""
+    if comp[0] == "coord":
+        pt = np.zeros(2, dtype=complex)
+        pt[1 - comp[1]] = 1.0
+        return [pt]
+    return _p1_roots(comp[2])
+
+
+def point_mass_pairings(manifold, forms, points, totals=None):
+    """``totals[j] + sum_k mass_k f_j(point_k)`` over ``(point, mass)``
+    pairs, one entry per form (``totals`` defaults to zeros and is added
+    to in place).
+
+    Each form is evaluated once on the stacked points; the masses add into
+    the totals one point after another, in the order given.
+    """
+    totals = np.zeros(len(forms)) if totals is None else totals
+    if not points:
+        return totals
+    P = np.stack([pt for pt, _ in points])
+    V = np.stack([form_values_hom(manifold, f, P) for f in forms], axis=1)
+    for (_, mass), row in zip(points, V):
+        totals += mass * row
+    return totals
 
 
 def form_values_hom(manifold, form, points):

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .bundles import Metric, wedge_descriptors
+from .bundles import Metric, component_key, wedge_descriptors
 from .errors import ConfigurationError, GeneralPositionError, KahlerlabError
 from .fscurrents import (descriptor_form_pairing, descriptor_form_pairings,
                          descriptor_wedge_pairing, descriptor_wedge_pairings)
@@ -152,10 +152,10 @@ def multilinear_expansion_residual(h_list, g_list, eps, form, rule):
 
 
 class ApproximationSchedule:
-    """Interpolation weights eps_j with a power grid per step.
+    """Interpolation weights eps_j and the power grid every step shares.
 
-    ``p_grid`` is either one strictly increasing list shared by every step
-    or a list of such lists, one per eps.  Thresholds default to 1/j.
+    ``p_grid`` is one strictly increasing list of positive powers.
+    Thresholds default to 1/j.
     """
 
     def __init__(self, eps_list, p_grid, thresholds=None):
@@ -164,7 +164,7 @@ class ApproximationSchedule:
             raise ConfigurationError("eps values must be positive")
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise ConfigurationError("eps values must strictly decrease")
-        self._grids = self._normalize_grids(p_grid)
+        self.p_grid = _power_grid(p_grid)
         if thresholds is None:
             self.thresholds = [1.0 / (j + 1) for j in range(len(self.eps_list))]
         else:
@@ -172,47 +172,32 @@ class ApproximationSchedule:
             if len(self.thresholds) != len(self.eps_list):
                 raise ConfigurationError("one threshold per eps step")
 
-    def _normalize_grids(self, p_grid):
-        grid = list(p_grid)
-        if grid and not isinstance(grid[0], (list, tuple)):
-            grid = [grid] * len(self.eps_list)
-        if len(grid) != len(self.eps_list):
-            raise ConfigurationError("one power grid per eps step")
-        out = []
-        for row in grid:
-            row = [int(p) for p in row]
-            if not row or any(p <= 0 for p in row):
-                raise ConfigurationError("power grids must be positive")
-            if not all(b > a for a, b in zip(row, row[1:])):
-                raise ConfigurationError("power grids must strictly increase")
-            out.append(row)
-        return out
 
-    def grid(self, j_index):
-        return self._grids[j_index]
-
-    def __len__(self):
-        return len(self.eps_list)
+def _power_grid(p_grid):
+    if any(isinstance(p, (list, tuple)) for p in p_grid):
+        raise ConfigurationError("one power grid is shared by every eps step")
+    grid = [int(p) for p in p_grid]
+    if not grid or any(p <= 0 for p in grid):
+        raise ConfigurationError("power grids must be positive")
+    if not all(b > a for a, b in zip(grid, grid[1:])):
+        raise ConfigurationError("power grids must strictly increase")
+    return grid
 
 
 def diagonal_sequence(distances, p_grid, thresholds=None):
     """Select p_j increasing with d[j][p_j] below the step threshold.
 
     ``distances`` holds one row per step j (entries may be None or NaN for
-    failed cells); ``p_grid`` is a shared list or one list per row.  Each
-    row takes the smallest admissible power that strictly exceeds the
-    previous selection; rows with no admissible cell are flagged unresolved
-    and do not advance the power floor.
+    failed cells) over the powers of the shared ``p_grid``.  Each row takes
+    the smallest admissible power that strictly exceeds the previous
+    selection; rows with no admissible cell are flagged unresolved and do
+    not advance the power floor.
     """
     rows = [list(r) for r in distances]
-    grids = list(p_grid)
-    if grids and not isinstance(grids[0], (list, tuple)):
-        grids = [grids] * len(rows)
-    if len(grids) != len(rows):
-        raise ConfigurationError("one power grid per distance row")
+    grid = list(p_grid)
     out = []
     last_p = 0
-    for j0, (row, grid) in enumerate(zip(rows, grids)):
+    for j0, row in enumerate(rows):
         if len(row) != len(grid):
             raise ConfigurationError(
                 f"row {j0} has {len(row)} cells for {len(grid)} powers")
@@ -242,7 +227,7 @@ def _check_target_position(descriptors):
     seen = {}
     for k, d in enumerate(descriptors):
         for comp, _ in d.divisors:
-            key = comp[:2] if comp[0] == "poly" else comp
+            key = component_key(comp)
             if key in seen and seen[key] != k:
                 raise GeneralPositionError(
                     "target curvatures share a singular component")
@@ -303,7 +288,7 @@ def approximation_run(h_list, g_list, schedule, samples=1, seed=0, rule=None,
         interp = [Metric.interpolate(h, g, eps)
                   for h, g in zip(h_list, g_list)]
         row = []
-        for p0, p in enumerate(schedule.grid(j0)):
+        for p0, p in enumerate(schedule.p_grid):
             cell_seed = key + (j0, p0)
             record = {"j": j0 + 1, "eps": eps, "p": p, "samples": samples,
                       "seed": cell_seed}
@@ -331,8 +316,7 @@ def approximation_run(h_list, g_list, schedule, samples=1, seed=0, rule=None,
             row.append(record["distance"])
         matrix.append(row)
 
-    grids = [schedule.grid(j0) for j0 in range(len(schedule))]
-    selected = diagonal_sequence(matrix, grids, schedule.thresholds)
+    selected = diagonal_sequence(matrix, schedule.p_grid, schedule.thresholds)
     return {
         "kind": "approximation",
         "m": m,

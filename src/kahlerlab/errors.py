@@ -38,8 +38,5 @@ class GeneralPositionError(NumericalError):
 
 
 class UnsupportedMetricError(ConfigurationError):
-    """Metric outside the validated model class (see line_bundles docstring)."""
-
-
-class NonIntegrableError(NumericalError):
-    """An integrand was flagged non-integrable at declared singular centers."""
+    """Metric outside the validated model class (see the atom library in
+    the ``bundles`` module docstring)."""

@@ -364,7 +364,7 @@ def _run_approximation(cfg, report):
     for j0, eps in enumerate(cfg.eps_list):
         report["series"].append({
             "label": f"eps={eps:g}",
-            "x": list(schedule.grid(j0)),
+            "x": list(schedule.p_grid),
             "y": result["matrix"][j0],
         })
     report["axes"] = ["p", "dictionary distance"]

@@ -53,15 +53,14 @@ import math
 import numpy as np
 
 from ._kernels import eval_monomials
-from .bundles import (CurrentDescriptor, _form_omega_matrix, _p1_roots,
-                      finite_potential, form_values_hom, pair_blocks,
-                      wedge_descriptors)
+from .bundles import (CurrentDescriptor, _form_omega_matrix,
+                      curve_divisor_points, finite_potential, form_values_hom,
+                      pair_blocks, point_mass_pairings, wedge_descriptors)
 # benchmarks/tracer.py patches curvature_pairing here
 from .bundles import curvature_pairing  # noqa: F401
 from .errors import (ConfigurationError, GeneralPositionError, NumericalError)
-from .geometry import (build_manifold, quadrature_nodes, too_many_dropped,
+from .geometry import (projective_line, quadrature_nodes, too_many_dropped,
                        wedge_density_11)
-from .sections import _coord_factor
 
 __all__ = [
     "fs_pairing", "fs_pairings", "fs_wedge_pairing", "fs_wedge_pairings",
@@ -280,14 +279,8 @@ def _divisor_pairings(manifold, comp, forms, surface=None):
     components of surfaces have no closed-form parametrization here.
     """
     if manifold.dim == 1:
-        if comp[0] == "coord":
-            pt = np.zeros((1, 2), dtype=complex)
-            pt[0, 1 - comp[1]] = 1.0
-            return np.array([form_values_hom(manifold, f, pt)[0]
-                             for f in forms])
-        roots = _p1_roots(comp[2])
-        return np.array([sum(form_values_hom(manifold, f, r[None, :])[0]
-                             for r in roots) for f in forms])
+        return point_mass_pairings(
+            manifold, forms, [(pt, 1.0) for pt in curve_divisor_points(comp)])
     if comp[0] != "coord":
         raise GeneralPositionError(
             "surface divisor pairings need coordinate components")
@@ -306,27 +299,24 @@ def _line_embedding(manifold, comp):
     points to ambient homogeneous coordinates, ``slots`` names the ambient
     exponent columns that survive on the divisor, and ``omega_index`` is
     the reference basis form whose restriction is the parameter form.
+
+    Without ``z_i``, a factor left with one coordinate is a point (that
+    coordinate is 1), and the one factor left with two is the line.
     """
     i = comp[1]
-    if manifold.kind == "P2":
-        j, k = sorted({0, 1, 2} - {i})
-
-        def embed(pts2):
-            out = np.zeros((pts2.shape[0], 3), dtype=complex)
-            out[:, j] = pts2[:, 0]
-            out[:, k] = pts2[:, 1]
-            return out
-
-        return embed, (j, k), 0
-    if manifold.kind != "P1xP1":
+    fixed, lines = [], []
+    for f, sl in enumerate(manifold.factor_slices):
+        rest = [k for k in range(sl.start, sl.stop) if k != i]
+        if len(rest) == 1:
+            fixed += rest
+        else:
+            lines.append((f, tuple(rest)))
+    if len(lines) != 1 or len(lines[0][1]) != 2:
         raise ConfigurationError("coordinate divisors live on surfaces here")
-    if i < 2:
-        fixed, slots, omega_index = 1 - i, (2, 3), 1
-    else:
-        fixed, slots, omega_index = 2 + (1 - (i - 2)), (0, 1), 0
+    ((omega_index, slots),) = lines
 
     def embed(pts2):
-        out = np.zeros((pts2.shape[0], 4), dtype=complex)
+        out = np.zeros((pts2.shape[0], manifold.hom_len), dtype=complex)
         out[:, fixed] = 1.0
         out[:, slots[0]] = pts2[:, 0]
         out[:, slots[1]] = pts2[:, 1]
@@ -345,7 +335,7 @@ def _line_rule(q_line=0, surface=None):
     """
     res = max(48, 2 * q_line)
     if surface is None:
-        return quadrature_nodes(build_manifold("P1"), res)
+        return quadrature_nodes(projective_line(), res)
     return surface.line_rule(res)
 
 
@@ -362,7 +352,7 @@ class _LineForm:
 
     def chi(self, chart, Z):
         embed, _, _ = _line_embedding(self.manifold, self.comp)
-        line = build_manifold("P1").from_chart(Z, chart)
+        line = projective_line().from_chart(Z, chart)
         return form_values_hom(self.manifold, self.form, embed(line))
 
 
@@ -435,11 +425,7 @@ def descriptor_wedge_pairings(manifold, wedge, forms, rule):
     for comp, vec in wedge["divisor_omega"]:
         totals += _divisor_omega_pairings(manifold, comp, [vec] * len(forms),
                                           forms, rule)
-    for pt, mass in wedge["points"]:
-        for fi, f in enumerate(forms):
-            totals[fi] += mass * float(
-                form_values_hom(manifold, f, pt[None, :])[0])
-    return totals
+    return point_mass_pairings(manifold, forms, wedge["points"], totals)
 
 
 def _divisor_omega_pairings(manifold, comp, omega_vecs, forms, surface=None):
@@ -494,7 +480,7 @@ def fs_wedge_pairings(space_a, space_b, forms, rule):
     m = space_a.manifold
     if m.dim != 2:
         raise ConfigurationError("current wedges need a surface")
-    if space_b.manifold.kind != m.kind:
+    if space_b.manifold != m:
         raise ConfigurationError("both factors must live on one manifold")
     if any(f.omega_part is not None for f in forms):
         raise ConfigurationError("bidegree (2,2) currents pair with functions")
@@ -524,10 +510,7 @@ def fs_wedge_pairings(space_a, space_b, forms, rule):
     for (_, k), r in zip(space_b.base_divisors, on_b):
         totals += (k / space_b.p) * r
     wedge = wedge_descriptors(_family_class(space_a), _family_class(space_b))
-    for pt, mass in wedge["points"]:
-        for i, f in enumerate(forms):
-            totals[i] += mass * float(form_values_hom(m, f, pt[None, :])[0])
-    return totals
+    return point_mass_pairings(m, forms, wedge["points"], totals)
 
 
 def _family_class(space):
@@ -544,7 +527,7 @@ def _family_class(space):
     for comp, k in space.base_divisors:
         if comp[0] == "coord":
             degree = np.zeros(m.factors)
-            degree[_coord_factor(m, comp[1])] = 1.0
+            degree[m.coord_factors[comp[1]]] = 1.0
         else:
             degree = np.asarray(comp[2].degree, dtype=float)
         omega = omega - k * degree

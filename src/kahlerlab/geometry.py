@@ -33,6 +33,7 @@ uniform angular grids (exact for trigonometric polynomials of degree below
 the node count), switching to composite panels when a center pins an angle.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -42,7 +43,23 @@ from .errors import ConfigurationError, NumericalError
 
 TWO_PI = 2.0 * math.pi
 
-_KINDS = ("P1", "P2", "P1xP1")
+# The model manifolds, each described once: the number of homogeneous
+# coordinates of each projective factor (``k`` coordinates span a factor
+# P^(k-1)), the norm in ``omega = sum_f omega_f / norm`` that gives omega^n
+# unit mass, and the quadrature sizes (radial, angular) at resolution r.
+_KINDS = {
+    "P1": ((2,), 1.0,
+           lambda r: (max(8, min(r, 256)), max(16, min(2 * r, 512)))),
+    "P2": ((3,), 1.0,
+           lambda r: (max(6, min(r // 2, 16)), max(8, min(r, 32)))),
+    "P1xP1": ((2, 2), math.sqrt(2.0),
+              lambda r: (max(6, min(r // 2, 24)), max(8, min(r, 48)))),
+}
+
+
+def projective_line():
+    """The model line, on which divisor lines of surfaces are parametrized."""
+    return Manifold("P1")
 
 # ---------------------------------------------------------------------------
 # manifolds
@@ -50,7 +67,8 @@ _KINDS = ("P1", "P2", "P1xP1")
 
 
 class Manifold:
-    """A model manifold with its atlas and normalization constants.
+    """A model manifold: a product of projective factors, with its atlas and
+    normalization constants.
 
     Attributes
     ----------
@@ -59,39 +77,54 @@ class Manifold:
     dim : int
         Complex dimension ``n``.
     num_charts : int
-        2 for P1, 3 for P2, 4 for P1xP1.
+        2 for P1, 3 for P2, 4 for P1xP1: one chart per choice of a
+        nonvanishing homogeneous coordinate in each factor, the first
+        factor's choice most significant.
     hom_len : int
         Length of the flat homogeneous coordinate vector (2, 3 or 4; the
         P1xP1 vector is ``(z0, z1, w0, w1)`` with each factor normalized
         separately).
     factors : int
-        Number of independent degree slots (1, 1, 2); also the size of the
-        smooth curvature basis ``omega_1, ..`` used by current descriptors.
+        Number of projective factors (1, 1, 2), the independent degree
+        slots; also the size of the smooth curvature basis ``omega_1, ..``
+        used by current descriptors.
+    factor_dims : tuple
+        Dimension of each factor.
+    factor_slices, axis_slices : tuple of slice
+        Each factor's homogeneous columns and affine chart axes.
+    coord_factors, axis_factors : tuple
+        The factor of each homogeneous coordinate and of each chart axis.
     """
 
     def __init__(self, kind):
-        if kind not in _KINDS:
+        if not isinstance(kind, str) or kind not in _KINDS:
             raise ConfigurationError(
-                f"unknown manifold {kind!r}; expected one of {_KINDS}")
+                f"unknown manifold {kind!r}; expected one of {tuple(_KINDS)}")
         self.kind = kind
-        if kind == "P1":
-            self.dim = 1
-            self.num_charts = 2
-            self.hom_len = 2
-            self.factors = 1
-            self.canonical_degree = (-2,)
-        elif kind == "P2":
-            self.dim = 2
-            self.num_charts = 3
-            self.hom_len = 3
-            self.factors = 1
-            self.canonical_degree = (-3,)
-        else:
-            self.dim = 2
-            self.num_charts = 4
-            self.hom_len = 4
-            self.factors = 2
-            self.canonical_degree = (-2, -2)
+        lens, self.omega_norm, self._quadrature_sizes = _KINDS[kind]
+        self.factors = len(lens)
+        self.factor_dims = tuple(k - 1 for k in lens)
+        self.dim = sum(self.factor_dims)
+        self.hom_len = sum(lens)
+        self.num_charts = math.prod(lens)
+        self.canonical_degree = tuple(-k for k in lens)
+        self.factor_slices = tuple(
+            slice(sum(lens[:f]), sum(lens[:f + 1])) for f in range(len(lens)))
+        self.axis_slices = tuple(
+            slice(sl.start - f, sl.stop - f - 1)
+            for f, sl in enumerate(self.factor_slices))
+        self.coord_factors = tuple(f for f, k in enumerate(lens)
+                                   for _ in range(k))
+        self.axis_factors = tuple(f for f, d in enumerate(self.factor_dims)
+                                  for _ in range(d))
+        # per chart: the homogeneous column of each affine axis and the
+        # chart coordinate of its factor, which it is divided by
+        self._charts = []
+        for local in itertools.product(*map(range, lens)):
+            pairs = [(i, sl.start + c)
+                     for sl, c in zip(self.factor_slices, local)
+                     for i in range(sl.start, sl.stop) if i != sl.start + c]
+            self._charts.append(([i for i, _ in pairs], [d for _, d in pairs]))
 
     # -- identification ----------------------------------------------------
 
@@ -106,60 +139,41 @@ class Manifold:
 
     # -- charts ------------------------------------------------------------
 
+    def chart_columns(self, chart):
+        """Homogeneous columns that become the affine coordinates of a
+        chart, in axis order."""
+        return self._charts[chart][0]
+
     def chart_of(self, points, seam=None):
         """Index of the chart region owning each point (ties -> lowest)."""
         pts = np.atleast_2d(np.asarray(points, dtype=complex))
         s = self._seam(seam)
-        if self.kind in ("P1", "P2"):
-            return _argmax_low(np.abs(pts) / s[None, :])
-        cz = _argmax_low(np.abs(pts[:, :2]) / s[None, :2])
-        cw = _argmax_low(np.abs(pts[:, 2:]) / s[None, 2:])
-        return 2 * cz + cw
+        out = None
+        for sl in self.factor_slices:
+            c = _argmax_low(np.abs(pts[:, sl]) / s[None, sl])
+            out = c if out is None else out * (sl.stop - sl.start) + c
+        return out
 
     def to_chart(self, points, chart):
         """Homogeneous points -> affine coordinates in ``chart`` (N, dim)."""
         pts = np.atleast_2d(np.asarray(points, dtype=complex))
-        if self.kind == "P1":
-            c = chart
-            return (pts[:, 1 - c] / pts[:, c])[:, None]
-        if self.kind == "P2":
-            c = chart
-            others = [i for i in range(3) if i != c]
-            return pts[:, others] / pts[:, [c]]
-        cz, cw = divmod(chart, 2)
-        z = pts[:, 1 - cz] / pts[:, cz]
-        w = pts[:, 3 - cw] / pts[:, 2 + cw]
-        return np.stack([z, w], axis=1)
+        cols, dens = self._charts[chart]
+        return pts[:, cols] / pts[:, dens]
 
     def from_chart(self, Z, chart):
         """Affine coordinates in ``chart`` -> normalized homogeneous points."""
         Z = np.atleast_2d(np.asarray(Z, dtype=complex))
-        n = Z.shape[0]
-        out = np.zeros((n, self.hom_len), dtype=complex)
-        if self.kind == "P1":
-            out[:, chart] = 1.0
-            out[:, 1 - chart] = Z[:, 0]
-        elif self.kind == "P2":
-            others = [i for i in range(3) if i != chart]
-            out[:, chart] = 1.0
-            out[:, others[0]] = Z[:, 0]
-            out[:, others[1]] = Z[:, 1]
-        else:
-            cz, cw = divmod(chart, 2)
-            out[:, cz] = 1.0
-            out[:, 1 - cz] = Z[:, 0]
-            out[:, 2 + cw] = 1.0
-            out[:, 3 - cw] = Z[:, 1]
+        cols, dens = self._charts[chart]
+        out = np.zeros((Z.shape[0], self.hom_len), dtype=complex)
+        out[:, dens] = 1.0
+        out[:, cols] = Z
         return self.normalize(out)
 
     def normalize(self, points):
         """Scale homogeneous vectors to unit norm (per factor on products)."""
         pts = np.atleast_2d(np.asarray(points, dtype=complex)).copy()
-        if self.kind == "P1xP1":
-            pts[:, :2] /= np.linalg.norm(pts[:, :2], axis=1, keepdims=True)
-            pts[:, 2:] /= np.linalg.norm(pts[:, 2:], axis=1, keepdims=True)
-        else:
-            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        for sl in self.factor_slices:
+            pts[:, sl] /= np.linalg.norm(pts[:, sl], axis=1, keepdims=True)
         return pts
 
     def _seam(self, seam):
@@ -173,52 +187,57 @@ class Manifold:
 
     # -- local potentials and forms -----------------------------------------
 
-    def log_factors(self, chart, Z):
-        """Per-factor values ``log(1 + |zeta|^2)`` at chart points.
+    def _factor_square(self, Z, index):
+        """``|zeta_f|^2`` of factor ``index`` at chart points, shape (N,)."""
+        sl = self.axis_slices[index]
+        if self.factor_dims[index] == 1:
+            return np.abs(Z[:, sl.start]) ** 2
+        return np.sum(np.abs(Z[:, sl]) ** 2, axis=1)
 
-        Shape (N, factors): one column on P1/P2, two (z- and w-factor) on
-        P1xP1.  The reference weight of the bundle O(d) is
-        ``sum_i (d_i / 2) * log_factors[:, i]``.
+    def factor_squares(self, Z):
+        """``|zeta_f|^2`` of every factor at chart points, (N, factors)."""
+        out = np.empty((Z.shape[0], self.factors))
+        for f in range(self.factors):
+            out[:, f] = self._factor_square(Z, f)
+        return out
+
+    def log_factors(self, chart, Z):
+        """Per-factor values ``log(1 + |zeta_f|^2)`` at chart points.
+
+        Shape (N, factors).  The reference weight of the bundle O(d) is
+        ``sum_f (d_f / 2) * log_factors[:, f]``.
         """
         Z = np.atleast_2d(np.asarray(Z, dtype=complex))
-        if self.kind == "P1xP1":
-            return np.stack([
-                np.log1p(np.abs(Z[:, 0]) ** 2),
-                np.log1p(np.abs(Z[:, 1]) ** 2),
-            ], axis=1)
-        return np.log1p(np.sum(np.abs(Z) ** 2, axis=1))[:, None]
+        return np.log1p(self.factor_squares(Z))
 
     def omega_basis_matrix(self, index, chart, Z):
         """Hessian-convention matrix of the basis form ``omega_index``.
 
-        The basis spans the smooth reference curvatures: ``(omega,)`` on P1
-        and P2, ``(omega_1, omega_2)`` (factor pullbacks) on P1xP1.  Returned
-        shape: (N,) on P1, (N, 2, 2) on surfaces.
+        The basis spans the smooth reference curvatures, one factor
+        pullback per factor: ``(omega,)`` on P1 and P2, ``(omega_1,
+        omega_2)`` on P1xP1.  Returned shape: (N,) on curves, (N, 2, 2) on
+        surfaces.
         """
         Z = np.atleast_2d(np.asarray(Z, dtype=complex))
-        n = Z.shape[0]
-        if self.kind == "P1":
-            D = 1.0 + np.abs(Z[:, 0]) ** 2
+        D = 1.0 + self._factor_square(Z, index)
+        if self.dim == 1:
             return 0.5 / D ** 2
-        if self.kind == "P2":
-            D = 1.0 + np.sum(np.abs(Z) ** 2, axis=1)
-            H = np.empty((n, 2, 2), dtype=complex)
-            for j in range(2):
-                for k in range(2):
-                    H[:, j, k] = 0.5 * ((j == k) / D
-                                        - np.conj(Z[:, j]) * Z[:, k] / D ** 2)
+        if self.factor_dims[index] == 1:
+            a = self.axis_slices[index].start
+            H = np.zeros((Z.shape[0], 2, 2), dtype=complex)
+            H[:, a, a] = 0.5 / D ** 2
             return H
-        H = np.zeros((n, 2, 2), dtype=complex)
-        D = 1.0 + np.abs(Z[:, index]) ** 2
-        H[:, index, index] = 0.5 / D ** 2
+        # a plane factor is the whole surface
+        H = np.empty((Z.shape[0], 2, 2), dtype=complex)
+        for j in range(2):
+            for k in range(2):
+                H[:, j, k] = 0.5 * ((j == k) / D
+                                    - np.conj(Z[:, j]) * Z[:, k] / D ** 2)
         return H
 
     def omega_coeffs(self):
         """Coefficients of the Kähler form in the omega basis."""
-        if self.kind == "P1xP1":
-            r = 1.0 / math.sqrt(2.0)
-            return np.array([r, r])
-        return np.array([1.0])
+        return np.full(self.factors, 1.0 / self.omega_norm)
 
     def omega_matrix(self, chart, Z):
         """Hessian-convention matrix of the Kähler form at chart points."""
@@ -232,24 +251,42 @@ class Manifold:
     def canonical_factor(self, chart, Z):
         """``|frame of K_X|^{-2}`` for the metric induced by ``omega^n``.
 
-        Returns ``e^{-2 rho}`` where ``rho`` is the canonical weight:
-        ``2 pi D^2`` on P1, ``2 pi^2 D^3`` on P2, ``4 pi^2 Dz^2 Dw^2`` on
-        P1xP1.  Its ``dd^c log``-curvature is exactly ``sum_i
-        canonical_degree[i] * omega_i``.
+        Returns ``e^{-2 rho}`` where ``rho`` is the canonical weight, the
+        product over factors P^d of ``2 pi^d D^(d+1)``: ``2 pi D^2`` on P1,
+        ``2 pi^2 D^3`` on P2, ``4 pi^2 Dz^2 Dw^2`` on P1xP1.  Its ``dd^c
+        log``-curvature is exactly ``sum_i canonical_degree[i] * omega_i``.
         """
         lf = self.log_factors(chart, Z)
-        if self.kind == "P1":
-            return TWO_PI * np.exp(2.0 * lf[:, 0])
-        if self.kind == "P2":
-            return TWO_PI * math.pi * np.exp(3.0 * lf[:, 0])
-        return TWO_PI ** 2 * np.exp(2.0 * lf[:, 0] + 2.0 * lf[:, 1])
+        const = 1.0
+        arg = None
+        for f, d in enumerate(self.factor_dims):
+            const *= TWO_PI * math.pi ** (d - 1)
+            term = (d + 1.0) * lf[:, f]
+            arg = term if arg is None else arg + term
+        return const * np.exp(arg)
+
+    def intersection_number(self, degrees):
+        """``<D_1 ... D_n>`` of ``n = dim`` divisors of the given per-factor
+        degrees.
+
+        ``prod_f omega_f^(dim f)`` has mass one and every other monomial in
+        the factor forms vanishes, so the number sums, over the ways of
+        taking each factor as often as its dimension, one degree from each
+        divisor.
+        """
+        total = 0
+        for pick in itertools.product(range(self.factors),
+                                      repeat=len(degrees)):
+            if all(pick.count(f) == d for f, d in enumerate(self.factor_dims)):
+                total += math.prod(deg[f] for deg, f in zip(degrees, pick))
+        return total
 
     # -- distances ----------------------------------------------------------
 
     def chordal_distance(self, points, centers):
         """Sine of the Fubini-Study angle between point rows (in [0, 1]).
 
-        On P1xP1 the maximum of the two factor distances is used.
+        On products the maximum of the factor distances is used.
         """
         a = self.normalize(points)
         b = self.normalize(centers)
@@ -257,11 +294,11 @@ class Manifold:
             a = np.broadcast_to(a, b.shape)
         if b.shape[0] == 1 and a.shape[0] > 1:
             b = np.broadcast_to(b, a.shape)
-        if self.kind == "P1xP1":
-            dz = _sine_dist(a[:, :2], b[:, :2])
-            dw = _sine_dist(a[:, 2:], b[:, 2:])
-            return np.maximum(dz, dw)
-        return _sine_dist(a, b)
+        out = None
+        for sl in self.factor_slices:
+            d = _sine_dist(a[:, sl], b[:, sl])
+            out = d if out is None else np.maximum(out, d)
+        return out
 
     # -- deterministic evaluation grids --------------------------------------
 
@@ -270,14 +307,14 @@ class Manifold:
 
         Low-discrepancy (Halton) sequences pushed through the Gaussian
         quantile (:func:`_ndtri`, a numpy port of the Cephes ``ndtri``)
-        give FS-uniform homogeneous vectors; no RNG involved, so grids are
-        reproducible across runs and platforms.
+        give FS-uniform homogeneous vectors, per factor on products; no RNG
+        involved, so grids are reproducible across runs and platforms.
         """
-        if self.kind == "P1xP1":
-            a = _halton_unitary(count, 2, offset=offset, base_shift=0)
-            b = _halton_unitary(count, 2, offset=offset, base_shift=4)
-            return np.concatenate([a, b], axis=1)
-        return _halton_unitary(count, self.hom_len, offset=offset)
+        # each homogeneous coordinate draws on two bases (real, imaginary)
+        parts = [_halton_unitary(count, sl.stop - sl.start, offset=offset,
+                                 base_shift=2 * sl.start)
+                 for sl in self.factor_slices]
+        return np.concatenate(parts, axis=1)
 
 
 def _argmax_low(score):
@@ -566,25 +603,25 @@ class Block:
             wleb_parts.extend([ax.leb_factor, ax.wtheta])
         wleb = _outer_ravel(wleb_parts)
 
+        # per factor: dx dtheta / (2 pi) on a line, (1/(2 pi^2))
+        # (1+u1+u2)^-3 du dtheta on a plane
         m = self.manifold
-        if m.kind == "P1":
-            wvol_parts = [axs[0].wx, axs[0].wtheta / TWO_PI]
-            wvol = _outer_ravel(wvol_parts)
-        elif m.kind == "P1xP1":
-            wvol_parts = [axs[0].wx, axs[0].wtheta / TWO_PI,
-                          axs[1].wx, axs[1].wtheta / TWO_PI]
-            wvol = _outer_ravel(wvol_parts)
-        else:  # P2: (1/(2 pi^2)) (1+u1+u2)^-3 du dtheta
-            u1 = axs[0].x
-            u2 = axs[1].x
-            base = _outer_ravel([axs[0].wx, axs[0].wtheta,
-                                 axs[1].wx, axs[1].wtheta])
-            umesh = np.meshgrid(u1, np.ones_like(axs[0].theta),
-                                u2, np.ones_like(axs[1].theta),
-                                indexing="ij")
-            s = umesh[0] + umesh[2]
-            dens = (1.0 / (2.0 * math.pi ** 2)) / (1.0 + s) ** 3
-            wvol = base * dens.ravel()
+        wvol_parts = []
+        planes = []
+        for f, d in enumerate(m.factor_dims):
+            fax = axs[m.axis_slices[f]]
+            if d == 1:
+                wvol_parts.extend([fax[0].wx, fax[0].wtheta / TWO_PI])
+                continue
+            s = np.zeros(self.shape)
+            for a in range(m.axis_slices[f].start, m.axis_slices[f].stop):
+                s += axs[a].x.reshape((-1,) + (1,) * (2 * (len(axs) - a) - 1))
+            planes.append((1.0 / (2.0 * math.pi ** 2)) / (1.0 + s) ** 3)
+            for ax in fax:
+                wvol_parts.extend([ax.wx, ax.wtheta])
+        wvol = _outer_ravel(wvol_parts)
+        for dens in planes:
+            wvol = wvol * dens.ravel()
         self._mesh = Z
         self._wvol = wvol
         self._wleb = wleb
@@ -712,7 +749,7 @@ class QuadratureRule:
         """
         if resolution not in self._line_rules:
             self._line_rules[resolution] = quadrature_nodes(
-                build_manifold("P1"), resolution)
+                projective_line(), resolution)
         return self._line_rules[resolution]
 
     def nodes_homogeneous(self):
@@ -735,15 +772,11 @@ class QuadratureRule:
         return "|".join(bits)
 
 
-def _sizes(kind, resolution):
+def _sizes(manifold, resolution):
     r = int(resolution)
     if r < 4:
         raise ConfigurationError("resolution must be >= 4")
-    if kind == "P1":
-        return max(8, min(r, 256)), max(16, min(2 * r, 512))
-    if kind == "P2":
-        return max(6, min(r // 2, 16)), max(8, min(r, 32))
-    return max(6, min(r // 2, 24)), max(8, min(r, 48))
+    return manifold._quadrature_sizes(r)
 
 
 def _levels(resolution, dim=1):
@@ -787,7 +820,7 @@ def quadrature_nodes(manifold, resolution, singular_refinement=None, seam=None,
         degree ``2 * radial_order - 1`` in the radial variable).
     """
     m = manifold
-    k_rad, m_ang = _sizes(m.kind, resolution)
+    k_rad, m_ang = _sizes(m, resolution)
     if radial_min:
         k_rad = max(k_rad, int(radial_min))
     if angular_min:
@@ -801,12 +834,8 @@ def quadrature_nodes(manifold, resolution, singular_refinement=None, seam=None,
         rad_targets, ang_targets = _chart_targets(m, chart, centers, seam_vec)
         axes = []
         for a in range(m.dim):
-            if m.kind == "P2":
-                style = "disk"
-                xmax = _p2_axis_radius(m, chart, a, seam_vec) ** 2
-            else:
-                style = "p1"
-                xmax = _p1_axis_xmax(m, chart, a, seam_vec)
+            style = "p1" if _line_axis(m, a) else "disk"
+            xmax = _axis_xmax(m, chart, a, seam_vec)
             if radial_order and not rad_targets[a]:
                 x, wx = _gl_on(0.0, xmax, int(radial_order))
             else:
@@ -832,27 +861,22 @@ def quadrature_nodes(manifold, resolution, singular_refinement=None, seam=None,
     return QuadratureRule(m, resolution, blocks, centers, seam_vec)
 
 
-def _p1_axis_xmax(m, chart, axis, seam):
-    if seam is None:
-        return 0.5
-    if m.kind == "P1":
-        c = chart
-        ratio = (seam[1 - c] / seam[c]) ** 2
-    else:  # P1xP1
-        cz, cw = divmod(chart, 2)
-        if axis == 0:
-            ratio = (seam[1 - cz] / seam[cz]) ** 2
-        else:
-            ratio = (seam[3 - cw] / seam[2 + cw]) ** 2
-    # region |zeta| <= s_other/s_this ... x = r^2/(1+r^2)
-    return 1.0 / (1.0 + 1.0 / ratio)
+def _line_axis(m, axis):
+    """Whether a chart axis is the coordinate of a line factor."""
+    return m.factor_dims[m.axis_factors[axis]] == 1
 
 
-def _p2_axis_radius(m, chart, axis, seam):
+def _axis_xmax(m, chart, axis, seam):
+    """Upper end of an axis's radial variable on a chart region: the
+    region is ``|zeta| <= s_axis / s_chart``, where ``x = r^2 / (1 + r^2)``
+    on a line factor and ``u = r^2`` on a plane."""
     if seam is None:
-        return 1.0
-    others = [i for i in range(3) if i != chart]
-    return seam[others[axis]] / seam[chart]
+        return 0.5 if _line_axis(m, axis) else 1.0
+    cols, dens = m._charts[chart]
+    ratio = seam[cols[axis]] / seam[dens[axis]]
+    if _line_axis(m, axis):
+        return 1.0 / (1.0 + 1.0 / ratio ** 2)
+    return ratio ** 2
 
 
 def _chart_targets(m, chart, centers, seam):
@@ -875,12 +899,11 @@ def _chart_targets(m, chart, centers, seam):
             if not np.isfinite(za):
                 continue
             r = abs(za)
-            if m.kind == "P2":
-                xmax = _p2_axis_radius(m, chart, a, seam) ** 2
-                xval = r * r
-            else:
-                xmax = _p1_axis_xmax(m, chart, a, seam)
+            xmax = _axis_xmax(m, chart, a, seam)
+            if _line_axis(m, a):
                 xval = r * r / (1.0 + r * r)
+            else:
+                xval = r * r
             if xval <= xmax * (1.0 + 1e-9):
                 rad[a].append(min(xval, xmax))
                 if r > 1e-9:
@@ -889,23 +912,11 @@ def _chart_targets(m, chart, centers, seam):
 
 
 def _coord_divisor_targets(m, chart, idx, rad):
-    if m.kind == "P1":
-        # divisor {z_idx = 0} is the origin of chart (1 - idx)
-        if chart == 1 - idx:
-            rad[0].append(0.0)
-    elif m.kind == "P2":
-        if chart != idx:
-            others = [i for i in range(3) if i != chart]
-            rad[others.index(idx)].append(0.0)
-    else:
-        cz, cw = divmod(chart, 2)
-        if idx < 2:
-            # {z_idx = 0} is the z-origin of the opposite z-chart
-            if cz == 1 - idx:
-                rad[0].append(0.0)
-        else:
-            if cw == 1 - (idx - 2):
-                rad[1].append(0.0)
+    # the divisor {z_idx = 0} is the origin of its axis in the charts where
+    # z_idx is an affine coordinate
+    cols = m.chart_columns(chart)
+    if idx in cols:
+        rad[cols.index(idx)].append(0.0)
 
 
 def too_many_dropped(nbad, nodes):

@@ -11,6 +11,8 @@ Monomial enumeration order is fixed (lexicographic in the reduced exponents)
 so bases, Gram matrices and cached results are reproducible byte for byte.
 """
 
+import itertools
+
 import numpy as np
 
 from ._kernels import eval_monomials
@@ -24,22 +26,24 @@ from .errors import ConfigurationError
 def monomial_exponents(manifold, degree):
     """Exponent rows of the full monomial basis of O(degree).
 
-    degree: int for P1/P2, pair for P1xP1.  Rows are int64 over the
-    homogeneous coordinates, in a fixed lexicographic order.
+    degree: int for one factor, one per factor on products.  Rows are int64
+    over the homogeneous coordinates, in a fixed lexicographic order: in
+    the exponents of each factor's coordinates but its first, the first
+    factor's most significant.
     """
-    kind = manifold.kind
-    if kind == "P1":
-        d = _as_int_degree(degree, 1)[0]
-        rows = [(d - a, a) for a in range(d + 1)]
-    elif kind == "P2":
-        d = _as_int_degree(degree, 1)[0]
-        rows = [(d - a - b, a, b)
-                for a in range(d + 1) for b in range(d - a + 1)]
-    else:
-        d1, d2 = _as_int_degree(degree, 2)
-        rows = [(d1 - a, a, d2 - b, b)
-                for a in range(d1 + 1) for b in range(d2 + 1)]
+    degs = degree_tuple(manifold, degree)
+    per_factor = [[(d - sum(t),) + t for t in _tails(sl.stop - sl.start - 1, d)]
+                  for sl, d in zip(manifold.factor_slices, degs)]
+    rows = [sum(parts, ()) for parts in itertools.product(*per_factor)]
     return np.asarray(rows, dtype=np.int64).reshape(len(rows), manifold.hom_len)
+
+
+def _tails(k, d):
+    """Exponent tuples of length ``k`` with sum at most ``d``, in
+    lexicographic order."""
+    if k == 0:
+        return [()]
+    return [(a,) + t for a in range(d + 1) for t in _tails(k - 1, d - a)]
 
 
 def _as_int_degree(degree, k):
@@ -143,13 +147,8 @@ class SectionPoly:
         e = self.exponents
         if e.size == 0:
             return
-        m = self.manifold
-        if m.kind == "P1xP1":
-            if (np.any(e[:, 0] + e[:, 1] != self.degree[0])
-                    or np.any(e[:, 2] + e[:, 3] != self.degree[1])):
-                raise ConfigurationError("inhomogeneous exponent rows")
-        else:
-            if np.any(e.sum(axis=1) != self.degree[0]):
+        for sl, d in zip(self.manifold.factor_slices, self.degree):
+            if np.any(e[:, sl].sum(axis=1) != d):
                 raise ConfigurationError("inhomogeneous exponent rows")
 
     @classmethod
@@ -178,7 +177,7 @@ class SectionPoly:
         if chart in self._charts:
             return self._charts[chart]
         m = self.manifold
-        cols = _chart_columns(m, chart)
+        cols = m.chart_columns(chart)
         exps = self.exponents[:, cols] if self.coeffs.size else \
             np.zeros((0, m.dim), dtype=np.int64)
         cp = ChartPoly(exps, self.coeffs, m.dim)
@@ -205,31 +204,18 @@ class SectionPoly:
         return int(self.exponents[live, coord].min())
 
 
-def _chart_columns(manifold, chart):
-    """Homogeneous columns that become the affine coordinates of a chart."""
-    kind = manifold.kind
-    if kind == "P1":
-        return [1 - chart]
-    if kind == "P2":
-        return [i for i in range(3) if i != chart]
-    cz, cw = divmod(chart, 2)
-    return [1 - cz, 3 - cw]
-
-
 def coordinate_section(manifold, coord):
     """The section z_coord of the degree-one bundle along its factor."""
-    if manifold.kind == "P1xP1":
-        deg = (1, 0) if coord < 2 else (0, 1)
-    else:
-        deg = 1
+    deg = tuple(int(f == manifold.coord_factors[coord])
+                for f in range(manifold.factors))
     e = np.zeros((1, manifold.hom_len), dtype=np.int64)
     e[0, coord] = 1
     return SectionPoly(manifold, deg, e, np.ones(1))
 
 
 def linear_section(manifold, coeffs):
-    """The section sum_i coeffs[i] z_i (degree one; P1 and P2 only)."""
-    if manifold.kind == "P1xP1":
+    """The section sum_i coeffs[i] z_i (degree one; one factor only)."""
+    if manifold.factors > 1:
         raise ConfigurationError("use per-factor sections on the product")
     c = np.asarray(coeffs, dtype=complex).reshape(manifold.hom_len)
     e = np.eye(manifold.hom_len, dtype=np.int64)

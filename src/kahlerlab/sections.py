@@ -41,8 +41,7 @@ from .errors import (ConfigurationError, DegenerateSpaceError,
                      EmptySpaceError, IllConditionedError, NumericalError,
                      UnsupportedMetricError)
 from .geometry import quadrature_nodes
-from .polynomials import (SectionPoly, _chart_columns, degree_tuple,
-                          monomial_exponents)
+from .polynomials import SectionPoly, degree_tuple, monomial_exponents
 
 TWO_PI = 2.0 * math.pi
 
@@ -86,26 +85,27 @@ def reference_monomial_log_norm(manifold, q, exps, adjoint):
     """log of the squared L2 norm of a monomial in the reference metric.
 
     ``q`` is the per-factor degree tuple and ``exps`` the homogeneous
-    exponent row.  Closed forms: each factor contributes a Beta moment, the
-    adjoint frame carries one factor 2 pi per complex dimension.
+    exponent row.  Closed forms: each factor P^d contributes a Dirichlet
+    moment ``prod_i e_i! / (q_f + d)!`` over the exponents ``e_i`` of its
+    coordinates and ``log d!`` in the volume form of ``omega^n``; the
+    adjoint frame carries one factor 2 pi per complex dimension instead.
+    The terms add left to right, factor after factor.
     """
 
     def lg(n):
         return math.lgamma(n + 1.0)
 
-    kind = manifold.kind
-    if kind == "P1":
-        a = int(exps[1])
-        base = lg(a) + lg(q[0] - a) - lg(q[0] + 1)
-        return base + (math.log(TWO_PI) if adjoint else 0.0)
-    if kind == "P2":
-        a, b = int(exps[1]), int(exps[2])
-        base = lg(a) + lg(b) + lg(q[0] - a - b) - lg(q[0] + 2)
-        return base + (2.0 * math.log(TWO_PI) if adjoint else math.log(2.0))
-    a, b = int(exps[1]), int(exps[3])
-    base = (lg(a) + lg(q[0] - a) - lg(q[0] + 1)
-            + lg(b) + lg(q[1] - b) - lg(q[1] + 1))
-    return base + (2.0 * math.log(TWO_PI) if adjoint else 0.0)
+    base = 0.0
+    for sl, d, qf in zip(manifold.factor_slices, manifold.factor_dims, q):
+        rest = [int(e) for e in exps[sl.start + 1:sl.stop]]
+        for e in rest:
+            base += lg(e)
+        base += lg(qf - sum(rest))
+        base -= lg(qf + d)
+    if adjoint:
+        return base + manifold.dim * math.log(TWO_PI)
+    return base + sum(math.log(math.factorial(d))
+                      for d in manifold.factor_dims)
 
 
 def vanishing_order_required(p, lelong_coeff):
@@ -129,12 +129,6 @@ def _pole_on_grid(coeffs, exps, radius, phases):
     the table ``c_k r^e_k`` (radius x term) times the table ``e^{i e_k
     theta}`` (term x angle)."""
     return (coeffs * np.power.outer(radius, exps)) @ phases
-
-
-def _coord_factor(manifold, coord):
-    if manifold.kind == "P1xP1":
-        return 0 if coord < 2 else 1
-    return 0
 
 
 class SectionSpace:
@@ -191,7 +185,7 @@ class SectionSpace:
         q_red = list(self.q)
         for i in range(m.hom_len):
             if shift[i]:
-                q_red[_coord_factor(m, i)] -= int(shift[i])
+                q_red[m.coord_factors[i]] -= int(shift[i])
         for Q, k in self.sigma_polys:
             for f in range(m.factors):
                 q_red[f] -= k * Q.degree[f]
@@ -201,8 +195,7 @@ class SectionSpace:
                 "the space of integrable sections is zero")
         self.q_reduced = tuple(q_red)
 
-        red = monomial_exponents(m, self.q_reduced if m.factors > 1
-                                 else self.q_reduced[0])
+        red = monomial_exponents(m, self.q_reduced)
         self.coordinate_shift = shift
         self.exponents = red + shift[None, :]
         # degree of the monomial part alone (coordinate poles folded in)
@@ -224,10 +217,8 @@ class SectionSpace:
         c = np.asarray(coeffs, dtype=complex).reshape(-1)
         if c.size != self.dim:
             raise ConfigurationError("coefficient length mismatch")
-        poly = SectionPoly(self.manifold,
-                           self.q_monomial if self.manifold.factors > 1
-                           else self.q_monomial[0],
-                           self.exponents, c * self.scales)
+        poly = SectionPoly(self.manifold, self.q_monomial, self.exponents,
+                           c * self.scales)
         for Q, k in self.sigma_polys:
             for _ in range(k):
                 poly = poly.multiply(Q)
@@ -244,7 +235,7 @@ class SectionSpace:
         where that product underflows.
         """
         Z = np.atleast_2d(np.asarray(Z, dtype=complex))
-        cols = _chart_columns(self.manifold, chart)
+        cols = self.manifold.chart_columns(chart)
         return eval_monomials(Z, self.exponents[:, cols], self.scales)
 
     def basis_values(self, chart, Z):
@@ -270,7 +261,7 @@ class SectionSpace:
         squared moduli stay strictly positive away from isolated points.
         """
         Z = np.atleast_2d(np.asarray(Z, dtype=complex))
-        cols = _chart_columns(self.manifold, chart)
+        cols = self.manifold.chart_columns(chart)
         E = (self.exponents - self.coordinate_shift[None, :])[:, cols]
         C = self.coeff_matrix()
         B = eval_monomials(Z, E, self.scales)
@@ -322,7 +313,7 @@ class SectionSpace:
             return method, {"radial_min": rad_min, "radial_order": rad_order,
                             "angular_min": ang_min}
         if method == "nodes":
-            if self.manifold.kind != "P1":
+            if self.manifold.dim != 1:
                 raise UnsupportedMetricError(
                     "Gram assembly for poles along curves in general "
                     "position is only supported on P1")
@@ -370,7 +361,7 @@ class SectionSpace:
         qmax = max(self.q)
         res = self._resolution or 24
         ang = 2 * qmax + 8
-        if self.manifold.kind == "P2":
+        if max(self.manifold.factor_dims) > 1:  # disk radial variables
             return max(int(0.55 * qmax) + 14, res // 2 + 8), None, ang
         if not self.metric.atoms:
             # pure reference metric: the radial integrand is a polynomial of
@@ -389,24 +380,24 @@ class SectionSpace:
         mesh in C order, with all scalar measure constants folded into
         ``w_rad`` so angular weights can be used raw.
         """
+        m = self.manifold
         axs = block.axes
         logr = [np.log(ax.radius) for ax in axs]
-        if self.adjoint:
-            wr = [ax.leb_factor for ax in axs]
-            const = 1.0
-        elif self.manifold.kind == "P2":
-            wr = [ax.wx for ax in axs]
-            const = 1.0 / (2.0 * math.pi ** 2)
-        else:
-            wr = [ax.wx for ax in axs]
-            const = (1.0 / TWO_PI) ** len(axs)
+        wr = [ax.leb_factor if self.adjoint else ax.wx for ax in axs]
+        # unit volume per factor: dx / (2 pi) on a line, (1/(2 pi^2))
+        # (1+u1+u2)^-3 du on a plane
+        const = 1.0
+        if not self.adjoint:
+            for d in m.factor_dims:
+                const *= 1.0 / TWO_PI if d == 1 else 1.0 / (2.0 * math.pi ** 2)
         grids = np.meshgrid(*logr, indexing="ij")
         LR = np.stack([g.ravel() for g in grids], axis=1)
         wgrids = np.meshgrid(*wr, indexing="ij")
         w_rad = const * np.prod([g.ravel() for g in wgrids], axis=0)
-        if self.manifold.kind == "P2" and not self.adjoint:
-            u = np.exp(2.0 * LR)
-            w_rad = w_rad / (1.0 + u[:, 0] + u[:, 1]) ** 3
+        for sl, d in zip(m.axis_slices, m.factor_dims):
+            if d > 1 and not self.adjoint:
+                u = np.exp(2.0 * LR[:, sl])
+                w_rad = w_rad / (1.0 + u[:, 0] + u[:, 1]) ** 3
         P = np.exp(LR).astype(complex)
         phi_ref = self.metric.bundle.reference_weight(block.chart, P)
         return LR, phi_ref, w_rad
@@ -414,7 +405,7 @@ class SectionSpace:
     def _gram_diagonal(self):
         diag = np.zeros(self.dim)
         for block in self.rule.blocks:
-            cols = _chart_columns(self.manifold, block.chart)
+            cols = self.manifold.chart_columns(block.chart)
             E = self.exponents[:, cols].astype(float)
             LR = np.log(np.abs(block.points))
             phi = self.metric.weight(block.chart, block.points)
@@ -441,7 +432,7 @@ class SectionSpace:
             if not ax.theta_uniform:
                 raise ConfigurationError(
                     "Fourier-mode Gram assembly needs uniform angular grids")
-        cols = _chart_columns(m, block.chart)
+        cols = m.chart_columns(block.chart)
         E = self.exponents[:, cols]
         naxes = len(block.axes)
 
@@ -565,7 +556,7 @@ class SectionSpace:
         the whole block.
         """
         (ax,) = block.axes
-        E = self.exponents[:, _chart_columns(self.manifold, block.chart)[0]]
+        E = self.exponents[:, self.manifold.chart_columns(block.chart)[0]]
         qe = int(E.max())
         phase = np.multiply.outer(ax.theta, np.arange(-qe, qe + 1))
         cos, sin = np.cos(phase), np.sin(phase)

@@ -18,30 +18,12 @@ Every dictionary entry is normalized by a deterministic grid estimate of
 ``sup|chi| + sup rho(Hess chi) / pi`` so that entries share a common scale.
 """
 
+import itertools
+
 import numpy as np
 
 from .errors import ConfigurationError
 from .polynomials import SectionPoly, monomial_exponents
-
-# ---------------------------------------------------------------------------
-# factor bookkeeping
-# ---------------------------------------------------------------------------
-
-
-def _factor_of(manifold):
-    """factor index of each affine chart coordinate"""
-    if manifold.kind == "P1xP1":
-        return (0, 1)
-    return (0,) * manifold.dim
-
-
-def _factor_D(manifold, Z):
-    """per-factor 1 + |zeta_f|^2, shape (N, factors)"""
-    if manifold.kind == "P1xP1":
-        return np.stack([1.0 + np.abs(Z[:, 0]) ** 2,
-                         1.0 + np.abs(Z[:, 1]) ** 2], axis=1)
-    return (1.0 + np.sum(np.abs(Z) ** 2, axis=1))[:, None]
-
 
 # ---------------------------------------------------------------------------
 # forms
@@ -101,7 +83,7 @@ class TestForm:
         if self.A is None:
             return np.full(Z.shape[0], np.real(self.c) * self.scale)
         a, b, _, _ = self._chart(chart)
-        D = _factor_D(self.manifold, Z)
+        D = 1.0 + self.manifold.factor_squares(Z)
         E = np.prod(D ** (-np.asarray(self.s, dtype=float)), axis=1)
         S = np.real(self.c * a.eval(Z) * np.conj(b.eval(Z)))
         return self.scale * S * E
@@ -116,8 +98,8 @@ class TestForm:
                 return np.zeros(N, dtype=complex)
             return np.zeros((N, 2, 2), dtype=complex)
         a, b, da, db = self._chart(chart)
-        fac = _factor_of(self.manifold)
-        D = _factor_D(self.manifold, Z)
+        fac = self.manifold.axis_factors
+        D = 1.0 + self.manifold.factor_squares(Z)
         svec = np.asarray(self.s, dtype=float)
         E = np.prod(D ** (-svec), axis=1)
 
@@ -183,10 +165,9 @@ def _scalar_specs(manifold):
     yield None  # the constant function
     s_total = 1
     while True:
-        if manifold.kind == "P1xP1":
-            degrees = [(a, s_total - a) for a in range(s_total + 1)]
-        else:
-            degrees = [s_total]
+        degrees = [d for d in itertools.product(range(s_total + 1),
+                                                repeat=manifold.factors)
+                   if sum(d) == s_total]
         for deg in degrees:
             exps = monomial_exponents(manifold, deg)
             for ia in range(len(exps)):
@@ -247,11 +228,11 @@ def test_form_dictionary(manifold, m, count=12):
 
     if scalar:
         omega_parts = [None]
-    elif manifold.kind == "P1xP1":
-        omega_parts = [manifold.omega_coeffs(), np.array([1.0, 0.0]),
-                       np.array([0.0, 1.0])]
     else:
+        # the Kähler form, then each factor form on products
         omega_parts = [manifold.omega_coeffs()]
+        if manifold.factors > 1:
+            omega_parts += list(np.eye(manifold.factors))
 
     grid = _norm_grid(manifold)
     out = []

@@ -34,7 +34,7 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .bundles import _p1_roots
+from .bundles import _poly_norm_key, curve_divisor_points
 # benchmarks/test_benchmark.py checks that the tracer patches these here
 from .bundles import curvature_pairing, ddc_pairing  # noqa: F401
 from .errors import (
@@ -296,7 +296,7 @@ def zeros_on_curve(section):
         zs.section = section
         return zs
     poly = section
-    if poly.manifold.kind != "P1":
+    if poly.manifold.dim != 1:
         raise ConfigurationError("curve zeros are a P1 operation")
     if poly.is_zero:
         raise ConfigurationError("the zero section vanishes everywhere")
@@ -322,7 +322,7 @@ def curve_zero_sets(space, C):
     (``_curve_zero_sets``).
     """
     m = space.manifold
-    if m.kind != "P1":
+    if m.dim != 1:
         raise ConfigurationError("curve zeros are a P1 operation")
     C = np.asarray(C, dtype=complex)
     if C.ndim != 2 or C.shape[0] != space.dim:
@@ -338,10 +338,10 @@ def _forced_curve_zeros(shift, sigma_polys):
     """``(point, multiplicity)`` pairs of the forced zeros on P1: the
     coordinate powers ``z0^shift[0] z1^shift[1]`` and the factors
     ``Q_j^{k_j}``."""
-    out = [(np.array([0.0, 1.0], dtype=complex), int(shift[0])),
-           (np.array([1.0, 0.0], dtype=complex), int(shift[1]))]
-    out += [(pt, k) for Q, k in sigma_polys for pt in _p1_roots(Q)]
-    return [(pt, k) for pt, k in out if k > 0]
+    comps = [(("coord", i), int(shift[i])) for i in range(2)]
+    comps += [(("poly", _poly_norm_key(Q), Q), k) for Q, k in sigma_polys]
+    return [(pt, k) for comp, k in comps if k > 0
+            for pt in curve_divisor_points(comp)]
 
 
 def _curve_zero_sets(m, R, forced):
@@ -460,7 +460,7 @@ def _general_position(polys):
             return False
     ga = _unit_dense(a)
     gb = _unit_dense(b)
-    bound = 2 * _bezout_pair(a.manifold.kind, a.degree, b.degree) + 1
+    bound = 2 * a.manifold.intersection_number([a.degree, b.degree]) + 1
     return not (_resultant_zero(ga, gb, 1, bound)
                 or _resultant_zero(ga, gb, 0, bound))
 
@@ -540,12 +540,6 @@ def _sylvester_dets(VA, VB):
 # ---------------------------------------------------------------------------
 
 
-def _bezout_pair(kind, da, db):
-    if kind == "P2":
-        return da[0] * db[0]
-    return da[0] * db[1] + da[1] * db[0]
-
-
 def common_zeros(members):
     """Common zeros of two sections on a surface, with multiplicities.
 
@@ -577,7 +571,7 @@ def common_zeros(members):
                 "members share a component; the common zero set is not "
                 "zero dimensional")
     degrees = (polys[0].degree, polys[1].degree)
-    bez = _bezout_pair(m.kind, *degrees)
+    bez = m.intersection_number(degrees)
     if bez == 0:
         return ZeroSet(m, "points", points=[], degrees=degrees, target=0)
 
@@ -806,63 +800,52 @@ def _generic_unitary(n, key):
 
 
 def _rotate_pair(m, polys, key):
-    if m.kind == "P2":
-        U = _generic_unitary(3, (key,))
-        rots = [_compose_p2(p, U) for p in polys]
-        return rots, lambda pts: pts @ U.T
-    Uz = _generic_unitary(2, (key, 0))
-    Uw = _generic_unitary(2, (key, 1))
-    rots = [_compose_p1xp1(p, Uz, Uw) for p in polys]
+    """The pair pulled back by one generic unitary frame per factor, and
+    the map taking points of the rotated pair back."""
+    Us = [_generic_unitary(sl.stop - sl.start,
+                           (key,) if m.factors == 1 else (key, f))
+          for f, sl in enumerate(m.factor_slices)]
+    rots = [_pullback(p, Us) for p in polys]
 
     def unrotate(pts):
-        return np.concatenate([pts[:, :2] @ Uz.T, pts[:, 2:] @ Uw.T], axis=1)
+        return np.concatenate([pts[:, sl] @ U.T
+                               for sl, U in zip(m.factor_slices, Us)], axis=1)
 
     return rots, unrotate
 
 
-def _compose_p2(poly, U):
-    """The exact pullback ``x -> s(U x)`` via chart values on a DFT grid."""
-    d = poly.degree[0]
-    if d == 0:
+def _pullback(poly, Us):
+    """The exact pullback ``x -> s(U_f x_f)`` by one unitary per factor,
+    via chart-zero values on a DFT grid of ``degree_f + 1`` unit roots per
+    axis of factor f."""
+    m = poly.manifold
+    if not any(poly.degree):
         return poly
-    K = d + 1
-    w = np.exp(2j * np.pi * np.arange(K) / K)
-    X, Y = np.meshgrid(w, w, indexing="ij")
-    V = np.stack([np.ones(K * K, dtype=complex), X.ravel(), Y.ravel()],
-                 axis=1)
-    vals = poly.eval_hom(V @ U.T).reshape(K, K)
-    grid = np.fft.fft2(vals) / (K * K)
+    sizes = [poly.degree[f] + 1 for f in m.axis_factors]
+    mesh = np.meshgrid(*[np.exp(2j * np.pi * np.arange(K) / K)
+                         for K in sizes], indexing="ij")
+    ones = np.ones(mesh[0].size, dtype=complex)
+    V = np.concatenate([
+        np.stack([ones] + [mesh[a].ravel()
+                           for a in range(sl.start, sl.stop)], axis=1) @ U.T
+        for sl, U in zip(m.axis_slices, Us)], axis=1)
+    vals = poly.eval_hom(V).reshape(sizes)
+    grid = np.fft.fft2(vals) / vals.size
     cut = 1e-13 * np.abs(grid).max()
-    items = {}
-    for a in range(K):
-        for b in range(K - a):
-            if abs(grid[a, b]) > cut:
-                items[(d - a - b, a, b)] = grid[a, b]
-    if not items:
+    # grid index -> exponent row; a factor's axes sum to at most its degree
+    idx = np.indices(sizes).reshape(len(sizes), -1).T
+    ok = np.ones(len(idx), dtype=bool)
+    parts = []
+    for sl, d in zip(m.axis_slices, poly.degree):
+        t = idx[:, sl]
+        ok &= t.sum(axis=1) <= d
+        parts += [d - t.sum(axis=1, keepdims=True), t]
+    coeffs = grid.reshape(-1)[ok]
+    keep = np.array([abs(c) > cut for c in coeffs.tolist()], dtype=bool)
+    if not keep.any():
         raise NumericalError("rotation wiped out a nonzero section")
-    return SectionPoly.from_coeff_map(poly.manifold, d, items)
-
-
-def _compose_p1xp1(poly, Uz, Uw):
-    d1, d2 = poly.degree
-    K1, K2 = d1 + 1, d2 + 1
-    wz = np.exp(2j * np.pi * np.arange(K1) / K1)
-    ww = np.exp(2j * np.pi * np.arange(K2) / K2)
-    Xz, Xw = np.meshgrid(wz, ww, indexing="ij")
-    zh = np.stack([np.ones(K1 * K2, dtype=complex), Xz.ravel()], axis=1)
-    wh = np.stack([np.ones(K1 * K2, dtype=complex), Xw.ravel()], axis=1)
-    V = np.concatenate([zh @ Uz.T, wh @ Uw.T], axis=1)
-    vals = poly.eval_hom(V).reshape(K1, K2)
-    grid = np.fft.fft2(vals) / (K1 * K2)
-    cut = 1e-13 * np.abs(grid).max()
-    items = {}
-    for a in range(K1):
-        for b in range(K2):
-            if abs(grid[a, b]) > cut:
-                items[(d1 - a, a, d2 - b, b)] = grid[a, b]
-    if not items:
-        raise NumericalError("rotation wiped out a nonzero section")
-    return SectionPoly.from_coeff_map(poly.manifold, (d1, d2), items)
+    return SectionPoly(m, poly.degree, np.concatenate(parts, axis=1)[ok][keep],
+                       coeffs[keep])
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,14 @@ import pytest
 from kahlerlab.errors import ConfigurationError, GeneralPositionError
 from kahlerlab.geometry import (Manifold, build_manifold, quadrature_nodes,
                                 wedge_density_11)
-from kahlerlab.polynomials import SectionPoly, coordinate_section
+from kahlerlab.polynomials import (SectionPoly, coordinate_section,
+                                   monomial_exponents)
 from kahlerlab.bundles import (
     LineBundle,
     Metric,
+    _coord_intersection,
+    _divisor_omega_mass,
+    _omega_factor_masses,
     curvature_pairing,
     finite_potential,
     pair_blocks,
@@ -157,6 +161,52 @@ def test_wedge_descriptor_points(p2):
     total = float(Wself["omega_pairs"].sum())
     total += sum(float(np.sum(vec)) for _, vec in Wself["divisor_omega"])
     assert abs(total - (4.0 - 0.25 ** 2)) < 1e-12
+
+
+def test_coordinate_intersections_of_every_pair():
+    def points(kind):
+        m = build_manifold(kind)
+        return [[None if r is None else [p.tolist() for p in r]
+                 for r in (_coord_intersection(m, i, j)
+                           for j in range(m.hom_len))]
+                for i in range(m.hom_len)]
+
+    assert points("P1") == [[None, []], [[], None]]
+    e = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert points("P2") == [[None, [e[2]], [e[1]]], [[e[2]], None, [e[0]]],
+                            [[e[1]], [e[0]], None]]
+    assert points("P1xP1") == [
+        [None, [], [[0, 1, 0, 1]], [[0, 1, 1, 0]]],
+        [[], None, [[1, 0, 0, 1]], [[1, 0, 1, 0]]],
+        [[[0, 1, 0, 1]], [[1, 0, 0, 1]], None, []],
+        [[[0, 1, 1, 0]], [[1, 0, 1, 0]], [], None]]
+
+
+def test_divisor_masses_and_intersection_numbers():
+    def mass(kind, comp):
+        return _divisor_omega_mass(build_manifold(kind), comp)
+
+    def poly(kind, degree):
+        m = build_manifold(kind)
+        return ("poly", None, SectionPoly(
+            m, degree, monomial_exponents(m, degree)[:1], [1.0]))
+
+    # exact floats: reports and descriptor masses carry these bits
+    assert [mass("P1", ("coord", i)) for i in range(2)] == [1.0, 1.0]
+    assert [mass("P2", ("coord", i)) for i in range(3)] == [1.0] * 3
+    assert [mass("P1xP1", ("coord", i)) for i in range(4)] == [
+        0.7071067811865475] * 4
+    assert mass("P1", poly("P1", 5)) == 5.0
+    assert mass("P2", poly("P2", 5)) == 5.0
+    assert mass("P1xP1", poly("P1xP1", (1, 2))) == 2.1213203435596424
+    assert mass("P1xP1", poly("P1xP1", (3, 1))) == 2.82842712474619
+    assert _omega_factor_masses(build_manifold("P1xP1")).tolist() == [
+        0.7071067811865475, 0.7071067811865475]
+    # the Bezout numbers of common_zeros
+    assert build_manifold("P2").intersection_number([(2,), (3,)]) == 6
+    pp = build_manifold("P1xP1")
+    assert pp.intersection_number([(1, 2), (2, 3)]) == 7
+    assert pp.intersection_number([(3, 1), (0, 4)]) == 12
 
 
 def test_total_wedge_mass_bookkeeping(p2):

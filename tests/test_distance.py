@@ -150,8 +150,10 @@ def test_schedule_validation():
         ApproximationSchedule([0.5, 0.25], [8, 4])
     with pytest.raises(ConfigurationError):
         ApproximationSchedule([0.5], [4, 8], thresholds=[1.0, 0.5])
-    s = ApproximationSchedule([0.5, 0.25], [[4, 8], [8, 16]])
-    assert s.grid(0) == [4, 8] and s.grid(1) == [8, 16]
+    with pytest.raises(ConfigurationError):
+        ApproximationSchedule([0.5, 0.25], [[4, 8], [8, 16]])
+    s = ApproximationSchedule([0.5, 0.25], [4, 8])
+    assert s.p_grid == [4, 8]
     assert s.thresholds == [1.0, 0.5]
 
 

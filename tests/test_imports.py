@@ -168,3 +168,33 @@ def test_pairings_walk_blocks_only_through_pair_blocks():
     assert users <= BLOCK_WALKERS, (
         f"walks over capped_blocks() outside pair_blocks: "
         f"{sorted(users - BLOCK_WALKERS)}")
+
+
+KIND_LITERALS = {"P1", "P2", "P1xP1"}
+
+
+def _kind_comparisons(tree):
+    """Line numbers of comparisons with a manifold kind literal, alone or
+    inside a tuple, list or set literal (``kind in ("P1", "P2")``)."""
+    def literals(node):
+        if isinstance(node, ast.Constant):
+            return {node.value} if isinstance(node.value, str) else set()
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return set().union(*map(literals, node.elts))
+        return set()
+
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Compare)
+            and any(literals(side) & KIND_LITERALS
+                    for side in [node.left] + node.comparators)]
+
+
+def test_only_geometry_compares_with_manifold_kinds():
+    # geometry describes each model manifold once, by its projective
+    # factors; every other module reads those factors, not the kind
+    found = [f"{module}:{line}" for module in MODULES
+             if module != "geometry.py"
+             for line in _kind_comparisons(ast.parse(
+                 (PACKAGE / module).read_text(encoding="utf-8")))]
+    assert not found, f"comparisons with a manifold kind: {found}"
+    assert _kind_comparisons(ast.parse('m.kind in ("P1", "P2")')) == [1]

@@ -31,6 +31,23 @@ def test_monomial_order_deterministic():
     assert np.array_equal(a, b)
     # rows homogeneous of the right degree
     assert np.all(a.sum(axis=1) == 4)
+    # the order itself: bases, Grams and cached results are keyed on it
+    assert monomial_exponents(build_manifold("P1"), 3).tolist() == [
+        [3, 0], [2, 1], [1, 2], [0, 3]]
+    assert monomial_exponents(p2, 2).tolist() == [
+        [2, 0, 0], [1, 0, 1], [0, 0, 2], [1, 1, 0], [0, 1, 1], [0, 2, 0]]
+    assert monomial_exponents(build_manifold("P1xP1"), (1, 2)).tolist() == [
+        [1, 0, 2, 0], [1, 0, 1, 1], [1, 0, 0, 2], [0, 1, 2, 0], [0, 1, 1, 1],
+        [0, 1, 0, 2]]
+
+
+def test_chart_columns_of_every_chart():
+    cols = {kind: [build_manifold(kind).chart_columns(c)
+                   for c in range(build_manifold(kind).num_charts)]
+            for kind in ("P1", "P2", "P1xP1")}
+    assert cols == {"P1": [[1], [0]],
+                    "P2": [[1, 2], [0, 2], [0, 1]],
+                    "P1xP1": [[1, 3], [1, 2], [0, 3], [0, 2]]}
 
 
 @pytest.fixture

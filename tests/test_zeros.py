@@ -6,8 +6,9 @@ from numpy.polynomial import polynomial as npoly
 from scipy import stats
 
 from kahlerlab import zeros
-from kahlerlab.bundles import (LineBundle, Metric, curvature_pairing,
-                               ddc_pairing, form_values_hom, pair_omega_basis)
+from kahlerlab.bundles import (LineBundle, Metric, _p1_roots,
+                               curvature_pairing, ddc_pairing,
+                               form_values_hom, pair_omega_basis)
 from kahlerlab.errors import (ConfigurationError, DegenerateSpaceError,
                               EmptySpaceError, GeneralPositionError,
                               RootFindingError)
@@ -344,7 +345,7 @@ def test_forced_zeros_are_exact(p1, terms, degree, p, k):
     Q = SectionPoly.from_coeff_map(p1, len(terms) - 1, dict(terms))
     sp = SectionSpace(Metric.log_pole(LineBundle(p1, degree), Q, 0.5), p)
     assert [kj for _, kj in sp.sigma_polys] == [k]
-    roots = p1.normalize(np.stack(zeros._p1_roots(Q)))
+    roots = p1.normalize(np.stack(_p1_roots(Q)))
     sets = curve_zero_sets(sp, np.stack(
         [sample_section(sp, (48, i)).coeffs for i in range(20)], axis=1))
     for zs in sets:
@@ -779,7 +780,7 @@ def test_stacked_attempt_matches_the_per_root_loop(monkeypatch, case):
     monkeypatch.setattr(zeros, "_sylvester_dets", dets)
     monkeypatch.setattr(zeros, "_grouped", groups)
     monkeypatch.setattr(zeros, "_rotate_pair", rotate_pair)
-    bez = zeros._bezout_pair(m.kind, polys[0].degree, polys[1].degree)
+    bez = m.intersection_number([polys[0].degree, polys[1].degree])
     assert zeros._intersection_attempt(m, polys, bez, 0, []) is not None
     want_dets, want_xs, want_pts, want_counts = _ref_attempt(m, polys, bez, 0)
     np.testing.assert_array_equal(seen["dets"], want_dets)
@@ -842,7 +843,7 @@ def test_stacked_fiber_roots_match_np_roots(specs, width):
 
 def test_one_attempt_stacks_its_lapack_calls(monkeypatch):
     m, polys = _attempt_cases("fs-cubics")
-    bez = zeros._bezout_pair(m.kind, polys[0].degree, polys[1].degree)
+    bez = m.intersection_number([polys[0].degree, polys[1].degree])
     _, xs, _, counts = _ref_attempt(m, polys, bez, 0)
     assert bez == 9 and counts == [1] * bez
     rots, _ = zeros._rotate_pair(m, polys, 0)
