@@ -49,10 +49,8 @@ from .fscurrents import (  # noqa: F401
 )
 from .zeros import (  # noqa: F401
     Section,
-    SectionTuple,
     ZeroSet,
     common_zeros,
-    divisor_zero_set,
     empirical_general_position,
     expected_zero_residuals,
     point_pairings,

@@ -349,7 +349,8 @@ class Metric:
     # -- singular structure ---------------------------------------------------
 
     def singular_components(self):
-        """Merged pole components as (key, payload, lelong_coeff)."""
+        """Merged pole components as ``(component, coefficient)`` pairs,
+        one per component key, keeping those of positive coefficient."""
         acc = {}
         payloads = {}
         for coeff, atom in self.atoms:
@@ -410,24 +411,6 @@ class CurrentDescriptor:
         self.divisors = list(divisors)
         self.circle = float(circle)
 
-    def scale(self, c):
-        return CurrentDescriptor(
-            self.manifold, c * self.omega,
-            [(comp, c * nu) for comp, nu in self.divisors], c * self.circle)
-
-    def add(self, other):
-        if other.manifold != self.manifold:
-            raise ConfigurationError("descriptor manifolds differ")
-        divisors = {}
-        payloads = {}
-        for comp, nu in list(self.divisors) + list(other.divisors):
-            key = component_key(comp)
-            payloads[key] = comp
-            divisors[key] = divisors.get(key, 0.0) + nu
-        div_list = [(payloads[k], v) for k, v in divisors.items() if v != 0.0]
-        return CurrentDescriptor(self.manifold, self.omega + other.omega,
-                                 div_list, self.circle + other.circle)
-
     def mass(self):
         """Total mass <T ^ omega^{n-1}, 1> from the closed forms."""
         m = self.manifold
@@ -437,12 +420,6 @@ class CurrentDescriptor:
         if m.dim == 1:
             total += self.circle
         return total
-
-    def lelong_coefficient(self, comp_key):
-        for comp, nu in self.divisors:
-            if component_key(comp) == comp_key:
-                return nu
-        return 0.0
 
 
 def component_key(comp):
@@ -483,8 +460,8 @@ def wedge_descriptors(A, B):
     """Formal wedge of two closed-form currents on a surface.
 
     Returns a dict with keys ``omega_pairs`` (factors x factors matrix over
-    the basis forms), ``divisor_omega`` (list of (component, omega_vec,
-    coeff)), and ``points`` (list of (hom_point, mass)) from transverse
+    the basis forms), ``divisor_omega`` (list of (component, omega_vec),
+    the vector already scaled by the component's coefficient), and ``points`` (list of (hom_point, mass)) from transverse
     divisor intersections.  A component repeated on both sides contributes
     no point mass; distinct components must be coordinate divisors, anything
     else raises.

@@ -104,8 +104,7 @@ def space_fragment(space):
     }
 
 
-def cached_space(metric, p, adjoint=True, resolution=None, cache_dir=None,
-                 method=None):
+def cached_space(metric, p, adjoint=True, resolution=None, cache_dir=None):
     """Build a section space, replaying the Gram solve from disk when possible.
 
     Returns ``(space, status)`` with status "hit", "miss", or "off" (no
@@ -114,10 +113,9 @@ def cached_space(metric, p, adjoint=True, resolution=None, cache_dir=None,
     """
     if cache_dir is None:
         return build_section_space(metric, p, adjoint=adjoint,
-                                   resolution=resolution, method=method), "off"
+                                   resolution=resolution), "off"
     space = build_section_space(metric, p, adjoint=adjoint,
-                                resolution=resolution, method=method,
-                                orthonormalize=False)
+                                resolution=resolution, orthonormalize=False)
     key = cache_key(space_fragment(space))
     payload = cache_get(cache_dir, key)
     if payload is not None and payload.get("schema") == SCHEMA:

@@ -116,16 +116,16 @@ class ExperimentConfig:
         return LineBundle(self.manifold, self.degree)
 
 
-def _int_list(value, name, positive=True, increasing=True):
+def _int_list(value, name):
     try:
         out = [int(v) for v in value]
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{name} must be a list of integers") from exc
     if not out:
         raise ConfigurationError(f"{name} must not be empty")
-    if positive and any(v <= 0 for v in out):
+    if any(v <= 0 for v in out):
         raise ConfigurationError(f"{name} entries must be positive")
-    if increasing and any(b <= a for a, b in zip(out, out[1:])):
+    if any(b <= a for a, b in zip(out, out[1:])):
         raise ConfigurationError(f"{name} must be strictly increasing")
     return out
 

@@ -7,23 +7,19 @@ entry has C^1-size at most one, this is a certified lower bound for the
 distance taken over all unit test forms (reported as such, never as the
 full distance).
 
-The module also houses the two consistency layers built on top of that
-distance: the interpolation expansion check, which verifies that the wedge
-of interpolated curvatures expands binomially over subsets, and the
-diagonal-sequence selection that extracts, from a matrix of measured
-distances indexed by (interpolation step, power), a strictly increasing
-sequence of powers meeting the 1/j thresholds.
+The module also houses the diagonal-sequence selection built on top of
+that distance, which extracts, from a matrix of measured distances indexed
+by (interpolation step, power), a strictly increasing sequence of powers
+meeting the 1/j thresholds.
 """
 
-import itertools
 import math
 
 import numpy as np
 
 from .bundles import Metric, component_key, wedge_descriptors
 from .errors import ConfigurationError, GeneralPositionError, KahlerlabError
-from .fscurrents import (descriptor_form_pairing, descriptor_form_pairings,
-                         descriptor_wedge_pairing, descriptor_wedge_pairings)
+from .fscurrents import descriptor_form_pairings, descriptor_wedge_pairings
 from .geometry import quadrature_nodes
 from .sections import build_section_space
 from .testforms import test_form_dictionary
@@ -50,7 +46,7 @@ class PairingVector:
     construction.
     """
 
-    def __init__(self, ident, values, dictionary, meta=None):
+    def __init__(self, ident, values, dictionary):
         self.ident = str(ident)
         self.values = np.asarray(values, dtype=float)
         if isinstance(dictionary, tuple):
@@ -61,7 +57,6 @@ class PairingVector:
             raise ConfigurationError(
                 f"{self.values.size} pairings against "
                 f"{len(self.signature) - 1} dictionary forms")
-        self.meta = dict(meta or {})
 
     @property
     def mass(self):
@@ -69,7 +64,7 @@ class PairingVector:
 
     def scale(self, c):
         return PairingVector(f"{c:g}*{self.ident}", c * self.values,
-                             self.signature, self.meta)
+                             self.signature)
 
     def __repr__(self):
         return (f"PairingVector({self.ident!r}, mass={self.mass:.6g}, "
@@ -86,66 +81,15 @@ def ds_distance(a, b):
 # -- builders -----------------------------------------------------------------
 
 
-def descriptor_vector(descriptor, forms, rule, ident="", meta=None):
+def descriptor_vector(descriptor, forms, rule, ident=""):
     vals = descriptor_form_pairings(descriptor, forms, rule)
-    return PairingVector(ident, vals, forms, meta)
+    return PairingVector(ident, vals, forms)
 
 
-def wedge_vector(desc_a, desc_b, forms, rule, ident="", meta=None):
+def wedge_vector(desc_a, desc_b, forms, rule, ident=""):
     wedge = wedge_descriptors(desc_a, desc_b)
     vals = descriptor_wedge_pairings(desc_a.manifold, wedge, forms, rule)
-    return PairingVector(ident, vals, forms, meta)
-
-
-# -- interpolation expansion ----------------------------------------------------
-
-
-def multilinear_expansion_residual(h_list, g_list, eps, form, rule):
-    """Two-route check of the interpolated-curvature wedge.
-
-    Route one pairs the wedge of the curvatures of the interpolated metrics
-    with the test form.  Route two expands that wedge over all subsets J of
-    the factors, weighting each term by eps^(m-|J|) / (1+eps)^m, with the
-    h-curvatures on J and the g-curvatures off it.  Returns the absolute
-    difference, which isolates bookkeeping errors in the descriptor algebra
-    (the two routes are algebraically identical).
-    """
-    m = len(h_list)
-    if len(g_list) != m:
-        raise ConfigurationError("metric lists must pair up")
-    if m not in (1, 2):
-        raise ConfigurationError("only one or two factors are supported")
-    manifold = h_list[0].manifold
-    if m > manifold.dim:
-        raise ConfigurationError("more factors than the dimension carries")
-    if eps < 0:
-        raise ConfigurationError("interpolation weight must be >= 0")
-    dh = [h.curvature_descriptor() for h in h_list]
-    dg = [g.curvature_descriptor() for g in g_list]
-
-    interp = [Metric.interpolate(h, g, eps).curvature_descriptor()
-              for h, g in zip(h_list, g_list)]
-    if m == 1:
-        direct = descriptor_form_pairing(interp[0], form, rule)
-    else:
-        direct = descriptor_wedge_pairing(
-            manifold, wedge_descriptors(interp[0], interp[1]), form, rule)
-
-    expansion = 0.0
-    weight0 = (1.0 + eps) ** (-m)
-    for subset in itertools.chain.from_iterable(
-            itertools.combinations(range(m), r) for r in range(m + 1)):
-        picked = [dh[k] if k in subset else dg[k] for k in range(m)]
-        w = weight0 * eps ** (m - len(subset))
-        if w == 0.0:
-            continue
-        if m == 1:
-            expansion += w * descriptor_form_pairing(picked[0], form, rule)
-        else:
-            expansion += w * descriptor_wedge_pairing(
-                manifold, wedge_descriptors(picked[0], picked[1]), form,
-                rule)
-    return abs(direct - expansion)
+    return PairingVector(ident, vals, forms)
 
 
 # -- diagonal selection ----------------------------------------------------------

@@ -144,13 +144,12 @@ class Manifold:
         chart, in axis order."""
         return self._charts[chart][0]
 
-    def chart_of(self, points, seam=None):
+    def chart_of(self, points):
         """Index of the chart region owning each point (ties -> lowest)."""
         pts = np.atleast_2d(np.asarray(points, dtype=complex))
-        s = self._seam(seam)
         out = None
         for sl in self.factor_slices:
-            c = _argmax_low(np.abs(pts[:, sl]) / s[None, sl])
+            c = _argmax_low(np.abs(pts[:, sl]))
             out = c if out is None else out * (sl.stop - sl.start) + c
         return out
 
@@ -177,8 +176,6 @@ class Manifold:
         return pts
 
     def _seam(self, seam):
-        if seam is None:
-            return np.ones(self.hom_len)
         s = np.asarray(seam, dtype=float)
         if s.shape != (self.hom_len,) or np.any(s <= 0):
             raise ConfigurationError(
@@ -239,15 +236,6 @@ class Manifold:
         """Coefficients of the Kähler form in the omega basis."""
         return np.full(self.factors, 1.0 / self.omega_norm)
 
-    def omega_matrix(self, chart, Z):
-        """Hessian-convention matrix of the Kähler form at chart points."""
-        coeffs = self.omega_coeffs()
-        acc = None
-        for i, c in enumerate(coeffs):
-            m = self.omega_basis_matrix(i, chart, Z)
-            acc = c * m if acc is None else acc + c * m
-        return acc
-
     def canonical_factor(self, chart, Z):
         """``|frame of K_X|^{-2}`` for the metric induced by ``omega^n``.
 
@@ -302,7 +290,7 @@ class Manifold:
 
     # -- deterministic evaluation grids --------------------------------------
 
-    def sample_grid(self, count, offset=0):
+    def sample_grid(self, count):
         """A deterministic, well-spread set of points (N, hom_len).
 
         Low-discrepancy (Halton) sequences pushed through the Gaussian
@@ -311,7 +299,7 @@ class Manifold:
         involved, so grids are reproducible across runs and platforms.
         """
         # each homogeneous coordinate draws on two bases (real, imaginary)
-        parts = [_halton_unitary(count, sl.stop - sl.start, offset=offset,
+        parts = [_halton_unitary(count, sl.stop - sl.start,
                                  base_shift=2 * sl.start)
                  for sl in self.factor_slices]
         return np.concatenate(parts, axis=1)
@@ -430,8 +418,8 @@ def _ndtri(u):
     return out
 
 
-def _halton_unitary(count, clen, offset=0, base_shift=0):
-    idx = np.arange(offset, offset + count)
+def _halton_unitary(count, clen, base_shift=0):
+    idx = np.arange(count)
     u = np.array([_halton(idx, _PRIMES[(base_shift + j) % len(_PRIMES)])
                   for j in range(2 * clen)])
     g = _ndtri(np.clip(u, 1e-12, 1.0 - 1e-12)).T
@@ -751,15 +739,6 @@ class QuadratureRule:
             self._line_rules[resolution] = quadrature_nodes(
                 projective_line(), resolution)
         return self._line_rules[resolution]
-
-    def nodes_homogeneous(self):
-        out = [self.manifold.from_chart(b.points, b.chart)
-               for b in self.capped_blocks()]
-        return np.concatenate(out, axis=0)
-
-    def weights(self):
-        return np.concatenate([b.weights_volume
-                               for b in self.capped_blocks()])
 
     def fingerprint(self):
         bits = [self.manifold.kind, str(self.resolution)]

@@ -211,13 +211,3 @@ def coordinate_section(manifold, coord):
     e = np.zeros((1, manifold.hom_len), dtype=np.int64)
     e[0, coord] = 1
     return SectionPoly(manifold, deg, e, np.ones(1))
-
-
-def linear_section(manifold, coeffs):
-    """The section sum_i coeffs[i] z_i (degree one; one factor only)."""
-    if manifold.factors > 1:
-        raise ConfigurationError("use per-factor sections on the product")
-    c = np.asarray(coeffs, dtype=complex).reshape(manifold.hom_len)
-    e = np.eye(manifold.hom_len, dtype=np.int64)
-    live = np.abs(c) > 0
-    return SectionPoly(manifold, 1, e[live], c[live])

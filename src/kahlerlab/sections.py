@@ -672,9 +672,6 @@ class SectionSpace:
             out[mask] = self.log_bergman(chart, Z)
         return out
 
-    def bergman_hom(self, points):
-        return np.exp(self.log_bergman_hom(points))
-
 
 def build_section_space(metric, p, adjoint=True, resolution=None,
                         method=None, orthonormalize=True):

@@ -20,9 +20,8 @@ works on stacks (one call for its Sylvester determinants, one per fiber
 degree for its companion matrices, one scoring and one Newton polish for
 all its points), and ``point_pairings`` evaluates each form once on the
 stacked points of many zero sets.  Divisor pairings (``zero_pairings`` on
-surfaces, divisor-mode ``zero_pairing``) are
-:func:`kahlerlab.fscurrents.log_norm_pairings` of the sections'
-coefficients, which batches their log-norms per quadrature block.
+surfaces) are :func:`kahlerlab.fscurrents.log_norm_pairings` of the
+sections' coefficients, which batches their log-norms per quadrature block.
 
 Seed records are integer tuples ``(master, index, ...)``; every derived
 stream is spawned from the master entropy through the remaining entries, so
@@ -97,7 +96,7 @@ def _as_poly(section):
 class Section:
     """One element of a section space, with unit coefficient norm."""
 
-    def __init__(self, space, coeffs, seed=None):
+    def __init__(self, space, coeffs):
         c = np.asarray(coeffs, dtype=complex).reshape(-1)
         if c.size != space.dim:
             raise ConfigurationError("coefficient length mismatch")
@@ -106,7 +105,6 @@ class Section:
             raise ConfigurationError("the zero section has no direction")
         self.space = space
         self.coeffs = c / nrm
-        self.seed = None if seed is None else _seed_key(seed)
         self._poly = None
 
     @property
@@ -133,37 +131,6 @@ class Section:
                 - sp.p * sp.metric.psi(chart, Z))
 
 
-class SectionTuple:
-    """A finite family of sections drawn from the product measure."""
-
-    _STATES = ("unchecked", "verified", "failed")
-
-    def __init__(self, members, seed=None, general_position="unchecked"):
-        members = list(members)
-        if not members:
-            raise ConfigurationError("a section tuple needs members")
-        if general_position not in self._STATES:
-            raise ConfigurationError(
-                f"general_position must be one of {self._STATES}")
-        man = _as_poly(members[0]).manifold
-        for s in members[1:]:
-            if _as_poly(s).manifold != man:
-                raise ConfigurationError("members live on one manifold")
-        self.members = members
-        self.seed = None if seed is None else _seed_key(seed)
-        self.general_position = general_position
-
-    @property
-    def manifold(self):
-        return _as_poly(self.members[0]).manifold
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-
 def sample_section(space, seed):
     """Draw one section from the unitary-invariant law of the space.
 
@@ -178,19 +145,18 @@ def sample_section(space, seed):
             "there is nothing to sample")
     rng = _rng(_seed_key(seed))
     v = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-    return Section(space, v, seed=seed)
+    return Section(space, v)
 
 
 def sample_tuple(spaces, seed):
-    """Independent draws, one per space, under the product measure.
+    """Independent draws, one per space, under the product measure, as a list.
 
     Splitting rule: the tuple seed ``(master, i...)`` gives member ``k`` the
     record ``(master, i..., k)``, so member streams are disjoint and a new
     master changes every member.
     """
     key = _seed_key(seed)
-    members = [sample_section(sp, key + (k,)) for k, sp in enumerate(spaces)]
-    return SectionTuple(members, seed=key)
+    return [sample_section(sp, key + (k,)) for k, sp in enumerate(spaces)]
 
 
 # ---------------------------------------------------------------------------
@@ -199,30 +165,14 @@ def sample_tuple(spaces, seed):
 
 
 class ZeroSet:
-    """The zero locus of a section (or tuple), as points or as a divisor.
+    """The zero locus of a section (or pair) as ``(homogeneous point,
+    multiplicity)`` pairs, whose multiplicities sum to ``target``, the
+    intersection number of the effective degrees."""
 
-    Points mode stores ``(homogeneous point, multiplicity)`` pairs whose
-    multiplicities sum to the intersection number of the effective degrees.
-    Divisor mode keeps the section itself; pairings go through its global
-    log-norm potential.
-    """
-
-    def __init__(self, manifold, mode, points=None, section=None,
-                 degrees=None, target=None):
-        if mode not in ("points", "divisor"):
-            raise ConfigurationError(f"unknown zero set mode {mode!r}")
+    def __init__(self, manifold, points, target):
         self.manifold = manifold
-        self.mode = mode
-        self.points = points if points is not None else []
-        self.section = section
-        self.degrees = degrees
+        self.points = points
         self.target = target
-
-    @property
-    def total_multiplicity(self):
-        if self.mode != "points":
-            raise ConfigurationError("only point configurations have counts")
-        return sum(k for _, k in self.points)
 
 
 def _cluster(manifold, raw):
@@ -292,9 +242,7 @@ def zeros_on_curve(section):
     section's reduced polynomial is.
     """
     if isinstance(section, Section):
-        zs = curve_zero_sets(section.space, section.coeffs[:, None])[0]
-        zs.section = section
-        return zs
+        return curve_zero_sets(section.space, section.coeffs[:, None])[0]
     poly = section
     if poly.manifold.dim != 1:
         raise ConfigurationError("curve zeros are a P1 operation")
@@ -386,8 +334,7 @@ def _curve_zero_sets(m, R, forced):
     raw[:, len(forced):, 1][finite] = z
     mult = [k for _, k in forced] + [1] * qr
     q = sum(mult)
-    return [ZeroSet(m, "points", points=pts, degrees=(q,), target=q)
-            for pts in _cluster_sets(m, raw, mult)]
+    return [ZeroSet(m, pts, q) for pts in _cluster_sets(m, raw, mult)]
 
 
 def _newton_far(A, w, steps=3):
@@ -428,21 +375,12 @@ def _newton_far(A, w, steps=3):
 def empirical_general_position(members):
     """Whether the members cut each other in the expected codimension.
 
-    Pairs must share no polynomial factor; the test is a proportionality
-    check, exact common vanishing along coordinate divisors, and sampled
-    resultants in both elimination directions (a resultant vanishing
-    identically is the degeneracy signature).  A `SectionTuple` records the
-    verdict on its ``general_position`` field.
+    Pairs, on a surface, must share no polynomial factor; the test is a
+    proportionality check, exact common vanishing along coordinate
+    divisors, and sampled resultants in both elimination directions (a
+    resultant vanishing identically is the degeneracy signature).
     """
-    tup = members if isinstance(members, SectionTuple) else None
-    polys = [_as_poly(s) for s in (members if tup is None else tup.members)]
-    ok = _general_position(polys)
-    if tup is not None:
-        tup.general_position = "verified" if ok else "failed"
-    return ok
-
-
-def _general_position(polys):
+    polys = [_as_poly(s) for s in members]
     if any(p.is_zero for p in polys):
         return False
     if len(polys) == 1:
@@ -451,8 +389,9 @@ def _general_position(polys):
         raise ConfigurationError(
             "general position is defined for at most two members here")
     a, b = polys
-    if a.manifold.dim == 1:
-        return not _binary_resultant_zero(a, b)
+    if a.manifold.dim != 2:
+        raise ConfigurationError(
+            "general position of a pair is a surface check")
     if _proportional(a, b):
         return False
     for coord in range(a.manifold.hom_len):
@@ -484,18 +423,6 @@ def _proportional(a, b):
 def _unit_dense(poly):
     g = poly.chart_poly(0).dense()
     return g / np.linalg.norm(g)
-
-
-def _binary_resultant_zero(a, b):
-    # full nominal-length coefficient vectors keep roots at infinity visible
-    va = np.zeros((1, a.degree[0] + 1), dtype=complex)
-    vb = np.zeros((1, b.degree[0] + 1), dtype=complex)
-    va[0, a.exponents[:, 1]] = a.coeffs
-    vb[0, b.exponents[:, 1]] = b.coeffs
-    va /= np.linalg.norm(va)
-    vb /= np.linalg.norm(vb)
-    det, had = _sylvester_dets(va, vb)
-    return abs(det[0]) <= 1e-12 * max(had[0], 1e-60)
 
 
 def _resultant_zero(ga, gb, axis, count):
@@ -551,8 +478,7 @@ def common_zeros(members):
     damped Newton polishes them in the original coordinates.  After three
     failed frames ``RootFindingError`` gives each one's reason.
     """
-    tup = members if isinstance(members, SectionTuple) else None
-    polys = [_as_poly(s) for s in (members if tup is None else tup.members)]
+    polys = [_as_poly(s) for s in members]
     if len(polys) != 2:
         raise ConfigurationError("surface intersections take two members")
     m = polys[0].manifold
@@ -560,27 +486,20 @@ def common_zeros(members):
         raise ConfigurationError("common zeros are a surface operation")
     if any(p.is_zero for p in polys):
         raise ConfigurationError("members must be nonzero sections")
-    if tup is not None and tup.general_position == "failed":
-        raise GeneralPositionError("tuple is on record as degenerate")
-    if tup is None or tup.general_position == "unchecked":
-        ok = _general_position(polys)
-        if tup is not None:
-            tup.general_position = "verified" if ok else "failed"
-        if not ok:
-            raise GeneralPositionError(
-                "members share a component; the common zero set is not "
-                "zero dimensional")
+    if not empirical_general_position(polys):
+        raise GeneralPositionError(
+            "members share a component; the common zero set is not zero "
+            "dimensional")
     degrees = (polys[0].degree, polys[1].degree)
     bez = m.intersection_number(degrees)
     if bez == 0:
-        return ZeroSet(m, "points", points=[], degrees=degrees, target=0)
+        return ZeroSet(m, [], 0)
 
     failures = []
     for key in range(3):
         raw = _intersection_attempt(m, polys, bez, key, failures)
         if raw is not None:
-            return ZeroSet(m, "points", points=_cluster(m, raw),
-                           degrees=degrees, target=bez)
+            return ZeroSet(m, _cluster(m, raw), bez)
     raise RootFindingError(
         f"could not locate all {bez} intersection points for degrees "
         f"{degrees}: " + "; ".join(failures))
@@ -853,30 +772,9 @@ def _pullback(poly, Us):
 # ---------------------------------------------------------------------------
 
 
-def divisor_zero_set(section):
-    """The zero divisor of a section, kept as its log-norm potential."""
-    if not isinstance(section, Section):
-        raise ConfigurationError(
-            "divisor pairings need the metric context of a Section")
-    return ZeroSet(section.manifold, "divisor", section=section,
-                   degrees=section.space.q)
-
-
-def zero_pairing(zeroset, form, rule=None):
-    """``<[zero set], form>``.
-
-    Point configurations pair with the plain function values; this is
-    ``point_pairings`` of one set and one form.  Divisors pair through the
-    global potential: the log-norm integrates against ``dd^c`` of the form,
-    and the curvature class restores the closed part; the computation is
-    that of ``zero_pairings`` with one section and one form.
-    Singular metrics want a rule refined at their pole centers.
-    """
-    if zeroset.mode == "points":
-        return float(point_pairings([zeroset], [form])[0, 0])
-    sec = zeroset.section
-    return float(log_norm_pairings(sec.space, [form], rule,
-                                   sections=sec.coeffs[:, None])[0, 0])
+def zero_pairing(zeroset, form):
+    """``<[zero set], form>``: ``point_pairings`` of one set and one form."""
+    return float(point_pairings([zeroset], [form])[0, 0])
 
 
 def point_pairings(zerosets, forms):
@@ -890,8 +788,6 @@ def point_pairings(zerosets, forms):
     """
     zerosets = list(zerosets)
     forms = list(forms)
-    if any(zs.mode != "points" for zs in zerosets):
-        raise ConfigurationError("point pairings take point zero sets")
     if any(f.omega_part is not None for f in forms):
         raise ConfigurationError(
             "point masses pair with scalar test functions")

@@ -109,7 +109,8 @@ def test_interpolated_metric_weight_is_affine(p1):
     assert np.allclose(mix.weight(0, Z), expected, atol=1e-14)
     # lelong coefficient scales accordingly
     desc = mix.curvature_descriptor()
-    assert abs(desc.lelong_coefficient(("coord", 0)) - 0.5 / (1 + eps)) < 1e-14
+    nu, = [nu for comp, nu in desc.divisors if comp == ("coord", 0)]
+    assert abs(nu - 0.5 / (1 + eps)) < 1e-14
 
 
 def test_singular_components_merge(p1):

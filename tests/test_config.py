@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kahlerlab.config import (LAMBDA_KINDS, STUDIES, config_fragment,
-                              config_hash, parse_config)
+                              config_hash, load_config, parse_config)
 from kahlerlab.errors import ConfigurationError
 from kahlerlab.zeros import MIN_EXPECTED_ZERO_SAMPLES
 
@@ -116,3 +116,16 @@ def test_invalid_documents_raise(doc):
 def test_expected_zero_accepts_the_minimum_sample_count():
     parse_config(dict(_BASE, study="expected-zero",
                       samples=MIN_EXPECTED_ZERO_SAMPLES))
+
+
+def test_load_config_reads_the_document_parse_config_takes(tmp_path):
+    doc = {"study": "equidistribution", "manifold": "P1", "degree": 2,
+           "metrics": [{"h": {"kind": "log_pole", "t": 0.5,
+                              "Q": {"coord": 0}}}],
+           "p_grid": [4, 8], "samples": 3, "seed": [0, 1]}
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert config_hash(load_config(path)) == config_hash(parse_config(doc))
+    path.write_text('{"study": "bergman",', encoding="utf-8")
+    with pytest.raises(ConfigurationError, match="not valid JSON"):
+        load_config(path)

@@ -9,12 +9,11 @@ from kahlerlab.config import parse_config
 from kahlerlab.errors import (ConfigurationError, EmptySpaceError,
                               UnsupportedMetricError)
 from kahlerlab.experiments import emit_report, run_study
-from kahlerlab.fscurrents import descriptor_form_pairing
+from kahlerlab.fscurrents import descriptor_form_pairing, log_norm_pairings
 from kahlerlab.geometry import quadrature_nodes
 from kahlerlab.sections import build_section_space
 from kahlerlab.testforms import test_form_dictionary
-from kahlerlab.zeros import (divisor_zero_set, sample_section, zero_pairing,
-                             zeros_on_curve)
+from kahlerlab.zeros import sample_section, zeros_on_curve
 
 
 def _expected_zero_config(cache, samples=100):
@@ -47,10 +46,12 @@ def test_expected_zero_reports_replay_and_match_the_sample_loop(tmp_path):
     space = build_section_space(cfg.metrics[0]["h"], 4, adjoint=cfg.adjoint)
     rule = quadrature_nodes(man, 8)
     forms = test_form_dictionary(man, 1, 2)
+    secs = [sample_section(space, cfg.seed + (0, 0, i))
+            for i in range(cfg.samples)]
     loop = np.array([
-        [zero_pairing(divisor_zero_set(
-            sample_section(space, cfg.seed + (0, 0, i))), f, rule)
-         for f in forms] for i in range(cfg.samples)])
+        [float(log_norm_pairings(space, [f], rule,
+                                 sections=sec.coeffs[:, None])[0, 0])
+         for f in forms] for sec in secs])
     rows = cold["rows"]
     assert [r["form"] for r in rows] == [f.label for f in forms]
     for r, mean in zip(rows, loop.mean(axis=0)):

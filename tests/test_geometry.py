@@ -22,6 +22,21 @@ def const_one(chart, Z):
     return np.ones(Z.shape[0])
 
 
+def nodes_homogeneous(rule):
+    """The nodes of every capped block, as homogeneous points."""
+    return np.concatenate([rule.manifold.from_chart(b.points, b.chart)
+                           for b in rule.capped_blocks()], axis=0)
+
+
+def omega_matrix(m, chart, Z):
+    """Hessian-convention matrix of the Kähler form at chart points."""
+    acc = None
+    for i, c in enumerate(m.omega_coeffs()):
+        basis = m.omega_basis_matrix(i, chart, Z)
+        acc = c * basis if acc is None else acc + c * basis
+    return acc
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_total_volume_is_one(kind):
     m = build_manifold(kind)
@@ -138,7 +153,7 @@ def test_quadrature_nodes_counts_grow():
     b = quadrature_nodes(m, 32)
     assert b.num_nodes > a.num_nodes
     assert a.num_nodes == sum(bl.num_nodes for bl in a.blocks)
-    w = a.weights()
+    w = np.concatenate([bl.weights_volume for bl in a.capped_blocks()])
     assert np.all(w > 0)
     assert abs(w.sum() - 1.0) < 1e-12
 
@@ -149,7 +164,7 @@ def test_refinement_concentrates_nodes():
     m = build_manifold("P2")
     center = np.array([0.0, 0.0, 1.0])
     rule = quadrature_nodes(m, 16, singular_refinement=[center])
-    pts = rule.nodes_homogeneous()
+    pts = nodes_homogeneous(rule)
     d = m.chordal_distance(pts, center[None, :])
     s = 0.1
     share = np.mean(d <= s)
@@ -162,7 +177,7 @@ def test_refinement_concentrates_nodes():
 def test_nodes_avoid_coordinate_divisors():
     m = build_manifold("P2")
     rule = quadrature_nodes(m, 16, singular_refinement=[("coord", 0)])
-    pts = rule.nodes_homogeneous()
+    pts = nodes_homogeneous(rule)
     assert np.min(np.abs(pts[:, 0])) > 0.0
 
 
@@ -172,7 +187,7 @@ def test_omega_wedge_mass_on_surfaces():
         rule = quadrature_nodes(m, 24)
         total = 0.0
         for b in rule.blocks:
-            A = m.omega_matrix(b.chart, b.points)
+            A = omega_matrix(m, b.chart, b.points)
             dens = wedge_density_11(A, A)
             total += float(np.dot(dens, b.weights_lebesgue / 4.0))
         assert abs(total - 1.0) < 1e-8
@@ -183,7 +198,7 @@ def test_p1_omega_density_matches_volume():
     rule = quadrature_nodes(m, 16)
     total = 0.0
     for b in rule.blocks:
-        dens = m.omega_matrix(b.chart, b.points)
+        dens = omega_matrix(m, b.chart, b.points)
         total += float(np.dot(np.real(dens), b.weights_lebesgue) / np.pi)
     assert abs(total - 1.0) < 1e-12
 

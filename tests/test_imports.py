@@ -1,7 +1,8 @@
 """Import hygiene: every name a package module imports is used in that
 module, importing the package loads no scipy, running a study loads no
-``numpy.ma``, every function the benchmark's tracer patches exists, and
-no pairing walks a rule's blocks outside ``bundles.pair_blocks``.
+``numpy.ma``, every function the benchmark's tracer patches exists, no
+pairing walks a rule's blocks outside ``bundles.pair_blocks``, and every
+library function has a caller outside the tests.
 
 No linter ships with the package, so the first check is the unused-import
 check: each module of ``src/kahlerlab`` is parsed with ``ast`` and the names
@@ -135,13 +136,8 @@ def test_every_traced_function_resolves():
 
 
 # The functions that may walk a rule's capped blocks: the one pairing walker
-# and geometry's own integration helpers.
-BLOCK_WALKERS = {
-    "bundles.pair_blocks",
-    "geometry.integrate",
-    "geometry.QuadratureRule.nodes_homogeneous",
-    "geometry.QuadratureRule.weights",
-}
+# and geometry's own integration helper.
+BLOCK_WALKERS = {"bundles.pair_blocks", "geometry.integrate"}
 
 
 def _capped_block_users(node, scope):
@@ -198,3 +194,62 @@ def test_only_geometry_compares_with_manifold_kinds():
                  (PACKAGE / module).read_text(encoding="utf-8")))]
     assert not found, f"comparisons with a manifold kind: {found}"
     assert _kind_comparisons(ast.parse('m.kind in ("P1", "P2")')) == [1]
+
+
+# Entry points read from outside the package: the study driver and report
+# writer (the benchmark runs them), the config file loader (for a command
+# line) and the backend name (the benchmark worker records it).
+ENTRY_POINTS = {
+    "experiments.run_study",
+    "experiments.emit_report",
+    "config.load_config",
+    "_kernels.active_backend",
+}
+
+
+def _definitions(tree, scope):
+    """Qualified names of the functions and methods defined under ``tree``
+    (module level and directly in classes), dunders aside."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                out.append(f"{scope}.{node.name}")
+        elif isinstance(node, ast.ClassDef):
+            out += _definitions(node, f"{scope}.{node.name}")
+    return out
+
+
+def _read_names(tree):
+    """Every name the code reads, bare (``f``) or as an attribute
+    (``x.f``)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)):
+            out.add(node.attr)
+    return out
+
+
+def _exports():
+    """Qualified names ``module.name`` that ``__init__.py`` re-exports."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    return {f"{node.module}.{a.name}" for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for a in node.names}
+
+
+def test_every_library_function_has_a_caller():
+    # code that only the tests reach belongs in the tests
+    defined, read = [], set()
+    for module in MODULES:
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        defined += _definitions(tree, module[:-len(".py")])
+        read |= _read_names(tree)
+    spans = {f"{module}.{path}" for _, module, path in _tracer_spans()}
+    allowed = _exports() | spans | ENTRY_POINTS
+    orphans = [q for q in defined
+               if q.rsplit(".", 1)[1] not in read and q not in allowed]
+    assert not orphans, f"functions nothing in the package calls: {orphans}"

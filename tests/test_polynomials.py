@@ -9,7 +9,6 @@ from kahlerlab.polynomials import (
     ChartPoly,
     SectionPoly,
     coordinate_section,
-    linear_section,
     monomial_exponents,
 )
 
@@ -73,7 +72,7 @@ def test_chart_derivatives_match_sympy(cubic):
 
 def test_multiply_evaluates_consistently(cubic):
     p2, s = cubic
-    q = linear_section(p2, [1.0, -1.0, 0.0])
+    q = SectionPoly.from_coeff_map(p2, 1, {(1, 0, 0): 1.0, (0, 1, 0): -1.0})
     prod = s.multiply(q)
     assert prod.degree == (4,)
     pt = np.array([[0.7, -0.2, 1.1]])
