@@ -1,16 +1,17 @@
 """Distances between currents over a test-form dictionary.
 
-A current is represented here by its vector of pairings against a fixed
-dictionary of normalized test forms.  The distance between two currents is
-the max of the pairing gaps over the dictionary; since every dictionary
-entry has C^1-size at most one, this is a certified lower bound for the
-distance taken over all unit test forms (reported as such, never as the
-full distance).
+A current is represented here by its pairing vector: a float array holding
+its pairings against a fixed dictionary of normalized test forms, in
+dictionary order.  The first form is the unnormalized mass form, so entry 0
+is the mass.  The distance between two currents is the max of the pairing
+gaps over the dictionary; since every dictionary entry has C^1-size at most
+one, this is a certified lower bound for the distance taken over all unit
+test forms (reported as such, never as the full distance).
 
 The module also houses the diagonal-sequence selection built on top of
 that distance, which extracts, from a matrix of measured distances indexed
 by (interpolation step, power), a strictly increasing sequence of powers
-meeting the 1/j thresholds.
+meeting the step thresholds.
 """
 
 import math
@@ -20,112 +21,22 @@ import numpy as np
 from .bundles import Metric, component_key, wedge_descriptors
 from .errors import ConfigurationError, GeneralPositionError, KahlerlabError
 from .fscurrents import descriptor_form_pairings, descriptor_wedge_pairings
-from .geometry import quadrature_nodes
+# benchmarks/test_benchmark.py checks that the tracer patches this here
+from .geometry import quadrature_nodes  # noqa: F401
 from .sections import build_section_space
-from .testforms import test_form_dictionary
 from .zeros import (_seed_key, common_zeros, point_pairings, sample_tuple,
                     zero_pairings)
 
 
-def dictionary_signature(forms):
-    """Hashable identity of a dictionary (manifold kind plus form labels)."""
-    if not forms:
-        raise ConfigurationError("empty test-form dictionary")
-    kinds = {f.manifold.kind for f in forms}
-    if len(kinds) > 1:
-        raise ConfigurationError("dictionary mixes manifolds")
-    return (kinds.pop(),) + tuple(f.label for f in forms)
-
-
-class PairingVector:
-    """A current, seen through its pairings against one dictionary.
-
-    The first dictionary entry is always the unnormalized mass form, so the
-    mass of the current is the first component; it is exposed as ``mass``
-    rather than stored separately, which keeps the two in lockstep by
-    construction.
-    """
-
-    def __init__(self, ident, values, dictionary):
-        self.ident = str(ident)
-        self.values = np.asarray(values, dtype=float)
-        if isinstance(dictionary, tuple):
-            self.signature = dictionary
-        else:
-            self.signature = dictionary_signature(dictionary)
-        if self.values.shape != (len(self.signature) - 1,):
-            raise ConfigurationError(
-                f"{self.values.size} pairings against "
-                f"{len(self.signature) - 1} dictionary forms")
-
-    @property
-    def mass(self):
-        return float(self.values[0])
-
-    def scale(self, c):
-        return PairingVector(f"{c:g}*{self.ident}", c * self.values,
-                             self.signature)
-
-    def __repr__(self):
-        return (f"PairingVector({self.ident!r}, mass={self.mass:.6g}, "
-                f"len={self.values.size})")
-
-
 def ds_distance(a, b):
-    """Max pairing gap over the shared dictionary."""
-    if a.signature != b.signature:
-        raise ConfigurationError("pairing vectors use different dictionaries")
-    return float(np.max(np.abs(a.values - b.values)))
-
-
-# -- builders -----------------------------------------------------------------
-
-
-def descriptor_vector(descriptor, forms, rule, ident=""):
-    vals = descriptor_form_pairings(descriptor, forms, rule)
-    return PairingVector(ident, vals, forms)
-
-
-def wedge_vector(desc_a, desc_b, forms, rule, ident=""):
-    wedge = wedge_descriptors(desc_a, desc_b)
-    vals = descriptor_wedge_pairings(desc_a.manifold, wedge, forms, rule)
-    return PairingVector(ident, vals, forms)
+    """Max pairing gap between two pairing vectors over one dictionary."""
+    if np.shape(a) != np.shape(b):
+        raise ConfigurationError(
+            f"pairing vectors of shapes {np.shape(a)} and {np.shape(b)}")
+    return float(np.max(np.abs(a - b)))
 
 
 # -- diagonal selection ----------------------------------------------------------
-
-
-class ApproximationSchedule:
-    """Interpolation weights eps_j and the power grid every step shares.
-
-    ``p_grid`` is one strictly increasing list of positive powers.
-    Thresholds default to 1/j.
-    """
-
-    def __init__(self, eps_list, p_grid, thresholds=None):
-        self.eps_list = [float(e) for e in eps_list]
-        if not self.eps_list or any(e <= 0 for e in self.eps_list):
-            raise ConfigurationError("eps values must be positive")
-        if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
-            raise ConfigurationError("eps values must strictly decrease")
-        self.p_grid = _power_grid(p_grid)
-        if thresholds is None:
-            self.thresholds = [1.0 / (j + 1) for j in range(len(self.eps_list))]
-        else:
-            self.thresholds = [float(t) for t in thresholds]
-            if len(self.thresholds) != len(self.eps_list):
-                raise ConfigurationError("one threshold per eps step")
-
-
-def _power_grid(p_grid):
-    if any(isinstance(p, (list, tuple)) for p in p_grid):
-        raise ConfigurationError("one power grid is shared by every eps step")
-    grid = [int(p) for p in p_grid]
-    if not grid or any(p <= 0 for p in grid):
-        raise ConfigurationError("power grids must be positive")
-    if not all(b > a for a, b in zip(grid, grid[1:])):
-        raise ConfigurationError("power grids must strictly increase")
-    return grid
 
 
 def diagonal_sequence(distances, p_grid, thresholds=None):
@@ -178,15 +89,20 @@ def _check_target_position(descriptors):
             seen[key] = k
 
 
-def approximation_run(h_list, g_list, schedule, samples=1, seed=0, rule=None,
-                      dictionary=None, adjoint=None):
+def approximation_run(h_list, g_list, eps_list, p_grid, rule, dictionary,
+                      adjoint, samples=1, seed=0, thresholds=None):
     """Measure how fast scaled random zero sets approach a wedge of curvatures.
 
-    For every (eps_j, p) cell the metrics are interpolated, section spaces
-    built, ``samples`` tuples drawn, and the mean pairing vector of
-    ``p^(-m) [zeros]`` compared to the pairings of the wedge of the
-    h-curvatures.  Cells that fail keep an error status and the run
-    continues; the diagonal selection is applied to the finished matrix.
+    ``eps_list`` holds the interpolation weights eps_j and ``p_grid`` the
+    powers every step shares; ``thresholds`` gives one distance threshold
+    per step (default 1/j).  The target is the pairing vector of the wedge
+    of the h-curvatures against ``dictionary``, paired on ``rule``.  For
+    every (eps_j, p) cell the metrics are interpolated, section spaces
+    built (``adjoint`` twists by the canonical bundle), ``samples`` tuples
+    drawn, and the mean pairing vector of ``p^(-m) [zeros]`` compared to the
+    target by :func:`ds_distance`; its entry 0 is the cell's mass.  Cells
+    that fail keep an error status and the run continues; the diagonal
+    selection is applied to the finished matrix.
     """
     m = len(h_list)
     if len(g_list) != m:
@@ -202,12 +118,8 @@ def approximation_run(h_list, g_list, schedule, samples=1, seed=0, rule=None,
                 "each h must share its bundle with its g")
     if samples < 1:
         raise ConfigurationError("need at least one sample per cell")
-    if adjoint is None:
-        adjoint = m >= 2
-    if dictionary is None:
-        dictionary = test_form_dictionary(manifold, m)
-    if rule is None:
-        rule = quadrature_nodes(manifold, 48 if manifold.dim == 1 else 16)
+    if thresholds is not None and len(thresholds) != len(eps_list):
+        raise ConfigurationError("one threshold per eps step")
 
     dg = [g.curvature_descriptor() for g in g_list]
     for d in dg:
@@ -217,22 +129,23 @@ def approximation_run(h_list, g_list, schedule, samples=1, seed=0, rule=None,
                 "curvature form part")
     dh = [h.curvature_descriptor() for h in h_list]
     if m == 1:
-        target = descriptor_vector(dh[0], dictionary, rule, "target")
+        target = descriptor_form_pairings(dh[0], dictionary, rule)
     else:
         _check_target_position(dh)
-        target = wedge_vector(dh[0], dh[1], dictionary, rule, "target")
+        target = descriptor_wedge_pairings(
+            dh[0].manifold, wedge_descriptors(dh[0], dh[1]), dictionary,
+            rule)
         # point pairings need no rule: free it and its memos for the cells
         rule = None
 
     key = _seed_key(seed)
-    signature = dictionary_signature(dictionary)
     rows = []
     matrix = []
-    for j0, eps in enumerate(schedule.eps_list):
+    for j0, eps in enumerate(eps_list):
         interp = [Metric.interpolate(h, g, eps)
                   for h, g in zip(h_list, g_list)]
         row = []
-        for p0, p in enumerate(schedule.p_grid):
+        for p0, p in enumerate(p_grid):
             cell_seed = key + (j0, p0)
             record = {"j": j0 + 1, "eps": eps, "p": p, "samples": samples,
                       "seed": cell_seed}
@@ -247,10 +160,8 @@ def approximation_run(h_list, g_list, schedule, samples=1, seed=0, rule=None,
                         [common_zeros(sample_tuple(spaces, s))
                          for s in seeds], dictionary)
                 mean = vecs.mean(axis=0) / float(p) ** m
-                vec = PairingVector(f"zeros[eps={eps:g},p={p}]", mean,
-                                    signature)
-                record["distance"] = ds_distance(vec, target)
-                record["mass"] = vec.mass
+                record["distance"] = ds_distance(mean, target)
+                record["mass"] = float(mean[0])
                 record["status"] = "ok"
             except KahlerlabError as exc:
                 record["distance"] = None
@@ -260,15 +171,15 @@ def approximation_run(h_list, g_list, schedule, samples=1, seed=0, rule=None,
             row.append(record["distance"])
         matrix.append(row)
 
-    selected = diagonal_sequence(matrix, schedule.p_grid, schedule.thresholds)
+    selected = diagonal_sequence(matrix, p_grid, thresholds)
     return {
         "kind": "approximation",
         "m": m,
         "adjoint": bool(adjoint),
         "samples": samples,
         "seed": list(key),
-        "dictionary": list(signature[1:]),
-        "target": [float(v) for v in target.values],
+        "dictionary": [f.label for f in dictionary],
+        "target": [float(v) for v in target],
         "rows": rows,
         "matrix": matrix,
         "selected": selected,

@@ -16,7 +16,7 @@ from . import __version__
 from .bundles import wedge_descriptors
 from .cache import cached_space
 from .config import config_fragment, config_hash
-from .distance import ApproximationSchedule, approximation_run
+from .distance import approximation_run
 from .errors import ConfigurationError
 from .fscurrents import (_family_class, descriptor_form_pairing,
                          descriptor_form_pairings, descriptor_wedge_pairings,
@@ -318,7 +318,7 @@ def _run_fs_convergence(cfg, report):
 
 
 def _run_approximation(cfg, report):
-    if cfg.eps_list is None:
+    if not cfg.eps_list:
         raise ConfigurationError("the approximation study needs eps_list")
     man = cfg.manifold
     m = man.dim
@@ -333,14 +333,12 @@ def _run_approximation(cfg, report):
     h_list = [e["h"] for e in pairs]
     g_list = [e["g"] for e in pairs]
     dictionary = test_form_dictionary(man, m, cfg.dict_count)
-    schedule = ApproximationSchedule(cfg.eps_list, cfg.p_grid,
-                                     cfg.thresholds)
     # no local name for the rule: on surfaces the run frees it once the
     # target is paired
-    result = approximation_run(h_list, g_list, schedule,
+    result = approximation_run(h_list, g_list, cfg.eps_list, cfg.p_grid,
+                               _target_rule(cfg), dictionary, cfg.adjoint,
                                samples=cfg.samples, seed=cfg.seed,
-                               rule=_target_rule(cfg), dictionary=dictionary,
-                               adjoint=cfg.adjoint)
+                               thresholds=cfg.thresholds)
     for r in result["rows"]:
         report["rows"].append({
             "j": r["j"], "eps": r["eps"], "p": r["p"],
@@ -364,7 +362,7 @@ def _run_approximation(cfg, report):
     for j0, eps in enumerate(cfg.eps_list):
         report["series"].append({
             "label": f"eps={eps:g}",
-            "x": list(schedule.p_grid),
+            "x": list(cfg.p_grid),
             "y": result["matrix"][j0],
         })
     report["axes"] = ["p", "dictionary distance"]

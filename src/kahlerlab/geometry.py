@@ -13,10 +13,9 @@ and used everywhere:
   sqrt(2)`` on P1xP1 so that ``omega^2 = omega_1 ^ omega_2`` is exactly the
   product of the two factor probability measures.
 * Chart regions partition the manifold: chart ``i`` owns the points where
-  ``|z_i| / s_i`` is maximal (``s`` is an optional seam vector, default all
-  ones).  On each region the radial variables below turn smooth integrands
-  into polynomial or analytic profiles for Gauss-Legendre quadrature, and all
-  nodes stay strictly inside chart interiors.
+  ``|z_i|`` is maximal.  On each region the radial variables below turn
+  smooth integrands into polynomial or analytic profiles for Gauss-Legendre
+  quadrature, and all nodes stay strictly inside chart interiors.
 
 Radial variables per chart region:
 
@@ -174,13 +173,6 @@ class Manifold:
         for sl in self.factor_slices:
             pts[:, sl] /= np.linalg.norm(pts[:, sl], axis=1, keepdims=True)
         return pts
-
-    def _seam(self, seam):
-        s = np.asarray(seam, dtype=float)
-        if s.shape != (self.hom_len,) or np.any(s <= 0):
-            raise ConfigurationError(
-                f"seam must be {self.hom_len} positive floats")
-        return s
 
     # -- local potentials and forms -----------------------------------------
 
@@ -697,17 +689,14 @@ def _outer_ravel(parts):
 class QuadratureRule:
     """Partition-of-charts tensor quadrature with singular refinement.
 
-    Parameters are recorded for reproducibility; ``blocks`` hold the actual
-    nodes.  All weights are strictly positive and nodes avoid chart seams and
-    declared singular centers by construction.
+    ``blocks`` hold the nodes.  All weights are strictly positive and nodes
+    avoid chart boundaries and declared singular centers by construction.
     """
 
-    def __init__(self, manifold, resolution, blocks, singular_refinement, seam):
+    def __init__(self, manifold, resolution, blocks):
         self.manifold = manifold
         self.resolution = resolution
         self.blocks = blocks
-        self.singular_refinement = singular_refinement
-        self.seam = seam
         self._capped = None
         self._line_rules = {}
 
@@ -740,16 +729,6 @@ class QuadratureRule:
                 projective_line(), resolution)
         return self._line_rules[resolution]
 
-    def fingerprint(self):
-        bits = [self.manifold.kind, str(self.resolution)]
-        for b in self.blocks:
-            bits.append("x".join(str(s) for s in b.shape))
-        if self.seam is not None:
-            bits.append("s" + ",".join(repr(float(v)) for v in self.seam))
-        for c in self.singular_refinement or ():
-            bits.append(repr(c))
-        return "|".join(bits)
-
 
 def _sizes(manifold, resolution):
     r = int(resolution)
@@ -766,7 +745,7 @@ def _levels(resolution, dim=1):
     return int(min(18, 8 + 2 * math.log2(max(resolution, 4))))
 
 
-def quadrature_nodes(manifold, resolution, singular_refinement=None, seam=None,
+def quadrature_nodes(manifold, resolution, singular_refinement=None,
                      angular_min=None, radial_min=None, angular_override=None,
                      radial_order=None):
     """Build the tensor quadrature rule for a manifold.
@@ -782,9 +761,6 @@ def quadrature_nodes(manifold, resolution, singular_refinement=None, seam=None,
         Centers to refine toward.  Each entry is either a homogeneous point
         (sequence of ``hom_len`` complex numbers) or a coordinate-divisor
         marker ``("coord", i)`` for the divisor ``{z_i = 0}``.
-    seam : sequence of float, optional
-        Positive per-coordinate weights deforming the chart partition
-        (default all ones); used to validate chart-decomposition invariance.
     angular_min, radial_min : int, optional
         Floors on the angular/radial node counts (used by Gram assembly to
         guarantee exactness for a given basis degree).
@@ -805,16 +781,15 @@ def quadrature_nodes(manifold, resolution, singular_refinement=None, seam=None,
     if angular_min:
         m_ang = max(m_ang, int(angular_min))
     lev = _levels(resolution, m.dim)
-    seam_vec = m._seam(seam) if seam is not None else None
     centers = list(singular_refinement or ())
 
     blocks = []
     for chart in range(m.num_charts):
-        rad_targets, ang_targets = _chart_targets(m, chart, centers, seam_vec)
+        rad_targets, ang_targets = _chart_targets(m, chart, centers)
         axes = []
         for a in range(m.dim):
             style = "p1" if _line_axis(m, a) else "disk"
-            xmax = _axis_xmax(m, chart, a, seam_vec)
+            xmax = _axis_xmax(m, a)
             if radial_order and not rad_targets[a]:
                 x, wx = _gl_on(0.0, xmax, int(radial_order))
             else:
@@ -837,7 +812,7 @@ def quadrature_nodes(manifold, resolution, singular_refinement=None, seam=None,
                 th, wth, uni = _angular_nodes(m_ang, ang_targets[a], lev, 10)
             axes.append(Axis(style, x, wx, th, wth, uni))
         blocks.append(Block(m, chart, axes))
-    return QuadratureRule(m, resolution, blocks, centers, seam_vec)
+    return QuadratureRule(m, resolution, blocks)
 
 
 def _line_axis(m, axis):
@@ -845,20 +820,14 @@ def _line_axis(m, axis):
     return m.factor_dims[m.axis_factors[axis]] == 1
 
 
-def _axis_xmax(m, chart, axis, seam):
+def _axis_xmax(m, axis):
     """Upper end of an axis's radial variable on a chart region: the
-    region is ``|zeta| <= s_axis / s_chart``, where ``x = r^2 / (1 + r^2)``
-    on a line factor and ``u = r^2`` on a plane."""
-    if seam is None:
-        return 0.5 if _line_axis(m, axis) else 1.0
-    cols, dens = m._charts[chart]
-    ratio = seam[cols[axis]] / seam[dens[axis]]
-    if _line_axis(m, axis):
-        return 1.0 / (1.0 + 1.0 / ratio ** 2)
-    return ratio ** 2
+    region is ``|zeta| <= 1``, where ``x = r^2 / (1 + r^2)`` on a line
+    factor and ``u = r^2`` on a plane."""
+    return 0.5 if _line_axis(m, axis) else 1.0
 
 
-def _chart_targets(m, chart, centers, seam):
+def _chart_targets(m, chart, centers):
     """Radial/angular refinement targets per axis for one chart."""
     rad = [[] for _ in range(m.dim)]
     ang = [[] for _ in range(m.dim)]
@@ -878,7 +847,7 @@ def _chart_targets(m, chart, centers, seam):
             if not np.isfinite(za):
                 continue
             r = abs(za)
-            xmax = _axis_xmax(m, chart, a, seam)
+            xmax = _axis_xmax(m, a)
             if _line_axis(m, a):
                 xval = r * r / (1.0 + r * r)
             else:

@@ -105,14 +105,6 @@ class ChartPoly:
         e2[:, axis] -= 1
         return ChartPoly(e2, c2, self.nvars)
 
-    def degree(self, axis):
-        if self.coeffs.size == 0:
-            return -1
-        live = np.abs(self.coeffs) > 0
-        if not np.any(live):
-            return -1
-        return int(self.exponents[live, axis].max())
-
     def dense(self):
         """Dense coefficient array indexed by the exponents."""
         if self.coeffs.size == 0:

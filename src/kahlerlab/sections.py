@@ -50,7 +50,7 @@ TWO_PI = 2.0 * math.pi
 CONDITION_CAP = 1.0e12
 
 # Largest per-factor section degree for which raw chart-frame monomial values
-# provably stay inside double range on the (seam-deformed) chart regions.
+# provably stay inside double range on the chart regions.
 _MAX_DEGREE = 400
 
 # Version of the Gram numerics, part of every cache key.  Bump it whenever a

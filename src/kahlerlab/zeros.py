@@ -166,13 +166,12 @@ def sample_tuple(spaces, seed):
 
 class ZeroSet:
     """The zero locus of a section (or pair) as ``(homogeneous point,
-    multiplicity)`` pairs, whose multiplicities sum to ``target``, the
-    intersection number of the effective degrees."""
+    multiplicity)`` pairs, whose multiplicities sum to the intersection
+    number of the effective degrees."""
 
-    def __init__(self, manifold, points, target):
+    def __init__(self, manifold, points):
         self.manifold = manifold
         self.points = points
-        self.target = target
 
 
 def _cluster(manifold, raw):
@@ -333,8 +332,7 @@ def _curve_zero_sets(m, R, forced):
     raw[:, len(forced):, 1] = 1.0
     raw[:, len(forced):, 1][finite] = z
     mult = [k for _, k in forced] + [1] * qr
-    q = sum(mult)
-    return [ZeroSet(m, pts, q) for pts in _cluster_sets(m, raw, mult)]
+    return [ZeroSet(m, pts) for pts in _cluster_sets(m, raw, mult)]
 
 
 def _newton_far(A, w, steps=3):
@@ -493,13 +491,13 @@ def common_zeros(members):
     degrees = (polys[0].degree, polys[1].degree)
     bez = m.intersection_number(degrees)
     if bez == 0:
-        return ZeroSet(m, [], 0)
+        return ZeroSet(m, [])
 
     failures = []
     for key in range(3):
         raw = _intersection_attempt(m, polys, bez, key, failures)
         if raw is not None:
-            return ZeroSet(m, _cluster(m, raw), bez)
+            return ZeroSet(m, _cluster(m, raw))
     raise RootFindingError(
         f"could not locate all {bez} intersection points for degrees "
         f"{degrees}: " + "; ".join(failures))

@@ -107,7 +107,11 @@ _BASE = {"study": "bergman", "manifold": "P1", "p_grid": [4, 8]}
     dict(_BASE, p_grid=[8, 4]),
     dict(_BASE, study="expected-zero",
          samples=MIN_EXPECTED_ZERO_SAMPLES - 1),
-], ids=["unknown-key", "repeated-p", "decreasing-p", "few-samples"])
+    dict(_BASE, study="approximation", eps_list=[0.5, 0.5]),
+    dict(_BASE, study="approximation", eps_list=[0.25, 0.5]),
+    dict(_BASE, study="approximation", p_grid=[[4, 8], [8, 16]]),
+], ids=["unknown-key", "repeated-p", "decreasing-p", "few-samples",
+        "repeated-eps", "increasing-eps", "nested-p-grid"])
 def test_invalid_documents_raise(doc):
     with pytest.raises(ConfigurationError):
         parse_config(doc)

@@ -5,13 +5,12 @@ import pytest
 
 from kahlerlab.bundles import (LineBundle, Metric, pair_omega_basis,
                                wedge_descriptors)
-from kahlerlab.distance import (ApproximationSchedule, PairingVector,
-                                approximation_run, descriptor_vector,
-                                diagonal_sequence, dictionary_signature,
-                                ds_distance, wedge_vector)
+from kahlerlab.distance import (approximation_run, diagonal_sequence,
+                                ds_distance)
 from kahlerlab.errors import (ConfigurationError, GeneralPositionError,
                               UnsupportedMetricError)
 from kahlerlab.fscurrents import (descriptor_form_pairing,
+                                  descriptor_form_pairings,
                                   descriptor_wedge_pairing, form_values_hom)
 from kahlerlab.geometry import build_manifold, quadrature_nodes
 from kahlerlab.polynomials import SectionPoly, coordinate_section
@@ -37,32 +36,31 @@ def p1_dict(p1):
 
 
 def test_mass_is_the_leading_pairing(p1, p1_dict):
-    v = PairingVector("t", np.arange(12.0), p1_dict)
-    assert v.mass == 0.0
-    assert v.scale(3.0).mass == 0.0
-    assert v.scale(3.0).values[3] == 9.0
+    # the first dictionary form is the unnormalized mass form, so entry 0
+    # of a curvature current's vector is the degree of its bundle
+    rule = quadrature_nodes(p1, 48)
+    for degree in (1, 3):
+        d = Metric.fubini_study(LineBundle(p1, degree)).curvature_descriptor()
+        assert abs(descriptor_form_pairings(d, p1_dict, rule)[0]
+                   - degree) < 1e-12
 
 
 def test_vector_shape_and_dictionary_are_checked(p1, p1_dict):
+    # vectors over dictionaries of different sizes have different shapes
+    small = test_form_dictionary(p1, 1, count=8)
     with pytest.raises(ConfigurationError):
-        PairingVector("t", np.arange(5.0), p1_dict)
-    a = PairingVector("a", np.zeros(12), p1_dict)
-    b = PairingVector("b", np.zeros(8), test_form_dictionary(p1, 1, count=8))
-    with pytest.raises(ConfigurationError):
-        ds_distance(a, b)
+        ds_distance(np.zeros(len(p1_dict)), np.zeros(len(small)))
 
 
-def test_distance_is_a_pseudometric(p1_dict):
-    sig = dictionary_signature(p1_dict)
+def test_distance_is_a_pseudometric():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        a, b, c = (PairingVector("r", rng.standard_normal(12), sig)
-                   for _ in range(3))
+        a, b, c = (rng.standard_normal(12) for _ in range(3))
         assert ds_distance(a, a) == 0.0
         assert abs(ds_distance(a, b) - ds_distance(b, a)) < 1e-12
         assert (ds_distance(a, c)
                 <= ds_distance(a, b) + ds_distance(b, c) + 1e-12)
-        assert abs(ds_distance(a.scale(2.0), b.scale(2.0))
+        assert abs(ds_distance(2 * a, 2 * b)
                    - 2.0 * ds_distance(a, b)) < 1e-12
 
 
@@ -74,8 +72,8 @@ def test_distance_against_a_point_mass_current(p1, p1_dict):
     d_fs = Metric.fubini_study(L).curvature_descriptor()
     d_lp = Metric.log_pole(L, coordinate_section(p1, 0),
                            0.5).curvature_descriptor()
-    d = ds_distance(descriptor_vector(d_fs, p1_dict, rule, "fs"),
-                    descriptor_vector(d_lp, p1_dict, rule, "lp"))
+    d = ds_distance(descriptor_form_pairings(d_fs, p1_dict, rule),
+                    descriptor_form_pairings(d_lp, p1_dict, rule))
     pole = np.zeros((1, 2), dtype=complex)
     pole[0, 1] = 1.0
     oracle = max(0.5 * abs(pair_omega_basis(0, f, rule)
@@ -91,10 +89,10 @@ def test_distance_never_shrinks_when_the_dictionary_grows(p1, p1_dict):
     d_lp = Metric.log_pole(L, coordinate_section(p1, 0),
                            0.5).curvature_descriptor()
     small = test_form_dictionary(p1, 1, count=8)
-    d_small = ds_distance(descriptor_vector(d_fs, small, rule),
-                          descriptor_vector(d_lp, small, rule))
-    d_large = ds_distance(descriptor_vector(d_fs, p1_dict, rule),
-                          descriptor_vector(d_lp, p1_dict, rule))
+    d_small = ds_distance(descriptor_form_pairings(d_fs, small, rule),
+                          descriptor_form_pairings(d_lp, small, rule))
+    d_large = ds_distance(descriptor_form_pairings(d_fs, p1_dict, rule),
+                          descriptor_form_pairings(d_lp, p1_dict, rule))
     assert d_small <= d_large + 1e-15
 
 
@@ -183,21 +181,7 @@ def test_expansion_preconditions(p2):
         multilinear_expansion_residual([sm, g], [g, g], 0.3, chi, rule)
 
 
-# -- schedules and diagonal selection ----------------------------------------------
-
-
-def test_schedule_validation():
-    with pytest.raises(ConfigurationError):
-        ApproximationSchedule([0.5, 0.5], [4, 8])
-    with pytest.raises(ConfigurationError):
-        ApproximationSchedule([0.5, 0.25], [8, 4])
-    with pytest.raises(ConfigurationError):
-        ApproximationSchedule([0.5], [4, 8], thresholds=[1.0, 0.5])
-    with pytest.raises(ConfigurationError):
-        ApproximationSchedule([0.5, 0.25], [[4, 8], [8, 16]])
-    s = ApproximationSchedule([0.5, 0.25], [4, 8])
-    assert s.p_grid == [4, 8]
-    assert s.thresholds == [1.0, 0.5]
+# -- diagonal selection --------------------------------------------------------------
 
 
 def test_selection_forces_strict_increase():
@@ -225,17 +209,22 @@ def test_unresolved_rows_are_flagged_and_skipped():
 # -- the end-to-end run -------------------------------------------------------------
 
 
+def _curve_run(p1, h, g, eps_list, p_grid, **kw):
+    return approximation_run([h], [g], eps_list, p_grid,
+                             quadrature_nodes(p1, 48),
+                             test_form_dictionary(p1, 1), False, **kw)
+
+
 def test_approximation_run_on_the_reference_family(p1):
     fs = Metric.fubini_study(LineBundle(p1, 1))
-    sched = ApproximationSchedule([0.5, 0.25], [4, 8, 16])
-    rep = approximation_run([fs], [fs], sched, samples=1, seed=(41,))
+    rep = _curve_run(p1, fs, fs, [0.5, 0.25], [4, 8, 16], seed=(41,))
     assert rep["resolved"]
     assert all(r["status"] == "ok" for r in rep["rows"])
     # trivial twist keeps the zero count at p, so every mass is exactly one
     assert all(r["mass"] == 1.0 for r in rep["rows"])
     for s in rep["selected"]:
         assert s["distance"] <= s["threshold"]
-    again = approximation_run([fs], [fs], sched, samples=1, seed=(41,))
+    again = _curve_run(p1, fs, fs, [0.5, 0.25], [4, 8, 16], seed=(41,))
     assert again == rep
 
 
@@ -244,8 +233,9 @@ def test_approximation_masses_follow_the_twist_deficit(p2):
     h1 = Metric.log_pole(L, coordinate_section(p2, 0), 0.5)
     h2 = Metric.log_pole(L, coordinate_section(p2, 1), 0.5)
     g = Metric.fubini_study(L)
-    sched = ApproximationSchedule([0.5], [6, 8])
-    rep = approximation_run([h1, h2], [g, g], sched, samples=1, seed=(42,))
+    rep = approximation_run([h1, h2], [g, g], [0.5], [6, 8],
+                            quadrature_nodes(p2, 16),
+                            test_form_dictionary(p2, 2), True, seed=(42,))
     assert abs(rep["target"][0] - 1.0) < 1e-9
     for r in rep["rows"]:
         assert r["status"] == "ok"
@@ -256,6 +246,11 @@ def test_smoothing_metrics_must_be_positive(p1):
     L = LineBundle(p1, 1)
     fs = Metric.fubini_study(L)
     flat = Metric.log_pole(L, coordinate_section(p1, 0), 1.0)
-    sched = ApproximationSchedule([0.5], [4])
     with pytest.raises(ConfigurationError):
-        approximation_run([fs], [flat], sched, samples=1, seed=(43,))
+        _curve_run(p1, fs, flat, [0.5], [4], seed=(43,))
+
+
+def test_one_threshold_per_eps_step(p1):
+    fs = Metric.fubini_study(LineBundle(p1, 1))
+    with pytest.raises(ConfigurationError):
+        _curve_run(p1, fs, fs, [0.5], [4, 8], thresholds=[1.0, 0.5])

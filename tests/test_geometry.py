@@ -101,35 +101,6 @@ def test_non_finite_field_requires_flag():
         integrate(f, rule, integrable=True)
 
 
-@pytest.mark.parametrize("kind,seam", [
-    ("P1", [1.3, 0.8]),
-    ("P2", [1.0, 1.25, 0.8]),
-    ("P1xP1", [1.2, 0.9, 1.0, 1.1]),
-])
-def test_seam_leaves_integrals_unchanged(kind, seam):
-    # the chart decomposition is a bookkeeping device; integrals cannot move
-    m = build_manifold(kind)
-    base = quadrature_nodes(m, 24)
-    alt = quadrature_nodes(m, 24, seam=seam)
-    assert abs(integrate(const_one, alt) - 1.0) < 1e-9
-
-    def f(c, Z):
-        pts = m.from_chart(Z, c)
-        return np.abs(pts[:, 0]) ** 2
-
-    v0 = integrate(f, base)
-    v1 = integrate(f, alt)
-    assert abs(v0 - v1) < 1e-8
-
-
-def test_seamed_log_moment_with_refinement():
-    m = build_manifold("P1")
-    rule = quadrature_nodes(m, 32, singular_refinement=[("coord", 1)],
-                            seam=[1.3, 0.8])
-    val = integrate(_log_t(m, 1), rule, integrable=True)
-    assert abs(val + 1.0) < 1e-7
-
-
 @pytest.mark.parametrize("kind", KINDS)
 def test_chart_roundtrip(kind):
     m = build_manifold(kind)

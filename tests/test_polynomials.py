@@ -110,4 +110,3 @@ def test_dense_roundtrip():
     assert grid.shape == (3, 4)
     P = np.array([[0.4 - 0.1j, 1.2 + 0.3j], [0.0, 0.5]])
     assert np.allclose(cp.eval(P), npoly.polyval2d(P[:, 0], P[:, 1], grid))
-    assert cp.degree(0) == 2 and cp.degree(1) == 3

@@ -296,7 +296,7 @@ def _rule_through_pole(monkeypatch):
     ax = Axis("p1", np.array([0.25, 0.5]), np.array([0.25, 0.25]),
               np.array([0.0, 0.5, 1.0, 1.5]) * np.pi,
               np.full(4, 0.5 * np.pi), True)
-    rule = QuadratureRule(P1, 24, [Block(P1, 0, [ax])], [], None)
+    rule = QuadratureRule(P1, 24, [Block(P1, 0, [ax])])
     monkeypatch.setattr(sections, "quadrature_nodes",
                         lambda *args, **kwargs: rule)
     Q = SectionPoly.from_coeff_map(P1, 1, {(1, 0): 1.0, (0, 1): -1.0})

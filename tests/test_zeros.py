@@ -305,7 +305,7 @@ def _parent_curve_zeros(sec):
     raw[:deg0, 0] = 1.0
     raw[:deg0, 1] = roots
     raw[deg0:, 1] = 1.0
-    return zeros.ZeroSet(m, _parent_cluster(m, raw), q)
+    return zeros.ZeroSet(m, _parent_cluster(m, raw))
 
 
 def _curve_metric(m, kind, degree):
@@ -531,7 +531,7 @@ def test_parallel_fiber_pair_is_empty(pp):
     s3 = SectionPoly.from_coeff_map(
         pp, (1, 0), {(1, 0, 0, 0): 1.0, (0, 1, 0, 0): 1.0})
     zs = common_zeros([s1, s3])
-    assert total_multiplicity(zs) == 0 and zs.points == [] and zs.target == 0
+    assert total_multiplicity(zs) == 0 and zs.points == []
 
 
 def test_shared_fiber_fails_general_position(pp):
