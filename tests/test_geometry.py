@@ -85,6 +85,16 @@ def test_log_coordinate_moments(kind, i, expected, tol):
     assert abs(val - expected) < tol
 
 
+def test_seamed_log_moment_with_refinement():
+    # refinement toward both coordinate divisors puts refined blocks on both
+    # sides of the chart seam |z0| = |z1|; E[log t_1] stays -1
+    m = build_manifold("P1")
+    rule = quadrature_nodes(m, 32,
+                            singular_refinement=[("coord", 0), ("coord", 1)])
+    val = integrate(_log_t(m, 1), rule, integrable=True)
+    assert abs(val + 1.0) < 1e-7
+
+
 def test_non_finite_field_requires_flag():
     m = build_manifold("P1")
     rule = quadrature_nodes(m, 16)
