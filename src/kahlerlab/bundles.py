@@ -24,7 +24,10 @@ pairing of the package walks a rule's blocks through one routine,
 potentials and densities in one pass.  Each form's per-block omega terms
 and ``dd^c`` weights stay in the block's memo, so every later walk over
 the rule reuses them.  ``pair_omega_basis``, ``ddc_pairing`` and
-``curvature_pairing`` are one-form calls of it.
+``curvature_pairing`` are one-form calls of it.  Point masses (zeros on
+curves and of pairs on surfaces, divisors of curves, transverse divisor
+intersections) pair through the one routine :func:`point_mass_pairings`,
+which evaluates each form once on the stacked points of all its point sets.
 """
 
 import functools
@@ -87,10 +90,6 @@ class _Atom:
     def descriptor_terms(self, manifold):
         """Closed-form dd^c psi as (omega_vec, divisors, circle) or None."""
         return None
-
-    def components(self, manifold):
-        """Singular divisor components as (key, lelong_coeff) pairs."""
-        return []
 
     def centers(self, manifold):
         """Quadrature refinement centers for the singular set."""
@@ -160,10 +159,6 @@ class LogPoleAtom(_Atom):
         else:
             divisors.append((("poly", _poly_norm_key(self.Q), self.Q), s))
         return omega, divisors, 0.0
-
-    def components(self, manifold):
-        _, divisors, _ = self.descriptor_terms(manifold)
-        return divisors
 
     def centers(self, manifold):
         if self.torus_invariant:
@@ -348,17 +343,24 @@ class Metric:
 
     # -- singular structure ---------------------------------------------------
 
-    def singular_components(self):
-        """Merged pole components as ``(component, coefficient)`` pairs,
-        one per component key, keeping those of positive coefficient."""
+    def _merged_divisors(self):
+        """The atoms' descriptor divisors summed per component key, as
+        ``(component, coefficient)`` pairs in first-seen key order; atoms
+        without a closed-form curvature carry none."""
         acc = {}
         payloads = {}
         for coeff, atom in self.atoms:
-            for comp, nu in atom.components(self.manifold):
+            terms = atom.descriptor_terms(self.manifold)
+            for comp, nu in terms[1] if terms else ():
                 key = component_key(comp)
                 payloads[key] = comp
                 acc[key] = acc.get(key, 0.0) + coeff * nu
-        return [(payloads[k], v) for k, v in acc.items() if v > 0]
+        return [(payloads[k], v) for k, v in acc.items()]
+
+    def singular_components(self):
+        """Merged pole components as ``(component, coefficient)`` pairs,
+        one per component key, keeping those of positive coefficient."""
+        return [(c, v) for c, v in self._merged_divisors() if v > 0]
 
     def refinement_centers(self):
         seen = []
@@ -371,8 +373,6 @@ class Metric:
         """Closed-form c1(L, h); raises ``UnsupportedMetricError`` unless
         every atom supports one."""
         omega = np.asarray(self.bundle.degree, dtype=float)
-        divisors = {}
-        payloads = {}
         circle = 0.0
         for coeff, atom in self.atoms:
             terms = atom.descriptor_terms(self.manifold)
@@ -380,15 +380,11 @@ class Metric:
                 raise UnsupportedMetricError(
                     f"the curvature of {self.label()} has no closed-form "
                     "decomposition")
-            avec, divs, circ = terms
+            avec, _, circ = terms
             omega = omega + coeff * avec
             circle += coeff * circ
-            for comp, nu in divs:
-                key = component_key(comp)
-                payloads[key] = comp
-                divisors[key] = divisors.get(key, 0.0) + coeff * nu
-        div_list = [(payloads[k], v) for k, v in divisors.items() if v != 0.0]
-        return CurrentDescriptor(self.manifold, omega, div_list, circle)
+        divisors = [(c, v) for c, v in self._merged_divisors() if v != 0.0]
+        return CurrentDescriptor(self.manifold, omega, divisors, circle)
 
 
 # ---------------------------------------------------------------------------
@@ -681,31 +677,34 @@ def curve_divisor_points(comp):
     return _p1_roots(comp[2])
 
 
-def point_mass_pairings(manifold, forms, points, totals=None):
-    """``totals[j] + sum_k mass_k f_j(point_k)`` over ``(point, mass)``
-    pairs, one entry per form (``totals`` defaults to zeros and is added
-    to in place).
+def point_mass_pairings(manifold, forms, point_sets, totals=None):
+    """``totals[s, j] + sum_k mass_k f_j(point_k)`` over the ``(point,
+    mass)`` pairs of each point set ``s``: the (sets, forms) matrix
+    (``totals`` defaults to zeros and is added to in place).
 
-    Each form is evaluated once on the stacked points; the masses add into
-    the totals one point after another, in the order given.
+    Each form is evaluated once on the stacked points of all sets; the
+    masses add into each set's row one point after another, in point
+    order, so an entry is the same number whatever other sets share the
+    call.
     """
-    totals = np.zeros(len(forms)) if totals is None else totals
-    if not points:
+    point_sets = list(point_sets)
+    if totals is None:
+        totals = np.zeros((len(point_sets), len(forms)))
+    points = [pm for pms in point_sets for pm in pms]
+    if not (points and forms):
         return totals
+    owner = np.repeat(np.arange(len(point_sets)), [len(s) for s in point_sets])
     P = np.stack([pt for pt, _ in points])
     V = np.stack([form_values_hom(manifold, f, P) for f in forms], axis=1)
-    for (_, mass), row in zip(points, V):
-        totals += mass * row
+    mass = np.array([k for _, k in points], dtype=float)
+    np.add.at(totals, owner, mass[:, None] * V)
     return totals
 
 
 def form_values_hom(manifold, form, points):
     """chi at homogeneous points, preserving order."""
-    pts = manifold.normalize(np.atleast_2d(np.asarray(points, dtype=complex)))
-    charts = manifold.chart_of(pts)
+    pts = manifold.normalize(points)
     out = np.empty(pts.shape[0], dtype=float)
-    for c in np.flatnonzero(np.bincount(charts)):
-        sel = charts == c
-        Z = manifold.to_chart(pts[sel], int(c))
-        out[sel] = np.asarray(form.chi(int(c), Z), dtype=float)
+    for chart, mask, Z in manifold.chart_split(pts):
+        out[mask] = np.asarray(form.chi(chart, Z), dtype=float)
     return out

@@ -33,10 +33,12 @@ quadrature blocks through :func:`bundles.pair_blocks`, the blocks outside
 and the forms inside.  What does not depend on the form (log-norm
 potentials, reduced Hessians, omega basis matrices, quadrature weights)
 is computed once per block and handed to it as a potential or a density.
-Each form's total accumulates in the same order as it would alone, so the
-one-form functions (``fs_pairing``, ``fs_wedge_pairing``,
+The one-form functions (``fs_pairing``, ``fs_wedge_pairing``,
 ``descriptor_form_pairing``, ``descriptor_wedge_pairing``) are one-entry
-calls of the batched ones and return the same bits.
+calls of the batched ones.  Each form's entry adds its block shares in
+block order, but as :func:`bundles.pair_blocks` says, a matrix product's
+last bits can move with the number of forms: on the potential route a form
+alone and in a batch can differ in the last bits.
 
 What depends on neither the form list nor p lives with the quadrature
 rule, so a sweep over p on one rule computes it once: each form's ``chi``,
@@ -59,8 +61,9 @@ from .bundles import (CurrentDescriptor, _form_omega_matrix,
 # benchmarks/tracer.py patches curvature_pairing here
 from .bundles import curvature_pairing  # noqa: F401
 from .errors import (ConfigurationError, GeneralPositionError, NumericalError)
-from .geometry import (projective_line, quadrature_nodes, too_many_dropped,
-                       wedge_density_11)
+from .geometry import projective_line, too_many_dropped, wedge_density_11
+# benchmarks/test_benchmark.py checks that the tracer patches it here
+from .geometry import quadrature_nodes  # noqa: F401
 
 __all__ = [
     "fs_pairing", "fs_pairings", "fs_wedge_pairing", "fs_wedge_pairings",
@@ -105,13 +108,15 @@ def _reduced_hessian(space, chart, Z):
     bad = F < 1e-290
     Fs = np.where(bad, 1.0, F)
     scale = 1.0 / (2.0 * space.p)
+    Vc = np.conj(V, out=V)  # V is read no more
+    Fa = [np.einsum("nj,nj->n", d, Vc) for d in dV]
+    del V, Vc  # node-by-member sized: free before the second derivatives
+    Fs2 = Fs ** 2
     H = np.empty((Z.shape[0], 2, 2), dtype=complex)
     for a in range(2):
-        Fa = np.einsum("nj,nj->n", dV[a], np.conj(V))
         for b in range(2):
             Fab = np.einsum("nj,nj->n", dV[a], np.conj(dV[b]))
-            Fb = np.einsum("nj,nj->n", dV[b], np.conj(V))
-            H[:, a, b] = scale * (Fab * Fs - Fa * np.conj(Fb)) / Fs ** 2
+            H[:, a, b] = scale * (Fab * Fs - Fa[a] * np.conj(Fa[b])) / Fs2
     H[bad] = 0.0
     return H, bad
 
@@ -270,23 +275,21 @@ def _pointwise_pairings(space, forms, rule):
 # ---------------------------------------------------------------------------
 
 
-def _divisor_pairings(manifold, comp, forms, surface=None):
+def _divisor_pairings(manifold, comp, forms, surface):
     """``<[D], f>`` of one singular component for each form.
 
-    On curves divisors are point masses and the form is a test function.
-    On surfaces the form must carry an ``omega_part`` and the pairing is
-    the restriction integral over a coordinate divisor; polynomial
-    components of surfaces have no closed-form parametrization here.
+    On curves divisors are point masses and the form is a test function
+    (``surface`` is not used).  On surfaces the forms carry an
+    ``omega_part``, which both callers check, and the pairing is the
+    restriction integral over a coordinate divisor
+    (:func:`_divisor_omega_pairings` on the line rule of the surface rule
+    ``surface``); polynomial components of surfaces have no closed-form
+    parametrization here.
     """
     if manifold.dim == 1:
         return point_mass_pairings(
-            manifold, forms, [(pt, 1.0) for pt in curve_divisor_points(comp)])
-    if comp[0] != "coord":
-        raise GeneralPositionError(
-            "surface divisor pairings need coordinate components")
-    if any(f.omega_part is None for f in forms):
-        raise ConfigurationError(
-            "pairing a divisor on a surface needs a (1,1) test form")
+            manifold, forms,
+            [[(pt, 1.0) for pt in curve_divisor_points(comp)]])[0]
     return _divisor_omega_pairings(manifold, comp,
                                    [f.omega_part for f in forms], forms,
                                    surface)
@@ -325,18 +328,11 @@ def _line_embedding(manifold, comp):
     return embed, slots, omega_index
 
 
-def _line_rule(q_line=0, surface=None):
+def _line_rule(q_line, surface):
     """The P1 rule over a divisor line at resolution ``max(48, 2 q_line)``,
-    for families of degree ``q_line`` on it.
-
-    With the surface rule it serves, the line rule is that rule's
-    :meth:`QuadratureRule.line_rule`, shared by every pairing on it;
-    without one it is built afresh.
-    """
-    res = max(48, 2 * q_line)
-    if surface is None:
-        return quadrature_nodes(projective_line(), res)
-    return surface.line_rule(res)
+    for families of degree ``q_line`` on it: the surface rule's
+    :meth:`QuadratureRule.line_rule`, shared by every pairing on it."""
+    return surface.line_rule(max(48, 2 * q_line))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -425,18 +421,18 @@ def descriptor_wedge_pairings(manifold, wedge, forms, rule):
     for comp, vec in wedge["divisor_omega"]:
         totals += _divisor_omega_pairings(manifold, comp, [vec] * len(forms),
                                           forms, rule)
-    return point_mass_pairings(manifold, forms, wedge["points"], totals)
+    return point_mass_pairings(manifold, forms, [wedge["points"]],
+                               totals[None])[0]
 
 
-def _divisor_omega_pairings(manifold, comp, omega_vecs, forms, surface=None):
+def _divisor_omega_pairings(manifold, comp, omega_vecs, forms, surface):
     """``int_D chi_f * (omega_vec_f . basis)|_D`` over a coordinate divisor,
     one entry per form.
 
     The line rule is the surface rule's (see :func:`_line_rule`), and chi
     at its embedded nodes stays in its blocks' memo (:class:`_LineForm`):
     both live as long as ``surface``, so the targets, every p and the
-    expected masses of a study on one rule share them.  Without ``surface``
-    both are built for this call.
+    expected masses of a study on one rule share them.
     """
     if comp[0] != "coord":
         raise GeneralPositionError(
@@ -448,7 +444,7 @@ def _divisor_omega_pairings(manifold, comp, omega_vecs, forms, surface=None):
     totals = np.zeros(len(forms))
     if live.size:
         totals[live] = pair_blocks(
-            _line_rule(surface=surface),
+            _line_rule(0, surface),
             [_LineForm(manifold, forms[i], comp) for i in live],
             densities=[lambda b, mats: [(coeffs[live], lambda chi, f: chi,
                                          b.weights_volume)]])[2][0]
@@ -510,7 +506,7 @@ def fs_wedge_pairings(space_a, space_b, forms, rule):
     for (_, k), r in zip(space_b.base_divisors, on_b):
         totals += (k / space_b.p) * r
     wedge = wedge_descriptors(_family_class(space_a), _family_class(space_b))
-    return point_mass_pairings(m, forms, wedge["points"], totals)
+    return point_mass_pairings(m, forms, [wedge["points"]], totals[None])[0]
 
 
 def _family_class(space):
@@ -535,7 +531,7 @@ def _family_class(space):
     return CurrentDescriptor(m, omega / space.p, divisors, 0.0)
 
 
-def _restricted_pairings(space, comp, forms, surface=None):
+def _restricted_pairings(space, comp, forms, surface):
     """``<[D] ^ beta, chi_f>`` for each form: the reduced current
     restricted to a divisor, its family evaluated once per line block.
 

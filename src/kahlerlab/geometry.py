@@ -152,6 +152,18 @@ class Manifold:
             out = c if out is None else out * (sl.stop - sl.start) + c
         return out
 
+    def chart_split(self, points):
+        """``(chart, mask, Z)`` for each chart region owning some of the
+        homogeneous points, charts ascending: the mask of its points and
+        their affine coordinates ``Z`` in it.  The points are not
+        normalized.  The charts come from ``np.bincount``, as
+        ``np.unique`` would load ``numpy.ma``."""
+        pts = np.atleast_2d(np.asarray(points, dtype=complex))
+        charts = self.chart_of(pts)
+        for chart in np.flatnonzero(np.bincount(charts)).tolist():
+            mask = charts == chart
+            yield chart, mask, self.to_chart(pts[mask], chart)
+
     def to_chart(self, points, chart):
         """Homogeneous points -> affine coordinates in ``chart`` (N, dim)."""
         pts = np.atleast_2d(np.asarray(points, dtype=complex))
@@ -832,9 +844,8 @@ def _chart_targets(m, chart, centers):
     rad = [[] for _ in range(m.dim)]
     ang = [[] for _ in range(m.dim)]
     for c in centers:
-        if isinstance(c, tuple) and len(c) == 2 and c[0] == "coord":
-            idx = int(c[1])
-            _coord_divisor_targets(m, chart, idx, rad)
+        if is_coord_marker(c):
+            _coord_divisor_targets(m, chart, int(c[1]), rad)
             continue
         pt = np.asarray(c, dtype=complex).reshape(1, -1)
         if pt.shape[1] != m.hom_len:
@@ -857,6 +868,13 @@ def _chart_targets(m, chart, centers):
                 if r > 1e-9:
                     ang[a].append(float(np.angle(za)))
     return rad, ang
+
+
+def is_coord_marker(center):
+    """Whether a refinement center is the marker ``("coord", i)`` of the
+    divisor ``{z_i = 0}`` rather than a homogeneous point."""
+    return (isinstance(center, tuple) and len(center) == 2
+            and center[0] == "coord")
 
 
 def _coord_divisor_targets(m, chart, idx, rad):

@@ -40,7 +40,7 @@ from .bundles import _poly_norm_key
 from .errors import (ConfigurationError, DegenerateSpaceError,
                      EmptySpaceError, IllConditionedError, NumericalError,
                      UnsupportedMetricError)
-from .geometry import quadrature_nodes
+from .geometry import is_coord_marker, quadrature_nodes
 from .polynomials import SectionPoly, degree_tuple, monomial_exponents
 
 TWO_PI = 2.0 * math.pi
@@ -277,15 +277,11 @@ class SectionSpace:
 
     # -- Gram assembly ---------------------------------------------------------
 
-    def _has_point_centers(self):
-        return any(not (isinstance(c, tuple) and len(c) == 2
-                        and c[0] == "coord")
-                   for c in self.metric.refinement_centers())
-
     def _dispatch(self):
         if self._method is not None:
             return self._method
-        if self.sigma_polys or self._has_point_centers():
+        if self.sigma_polys or not all(
+                map(is_coord_marker, self.metric.refinement_centers())):
             # poles along curves off the coordinate axes
             return "nodes"
         if self.metric.torus_invariant:
@@ -660,15 +656,9 @@ class SectionSpace:
 
     def log_bergman_hom(self, points):
         """log Bergman function at homogeneous points (any scaling)."""
-        P = self.manifold.normalize(np.atleast_2d(
-            np.asarray(points, dtype=complex)))
-        charts = self.manifold.chart_of(P)
+        P = self.manifold.normalize(points)
         out = np.empty(P.shape[0])
-        for chart in range(self.manifold.num_charts):
-            mask = charts == chart
-            if not np.any(mask):
-                continue
-            Z = self.manifold.to_chart(P[mask], chart)
+        for chart, mask, Z in self.manifold.chart_split(P):
             out[mask] = self.log_bergman(chart, Z)
         return out
 
@@ -707,7 +697,7 @@ def log_bergman_sup(space, grid_count=400, exclude=(), exclude_radius=0.0):
     pts = space.manifold.sample_grid(grid_count)
     keep = np.ones(pts.shape[0], dtype=bool)
     for c in exclude:
-        if isinstance(c, tuple) and len(c) == 2 and c[0] == "coord":
+        if is_coord_marker(c):
             norms = np.linalg.norm(pts, axis=1)
             keep &= np.abs(pts[:, c[1]]) / norms > exclude_radius
         else:

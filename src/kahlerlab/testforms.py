@@ -202,14 +202,8 @@ def _normalize(form, grid_charts):
 
 
 def _norm_grid(manifold):
-    pts = manifold.sample_grid(600)
-    charts = manifold.chart_of(pts)
-    out = []
-    for c in range(manifold.num_charts):
-        sel = charts == c
-        if np.any(sel):
-            out.append((c, manifold.to_chart(pts[sel], c)))
-    return out
+    return [(c, Z) for c, _, Z in manifold.chart_split(
+        manifold.sample_grid(600))]
 
 
 def test_form_dictionary(manifold, m, count=12):

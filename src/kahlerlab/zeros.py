@@ -18,8 +18,9 @@ all its sections in one pass over their pairwise distances; the raw zeros
 of one surface pair are clustered the same way; one elimination attempt
 works on stacks (one call for its Sylvester determinants, one per fiber
 degree for its companion matrices, one scoring and one Newton polish for
-all its points), and ``point_pairings`` evaluates each form once on the
-stacked points of many zero sets.  Divisor pairings (``zero_pairings`` on
+all its points), and ``point_pairings`` pairs many zero sets through
+:func:`kahlerlab.bundles.point_mass_pairings`, which evaluates each form
+once on their stacked points.  Divisor pairings (``zero_pairings`` on
 surfaces) are :func:`kahlerlab.fscurrents.log_norm_pairings` of the
 sections' coefficients, which batches their log-norms per quadrature block.
 
@@ -33,7 +34,7 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .bundles import _poly_norm_key, curve_divisor_points
+from .bundles import _poly_norm_key, curve_divisor_points, point_mass_pairings
 # benchmarks/test_benchmark.py checks that the tracer patches these here
 from .bundles import curvature_pairing, ddc_pairing  # noqa: F401
 from .errors import (
@@ -43,8 +44,7 @@ from .errors import (
     NumericalError,
     RootFindingError,
 )
-from .fscurrents import (_log_modulus, _log_norm_base, form_values_hom,
-                         log_norm_pairings)
+from .fscurrents import _log_modulus, _log_norm_base, log_norm_pairings
 from .geometry import quadrature_nodes
 from .polynomials import SectionPoly
 
@@ -233,26 +233,9 @@ def _greedy(n, close, weights=None):
 
 
 def zeros_on_curve(section):
-    """All zeros of a section on the curve, with multiplicities.
-
-    A `Section` is the one-column call of :func:`curve_zero_sets`.  For a
-    bare `SectionPoly` the coordinate powers it is divisible by are read
-    off its exponents as forced zeros, and the quotient is solved as a
-    section's reduced polynomial is.
-    """
-    if isinstance(section, Section):
-        return curve_zero_sets(section.space, section.coeffs[:, None])[0]
-    poly = section
-    if poly.manifold.dim != 1:
-        raise ConfigurationError("curve zeros are a P1 operation")
-    if poly.is_zero:
-        raise ConfigurationError("the zero section vanishes everywhere")
-    live = poly.coeffs != 0
-    shift = poly.exponents[live].min(axis=0)
-    R = np.zeros((1, poly.degree[0] - int(shift.sum()) + 1), dtype=complex)
-    np.add.at(R[0], poly.exponents[live, 1] - shift[1], poly.coeffs[live])
-    forced = _forced_curve_zeros(shift, ())
-    return _curve_zero_sets(poly.manifold, R, forced)[0]
+    """All zeros of a `Section` on the curve, with multiplicities: the
+    one-column call of :func:`curve_zero_sets`."""
+    return curve_zero_sets(section.space, section.coeffs[:, None])[0]
 
 
 def curve_zero_sets(space, C):
@@ -632,13 +615,11 @@ def _polish_surface(m, polys, pts, steps=30):
     to their coefficient norms.
     """
     pts = m.normalize(pts)
-    charts = m.chart_of(pts)
     scales = np.array([np.linalg.norm(p.coeffs) for p in polys])
     out = np.empty_like(pts)
-    for chart in np.flatnonzero(np.bincount(charts)).tolist():
-        sel = charts == chart
-        z = _newton_chart([p.chart_poly(chart) for p in polys],
-                          m.to_chart(pts[sel], chart), scales, steps)
+    for chart, sel, Z in m.chart_split(pts):
+        z = _newton_chart([p.chart_poly(chart) for p in polys], Z, scales,
+                          steps)
         out[sel] = m.from_chart(z, chart)
     res = np.max([np.abs(p.eval_hom(out)) / s
                   for p, s in zip(polys, scales)], axis=0)
@@ -778,30 +759,19 @@ def zero_pairing(zeroset, form):
 def point_pairings(zerosets, forms):
     """``<[Z_i], f_j>`` of point zero sets ``Z_i``: the (sets, forms) matrix.
 
-    A point pairs with the form's function value times its multiplicity.
-    The points of all sets are stacked and each form is evaluated on them
-    once; the products are summed per set in point order, so every entry is
-    the same number whatever other sets share the call.  Forms must be
-    scalar (no omega part).
+    A point pairs with the form's function value times its multiplicity,
+    by :func:`kahlerlab.bundles.point_mass_pairings` of all sets at once,
+    so every entry is the same number whatever other sets share the call.
+    Forms must be scalar (no omega part).
     """
     zerosets = list(zerosets)
     forms = list(forms)
     if any(f.omega_part is not None for f in forms):
         raise ConfigurationError(
             "point masses pair with scalar test functions")
-    out = np.zeros((len(zerosets), len(forms)))
-    points = [(pt, k) for zs in zerosets for pt, k in zs.points]
-    if not points:
-        return out
-    owner = np.repeat(np.arange(len(zerosets)),
-                      [len(zs.points) for zs in zerosets])
-    mult = np.array([k for _, k in points])
-    P = np.stack([pt for pt, _ in points])
-    man = zerosets[0].manifold
-    for j, f in enumerate(forms):
-        out[:, j] = np.bincount(owner, weights=mult * form_values_hom(
-            man, f, P), minlength=len(zerosets))
-    return out
+    manifold = zerosets[0].manifold if zerosets else None
+    return point_mass_pairings(manifold, forms,
+                               [zs.points for zs in zerosets])
 
 
 def zero_pairings(space, seeds, forms, rule=None):

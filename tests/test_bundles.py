@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from kahlerlab.errors import ConfigurationError, GeneralPositionError
+from kahlerlab.errors import (ConfigurationError, GeneralPositionError,
+                              UnsupportedMetricError)
 from kahlerlab.geometry import (Manifold, build_manifold, quadrature_nodes,
                                 wedge_density_11)
 from kahlerlab.polynomials import (SectionPoly, coordinate_section,
@@ -16,13 +17,16 @@ from kahlerlab.bundles import (
     _omega_factor_masses,
     curvature_pairing,
     finite_potential,
+    form_values_hom,
     pair_blocks,
+    point_mass_pairings,
     wedge_descriptors,
 )
 from kahlerlab.fscurrents import descriptor_form_pairing, fs_pairings
 from kahlerlab.sections import build_section_space
 from kahlerlab.testforms import TestForm, constant_form, test_form_dictionary as form_dictionary
-from kahlerlab.zeros import zero_pairings
+from kahlerlab.zeros import (ZeroSet, curve_zero_sets, point_pairings,
+                             sample_section, zero_pairings)
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +128,28 @@ def test_singular_components_merge(p1):
     comp, nu = comps[0]
     assert comp == ("coord", 0)
     assert abs(nu - 0.75) < 1e-14
+
+
+def test_singular_components_are_the_positive_descriptor_divisors(p2):
+    L = LineBundle(p2, 2)
+    z0z1 = SectionPoly.from_coeff_map(p2, 2, {(1, 1, 0): 1.0})
+    off_axis = SectionPoly.from_coeff_map(p2, 1, {(1, 0, 0): 1.0,
+                                                 (0, 1, 0): 0.5})
+    h = Metric.log_pole(L, coordinate_section(p2, 0), 0.5)
+    # g has the pole of h again (from z0 z1) and an off-axis one
+    g = Metric(L, [(1.0, Metric.log_pole(L, z0z1, 0.5).atoms[0][1]),
+                   (0.5, Metric.log_pole(L, off_axis, 0.4).atoms[0][1])])
+    mix = Metric.interpolate(h, g, 0.5)
+    divisors = mix.curvature_descriptor().divisors
+    assert [c[:2] for c, _ in divisors] == [
+        ("coord", 0), ("coord", 1), ("poly", divisors[2][0][1])]
+    assert mix.singular_components() == [(c, v) for c, v in divisors if v > 0]
+    # a smoothed max has neither divisors nor a closed-form descriptor
+    smooth = Metric.smoothed_max(L, coordinate_section(p2, 0),
+                                 coordinate_section(p2, 1), 1.0, 0.5)
+    assert smooth.singular_components() == []
+    with pytest.raises(UnsupportedMetricError):
+        smooth.curvature_descriptor()
 
 
 def test_negative_weight_on_singular_atom_rejected(p1):
@@ -345,3 +371,80 @@ def test_potential_route_evaluates_each_form_once_per_block(p2, monkeypatch):
         assert calls["hessian"] == 6 * walks
         assert calls["omega_basis_matrix"] == 3 * walks
         assert calls["chi"] <= 9 * walks
+
+
+# -- point masses: one routine for zero sets and wedge points -----------------
+
+
+def _ref_point_pairings(zerosets, forms):
+    """``zeros.point_pairings`` as it was: per form, a ``np.bincount`` over
+    the set of each point of multiplicity times value."""
+    out = np.zeros((len(zerosets), len(forms)))
+    points = [(pt, k) for zs in zerosets for pt, k in zs.points]
+    if not points:
+        return out
+    owner = np.repeat(np.arange(len(zerosets)),
+                      [len(zs.points) for zs in zerosets])
+    mult = np.array([k for _, k in points])
+    P = np.stack([pt for pt, _ in points])
+    man = zerosets[0].manifold
+    for j, f in enumerate(forms):
+        out[:, j] = np.bincount(owner, weights=mult * form_values_hom(
+            man, f, P), minlength=len(zerosets))
+    return out
+
+
+def _ref_point_mass_pairings(manifold, forms, points, totals):
+    """The one-set ``bundles.point_mass_pairings`` as it was: ``totals +=
+    mass * row`` one point after another."""
+    totals = totals.copy()
+    P = np.stack([pt for pt, _ in points])
+    V = np.stack([form_values_hom(manifold, f, P) for f in forms], axis=1)
+    for (_, mass), row in zip(points, V):
+        totals += mass * row
+    return totals
+
+
+def test_point_masses_of_curve_zero_sets_keep_their_bits(p1):
+    # coordinate and off-axis poles force zeros of multiplicity above 1
+    off_axis = SectionPoly.from_coeff_map(p1, 1, {(1, 0): 1.0,
+                                                 (0, 1): 0.6 + 0.3j})
+    sets = []
+    for Q in (coordinate_section(p1, 0), off_axis):
+        sp = build_section_space(Metric.log_pole(LineBundle(p1, 2), Q, 0.8),
+                                 6, orthonormalize=False)
+        C = np.stack([sample_section(sp, (31, i)).coeffs for i in range(3)],
+                     axis=1)
+        sets += curve_zero_sets(sp, C)
+    assert max(k for zs in sets for _, k in zs.points) > 1
+    sets.insert(2, ZeroSet(p1, []))
+    forms = form_dictionary(p1, 1, 5)
+    ref = _ref_point_pairings(sets, forms)
+    np.testing.assert_array_equal(point_pairings(sets, forms), ref)
+    np.testing.assert_array_equal(point_mass_pairings(
+        p1, forms, [zs.points for zs in sets]), ref)
+    assert not ref[2].any() and np.all(ref[[0, 1, 3, 4, 5, 6]] != 0.0)
+
+
+@pytest.mark.parametrize("kind", ["P2", "P1xP1"])
+def test_wedge_points_add_onto_totals_with_their_bits(kind):
+    m = build_manifold(kind)
+    if kind == "P2":
+        L = LineBundle(m, 2)
+        qa = SectionPoly.from_coeff_map(m, 2, {(1, 1, 0): 1.0})
+        qb = coordinate_section(m, 2)
+    else:
+        L = LineBundle(m, (1, 1))
+        qa = SectionPoly.from_coeff_map(m, (1, 1), {(1, 0, 1, 0): 1.0})
+        qb = SectionPoly.from_coeff_map(m, (1, 1), {(0, 1, 0, 1): 1.0})
+    wedge = wedge_descriptors(
+        Metric.log_pole(L, qa, 0.5).curvature_descriptor(),
+        Metric.log_pole(L, qb, 0.3).curvature_descriptor())
+    points = wedge["points"]
+    assert len(points) == 2
+    forms = form_dictionary(m, 2, 5)
+    totals = np.random.default_rng(7).standard_normal(len(forms))
+    ref = _ref_point_mass_pairings(m, forms, points, totals)
+    got = totals[None].copy()
+    assert point_mass_pairings(m, forms, [points], got) is got
+    np.testing.assert_array_equal(got[0], ref)

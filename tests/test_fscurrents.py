@@ -294,11 +294,12 @@ def _chi(form, block):
     return np.asarray(form.chi(block.chart, block.points), dtype=float)
 
 
-def _ref_restricted(space, comp, form, nflag=0):
-    """The restricted pairing, with the first ``nflag`` nodes of each line
-    block dropped as if the family vanished there."""
+def _ref_restricted(space, comp, form, surface, nflag=0):
+    """The restricted pairing on the line rule of the surface rule
+    ``surface``, with the first ``nflag`` nodes of each line block dropped
+    as if the family vanished there."""
     Rc, q_line = fscurrents._line_family(space, comp)
-    rule = fscurrents._line_rule(q_line)
+    rule = fscurrents._line_rule(q_line, surface)
     line_m = rule.manifold
     embed, _, _ = fscurrents._line_embedding(space.manifold, comp)
     exps = np.arange(q_line + 1)
@@ -333,9 +334,9 @@ def _ref_fs_wedge(sa, sb, form, rule):
         wq = np.where(bad, 0.0, b.weights_lebesgue / 4.0)
         total += float(np.dot(_chi(form, b) * wedge_density_11(Ha, Hb), wq))
     for comp, k in sa.base_divisors:
-        total += (k / sa.p) * _ref_restricted(sb, comp, form)
+        total += (k / sa.p) * _ref_restricted(sb, comp, form, rule)
     for comp, k in sb.base_divisors:
-        total += (k / sb.p) * _ref_restricted(sa, comp, form)
+        total += (k / sb.p) * _ref_restricted(sa, comp, form, rule)
     for comp_a, ka in sa.base_divisors:
         for comp_b, kb in sb.base_divisors:
             if comp_a[1] != comp_b[1]:
@@ -357,7 +358,7 @@ def _ref_descriptor_wedge(m, wedge, form, rule):
                     dens = wedge_density_11(mats[i], mats[j])
                     total += pairs[i, j] * float(np.dot(
                         _chi(form, b) * dens, b.weights_lebesgue / 4.0))
-    line_rule = fscurrents._line_rule()
+    line_rule = fscurrents._line_rule(0, rule)
     line_m = line_rule.manifold
     for comp, vec in wedge["divisor_omega"]:
         embed, _, omega_index = fscurrents._line_embedding(m, comp)
@@ -383,6 +384,37 @@ def _wedge_case(name):
         return m, ha, ha, 8
     # poles on distinct coordinates meet in a transverse point
     return m, ha, Metric.log_pole(L, coordinate_section(m, 1), 0.25), 8
+
+
+def _ref_reduced_hessian(space, chart, Z):
+    """``fscurrents._reduced_hessian`` on surfaces as it was, with every
+    sum taken inside the ``(a, b)`` loop."""
+    V, dV = space.reduced_section_values(chart, Z, derivs=True)
+    F = np.einsum("nj,nj->n", np.abs(V), np.abs(V))
+    bad = F < 1e-290
+    Fs = np.where(bad, 1.0, F)
+    scale = 1.0 / (2.0 * space.p)
+    H = np.empty((Z.shape[0], 2, 2), dtype=complex)
+    for a in range(2):
+        Fa = np.einsum("nj,nj->n", dV[a], np.conj(V))
+        for b in range(2):
+            Fab = np.einsum("nj,nj->n", dV[a], np.conj(dV[b]))
+            Fb = np.einsum("nj,nj->n", dV[b], np.conj(V))
+            H[:, a, b] = scale * (Fab * Fs - Fa * np.conj(Fb)) / Fs ** 2
+    H[bad] = 0.0
+    return H, bad
+
+
+@pytest.mark.parametrize("case", ["P2-self", "P1xP1"])
+def test_reduced_hessian_keeps_its_bits(case):
+    m, h, _, p = _wedge_case(case)
+    sp = build_section_space(h, p, resolution=16)
+    assert sp.base_divisors
+    for b in quadrature_nodes(m, 8).capped_blocks():
+        H, bad = fscurrents._reduced_hessian(sp, b.chart, b.points)
+        ref_H, ref_bad = _ref_reduced_hessian(sp, b.chart, b.points)
+        assert H.tobytes() == ref_H.tobytes()
+        assert bad.tobytes() == ref_bad.tobytes()
 
 
 @pytest.mark.parametrize("case", ["P2-self", "P2-transverse", "P1xP1"])
@@ -471,7 +503,8 @@ def test_vanished_line_nodes_are_dropped_or_raise(p2, monkeypatch, nbad):
     comp = sp.base_divisors[0][0]
     # the forms of the dictionary that do not vanish on {z0 = 0}
     forms = [test_form_dictionary(p2, 2, 10)[i] for i in (0, 6, 9)]
-    clean = fscurrents._restricted_pairings(sp, comp, forms)
+    rule = quadrature_nodes(p2, 8)
+    clean = fscurrents._restricted_pairings(sp, comp, forms, rule)
     curve_hessian = fscurrents._curve_hessian
 
     def flagged(V, dV, p):
@@ -484,10 +517,10 @@ def test_vanished_line_nodes_are_dropped_or_raise(p2, monkeypatch, nbad):
     monkeypatch.setattr(fscurrents, "_curve_hessian", flagged)
     if nbad > 8:
         with pytest.raises(NumericalError):
-            fscurrents._restricted_pairings(sp, comp, forms)
+            fscurrents._restricted_pairings(sp, comp, forms, rule)
         return
-    got = fscurrents._restricted_pairings(sp, comp, forms)
-    ref = [_ref_restricted(sp, comp, f, nflag=nbad) for f in forms]
+    got = fscurrents._restricted_pairings(sp, comp, forms, rule)
+    ref = [_ref_restricted(sp, comp, f, rule, nflag=nbad) for f in forms]
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
     assert np.all(got != clean)
 
@@ -552,7 +585,8 @@ def test_divisor_lines_keep_separate_values(p2):
     shared = [fscurrents._divisor_omega_pairings(
         p2, ("coord", i), vecs, forms, rule) for i in (0, 1)]
     fresh = [fscurrents._divisor_omega_pairings(
-        p2, ("coord", i), vecs, forms) for i in (0, 1)]
+        p2, ("coord", i), vecs, forms, quadrature_nodes(p2, 8))
+        for i in (0, 1)]
     assert not np.array_equal(shared[0], shared[1])
     for got, ref in zip(shared, fresh):
         assert got.tobytes() == ref.tobytes()

@@ -1,8 +1,9 @@
 """Import hygiene: every name a package module imports is used in that
 module, importing the package loads no scipy, running a study loads no
 ``numpy.ma``, every function the benchmark's tracer patches exists, no
-pairing walks a rule's blocks outside ``bundles.pair_blocks``, and every
-library function has a caller outside the tests.
+pairing walks a rule's blocks outside ``bundles.pair_blocks``, no module
+but ``geometry`` compares with a manifold kind or splits points by chart,
+and every library function has a caller outside the tests.
 
 No linter ships with the package, so the first check is the unused-import
 check: each module of ``src/kahlerlab`` is parsed with ``ast`` and the names
@@ -194,6 +195,25 @@ def test_only_geometry_compares_with_manifold_kinds():
                  (PACKAGE / module).read_text(encoding="utf-8")))]
     assert not found, f"comparisons with a manifold kind: {found}"
     assert _kind_comparisons(ast.parse('m.kind in ("P1", "P2")')) == [1]
+
+
+def _chart_of_calls(tree):
+    """Line numbers of calls of a ``chart_of`` method."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "chart_of"]
+
+
+def test_only_geometry_splits_points_by_chart():
+    # Manifold.chart_split is the one chart split of homogeneous points;
+    # every other module takes each chart's mask and affine points from it
+    found = [f"{module}:{line}" for module in MODULES
+             if module != "geometry.py"
+             for line in _chart_of_calls(ast.parse(
+                 (PACKAGE / module).read_text(encoding="utf-8")))]
+    assert not found, f"chart_of calls outside geometry: {found}"
+    assert _chart_of_calls(ast.parse("m.chart_of(pts)")) == [1]
 
 
 # Entry points read from outside the package: the study driver and report

@@ -122,7 +122,7 @@ def _ref_line_values(manifold, comp, forms, block, embed):
     return [form_values_hom(manifold, f, pts) for f in forms]
 
 
-def _ref_divisor_omega_pairings(manifold, comp, omega_vecs, forms):
+def _ref_divisor_omega_pairings(manifold, comp, omega_vecs, forms, surface):
     embed, _, omega_index = fscurrents._line_embedding(manifold, comp)
     coeffs = [float(np.asarray(v, dtype=float)[omega_index])
               for v in omega_vecs]
@@ -130,7 +130,7 @@ def _ref_divisor_omega_pairings(manifold, comp, omega_vecs, forms):
     totals = np.zeros(len(forms))
     if not live:
         return totals
-    for b in fscurrents._line_rule().capped_blocks():
+    for b in fscurrents._line_rule(0, surface).capped_blocks():
         chis = _ref_line_values(manifold, comp, [forms[i] for i in live], b,
                                 embed)
         for i, chi in zip(live, chis):
@@ -138,13 +138,13 @@ def _ref_divisor_omega_pairings(manifold, comp, omega_vecs, forms):
     return totals
 
 
-def _ref_restricted_pairings(space, comp, forms):
+def _ref_restricted_pairings(space, comp, forms, surface):
     m = space.manifold
     Rc, q_line = fscurrents._line_family(space, comp)
     embed, _, _ = fscurrents._line_embedding(m, comp)
     exps = np.arange(q_line + 1)
     totals = np.zeros(len(forms))
-    for b in fscurrents._line_rule(q_line).capped_blocks():
+    for b in fscurrents._line_rule(q_line, surface).capped_blocks():
         Z = b.points
         e = exps if b.chart == 0 else q_line - exps
         V = eval_monomials(Z, e[:, None].astype(np.int64),
@@ -178,10 +178,11 @@ def _ref_fs_wedge_pairings(space_a, space_b, forms, rule):
         dens = wedge_density_11(Ha, Hb)
         for i, f in enumerate(forms):
             totals[i] += float(np.dot(b.form_values(f) * dens, wq))
-    on_a = [_ref_restricted_pairings(space_b, comp, forms)
+    on_a = [_ref_restricted_pairings(space_b, comp, forms, rule)
             for comp, _ in space_a.base_divisors]
-    on_b = on_a if same else [_ref_restricted_pairings(space_a, comp, forms)
-                              for comp, _ in space_b.base_divisors]
+    on_b = on_a if same else [
+        _ref_restricted_pairings(space_a, comp, forms, rule)
+        for comp, _ in space_b.base_divisors]
     for (_, k), r in zip(space_a.base_divisors, on_a):
         totals += (k / space_a.p) * r
     for (_, k), r in zip(space_b.base_divisors, on_b):
@@ -212,7 +213,7 @@ def _ref_descriptor_wedge_pairings(manifold, wedge, forms, rule):
                 totals[fi] += c * float(np.dot(chi * d, wq))
     for comp, vec in wedge["divisor_omega"]:
         totals += _ref_divisor_omega_pairings(manifold, comp,
-                                              [vec] * len(forms), forms)
+                                              [vec] * len(forms), forms, rule)
     for pt, mass in wedge["points"]:
         for fi, f in enumerate(forms):
             totals[fi] += mass * float(

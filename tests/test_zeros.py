@@ -43,6 +43,18 @@ def fs_space(m, degree, p):
     return build_section_space(Metric.fubini_study(LineBundle(m, degree)), p)
 
 
+def section_of(poly):
+    """The `Section` whose polynomial is ``poly`` up to scale: its
+    coefficients over the scaled monomial basis of the Fubini-Study space
+    of ``poly``'s degree, a space that needs no Gram matrix."""
+    sp = build_section_space(
+        Metric.fubini_study(LineBundle(poly.manifold, poly.degree)), 1,
+        adjoint=False, orthonormalize=False)
+    coeff = dict(zip(map(tuple, poly.exponents.tolist()), poly.coeffs))
+    return Section(sp, [coeff.get(tuple(e), 0.0) / scale for e, scale
+                        in zip(sp.exponents.tolist(), sp.scales)])
+
+
 def linear_section(m, coeffs):
     """The degree-one section ``sum_i coeffs[i] z_i`` of a one-factor
     manifold, every coefficient nonzero."""
@@ -138,7 +150,7 @@ def test_tuple_members_are_uncorrelated(p1):
 def test_roots_of_unity_section(p1):
     k = 5
     s = SectionPoly.from_coeff_map(p1, k, {(0, k): 1.0, (k, 0): -1.0})
-    zs = zeros_on_curve(s)
+    zs = zeros_on_curve(section_of(s))
     assert total_multiplicity(zs) == k and len(zs.points) == k
     assert all(mult == 1 for _, mult in zs.points)
     angles = sorted(np.angle(pt[1] / pt[0]) for pt, _ in zs.points)
@@ -148,7 +160,8 @@ def test_roots_of_unity_section(p1):
 
 def test_coordinate_power_concentrates_at_one_point(p1):
     k = 5
-    zs = zeros_on_curve(SectionPoly.from_coeff_map(p1, k, {(k, 0): 1.0}))
+    zs = zeros_on_curve(section_of(
+        SectionPoly.from_coeff_map(p1, k, {(k, 0): 1.0})))
     assert [(0.0, 1.0)] == [tuple(np.abs(pt)) for pt, _ in zs.points]
     assert zs.points[0][1] == k
     # a section whose top coefficients are exactly zero vanishes at [0 : 1]
@@ -165,7 +178,7 @@ def test_random_section_zeros_are_complete_and_vanish(p1):
     c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
     exps = np.stack([8 - np.arange(9), np.arange(9)], axis=1)
     s = SectionPoly(p1, 8, exps, c)
-    zs = zeros_on_curve(s)
+    zs = zeros_on_curve(section_of(s))
     assert total_multiplicity(zs) == 8
     resid = max(abs(s.eval_hom(pt[None])[0]) for pt, _ in zs.points)
     assert resid / np.linalg.norm(c) < 1e-8
@@ -173,9 +186,9 @@ def test_random_section_zeros_are_complete_and_vanish(p1):
 
 def test_zeros_on_curve_rejects_bad_input(p1, p2):
     with pytest.raises(ConfigurationError):
-        zeros_on_curve(SectionPoly.from_coeff_map(p1, 2, {}))
+        zeros_on_curve(section_of(SectionPoly.from_coeff_map(p1, 2, {})))
     with pytest.raises(ConfigurationError):
-        zeros_on_curve(coordinate_section(p2, 0))
+        zeros_on_curve(section_of(coordinate_section(p2, 0)))
     sp = fs_space(p1, 1, 6)
     C = np.ones((sp.dim, 3), dtype=complex)
     with pytest.raises(ConfigurationError):
@@ -204,7 +217,7 @@ def test_zero_count_always_matches_the_degree(cs):
     q = len(cs) - 1
     s = SectionPoly.from_coeff_map(
         m, q, {(q - j, j): c for j, c in enumerate(cs) if c != 0})
-    zs = zeros_on_curve(s)
+    zs = zeros_on_curve(section_of(s))
     assert total_multiplicity(zs) == q
     assert sum(mult for _, mult in zs.points) == q
     if zs.points:
@@ -423,21 +436,23 @@ def test_pairing_vanishes_on_disjoint_support(p1):
     k = 4
     s = SectionPoly.from_coeff_map(p1, k, {(0, k): 1.0, (k, 0): -1.0})
     chi = TestForm(p1, 1.0, s, s, label="vanishing")
-    assert zero_pairing(zeros_on_curve(s), chi) == 0.0
+    assert zero_pairing(zeros_on_curve(section_of(s)), chi) == 0.0
 
 
 def test_mass_pairing_counts_multiplicity(p1):
     k = 4
     s = SectionPoly.from_coeff_map(p1, k, {(0, k): 1.0, (k, 0): -1.0})
-    assert zero_pairing(zeros_on_curve(s), constant_form(p1)) == 4.0
+    assert zero_pairing(zeros_on_curve(section_of(s)),
+                        constant_form(p1)) == 4.0
 
 
 def test_point_pairing_rejects_omega_forms(p1):
     s = SectionPoly.from_coeff_map(p1, 2, {(0, 2): 1.0, (2, 0): -1.0})
     with pytest.raises(ConfigurationError):
-        zero_pairing(zeros_on_curve(s), constant_form(p1, [1.0]))
+        zero_pairing(zeros_on_curve(section_of(s)),
+                     constant_form(p1, [1.0]))
     with pytest.raises(ConfigurationError):
-        point_pairings([zeros_on_curve(s)],
+        point_pairings([zeros_on_curve(section_of(s))],
                        [constant_form(p1), constant_form(p1, [1.0])])
 
 
@@ -445,11 +460,11 @@ def test_point_pairings_match_the_per_set_sum(p1, p2, pp):
     sp = fs_space(p1, 1, 7)
     curve = [zeros_on_curve(sample_section(sp, (19, i))) for i in range(4)]
     # a degree-0 section has no zeros: its row is zero
-    curve.insert(2, zeros_on_curve(SectionPoly.from_coeff_map(
-        p1, 0, {(0, 0): 1.0})))
+    curve.insert(2, zeros_on_curve(section_of(SectionPoly.from_coeff_map(
+        p1, 0, {(0, 0): 1.0}))))
     # z1^3 vanishes to order 3 at [1 : 0]
-    curve.append(zeros_on_curve(SectionPoly.from_coeff_map(
-        p1, 3, {(0, 3): 1.0})))
+    curve.append(zeros_on_curve(section_of(SectionPoly.from_coeff_map(
+        p1, 3, {(0, 3): 1.0}))))
     forms = test_form_dictionary(p1, 1, count=6)
     got = point_pairings(curve, forms)
     assert np.array_equal(got, np.array(
