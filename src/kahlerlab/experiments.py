@@ -54,7 +54,8 @@ def _space(cfg, report, metric, p):
 
     One log line per space names its metric, power, dimension, Gram method
     and condition, the Gram rule's node count (``-`` on a cache hit, which
-    builds no rule) and the cache status.
+    builds no rule, or for a closed-form Gram, which needs none) and the
+    cache status.
     """
     space, status = cached_space(metric, p, adjoint=cfg.adjoint,
                                  resolution=cfg.resolution,

@@ -758,8 +758,7 @@ def _levels(resolution, dim=1):
 
 
 def quadrature_nodes(manifold, resolution, singular_refinement=None,
-                     angular_min=None, radial_min=None, angular_override=None,
-                     radial_order=None):
+                     angular_min=None, radial_min=None, angular_override=None):
     """Build the tensor quadrature rule for a manifold.
 
     Parameters
@@ -781,10 +780,6 @@ def quadrature_nodes(manifold, resolution, singular_refinement=None,
         without angular refinement targets).  ``1`` gives the torus-reduced
         rule: a single midpoint angle carrying the full 2 pi weight, exact
         for rotation-invariant integrands.
-    radial_order : int, optional
-        On axes without radial refinement targets, use a single
-        Gauss-Legendre panel of this order (exactness up to polynomial
-        degree ``2 * radial_order - 1`` in the radial variable).
     """
     m = manifold
     k_rad, m_ang = _sizes(m, resolution)
@@ -802,18 +797,14 @@ def quadrature_nodes(manifold, resolution, singular_refinement=None,
         for a in range(m.dim):
             style = "p1" if _line_axis(m, a) else "disk"
             xmax = _axis_xmax(m, a)
-            if radial_order and not rad_targets[a]:
-                x, wx = _gl_on(0.0, xmax, int(radial_order))
-            else:
-                base_panels = max(1, k_rad // 16)
+            base_panels = max(1, k_rad // 16)
+            x, wx = _panel_nodes(0.0, xmax, rad_targets[a], base_panels,
+                                 min(16, max(8, k_rad)), 10, lev)
+            # top up to the requested radial count with uniform splits
+            while len(x) < k_rad:
+                base_panels += 1
                 x, wx = _panel_nodes(0.0, xmax, rad_targets[a], base_panels,
                                      min(16, max(8, k_rad)), 10, lev)
-                # top up to the requested radial count with uniform splits
-                while len(x) < k_rad:
-                    base_panels += 1
-                    x, wx = _panel_nodes(0.0, xmax, rad_targets[a],
-                                         base_panels,
-                                         min(16, max(8, k_rad)), 10, lev)
             if angular_override:
                 if ang_targets[a]:
                     raise ConfigurationError(

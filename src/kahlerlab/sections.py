@@ -13,8 +13,10 @@ forced vanishing orders are recorded as ``base_divisors``.
 Three Gram assembly strategies share one orthonormalization path:
 
 * rotation-invariant weights: the Gram matrix is diagonal in the monomial
-  basis, and a torus-reduced rule (one angular node carrying the full 2 pi
-  weight) integrates the diagonal exactly in the angular directions;
+  basis.  For log poles on monomials (or none, as for FS) its entries are
+  Dirichlet moments with real exponents, taken in closed form with no rule;
+  other atoms keep a torus-reduced rule (one angular node carrying the full
+  2 pi weight), exact in the angular directions;
 * smooth weights and coordinate-axis poles: the angular dependence enters
   through finitely many Fourier modes of ``e^{-2 p psi}``, so an FFT over the
   uniform angular grids contracts radial basis profiles against those modes;
@@ -27,7 +29,7 @@ Three Gram assembly strategies share one orthonormalization path:
   nets the forced factor ``|Q|^(2k)`` against the pole weight; no node
   mesh is built unless an atom other than a log pole needs one.
 
-All three run in log space wherever magnitudes can leave the comfortable
+All of them run in log space wherever magnitudes can leave the comfortable
 range of double precision; overflow is detected and raised, never clipped.
 """
 
@@ -62,8 +64,9 @@ _MAX_DEGREE = 400
 # the off-axis pole of O(2) at p = 4, 5, 7, 8).  Version 5:
 # ``gram_contract`` chunks of at most 2^18 gathered entries, which move the
 # Grams past that size (up to 5.3e-16 relative on the P1xP1 smoothed max
-# at p = 10).
-NUMERICS_VERSION = 5
+# at p = 10).  Version 6: closed-form diagonal Grams for monomial log poles
+# (exact where the rule missed by up to 0.64 in a log norm).
+NUMERICS_VERSION = 6
 
 _MODE_TABLE_BYTES = 2.5e8
 # Node budget of one radial slab of the tensor Gram paths (see ``gram``): a
@@ -85,11 +88,12 @@ def reference_monomial_log_norm(manifold, q, exps, adjoint):
     """log of the squared L2 norm of a monomial in the reference metric.
 
     ``q`` is the per-factor degree tuple and ``exps`` the homogeneous
-    exponent row.  Closed forms: each factor P^d contributes a Dirichlet
-    moment ``prod_i e_i! / (q_f + d)!`` over the exponents ``e_i`` of its
-    coordinates and ``log d!`` in the volume form of ``omega^n``; the
-    adjoint frame carries one factor 2 pi per complex dimension instead.
-    The terms add left to right, factor after factor.
+    exponent row; both may be real, as long as every exponent exceeds -1.
+    Closed forms: each factor P^d contributes the ``lgamma`` Dirichlet
+    moment ``prod_i Gamma(e_i + 1) / Gamma(q_f + d + 1)`` over the
+    exponents ``e_i`` of its coordinates and ``log d!`` in the volume form
+    of ``omega^n``; the adjoint frame carries one factor 2 pi per complex
+    dimension instead.  The terms add left to right, factor after factor.
     """
 
     def lg(n):
@@ -97,7 +101,7 @@ def reference_monomial_log_norm(manifold, q, exps, adjoint):
 
     base = 0.0
     for sl, d, qf in zip(manifold.factor_slices, manifold.factor_dims, q):
-        rest = [int(e) for e in exps[sl.start + 1:sl.stop]]
+        rest = exps[sl.start + 1:sl.stop]
         for e in rest:
             base += lg(e)
         base += lg(qf - sum(rest))
@@ -292,8 +296,9 @@ class SectionSpace:
         """The Gram method and the parameters of its quadrature rule.
 
         The parameters are the keyword arguments ``quadrature_nodes`` takes
-        besides the resolution and the refinement centers.  No node is
-        built, so the plan is cheap enough to key caches on.
+        besides the resolution and the refinement centers, or ``None`` for
+        a closed-form Gram, which needs no rule.  No node is built, so the
+        plan is cheap enough to key caches on.
         """
         method = self._dispatch()
         if method == "diagonal":
@@ -301,13 +306,13 @@ class SectionSpace:
                 raise ConfigurationError(
                     "diagonal Gram assembly needs a rotation-invariant "
                     "metric with coordinate-axis poles only")
-            rad_min, rad_order, _ = self._axis_plan()
-            return method, {"radial_min": rad_min, "radial_order": rad_order,
-                            "angular_override": 1}
+            if all(a.kind == "log_pole" for _, a in self.metric.atoms):
+                return method, None
+            rad_min, _ = self._axis_plan()
+            return method, {"radial_min": rad_min, "angular_override": 1}
         if method == "modes":
-            rad_min, rad_order, ang_min = self._axis_plan()
-            return method, {"radial_min": rad_min, "radial_order": rad_order,
-                            "angular_min": ang_min}
+            rad_min, ang_min = self._axis_plan()
+            return method, {"radial_min": rad_min, "angular_min": ang_min}
         if method == "nodes":
             if self.manifold.dim != 1:
                 raise UnsupportedMetricError(
@@ -322,13 +327,14 @@ class SectionSpace:
     def gram_fingerprint(self):
         """JSON-ready identity of the Gram numerics, built without nodes."""
         method, plan = self.gram_plan()
+        res = None if plan is None else self._resolution or 24
         return {"numerics": NUMERICS_VERSION, "method": method,
-                "resolution": self._resolution or 24, "rule": plan}
+                "resolution": res, "rule": plan}
 
     def gram(self):
         """The Gram matrix of the scaled basis, assembled once and kept.
 
-        Builds ``self.rule`` from ``gram_plan`` and sums the per-block
+        Builds any ``self.rule`` of ``gram_plan`` and sums the per-block
         Grams of the dispatched method.  The tensor paths (``modes`` and
         ``nodes``) walk each block in radial slabs of at most
         ``_SLAB_NODES`` nodes and never build a block's whole mesh, so their
@@ -337,9 +343,11 @@ class SectionSpace:
         """
         if self._gram is None:
             method, plan = self.gram_plan()
-            self.rule = quadrature_nodes(
-                self.manifold, self._resolution or 24,
-                singular_refinement=self.metric.refinement_centers(), **plan)
+            if plan is not None:
+                self.rule = quadrature_nodes(
+                    self.manifold, self._resolution or 24,
+                    singular_refinement=self.metric.refinement_centers(),
+                    **plan)
             if method == "diagonal":
                 self._gram = self._gram_diagonal()
             else:
@@ -353,17 +361,13 @@ class SectionSpace:
         return self._gram
 
     def _axis_plan(self):
-        """(radial_min, radial_order, angular_min) for Gram quadrature."""
+        """(radial_min, angular_min) for Gram quadrature."""
         qmax = max(self.q)
         res = self._resolution or 24
         ang = 2 * qmax + 8
         if max(self.manifold.factor_dims) > 1:  # disk radial variables
-            return max(int(0.55 * qmax) + 14, res // 2 + 8), None, ang
-        if not self.metric.atoms:
-            # pure reference metric: the radial integrand is a polynomial of
-            # degree q, one Gauss panel of this order integrates it exactly
-            return qmax // 2 + 10, qmax // 2 + 4, ang
-        return max(qmax // 2 + 10, res), None, ang
+            return max(int(0.55 * qmax) + 14, res // 2 + 8), ang
+        return max(qmax // 2 + 10, res), ang
 
     def _measure_weights(self, block):
         """Full per-node weights of the Gram measure on one block."""
@@ -399,6 +403,24 @@ class SectionSpace:
         return LR, phi_ref, w_rad
 
     def _gram_diagonal(self):
+        """Dirichlet moments without a rule, else node sums on ``self.rule``.
+
+        Against ``e^{-2 p psi}`` an atom ``c log_pole(Z^e, t)`` shifts the
+        exponents by ``-s``, ``s = p c (t / dtot) e``, and the degree of
+        factor ``f`` by ``-S_f``, the sum of ``s`` over its coordinates: so
+        ``log G_aa = L(q - S, alpha - s) + 2 log scale_a`` for the reference
+        moment ``L``, exact at any Lelong remainder and 0 bit for bit on FS.
+        """
+        m = self.manifold
+        if self.rule is None:
+            s = np.zeros(m.hom_len)
+            for c, atom in self.metric.atoms:
+                s += self.p * c * (atom.t / atom.dtot) * atom.Q.exponents[0]
+            q = [qf - s[sl].sum() for qf, sl in zip(self.q, m.factor_slices)]
+            log_g = [reference_monomial_log_norm(m, q, e - s, self.adjoint)
+                     for e in self.exponents]
+            return np.diag(np.exp(log_g + 2.0 * self.log_scales)).astype(
+                complex)
         diag = np.zeros(self.dim)
         for block in self.rule.blocks:
             cols = self.manifold.chart_columns(block.chart)
@@ -617,8 +639,8 @@ class SectionSpace:
             cond = lam[-1] / lam[0]
             # the cap protects quadrature-assembled Grams, whose entries
             # carry node-level error that eigh amplifies by the condition
-            # number; the diagonal path is analytic and rescales entrywise,
-            # so a wide dynamic range is harmless there
+            # number; a diagonal Gram, closed form or not, rescales
+            # entrywise, so a wide dynamic range is harmless there
             if cond > CONDITION_CAP and self.gram_method != "diagonal":
                 raise IllConditionedError(
                     f"Gram condition number {cond:.3e} exceeds "

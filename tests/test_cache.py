@@ -17,7 +17,7 @@ from kahlerlab.bundles import LineBundle, Metric
 from kahlerlab.cache import (cache_get, cache_key, cache_path, cache_put,
                              cached_space, space_fragment)
 from kahlerlab.geometry import build_manifold
-from kahlerlab.polynomials import SectionPoly
+from kahlerlab.polynomials import SectionPoly, coordinate_section
 from kahlerlab.sections import build_section_space
 
 P1 = build_manifold("P1")
@@ -63,6 +63,26 @@ def test_entry_under_other_numerics_misses_and_is_rewritten(tmp_path,
     again, status = cached_space(h, 4, cache_dir=cache_dir)
     assert status == "hit"
     assert np.array_equal(again.coeff_matrix(), space.coeff_matrix())
+
+
+def test_closed_form_key_has_no_rule_and_misses_older_numerics(tmp_path,
+                                                              monkeypatch):
+    h = Metric.log_pole(LineBundle(P1, 1), coordinate_section(P1, 1), 0.3)
+    sp = build_section_space(h, 7, orthonormalize=False)
+    gram = space_fragment(sp)["gram"]
+    assert sections.NUMERICS_VERSION >= 6
+    assert gram == {"numerics": sections.NUMERICS_VERSION,
+                    "method": "diagonal", "resolution": None, "rule": None}
+    cache_dir = str(tmp_path)
+    # version 5 integrated toric diagonals on a quadrature rule
+    monkeypatch.setattr(sections, "NUMERICS_VERSION", 5)
+    assert cached_space(h, 7, cache_dir=cache_dir)[1] == "miss"
+    monkeypatch.undo()
+    assert cached_space(h, 7, cache_dir=cache_dir)[1] == "miss"
+    space, status = cached_space(h, 7, resolution=48, cache_dir=cache_dir)
+    # the resolution keys only a rule, and a closed form has none
+    assert status == "hit" and space.rule is None
+    assert len(_entries(cache_dir)) == 2
 
 
 def test_other_rule_plan_misses(tmp_path):

@@ -18,7 +18,8 @@ from kahlerlab.errors import (ConfigurationError, EmptySpaceError,
                               UnsupportedMetricError)
 from kahlerlab.geometry import (Axis, Block, QuadratureRule, build_manifold,
                                 quadrature_nodes)
-from kahlerlab.polynomials import ChartPoly, SectionPoly, coordinate_section
+from kahlerlab.polynomials import (ChartPoly, SectionPoly, coordinate_section,
+                                   monomial_exponents)
 from kahlerlab.sections import (build_section_space, log_bergman_sup,
                                 section_degree, space_dimension,
                                 vanishing_order_required)
@@ -219,6 +220,142 @@ def test_generic_pole_gram_unsupported_on_surfaces():
     h = Metric.log_pole(L, Q, 0.5)
     with pytest.raises(UnsupportedMetricError):
         build_section_space(h, 8)
+
+
+# -- closed-form diagonal Grams against references that share no rule ---------
+
+
+def _radial_moment(a, b):
+    """``int_0^inf u^a (1 + u)^(-b) du`` by ``scipy.integrate.quad``.
+
+    Both ends become algebraic weights on [0, 1] (``v = 1 / u`` past 1),
+    which QUADPACK integrates to full precision for any ``a > -1``.
+    """
+    integrate = pytest.importorskip("scipy.integrate")
+    opts = {"weight": "alg", "epsabs": 0.0, "epsrel": 1e-13, "limit": 200}
+    low = integrate.quad(lambda u: (1.0 + u) ** -b, 0.0, 1.0,
+                         wvar=(a, 0.0), **opts)[0]
+    high = integrate.quad(lambda v: (1.0 + v) ** -b, 0.0, 1.0,
+                          wvar=(b - a - 2.0, 0.0), **opts)[0]
+    return low + high
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.2, 0.5, 0.8, 0.95])
+@pytest.mark.parametrize("adjoint", [True, False])
+def test_closed_form_diagonal_matches_the_radial_integral(delta, adjoint):
+    # a pole of Lelong number t on {z1 = 0} forces order 2 at p = 14 and
+    # leaves |z|^(-2 delta) in the row of reduced exponent 0
+    p = 14
+    t = (2.0 + delta) / p
+    h = Metric.log_pole(LineBundle(P1, 1), coordinate_section(P1, 1), t)
+    sp = build_section_space(h, p, adjoint=adjoint)
+    assert sp.base_divisors == [(("coord", 1), 2)]
+    assert sp.gram_method == "diagonal" and sp.rule is None
+    G = sp.gram()
+    for row, e in enumerate(sp.exponents[:, 1]):
+        # in the chart z = z1 / z0 the integrand is |z|^(2 (e - p t))
+        # (1 + |z|^2)^(-p (1 - t)), against 2 dA (adjoint) or the
+        # unit-mass (1 + |z|^2)^-2 dA / pi; u = |z|^2
+        b = p * (1.0 - t) + (0.0 if adjoint else 2.0)
+        want = ((2.0 * np.pi if adjoint else 1.0)
+                * _radial_moment(e - p * t, b))
+        got = G[row, row].real * np.exp(-2.0 * sp.log_scales[row])
+        assert abs(got / want - 1.0) <= 1e-10
+
+
+def _quadrature_diagonal(sp):
+    """The diagonal Gram on the torus-reduced rule of the quadrature path."""
+    sp.rule = quadrature_nodes(
+        sp.manifold, 24, singular_refinement=sp.metric.refinement_centers(),
+        radial_min=sp._axis_plan()[0], angular_override=1)
+    return sp._gram_diagonal()
+
+
+def _integer_lelong_case(case):
+    """A toric pole metric and a power p with p nu an integer."""
+    if case == "P1":
+        return Metric.log_pole(LineBundle(P1, 1), coordinate_section(P1, 0),
+                               0.5), 10
+    if case == "P2":
+        return Metric.log_pole(LineBundle(P2, 1), coordinate_section(P2, 0),
+                               0.25), 8
+    if case == "P1xP1":
+        return Metric.log_pole(LineBundle(P11, (1, 1)),
+                               coordinate_section(P11, 0), 0.5), 6
+    L = LineBundle(P2, 1)
+    if case == "two-atoms":
+        # merged to nu = 0.5 on {z1 = 0}
+        return Metric(L, [(1.0, LogPoleAtom(coordinate_section(P2, 1), 0.25)),
+                          (0.5, LogPoleAtom(coordinate_section(P2, 1), 0.5))
+                          ]), 8
+    assert case == "p2-approx"
+    # the p2-approx cell metric at eps = 0.5: nu = 1/6
+    h = Metric.log_pole(L, coordinate_section(P2, 0), 0.25)
+    return Metric.interpolate(h, Metric.fubini_study(L), 0.5), 6
+
+
+@pytest.mark.parametrize("case", ["P1", "P2", "P1xP1", "two-atoms",
+                                  "p2-approx"])
+@pytest.mark.parametrize("adjoint", [True, False])
+def test_closed_form_matches_every_rule_at_integer_lelong(case, adjoint):
+    h, p = _integer_lelong_case(case)
+    sp = build_section_space(h, p, adjoint=adjoint, orthonormalize=False)
+    exact = sp.gram()
+    assert sp.rule is None
+    grams = [_quadrature_diagonal(build_section_space(
+        h, p, adjoint=adjoint, orthonormalize=False))]
+    for method in ("modes", "nodes") if case == "P1" else ("modes",):
+        grams.append(build_section_space(h, p, adjoint=adjoint, method=method,
+                                         orthonormalize=False).gram())
+    inv = np.diag(exact).real ** -0.5
+    for G in grams:
+        assert np.max(np.abs((G - exact) * np.outer(inv, inv))) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [4, 8])
+def test_off_axis_pole_space_is_the_rotated_coordinate_space(p):
+    # U maps the pole {Q = 0} of the nodes space onto {z0 = 0}: (U Z)_0 =
+    # Q(Z) / |a|, so the two metrics differ by a constant and FS is
+    # U-invariant.  At odd p the nodes rule misses by about 5e-9.
+    a = np.array([1.0, 0.6 + 0.3j])  # Q = a . Z, as in _off_axis_q
+    u = a / np.linalg.norm(a)
+    U = np.array([u, [-np.conj(u[1]), np.conj(u[0])]])
+    off = build_section_space(_off_axis_pole(), p)
+    coord = build_section_space(Metric.log_pole(
+        LineBundle(P1, 2), coordinate_section(P1, 0), 0.5), p)
+    assert (off.gram_method, coord.gram_method) == ("nodes", "diagonal")
+    Z = P1.sample_grid(400)
+    err = off.log_bergman_hom(Z) - coord.log_bergman_hom(Z @ U.T)
+    assert np.max(np.abs(err)) <= 1e-12
+
+
+def test_toric_log_pole_grams_build_no_rule(monkeypatch):
+    def no_rule(*args, **kwargs):
+        raise AssertionError("a closed-form Gram built a quadrature rule")
+
+    monkeypatch.setattr(sections, "quadrature_nodes", no_rule)
+    metrics = []
+    for m, deg in ((P1, 1), (P2, 1), (P11, (1, 1))):
+        L = LineBundle(m, deg)
+        metrics += [(Metric.fubini_study(L), 6),
+                    (Metric.log_pole(L, coordinate_section(m, 0), 0.3), 7)]
+    metrics.append((_integer_lelong_case("p2-approx")[0], 8))
+    for h, p in metrics:
+        sp = build_section_space(h, p)
+        assert sp.gram_method == "diagonal" and sp.rule is None
+        assert np.all(np.isfinite(sp.coeff_matrix()))
+    with pytest.raises(AssertionError, match="built a quadrature rule"):
+        build_section_space(Metric.max_log(LineBundle(P1, 1), 0.5), 6)
+
+
+def test_real_moment_arguments_keep_the_integer_bits():
+    for m, q in ((P1, (9,)), (P2, (7,)), (P11, (5, 4))):
+        for adjoint in (True, False):
+            for e in monomial_exponents(m, q):
+                ints = sections.reference_monomial_log_norm(m, q, e, adjoint)
+                reals = sections.reference_monomial_log_norm(
+                    m, tuple(map(float, q)), e.astype(float), adjoint)
+                assert ints == reals
 
 
 # -- the separable nodes Gram against the node-wise formula ---------------------
