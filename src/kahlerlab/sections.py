@@ -334,29 +334,32 @@ class SectionSpace:
     def gram(self):
         """The Gram matrix of the scaled basis, assembled once and kept.
 
-        Builds any ``self.rule`` of ``gram_plan`` and sums the per-block
-        Grams of the dispatched method.  The tensor paths (``modes`` and
-        ``nodes``) walk each block in radial slabs of at most
-        ``_SLAB_NODES`` nodes and never build a block's whole mesh, so their
-        node-sized work arrays stay near 1 MB each however finely the rule
-        is refined; only arrays of one row per radius span a whole block.
+        A plan without rule gives the closed form; otherwise builds
+        ``self.rule`` and sums the per-block Grams of the dispatched method.
+        The tensor paths (``modes`` and ``nodes``) walk each block in radial
+        slabs of at most ``_SLAB_NODES`` nodes and never build a block's
+        whole mesh, so their node-sized work arrays stay near 1 MB each
+        however finely the rule is refined; only arrays of one row per
+        radius span a whole block.
         """
         if self._gram is None:
             method, plan = self.gram_plan()
-            if plan is not None:
+            if plan is None:
+                self._gram = self._gram_closed_form()
+            else:
                 self.rule = quadrature_nodes(
                     self.manifold, self._resolution or 24,
                     singular_refinement=self.metric.refinement_centers(),
                     **plan)
-            if method == "diagonal":
-                self._gram = self._gram_diagonal()
-            else:
-                block_gram = (self._gram_modes_block if method == "modes"
-                              else self._gram_nodes_block)
-                G = np.zeros((self.dim, self.dim), dtype=complex)
-                for block in self.rule.blocks:
-                    G += block_gram(block)
-                self._gram = G
+                if method == "diagonal":
+                    self._gram = self._gram_diagonal(self.rule)
+                else:
+                    block_gram = (self._gram_modes_block if method == "modes"
+                                  else self._gram_nodes_block)
+                    G = np.zeros((self.dim, self.dim), dtype=complex)
+                    for block in self.rule.blocks:
+                        G += block_gram(block)
+                    self._gram = G
             self.gram_method = method
         return self._gram
 
@@ -402,27 +405,33 @@ class SectionSpace:
         phi_ref = self.metric.bundle.reference_weight(block.chart, P)
         return LR, phi_ref, w_rad
 
-    def _gram_diagonal(self):
-        """Dirichlet moments without a rule, else node sums on ``self.rule``.
+    def _gram_closed_form(self):
+        """The diagonal Gram of monomial log poles as Dirichlet moments.
 
-        Against ``e^{-2 p psi}`` an atom ``c log_pole(Z^e, t)`` shifts the
-        exponents by ``-s``, ``s = p c (t / dtot) e``, and the degree of
-        factor ``f`` by ``-S_f``, the sum of ``s`` over its coordinates: so
-        ``log G_aa = L(q - S, alpha - s) + 2 log scale_a`` for the reference
+        Against ``e^{-2 p psi}`` an atom ``c log_pole(a Z^e, t)`` shifts the
+        exponents by ``-s``, ``s = p c (t / dtot) e``, the degree of factor
+        ``f`` by ``-S_f``, the sum of ``s`` over its coordinates, and the
+        log norm by ``-2 p c (t / dtot) log|a|``: so ``log G_aa = L(q - S,
+        alpha - s) + 2 log scale_a`` plus those constants, for the reference
         moment ``L``, exact at any Lelong remainder and 0 bit for bit on FS.
         """
         m = self.manifold
-        if self.rule is None:
-            s = np.zeros(m.hom_len)
-            for c, atom in self.metric.atoms:
-                s += self.p * c * (atom.t / atom.dtot) * atom.Q.exponents[0]
-            q = [qf - s[sl].sum() for qf, sl in zip(self.q, m.factor_slices)]
-            log_g = [reference_monomial_log_norm(m, q, e - s, self.adjoint)
-                     for e in self.exponents]
-            return np.diag(np.exp(log_g + 2.0 * self.log_scales)).astype(
-                complex)
+        s = np.zeros(m.hom_len)
+        const = 0.0
+        for c, atom in self.metric.atoms:
+            w = self.p * c * (atom.t / atom.dtot)
+            s += w * atom.Q.exponents[0]
+            const -= 2.0 * w * math.log(abs(atom.Q.coeffs[0]))
+        q = [qf - s[sl].sum() for qf, sl in zip(self.q, m.factor_slices)]
+        log_g = [reference_monomial_log_norm(m, q, e - s, self.adjoint)
+                 for e in self.exponents]
+        return np.diag(np.exp(np.add(log_g, const) + 2.0 * self.log_scales)
+                       ).astype(complex)
+
+    def _gram_diagonal(self, rule):
+        """The diagonal Gram as node sums on a torus-reduced ``rule``."""
         diag = np.zeros(self.dim)
-        for block in self.rule.blocks:
+        for block in rule.blocks:
             cols = self.manifold.chart_columns(block.chart)
             E = self.exponents[:, cols].astype(float)
             LR = np.log(np.abs(block.points))

@@ -18,8 +18,7 @@ from kahlerlab.errors import (ConfigurationError, EmptySpaceError,
                               UnsupportedMetricError)
 from kahlerlab.geometry import (Axis, Block, QuadratureRule, build_manifold,
                                 quadrature_nodes)
-from kahlerlab.polynomials import (ChartPoly, SectionPoly, coordinate_section,
-                                   monomial_exponents)
+from kahlerlab.polynomials import ChartPoly, SectionPoly, coordinate_section
 from kahlerlab.sections import (build_section_space, log_bergman_sup,
                                 section_degree, space_dimension,
                                 vanishing_order_required)
@@ -265,10 +264,9 @@ def test_closed_form_diagonal_matches_the_radial_integral(delta, adjoint):
 
 def _quadrature_diagonal(sp):
     """The diagonal Gram on the torus-reduced rule of the quadrature path."""
-    sp.rule = quadrature_nodes(
+    return sp._gram_diagonal(quadrature_nodes(
         sp.manifold, 24, singular_refinement=sp.metric.refinement_centers(),
-        radial_min=sp._axis_plan()[0], angular_override=1)
-    return sp._gram_diagonal()
+        radial_min=sp._axis_plan()[0], angular_override=1))
 
 
 def _integer_lelong_case(case):
@@ -282,6 +280,15 @@ def _integer_lelong_case(case):
     if case == "P1xP1":
         return Metric.log_pole(LineBundle(P11, (1, 1)),
                                coordinate_section(P11, 0), 0.5), 6
+    if case.startswith("FS "):
+        m = {"P1": P1, "P2": P2, "P1xP1": P11}[case[3:]]
+        return Metric.fubini_study(LineBundle(m, 1 if m.factors == 1
+                                              else (1, 1))), 7
+    if case.startswith("scaled "):
+        # a monomial pole a z1: the weight carries |a|^(-2 p t)
+        a = complex(case[7:])
+        return Metric.log_pole(LineBundle(P1, 1), SectionPoly(
+            P1, 1, [[0, 1]], [a]), 0.5), 10
     L = LineBundle(P2, 1)
     if case == "two-atoms":
         # merged to nu = 0.5 on {z1 = 0}
@@ -295,7 +302,8 @@ def _integer_lelong_case(case):
 
 
 @pytest.mark.parametrize("case", ["P1", "P2", "P1xP1", "two-atoms",
-                                  "p2-approx"])
+                                  "p2-approx", "FS P1", "FS P2", "FS P1xP1",
+                                  "scaled 2", "scaled 0.5+0.5j"])
 @pytest.mark.parametrize("adjoint", [True, False])
 def test_closed_form_matches_every_rule_at_integer_lelong(case, adjoint):
     h, p = _integer_lelong_case(case)
@@ -304,7 +312,8 @@ def test_closed_form_matches_every_rule_at_integer_lelong(case, adjoint):
     assert sp.rule is None
     grams = [_quadrature_diagonal(build_section_space(
         h, p, adjoint=adjoint, orthonormalize=False))]
-    for method in ("modes", "nodes") if case == "P1" else ("modes",):
+    on_p1 = sp.manifold.dim == 1
+    for method in ("modes", "nodes") if on_p1 else ("modes",):
         grams.append(build_section_space(h, p, adjoint=adjoint, method=method,
                                          orthonormalize=False).gram())
     inv = np.diag(exact).real ** -0.5
@@ -348,14 +357,14 @@ def test_toric_log_pole_grams_build_no_rule(monkeypatch):
         build_section_space(Metric.max_log(LineBundle(P1, 1), 0.5), 6)
 
 
-def test_real_moment_arguments_keep_the_integer_bits():
-    for m, q in ((P1, (9,)), (P2, (7,)), (P11, (5, 4))):
-        for adjoint in (True, False):
-            for e in monomial_exponents(m, q):
-                ints = sections.reference_monomial_log_norm(m, q, e, adjoint)
-                reals = sections.reference_monomial_log_norm(
-                    m, tuple(map(float, q)), e.astype(float), adjoint)
-                assert ints == reals
+@pytest.mark.parametrize("adjoint", [True, False])
+def test_fubini_study_gram_is_exactly_the_identity(adjoint):
+    # the closed form subtracts nothing from the reference moments, whose
+    # negated halves are the log scales
+    for m, deg, p in ((P1, 1, 9), (P2, 1, 7), (P11, (1, 1), 5)):
+        sp = build_section_space(Metric.fubini_study(LineBundle(m, deg)), p,
+                                 adjoint=adjoint, orthonormalize=False)
+        assert np.array_equal(sp.gram(), np.eye(sp.dim))
 
 
 # -- the separable nodes Gram against the node-wise formula ---------------------
