@@ -33,6 +33,12 @@ quadrature blocks through :func:`bundles.pair_blocks`, the blocks outside
 and the forms inside.  What does not depend on the form (log-norm
 potentials, reduced Hessians, omega basis matrices, quadrature weights)
 is computed once per block and handed to it as a potential or a density.
+The scalar densities of a torus-invariant family (the wedge density of two
+reduced families and the Hessian of a family restricted to a divisor line;
+see :attr:`SectionSpace.torus_invariant`) depend on the radii only, so they
+are computed once per radial node tuple (:meth:`Block.radial`) and spread
+over the angles (:meth:`Block.spread`), equal to the per-node values up to
+rounding.
 The one-form functions (``fs_pairing``, ``fs_wedge_pairing``,
 ``descriptor_form_pairing``, ``descriptor_wedge_pairing``) are one-entry
 calls of the batched ones.  Each form's entry adds its block shares in
@@ -90,7 +96,9 @@ class ReducedHessianField:
     is (N,) on curves and (N, 2, 2) on surfaces and ``bad`` flags nodes
     where the reduced family vanished (isolated; their quadrature weight is
     dropped by the caller).  It keeps nothing: the pairings call it once
-    per block and serve every form from that one value.
+    per block and serve every form from that one value.  The wedge pairing
+    of torus-invariant families calls it on the block's radial slice only
+    (:meth:`Block.radial`): their wedge density depends on the radii alone.
     """
 
     def __init__(self, space):
@@ -481,19 +489,23 @@ def fs_wedge_pairings(space_a, space_b, forms, rule):
     if any(f.omega_part is not None for f in forms):
         raise ConfigurationError("bidegree (2,2) currents pair with functions")
     same = space_b is space_a
+    toric = space_a.torus_invariant and space_b.torus_invariant
     field_a = ReducedHessianField(space_a)
     field_b = ReducedHessianField(space_b)
 
     def reduced_wedge(b, mats):
-        Ha, bad = field_a(b.chart, b.points)
+        at = b.radial() if toric else b
+        Ha, bad = field_a(at.chart, at.points)
         if same:
             Hb = Ha
         else:
-            Hb, bad_b = field_b(b.chart, b.points)
+            Hb, bad_b = field_b(at.chart, at.points)
             bad = bad | bad_b
+        dens = wedge_density_11(Ha, Hb)
+        if toric:
+            dens, bad = b.spread(dens), b.spread(bad)
         wq = _drop_vanished(bad, b.weights_lebesgue / 4.0,
                             "reduced families")
-        dens = wedge_density_11(Ha, Hb)
         return [(1.0, lambda chi, f: chi * dens, wq)]
 
     totals = pair_blocks(rule, forms, densities=[reduced_wedge])[2][0]
@@ -533,22 +545,26 @@ def _family_class(space):
 
 def _restricted_pairings(space, comp, forms, surface):
     """``<[D] ^ beta, chi_f>`` for each form: the reduced current
-    restricted to a divisor, its family evaluated once per line block.
+    restricted to a divisor, its family evaluated once per line block, and
+    on a torus-invariant space once per radius (:meth:`Block.radial`).
 
     The line rule and chi on it come from ``surface`` as in
     :func:`_divisor_omega_pairings`; only the family depends on p.
     """
     Rc, q_line = _line_family(space, comp)
     exps = np.arange(q_line + 1)
+    toric = space.torus_invariant
 
     def restricted(b, mats):
-        Z = b.points
+        Z = (b.radial() if toric else b).points
         e = exps if b.chart == 0 else q_line - exps
         V = eval_monomials(Z, e[:, None].astype(np.int64),
                            np.ones(q_line + 1)) @ Rc
         dV = eval_monomials(Z, np.maximum(e - 1, 0)[:, None].astype(np.int64),
                             e.astype(float)) @ Rc
         H, bad = _curve_hessian(V, dV, space.p)
+        if toric:
+            H, bad = b.spread(H), b.spread(bad)
         wq = _drop_vanished(bad, b.weights_lebesgue, "restricted family")
         return [(1.0, lambda chi, f: chi * H / math.pi, wq)]
 

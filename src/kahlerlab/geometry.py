@@ -558,6 +558,11 @@ class Block:
     form values at embedded divisor-line nodes.  Each entry is a read-only
     array kept for as long as the block lives; the blocks of
     :meth:`QuadratureRule.capped_blocks` live and die with their rule.
+
+    A scalar field invariant under the chart's torus, such as the densities
+    of a torus-invariant family (``fscurrents``), depends on the radii
+    only: it is computed once per radial node tuple, on :meth:`radial`, and
+    :meth:`spread` over the angles.
     """
 
     def __init__(self, manifold, chart, axes):
@@ -641,6 +646,19 @@ class Block:
                        ax0.wtheta, ax0.theta_uniform)
             yield Block(self.manifold, self.chart,
                         [sub] + list(self.axes[1:]))
+
+    def radial(self):
+        """This block with each axis cut to its first angle: one node per
+        radial node tuple, in the block's radial order (a fresh block)."""
+        return Block(self.manifold, self.chart,
+                     [Axis(ax.style, ax.x, ax.wx, ax.theta[:1], ax.wtheta[:1],
+                           ax.theta_uniform) for ax in self.axes])
+
+    def spread(self, values):
+        """Values at the nodes of :meth:`radial`, broadcast over the angles
+        to this block's nodes, in their order."""
+        cut = tuple(s for ax in self.axes for s in (len(ax.x), 1))
+        return np.broadcast_to(np.reshape(values, cut), self.shape).ravel()
 
     def memo(self, key, compute):
         """The array ``compute()`` gives at this block's nodes, computed on

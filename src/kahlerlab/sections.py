@@ -65,8 +65,10 @@ _MAX_DEGREE = 400
 # ``gram_contract`` chunks of at most 2^18 gathered entries, which move the
 # Grams past that size (up to 5.3e-16 relative on the P1xP1 smoothed max
 # at p = 10).  Version 6: closed-form diagonal Grams for monomial log poles
-# (exact where the rule missed by up to 0.64 in a log norm).
-NUMERICS_VERSION = 6
+# (exact where the rule missed by up to 0.64 in a log norm).  Version 7:
+# diagonal Grams orthonormalize entrywise, with the coefficient columns in
+# monomial order (``eigh`` sorted them by eigenvalue).
+NUMERICS_VERSION = 7
 
 _MODE_TABLE_BYTES = 2.5e8
 # Node budget of one radial slab of the tensor Gram paths (see ``gram``): a
@@ -216,6 +218,14 @@ class SectionSpace:
     def dim(self):
         return self.exponents.shape[0]
 
+    @property
+    def torus_invariant(self):
+        """Whether the metric is torus-invariant and no basis element
+        carries a polynomial factor: then the Gram is diagonal in the
+        monomial basis and the reduced family norm depends on the radii
+        ``|z_i|`` only."""
+        return self.metric.torus_invariant and not self.sigma_polys
+
     def section_polynomial(self, coeffs):
         """The section with the given coefficients in the scaled basis."""
         c = np.asarray(coeffs, dtype=complex).reshape(-1)
@@ -284,12 +294,12 @@ class SectionSpace:
     def _dispatch(self):
         if self._method is not None:
             return self._method
+        if self.torus_invariant:
+            return "diagonal"
         if self.sigma_polys or not all(
                 map(is_coord_marker, self.metric.refinement_centers())):
             # poles along curves off the coordinate axes
             return "nodes"
-        if self.metric.torus_invariant:
-            return "diagonal"
         return "modes"
 
     def gram_plan(self):
@@ -302,7 +312,7 @@ class SectionSpace:
         """
         method = self._dispatch()
         if method == "diagonal":
-            if not (self.metric.torus_invariant and not self.sigma_polys):
+            if not self.torus_invariant:
                 raise ConfigurationError(
                     "diagonal Gram assembly needs a rotation-invariant "
                     "metric with coordinate-axis poles only")
@@ -637,25 +647,34 @@ class SectionSpace:
     # -- orthonormalization ------------------------------------------------------
 
     def coeff_matrix(self):
-        """Columns are orthonormal sections in the scaled basis."""
+        """Columns are orthonormal sections in the scaled basis.
+
+        A diagonal Gram gives ``diag(G_aa^-1/2)``, its columns in monomial
+        order; any other is orthonormalized by ``eigh``, its columns in
+        ascending eigenvalue order.
+        """
         if self._coeff is None:
             G = self.gram()
-            G = 0.5 * (G + G.conj().T)
-            lam, U = np.linalg.eigh(G)
-            if lam[0] <= 0.0:
+            diagonal = self.gram_method == "diagonal"
+            if diagonal:
+                lam = np.real(np.diag(G))
+            else:
+                lam, U = np.linalg.eigh(0.5 * (G + G.conj().T))
+            if lam.min() <= 0.0:
                 raise DegenerateSpaceError(
                     "Gram matrix is numerically singular")
-            cond = lam[-1] / lam[0]
+            cond = lam.max() / lam.min()
             # the cap protects quadrature-assembled Grams, whose entries
             # carry node-level error that eigh amplifies by the condition
             # number; a diagonal Gram, closed form or not, rescales
             # entrywise, so a wide dynamic range is harmless there
-            if cond > CONDITION_CAP and self.gram_method != "diagonal":
+            if cond > CONDITION_CAP and not diagonal:
                 raise IllConditionedError(
                     f"Gram condition number {cond:.3e} exceeds "
                     f"{CONDITION_CAP:.0e}")
             self.gram_condition = float(cond)
-            self._coeff = np.conj(U) * lam ** -0.5
+            self._coeff = (np.diag(lam ** -0.5).astype(complex) if diagonal
+                           else np.conj(U) * lam ** -0.5)
         return self._coeff
 
     def load_orthonormal(self, coeff, condition, method):

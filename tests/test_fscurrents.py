@@ -5,10 +5,10 @@ import pytest
 
 from kahlerlab import fscurrents, geometry
 from kahlerlab._kernels import eval_monomials
-from kahlerlab.bundles import (CurrentDescriptor, LineBundle, Metric,
-                               _coord_intersection, curvature_pairing,
-                               ddc_pairing, pair_blocks, pair_omega_basis,
-                               wedge_descriptors)
+from kahlerlab.bundles import (CurrentDescriptor, LineBundle, LogPoleAtom,
+                               Metric, SmoothedMaxAtom, _coord_intersection,
+                               curvature_pairing, ddc_pairing, pair_blocks,
+                               pair_omega_basis, wedge_descriptors)
 from kahlerlab.errors import (ConfigurationError, GeneralPositionError,
                               NumericalError)
 from kahlerlab.fscurrents import (descriptor_form_pairing,
@@ -296,8 +296,10 @@ def _chi(form, block):
 
 def _ref_restricted(space, comp, form, surface, nflag=0):
     """The restricted pairing on the line rule of the surface rule
-    ``surface``, with the first ``nflag`` nodes of each line block dropped
-    as if the family vanished there."""
+    ``surface``, with the first ``nflag`` nodes of each line block (of its
+    radial slice, for a torus-invariant space) dropped as if the family
+    vanished there.  A torus-invariant family's Hessian is taken on the
+    radial slice and spread over the angles, as the library takes it."""
     Rc, q_line = fscurrents._line_family(space, comp)
     rule = fscurrents._line_rule(q_line, surface)
     line_m = rule.manifold
@@ -305,9 +307,10 @@ def _ref_restricted(space, comp, form, surface, nflag=0):
     exps = np.arange(q_line + 1)
     total = 0.0
     for b in rule.capped_blocks():
+        Z = (b.radial() if space.torus_invariant else b).points
         e = exps if b.chart == 0 else q_line - exps
-        V = eval_monomials(b.points, e[:, None], np.ones(q_line + 1)) @ Rc
-        dV = eval_monomials(b.points, np.maximum(e - 1, 0)[:, None],
+        V = eval_monomials(Z, e[:, None], np.ones(q_line + 1)) @ Rc
+        dV = eval_monomials(Z, np.maximum(e - 1, 0)[:, None],
                             e.astype(float)) @ Rc
         F = np.einsum("nj,nj->n", np.abs(V), np.abs(V))
         bad = F < 1e-290
@@ -316,6 +319,8 @@ def _ref_restricted(space, comp, form, surface, nflag=0):
         Fa = np.einsum("nj,nj->n", dV, np.conj(V))
         Faa = np.einsum("nj,nj->n", np.abs(dV), np.abs(dV))
         H = np.real(Faa * Fs - np.abs(Fa) ** 2) / Fs ** 2 / (2.0 * space.p)
+        if space.torus_invariant:
+            H, bad = b.spread(H), b.spread(bad)
         chi = form_values_hom(space.manifold, form,
                               embed(line_m.from_chart(b.points, b.chart)))
         wq = np.where(bad, 0.0, b.weights_lebesgue)
@@ -324,15 +329,23 @@ def _ref_restricted(space, comp, form, surface, nflag=0):
 
 
 def _ref_fs_wedge(sa, sb, form, rule):
+    """The wedge pairing block by block; two torus-invariant families take
+    their density on each block's radial slice, spread over the angles, as
+    the library takes it."""
     m = sa.manifold
+    toric = sa.torus_invariant and sb.torus_invariant
     total = 0.0
     for b in rule.capped_blocks():
-        Ha, bad_a = fscurrents._reduced_hessian(sa, b.chart, b.points)
-        Hb, bad_b = fscurrents._reduced_hessian(sb, b.chart, b.points)
+        at = b.radial() if toric else b
+        Ha, bad_a = fscurrents._reduced_hessian(sa, at.chart, at.points)
+        Hb, bad_b = fscurrents._reduced_hessian(sb, at.chart, at.points)
         bad = bad_a | bad_b
+        dens = wedge_density_11(Ha, Hb)
+        if toric:
+            dens, bad = b.spread(dens), b.spread(bad)
         assert np.count_nonzero(bad) <= max(8, b.points.shape[0] // 10000)
         wq = np.where(bad, 0.0, b.weights_lebesgue / 4.0)
-        total += float(np.dot(_chi(form, b) * wedge_density_11(Ha, Hb), wq))
+        total += float(np.dot(_chi(form, b) * dens, wq))
     for comp, k in sa.base_divisors:
         total += (k / sa.p) * _ref_restricted(sb, comp, form, rule)
     for comp, k in sb.base_divisors:
@@ -466,10 +479,25 @@ def test_batched_potential_pairings_match_the_per_form_loop(p1):
                                rtol=1e-12, atol=0)
 
 
+def _non_toric_space(p2):
+    """A P2 space with the base divisor ``{z0 = 0}`` whose metric is not
+    torus-invariant (a smoothed max off the axes), so that its reduced
+    family could vanish at isolated nodes: a toric family vanishes on whole
+    torus orbits."""
+    L = LineBundle(p2, 1)
+    Q1 = SectionPoly.from_coeff_map(p2, 1, {(1, 0, 0): 1.0, (0, 1, 0): 0.5})
+    Q2 = SectionPoly.from_coeff_map(p2, 1, {(0, 0, 1): 1.0, (0, 1, 0): -0.3})
+    h = Metric(L, [(1.0, LogPoleAtom(coordinate_section(p2, 0), 0.5)),
+                   (0.5, SmoothedMaxAtom(Q1, Q2, 0.1, 0.5))])
+    sp = build_section_space(h, 8, resolution=16)
+    assert not sp.torus_invariant and sp.gram_method == "modes"
+    assert sp.base_divisors == [(("coord", 0), 4)]
+    return sp
+
+
 @pytest.mark.parametrize("nbad", [3, 40])
 def test_vanished_nodes_are_dropped_or_raise(p2, monkeypatch, nbad):
-    h = Metric.log_pole(LineBundle(p2, 1), coordinate_section(p2, 0), 0.5)
-    sp = build_section_space(h, 8, resolution=16)
+    sp = _non_toric_space(p2)
     rule = quadrature_nodes(p2, 8)
     forms = test_form_dictionary(p2, 2, 3)
     clean = fs_wedge_pairings(sp, sp, forms, rule)
@@ -498,8 +526,7 @@ def test_vanished_nodes_are_dropped_or_raise(p2, monkeypatch, nbad):
 
 @pytest.mark.parametrize("nbad", [3, 40])
 def test_vanished_line_nodes_are_dropped_or_raise(p2, monkeypatch, nbad):
-    h = Metric.log_pole(LineBundle(p2, 1), coordinate_section(p2, 0), 0.5)
-    sp = build_section_space(h, 8, resolution=16)
+    sp = _non_toric_space(p2)
     comp = sp.base_divisors[0][0]
     # the forms of the dictionary that do not vanish on {z0 = 0}
     forms = [test_form_dictionary(p2, 2, 10)[i] for i in (0, 6, 9)]
@@ -523,6 +550,149 @@ def test_vanished_line_nodes_are_dropped_or_raise(p2, monkeypatch, nbad):
     ref = [_ref_restricted(sp, comp, f, rule, nflag=nbad) for f in forms]
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
     assert np.all(got != clean)
+
+
+def _toric_space(p2):
+    h = Metric.log_pole(LineBundle(p2, 1), coordinate_section(p2, 0), 0.5)
+    sp = build_section_space(h, 8, resolution=16)
+    assert sp.torus_invariant
+    return sp
+
+
+@pytest.mark.parametrize("where", ["surface", "line"])
+def test_a_vanished_radial_node_drops_its_orbit(p2, monkeypatch, where):
+    sp = _toric_space(p2)
+    comp = sp.base_divisors[0][0]
+    forms = test_form_dictionary(p2, 2, 2)
+    rule = quadrature_nodes(p2, 8)
+    if where == "surface":
+        blocks = rule.capped_blocks()
+        name = "_reduced_hessian"
+    else:
+        _, q_line = fscurrents._line_family(sp, comp)
+        blocks = fscurrents._line_rule(q_line, rule).capped_blocks()
+        name = "_curve_hessian"
+    field = getattr(fscurrents, name)
+    k = 5  # the flagged node of each radial slice
+
+    def flagged(*args):
+        H, bad = field(*args)
+        bad = bad.copy()
+        bad[k] = True
+        return H, bad
+
+    dropped = []
+    drop = fscurrents._drop_vanished
+
+    def recorded(bad, weights, what):
+        dropped.append(bad)
+        return np.where(bad, 0.0, weights)
+
+    monkeypatch.setattr(fscurrents, name, flagged)
+    monkeypatch.setattr(fscurrents, "_drop_vanished", recorded)
+
+    def pairings():
+        if where == "surface":
+            return fs_wedge_pairings(sp, sp, forms, rule)
+        return fscurrents._restricted_pairings(sp, comp, forms, rule)
+
+    pairings()
+    assert len(dropped) >= len(blocks)
+    for b, bad in zip(blocks, dropped):
+        # the orbit: every node at the radii of the flagged one
+        radii = np.abs(b.radial().points[k])
+        orbit = np.all(np.isclose(np.abs(b.points), radii, rtol=1e-14,
+                                  atol=0), axis=1)
+        np.testing.assert_array_equal(bad, orbit)
+        assert np.count_nonzero(orbit) == b.num_nodes // b.radial().num_nodes
+    # an orbit is more than a few isolated nodes
+    monkeypatch.setattr(fscurrents, "_drop_vanished", drop)
+    with pytest.raises(NumericalError):
+        pairings()
+
+
+def _captured_densities(monkeypatch):
+    """Patch ``fscurrents.pair_blocks`` so that each walk appends a list of
+    ``(block, density)``: each density term's integrand at ``chi = 1``."""
+    walks = []
+    walk = fscurrents.pair_blocks
+
+    def capturing(rule, forms, potentials=(), densities=()):
+        seen = []
+        walks.append(seen)
+
+        def wrap(density):
+            def terms(b, mats):
+                out = density(b, mats)
+                seen.extend((b, integrand(np.ones(b.num_nodes), forms[0]))
+                            for _, integrand, _ in out)
+                return out
+            return terms
+
+        return walk(rule, forms, potentials, [wrap(d) for d in densities])
+
+    monkeypatch.setattr(fscurrents, "pair_blocks", capturing)
+    return walks
+
+
+def _node_line_hessian(space, comp, b):
+    """The restricted family's Hessian at every node of a line block."""
+    Rc, q_line = fscurrents._line_family(space, comp)
+    exps = np.arange(q_line + 1)
+    e = exps if b.chart == 0 else q_line - exps
+    V = eval_monomials(b.points, e[:, None], np.ones(q_line + 1)) @ Rc
+    dV = eval_monomials(b.points, np.maximum(e - 1, 0)[:, None],
+                        e.astype(float)) @ Rc
+    return fscurrents._curve_hessian(V, dV, space.p)[0]
+
+
+@pytest.mark.parametrize("resolution", [8, 16])
+@pytest.mark.parametrize("case", ["P2-self", "P2-transverse", "P1xP1"])
+def test_spread_densities_match_the_per_node_ones(case, resolution,
+                                                  monkeypatch):
+    m, sa, sb, _ = _wedge_spaces(case)
+    assert sa.torus_invariant and sb.torus_invariant
+    rule = quadrature_nodes(m, resolution)
+    forms = test_form_dictionary(m, 2, 2)
+    walks = _captured_densities(monkeypatch)
+
+    def assert_close(got, ref):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    fs_wedge_pairings(sa, sb, forms, rule)
+    seen = walks[0]
+    assert len(seen) == len(rule.capped_blocks())
+    for b, dens in seen:
+        Ha, _ = fscurrents._reduced_hessian(sa, b.chart, b.points)
+        Hb, _ = fscurrents._reduced_hessian(sb, b.chart, b.points)
+        assert_close(dens, wedge_density_11(Ha, Hb))
+    for sp, other in ((sa, sb), (sb, sa)):
+        for comp, _ in other.base_divisors:
+            del walks[:]
+            fscurrents._restricted_pairings(sp, comp, forms, rule)
+            (seen,) = walks
+            assert seen
+            for b, dens in seen:
+                assert_close(dens, _node_line_hessian(sp, comp, b) / math.pi)
+
+
+@pytest.mark.parametrize("toric", [True, False])
+def test_reduced_hessian_takes_the_radial_slice_of_toric_spaces(p2, toric,
+                                                                monkeypatch):
+    sp = _toric_space(p2) if toric else _non_toric_space(p2)
+    rule = quadrature_nodes(p2, 8)
+    sizes = []
+    call = fscurrents.ReducedHessianField.__call__
+
+    def counted(self, chart, Z):
+        sizes.append(Z.shape[0])
+        return call(self, chart, Z)
+
+    monkeypatch.setattr(fscurrents.ReducedHessianField, "__call__", counted)
+    fs_wedge_pairings(sp, sp, test_form_dictionary(p2, 2, 2), rule)
+    blocks = rule.capped_blocks()
+    assert sizes == [(b.radial() if toric else b).num_nodes for b in blocks]
+    assert all(b.radial().num_nodes < b.num_nodes for b in blocks)
 
 
 # -- p-independent values live with the rule -------------------------------------

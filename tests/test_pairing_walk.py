@@ -145,13 +145,16 @@ def _ref_restricted_pairings(space, comp, forms, surface):
     exps = np.arange(q_line + 1)
     totals = np.zeros(len(forms))
     for b in fscurrents._line_rule(q_line, surface).capped_blocks():
-        Z = b.points
+        # a torus-invariant family's Hessian is taken once per radius
+        Z = (b.radial() if space.torus_invariant else b).points
         e = exps if b.chart == 0 else q_line - exps
         V = eval_monomials(Z, e[:, None].astype(np.int64),
                            np.ones(q_line + 1)) @ Rc
         dV = eval_monomials(Z, np.maximum(e - 1, 0)[:, None].astype(np.int64),
                             e.astype(float)) @ Rc
         H, bad = fscurrents._curve_hessian(V, dV, space.p)
+        if space.torus_invariant:
+            H, bad = b.spread(H), b.spread(bad)
         wq = fscurrents._drop_vanished(bad, b.weights_lebesgue,
                                        "restricted family")
         chis = _ref_line_values(m, comp, forms, b, embed)
@@ -163,19 +166,24 @@ def _ref_restricted_pairings(space, comp, forms, surface):
 def _ref_fs_wedge_pairings(space_a, space_b, forms, rule):
     m = space_a.manifold
     same = space_b is space_a
+    toric = space_a.torus_invariant and space_b.torus_invariant
     field_a = ReducedHessianField(space_a)
     field_b = ReducedHessianField(space_b)
     totals = np.zeros(len(forms))
     for b in rule.capped_blocks():
-        Ha, bad = field_a(b.chart, b.points)
+        # two torus-invariant families' density is taken once per radius
+        at = b.radial() if toric else b
+        Ha, bad = field_a(at.chart, at.points)
         if same:
             Hb = Ha
         else:
-            Hb, bad_b = field_b(b.chart, b.points)
+            Hb, bad_b = field_b(at.chart, at.points)
             bad = bad | bad_b
+        dens = wedge_density_11(Ha, Hb)
+        if toric:
+            dens, bad = b.spread(dens), b.spread(bad)
         wq = fscurrents._drop_vanished(bad, b.weights_lebesgue / 4.0,
                                        "reduced families")
-        dens = wedge_density_11(Ha, Hb)
         for i, f in enumerate(forms):
             totals[i] += float(np.dot(b.form_values(f) * dens, wq))
     on_a = [_ref_restricted_pairings(space_b, comp, forms, rule)

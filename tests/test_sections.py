@@ -638,6 +638,20 @@ def test_orthonormal_against_independent_rule():
     assert np.max(np.abs(G - np.eye(sp.dim))) < 1e-10
 
 
+@pytest.mark.parametrize("h", [
+    Metric.log_pole(LineBundle(P2, 1), coordinate_section(P2, 0), 0.5),
+    Metric.max_log(LineBundle(P1, 1), 0.5),
+], ids=["closed-form", "rule"])
+def test_diagonal_gram_orthonormalizes_entrywise(h):
+    sp = build_section_space(h, 8)
+    G = sp.gram()
+    assert sp.gram_method == "diagonal"
+    assert np.array_equal(G, np.diag(np.diag(G)))
+    g = np.real(np.diag(G))
+    np.testing.assert_array_equal(sp.coeff_matrix(), np.diag(g ** -0.5))
+    assert sp.gram_condition == g.max() / g.min()
+
+
 def test_ill_conditioned_basis_rejected():
     # a strongly negative smooth weight concentrates all mass near one point,
     # collapsing the numerical rank of the Gram matrix
