@@ -516,15 +516,18 @@ def _coord_intersection(manifold, i, j):
 # ---------------------------------------------------------------------------
 
 
-def pair_blocks(rule, forms, potentials=(), densities=()):
+def pair_blocks(rule, forms, potentials=(), densities=(), omega_terms=True):
     """Pair forms with the reference basis, potentials and densities in one
     walk over the rule's capped blocks; returns ``(om, pot, dens)``.
 
     ``om[i, j] = <omega_i ^ (forms[j]), 1>`` for the forms with omega terms
-    (all on curves, those with an ``omega_part`` on surfaces).  ``pot[r, j]
-    = int_X u_r dd^c(forms[j])`` (0.0 without potentials): a potential maps
-    a block to finite node values, each (N,) array one row paired by
-    ``np.dot``, each (N, k) array k rows paired by one matrix product.
+    (all on curves, those with an ``omega_part`` on surfaces); without
+    ``omega_terms`` none is taken and ``om`` is zeros, for forms whose
+    omega terms no caller reads, such as restrictions to divisor lines.
+    ``pot[r, j] = int_X u_r dd^c(forms[j])`` (0.0 without potentials): a
+    potential maps a block to finite node values, each (N,) array one row
+    paired by ``np.dot``, each (N, k) array k rows paired by one matrix
+    product.
     ``dens[k, j]`` sums ``c * np.dot(integrand(chi_j, forms[j]), w)`` over
     the blocks' ``(c, integrand, w)`` terms from ``densities[k](block,
     mats)``, with ``chi_j`` from :meth:`Block.form_values`, ``c`` a number
@@ -544,7 +547,7 @@ def pair_blocks(rule, forms, potentials=(), densities=()):
     for b in rule.capped_blocks():
         mats = functools.cache(
             lambda i, b=b: m.omega_basis_matrix(i, b.chart, b.points))
-        for j, f in enumerate(forms):
+        for j, f in enumerate(forms if omega_terms else ()):
             if f.manifold.dim == 1 or f.omega_part is not None:
                 om[:, j] += b.memo((f, "omega_terms"),
                                    lambda: _omega_terms(f, b, mats))
@@ -572,8 +575,10 @@ def pair_blocks(rule, forms, potentials=(), densities=()):
 
 def _omega_terms(form, block, mats):
     """One block's shares of ``<omega_i ^ (form), 1>``, one per factor,
-    ``mats(i)`` the block's basis matrix of factor i."""
-    chi = np.asarray(form.chi(block.chart, block.points), dtype=float)
+    ``mats(i)`` the block's basis matrix of factor i.  chi is taken for
+    these alone and not kept in the block's memo, which on a rule paired
+    by potentials alone would hold a node array per form for nothing."""
+    chi = form.block_values(block)
     if block.manifold.dim == 1:
         return np.array([float(np.dot(chi * np.real(mats(0)),
                                       block.weights_lebesgue)) / math.pi])

@@ -49,13 +49,13 @@ alone and in a batch can differ in the last bits.
 What depends on neither the form list nor p lives with the quadrature
 rule, so a sweep over p on one rule computes it once: each form's ``chi``,
 omega terms and ``dd^c`` weights, the wedge densities of the reference
-forms, the divisor line rules (:meth:`QuadratureRule.line_rule`) and
-``chi`` at their embedded nodes.  It is freed with the rule.
+forms, the divisor line rules (:meth:`QuadratureRule.line_rule`) and the
+values of the forms' restrictions to the lines
+(:meth:`TestForm.restriction`) on their blocks.  It is freed with the rule.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -67,7 +67,7 @@ from .bundles import (CurrentDescriptor, _form_omega_matrix,
 # benchmarks/tracer.py patches curvature_pairing here
 from .bundles import curvature_pairing  # noqa: F401
 from .errors import (ConfigurationError, GeneralPositionError, NumericalError)
-from .geometry import projective_line, too_many_dropped, wedge_density_11
+from .geometry import too_many_dropped, wedge_density_11
 # benchmarks/test_benchmark.py checks that the tracer patches it here
 from .geometry import quadrature_nodes  # noqa: F401
 
@@ -303,61 +303,11 @@ def _divisor_pairings(manifold, comp, forms, surface):
                                    surface)
 
 
-def _line_embedding(manifold, comp):
-    """Linear embedding of a coordinate divisor as a parameter curve.
-
-    Returns ``(embed, slots, omega_index)``: embed maps (N, 2) parameter
-    points to ambient homogeneous coordinates, ``slots`` names the ambient
-    exponent columns that survive on the divisor, and ``omega_index`` is
-    the reference basis form whose restriction is the parameter form.
-
-    Without ``z_i``, a factor left with one coordinate is a point (that
-    coordinate is 1), and the one factor left with two is the line.
-    """
-    i = comp[1]
-    fixed, lines = [], []
-    for f, sl in enumerate(manifold.factor_slices):
-        rest = [k for k in range(sl.start, sl.stop) if k != i]
-        if len(rest) == 1:
-            fixed += rest
-        else:
-            lines.append((f, tuple(rest)))
-    if len(lines) != 1 or len(lines[0][1]) != 2:
-        raise ConfigurationError("coordinate divisors live on surfaces here")
-    ((omega_index, slots),) = lines
-
-    def embed(pts2):
-        out = np.zeros((pts2.shape[0], manifold.hom_len), dtype=complex)
-        out[:, fixed] = 1.0
-        out[:, slots[0]] = pts2[:, 0]
-        out[:, slots[1]] = pts2[:, 1]
-        return out
-
-    return embed, slots, omega_index
-
-
 def _line_rule(q_line, surface):
     """The P1 rule over a divisor line at resolution ``max(48, 2 q_line)``,
     for families of degree ``q_line`` on it: the surface rule's
     :meth:`QuadratureRule.line_rule`, shared by every pairing on it."""
     return surface.line_rule(max(48, 2 * q_line))
-
-
-@dataclasses.dataclass(frozen=True)
-class _LineForm:
-    """A test function of a surface on the line rule of its coordinate
-    divisor ``comp``; equal restrictions share a line block's memo entry."""
-
-    manifold: object
-    form: object
-    comp: tuple
-    omega_part = None
-    constant = False  # full value arrays, summed by BLAS as they were
-
-    def chi(self, chart, Z):
-        embed, _, _ = _line_embedding(self.manifold, self.comp)
-        line = projective_line().from_chart(Z, chart)
-        return form_values_hom(self.manifold, self.form, embed(line))
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +387,16 @@ def _divisor_omega_pairings(manifold, comp, omega_vecs, forms, surface):
     """``int_D chi_f * (omega_vec_f . basis)|_D`` over a coordinate divisor,
     one entry per form.
 
-    The line rule is the surface rule's (see :func:`_line_rule`), and chi
-    at its embedded nodes stays in its blocks' memo (:class:`_LineForm`):
-    both live as long as ``surface``, so the targets, every p and the
-    expected masses of a study on one rule share them.
+    The line rule is the surface rule's (see :func:`_line_rule`), and the
+    values of the forms' restrictions to the line
+    (:meth:`TestForm.restriction`) stay in its blocks' memo: both live as
+    long as ``surface``, so the targets, every p and the expected masses of
+    a study on one rule share them.
     """
     if comp[0] != "coord":
         raise GeneralPositionError(
             "surface divisor pairings need coordinate components")
-    _, _, omega_index = _line_embedding(manifold, comp)
+    _, omega_index = manifold.coordinate_line(comp[1])
     coeffs = np.array([float(np.asarray(v, dtype=float)[omega_index])
                        for v in omega_vecs])
     live = np.flatnonzero(coeffs)
@@ -453,9 +404,10 @@ def _divisor_omega_pairings(manifold, comp, omega_vecs, forms, surface):
     if live.size:
         totals[live] = pair_blocks(
             _line_rule(0, surface),
-            [_LineForm(manifold, forms[i], comp) for i in live],
+            [forms[i].restriction(comp[1]) for i in live],
             densities=[lambda b, mats: [(coeffs[live], lambda chi, f: chi,
-                                         b.weights_volume)]])[2][0]
+                                         b.weights_volume)]],
+            omega_terms=False)[2][0]
     return totals
 
 
@@ -548,8 +500,9 @@ def _restricted_pairings(space, comp, forms, surface):
     restricted to a divisor, its family evaluated once per line block, and
     on a torus-invariant space once per radius (:meth:`Block.radial`).
 
-    The line rule and chi on it come from ``surface`` as in
-    :func:`_divisor_omega_pairings`; only the family depends on p.
+    The line rule and the values of the forms' restrictions on it come
+    from ``surface`` as in :func:`_divisor_omega_pairings`; only the family
+    depends on p.
     """
     Rc, q_line = _line_family(space, comp)
     exps = np.arange(q_line + 1)
@@ -569,8 +522,8 @@ def _restricted_pairings(space, comp, forms, surface):
         return [(1.0, lambda chi, f: chi * H / math.pi, wq)]
 
     return pair_blocks(_line_rule(q_line, surface),
-                       [_LineForm(space.manifold, f, comp) for f in forms],
-                       densities=[restricted])[2][0]
+                       [f.restriction(comp[1]) for f in forms],
+                       densities=[restricted], omega_terms=False)[2][0]
 
 
 def _line_family(space, comp):
@@ -585,7 +538,7 @@ def _line_family(space, comp):
             "restrictions are available for coordinate divisors only")
     m = space.manifold
     i = comp[1]
-    _, slots, _ = _line_embedding(m, comp)
+    slots, _ = m.coordinate_line(i)
     E = space.exponents - space.coordinate_shift[None, :]
     keep = E[:, i] == 0
     if not np.any(keep):

@@ -179,6 +179,25 @@ class Manifold:
         out[:, cols] = Z
         return self.normalize(out)
 
+    def coordinate_line(self, coord):
+        """The coordinate divisor ``{z_coord = 0}`` of a surface as a
+        projective line: ``(slots, factor)``, the homogeneous columns of its
+        two coordinates, in order, and the factor they belong to.
+
+        Without ``z_coord``, a factor left with one coordinate is a point
+        (that coordinate is 1 on the line), and the one factor left with two
+        is the line.
+        """
+        lines = []
+        for f, sl in enumerate(self.factor_slices):
+            rest = tuple(k for k in range(sl.start, sl.stop) if k != coord)
+            if len(rest) != 1:
+                lines.append((rest, f))
+        if len(lines) != 1 or len(lines[0][0]) != 2:
+            raise ConfigurationError(
+                "coordinate divisors live on surfaces here")
+        return lines[0]
+
     def normalize(self, points):
         """Scale homogeneous vectors to unit norm (per factor on products)."""
         pts = np.atleast_2d(np.asarray(points, dtype=complex)).copy()
@@ -551,13 +570,20 @@ class Axis:
 class Block:
     """Tensor quadrature over one chart region.
 
+    The nodes are a tensor grid of ``r e^{i theta}`` per axis, in the order
+    ``(x0, theta0, x1, theta1)`` of :attr:`shape`, so a field that is a
+    radial factor times an angular phase, such as a test form's ``chi``
+    (:meth:`TestForm.block_values`), is taken from the axes without the
+    complex mesh.
+
     Besides its nodes and weights, built on first use, a block keeps a memo
     of values that do not depend on the power p: the test-form values of
-    :meth:`form_values`, each form's omega terms and ``dd^c`` weights
-    (``bundles.pair_blocks``), wedge densities of the reference forms and
-    form values at embedded divisor-line nodes.  Each entry is a read-only
-    array kept for as long as the block lives; the blocks of
-    :meth:`QuadratureRule.capped_blocks` live and die with their rule.
+    :meth:`form_values` (on the blocks of a divisor line rule, those of the
+    forms' restrictions to the line), each form's omega terms and ``dd^c``
+    weights (``bundles.pair_blocks``) and wedge densities of the reference
+    forms.  Each entry is a read-only array kept for as long as the block
+    lives; the blocks of :meth:`QuadratureRule.capped_blocks` live and die
+    with their rule.
 
     A scalar field invariant under the chart's torus, such as the densities
     of a torus-invariant family (``fscurrents``), depends on the radii
@@ -675,20 +701,15 @@ class Block:
         return vals
 
     def form_values(self, form):
-        """``form.chi`` at this block's nodes as a read-only float array.
+        """``form.chi`` at this block's nodes as a read-only float array,
+        from :meth:`TestForm.block_values`.
 
         A form is evaluated once per block and kept in the memo, keyed by
         the form object itself (forms are immutable: ``with_scale`` makes a
         new one).  A constant form keeps no node array, only its one value
         broadcast to the nodes.
         """
-        def chi():
-            vals = np.asarray(form.chi(self.chart, self.points), dtype=float)
-            if form.constant:
-                return np.broadcast_to(vals[0], vals.shape)
-            return vals
-
-        return self.memo(form, chi)
+        return self.memo(form, lambda: form.block_values(self))
 
     @property
     def points(self):

@@ -14,6 +14,19 @@ On surfaces a test form of bidegree (1,1) is ``chi`` times a fixed closed
 combination of the reference forms (``omega``, or a factor form on the
 product); its dd^c is then ``dd^c chi ^ (that form)``, again exact.
 
+In polar chart coordinates ``z_k = r_k e^{i theta_k}`` chi is separable:
+each term pair ``(alpha, beta)`` of the chart polynomials ``a``, ``b``
+contributes
+
+    r^(alpha + beta) Re(c a_alpha conj(b_beta) e^{i (alpha - beta) . theta})
+
+times ``E(r) = prod_f (1 + sum_{axes of f} r_k^2)^(-s_f)``, which depends on
+the radii alone.  A quadrature block is a tensor grid of radii and angles
+per axis, so :meth:`TestForm.block_values` takes chi there as one radial
+array times one angular array per term pair, with no complex mesh.  On the
+coordinate line ``{z_i = 0}`` of a surface chi is again a form of this
+family, of P1 (:meth:`TestForm.restriction`).
+
 Every dictionary entry is normalized by a deterministic grid estimate of
 ``sup|chi| + sup rho(Hess chi) / pi`` so that entries share a common scale.
 """
@@ -23,6 +36,7 @@ import itertools
 import numpy as np
 
 from .errors import ConfigurationError
+from .geometry import projective_line
 from .polynomials import SectionPoly, monomial_exponents
 
 # ---------------------------------------------------------------------------
@@ -55,6 +69,7 @@ class TestForm:
         self.label = label
         self.scale = float(scale)
         self._charts = {}
+        self._lines = {}
 
     @property
     def constant(self):
@@ -87,6 +102,83 @@ class TestForm:
         E = np.prod(D ** (-np.asarray(self.s, dtype=float)), axis=1)
         S = np.real(self.c * a.eval(Z) * np.conj(b.eval(Z)))
         return self.scale * S * E
+
+    def block_values(self, block):
+        """chi at the nodes of a quadrature block, in its node order, taken
+        from the block's axes (see the module docstring).
+
+        ``E(r)`` and ``r^(alpha + beta)`` come from each axis's radii and
+        the phases from its angles; each term pair then takes one node-sized
+        multiply(-add) of its radial array by its angular one.  The values
+        equal ``chi(block.chart, block.points)`` up to rounding.  A constant
+        form gives its one value broadcast to the nodes.
+        """
+        if self.A is None:
+            return np.broadcast_to(np.real(self.c) * self.scale,
+                                   (block.num_nodes,))
+        a, b, _, _ = self._chart(block.chart)
+        axes = block.axes
+        radii = [ax.radius for ax in axes]
+        dims = len(block.shape)
+
+        def along(v, d):
+            # a vector along dimension d of the block's (x0, th0, x1, th1)
+            return v.reshape((1,) * d + (-1,) + (1,) * (dims - 1 - d))
+
+        E = self.scale
+        for f, sl in enumerate(self.manifold.axis_slices):
+            if self.s[f]:
+                D = 1.0
+                for k in range(sl.start, sl.stop):
+                    D = D + along(radii[k] ** 2, 2 * k)
+                E = E * D ** -float(self.s[f])
+        out = None
+        for ea, ca in zip(a.exponents, a.coeffs):
+            for eb, cb in zip(b.exponents, b.coeffs):
+                R, P = E, self.c * ca * np.conj(cb)
+                for k, ax in enumerate(axes):
+                    if ea[k] + eb[k]:
+                        R = R * along(radii[k] ** (ea[k] + eb[k]), 2 * k)
+                    if ea[k] != eb[k]:
+                        P = P * along(np.exp(1j * float(ea[k] - eb[k])
+                                             * ax.theta), 2 * k + 1)
+                if out is None:
+                    out = np.multiply(R, np.real(P), out=np.empty(block.shape))
+                else:
+                    out += R * np.real(P)
+        if out is None:  # every term vanished (a restriction)
+            return np.zeros(block.num_nodes)
+        return out.ravel()
+
+    def restriction(self, coord):
+        """chi on the coordinate line ``{z_coord = 0}`` of a surface, as a
+        test function of P1 whose homogeneous coordinates are the line's
+        ``slots`` (:meth:`Manifold.coordinate_line`).
+
+        A term of A or B with a positive exponent at ``z_coord`` vanishes on
+        the line and drops; the others keep their exponents at the slots,
+        and a coordinate fixed to 1 on the line contributes 1, to the
+        sections and to the ``|z_f|^{2 s_f}`` of its factor.  The line form
+        is made once per coordinate and kept, so the memo entries of a line
+        block are shared by every pairing of this form.
+        """
+        line = self._lines.get(coord)
+        if line is None:
+            slots, f = self.manifold.coordinate_line(coord)
+            p1 = projective_line()
+
+            def on_line(S):
+                keep = S.exponents[:, coord] == 0
+                return SectionPoly(p1, S.degree[f],
+                                   S.exponents[keep][:, list(slots)],
+                                   S.coeffs[keep])
+
+            A, B = ((None, None) if self.A is None
+                    else (on_line(self.A), on_line(self.B)))
+            line = TestForm(p1, self.c, A, B, None,
+                            f"{self.label}|z{coord}=0", self.scale)
+            self._lines[coord] = line
+        return line
 
     def hessian(self, chart, Z):
         """Complex Hessian of chi: (N,) on P1, (N, 2, 2) on surfaces."""

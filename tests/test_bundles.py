@@ -271,7 +271,8 @@ def _ref_pair_omega_basis(index, form, rule):
     m = rule.manifold
     total = 0.0
     for b in rule.capped_blocks():
-        chi = np.asarray(form.chi(b.chart, b.points), dtype=float)
+        # the library's block values, so the batching is checked bit for bit
+        chi = form.block_values(b)
         if m.dim == 1:
             dens = np.real(m.omega_basis_matrix(index, b.chart, b.points))
             total += float(np.dot(chi * dens, b.weights_lebesgue)) / math.pi

@@ -291,7 +291,8 @@ def test_form_point_values_preserve_order(p2):
 
 
 def _chi(form, block):
-    return np.asarray(form.chi(block.chart, block.points), dtype=float)
+    # the library's block values, so the batching is checked bit for bit
+    return form.block_values(block)
 
 
 def _ref_restricted(space, comp, form, surface, nflag=0):
@@ -302,8 +303,7 @@ def _ref_restricted(space, comp, form, surface, nflag=0):
     radial slice and spread over the angles, as the library takes it."""
     Rc, q_line = fscurrents._line_family(space, comp)
     rule = fscurrents._line_rule(q_line, surface)
-    line_m = rule.manifold
-    embed, _, _ = fscurrents._line_embedding(space.manifold, comp)
+    line_form = form.restriction(comp[1])
     exps = np.arange(q_line + 1)
     total = 0.0
     for b in rule.capped_blocks():
@@ -321,9 +321,8 @@ def _ref_restricted(space, comp, form, surface, nflag=0):
         H = np.real(Faa * Fs - np.abs(Fa) ** 2) / Fs ** 2 / (2.0 * space.p)
         if space.torus_invariant:
             H, bad = b.spread(H), b.spread(bad)
-        chi = form_values_hom(space.manifold, form,
-                              embed(line_m.from_chart(b.points, b.chart)))
         wq = np.where(bad, 0.0, b.weights_lebesgue)
+        chi = _chi(line_form, b)
         total += float(np.dot(chi * H / math.pi, wq))
     return total
 
@@ -372,12 +371,10 @@ def _ref_descriptor_wedge(m, wedge, form, rule):
                     total += pairs[i, j] * float(np.dot(
                         _chi(form, b) * dens, b.weights_lebesgue / 4.0))
     line_rule = fscurrents._line_rule(0, rule)
-    line_m = line_rule.manifold
     for comp, vec in wedge["divisor_omega"]:
-        embed, _, omega_index = fscurrents._line_embedding(m, comp)
+        _, omega_index = m.coordinate_line(comp[1])
         for b in line_rule.capped_blocks():
-            chi = form_values_hom(m, form,
-                                  embed(line_m.from_chart(b.points, b.chart)))
+            chi = _chi(form.restriction(comp[1]), b)
             total += vec[omega_index] * float(np.dot(chi, b.weights_volume))
     for pt, mass in wedge["points"]:
         total += mass * float(form_values_hom(m, form, pt[None, :])[0])
@@ -617,7 +614,7 @@ def _captured_densities(monkeypatch):
     walks = []
     walk = fscurrents.pair_blocks
 
-    def capturing(rule, forms, potentials=(), densities=()):
+    def capturing(rule, forms, potentials=(), densities=(), **kwargs):
         seen = []
         walks.append(seen)
 
@@ -629,7 +626,8 @@ def _captured_densities(monkeypatch):
                 return out
             return terms
 
-        return walk(rule, forms, potentials, [wrap(d) for d in densities])
+        return walk(rule, forms, potentials, [wrap(d) for d in densities],
+                    **kwargs)
 
     monkeypatch.setattr(fscurrents, "pair_blocks", capturing)
     return walks

@@ -248,17 +248,17 @@ def test_ndtri_port_matches_scipy_bit_for_bit():
 # -- the per-block memo of p-independent values ---------------------------------
 
 
-def _counting_chi(form, calls):
-    chi = form.chi
+def _counting_block_values(form, calls):
+    block_values = form.block_values
 
-    def counted(chart, Z):
-        calls.append(chart)
-        return chi(chart, Z)
+    def counted(block):
+        calls.append(block.chart)
+        return block_values(block)
 
-    form.chi = counted
+    form.block_values = counted
 
 
-def test_form_values_equal_chi_bit_for_bit():
+def test_form_values_match_chi_and_keep_their_bits():
     m = build_manifold("P2")
     rule = quadrature_nodes(m, 8)
     for form in test_form_dictionary(m, 2, 4):
@@ -266,19 +266,23 @@ def test_form_values_equal_chi_bit_for_bit():
             ref = form.chi(b.chart, b.points)
             got = b.form_values(form)
             assert got.dtype == np.float64
-            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+            # the memo's values: the evaluator's bits, on every call
+            bits = form.block_values(b).view(np.int64)
+            assert np.array_equal(got.view(np.int64), bits)
             again = b.form_values(form)
-            assert np.array_equal(again.view(np.int64), ref.view(np.int64))
+            assert again is got
+            assert np.array_equal(again.view(np.int64), bits)
 
 
-def test_form_values_call_chi_once_per_block_and_form():
+def test_form_values_evaluate_once_per_block_and_form():
     m = build_manifold("P2")
     rule = quadrature_nodes(m, 8)
     const, form = test_form_dictionary(m, 2, 2)
     assert const.constant and not form.constant
     calls, const_calls = [], []
-    _counting_chi(form, calls)
-    _counting_chi(const, const_calls)
+    _counting_block_values(form, calls)
+    _counting_block_values(const, const_calls)
     blocks = rule.capped_blocks()
     for _ in range(3):
         for b in blocks:
@@ -292,6 +296,16 @@ def test_form_values_call_chi_once_per_block_and_form():
     scaled = form.with_scale(2.0 * form.scale)
     b = blocks[0]
     assert np.array_equal(b.form_values(scaled), 2.0 * b.form_values(form))
+
+
+def test_coordinate_lines_name_their_slots_and_factor():
+    # the line's two homogeneous columns, in order, and their factor
+    assert build_manifold("P2").coordinate_line(1) == ((0, 2), 0)
+    pp = build_manifold("P1xP1")
+    assert pp.coordinate_line(0) == ((2, 3), 1)
+    assert pp.coordinate_line(3) == ((0, 1), 0)
+    with pytest.raises(ConfigurationError):
+        build_manifold("P1").coordinate_line(0)
 
 
 def test_form_values_are_read_only():

@@ -40,7 +40,8 @@ def _ref_form_omega_matrix(form, mats):
 
 
 def _ref_omega_terms(form, block, mats):
-    chi = np.asarray(form.chi(block.chart, block.points), dtype=float)
+    # the library's block values, so the batching is checked bit for bit
+    chi = form.block_values(block)
     if block.manifold.dim == 1:
         return [float(np.dot(chi * np.real(mats[0]),
                              block.weights_lebesgue)) / math.pi]
@@ -117,13 +118,12 @@ def _ref_pointwise_pairings(space, forms, rule):
     return totals
 
 
-def _ref_line_values(manifold, comp, forms, block, embed):
-    pts = embed(block.manifold.from_chart(block.points, block.chart))
-    return [form_values_hom(manifold, f, pts) for f in forms]
+def _ref_line_values(comp, forms, block):
+    return [f.restriction(comp[1]).block_values(block) for f in forms]
 
 
 def _ref_divisor_omega_pairings(manifold, comp, omega_vecs, forms, surface):
-    embed, _, omega_index = fscurrents._line_embedding(manifold, comp)
+    _, omega_index = manifold.coordinate_line(comp[1])
     coeffs = [float(np.asarray(v, dtype=float)[omega_index])
               for v in omega_vecs]
     live = [i for i, c in enumerate(coeffs) if c != 0.0]
@@ -131,17 +131,14 @@ def _ref_divisor_omega_pairings(manifold, comp, omega_vecs, forms, surface):
     if not live:
         return totals
     for b in fscurrents._line_rule(0, surface).capped_blocks():
-        chis = _ref_line_values(manifold, comp, [forms[i] for i in live], b,
-                                embed)
+        chis = _ref_line_values(comp, [forms[i] for i in live], b)
         for i, chi in zip(live, chis):
             totals[i] += coeffs[i] * float(np.dot(chi, b.weights_volume))
     return totals
 
 
 def _ref_restricted_pairings(space, comp, forms, surface):
-    m = space.manifold
     Rc, q_line = fscurrents._line_family(space, comp)
-    embed, _, _ = fscurrents._line_embedding(m, comp)
     exps = np.arange(q_line + 1)
     totals = np.zeros(len(forms))
     for b in fscurrents._line_rule(q_line, surface).capped_blocks():
@@ -157,7 +154,7 @@ def _ref_restricted_pairings(space, comp, forms, surface):
             H, bad = b.spread(H), b.spread(bad)
         wq = fscurrents._drop_vanished(bad, b.weights_lebesgue,
                                        "restricted family")
-        chis = _ref_line_values(m, comp, forms, b, embed)
+        chis = _ref_line_values(comp, forms, b)
         for i, chi in enumerate(chis):
             totals[i] += float(np.dot(chi * H / math.pi, wq))
     return totals

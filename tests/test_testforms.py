@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from kahlerlab.bundles import form_values_hom
 from kahlerlab.errors import ConfigurationError
 from kahlerlab.geometry import build_manifold, quadrature_nodes, integrate
 from kahlerlab.testforms import TestForm, constant_form, test_form_dictionary as form_dictionary
-from kahlerlab.polynomials import coordinate_section
+from kahlerlab.polynomials import SectionPoly, coordinate_section
 
 KINDS = ["P1", "P2", "P1xP1"]
 
@@ -105,3 +106,99 @@ def test_beta_moment_against_closed_form():
     rule = quadrature_nodes(m, 24)
     v = integrate(lambda c, Z: f.chi(c, Z), rule)
     assert abs(v - 1.0 / 3.0) < 1e-9
+
+
+# -- chi on quadrature blocks, from the axes ---------------------------------
+
+
+def _multi_term_form(m):
+    """A form whose A and B have 3 and 2 terms, with a complex ``c``."""
+    deg = (1,) * m.factors if m.factors > 1 else 1
+    if m.kind == "P1":
+        deg = 2
+        a = {(2, 0): 1.0, (1, 1): 0.3 - 0.2j, (0, 2): -0.7 + 0.1j}
+        b = {(1, 1): 0.5j, (2, 0): 1.2}
+    elif m.kind == "P2":
+        a = {(1, 0, 0): 1.0, (0, 1, 0): 0.3 - 0.2j, (0, 0, 1): -0.7 + 0.1j}
+        b = {(0, 1, 0): 0.5j, (1, 0, 0): 1.2}
+    else:
+        a = {(1, 0, 1, 0): 1.0, (0, 1, 1, 0): 0.3 - 0.2j,
+             (0, 1, 0, 1): -0.7 + 0.1j}
+        b = {(0, 1, 0, 1): 0.5j, (1, 0, 1, 0): 1.2}
+    return TestForm(m, 0.4 + 0.9j, SectionPoly.from_coeff_map(m, deg, a),
+                    SectionPoly.from_coeff_map(m, deg, b), label="multi")
+
+
+def _evaluator_case(name):
+    """(manifold, rule) of one block-evaluator case: P1 refined at an
+    off-axis pole (panel angles), P2 refined at ``{z0 = 0}``, P1xP1."""
+    if name == "P1-off-axis":
+        m = build_manifold("P1")
+        pole = np.array([1.0, 0.6 + 0.3j])
+        return m, quadrature_nodes(m, 32, singular_refinement=[pole])
+    if name == "P2-coord":
+        m = build_manifold("P2")
+        return m, quadrature_nodes(m, 16, singular_refinement=[("coord", 0)])
+    m = build_manifold("P1xP1")
+    return m, quadrature_nodes(m, 16)
+
+
+def _assert_close_per_block(got, ref):
+    # within 1e-14 of the block's largest |chi|
+    assert got.shape == ref.shape and got.dtype == np.float64
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name", ["P1-off-axis", "P2-coord", "P1xP1"])
+def test_block_values_match_chi(name):
+    m, rule = _evaluator_case(name)
+    forms = form_dictionary(m, m.dim, 12) + [_multi_term_form(m)]
+    if name == "P1-off-axis":
+        # the pole pins an angle: panel angles, not midpoints
+        assert not all(ax.theta_uniform for b in rule.blocks
+                       for ax in b.axes)
+    for f in forms:
+        for b in rule.capped_blocks():
+            got = f.block_values(b)
+            ref = np.asarray(f.chi(b.chart, b.points), dtype=float)
+            if f.constant:
+                assert got.strides == (0,)
+                np.testing.assert_array_equal(got, ref)
+                continue
+            _assert_close_per_block(got, ref)
+
+
+def _embedded_line_nodes(m, coord, block):
+    """The nodes of a line-rule block as homogeneous points of the
+    surface's coordinate line ``{z_coord = 0}``: the line's coordinates at
+    its slots, 1 at a coordinate fixed on the line."""
+    slots, _ = m.coordinate_line(coord)
+    line = build_manifold("P1").from_chart(block.points, block.chart)
+    pts = np.zeros((line.shape[0], m.hom_len), dtype=complex)
+    fixed = [k for k in range(m.hom_len) if k != coord and k not in slots]
+    pts[:, fixed] = 1.0
+    pts[:, list(slots)] = line
+    return pts
+
+
+@pytest.mark.parametrize("name", ["P2-coord", "P1xP1"])
+def test_restrictions_match_the_form_on_the_line(name):
+    m, rule = _evaluator_case(name)
+    forms = form_dictionary(m, 2, 12) + [_multi_term_form(m)]
+    line_rule = rule.line_rule(48)
+    for coord in range(m.hom_len):
+        vanish = 0
+        for f in forms:
+            g = f.restriction(coord)
+            assert g is f.restriction(coord)  # kept per coordinate
+            assert g.manifold.kind == "P1" and g.omega_part is None
+            for b in line_rule.capped_blocks():
+                got = g.block_values(b)
+                ref = form_values_hom(m, f, _embedded_line_nodes(m, coord, b))
+                if not np.any(ref):
+                    vanish += 1
+                    np.testing.assert_array_equal(got, 0.0)
+                    continue
+                _assert_close_per_block(got, ref)
+        # some dictionary forms vanish on every coordinate line
+        assert vanish
