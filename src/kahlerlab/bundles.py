@@ -17,17 +17,20 @@ multiple of the reference forms + weighted divisors + circle measure), and
 ``curvature_pairing`` evaluates ``<c1(L, h), phi>`` for any metric by moving
 ``dd^c`` onto the test form, which is exact for closed-form cross-checks.
 
-Every current here is a global potential plus a closed class, and every
-pairing of the package walks a rule's blocks through one routine,
-:func:`pair_blocks`: the forms against the reference basis, against
-``dd^c`` of potentials and against pointwise densities, all forms,
-potentials and densities in one pass.  Each form's per-block omega terms
-and ``dd^c`` weights stay in the block's memo, so every later walk over
-the rule reuses them.  ``pair_omega_basis``, ``ddc_pairing`` and
-``curvature_pairing`` are one-form calls of it.  Point masses (zeros on
-curves and of pairs on surfaces, divisors of curves, transverse divisor
-intersections) pair through the one routine :func:`point_mass_pairings`,
-which evaluates each form once on the stacked points of all its point sets.
+Every current here is a global potential plus a closed class.  A closed
+class pairs with no quadrature rule (:func:`class_pairings`): ``omega_i``
+wedged with a form's omega part is an intersection number times
+``omega^n`` at every point, so the pairing is that number times the form's
+exact mean (``TestForm.mean``).  What needs a rule walks its blocks through
+one routine, :func:`pair_blocks`: the forms against ``dd^c`` of potentials
+and against pointwise densities, all forms, potentials and densities in
+one pass.  Each form's per-block ``dd^c`` weights stay in the block's memo,
+so every later walk over the rule reuses them.  ``ddc_pairing`` and the
+potential of ``curvature_pairing`` are one-form calls of it.  Point masses
+(zeros on curves and of pairs on surfaces, divisors of curves, transverse
+divisor intersections) pair through the one routine
+:func:`point_mass_pairings`, which evaluates each form once on the stacked
+points of all its point sets.
 """
 
 import functools
@@ -516,14 +519,10 @@ def _coord_intersection(manifold, i, j):
 # ---------------------------------------------------------------------------
 
 
-def pair_blocks(rule, forms, potentials=(), densities=(), omega_terms=True):
-    """Pair forms with the reference basis, potentials and densities in one
-    walk over the rule's capped blocks; returns ``(om, pot, dens)``.
+def pair_blocks(rule, forms, potentials=(), densities=()):
+    """Pair forms with potentials and densities in one walk over the rule's
+    capped blocks; returns ``(pot, dens)``.
 
-    ``om[i, j] = <omega_i ^ (forms[j]), 1>`` for the forms with omega terms
-    (all on curves, those with an ``omega_part`` on surfaces); without
-    ``omega_terms`` none is taken and ``om`` is zeros, for forms whose
-    omega terms no caller reads, such as restrictions to divisor lines.
     ``pot[r, j] = int_X u_r dd^c(forms[j])`` (0.0 without potentials): a
     potential maps a block to finite node values, each (N,) array one row
     paired by ``np.dot``, each (N, k) array k rows paired by one matrix
@@ -533,24 +532,19 @@ def pair_blocks(rule, forms, potentials=(), densities=(), omega_terms=True):
     mats)``, with ``chi_j`` from :meth:`Block.form_values`, ``c`` a number
     or one per form and ``mats(i)`` the basis matrix of factor i.
 
-    Omega terms and ``dd^c`` weights stay in each block's memo under
-    ``(form, "omega_terms")`` and ``(form, "ddc_weights")`` for every later
-    walk.  The basis matrices, taken once per block, are freed before the
-    potentials, the block's peak.  Entries add shares in block order; a
-    matrix product's last bits can move with the number of forms.
+    ``dd^c`` weights stay in each block's memo under ``(form,
+    "ddc_weights")`` for every later walk.  The basis matrices, taken once
+    per block where a form Hessian or a density asks for them, are freed
+    before the potentials, the block's peak.  Entries add shares in block
+    order; a matrix product's last bits can move with the number of forms.
     """
     m = rule.manifold
     forms = list(forms)
-    om = np.zeros((m.factors, len(forms)))
     dens = np.zeros((len(densities), len(forms)))
     pot = 0.0
     for b in rule.capped_blocks():
         mats = functools.cache(
             lambda i, b=b: m.omega_basis_matrix(i, b.chart, b.points))
-        for j, f in enumerate(forms if omega_terms else ()):
-            if f.manifold.dim == 1 or f.omega_part is not None:
-                om[:, j] += b.memo((f, "omega_terms"),
-                                   lambda: _omega_terms(f, b, mats))
         ws = [b.memo((f, "ddc_weights"), lambda: _ddc_weights(f, b, mats))
               for f in forms] if potentials else []
         for row, density in zip(dens, densities):
@@ -570,22 +564,7 @@ def pair_blocks(rule, forms, potentials=(), densities=(), omega_terms=True):
             rows += ([[float(np.dot(U, w)) for w in ws]] if U.ndim == 1
                      else list((U.T @ W)[:, :len(forms)]))
         pot = pot + np.array(rows).reshape(-1, len(forms))
-    return om, pot, dens
-
-
-def _omega_terms(form, block, mats):
-    """One block's shares of ``<omega_i ^ (form), 1>``, one per factor,
-    ``mats(i)`` the block's basis matrix of factor i.  chi is taken for
-    these alone and not kept in the block's memo, which on a rule paired
-    by potentials alone would hold a node array per form for nothing."""
-    chi = form.block_values(block)
-    if block.manifold.dim == 1:
-        return np.array([float(np.dot(chi * np.real(mats(0)),
-                                      block.weights_lebesgue)) / math.pi])
-    Bm = _form_omega_matrix(form, mats)
-    wq = block.weights_lebesgue / 4.0
-    return np.array([float(np.dot(chi * wedge_density_11(mats(i), Bm), wq))
-                     for i in range(block.manifold.factors)])
+    return pot, dens
 
 
 def _ddc_weights(form, block, mats):
@@ -613,7 +592,7 @@ def ddc_pairing(scalar_field, form, rule, integrable=False):
     """``int_X u dd^c(form)`` for a scalar field ``u(chart, Z)`` (see
     :func:`pair_blocks`)."""
     potential = _field_potential(scalar_field, integrable)
-    return float(pair_blocks(rule, [form], [potential])[1][0, 0])
+    return float(pair_blocks(rule, [form], [potential])[0][0, 0])
 
 
 def finite_potential(u, integrable):
@@ -647,28 +626,45 @@ def _form_omega_matrix(form, mats):
     return np.zeros_like(mats(0)) if acc is None else acc
 
 
-def pair_omega_basis(index, form, rule):
+def class_pairings(manifold, degree, forms):
+    """``<c, f>`` of the class ``c = sum_i degree[i] omega_i`` against each
+    form, with no quadrature rule: ``omega_i ^ omega_k`` is their
+    intersection number times ``omega^n`` at every point (on a curve
+    ``omega_0 = omega``), so each entry is the intersection number of ``c``
+    and the form's omega part times the form's mean (``TestForm.mean``).
+    """
+    _require_omega_parts(manifold, forms)
+    return np.array([manifold.intersection_number(
+        [degree] + [f.omega_part] * (manifold.dim - 1)) * f.mean()
+        for f in forms], dtype=float)
+
+
+def _require_omega_parts(manifold, forms):
+    if manifold.dim == 2 and any(f.omega_part is None for f in forms):
+        raise ConfigurationError(
+            "(1,1)-current pairings on surfaces need omega-carrying forms")
+
+
+def pair_omega_basis(index, form):
     """``<omega_index ^ (form), 1>``: the smooth reference pairing."""
-    return float(pair_blocks(rule, [form])[0][index, 0])
+    return float(class_pairings(form.manifold,
+                                _unit_degree(form.manifold, index), [form])[0])
 
 
 def curvature_pairing(metric, form, rule):
     """``<c1(L, h), form>``, by moving dd^c onto the form.
 
-    Exact for the smooth reference part; the potential term integrates the
-    bounded-above perturbation against dd^c(form), so no derivative of the
-    (possibly singular) weight is ever taken.
+    The reference class pairs in closed form (:func:`class_pairings`); the
+    potential term integrates the bounded-above perturbation against
+    dd^c(form) on ``rule``, so no derivative of the (possibly singular)
+    weight is ever taken.
     """
-    potentials = ([_field_potential(metric.psi, not metric.smooth)]
-                  if metric.atoms else [])
-    om, pot, _ = pair_blocks(rule, [form], potentials)
-    total = 0.0
-    for i, d in enumerate(metric.bundle.degree):
-        if d != 0:
-            total += d * om[i, 0]
+    total = float(class_pairings(metric.manifold, metric.bundle.degree,
+                                 [form])[0])
     if metric.atoms:
-        total += pot[0, 0]
-    return float(total)
+        potential = _field_potential(metric.psi, not metric.smooth)
+        total += float(pair_blocks(rule, [form], [potential])[0][0, 0])
+    return total
 
 
 def curve_divisor_points(comp):

@@ -89,29 +89,30 @@ def _check_target_position(descriptors):
             seen[key] = k
 
 
-def approximation_run(h_list, g_list, eps_list, p_grid, rule, dictionary,
-                      adjoint, samples=1, seed=0, thresholds=None):
+def approximation_run(h_list, g_list, eps_list, p_grid, dictionary, adjoint,
+                      samples=1, seed=0, thresholds=None):
     """Measure how fast scaled random zero sets approach a wedge of curvatures.
 
     ``eps_list`` holds the interpolation weights eps_j and ``p_grid`` the
     powers every step shares; ``thresholds`` gives one distance threshold
     per step (default 1/j).  The target is the pairing vector of the wedge
-    of the h-curvatures against ``dictionary``, paired on ``rule``.  For
+    of the h-curvatures against ``dictionary``, paired in closed form.  For
     every (eps_j, p) cell the metrics are interpolated, section spaces
     built (``adjoint`` twists by the canonical bundle), ``samples`` tuples
     drawn, and the mean pairing vector of ``p^(-m) [zeros]`` compared to the
-    target by :func:`ds_distance`; its entry 0 is the cell's mass.  Cells
-    that fail keep an error status and the run continues; the diagonal
-    selection is applied to the finished matrix.
+    target by :func:`ds_distance`; its entry 0 is the cell's mass.  ``m``
+    is the complex dimension, so the zeros are points and pair as such:
+    neither the target nor a cell takes a quadrature rule.  Cells that fail
+    keep an error status and the run continues; the diagonal selection is
+    applied to the finished matrix.
     """
     m = len(h_list)
     if len(g_list) != m:
         raise ConfigurationError("metric lists must pair up")
-    if m not in (1, 2):
-        raise ConfigurationError("only one or two factors are supported")
-    manifold = h_list[0].manifold
-    if m > manifold.dim:
-        raise ConfigurationError("more factors than the dimension carries")
+    if not m or m != h_list[0].manifold.dim:
+        # the cells pair their zero sets as points, which takes one
+        # section per complex dimension
+        raise ConfigurationError("give one factor per complex dimension")
     for h, g in zip(h_list, g_list):
         if h.bundle != g.bundle:
             raise ConfigurationError(
@@ -129,14 +130,11 @@ def approximation_run(h_list, g_list, eps_list, p_grid, rule, dictionary,
                 "curvature form part")
     dh = [h.curvature_descriptor() for h in h_list]
     if m == 1:
-        target = descriptor_form_pairings(dh[0], dictionary, rule)
+        target = descriptor_form_pairings(dh[0], dictionary)
     else:
         _check_target_position(dh)
         target = descriptor_wedge_pairings(
-            dh[0].manifold, wedge_descriptors(dh[0], dh[1]), dictionary,
-            rule)
-        # point pairings need no rule: free it and its memos for the cells
-        rule = None
+            dh[0].manifold, wedge_descriptors(dh[0], dh[1]), dictionary)
 
     key = _seed_key(seed)
     rows = []
@@ -154,7 +152,7 @@ def approximation_run(h_list, g_list, eps_list, p_grid, rule, dictionary,
                           for hk in interp]
                 seeds = [cell_seed + (i,) for i in range(samples)]
                 if m == 1:
-                    vecs = zero_pairings(spaces[0], seeds, dictionary, rule)
+                    vecs = zero_pairings(spaces[0], seeds, dictionary)
                 else:
                     vecs = point_pairings(
                         [common_zeros(sample_tuple(spaces, s))

@@ -28,11 +28,19 @@ c1(K_X))`` of the reference metric.  The potential is taken in the
 reference frame, so the metric perturbation cancels between its two parts
 and is never evaluated.
 
-Block-outer rule: every pairing takes a list of forms and walks the
-quadrature blocks through :func:`bundles.pair_blocks`, the blocks outside
-and the forms inside.  What does not depend on the form (log-norm
-potentials, reduced Hessians, omega basis matrices, quadrature weights)
-is computed once per block and handed to it as a potential or a density.
+Closed parts need no rule.  A closed class pairs as an intersection
+number times the form's exact mean (:func:`bundles.class_pairings`), and a
+coordinate divisor as the mean of the form's restriction to its line
+(:func:`_line_pairings`), so the pairings of closed-form currents
+(``descriptor_form_pairings``, ``descriptor_wedge_pairings``) and the
+forced divisors of the derivative route take no rule.
+
+Block-outer rule: every pairing that integrates a potential or a density
+takes a list of forms and walks the quadrature blocks through
+:func:`bundles.pair_blocks`, the blocks outside and the forms inside.
+What does not depend on the form (log-norm potentials, reduced Hessians,
+omega basis matrices, quadrature weights) is computed once per block and
+handed to it as a potential or a density.
 The scalar densities of a torus-invariant family (the wedge density of two
 reduced families and the Hessian of a family restricted to a divisor line;
 see :attr:`SectionSpace.torus_invariant`) depend on the radii only, so they
@@ -47,11 +55,11 @@ last bits can move with the number of forms: on the potential route a form
 alone and in a batch can differ in the last bits.
 
 What depends on neither the form list nor p lives with the quadrature
-rule, so a sweep over p on one rule computes it once: each form's ``chi``,
-omega terms and ``dd^c`` weights, the wedge densities of the reference
-forms, the divisor line rules (:meth:`QuadratureRule.line_rule`) and the
-values of the forms' restrictions to the lines
-(:meth:`TestForm.restriction`) on their blocks.  It is freed with the rule.
+rule, so a sweep over p on one rule computes it once: each form's ``chi``
+and ``dd^c`` weights, the divisor line rules
+(:meth:`QuadratureRule.line_rule`) and the values of the forms'
+restrictions to the lines (:meth:`TestForm.restriction`) on their blocks.
+It is freed with the rule.
 """
 
 from __future__ import annotations
@@ -62,6 +70,7 @@ import numpy as np
 
 from ._kernels import eval_monomials
 from .bundles import (CurrentDescriptor, _form_omega_matrix,
+                      _require_omega_parts, class_pairings,
                       curve_divisor_points, finite_potential, form_values_hom,
                       pair_blocks, point_mass_pairings, wedge_descriptors)
 # benchmarks/tracer.py patches curvature_pairing here
@@ -179,15 +188,9 @@ def fs_pairings(space, forms, rule, route="potential"):
         raise ConfigurationError(f"unknown pairing route {route!r}")
     totals = _pointwise_pairings(space, forms, rule)
     for comp, k in space.base_divisors:
-        totals += (k / space.p) * _divisor_pairings(
-            space.manifold, comp, forms, rule)
+        totals += (k / space.p) * _divisor_pairings(space.manifold, comp,
+                                                    forms)
     return totals
-
-
-def _require_omega_parts(manifold, forms):
-    if manifold.dim == 2 and any(f.omega_part is None for f in forms):
-        raise ConfigurationError(
-            "(1,1)-current pairings on surfaces need omega-carrying forms")
 
 
 def log_norm_pairings(space, forms, rule, sections=None, family=None):
@@ -226,15 +229,10 @@ def log_norm_pairings(space, forms, rule, sections=None, family=None):
                 U = _log_modulus(M @ sections[:, lo:lo + step]) + base[:, None]
                 yield finite_potential(U, integrable=True)
 
-    om, out, _ = pair_blocks(rule, forms, [log_norms])
-    closed = np.zeros(len(forms))
-    for i, d in enumerate(space.metric.bundle.degree):
-        if d != 0:
-            closed += d * om[i]
-    const = space.p * closed
+    out, _ = pair_blocks(rule, forms, [log_norms])
+    const = space.p * class_pairings(m, space.metric.bundle.degree, forms)
     if space.adjoint:
-        for i, cdeg in enumerate(m.canonical_degree):
-            const += cdeg * om[i]
+        const += class_pairings(m, m.canonical_degree, forms)
     return out + const
 
 
@@ -275,7 +273,7 @@ def _pointwise_pairings(space, forms, rule):
         return [(1.0, lambda chi, f: chi * wedge_density_11(
             H, _form_omega_matrix(f, mats)), wq)]
 
-    return pair_blocks(rule, forms, densities=[reduced])[2][0]
+    return pair_blocks(rule, forms, densities=[reduced])[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -283,24 +281,38 @@ def _pointwise_pairings(space, forms, rule):
 # ---------------------------------------------------------------------------
 
 
-def _divisor_pairings(manifold, comp, forms, surface):
+def _divisor_pairings(manifold, comp, forms):
     """``<[D], f>`` of one singular component for each form.
 
-    On curves divisors are point masses and the form is a test function
-    (``surface`` is not used).  On surfaces the forms carry an
-    ``omega_part``, which both callers check, and the pairing is the
-    restriction integral over a coordinate divisor
-    (:func:`_divisor_omega_pairings` on the line rule of the surface rule
-    ``surface``); polynomial components of surfaces have no closed-form
-    parametrization here.
+    On curves divisors are point masses and the form is a test function.
+    On surfaces the forms carry an ``omega_part``, which both callers
+    check, and the pairing is the restriction integral over a coordinate
+    divisor (:func:`_line_pairings`); polynomial components of surfaces
+    have no closed-form parametrization here.
     """
     if manifold.dim == 1:
         return point_mass_pairings(
             manifold, forms,
             [[(pt, 1.0) for pt in curve_divisor_points(comp)]])[0]
-    return _divisor_omega_pairings(manifold, comp,
-                                   [f.omega_part for f in forms], forms,
-                                   surface)
+    return _line_pairings(manifold, comp, [f.omega_part for f in forms],
+                          forms)
+
+
+def _line_pairings(manifold, comp, omega_vecs, forms):
+    """``int_D chi_f * (omega_vec_f . basis)|_D`` over a coordinate divisor,
+    one entry per form, with no quadrature rule.
+
+    On the line ``D`` the basis form of the line's own factor restricts to
+    the line's unit volume form and the others to 0, so each entry is that
+    factor's coefficient times the mean of the form's restriction to the
+    line (:meth:`TestForm.restriction`, :meth:`TestForm.mean`).
+    """
+    if comp[0] != "coord":
+        raise GeneralPositionError(
+            "surface divisor pairings need coordinate components")
+    _, factor = manifold.coordinate_line(comp[1])
+    return np.array([float(vec[factor]) * f.restriction(comp[1]).mean()
+                     for vec, f in zip(omega_vecs, forms)])
 
 
 def _line_rule(q_line, surface):
@@ -315,31 +327,23 @@ def _line_rule(q_line, surface):
 # ---------------------------------------------------------------------------
 
 
-def descriptor_form_pairing(descriptor, form, rule):
-    """``<T, form>`` for a closed-form (1,1)-current on any model.
+def descriptor_form_pairing(descriptor, form):
+    """``<T, form>`` for a closed-form (1,1)-current on any model, with no
+    quadrature rule.
 
     The circle measure of a P1 current pairs as the mean of the test
     function over 256 midpoints of the unit circle.
     """
-    return float(descriptor_form_pairings(descriptor, [form], rule)[0])
+    return float(descriptor_form_pairings(descriptor, [form])[0])
 
 
-def descriptor_form_pairings(descriptor, forms, rule):
-    """:func:`descriptor_form_pairing` against each form, as an array.
-
-    One :func:`bundles.pair_blocks` pass serves every form's omega terms.
-    """
+def descriptor_form_pairings(descriptor, forms):
+    """:func:`descriptor_form_pairing` against each form, as an array."""
     forms = list(forms)
     m = descriptor.manifold
-    _require_omega_parts(m, forms)
-    totals = np.zeros(len(forms))
-    if np.any(descriptor.omega != 0.0):
-        om = pair_blocks(rule, forms)[0]
-        for i, c in enumerate(descriptor.omega):
-            if c != 0.0:
-                totals += c * om[i]
+    totals = class_pairings(m, descriptor.omega, forms)
     for comp, nu in descriptor.divisors:
-        totals += nu * _divisor_pairings(m, comp, forms, rule)
+        totals += nu * _divisor_pairings(m, comp, forms)
     if descriptor.circle:
         theta = 2.0 * np.pi * (np.arange(256) + 0.5) / 256
         for j, f in enumerate(forms):
@@ -349,66 +353,30 @@ def descriptor_form_pairings(descriptor, forms, rule):
     return totals
 
 
-def descriptor_wedge_pairing(manifold, wedge, form, rule):
-    """``<A ^ B, chi>`` from a closed-form wedge decomposition.
+def descriptor_wedge_pairing(manifold, wedge, form):
+    """``<A ^ B, chi>`` from a closed-form wedge decomposition, with no
+    quadrature rule.
 
     ``wedge`` is the output of :func:`kahlerlab.bundles.wedge_descriptors`;
-    ``form`` must be a scalar test function (no omega part).
+    ``form`` must be a scalar test function (no omega part).  The smooth
+    part is its intersection number times ``omega^2`` at every point.
     """
-    return float(descriptor_wedge_pairings(manifold, wedge, [form], rule)[0])
+    return float(descriptor_wedge_pairings(manifold, wedge, [form])[0])
 
 
-def descriptor_wedge_pairings(manifold, wedge, forms, rule):
+def descriptor_wedge_pairings(manifold, wedge, forms):
     """:func:`descriptor_wedge_pairing` against each form, as an array."""
     forms = list(forms)
     if any(f.omega_part is not None for f in forms):
         raise ConfigurationError("bidegree (2,2) currents pair with functions")
-    pairs = np.asarray(wedge["omega_pairs"], dtype=float)
-    nf = manifold.factors
-    live = [(i, j) for i in range(nf) for j in range(nf)
-            if pairs[i, j] != 0.0]
-
-    def omega_wedges(b, mats):
-        wq = b.weights_lebesgue / 4.0
-        return [(pairs[i, j], lambda chi, f, d=b.memo(
-                    ("omega_wedge", i, j),
-                    lambda: wedge_density_11(mats(i), mats(j))): chi * d, wq)
-                for i, j in live]
-
-    totals = pair_blocks(rule, forms, densities=[omega_wedges])[2][0]
+    unit = np.eye(manifold.factors)
+    smooth = sum(c * manifold.intersection_number([unit[i], unit[j]])
+                 for (i, j), c in np.ndenumerate(wedge["omega_pairs"]))
+    totals = smooth * np.array([f.mean() for f in forms])
     for comp, vec in wedge["divisor_omega"]:
-        totals += _divisor_omega_pairings(manifold, comp, [vec] * len(forms),
-                                          forms, rule)
+        totals += _line_pairings(manifold, comp, [vec] * len(forms), forms)
     return point_mass_pairings(manifold, forms, [wedge["points"]],
                                totals[None])[0]
-
-
-def _divisor_omega_pairings(manifold, comp, omega_vecs, forms, surface):
-    """``int_D chi_f * (omega_vec_f . basis)|_D`` over a coordinate divisor,
-    one entry per form.
-
-    The line rule is the surface rule's (see :func:`_line_rule`), and the
-    values of the forms' restrictions to the line
-    (:meth:`TestForm.restriction`) stay in its blocks' memo: both live as
-    long as ``surface``, so the targets, every p and the expected masses of
-    a study on one rule share them.
-    """
-    if comp[0] != "coord":
-        raise GeneralPositionError(
-            "surface divisor pairings need coordinate components")
-    _, omega_index = manifold.coordinate_line(comp[1])
-    coeffs = np.array([float(np.asarray(v, dtype=float)[omega_index])
-                       for v in omega_vecs])
-    live = np.flatnonzero(coeffs)
-    totals = np.zeros(len(forms))
-    if live.size:
-        totals[live] = pair_blocks(
-            _line_rule(0, surface),
-            [forms[i].restriction(comp[1]) for i in live],
-            densities=[lambda b, mats: [(coeffs[live], lambda chi, f: chi,
-                                         b.weights_volume)]],
-            omega_terms=False)[2][0]
-    return totals
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +428,7 @@ def fs_wedge_pairings(space_a, space_b, forms, rule):
                             "reduced families")
         return [(1.0, lambda chi, f: chi * dens, wq)]
 
-    totals = pair_blocks(rule, forms, densities=[reduced_wedge])[2][0]
+    totals = pair_blocks(rule, forms, densities=[reduced_wedge])[1][0]
     on_a = [_restricted_pairings(space_b, comp, forms, rule)
             for comp, _ in space_a.base_divisors]
     on_b = on_a if same else [_restricted_pairings(space_a, comp, forms, rule)
@@ -500,9 +468,11 @@ def _restricted_pairings(space, comp, forms, surface):
     restricted to a divisor, its family evaluated once per line block, and
     on a torus-invariant space once per radius (:meth:`Block.radial`).
 
-    The line rule and the values of the forms' restrictions on it come
-    from ``surface`` as in :func:`_divisor_omega_pairings`; only the family
-    depends on p.
+    The line rule is the surface rule's (see :func:`_line_rule`), and the
+    values of the forms' restrictions to the line
+    (:meth:`TestForm.restriction`) stay in its blocks' memo: both live as
+    long as ``surface``, so every p of a study on one rule shares them;
+    only the family depends on p.
     """
     Rc, q_line = _line_family(space, comp)
     exps = np.arange(q_line + 1)
@@ -523,7 +493,7 @@ def _restricted_pairings(space, comp, forms, surface):
 
     return pair_blocks(_line_rule(q_line, surface),
                        [f.restriction(comp[1]) for f in forms],
-                       densities=[restricted], omega_terms=False)[2][0]
+                       densities=[restricted])[1][0]
 
 
 def _line_family(space, comp):

@@ -42,6 +42,9 @@ from .errors import ConfigurationError, NumericalError
 
 TWO_PI = 2.0 * math.pi
 
+# bounds the node-sized work arrays of every walk over a rule's blocks
+_BLOCK_MAX_NODES = 250_000
+
 # The model manifolds, each described once: the number of homogeneous
 # coordinates of each projective factor (``k`` coordinates span a factor
 # P^(k-1)), the norm in ``omega = sum_f omega_f / norm`` that gives omega^n
@@ -59,6 +62,37 @@ _KINDS = {
 def projective_line():
     """The model line, on which divisor lines of surfaces are parametrized."""
     return Manifold("P1")
+
+
+def reference_monomial_log_norm(manifold, q, exps, adjoint):
+    """log of the squared L2 norm of a monomial in the reference metric.
+
+    ``q`` is the per-factor degree tuple and ``exps`` the homogeneous
+    exponent row; both may be real, as long as every exponent exceeds -1.
+    Closed forms: each factor P^d contributes the ``lgamma`` Dirichlet
+    moment ``prod_i Gamma(e_i + 1) / Gamma(q_f + d + 1)`` over the
+    exponents ``e_i`` of its coordinates and ``log d!`` in the volume form
+    of ``omega^n``; the adjoint frame carries one factor 2 pi per complex
+    dimension instead.  The terms add left to right, factor after factor.
+    Without ``adjoint`` it is the log mean of ``|z^e|^2 / prod_f |Z_f|^(2
+    q_f)`` against ``omega^n``, as ``TestForm.mean`` takes it.
+    """
+
+    def lg(n):
+        return math.lgamma(n + 1.0)
+
+    base = 0.0
+    for sl, d, qf in zip(manifold.factor_slices, manifold.factor_dims, q):
+        rest = exps[sl.start + 1:sl.stop]
+        for e in rest:
+            base += lg(e)
+        base += lg(qf - sum(rest))
+        base -= lg(qf + d)
+    if adjoint:
+        return base + manifold.dim * math.log(TWO_PI)
+    return base + sum(math.log(math.factorial(d))
+                      for d in manifold.factor_dims)
+
 
 # ---------------------------------------------------------------------------
 # manifolds
@@ -579,11 +613,10 @@ class Block:
     Besides its nodes and weights, built on first use, a block keeps a memo
     of values that do not depend on the power p: the test-form values of
     :meth:`form_values` (on the blocks of a divisor line rule, those of the
-    forms' restrictions to the line), each form's omega terms and ``dd^c``
-    weights (``bundles.pair_blocks``) and wedge densities of the reference
-    forms.  Each entry is a read-only array kept for as long as the block
-    lives; the blocks of :meth:`QuadratureRule.capped_blocks` live and die
-    with their rule.
+    forms' restrictions to the line) and each form's ``dd^c`` weights
+    (``bundles.pair_blocks``).  Each entry is a read-only array kept for as
+    long as the block lives; the blocks of
+    :meth:`QuadratureRule.capped_blocks` live and die with their rule.
 
     A scalar field invariant under the chart's torus, such as the densities
     of a torus-invariant family (``fscurrents``), depends on the radii
@@ -755,8 +788,8 @@ class QuadratureRule:
     def num_nodes(self):
         return sum(b.num_nodes for b in self.blocks)
 
-    def capped_blocks(self, max_nodes=250_000):
-        """Blocks partitioned to at most ``max_nodes`` nodes each.
+    def capped_blocks(self):
+        """Blocks partitioned to at most ``_BLOCK_MAX_NODES`` nodes each.
 
         The list is built once and memoized.  Its blocks keep their nodes,
         weights and memo (see :class:`Block`; a paired form's ``chi`` and
@@ -765,7 +798,7 @@ class QuadratureRule:
         """
         if self._capped is None:
             self._capped = [sb for b in self.blocks
-                            for sb in b.split(max_nodes)]
+                            for sb in b.split(_BLOCK_MAX_NODES)]
         return self._capped
 
     def line_rule(self, resolution):

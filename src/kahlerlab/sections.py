@@ -42,10 +42,9 @@ from .bundles import _poly_norm_key
 from .errors import (ConfigurationError, DegenerateSpaceError,
                      EmptySpaceError, IllConditionedError, NumericalError,
                      UnsupportedMetricError)
-from .geometry import is_coord_marker, quadrature_nodes
+from .geometry import (TWO_PI, is_coord_marker, quadrature_nodes,
+                       reference_monomial_log_norm)
 from .polynomials import SectionPoly, degree_tuple, monomial_exponents
-
-TWO_PI = 2.0 * math.pi
 
 # Gram condition number beyond which the basis is rejected as numerically
 # dependent; orthonormalization would amplify noise past ~sqrt(cond) * eps.
@@ -84,34 +83,6 @@ def section_degree(manifold, bundle_degree, p, adjoint=True):
         return tuple(p * df + cf
                      for df, cf in zip(d, manifold.canonical_degree))
     return tuple(p * df for df in d)
-
-
-def reference_monomial_log_norm(manifold, q, exps, adjoint):
-    """log of the squared L2 norm of a monomial in the reference metric.
-
-    ``q`` is the per-factor degree tuple and ``exps`` the homogeneous
-    exponent row; both may be real, as long as every exponent exceeds -1.
-    Closed forms: each factor P^d contributes the ``lgamma`` Dirichlet
-    moment ``prod_i Gamma(e_i + 1) / Gamma(q_f + d + 1)`` over the
-    exponents ``e_i`` of its coordinates and ``log d!`` in the volume form
-    of ``omega^n``; the adjoint frame carries one factor 2 pi per complex
-    dimension instead.  The terms add left to right, factor after factor.
-    """
-
-    def lg(n):
-        return math.lgamma(n + 1.0)
-
-    base = 0.0
-    for sl, d, qf in zip(manifold.factor_slices, manifold.factor_dims, q):
-        rest = exps[sl.start + 1:sl.stop]
-        for e in rest:
-            base += lg(e)
-        base += lg(qf - sum(rest))
-        base -= lg(qf + d)
-    if adjoint:
-        return base + manifold.dim * math.log(TWO_PI)
-    return base + sum(math.log(math.factorial(d))
-                      for d in manifold.factor_dims)
 
 
 def vanishing_order_required(p, lelong_coeff):

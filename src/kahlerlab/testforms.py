@@ -25,18 +25,20 @@ the radii alone.  A quadrature block is a tensor grid of radii and angles
 per axis, so :meth:`TestForm.block_values` takes chi there as one radial
 array times one angular array per term pair, with no complex mesh.  On the
 coordinate line ``{z_i = 0}`` of a surface chi is again a form of this
-family, of P1 (:meth:`TestForm.restriction`).
+family, of P1 (:meth:`TestForm.restriction`).  chi's mean against
+``omega^n`` is a sum of Dirichlet moments (:meth:`TestForm.mean`).
 
 Every dictionary entry is normalized by a deterministic grid estimate of
 ``sup|chi| + sup rho(Hess chi) / pi`` so that entries share a common scale.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import projective_line
+from .geometry import projective_line, reference_monomial_log_norm
 from .polynomials import SectionPoly, monomial_exponents
 
 # ---------------------------------------------------------------------------
@@ -149,6 +151,23 @@ class TestForm:
         if out is None:  # every term vanished (a restriction)
             return np.zeros(block.num_nodes)
         return out.ravel()
+
+    def mean(self):
+        """The exact ``int chi omega^n``, with no quadrature rule: the
+        term pairs of A and B with equal exponent rows ``alpha`` times the
+        Dirichlet moment of ``|z^alpha|^2 / prod_f |Z_f|^(2 s_f)``
+        (:func:`geometry.reference_monomial_log_norm`); the torus averages
+        the others out.  A restriction's mean is taken on its line."""
+        if self.A is None:
+            return float(np.real(self.c)) * self.scale
+        total = 0.0
+        for ea, ca in zip(self.A.exponents, self.A.coeffs):
+            for eb, cb in zip(self.B.exponents, self.B.coeffs):
+                if np.array_equal(ea, eb):
+                    moment = math.exp(reference_monomial_log_norm(
+                        self.manifold, self.s, ea, adjoint=False))
+                    total += float(np.real(self.c * ca * np.conj(cb))) * moment
+        return self.scale * total
 
     def restriction(self, coord):
         """chi on the coordinate line ``{z_coord = 0}`` of a surface, as a

@@ -12,7 +12,7 @@ from kahlerlab.errors import (ConfigurationError, GeneralPositionError,
 from kahlerlab.fscurrents import (descriptor_form_pairing,
                                   descriptor_form_pairings,
                                   descriptor_wedge_pairing, form_values_hom)
-from kahlerlab.geometry import build_manifold, quadrature_nodes
+from kahlerlab.geometry import build_manifold
 from kahlerlab.polynomials import SectionPoly, coordinate_section
 from kahlerlab.testforms import test_form_dictionary
 
@@ -38,11 +38,9 @@ def p1_dict(p1):
 def test_mass_is_the_leading_pairing(p1, p1_dict):
     # the first dictionary form is the unnormalized mass form, so entry 0
     # of a curvature current's vector is the degree of its bundle
-    rule = quadrature_nodes(p1, 48)
     for degree in (1, 3):
         d = Metric.fubini_study(LineBundle(p1, degree)).curvature_descriptor()
-        assert abs(descriptor_form_pairings(d, p1_dict, rule)[0]
-                   - degree) < 1e-12
+        assert abs(descriptor_form_pairings(d, p1_dict)[0] - degree) < 1e-12
 
 
 def test_vector_shape_and_dictionary_are_checked(p1, p1_dict):
@@ -68,15 +66,14 @@ def test_distance_against_a_point_mass_current(p1, p1_dict):
     # FS curvature vs the half omega plus half point mass curvature: the
     # gap per form is half of |integral - point value|, computable directly
     L = LineBundle(p1, 1)
-    rule = quadrature_nodes(p1, 48)
     d_fs = Metric.fubini_study(L).curvature_descriptor()
     d_lp = Metric.log_pole(L, coordinate_section(p1, 0),
                            0.5).curvature_descriptor()
-    d = ds_distance(descriptor_form_pairings(d_fs, p1_dict, rule),
-                    descriptor_form_pairings(d_lp, p1_dict, rule))
+    d = ds_distance(descriptor_form_pairings(d_fs, p1_dict),
+                    descriptor_form_pairings(d_lp, p1_dict))
     pole = np.zeros((1, 2), dtype=complex)
     pole[0, 1] = 1.0
-    oracle = max(0.5 * abs(pair_omega_basis(0, f, rule)
+    oracle = max(0.5 * abs(pair_omega_basis(0, f)
                            - float(form_values_hom(p1, f, pole)[0]))
                  for f in p1_dict)
     assert abs(d - oracle) < 1e-12
@@ -84,22 +81,21 @@ def test_distance_against_a_point_mass_current(p1, p1_dict):
 
 def test_distance_never_shrinks_when_the_dictionary_grows(p1, p1_dict):
     L = LineBundle(p1, 1)
-    rule = quadrature_nodes(p1, 32)
     d_fs = Metric.fubini_study(L).curvature_descriptor()
     d_lp = Metric.log_pole(L, coordinate_section(p1, 0),
                            0.5).curvature_descriptor()
     small = test_form_dictionary(p1, 1, count=8)
-    d_small = ds_distance(descriptor_form_pairings(d_fs, small, rule),
-                          descriptor_form_pairings(d_lp, small, rule))
-    d_large = ds_distance(descriptor_form_pairings(d_fs, p1_dict, rule),
-                          descriptor_form_pairings(d_lp, p1_dict, rule))
+    d_small = ds_distance(descriptor_form_pairings(d_fs, small),
+                          descriptor_form_pairings(d_lp, small))
+    d_large = ds_distance(descriptor_form_pairings(d_fs, p1_dict),
+                          descriptor_form_pairings(d_lp, p1_dict))
     assert d_small <= d_large + 1e-15
 
 
 # -- interpolation expansion ------------------------------------------------------
 
 
-def multilinear_expansion_residual(h_list, g_list, eps, form, rule):
+def multilinear_expansion_residual(h_list, g_list, eps, form):
     """Two-route check of the interpolated-curvature wedge.
 
     Route one pairs the wedge of the curvatures of the interpolated metrics
@@ -117,10 +113,10 @@ def multilinear_expansion_residual(h_list, g_list, eps, form, rule):
     interp = [Metric.interpolate(h, g, eps).curvature_descriptor()
               for h, g in zip(h_list, g_list)]
     if m == 1:
-        direct = descriptor_form_pairing(interp[0], form, rule)
+        direct = descriptor_form_pairing(interp[0], form)
     else:
         direct = descriptor_wedge_pairing(
-            manifold, wedge_descriptors(interp[0], interp[1]), form, rule)
+            manifold, wedge_descriptors(interp[0], interp[1]), form)
 
     expansion = 0.0
     weight0 = (1.0 + eps) ** (-m)
@@ -131,11 +127,10 @@ def multilinear_expansion_residual(h_list, g_list, eps, form, rule):
         if w == 0.0:
             continue
         if m == 1:
-            expansion += w * descriptor_form_pairing(picked[0], form, rule)
+            expansion += w * descriptor_form_pairing(picked[0], form)
         else:
             expansion += w * descriptor_wedge_pairing(
-                manifold, wedge_descriptors(picked[0], picked[1]), form,
-                rule)
+                manifold, wedge_descriptors(picked[0], picked[1]), form)
     return abs(direct - expansion)
 
 
@@ -144,8 +139,7 @@ def test_expansion_is_exact_for_one_factor(p2):
     h = Metric.log_pole(L, coordinate_section(p2, 0), 0.5)
     g = Metric.fubini_study(L)
     chi = test_form_dictionary(p2, 1, count=2)[1]
-    rule = quadrature_nodes(p2, 16)
-    assert multilinear_expansion_residual([h], [g], 0.3, chi, rule) < 1e-12
+    assert multilinear_expansion_residual([h], [g], 0.3, chi) < 1e-12
 
 
 def test_expansion_residual_on_surface_pairs(p2):
@@ -153,32 +147,30 @@ def test_expansion_residual_on_surface_pairs(p2):
     h1 = Metric.log_pole(L, coordinate_section(p2, 0), 0.5)
     h2 = Metric.log_pole(L, coordinate_section(p2, 1), 0.25)
     g = Metric.fubini_study(L)
-    rule = quadrature_nodes(p2, 16)
     chis = test_form_dictionary(p2, 2, count=3)
     for eps in (0.5, 0.25, 0.1):
         for chi in chis:
             assert multilinear_expansion_residual(
-                [h1, h2], [g, g], eps, chi, rule) < 1e-8
+                [h1, h2], [g, g], eps, chi) < 1e-8
     # identity case: both routes are the plain wedge
     assert multilinear_expansion_residual(
-        [h1, h2], [g, g], 0.0, chis[1], rule) < 1e-12
+        [h1, h2], [g, g], 0.0, chis[1]) < 1e-12
 
 
 def test_expansion_preconditions(p2):
     L = LineBundle(p2, 1)
     g = Metric.fubini_study(L)
     chi = test_form_dictionary(p2, 2, count=2)[1]
-    rule = quadrature_nodes(p2, 8)
     ha = Metric.log_pole(L, SectionPoly.from_coeff_map(
         p2, 1, {(1, 0, 0): 1.0, (0, 1, 0): 1.0, (0, 0, 1): 1.0}), 0.5)
     hb = Metric.log_pole(L, SectionPoly.from_coeff_map(
         p2, 1, {(1, 0, 0): 1.0, (0, 1, 0): -1.0, (0, 0, 1): 2.0}), 0.5)
     with pytest.raises(GeneralPositionError):
-        multilinear_expansion_residual([ha, hb], [g, g], 0.3, chi, rule)
+        multilinear_expansion_residual([ha, hb], [g, g], 0.3, chi)
     sm = Metric.smoothed_max(L, coordinate_section(p2, 0),
                              coordinate_section(p2, 1), 1.0, 0.5)
     with pytest.raises(UnsupportedMetricError):
-        multilinear_expansion_residual([sm, g], [g, g], 0.3, chi, rule)
+        multilinear_expansion_residual([sm, g], [g, g], 0.3, chi)
 
 
 # -- diagonal selection --------------------------------------------------------------
@@ -211,7 +203,6 @@ def test_unresolved_rows_are_flagged_and_skipped():
 
 def _curve_run(p1, h, g, eps_list, p_grid, **kw):
     return approximation_run([h], [g], eps_list, p_grid,
-                             quadrature_nodes(p1, 48),
                              test_form_dictionary(p1, 1), False, **kw)
 
 
@@ -234,12 +225,19 @@ def test_approximation_masses_follow_the_twist_deficit(p2):
     h2 = Metric.log_pole(L, coordinate_section(p2, 1), 0.5)
     g = Metric.fubini_study(L)
     rep = approximation_run([h1, h2], [g, g], [0.5], [6, 8],
-                            quadrature_nodes(p2, 16),
                             test_form_dictionary(p2, 2), True, seed=(42,))
     assert abs(rep["target"][0] - 1.0) < 1e-9
     for r in rep["rows"]:
         assert r["status"] == "ok"
         assert abs(r["mass"] - ((r["p"] - 3.0) / r["p"]) ** 2) < 1e-5
+
+
+def test_one_factor_per_complex_dimension(p2):
+    # the cells pair their zero sets as points: one section per dimension
+    fs = Metric.fubini_study(LineBundle(p2, 1))
+    with pytest.raises(ConfigurationError):
+        approximation_run([fs], [fs], [0.5], [4],
+                          test_form_dictionary(p2, 1, 2), True)
 
 
 def test_smoothing_metrics_must_be_positive(p1):

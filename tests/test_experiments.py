@@ -3,7 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
-from kahlerlab import _kernels, distance, experiments
+from kahlerlab import _kernels, experiments, geometry
 from kahlerlab.bundles import form_values_hom
 from kahlerlab.config import parse_config
 from kahlerlab.errors import (ConfigurationError, EmptySpaceError,
@@ -75,8 +75,7 @@ def test_curve_equidistribution_replays_and_matches_the_sample_loop(
     # each zero pairs with the form's value times its multiplicity
     man, h = cfg.manifold, cfg.metrics[0]["h"]
     forms = test_form_dictionary(man, 1, 3)
-    rule = quadrature_nodes(man, 48)
-    targets = [descriptor_form_pairing(h.curvature_descriptor(), f, rule)
+    targets = [descriptor_form_pairing(h.curvature_descriptor(), f)
                for f in forms]
     series = {f.label: [] for f in forms}
     for pi, p in enumerate(cfg.p_grid):
@@ -164,6 +163,20 @@ def test_studies_without_a_closed_form_curvature_are_refused(study,
         run_study(cfg)
 
 
+def test_calibration_power_has_no_exceedance(tmp_path):
+    # on P1 with an adjoint mass deficit every sample's largest error at
+    # the first p is the mass gap, so no sample exceeds the mean there
+    report = run_study(parse_config({
+        "study": "equidistribution", "manifold": "P1", "degree": 2,
+        "metrics": [{"h": {"kind": "log_pole", "t": 0.5, "Q": {
+            "degree": 1, "terms": [[[1, 0], 1.0, 0.0], [[0, 1], 0.6, 0.3]]}}}],
+        "p_grid": [4, 8], "samples": 3, "seed": [0],
+        "cache": str(tmp_path / "cache")}))
+    first = report["rows"][0]
+    assert first["max_err_max"] == first["max_err_mean"] == first["threshold"]
+    assert first["exceed_freq"] == 0.0
+
+
 def _surface_convergence_config(cache, p_grid):
     return parse_config({
         "study": "fs-convergence", "manifold": "P2",
@@ -189,6 +202,36 @@ def test_surface_convergence_replays_and_checks_the_wedge_mass(tmp_path):
         run_study(cfg)
 
 
+def test_forms_at_rounding_count_as_converged(tmp_path, monkeypatch):
+    # a form that pairs to its target up to rounding at every p counts as
+    # converged, whatever the order of its rounding noise
+    targets = []
+    noise = iter([1e-14, 3e-14])
+    descriptor = experiments.descriptor_wedge_pairings
+    wedge = experiments.fs_wedge_pairings
+
+    def recorded(*args):
+        targets.append(descriptor(*args))
+        return targets[-1]
+
+    def at_rounding(*args):
+        out = wedge(*args)
+        out[1] = targets[0][1] + next(noise)
+        return out
+
+    monkeypatch.setattr(experiments, "descriptor_wedge_pairings", recorded)
+    monkeypatch.setattr(experiments, "fs_wedge_pairings", at_rounding)
+    report = run_study(_surface_convergence_config(tmp_path / "cache",
+                                                   [6, 10]))
+    cols = [[r["abs_err"] for r in report["rows"] if r["form"] == s["label"]]
+            for s in report["series"]]
+    assert 0 < cols[1][0] < cols[1][1] <= experiments.MONOTONE_FLOOR
+    mass_falls = cols[0][1] < cols[0][0]
+    assert (report["summary"]["metrics"][0]["monotone_forms"]
+            == 1 + mass_falls)
+    assert report["tolerances"]["monotone_floor"] == 1e-12
+
+
 def _record_target_rules(monkeypatch):
     refs = []
     target_rule = experiments._target_rule
@@ -211,17 +254,18 @@ def test_study_frees_its_target_rule(tmp_path, monkeypatch):
     assert len(refs) == 1 and refs[0]() is None
 
 
-def test_surface_approximation_frees_its_target_rule_before_the_cells(
-        tmp_path, monkeypatch):
-    refs = _record_target_rules(monkeypatch)
-    alive = []
-    point_pairings = distance.point_pairings
+def test_surface_approximation_builds_no_quadrature_rule(tmp_path,
+                                                         monkeypatch):
+    # closed-form Grams, a closed-form target and zero sets paired as
+    # points: nothing of the study takes a rule
+    built = []
+    init = geometry.QuadratureRule.__init__
 
-    def recorded(zero_sets, forms):
-        alive.append(refs[0]() is not None)
-        return point_pairings(zero_sets, forms)
+    def recorded(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(distance, "point_pairings", recorded)
+    monkeypatch.setattr(geometry.QuadratureRule, "__init__", recorded)
     cfg = parse_config({
         "study": "approximation", "manifold": "P2",
         "metrics": [{"h": {"kind": "log_pole", "t": 0.25,
@@ -233,7 +277,7 @@ def test_surface_approximation_frees_its_target_rule_before_the_cells(
     })
     report = run_study(cfg)
     assert [r["status"] for r in report["rows"]] == ["ok"]
-    assert alive == [False]
+    assert built == []
 
 
 _LOG_POLE_OFF_AXES = {

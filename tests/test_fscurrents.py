@@ -7,8 +7,9 @@ from kahlerlab import fscurrents, geometry
 from kahlerlab._kernels import eval_monomials
 from kahlerlab.bundles import (CurrentDescriptor, LineBundle, LogPoleAtom,
                                Metric, SmoothedMaxAtom, _coord_intersection,
-                               curvature_pairing, ddc_pairing, pair_blocks,
-                               pair_omega_basis, wedge_descriptors)
+                               curvature_pairing, curve_divisor_points,
+                               ddc_pairing, pair_omega_basis,
+                               wedge_descriptors)
 from kahlerlab.errors import (ConfigurationError, GeneralPositionError,
                               NumericalError)
 from kahlerlab.fscurrents import (descriptor_form_pairing,
@@ -52,7 +53,7 @@ def test_reference_family_current_is_exact_multiple_of_omega(p1):
         sp = build_section_space(Metric.fubini_study(L), p, adjoint=adjoint)
         factor = 2.0 + shift
         for f in forms:
-            base = factor * pair_omega_basis(0, f, rule)
+            base = factor * pair_omega_basis(0, f)
             assert abs(fs_pairing(sp, f, rule, "potential") - base) < 1e-12
             assert abs(fs_pairing(sp, f, rule, "derivative") - base) < 1e-12
 
@@ -155,7 +156,7 @@ def test_divisor_restriction_pairings(p2):
     chi = TestForm(p2, 1.0, z0, z0, omega_part=[1.0], label="vanishing")
     one_w = constant_form(p2, [1.0])
     got = descriptor_form_pairings(_divisor_current(p2, ("coord", 0)),
-                                   [chi, one_w], quadrature_nodes(p2, 8))
+                                   [chi, one_w])
     # chi vanishes identically on its own divisor
     assert got[0] == 0.0
     assert abs(got[1] - 1.0) < 1e-12
@@ -163,8 +164,7 @@ def test_divisor_restriction_pairings(p2):
     m = build_manifold("P1xP1")
     forms = [constant_form(m, omega_part=[1.0, 0.0]),
              constant_form(m, omega_part=[0.0, 1.0])]
-    got = descriptor_form_pairings(_divisor_current(m, ("coord", 0)), forms,
-                                   quadrature_nodes(m, 8))
+    got = descriptor_form_pairings(_divisor_current(m, ("coord", 0)), forms)
     assert abs(got[0] - 0.0) < 1e-12
     assert abs(got[1] - 1.0) < 1e-12
 
@@ -179,22 +179,47 @@ def test_closed_form_current_matches_stokes_route():
         desc = h.curvature_descriptor()
         for f in test_form_dictionary(m, 1)[:4]:
             a = curvature_pairing(h, f, rule)
-            b = descriptor_form_pairing(desc, f, rule)
+            b = descriptor_form_pairing(desc, f)
             assert abs(a - b) < tol, (kind, f.label, abs(a - b))
 
 
+# A test form's mean on the rules of these tests (block sums of chi times
+# the volume weights against ``TestForm.mean``) is off by up to 2.1e-10 on
+# P2 rules of at most 8 radial nodes and by less than 1e-14 on the P1 and
+# P1xP1 rules.
+QUADRATURE_ERROR = {"P1": 1e-14, "P2": 2.5e-10, "P1xP1": 1e-14}
+
+
 def _ref_descriptor_form_pairing(descriptor, form, rule):
-    """``<T, form>`` one form per pass over the rule."""
+    """``<T, form>`` one form per pass over the rule: the smooth part block
+    by block, divisors of curves as point masses and those of surfaces on
+    the line rule of ``rule``."""
     m = descriptor.manifold
     total = 0.0
-    if np.any(descriptor.omega != 0.0):
-        om = pair_blocks(rule, [form])[0][:, 0]
+    for b in rule.capped_blocks():
+        chi = form.block_values(b)
         for i, c in enumerate(descriptor.omega):
-            if c != 0.0:
-                total += c * om[i]
+            if c == 0.0:
+                continue
+            A = m.omega_basis_matrix(i, b.chart, b.points)
+            if m.dim == 1:
+                total += c * float(np.dot(chi * np.real(A),
+                                          b.weights_lebesgue)) / math.pi
+                continue
+            Bm = sum(w * m.omega_basis_matrix(k, b.chart, b.points)
+                     for k, w in enumerate(form.omega_part))
+            total += c * float(np.dot(chi * wedge_density_11(A, Bm),
+                                      b.weights_lebesgue / 4.0))
     for comp, nu in descriptor.divisors:
-        total += nu * float(
-            fscurrents._divisor_pairings(m, comp, [form], rule)[0])
+        if m.dim == 1:
+            total += nu * sum(float(form_values_hom(m, form, pt[None, :])[0])
+                              for pt in curve_divisor_points(comp))
+            continue
+        _, factor = m.coordinate_line(comp[1])
+        line = form.restriction(comp[1])
+        for b in fscurrents._line_rule(0, rule).capped_blocks():
+            total += nu * form.omega_part[factor] * float(
+                np.dot(line.block_values(b), b.weights_volume))
     if descriptor.circle:
         theta = 2.0 * np.pi * (np.arange(256) + 0.5) / 256
         chi = np.asarray(form.chi(0, np.exp(1j * theta)[:, None]),
@@ -223,11 +248,8 @@ def test_descriptor_form_pairings_match_the_per_form_passes(monkeypatch,
                                 singular_refinement=h.refinement_centers())
 
     forms = test_form_dictionary(m, 1, 6)
-    # the reference walks its own copy of the rule, whose blocks' memo
-    # would otherwise serve the call counted below
-    ref_rule = rule_of_nodes()
-    want = [_ref_descriptor_form_pairing(desc, f, ref_rule) for f in forms]
-    rule = rule_of_nodes()
+    want = [_ref_descriptor_form_pairing(desc, f, rule_of_nodes())
+            for f in forms]
     calls = []
     basis = type(m).omega_basis_matrix
 
@@ -236,10 +258,11 @@ def test_descriptor_form_pairings_match_the_per_form_passes(monkeypatch,
         return basis(self, *args)
 
     monkeypatch.setattr(type(m), "omega_basis_matrix", counted)
-    got = descriptor_form_pairings(desc, forms, rule)
-    np.testing.assert_array_equal(got, want)
-    assert len(calls) == m.factors * len(rule.capped_blocks())
-    assert descriptor_form_pairing(desc, forms[2], rule) == want[2]
+    got = descriptor_form_pairings(desc, forms)
+    np.testing.assert_allclose(got, want, rtol=0, atol=QUADRATURE_ERROR[kind])
+    # the pairing is closed-form: it takes no omega basis matrix
+    assert calls == []
+    assert descriptor_form_pairing(desc, forms[2]) == got[2]
 
 
 def test_descriptor_wedge_mass(p2):
@@ -247,8 +270,7 @@ def test_descriptor_wedge_mass(p2):
     nu = 0.25
     h = two_pole_metric(p2, L, nu, nu)
     W = wedge_descriptors(h.curvature_descriptor(), h.curvature_descriptor())
-    rule = quadrature_nodes(p2, 16)
-    got = descriptor_wedge_pairing(p2, W, constant_form(p2), rule)
+    got = descriptor_wedge_pairing(p2, W, constant_form(p2))
     assert abs(got - (1 - 2 * nu ** 2)) < 1e-9
 
 
@@ -263,6 +285,8 @@ def test_pairing_guards(p1, p2):
     with pytest.raises(ConfigurationError):
         fs_pairing(sp, scalar, rule)
     with pytest.raises(ConfigurationError):
+        pair_omega_basis(0, scalar)
+    with pytest.raises(ConfigurationError):
         fs_pairing(sp, constant_form(p2, omega_part=[1.0]), rule, route="nope")
     with pytest.raises(ConfigurationError):
         fs_wedge_pairing(sp, sp, constant_form(p2, omega_part=[1.0]), rule)
@@ -273,7 +297,7 @@ def test_pairing_guards(p1, p2):
     Q = SectionPoly(p2, 1, np.array([[1, 0, 0]]), np.array([1.0]))
     with pytest.raises(GeneralPositionError):
         descriptor_form_pairings(_divisor_current(p2, ("poly", 0, Q)),
-                                 [constant_form(p2, omega_part=[1.0])], rule)
+                                 [constant_form(p2, omega_part=[1.0])])
 
 
 def test_form_point_values_preserve_order(p2):
@@ -443,10 +467,10 @@ def test_batched_wedge_pairings_match_the_per_form_loop(case):
                               hb.curvature_descriptor())
     if case == "P2-transverse":
         assert len(wedge["points"]) == 1
-    got = descriptor_wedge_pairings(m, wedge, forms, rule)
+    got = descriptor_wedge_pairings(m, wedge, forms)
     ref = [_ref_descriptor_wedge(m, wedge, f, rule) for f in forms]
-    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
-    assert got[1] == descriptor_wedge_pairing(m, wedge, forms[1], rule)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=QUADRATURE_ERROR[m.kind])
+    assert got[1] == descriptor_wedge_pairing(m, wedge, forms[1])
 
 
 def test_batched_potential_pairings_match_the_per_form_loop(p1):
@@ -468,7 +492,7 @@ def test_batched_potential_pairings_match_the_per_form_loop(p1):
     # reference adds its terms in the routine's order
     ref = []
     for f in forms:
-        om = pair_omega_basis(0, f, rule)
+        om = pair_omega_basis(0, f)
         total = ddc_pairing(family_log_norm, f, rule, integrable=True)
         total += sp.p * (2 * om) - 2 * om
         ref.append(total / sp.p)
@@ -719,7 +743,7 @@ def test_wedge_pairings_on_one_rule_build_one_line_rule(monkeypatch):
     monkeypatch.setattr(geometry, "quadrature_nodes", counted)
     first = fs_wedge_pairings(sa, sb, forms, rule)
     second = fs_wedge_pairings(sa, sb, forms, rule)
-    descriptor_wedge_pairings(m, wedge, forms, rule)
+    descriptor_wedge_pairings(m, wedge, forms)
     assert built == [("P1", 48)]
     assert first.tobytes() == second.tobytes()
 
@@ -733,7 +757,7 @@ def test_reused_rule_gives_the_fresh_rule_floats(case):
     def pairings(rule):
         return np.concatenate([
             fs_wedge_pairings(sa, sb, forms, rule),
-            descriptor_wedge_pairings(m, wedge, forms, rule),
+            descriptor_wedge_pairings(m, wedge, forms),
             fs_pairings(sa, omega_forms, rule, route="derivative"),
         ])
 
@@ -746,15 +770,16 @@ def test_reused_rule_gives_the_fresh_rule_floats(case):
 
 def test_divisor_lines_keep_separate_values(p2):
     # |z_0|^2-type forms vanish on {z0 = 0} but not on {z1 = 0}, so a memo
-    # keyed by the form alone would hand the second line the first's values
+    # of the line blocks keyed by the form alone would hand the second
+    # line the first's values
+    sp = build_section_space(Metric.fubini_study(LineBundle(p2, 1)), 4)
     forms = test_form_dictionary(p2, 2, 4)[1:]
-    vecs = [[1.0]] * len(forms)
     rule = quadrature_nodes(p2, 8)
-    shared = [fscurrents._divisor_omega_pairings(
-        p2, ("coord", i), vecs, forms, rule) for i in (0, 1)]
-    fresh = [fscurrents._divisor_omega_pairings(
-        p2, ("coord", i), vecs, forms, quadrature_nodes(p2, 8))
-        for i in (0, 1)]
+    shared = [fscurrents._restricted_pairings(sp, ("coord", i), forms, rule)
+              for i in (0, 1)]
+    fresh = [fscurrents._restricted_pairings(sp, ("coord", i), forms,
+                                             quadrature_nodes(p2, 8))
+             for i in (0, 1)]
     assert not np.array_equal(shared[0], shared[1])
     for got, ref in zip(shared, fresh):
         assert got.tobytes() == ref.tobytes()

@@ -1,9 +1,11 @@
 """Import hygiene: every name a package module imports is used in that
 module, importing the package loads no scipy, running a study loads no
 ``numpy.ma``, every function the benchmark's tracer patches exists, no
-pairing walks a rule's blocks outside ``bundles.pair_blocks``, no module
-but ``geometry`` compares with a manifold kind or splits points by chart,
-and every library function has a caller outside the tests.
+pairing walks a rule's blocks outside ``bundles.pair_blocks``, the
+closed-form pairings reach no walk at all and only the walk takes omega
+basis matrices, no module but ``geometry`` compares with a manifold kind or
+splits points by chart, and every library function has a caller outside
+the tests.
 
 No linter ships with the package, so the first check is the unused-import
 check: each module of ``src/kahlerlab`` is parsed with ``ast`` and the names
@@ -165,6 +167,99 @@ def test_pairings_walk_blocks_only_through_pair_blocks():
     assert users <= BLOCK_WALKERS, (
         f"walks over capped_blocks() outside pair_blocks: "
         f"{sorted(users - BLOCK_WALKERS)}")
+
+
+def _package_functions():
+    """Every function and method of the package by qualified name, and the
+    qualified names behind each bare name; a class name stands for its
+    ``__init__``."""
+    funcs, by_name = {}, {}
+
+    def collect(tree, scope):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                funcs[f"{scope}.{node.name}"] = node
+                by_name.setdefault(node.name, set()).add(
+                    f"{scope}.{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                collect(node, f"{scope}.{node.name}")
+                by_name.setdefault(node.name, set()).add(
+                    f"{scope}.{node.name}.__init__")
+
+    for module in MODULES:
+        collect(ast.parse((PACKAGE / module).read_text(encoding="utf-8")),
+                module[:-len(".py")])
+    return funcs, by_name
+
+
+def _reachable(roots):
+    """The package functions that ``roots`` may call, themselves included.
+
+    A name a function reads, bare or as an attribute, counts as a call of
+    every package function of that name: an over-approximation, so a walk
+    that is not reached is certainly not called.
+    """
+    funcs, by_name = _package_functions()
+    seen, todo = set(), list(roots)
+    while todo:
+        q = todo.pop()
+        if q in seen or q not in funcs:
+            continue
+        seen.add(q)
+        for name in _read_names(funcs[q]):
+            todo += by_name.get(name, ())
+    return {q: funcs[q] for q in seen}
+
+
+# Pairings of closed classes: intersection numbers times exact means, with
+# no quadrature rule.
+CLOSED_FORM_PAIRINGS = [
+    "fscurrents.descriptor_form_pairings",
+    "fscurrents.descriptor_wedge_pairings",
+    "fscurrents._divisor_pairings",
+    "bundles.pair_omega_basis",
+]
+
+
+def test_closed_form_pairings_reach_no_block_walk():
+    reached = _reachable(CLOSED_FORM_PAIRINGS)
+    assert set(CLOSED_FORM_PAIRINGS) <= set(reached)
+    assert "testforms.TestForm.mean" in reached
+    walkers = sorted(q for q, node in reached.items()
+                     if q == "bundles.pair_blocks"
+                     or _capped_block_users(node, q))
+    assert not walkers, f"closed-form pairings reach block walks: {walkers}"
+
+
+def _omega_basis_calls(node, scope, target=None):
+    """``(scope, target)`` of each ``omega_basis_matrix`` call under
+    ``node``: the function it sits in and the names its statement assigns."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            found += _omega_basis_calls(child, f"{scope}.{child.name}")
+            continue
+        inner = target
+        if isinstance(child, ast.Assign):
+            inner = tuple(n.id for t in child.targets for n in ast.walk(t)
+                          if isinstance(n, ast.Name))
+        if (isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "omega_basis_matrix"):
+            found.append((scope, target))
+        found += _omega_basis_calls(child, scope, inner)
+    return found
+
+
+def test_only_the_walk_takes_omega_basis_matrices():
+    # a basis matrix is an (N, 2, 2) complex array per block: only a
+    # Hessian meeting omega needs one, through pair_blocks' ``mats``
+    calls = [c for module in MODULES
+             for c in _omega_basis_calls(ast.parse(
+                 (PACKAGE / module).read_text(encoding="utf-8")),
+                 module[:-len(".py")])]
+    assert calls == [("bundles.pair_blocks", ("mats",))]
 
 
 KIND_LITERALS = {"P1", "P2", "P1xP1"}

@@ -1,9 +1,12 @@
 """One walk over a rule's blocks for every pairing (``bundles.pair_blocks``).
 
 The references below are the per-routine block loops that the walker
-replaced, kept as they were: every pairing must reproduce them bit for bit.
-The call counts check that a form's block weights are taken once per rule,
-whatever the number of walks over it.
+replaced, kept as they were: every potential and density the walk still
+takes must reproduce them bit for bit.  Closed parts (the reference class
+of a log-norm pairing, the smooth and divisor parts of a closed-form wedge)
+left the walk for closed forms; they are compared with the kept loops at
+the rules' own quadrature error.  The call counts check that a form's block
+weights are taken once per rule, whatever the number of walks over it.
 """
 
 import math
@@ -13,19 +16,28 @@ import pytest
 
 from kahlerlab import fscurrents
 from kahlerlab._kernels import eval_monomials
-from kahlerlab.bundles import (LineBundle, Metric, finite_potential,
-                               form_values_hom, wedge_descriptors)
+from kahlerlab.bundles import (LineBundle, Metric, class_pairings,
+                               finite_potential, form_values_hom,
+                               pair_omega_basis, wedge_descriptors)
 from kahlerlab.config import parse_config
 from kahlerlab.experiments import run_study
-from kahlerlab.fscurrents import (ReducedHessianField, descriptor_wedge_pairings,
-                                  fs_wedge_pairings, log_norm_pairings)
-from kahlerlab.geometry import (Manifold, build_manifold, quadrature_nodes,
-                                wedge_density_11)
+from kahlerlab.fscurrents import (ReducedHessianField,
+                                  descriptor_form_pairings,
+                                  descriptor_wedge_pairings, fs_wedge_pairings,
+                                  log_norm_pairings)
+from kahlerlab.geometry import (Block, Manifold, build_manifold,
+                                quadrature_nodes, wedge_density_11)
 from kahlerlab.polynomials import SectionPoly, coordinate_section
 from kahlerlab.sections import build_section_space
 from kahlerlab.testforms import TestForm, test_form_dictionary
 from kahlerlab.zeros import (_seed_key, expected_zero_residuals,
                              potential_rule, sample_section)
+
+# The rules' own error in a test form's mean (block sums of chi times the
+# volume weights against ``TestForm.mean``): 2.1e-10 on P2 rules of at most
+# 8 radial nodes, the reference-class integral ``omega^2`` there being
+# 1 - 4.2e-11; below 1e-14 on the P1 and P1xP1 rules of these cases.
+QUADRATURE_ERROR = {"P1": 1e-14, "P2": 2.5e-10, "P1xP1": 1e-14}
 
 # -- the block loops the walker replaced ---------------------------------------
 
@@ -59,6 +71,8 @@ def _ref_ddc_weights(form, block, mats):
 
 
 def _ref_log_norm_pairings(space, C, forms, rule, family=False):
+    """``(potential part, closed part)`` of the log-norm pairings, the
+    closed part from the block loop's omega terms."""
     m = space.manifold
     out = np.zeros((1 if family else C.shape[1], len(forms)))
     om = np.zeros((m.factors, len(forms)))
@@ -93,7 +107,29 @@ def _ref_log_norm_pairings(space, C, forms, rule, family=False):
     if space.adjoint:
         for i, cdeg in enumerate(m.canonical_degree):
             const += cdeg * om[i]
-    return out + const
+    return out, const
+
+
+def _closed_part(space, forms):
+    """The closed part of ``log_norm_pairings``, in its order of terms."""
+    m = space.manifold
+    const = space.p * class_pairings(m, space.metric.bundle.degree, forms)
+    if space.adjoint:
+        const += class_pairings(m, m.canonical_degree, forms)
+    return const
+
+
+def _assert_log_norm_pairings(got, space, C, forms, rule, family=False):
+    """``got`` is the reference's potential part plus the closed part bit
+    for bit, and the closed part is the reference's to the rule's error."""
+    pot, const_ref = _ref_log_norm_pairings(space, C, forms, rule, family)
+    const = _closed_part(space, forms)
+    np.testing.assert_array_equal(got, pot + const)
+    # the closed class is p c1(L) + c1(K_X): its degrees scale the error
+    scale = space.p * sum(space.metric.bundle.degree) + space.manifold.hom_len
+    np.testing.assert_allclose(
+        const, const_ref, rtol=0,
+        atol=scale * QUADRATURE_ERROR[space.manifold.kind])
 
 
 def _ref_pointwise_pairings(space, forms, rule):
@@ -271,14 +307,12 @@ def test_log_norm_pairings_match_the_block_loop(kind):
                  axis=1)
     family = sp.coeff_matrix()
     got = log_norm_pairings(sp, forms, rule, sections=C, family=family)
-    np.testing.assert_array_equal(
-        got[:1], _ref_log_norm_pairings(sp, family, forms, rule, True))
-    np.testing.assert_array_equal(
-        got[1:], _ref_log_norm_pairings(sp, C, forms, rule))
+    _assert_log_norm_pairings(got[:1], sp, family, forms, rule, True)
+    _assert_log_norm_pairings(got[1:], sp, C, forms, rule)
     # one form goes through a two-column product, as it did
-    np.testing.assert_array_equal(
-        log_norm_pairings(sp, forms[-1:], rule, sections=C),
-        _ref_log_norm_pairings(sp, C, forms[-1:], rule))
+    _assert_log_norm_pairings(
+        log_norm_pairings(sp, forms[-1:], rule, sections=C), sp, C,
+        forms[-1:], rule)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -301,22 +335,26 @@ def test_wedge_pairings_match_the_block_loops(kind):
     desc = sp.metric.curvature_descriptor()
     wedge = wedge_descriptors(desc, desc)
     assert wedge["divisor_omega"]
-    np.testing.assert_array_equal(
-        descriptor_wedge_pairings(m, wedge, forms, rule),
-        _ref_descriptor_wedge_pairings(m, wedge, forms, rule))
+    np.testing.assert_allclose(
+        descriptor_wedge_pairings(m, wedge, forms),
+        _ref_descriptor_wedge_pairings(m, wedge, forms, rule), rtol=0,
+        atol=QUADRATURE_ERROR[kind])
 
 
 def test_expected_zero_residuals_match_the_two_walks():
     sp, rule = _space_and_rule("P2")
     forms = _omega_forms(sp.manifold)
     got = expected_zero_residuals(sp, forms, 100, (13,), rule)
-    # the parent's two calls: fs_pairings, then zero_pairings
-    targets = sp.p * (_ref_log_norm_pairings(
-        sp, sp.coeff_matrix(), forms, rule, family=True)[0] / sp.p)
+    # two separate walks, fs_pairings then zero_pairings, each plus the
+    # closed part
+    const = _closed_part(sp, forms)
+    pot = _ref_log_norm_pairings(sp, sp.coeff_matrix(), forms, rule,
+                                 family=True)[0]
+    targets = sp.p * ((pot + const)[0] / sp.p)
     key = _seed_key((13,))
     C = np.stack([sample_section(sp, key + (i,)).coeffs
                   for i in range(100)], axis=1)
-    vals = _ref_log_norm_pairings(sp, C, forms, rule)
+    vals = _ref_log_norm_pairings(sp, C, forms, rule)[0] + const
     means = np.array([col.mean() for col in vals.T])
     ses = np.array([col.std(ddof=1) for col in vals.T]) / math.sqrt(100)
     for a, b in zip(got, (targets, means, np.abs(means - targets), ses)):
@@ -357,6 +395,36 @@ def test_expected_zero_residuals_take_one_walk(monkeypatch):
     # per block (the two walks took 12 and 6)
     assert calls["hessian"] == {forms[1].label: 3}
     assert calls["omega_basis_matrix"] == 3
+
+
+def test_closed_form_pairings_build_no_node(monkeypatch):
+    # closed classes pair from the forms' exact means: no block builds its
+    # nodes and no omega basis matrix is taken
+    built = []
+    build = Block._build
+
+    def counted_build(self):
+        built.append(self.manifold.kind)
+        return build(self)
+
+    monkeypatch.setattr(Block, "_build", counted_build)
+    calls = _count_calls(monkeypatch)
+    for kind in KINDS:
+        h, _, _ = _case(kind)
+        m = h.manifold
+        desc = h.curvature_descriptor()
+        forms = _omega_forms(m)
+        assert desc.divisors
+        descriptor_form_pairings(desc, forms)
+        pair_omega_basis(0, forms[-1])
+        if m.dim == 2:
+            other = Metric.log_pole(h.bundle, coordinate_section(m, 2), 0.5)
+            for wedge in (wedge_descriptors(desc, desc), wedge_descriptors(
+                    desc, other.curvature_descriptor())):
+                descriptor_wedge_pairings(m, wedge,
+                                          test_form_dictionary(m, 2, 4))
+    assert built == []
+    assert calls["omega_basis_matrix"] == 0
 
 
 def test_fs_convergence_takes_form_weights_once_per_rule(monkeypatch,

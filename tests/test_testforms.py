@@ -202,3 +202,38 @@ def test_restrictions_match_the_form_on_the_line(name):
                 _assert_close_per_block(got, ref)
         # some dictionary forms vanish on every coordinate line
         assert vanish
+
+
+# -- exact means -------------------------------------------------------------
+
+
+def _block_mean(form, rule):
+    return sum(float(np.dot(form.block_values(b), b.weights_volume))
+               for b in rule.capped_blocks())
+
+
+@pytest.mark.parametrize("kind, resolution, tol", [
+    ("P1", 48, 1e-14), ("P2", 32, 1e-13), ("P1xP1", 32, 1e-13)])
+def test_mean_matches_the_block_sums(kind, resolution, tol):
+    m = build_manifold(kind)
+    rule = quadrature_nodes(m, resolution)
+    forms = form_dictionary(m, m.dim, 12) + [_multi_term_form(m)]
+    for f in forms:
+        assert abs(f.mean() - _block_mean(f, rule)) <= tol, f.label
+    # off-diagonal term pairs average out: im[..] forms have mean 0
+    assert any(f.mean() == 0.0 and not f.constant for f in forms)
+
+
+@pytest.mark.parametrize("kind", ["P2", "P1xP1"])
+def test_restriction_means_match_the_line_sums(kind):
+    # every coordinate line of P2 and both rulings of P1xP1
+    m = build_manifold(kind)
+    line_rule = quadrature_nodes(build_manifold("P1"), 48)
+    forms = form_dictionary(m, 2, 12) + [_multi_term_form(m)]
+    factors = set()
+    for coord in range(m.hom_len):
+        factors.add(m.coordinate_line(coord)[1])
+        for f in forms:
+            g = f.restriction(coord)
+            assert abs(g.mean() - _block_mean(g, line_rule)) <= 1e-14
+    assert factors == set(range(m.factors))

@@ -981,7 +981,7 @@ def _loop_divisor_pairing(sec, form, rule):
     total += sp.p * curvature_pairing(sp.metric, form, rule)
     if sp.adjoint:
         for i, cdeg in enumerate(sp.manifold.canonical_degree):
-            total += cdeg * pair_omega_basis(i, form, rule)
+            total += cdeg * pair_omega_basis(i, form)
     return total
 
 
