@@ -17,8 +17,9 @@ companion ``eigvals`` call per polynomial length and clusters the zeros of
 all its sections in one pass over their pairwise distances; the raw zeros
 of one surface pair are clustered the same way; one elimination attempt
 works on stacks (one call for its Sylvester determinants, one per fiber
-degree for its companion matrices, one scoring and one Newton polish for
-all its points), and ``point_pairings`` pairs many zero sets through
+degree for both sections' companion matrices, Horner scores on the fiber
+rows, one Newton iteration on dense chart grids for all its points in all
+charts), and ``point_pairings`` pairs many zero sets through
 :func:`kahlerlab.bundles.point_mass_pairings`, which evaluates each form
 once on their stacked points.  Divisor pairings (``zero_pairings`` on
 surfaces) are :func:`kahlerlab.fscurrents.log_norm_pairings` of the
@@ -373,32 +374,32 @@ def empirical_general_position(members):
     if a.manifold.dim != 2:
         raise ConfigurationError(
             "general position of a pair is a surface check")
-    if _proportional(a, b):
+    ga = _unit_dense(a)
+    gb = _unit_dense(b)
+    if a.degree == b.degree and _proportional(ga, gb):
         return False
     for coord in range(a.manifold.hom_len):
         if a.vanishing_order(coord) >= 1 and b.vanishing_order(coord) >= 1:
             return False
-    ga = _unit_dense(a)
-    gb = _unit_dense(b)
     bound = 2 * a.manifold.intersection_number([a.degree, b.degree]) + 1
     return not (_resultant_zero(ga, gb, 1, bound)
                 or _resultant_zero(ga, gb, 0, bound))
 
 
-def _proportional(a, b):
-    if a.degree != b.degree:
-        return False
-    keys = {tuple(int(x) for x in e) for e in a.exponents}
-    keys |= {tuple(int(x) for x in e) for e in b.exponents}
-    keys = sorted(keys)
-    idx = {k: i for i, k in enumerate(keys)}
-    M = np.zeros((2, len(keys)), dtype=complex)
-    for row, p in enumerate((a, b)):
-        for e, c in zip(p.exponents, p.coeffs):
-            M[row, idx[tuple(int(x) for x in e)]] = c
-    M /= np.linalg.norm(M, axis=1, keepdims=True)
-    s = np.linalg.svd(M, compute_uv=False)
-    return s[-1] < 1e-12
+def _proportional(ga, gb):
+    """Whether the unit chart-0 grids of two sections of one degree are
+    proportional, to rounding."""
+    M = _padded([ga, gb]).reshape(2, -1)
+    return np.linalg.svd(M, compute_uv=False)[-1] < 1e-12
+
+
+def _padded(arrays):
+    """Arrays with one number of axes, zero-padded to one shape, stacked."""
+    out = np.zeros((len(arrays),) + tuple(np.max([a.shape for a in arrays],
+                                                 axis=0)), dtype=complex)
+    for row, a in zip(out, arrays):
+        row[tuple(slice(k) for k in a.shape)] = a
+    return out
 
 
 def _unit_dense(poly):
@@ -535,23 +536,15 @@ def _admissible_ys(m, rots, grids, xs, counts, cap=1e-5):
     """``counts[k]`` second coordinates over each ``xs[k]``, in a row, or
     None when some root has none.
 
-    Candidates are the fiber roots of each section, scored together by the
-    larger relative value of the rotated sections; per root the best within
-    ``cap`` are taken, skipping near-duplicates, the last one repeated.
+    Candidates and their scores come from ``_fiber_candidates``; per root
+    the best within ``cap`` are taken, skipping near-duplicates, the last
+    one repeated.
     """
-    fibers = [np.concatenate(rs) for rs in zip(
-        *[_fiber_roots(_coeff_slices(g, xs, 1)) for g in grids])]
-    sizes = [len(f) for f in fibers]
-    if min(sizes) == 0:
+    fibers, scores = _fiber_candidates(m, rots, grids, xs)
+    if min(len(f) for f in fibers) == 0:
         return None
-    cands = np.concatenate(fibers)
-    pts = m.from_chart(np.stack([np.repeat(xs, sizes), cands], axis=1), 0)
-    res = np.zeros(len(cands))
-    for rp in rots:
-        res = np.maximum(
-            res, np.abs(rp.eval_hom(pts)) / np.linalg.norm(rp.coeffs))
     ys = []
-    for f, r, g in zip(fibers, np.split(res, np.cumsum(sizes)[:-1]), counts):
+    for f, r, g in zip(fibers, scores, counts):
         out = []
         for i in np.argsort(r):
             if r[i] > cap:
@@ -565,6 +558,33 @@ def _admissible_ys(m, rots, grids, xs, counts, cap=1e-5):
             return None
         ys.extend(out[min(j, len(out) - 1)] for j in range(g))
     return np.array(ys)
+
+
+def _fiber_candidates(m, rots, grids, xs):
+    """The roots of both rotated sections' fiber rows over each ``xs[k]``
+    (one ``_fiber_roots`` call) and their scores, two lists.
+
+    A score is the larger of the sections' ``eval_hom`` values at the
+    normalized point over their coefficient norms, computed as the Horner
+    value of the fiber row times ``prod_f |(1, z_f)|^(-d_f)``, one factor
+    per projective factor.
+    """
+    rows = [_coeff_slices(g, xs, 1) for g in grids]
+    n = len(xs)
+    roots = _fiber_roots(_padded(rows).reshape(2 * n, -1))
+    fibers = [np.concatenate([roots[k], roots[n + k]]) for k in range(n)]
+    sizes = [len(f) for f in fibers]
+    owner = np.repeat(np.arange(n), sizes)
+    ys = np.concatenate(fibers)
+    lift = np.sqrt(1.0 + m.factor_squares(np.stack([xs[owner], ys], axis=1)))
+    score = np.zeros(len(ys))
+    for rp, r in zip(rots, rows):
+        val = np.zeros(len(ys), dtype=complex)
+        for col in r[owner].T[::-1]:
+            val = val * ys + col
+        val = val * np.prod(lift ** -np.array(rp.degree, dtype=float), axis=1)
+        score = np.maximum(score, np.abs(val) / np.linalg.norm(rp.coeffs))
+    return fibers, np.split(score, np.cumsum(sizes)[:-1])
 
 
 def _fiber_roots(V):
@@ -609,59 +629,79 @@ def _polish_surface(m, polys, pts, steps=30):
     Each point moves in the chart of its largest coordinate, by its own
     rule: at most ``steps`` Newton steps, each halved up to 9 times until
     the scaled residual drops; a point stops when no halving helps, when
-    its Jacobian is singular or once the residual is below 1e-15.  Points
-    sharing a chart are stepped together.  Returns the polished points and
-    the residual of each, the larger of the two sections' values relative
-    to their coefficient norms.
+    its Jacobian is singular or once the residual is below 1e-15.  The
+    points of all charts step together, each on its chart's dense grids
+    (``_newton_stack``).  Returns the polished points and the residual of
+    each, the larger of the two sections' ``eval_hom`` values relative to
+    their coefficient norms.
     """
     pts = m.normalize(pts)
     scales = np.array([np.linalg.norm(p.coeffs) for p in polys])
+    split = list(m.chart_split(pts))
+    z = np.empty((len(pts), m.dim), dtype=complex)
+    own = np.empty(len(pts), dtype=int)
+    for k, (_, sel, Z) in enumerate(split):
+        z[sel], own[sel] = Z, k
+    z = _newton_stack(_chart_grids(polys, [c for c, _, _ in split]), own, z,
+                      scales, steps)
     out = np.empty_like(pts)
-    for chart, sel, Z in m.chart_split(pts):
-        z = _newton_chart([p.chart_poly(chart) for p in polys], Z, scales,
-                          steps)
-        out[sel] = m.from_chart(z, chart)
+    for chart, sel, _ in split:
+        out[sel] = m.from_chart(z[sel], chart)
     res = np.max([np.abs(p.eval_hom(out)) / s
                   for p, s in zip(polys, scales)], axis=0)
     return out, res
 
 
-def _newton_chart(cps, z, scales, steps):
-    """The Newton iteration of ``_polish_surface`` on chart points ``z``."""
-    dps = [[cp.deriv(0), cp.deriv(1)] for cp in cps]
+def _chart_grids(polys, charts):
+    """Dense grids ``(charts, sections, 3, X, Y)`` of each section's chart
+    polynomial and its two partials (exponent shifts), zero-padded."""
+    grids = []
+    for chart in charts:
+        for p in polys:
+            g = p.chart_poly(chart).dense()
+            grids += [g, g[1:] * np.arange(1, g.shape[0])[:, None],
+                      g[:, 1:] * np.arange(1, g.shape[1])]
+    out = _padded(grids)
+    return out.reshape(len(charts), len(polys), 3, *out.shape[1:])
 
-    def fval(zz):
-        return np.stack([cp.eval(zz) for cp in cps], axis=1)
+
+def _newton_stack(G, own, z, scales, steps):
+    """``_polish_surface``'s Newton iteration, in place, on chart points
+    ``z``, point ``i`` on the grids ``G[own[i]]`` of ``_chart_grids``.  A
+    step's nine halvings are evaluated in one call; each point takes the
+    first that lowers its residual, as a loop over the halvings would."""
+    halvings = 0.5 ** np.arange(9)
+
+    def values(zz, k):
+        Vx = np.vander(zz[:, 0], G.shape[-2], increasing=True)
+        Vy = np.vander(zz[:, 1], G.shape[-1], increasing=True)
+        out = np.empty((len(zz),) + G.shape[1:3], dtype=complex)
+        for c, grids in enumerate(G):
+            sel = k == c
+            out[sel] = np.einsum("fdxy,nx,ny->nfd", grids, Vx[sel], Vy[sel])
+        return out
 
     def resid(f):
-        return np.max(np.abs(f) / scales, axis=1)
+        return np.max(np.abs(f) / scales, axis=-1)
 
-    z = z.copy()
-    f = fval(z)
-    best = resid(f)
+    v = values(z, own)
+    best = resid(v[:, :, 0])
     live = np.arange(len(z))
     for _ in range(steps):
         if not live.size:
             break
-        J = np.stack([np.stack([d.eval(z[live]) for d in row], axis=1)
-                      for row in dps], axis=1)
-        step, solved = _solve_stacked(J, -f[live])
+        step, solved = _solve_stacked(v[live, :, 1:], -v[live, :, 0])
         live, step = live[solved], step[solved]
-        improved = np.zeros(live.size, dtype=bool)
-        todo = np.arange(live.size)
-        for _ in range(9):
-            idx = live[todo]
-            zc = z[idx] + step[todo]
-            fc = fval(zc)
-            rc = resid(fc)
-            ok = rc < best[idx]
-            z[idx[ok]], f[idx[ok]], best[idx[ok]] = zc[ok], fc[ok], rc[ok]
-            improved[todo[ok]] = True
-            todo = todo[~ok]
-            if not todo.size:
-                break
-            step[todo] = 0.5 * step[todo]
-        live = live[improved & ~(best[live] < 1e-15)]
+        zc = z[live] + halvings[:, None, None] * step
+        vc = values(zc.reshape(-1, z.shape[1]), np.tile(own[live], 9))
+        vc = vc.reshape(9, live.size, *v.shape[1:])
+        rc = resid(vc[..., 0])
+        ok = rc < best[live]
+        j = np.flatnonzero(ok.any(axis=0))
+        k = np.argmax(ok[:, j], axis=0)
+        live = live[j]
+        z[live], v[live], best[live] = zc[k, j], vc[k, j], rc[k, j]
+        live = live[~(best[live] < 1e-15)]
     return z
 
 
@@ -739,7 +779,7 @@ def _pullback(poly, Us):
         ok &= t.sum(axis=1) <= d
         parts += [d - t.sum(axis=1, keepdims=True), t]
     coeffs = grid.reshape(-1)[ok]
-    keep = np.array([abs(c) > cut for c in coeffs.tolist()], dtype=bool)
+    keep = np.abs(coeffs) > cut
     if not keep.any():
         raise NumericalError("rotation wiped out a nonzero section")
     return SectionPoly(m, poly.degree, np.concatenate(parts, axis=1)[ok][keep],

@@ -612,8 +612,8 @@ def _polish_one(m, polys, pt, steps=30):
     return m.from_chart(z[None], chart)[0]
 
 
-@pytest.mark.parametrize("case", ["fs-cubics", "pole-sextics"])
-def test_batched_polish_matches_the_per_point_polish(p2, monkeypatch, case):
+@pytest.mark.parametrize("case", ["fs-cubics", "pole-sextics", "bidegree"])
+def test_batched_polish_matches_the_per_point_polish(monkeypatch, case):
     calls = []
     batched = zeros._polish_surface
 
@@ -625,29 +625,75 @@ def test_batched_polish_matches_the_per_point_polish(p2, monkeypatch, case):
     monkeypatch.setattr(zeros, "_polish_surface", record)
     if case == "fs-cubics":
         # the pair of test_random_plane_pair_meets_the_intersection_bound
-        sp = fs_space(p2, 1, 6)
+        m = build_manifold("P2")
+        sp = fs_space(m, 1, 6)
         zs = common_zeros(sample_tuple([sp, sp], (11, 0)))
         assert total_multiplicity(zs) == 9
-    else:
+    elif case == "pole-sextics":
         # coordinate poles as in the approximation study, not adjoint
+        m = build_manifold("P2")
         spaces = [build_section_space(Metric.log_pole(
-            LineBundle(p2, 1), coordinate_section(p2, i), 0.25), 6,
+            LineBundle(m, 1), coordinate_section(m, i), 0.25), 6,
             adjoint=False) for i in (0, 1)]
         zs = common_zeros(sample_tuple(spaces, (7, 2)))
         assert total_multiplicity(zs) == 36
+    else:
+        m, polys = _attempt_cases("bidegree")
+        zs = common_zeros(polys)
+        assert total_multiplicity(zs) == 18
     polys, pts, out, res = calls[-1]
     assert len(pts) == total_multiplicity(zs)
+    # one stack holds the points of several charts
+    assert len(set(m.chart_of(out).tolist())) >= 2
     for pt, got, r in zip(pts, out, res):
-        want = _polish_one(p2, polys, pt)
-        assert float(p2.chordal_distance(got[None], want[None])[0]) <= 1e-12
+        want = _polish_one(m, polys, pt)
+        assert float(m.chordal_distance(got[None], want[None])[0]) <= 1e-12
         assert r <= zeros._RESIDUAL_CAP
     # started further off, points take several steps and step halvings
     rng = np.random.default_rng(1)
     far = pts + 0.1 * (rng.standard_normal(pts.shape)
                        + 1j * rng.standard_normal(pts.shape))
-    out, _ = batched(p2, polys, far)
-    want = np.array([_polish_one(p2, polys, pt) for pt in far])
-    assert np.all(p2.chordal_distance(out, want) <= 1e-12)
+    out, _ = batched(m, polys, far)
+    want = np.array([_polish_one(m, polys, pt) for pt in far])
+    assert np.all(m.chordal_distance(out, want) <= 1e-12)
+
+
+def test_singular_jacobian_in_a_mixed_chart_stack_stops_its_own_point(
+        p2, monkeypatch):
+    # x^2 + y^2 = 4 and x^2 - y^2 = 1 in chart 0: both gradients vanish at
+    # [1:0:0], and the four common zeros lie in chart 1
+    a = SectionPoly.from_coeff_map(
+        p2, 2, {(0, 2, 0): 1.0, (0, 0, 2): 1.0, (2, 0, 0): -4.0})
+    b = SectionPoly.from_coeff_map(
+        p2, 2, {(0, 2, 0): 1.0, (0, 0, 2): -1.0, (2, 0, 0): -1.0})
+    roots = np.array([[1.0, sx * np.sqrt(2.5), sy * np.sqrt(1.5)]
+                      for sx in (1, -1) for sy in (1, -1)], dtype=complex)
+    rng = np.random.default_rng(4)
+    start = np.concatenate([
+        roots + 0.05 * (rng.standard_normal(roots.shape)
+                        + 1j * rng.standard_normal(roots.shape)),
+        [[1.0, 0.0, 0.0], [1.0, 0.4 + 0.1j, 0.2j]]])
+    assert set(p2.chart_of(start).tolist()) == {0, 1}
+    solves = []
+    solve = zeros._solve_stacked
+
+    def record(J, rhs):
+        out = solve(J, rhs)
+        solves.append(out[1])
+        return out
+
+    monkeypatch.setattr(zeros, "_solve_stacked", record)
+    out, res = zeros._polish_surface(p2, [a, b], start)
+    # the singular point is rejected at its first solve and stays put
+    assert solves[0].tolist() == [True] * 4 + [False, True]
+    assert np.array_equal(out[4], np.array([1.0, 0.0, 0.0], dtype=complex))
+    assert res[4] > 0.1
+    for pt, got in zip(start, out):
+        want = _polish_one(p2, [a, b], pt)
+        assert float(p2.chordal_distance(got[None], want[None])[0]) <= 1e-12
+    assert np.all(res[:4] <= 1e-15)
+    hits = [float(p2.chordal_distance(out[:4], r[None]).min()) for r in roots]
+    assert max(hits) < 1e-12
 
 
 def test_singular_jacobian_stops_only_its_own_point():
@@ -695,19 +741,39 @@ def _ref_fiber_roots(v):
     return list(np.roots(v[keep - 1::-1])) if keep > 1 else []
 
 
+def _ref_fiber_scores(m, rots, rows, x, ys):
+    """Scores of the fiber roots ``ys`` over ``x``: per rotated section,
+    the Horner value of its fiber row times the chart-0 normalization
+    ``prod_f |(1, z_f)|^(-d_f)`` over its coefficient norm; the larger."""
+    ys = np.asarray(ys, dtype=complex)
+    lift = np.sqrt(1.0 + m.factor_squares(
+        np.stack([np.full(len(ys), x, dtype=complex), ys], axis=1)))
+    res = np.zeros(len(ys))
+    for rp, row in zip(rots, rows):
+        val = np.zeros(len(ys), dtype=complex)
+        for c in row[::-1]:
+            val = val * ys + c
+        val = val * np.prod(lift ** -np.array(rp.degree, dtype=float), axis=1)
+        res = np.maximum(res, np.abs(val) / np.linalg.norm(rp.coeffs))
+    return res
+
+
+def _ref_normalized_scores(m, rots, x, ys):
+    """The same scores from ``eval_hom`` at the normalized points."""
+    pts = m.from_chart(np.stack([np.full(len(ys), x, dtype=complex),
+                                 np.asarray(ys, dtype=complex)], axis=1), 0)
+    return np.max([np.abs(rp.eval_hom(pts)) / np.linalg.norm(rp.coeffs)
+                   for rp in rots], axis=0)
+
+
 def _ref_admissible_ys(m, rots, ga, gb, x, g, cap=1e-5):
+    rows = [np.atleast_1d(npoly.polyval(x, grid)) for grid in (ga, gb)]
     cands = []
-    for grid in (ga, gb):
-        cands.extend(_ref_fiber_roots(
-            np.atleast_1d(npoly.polyval(x, grid))))
+    for row in rows:
+        cands.extend(_ref_fiber_roots(row))
     if not cands:
         return []
-    pts = m.from_chart(np.stack([np.full(len(cands), x, dtype=complex),
-                                 np.asarray(cands)], axis=1), 0)
-    res = np.zeros(len(cands))
-    for rp in rots:
-        res = np.maximum(
-            res, np.abs(rp.eval_hom(pts)) / np.linalg.norm(rp.coeffs))
+    res = _ref_fiber_scores(m, rots, rows, x, cands)
     out = []
     for i in np.argsort(res):
         if res[i] > cap:
@@ -809,6 +875,28 @@ def test_stacked_attempt_matches_the_per_root_loop(monkeypatch, case):
     np.testing.assert_array_equal(seen["rot_pts"], want_pts)
     assert seen["counts"].tolist() == want_counts
     assert max(want_counts) == (2 if case == "tangent" else 1)
+
+
+@pytest.mark.parametrize("case", ["fs-cubics", "pole-sextics", "bidegree",
+                                  "tangent"])
+def test_fiber_scores_are_the_normalized_values(case):
+    """Horner scores against ``eval_hom`` at the normalized points, for the
+    fiber roots over every eliminant root.  A score is a relative value,
+    at most 1 (Cauchy-Schwarz at a unit point), and a common zero's is
+    rounding, so the bound is 1e-12 relative to that scale."""
+    m, polys = _attempt_cases(case)
+    bez = m.intersection_number([polys[0].degree, polys[1].degree])
+    rots, _ = zeros._rotate_pair(m, polys, 0)
+    grids = [r.chart_poly(0).dense() for r in rots]
+    _, xs, _, _ = _ref_attempt(m, polys, bez, 0)
+    fibers, scores = zeros._fiber_candidates(m, rots, grids, xs)
+    assert len(fibers) == len(scores) == bez
+    for x, ys, got in zip(xs, fibers, scores):
+        want = _ref_normalized_scores(m, rots, x, ys)
+        assert len(ys) == sum(len(_ref_fiber_roots(np.atleast_1d(
+            npoly.polyval(x, g)))) for g in grids)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert np.all(want <= 1.0 + 1e-12)
 
 
 def test_stacked_sylvester_matches_one_matrix_at_a_time():
