@@ -410,16 +410,6 @@ class CurrentDescriptor:
         self.divisors = list(divisors)
         self.circle = float(circle)
 
-    def mass(self):
-        """Total mass <T ^ omega^{n-1}, 1> from the closed forms."""
-        m = self.manifold
-        total = float(self.omega @ _omega_factor_masses(m))
-        for comp, nu in self.divisors:
-            total += nu * _divisor_omega_mass(m, comp)
-        if m.dim == 1:
-            total += self.circle
-        return total
-
 
 def component_key(comp):
     """The identity of a divisor component: a coordinate component
@@ -428,31 +418,8 @@ def component_key(comp):
     return comp[:2] if comp[0] == "poly" else comp
 
 
-def _class_mass(manifold, degree):
-    """``<c ^ omega^{n-1}, 1>`` of the class ``c = sum_f degree_f omega_f``,
-    with ``omega = sum_f omega_f / omega_norm``."""
-    m = manifold
-    ones = (1,) * m.factors
-    return (m.intersection_number([degree] + [ones] * (m.dim - 1))
-            / m.omega_norm ** (m.dim - 1))
-
-
-def _omega_factor_masses(manifold):
-    """<omega_i ^ omega^{n-1}, 1> for the basis forms."""
-    return np.array([_class_mass(manifold, _unit_degree(manifold, f))
-                     for f in range(manifold.factors)])
-
-
 def _unit_degree(manifold, factor):
     return tuple(int(f == factor) for f in range(manifold.factors))
-
-
-def _divisor_omega_mass(manifold, comp):
-    """<[D] ^ omega^{n-1}, 1> for one component."""
-    if comp[0] == "coord":
-        return _class_mass(manifold, _unit_degree(
-            manifold, manifold.coord_factors[comp[1]]))
-    return _class_mass(manifold, comp[2].degree)
 
 
 def wedge_descriptors(A, B):

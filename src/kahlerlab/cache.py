@@ -7,6 +7,11 @@ plan, resolution and ``sections.NUMERICS_VERSION``), so it can be keyed by
 a canonical JSON fingerprint of exactly those inputs and replayed across
 runs; an entry written by code with other numerics misses.
 
+An entry stores the orthonormal frame in the form the space holds it (see
+:mod:`kahlerlab.sections`): the real scale vector of a diagonal Gram, O(dim)
+numbers, or the real and imaginary parts of a dense frame matrix.  ``SCHEMA``
+names that layout, so entries written in another layout miss.
+
 Entries are gzip-compressed JSON blobs named by the SHA-256 of their key
 fragment.  Writes are atomic (temp file then rename) so interrupted runs
 never leave a truncated entry; reads treat any undecodable file as a miss
@@ -24,7 +29,8 @@ import numpy as np
 
 from .sections import build_section_space
 
-SCHEMA = "kahlerlab-space/1"
+# version 2: a diagonal Gram's frame is stored as its scale vector
+SCHEMA = "kahlerlab-space/2"
 
 
 def metric_fingerprint(metric):
@@ -83,14 +89,16 @@ def cache_get(cache_dir, key):
 
 def space_payload(space):
     coeff = space.coeff_matrix()
-    return {
+    payload = {
         "schema": SCHEMA,
         "dim": space.dim,
         "condition": space.gram_condition,
         "method": space.gram_method,
         "coeff_re": coeff.real.tolist(),
-        "coeff_im": coeff.imag.tolist(),
     }
+    if np.iscomplexobj(coeff):
+        payload["coeff_im"] = coeff.imag.tolist()
+    return payload
 
 
 def space_fragment(space):
@@ -120,8 +128,10 @@ def cached_space(metric, p, adjoint=True, resolution=None, cache_dir=None):
     payload = cache_get(cache_dir, key)
     if payload is not None and payload.get("schema") == SCHEMA:
         if payload["dim"] == space.dim:
-            coeff = (np.asarray(payload["coeff_re"], dtype=float)
-                     + 1j * np.asarray(payload["coeff_im"], dtype=float))
+            coeff = np.asarray(payload["coeff_re"], dtype=float)
+            if "coeff_im" in payload:
+                coeff = coeff + 1j * np.asarray(payload["coeff_im"],
+                                                dtype=float)
             space.load_orthonormal(coeff, payload["condition"],
                                    payload["method"])
             return space, "hit"

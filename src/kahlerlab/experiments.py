@@ -79,11 +79,6 @@ def _space(cfg, report, metric, p):
     return space
 
 
-def _target_rule(cfg):
-    """The rule of the family wedges of a surface convergence study."""
-    return quadrature_nodes(cfg.manifold, cfg.resolution or 16)
-
-
 def _lambda(kind):
     if kind == "log":
         return lambda p: max(math.log(p), 1e-300)
@@ -271,7 +266,7 @@ def _run_fs_convergence(cfg, report):
             wedge = wedge_descriptors(ha.curvature_descriptor(),
                                       hb.curvature_descriptor())
             targets = descriptor_wedge_pairings(man, wedge, forms).tolist()
-            vrule = _target_rule(cfg)
+            vrule = quadrature_nodes(man, cfg.resolution or 16)
         err_table = []
         masses = []
         for p in cfg.p_grid:

@@ -182,8 +182,7 @@ def fs_pairings(space, forms, rule, route="potential"):
     forms = list(forms)
     _require_omega_parts(space.manifold, forms)
     if route == "potential":
-        return log_norm_pairings(space, forms, rule,
-                                 family=space.coeff_matrix())[0] / space.p
+        return log_norm_pairings(space, forms, rule, family=True)[0] / space.p
     if route != "derivative":
         raise ConfigurationError(f"unknown pairing route {route!r}")
     totals = _pointwise_pairings(space, forms, rule)
@@ -193,7 +192,7 @@ def fs_pairings(space, forms, rule, route="potential"):
     return totals
 
 
-def log_norm_pairings(space, forms, rule, sections=None, family=None):
+def log_norm_pairings(space, forms, rule, sections=None, family=False):
     """``int u dd^c f + p <c1(L), f> (+ <c1(K_X), f>)`` for log-norm
     potentials u of the space, in one walk over the rule.
 
@@ -202,10 +201,11 @@ def log_norm_pairings(space, forms, rule, sections=None, family=None):
     :func:`_log_norm_base`) the rest, so the metric perturbation, which
     would enter both terms, cancels and ``c1(L)`` is the reference class.
     The result has, with ``family``, first p times the current pairing of
-    the family with coefficient columns ``family`` (potential ``1/2 log
-    sum_j |M c_j|^2 + base``), then a row ``<[s_j = 0], f>`` per column
-    c_j of ``sections``.  ``M`` and ``base`` serve all rows of a block.  A
-    family goes in one product, sections in column chunks of at most
+    the space's orthonormal family (potential ``1/2 log sum_j |s_j|^2 +
+    base``, ``s`` the :meth:`SectionSpace.orthonormal` frame of ``M``),
+    then a row ``<[s_j = 0], f>`` per column c_j of ``sections``.  ``M``
+    and ``base`` serve all rows of a block.  A family goes in one frame
+    application, sections in column chunks of at most
     ``_LOG_NORM_CHUNK`` (nodes, columns) entries.  A potential non-finite
     at too many nodes of a block raises as in ``bundles.finite_potential``.
     """
@@ -218,8 +218,8 @@ def log_norm_pairings(space, forms, rule, sections=None, family=None):
     def log_norms(b):
         M = space.monomial_values(b.chart, b.points)
         base = _log_norm_base(space, b.chart, b.points)
-        if family is not None:
-            A = np.abs(M @ family)
+        if family:
+            A = np.abs(space.orthonormal(M))
             u = 0.5 * _log_modulus(np.einsum("nj,nj->n", A, A)) + base
             del A  # node-by-member sized: free before the sections' chunks
             yield finite_potential(u, integrable=True)
@@ -517,4 +517,4 @@ def _line_family(space, comp):
     q_line = int(E[keep][0, slots[0]] + E[keep][0, slots[1]])
     R = np.zeros((q_line + 1, space.exponents.shape[0]))
     R[a_slot, np.nonzero(keep)[0]] = space.scales[keep]
-    return R @ space.coeff_matrix(), q_line
+    return space.orthonormal(R), q_line

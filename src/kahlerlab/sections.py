@@ -13,10 +13,11 @@ forced vanishing orders are recorded as ``base_divisors``.
 Three Gram assembly strategies share one orthonormalization path:
 
 * rotation-invariant weights: the Gram matrix is diagonal in the monomial
-  basis.  For log poles on monomials (or none, as for FS) its entries are
-  Dirichlet moments with real exponents, taken in closed form with no rule;
-  other atoms keep a torus-reduced rule (one angular node carrying the full
-  2 pi weight), exact in the angular directions;
+  basis, so it is kept as the real vector of its diagonal.  For log poles
+  on monomials (or none, as for FS) its entries are Dirichlet moments with
+  real exponents, taken in closed form with no rule; other atoms keep a
+  torus-reduced rule (one angular node carrying the full 2 pi weight),
+  exact in the angular directions;
 * smooth weights and coordinate-axis poles: the angular dependence enters
   through finitely many Fourier modes of ``e^{-2 p psi}``, so an FFT over the
   uniform angular grids contracts radial basis profiles against those modes;
@@ -31,6 +32,12 @@ Three Gram assembly strategies share one orthonormalization path:
 
 All of them run in log space wherever magnitudes can leave the comfortable
 range of double precision; overflow is detected and raised, never clipped.
+
+The orthonormal frame keeps the form of its Gram: a diagonal Gram gives the
+real vector of scales ``G_aa^-1/2``, O(dim) however large the space, and the
+other two give a dense complex matrix.  :meth:`SectionSpace.orthonormal` is
+the one place that applies a frame, so no other module knows which form a
+space holds.
 """
 
 import math
@@ -236,7 +243,7 @@ class SectionSpace:
 
     def section_values(self, chart, Z):
         """Orthonormal section values in the chart frame."""
-        return self.basis_values(chart, Z) @ self.coeff_matrix()
+        return self.orthonormal(self.basis_values(chart, Z))
 
     def reduced_section_values(self, chart, Z, derivs=False):
         """Orthonormal sections divided by their forced common factors.
@@ -248,17 +255,16 @@ class SectionSpace:
         Z = np.atleast_2d(np.asarray(Z, dtype=complex))
         cols = self.manifold.chart_columns(chart)
         E = (self.exponents - self.coordinate_shift[None, :])[:, cols]
-        C = self.coeff_matrix()
         B = eval_monomials(Z, E, self.scales)
         if not derivs:
-            return B @ C
+            return self.orthonormal(B)
         dB = []
         for ax in range(len(cols)):
             Em = E.copy()
             Em[:, ax] = np.maximum(E[:, ax] - 1, 0)
             dB.append(eval_monomials(Z, Em,
                                      self.scales * E[:, ax].astype(float)))
-        return B @ C, [d @ C for d in dB]
+        return self.orthonormal(B), [self.orthonormal(d) for d in dB]
 
     # -- Gram assembly ---------------------------------------------------------
 
@@ -313,9 +319,11 @@ class SectionSpace:
                 "resolution": res, "rule": plan}
 
     def gram(self):
-        """The Gram matrix of the scaled basis, assembled once and kept.
+        """The Gram of the scaled basis, assembled once and kept.
 
-        A plan without rule gives the closed form; otherwise builds
+        The ``diagonal`` method gives the real vector ``G_aa`` of the
+        diagonal, ``modes`` and ``nodes`` the dense complex matrix.  A plan
+        without rule gives the closed form; otherwise builds
         ``self.rule`` and sums the per-block Grams of the dispatched method.
         The tensor paths (``modes`` and ``nodes``) walk each block in radial
         slabs of at most ``_SLAB_NODES`` nodes and never build a block's
@@ -406,8 +414,7 @@ class SectionSpace:
         q = [qf - s[sl].sum() for qf, sl in zip(self.q, m.factor_slices)]
         log_g = [reference_monomial_log_norm(m, q, e - s, self.adjoint)
                  for e in self.exponents]
-        return np.diag(np.exp(np.add(log_g, const) + 2.0 * self.log_scales)
-                       ).astype(complex)
+        return np.exp(np.add(log_g, const) + 2.0 * self.log_scales)
 
     def _gram_diagonal(self, rule):
         """The diagonal Gram as node sums on a torus-reduced ``rule``."""
@@ -423,7 +430,7 @@ class SectionSpace:
                 raise NumericalError(
                     "Gram integrand overflows double precision")
             diag += self._measure_weights(block) @ np.exp(arg)
-        return np.diag(diag).astype(complex)
+        return diag
 
     def _gram_modes_block(self, block):
         """One block's Gram from radial profiles and FFT angular modes.
@@ -618,17 +625,19 @@ class SectionSpace:
     # -- orthonormalization ------------------------------------------------------
 
     def coeff_matrix(self):
-        """Columns are orthonormal sections in the scaled basis.
+        """The orthonormal frame in the scaled basis, in its Gram's form.
 
-        A diagonal Gram gives ``diag(G_aa^-1/2)``, its columns in monomial
-        order; any other is orthonormalized by ``eigh``, its columns in
-        ascending eigenvalue order.
+        A diagonal Gram gives the real vector ``G_aa^-1/2``: orthonormal
+        section ``a`` is basis element ``a`` times its entry, in monomial
+        order.  Any other Gram is orthonormalized by ``eigh`` into a matrix
+        whose columns are orthonormal sections, in ascending eigenvalue
+        order.  Apply it with :meth:`orthonormal`.
         """
         if self._coeff is None:
             G = self.gram()
             diagonal = self.gram_method == "diagonal"
             if diagonal:
-                lam = np.real(np.diag(G))
+                lam = G
             else:
                 lam, U = np.linalg.eigh(0.5 * (G + G.conj().T))
             if lam.min() <= 0.0:
@@ -644,17 +653,28 @@ class SectionSpace:
                     f"Gram condition number {cond:.3e} exceeds "
                     f"{CONDITION_CAP:.0e}")
             self.gram_condition = float(cond)
-            self._coeff = (np.diag(lam ** -0.5).astype(complex) if diagonal
+            self._coeff = (lam ** -0.5 if diagonal
                            else np.conj(U) * lam ** -0.5)
         return self._coeff
 
+    def orthonormal(self, values):
+        """Values of the scaled basis (last axis) in the orthonormal frame.
+
+        The one application of :meth:`coeff_matrix`: a scale per column for
+        a diagonal Gram, a matrix product otherwise.
+        """
+        c = self.coeff_matrix()
+        return values * c if self.gram_method == "diagonal" else values @ c
+
     def load_orthonormal(self, coeff, condition, method):
-        """Install a precomputed orthonormalization (skips the Gram solve)."""
-        coeff = np.asarray(coeff, dtype=complex)
-        if coeff.shape != (self.dim, self.dim):
+        """Install a precomputed frame of the form :meth:`coeff_matrix`
+        gives for ``method`` (skips the Gram solve)."""
+        diagonal = method == "diagonal"
+        coeff = np.asarray(coeff, dtype=float if diagonal else complex)
+        shape = (self.dim,) if diagonal else (self.dim, self.dim)
+        if coeff.shape != shape:
             raise ConfigurationError(
-                f"coefficient matrix must be {(self.dim, self.dim)}, "
-                f"got {coeff.shape}")
+                f"{method} frame must have shape {shape}, got {coeff.shape}")
         self._coeff = coeff
         self.gram_condition = float(condition)
         self.gram_method = str(method)

@@ -878,7 +878,7 @@ def expected_zero_residuals(space, forms, num_samples, seed, rule=None):
                   for i in range(num_samples)], axis=1)
     curve = space.manifold.dim == 1
     rows = log_norm_pairings(space, forms, rule, sections=None if curve else C,
-                             family=space.coeff_matrix())
+                             family=True)
     targets = space.p * (rows[0] / space.p)
     vals = (point_pairings(curve_zero_sets(space, C), forms) if curve
             else rows[1:])

@@ -13,8 +13,8 @@ from kahlerlab.bundles import (
     LineBundle,
     Metric,
     _coord_intersection,
-    _divisor_omega_mass,
-    _omega_factor_masses,
+    _unit_degree,
+    class_pairings,
     curvature_pairing,
     finite_potential,
     form_values_hom,
@@ -23,7 +23,8 @@ from kahlerlab.bundles import (
     point_mass_pairings,
     wedge_descriptors,
 )
-from kahlerlab.fscurrents import descriptor_form_pairing, fs_pairings
+from kahlerlab.fscurrents import (descriptor_form_pairing,
+                                  descriptor_form_pairings, fs_pairings)
 from kahlerlab.sections import build_section_space
 from kahlerlab.testforms import TestForm, constant_form, test_form_dictionary as form_dictionary
 from kahlerlab.zeros import (ZeroSet, curve_zero_sets, point_pairings,
@@ -59,7 +60,8 @@ def test_p1_curvature_pairing_matches_closed_form(p1):
         rule = quadrature_nodes(
             p1, 48, singular_refinement=metric.refinement_centers())
         desc = metric.curvature_descriptor()
-        assert abs(desc.mass() - 3.0) < 1e-12
+        one = constant_form(p1, p1.omega_coeffs())
+        assert abs(descriptor_form_pairings(desc, [one])[0] - 3.0) < 1e-12
         for f in forms:
             a = curvature_pairing(metric, f, rule)
             b = descriptor_form_pairing(desc, f)
@@ -212,7 +214,12 @@ def test_coordinate_intersections_of_every_pair():
 
 def test_divisor_masses_and_intersection_numbers():
     def mass(kind, comp):
-        return _divisor_omega_mass(build_manifold(kind), comp)
+        # <[D] ^ omega^(n-1), 1>: the class of D against the constant form
+        m = build_manifold(kind)
+        degree = (_unit_degree(m, m.coord_factors[comp[1]])
+                  if comp[0] == "coord" else comp[2].degree)
+        one = constant_form(m, m.omega_coeffs())
+        return float(class_pairings(m, degree, [one])[0])
 
     def poly(kind, degree):
         m = build_manifold(kind)
@@ -228,11 +235,13 @@ def test_divisor_masses_and_intersection_numbers():
     assert mass("P2", poly("P2", 5)) == 5.0
     assert mass("P1xP1", poly("P1xP1", (1, 2))) == 2.1213203435596424
     assert mass("P1xP1", poly("P1xP1", (3, 1))) == 2.82842712474619
-    assert _omega_factor_masses(build_manifold("P1xP1")).tolist() == [
-        0.7071067811865475, 0.7071067811865475]
+    # the omega basis forms' masses
+    pp = build_manifold("P1xP1")
+    one = constant_form(pp, pp.omega_coeffs())
+    assert [class_pairings(pp, _unit_degree(pp, f), [one])[0]
+            for f in range(2)] == [0.7071067811865475, 0.7071067811865475]
     # the Bezout numbers of common_zeros
     assert build_manifold("P2").intersection_number([(2,), (3,)]) == 6
-    pp = build_manifold("P1xP1")
     assert pp.intersection_number([(1, 2), (2, 3)]) == 7
     assert pp.intersection_number([(3, 1), (0, 4)]) == 12
 

@@ -1,10 +1,12 @@
 """Cache keys carry the Gram numerics; damaged entries are recomputed.
 
 An orthonormalization cached by code with other Gram numerics (a bumped
-``sections.NUMERICS_VERSION`` or another quadrature plan) must miss and be
-recomputed; an entry written by the same numerics must still hit.  An
-unreadable or mismatched entry warns and is rewritten, and a failed write
-leaves no temporary file behind.
+``sections.NUMERICS_VERSION`` or another quadrature plan) or in another
+payload layout (``cache.SCHEMA``) must miss and be recomputed; an entry
+written by the same numerics must still hit and replay the frame's bits, in
+the form the space holds it: a diagonal Gram's scale vector, O(dim), or a
+dense matrix.  An unreadable or mismatched entry warns and is rewritten,
+and a failed write leaves no temporary file behind.
 """
 
 import os
@@ -26,6 +28,10 @@ P1 = build_manifold("P1")
 def _off_axis_pole():
     Q = SectionPoly.from_coeff_map(P1, 1, {(1, 0): 1.0, (0, 1): 0.6 + 0.3j})
     return Metric.log_pole(LineBundle(P1, 2), Q, 0.5)
+
+
+def _toric_pole():
+    return Metric.log_pole(LineBundle(P1, 1), coordinate_section(P1, 1), 0.3)
 
 
 def _entries(cache_dir):
@@ -67,7 +73,7 @@ def test_entry_under_other_numerics_misses_and_is_rewritten(tmp_path,
 
 def test_closed_form_key_has_no_rule_and_misses_older_numerics(tmp_path,
                                                               monkeypatch):
-    h = Metric.log_pole(LineBundle(P1, 1), coordinate_section(P1, 1), 0.3)
+    h = _toric_pole()
     sp = build_section_space(h, 7, orthonormalize=False)
     gram = space_fragment(sp)["gram"]
     assert sections.NUMERICS_VERSION >= 6
@@ -93,6 +99,48 @@ def test_other_rule_plan_misses(tmp_path):
     # resolution 48 raises the nodes plan's radial_min from 24 to 48
     assert cached_space(h, 4, resolution=48, cache_dir=cache_dir)[1] == "miss"
     assert len(_entries(cache_dir)) == 2
+
+
+def test_entry_of_an_older_schema_misses_and_is_rewritten(tmp_path):
+    h = _off_axis_pole()
+    cache_dir = str(tmp_path)
+    space, _ = cached_space(h, 4, cache_dir=cache_dir)
+    key = cache_key(space_fragment(space))
+    # schema 1 stored every frame as a dense complex matrix
+    cache_put(cache_dir, key, dict(cache_get(cache_dir, key),
+                                   schema="kahlerlab-space/1"))
+
+    assert cached_space(h, 4, cache_dir=cache_dir)[1] == "miss"
+    assert cache_get(cache_dir, key)["schema"] == cache.SCHEMA
+    assert cached_space(h, 4, cache_dir=cache_dir)[1] == "hit"
+
+
+def test_diagonal_entry_holds_one_number_per_section(tmp_path):
+    cache_dir = str(tmp_path)
+    space, _ = cached_space(_toric_pole(), 30, cache_dir=cache_dir)
+    payload = cache_get(cache_dir, cache_key(space_fragment(space)))
+    assert payload["method"] == "diagonal" and space.dim > 1
+    assert np.shape(payload["coeff_re"]) == (space.dim,)
+    assert "coeff_im" not in payload
+
+
+@pytest.mark.parametrize("metric,method", [(_toric_pole, "diagonal"),
+                                           (_off_axis_pole, "nodes")])
+def test_hit_replays_the_frame_bit_for_bit(tmp_path, metric, method):
+    # the nodes space is the benchmark's p1-zeros space
+    h = metric()
+    cache_dir = str(tmp_path)
+    space, status = cached_space(h, 8, cache_dir=cache_dir)
+    assert status == "miss"
+    replay, status = cached_space(h, 8, cache_dir=cache_dir)
+    assert status == "hit"
+    assert replay.gram_method == space.gram_method == method
+    frame = space.coeff_matrix()
+    got = replay.coeff_matrix()
+    assert got.dtype == frame.dtype and np.array_equal(got, frame)
+    assert replay.gram_condition == space.gram_condition
+    Z = P1.sample_grid(50)
+    assert np.array_equal(replay.log_bergman_hom(Z), space.log_bergman_hom(Z))
 
 
 # -- damaged entries and failed writes -----------------------------------------

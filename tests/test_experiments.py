@@ -233,15 +233,16 @@ def test_forms_at_rounding_count_as_converged(tmp_path, monkeypatch):
 
 
 def _record_target_rules(monkeypatch):
+    # the family wedges' rule is the one rule the study builds itself
     refs = []
-    target_rule = experiments._target_rule
+    build = experiments.quadrature_nodes
 
-    def recorded(cfg):
-        rule = target_rule(cfg)
+    def recorded(*args, **kwargs):
+        rule = build(*args, **kwargs)
         refs.append(weakref.ref(rule))
         return rule
 
-    monkeypatch.setattr(experiments, "_target_rule", recorded)
+    monkeypatch.setattr(experiments, "quadrature_nodes", recorded)
     return refs
 
 

@@ -482,7 +482,7 @@ def test_batched_potential_pairings_match_the_per_form_loop(p1):
 
     def family_log_norm(chart, Z):
         # 1/2 log of the family's squared norm in the reference frame
-        V = sp.monomial_values(chart, Z) @ sp.coeff_matrix()
+        V = sp.orthonormal(sp.monomial_values(chart, Z))
         F = np.einsum("nj,nj->n", np.abs(V), np.abs(V))
         base = -sp.p * L.reference_weight(chart, Z)
         base += 0.5 * np.log(p1.canonical_factor(chart, Z))

@@ -4,8 +4,9 @@ module, importing the package loads no scipy, running a study loads no
 pairing walks a rule's blocks outside ``bundles.pair_blocks``, the
 closed-form pairings reach no walk at all and only the walk takes omega
 basis matrices, no module but ``geometry`` compares with a manifold kind or
-splits points by chart, and every library function has a caller outside
-the tests.
+splits points by chart, no module but ``sections`` (and ``cache``, which
+stores it) reads a space's orthonormal frame, and every library function
+has a caller outside the tests.
 
 No linter ships with the package, so the first check is the unused-import
 check: each module of ``src/kahlerlab`` is parsed with ``ast`` and the names
@@ -292,12 +293,12 @@ def test_only_geometry_compares_with_manifold_kinds():
     assert _kind_comparisons(ast.parse('m.kind in ("P1", "P2")')) == [1]
 
 
-def _chart_of_calls(tree):
-    """Line numbers of calls of a ``chart_of`` method."""
+def _method_calls(tree, name):
+    """Line numbers of calls of a method ``name``."""
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "chart_of"]
+            and node.func.attr == name]
 
 
 def test_only_geometry_splits_points_by_chart():
@@ -305,10 +306,24 @@ def test_only_geometry_splits_points_by_chart():
     # every other module takes each chart's mask and affine points from it
     found = [f"{module}:{line}" for module in MODULES
              if module != "geometry.py"
-             for line in _chart_of_calls(ast.parse(
-                 (PACKAGE / module).read_text(encoding="utf-8")))]
+             for line in _method_calls(ast.parse(
+                 (PACKAGE / module).read_text(encoding="utf-8")), "chart_of")]
     assert not found, f"chart_of calls outside geometry: {found}"
-    assert _chart_of_calls(ast.parse("m.chart_of(pts)")) == [1]
+    assert _method_calls(ast.parse("m.chart_of(pts)"), "chart_of") == [1]
+
+
+def test_only_sections_applies_the_orthonormal_frame():
+    # a frame is a scale vector or a matrix, as its Gram method gives;
+    # SectionSpace.orthonormal applies either, so no other module reads
+    # coeff_matrix() but the cache, which stores the frame as it is
+    found = [f"{module}:{line}" for module in MODULES
+             if module not in ("sections.py", "cache.py")
+             for line in _method_calls(ast.parse(
+                 (PACKAGE / module).read_text(encoding="utf-8")),
+                 "coeff_matrix")]
+    assert not found, f"coeff_matrix calls outside sections: {found}"
+    assert _method_calls(ast.parse("R @ sp.coeff_matrix()"),
+                         "coeff_matrix") == [1]
 
 
 # Entry points read from outside the package: the study driver and report

@@ -70,10 +70,12 @@ def _ref_ddc_weights(form, block, mats):
             * (block.weights_lebesgue / 4.0))
 
 
-def _ref_log_norm_pairings(space, C, forms, rule, family=False):
+def _ref_log_norm_pairings(space, C, forms, rule):
     """``(potential part, closed part)`` of the log-norm pairings, the
-    closed part from the block loop's omega terms."""
+    closed part from the block loop's omega terms.  ``C`` holds section
+    columns, or is ``None`` for the space's orthonormal family."""
     m = space.manifold
+    family = C is None
     out = np.zeros((1 if family else C.shape[1], len(forms)))
     om = np.zeros((m.factors, len(forms)))
     for b in rule.capped_blocks():
@@ -86,7 +88,7 @@ def _ref_log_norm_pairings(space, C, forms, rule, family=False):
         M = space.monomial_values(b.chart, b.points)
         base = fscurrents._log_norm_base(space, b.chart, b.points)
         if family:
-            A = np.abs(M @ C)
+            A = np.abs(space.orthonormal(M))
             u = 0.5 * fscurrents._log_modulus(np.einsum("nj,nj->n", A, A))
             u = finite_potential(u + base, integrable=True)
             out[0] += [float(np.dot(u, w)) for w in ws]
@@ -119,10 +121,10 @@ def _closed_part(space, forms):
     return const
 
 
-def _assert_log_norm_pairings(got, space, C, forms, rule, family=False):
+def _assert_log_norm_pairings(got, space, C, forms, rule):
     """``got`` is the reference's potential part plus the closed part bit
     for bit, and the closed part is the reference's to the rule's error."""
-    pot, const_ref = _ref_log_norm_pairings(space, C, forms, rule, family)
+    pot, const_ref = _ref_log_norm_pairings(space, C, forms, rule)
     const = _closed_part(space, forms)
     np.testing.assert_array_equal(got, pot + const)
     # the closed class is p c1(L) + c1(K_X): its degrees scale the error
@@ -305,9 +307,8 @@ def test_log_norm_pairings_match_the_block_loop(kind):
     forms = _omega_forms(sp.manifold)
     C = np.stack([sample_section(sp, (9, i)).coeffs for i in range(5)],
                  axis=1)
-    family = sp.coeff_matrix()
-    got = log_norm_pairings(sp, forms, rule, sections=C, family=family)
-    _assert_log_norm_pairings(got[:1], sp, family, forms, rule, True)
+    got = log_norm_pairings(sp, forms, rule, sections=C, family=True)
+    _assert_log_norm_pairings(got[:1], sp, None, forms, rule)
     _assert_log_norm_pairings(got[1:], sp, C, forms, rule)
     # one form goes through a two-column product, as it did
     _assert_log_norm_pairings(
@@ -348,8 +349,7 @@ def test_expected_zero_residuals_match_the_two_walks():
     # two separate walks, fs_pairings then zero_pairings, each plus the
     # closed part
     const = _closed_part(sp, forms)
-    pot = _ref_log_norm_pairings(sp, sp.coeff_matrix(), forms, rule,
-                                 family=True)[0]
+    pot = _ref_log_norm_pairings(sp, None, forms, rule)[0]
     targets = sp.p * ((pot + const)[0] / sp.p)
     key = _seed_key((13,))
     C = np.stack([sample_section(sp, key + (i,)).coeffs

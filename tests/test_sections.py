@@ -138,7 +138,7 @@ def test_reference_gram_is_identity(kind, deg, p, adjoint):
     h = Metric.fubini_study(LineBundle(m, deg))
     sp = build_section_space(h, p, adjoint=adjoint)
     assert sp.gram_method == "diagonal"
-    err = np.max(np.abs(sp.gram() - np.eye(sp.dim)))
+    err = np.max(np.abs(sp.gram() - np.ones(sp.dim)))
     assert err < 1e-12
 
 
@@ -185,8 +185,9 @@ def test_gram_paths_agree_coordinate_pole():
     for meth in ("diagonal", "modes", "nodes"):
         sp = build_section_space(h, 10, method=meth, resolution=48)
         grams[meth] = sp.gram()
-    assert np.max(np.abs(grams["modes"] - grams["diagonal"])) < 1e-10
-    assert np.max(np.abs(grams["nodes"] - grams["diagonal"])) < 1e-10
+    diagonal = np.diag(grams["diagonal"])
+    assert np.max(np.abs(grams["modes"] - diagonal)) < 1e-10
+    assert np.max(np.abs(grams["nodes"] - diagonal)) < 1e-10
 
 
 def test_gram_paths_agree_smooth_generic():
@@ -258,7 +259,7 @@ def test_closed_form_diagonal_matches_the_radial_integral(delta, adjoint):
         b = p * (1.0 - t) + (0.0 if adjoint else 2.0)
         want = ((2.0 * np.pi if adjoint else 1.0)
                 * _radial_moment(e - p * t, b))
-        got = G[row, row].real * np.exp(-2.0 * sp.log_scales[row])
+        got = G[row] * np.exp(-2.0 * sp.log_scales[row])
         assert abs(got / want - 1.0) <= 1e-10
 
 
@@ -316,9 +317,12 @@ def test_closed_form_matches_every_rule_at_integer_lelong(case, adjoint):
     for method in ("modes", "nodes") if on_p1 else ("modes",):
         grams.append(build_section_space(h, p, adjoint=adjoint, method=method,
                                          orthonormalize=False).gram())
-    inv = np.diag(exact).real ** -0.5
+    inv = exact ** -0.5
     for G in grams:
-        assert np.max(np.abs((G - exact) * np.outer(inv, inv))) <= 1e-12
+        if G.ndim == 1:  # the quadrature diagonal
+            G = np.diag(G)
+        assert np.max(np.abs((G - np.diag(exact)) * np.outer(inv, inv))
+                      ) <= 1e-12
 
 
 @pytest.mark.parametrize("p", [4, 8])
@@ -364,7 +368,7 @@ def test_fubini_study_gram_is_exactly_the_identity(adjoint):
     for m, deg, p in ((P1, 1, 9), (P2, 1, 7), (P11, (1, 1), 5)):
         sp = build_section_space(Metric.fubini_study(LineBundle(m, deg)), p,
                                  adjoint=adjoint, orthonormalize=False)
-        assert np.array_equal(sp.gram(), np.eye(sp.dim))
+        assert np.array_equal(sp.gram(), np.ones(sp.dim))
 
 
 # -- the separable nodes Gram against the node-wise formula ---------------------
@@ -644,12 +648,36 @@ def test_orthonormal_against_independent_rule():
 ], ids=["closed-form", "rule"])
 def test_diagonal_gram_orthonormalizes_entrywise(h):
     sp = build_section_space(h, 8)
-    G = sp.gram()
+    g = sp.gram()
     assert sp.gram_method == "diagonal"
-    assert np.array_equal(G, np.diag(np.diag(G)))
-    g = np.real(np.diag(G))
-    np.testing.assert_array_equal(sp.coeff_matrix(), np.diag(g ** -0.5))
+    assert g.shape == (sp.dim,) and g.dtype == float
+    np.testing.assert_array_equal(sp.coeff_matrix(), g ** -0.5)
     assert sp.gram_condition == g.max() / g.min()
+
+
+@pytest.mark.parametrize("m,deg", [(P1, 1), (P2, 1), (P11, (1, 1))],
+                         ids=["P1", "P2", "P1xP1"])
+def test_vector_frame_applies_as_its_diagonal_matrix(m, deg):
+    # a diagonal Gram keeps its frame as a scale vector; applying it must
+    # give the bits of the product with the dense diagonal matrix
+    h = Metric.log_pole(LineBundle(m, deg), coordinate_section(m, 0), 0.3)
+    sp = build_section_space(h, 7)
+    assert sp.gram_method == "diagonal"
+    assert sp.gram().shape == sp.coeff_matrix().shape == (sp.dim,)
+    for chart, _, Z in m.chart_split(m.sample_grid(60)):
+        V = sp.basis_values(chart, Z)
+        assert np.array_equal(sp.orthonormal(V),
+                              V @ np.diag(sp.coeff_matrix()))
+
+
+def test_paper_scale_toric_space_keeps_a_vector_frame():
+    # P2 at p = 200 has 9,591 sections: one dense frame matrix would take
+    # 1.5 GB, the scale vector takes 77 kB
+    h = Metric.log_pole(LineBundle(P2, 1), coordinate_section(P2, 0), 0.3)
+    sp = build_section_space(h, 200)
+    assert sp.dim == 9591 and sp.rule is None
+    assert sp.gram().shape == sp.coeff_matrix().shape == (sp.dim,)
+    assert np.isfinite(log_bergman_sup(sp))
 
 
 def test_ill_conditioned_basis_rejected():
