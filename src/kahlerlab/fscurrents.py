@@ -41,12 +41,10 @@ takes a list of forms and walks the quadrature blocks through
 What does not depend on the form (log-norm potentials, reduced Hessians,
 omega basis matrices, quadrature weights) is computed once per block and
 handed to it as a potential or a density.
-The scalar densities of a torus-invariant family (the wedge density of two
-reduced families and the Hessian of a family restricted to a divisor line;
-see :attr:`SectionSpace.torus_invariant`) depend on the radii only, so they
-are computed once per radial node tuple (:meth:`Block.radial`) and spread
-over the angles (:meth:`Block.spread`), equal to the per-node values up to
-rounding.
+The densities of torus-invariant families
+(:attr:`SectionSpace.torus_invariant`) depend on the radii only: their
+walks take the rule's torus reduction (:meth:`QuadratureRule.torus_reduced`),
+where each form pairs through its torus average, as on the full rule.
 The one-form functions (``fs_pairing``, ``fs_wedge_pairing``,
 ``descriptor_form_pairing``, ``descriptor_wedge_pairing``) are one-entry
 calls of the batched ones.  Each form's entry adds its block shares in
@@ -105,9 +103,7 @@ class ReducedHessianField:
     is (N,) on curves and (N, 2, 2) on surfaces and ``bad`` flags nodes
     where the reduced family vanished (isolated; their quadrature weight is
     dropped by the caller).  It keeps nothing: the pairings call it once
-    per block and serve every form from that one value.  The wedge pairing
-    of torus-invariant families calls it on the block's radial slice only
-    (:meth:`Block.radial`): their wedge density depends on the radii alone.
+    per block and serve every form from that one value.
     """
 
     def __init__(self, space):
@@ -154,17 +150,25 @@ def _curve_hessian(V, dV, p):
     return np.where(bad, 0.0, H), bad
 
 
-def _drop_vanished(bad, weights, what):
+def _drop_vanished(block, bad, weights, what):
     """Block weights without the nodes where a reduced family vanished.
 
     A few isolated nodes are expected; more than
     ``geometry.too_many_dropped`` allows in one block means the family is
-    degenerate and raises.
+    degenerate and raises.  So does any node of a torus-reduced block: it
+    stands for a whole torus orbit.
     """
     nbad = int(np.count_nonzero(bad))
-    if too_many_dropped(nbad, bad.shape[0]):
+    if nbad and (block.torus_reduced or too_many_dropped(nbad, len(bad))):
         raise NumericalError(f"{what} vanished at {nbad} quadrature nodes")
     return np.where(bad, 0.0, weights) if nbad else weights
+
+
+def _walk_rule(rule, *spaces):
+    """The rule a density walk of the spaces' families takes: its torus
+    reduction when every family is torus-invariant."""
+    return (rule.torus_reduced() if all(sp.torus_invariant for sp in spaces)
+            else rule)
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +270,15 @@ def _pointwise_pairings(space, forms, rule):
     def reduced(b, mats):
         H, bad = field(b.chart, b.points)
         if m.dim == 1:
-            wq = _drop_vanished(bad, b.weights_lebesgue, "reduced family")
+            wq = _drop_vanished(b, bad, b.weights_lebesgue, "reduced family")
             dens = np.real(H) / math.pi
             return [(1.0, lambda chi, f: chi * dens, wq)]
-        wq = _drop_vanished(bad, b.weights_lebesgue / 4.0, "reduced family")
+        wq = _drop_vanished(b, bad, b.weights_lebesgue / 4.0, "reduced family")
         return [(1.0, lambda chi, f: chi * wedge_density_11(
             H, _form_omega_matrix(f, mats)), wq)]
 
-    return pair_blocks(rule, forms, densities=[reduced])[1][0]
+    return pair_blocks(_walk_rule(rule, space), forms,
+                       densities=[reduced])[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -409,26 +414,23 @@ def fs_wedge_pairings(space_a, space_b, forms, rule):
     if any(f.omega_part is not None for f in forms):
         raise ConfigurationError("bidegree (2,2) currents pair with functions")
     same = space_b is space_a
-    toric = space_a.torus_invariant and space_b.torus_invariant
     field_a = ReducedHessianField(space_a)
     field_b = ReducedHessianField(space_b)
 
     def reduced_wedge(b, mats):
-        at = b.radial() if toric else b
-        Ha, bad = field_a(at.chart, at.points)
+        Ha, bad = field_a(b.chart, b.points)
         if same:
             Hb = Ha
         else:
-            Hb, bad_b = field_b(at.chart, at.points)
+            Hb, bad_b = field_b(b.chart, b.points)
             bad = bad | bad_b
         dens = wedge_density_11(Ha, Hb)
-        if toric:
-            dens, bad = b.spread(dens), b.spread(bad)
-        wq = _drop_vanished(bad, b.weights_lebesgue / 4.0,
+        wq = _drop_vanished(b, bad, b.weights_lebesgue / 4.0,
                             "reduced families")
         return [(1.0, lambda chi, f: chi * dens, wq)]
 
-    totals = pair_blocks(rule, forms, densities=[reduced_wedge])[1][0]
+    totals = pair_blocks(_walk_rule(rule, space_a, space_b), forms,
+                         densities=[reduced_wedge])[1][0]
     on_a = [_restricted_pairings(space_b, comp, forms, rule)
             for comp, _ in space_a.base_divisors]
     on_b = on_a if same else [_restricted_pairings(space_a, comp, forms, rule)
@@ -465,8 +467,8 @@ def _family_class(space):
 
 def _restricted_pairings(space, comp, forms, surface):
     """``<[D] ^ beta, chi_f>`` for each form: the reduced current
-    restricted to a divisor, its family evaluated once per line block, and
-    on a torus-invariant space once per radius (:meth:`Block.radial`).
+    restricted to a divisor, its family evaluated once per line block (of
+    the line rule's torus reduction, for a torus-invariant space).
 
     The line rule is the surface rule's (see :func:`_line_rule`), and the
     values of the forms' restrictions to the line
@@ -476,22 +478,17 @@ def _restricted_pairings(space, comp, forms, surface):
     """
     Rc, q_line = _line_family(space, comp)
     exps = np.arange(q_line + 1)
-    toric = space.torus_invariant
 
     def restricted(b, mats):
-        Z = (b.radial() if toric else b).points
         e = exps if b.chart == 0 else q_line - exps
-        V = eval_monomials(Z, e[:, None].astype(np.int64),
-                           np.ones(q_line + 1)) @ Rc
-        dV = eval_monomials(Z, np.maximum(e - 1, 0)[:, None].astype(np.int64),
+        V = eval_monomials(b.points, e[:, None], np.ones(q_line + 1)) @ Rc
+        dV = eval_monomials(b.points, np.maximum(e - 1, 0)[:, None],
                             e.astype(float)) @ Rc
         H, bad = _curve_hessian(V, dV, space.p)
-        if toric:
-            H, bad = b.spread(H), b.spread(bad)
-        wq = _drop_vanished(bad, b.weights_lebesgue, "restricted family")
+        wq = _drop_vanished(b, bad, b.weights_lebesgue, "restricted family")
         return [(1.0, lambda chi, f: chi * H / math.pi, wq)]
 
-    return pair_blocks(_line_rule(q_line, surface),
+    return pair_blocks(_walk_rule(_line_rule(q_line, surface), space),
                        [f.restriction(comp[1]) for f in forms],
                        densities=[restricted])[1][0]
 

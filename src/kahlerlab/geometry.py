@@ -618,16 +618,16 @@ class Block:
     long as the block lives; the blocks of
     :meth:`QuadratureRule.capped_blocks` live and die with their rule.
 
-    A scalar field invariant under the chart's torus, such as the densities
-    of a torus-invariant family (``fscurrents``), depends on the radii
-    only: it is computed once per radial node tuple, on :meth:`radial`, and
-    :meth:`spread` over the angles.
+    A block of :meth:`QuadratureRule.torus_reduced` has ``torus_reduced``
+    set: each node stands for its whole torus orbit, and a test form takes
+    its torus average there.
     """
 
-    def __init__(self, manifold, chart, axes):
+    def __init__(self, manifold, chart, axes, torus_reduced=False):
         self.manifold = manifold
         self.chart = chart
         self.axes = axes
+        self.torus_reduced = torus_reduced
         self._mesh = None
         self._wvol = None
         self._wleb = None
@@ -704,20 +704,7 @@ class Block:
             sub = Axis(ax0.style, ax0.x[sl], ax0.wx[sl], ax0.theta,
                        ax0.wtheta, ax0.theta_uniform)
             yield Block(self.manifold, self.chart,
-                        [sub] + list(self.axes[1:]))
-
-    def radial(self):
-        """This block with each axis cut to its first angle: one node per
-        radial node tuple, in the block's radial order (a fresh block)."""
-        return Block(self.manifold, self.chart,
-                     [Axis(ax.style, ax.x, ax.wx, ax.theta[:1], ax.wtheta[:1],
-                           ax.theta_uniform) for ax in self.axes])
-
-    def spread(self, values):
-        """Values at the nodes of :meth:`radial`, broadcast over the angles
-        to this block's nodes, in their order."""
-        cut = tuple(s for ax in self.axes for s in (len(ax.x), 1))
-        return np.broadcast_to(np.reshape(values, cut), self.shape).ravel()
+                        [sub] + list(self.axes[1:]), self.torus_reduced)
 
     def memo(self, key, compute):
         """The array ``compute()`` gives at this block's nodes, computed on
@@ -783,6 +770,7 @@ class QuadratureRule:
         self.blocks = blocks
         self._capped = None
         self._line_rules = {}
+        self._reduced = None
 
     @property
     def num_nodes(self):
@@ -800,6 +788,21 @@ class QuadratureRule:
             self._capped = [sb for b in self.blocks
                             for sb in b.split(_BLOCK_MAX_NODES)]
         return self._capped
+
+    def torus_reduced(self):
+        """This rule with each angular axis cut to one node, theta = pi
+        with weight 2 pi: exact for torus-invariant integrands, and a test
+        form takes its torus average on its blocks.  Built once and kept
+        with this rule, with its blocks' memo.
+        """
+        if self._reduced is None:
+            theta, wtheta = np.array([math.pi]), np.array([TWO_PI])
+            self._reduced = QuadratureRule(self.manifold, self.resolution, [
+                Block(b.manifold, b.chart, [
+                    Axis(ax.style, ax.x, ax.wx, theta, wtheta, True)
+                    for ax in b.axes], torus_reduced=True)
+                for b in self.blocks])
+        return self._reduced
 
     def line_rule(self, resolution):
         """The P1 rule at ``resolution`` for integrals over lines in this
@@ -830,7 +833,7 @@ def _levels(resolution, dim=1):
 
 
 def quadrature_nodes(manifold, resolution, singular_refinement=None,
-                     angular_min=None, radial_min=None, angular_override=None):
+                     angular_min=None, radial_min=None):
     """Build the tensor quadrature rule for a manifold.
 
     Parameters
@@ -847,11 +850,6 @@ def quadrature_nodes(manifold, resolution, singular_refinement=None,
     angular_min, radial_min : int, optional
         Floors on the angular/radial node counts (used by Gram assembly to
         guarantee exactness for a given basis degree).
-    angular_override : int, optional
-        Force exactly this many uniform angular nodes per axis (only valid
-        without angular refinement targets).  ``1`` gives the torus-reduced
-        rule: a single midpoint angle carrying the full 2 pi weight, exact
-        for rotation-invariant integrands.
     """
     m = manifold
     k_rad, m_ang = _sizes(m, resolution)
@@ -877,14 +875,7 @@ def quadrature_nodes(manifold, resolution, singular_refinement=None,
                 base_panels += 1
                 x, wx = _panel_nodes(0.0, xmax, rad_targets[a], base_panels,
                                      min(16, max(8, k_rad)), 10, lev)
-            if angular_override:
-                if ang_targets[a]:
-                    raise ConfigurationError(
-                        "angular_override conflicts with angular refinement")
-                th, wth, uni = _angular_nodes(int(angular_override), [],
-                                              lev, 10)
-            else:
-                th, wth, uni = _angular_nodes(m_ang, ang_targets[a], lev, 10)
+            th, wth, uni = _angular_nodes(m_ang, ang_targets[a], lev, 10)
             axes.append(Axis(style, x, wx, th, wth, uni))
         blocks.append(Block(m, chart, axes))
     return QuadratureRule(m, resolution, blocks)

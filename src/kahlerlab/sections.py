@@ -15,9 +15,9 @@ Three Gram assembly strategies share one orthonormalization path:
 * rotation-invariant weights: the Gram matrix is diagonal in the monomial
   basis, so it is kept as the real vector of its diagonal.  For log poles
   on monomials (or none, as for FS) its entries are Dirichlet moments with
-  real exponents, taken in closed form with no rule; other atoms keep a
-  torus-reduced rule (one angular node carrying the full 2 pi weight),
-  exact in the angular directions;
+  real exponents, taken in closed form with no rule; other atoms sum over
+  the torus reduction of their rule (``QuadratureRule.torus_reduced``: one
+  angle carrying the full 2 pi weight), exact in the angular directions;
 * smooth weights and coordinate-axis poles: the angular dependence enters
   through finitely many Fourier modes of ``e^{-2 p psi}``, so an FFT over the
   uniform angular grids contracts radial basis profiles against those modes;
@@ -284,8 +284,9 @@ class SectionSpace:
 
         The parameters are the keyword arguments ``quadrature_nodes`` takes
         besides the resolution and the refinement centers, or ``None`` for
-        a closed-form Gram, which needs no rule.  No node is built, so the
-        plan is cheap enough to key caches on.
+        a closed-form Gram, which needs no rule.  A rule-based ``diagonal``
+        Gram runs on the torus reduction of its rule.  No node is built, so
+        the plan is cheap enough to key caches on.
         """
         method = self._dispatch()
         if method == "diagonal":
@@ -295,8 +296,7 @@ class SectionSpace:
                     "metric with coordinate-axis poles only")
             if all(a.kind == "log_pole" for _, a in self.metric.atoms):
                 return method, None
-            rad_min, _ = self._axis_plan()
-            return method, {"radial_min": rad_min, "angular_override": 1}
+            return method, {"radial_min": self._axis_plan()[0]}
         if method == "modes":
             rad_min, ang_min = self._axis_plan()
             return method, {"radial_min": rad_min, "angular_min": ang_min}
@@ -341,7 +341,7 @@ class SectionSpace:
                     singular_refinement=self.metric.refinement_centers(),
                     **plan)
                 if method == "diagonal":
-                    self._gram = self._gram_diagonal(self.rule)
+                    self._gram = self._gram_diagonal(self.rule.torus_reduced())
                 else:
                     block_gram = (self._gram_modes_block if method == "modes"
                                   else self._gram_nodes_block)

@@ -112,8 +112,10 @@ class TestForm:
         ``E(r)`` and ``r^(alpha + beta)`` come from each axis's radii and
         the phases from its angles; each term pair then takes one node-sized
         multiply(-add) of its radial array by its angular one.  The values
-        equal ``chi(block.chart, block.points)`` up to rounding.  A constant
-        form gives its one value broadcast to the nodes.
+        equal ``chi(block.chart, block.points)`` up to rounding; on the
+        blocks of a torus-reduced rule they are chi's torus average, where
+        a term pair whose exponents differ drops.  A constant form gives
+        its one value broadcast to the nodes.
         """
         if self.A is None:
             return np.broadcast_to(np.real(self.c) * self.scale,
@@ -137,6 +139,8 @@ class TestForm:
         out = None
         for ea, ca in zip(a.exponents, a.coeffs):
             for eb, cb in zip(b.exponents, b.coeffs):
+                if block.torus_reduced and not np.array_equal(ea, eb):
+                    continue
                 R, P = E, self.c * ca * np.conj(cb)
                 for k, ax in enumerate(axes):
                     if ea[k] + eb[k]:
@@ -148,7 +152,7 @@ class TestForm:
                     out = np.multiply(R, np.real(P), out=np.empty(block.shape))
                 else:
                     out += R * np.real(P)
-        if out is None:  # every term vanished (a restriction)
+        if out is None:  # every term vanished or averaged out
             return np.zeros(block.num_nodes)
         return out.ravel()
 

@@ -667,9 +667,10 @@ def _chart_grids(polys, charts):
 
 def _newton_stack(G, own, z, scales, steps):
     """``_polish_surface``'s Newton iteration, in place, on chart points
-    ``z``, point ``i`` on the grids ``G[own[i]]`` of ``_chart_grids``.  A
-    step's nine halvings are evaluated in one call; each point takes the
-    first that lowers its residual, as a loop over the halvings would."""
+    ``z``, point ``i`` on the grids ``G[own[i]]`` of ``_chart_grids``.  The
+    full steps are evaluated first, then in one call the eight halvings of
+    the points they do not improve; each point takes the first that lowers
+    its residual, as a loop over the halvings would."""
     halvings = 0.5 ** np.arange(9)
 
     def values(zz, k):
@@ -692,15 +693,21 @@ def _newton_stack(G, own, z, scales, steps):
             break
         step, solved = _solve_stacked(v[live, :, 1:], -v[live, :, 0])
         live, step = live[solved], step[solved]
-        zc = z[live] + halvings[:, None, None] * step
-        vc = values(zc.reshape(-1, z.shape[1]), np.tile(own[live], 9))
-        vc = vc.reshape(9, live.size, *v.shape[1:])
-        rc = resid(vc[..., 0])
-        ok = rc < best[live]
-        j = np.flatnonzero(ok.any(axis=0))
-        k = np.argmax(ok[:, j], axis=0)
-        live = live[j]
-        z[live], v[live], best[live] = zc[k, j], vc[k, j], rc[k, j]
+        todo = np.arange(live.size)  # the points no step has improved yet
+        for h in (halvings[:1], halvings[1:]):
+            if not todo.size:
+                break
+            pts = live[todo]
+            zc = z[pts] + h[:, None, None] * step[todo]
+            vc = values(zc.reshape(-1, 2), np.tile(own[pts], h.size))
+            vc = vc.reshape(h.size, pts.size, *v.shape[1:])
+            rc = resid(vc[..., 0])
+            ok = rc < best[pts]
+            j = np.flatnonzero(ok.any(axis=0))
+            k = np.argmax(ok[:, j], axis=0)
+            z[pts[j]], v[pts[j]], best[pts[j]] = zc[k, j], vc[k, j], rc[k, j]
+            todo = np.delete(todo, j)
+        live = np.delete(live, todo)
         live = live[~(best[live] < 1e-15)]
     return z
 

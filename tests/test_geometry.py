@@ -371,3 +371,29 @@ def test_block_points_have_the_bits_of_the_meshgrid_formula(kind, refined):
             assert got.shape == want.shape
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("refined", [False, True])
+def test_torus_reduced_rule_keeps_the_radial_axes(kind, refined):
+    m = build_manifold(kind)
+    rule = quadrature_nodes(m, 8, singular_refinement=(
+        _REFINEMENT[kind] if refined else None))
+    reduced = rule.torus_reduced()
+    assert rule.torus_reduced() is reduced  # built once, kept with the rule
+    assert reduced.manifold == m and reduced.resolution == rule.resolution
+    assert len(reduced.blocks) == len(rule.blocks)
+    for b, rb in zip(rule.blocks, reduced.blocks):
+        assert rb.chart == b.chart and rb.torus_reduced
+        assert not b.torus_reduced
+        assert rb.num_nodes == math.prod(len(ax.x) for ax in b.axes)
+        for ax, rax in zip(b.axes, rb.axes):
+            assert rax.style == ax.style
+            assert rax.x.tobytes() == ax.x.tobytes()
+            assert rax.wx.tobytes() == ax.wx.tobytes()
+            # one angle, theta = pi, carrying the full 2 pi weight
+            assert rax.theta.tolist() == [math.pi]
+            assert rax.wtheta.tolist() == [2.0 * math.pi]
+    assert all(b.torus_reduced for b in reduced.capped_blocks())
+    assert sum(b.num_nodes for b in reduced.capped_blocks()) == \
+        reduced.num_nodes

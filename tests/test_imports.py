@@ -5,8 +5,9 @@ pairing walks a rule's blocks outside ``bundles.pair_blocks``, the
 closed-form pairings reach no walk at all and only the walk takes omega
 basis matrices, no module but ``geometry`` compares with a manifold kind or
 splits points by chart, no module but ``sections`` (and ``cache``, which
-stores it) reads a space's orthonormal frame, and every library function
-has a caller outside the tests.
+stores it) reads a space's orthonormal frame, no module but ``geometry``
+builds a quadrature rule, block or axis, and every library function has a
+caller outside the tests.
 
 No linter ships with the package, so the first check is the unused-import
 check: each module of ``src/kahlerlab`` is parsed with ``ast`` and the names
@@ -324,6 +325,32 @@ def test_only_sections_applies_the_orthonormal_frame():
     assert not found, f"coeff_matrix calls outside sections: {found}"
     assert _method_calls(ast.parse("R @ sp.coeff_matrix()"),
                          "coeff_matrix") == [1]
+
+
+RULE_CLASSES = {"Axis", "Block", "QuadratureRule"}
+
+
+def _constructions(tree, names):
+    """Line numbers of calls of a name in ``names``, bare or as the
+    attribute of a module (``geometry.Block(...)``)."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) in names
+                 or getattr(node.func, "attr", None) in names)]
+
+
+def test_only_geometry_builds_quadrature_rules():
+    # geometry builds every rule, its blocks and its torus reduction
+    # (QuadratureRule.torus_reduced), so the reduction lives in one module
+    found = [f"{module}:{line}" for module in MODULES
+             if module != "geometry.py"
+             for line in _constructions(ast.parse(
+                 (PACKAGE / module).read_text(encoding="utf-8")),
+                 RULE_CLASSES)]
+    assert not found, f"rules, blocks or axes built outside geometry: {found}"
+    assert _constructions(ast.parse("geometry.Block(m, 0, axes)\n"
+                                    "Axis('p1', x, w, t, wt, True)"),
+                          RULE_CLASSES) == [1, 2]
 
 
 # Entry points read from outside the package: the study driver and report

@@ -138,14 +138,16 @@ def _ref_pointwise_pairings(space, forms, rule):
     m = rule.manifold
     field = ReducedHessianField(space)
     totals = np.zeros(len(forms))
-    for b in rule.capped_blocks():
+    # a torus-invariant family walks the rule's torus reduction
+    walk = rule.torus_reduced() if space.torus_invariant else rule
+    for b in walk.capped_blocks():
         H, bad = field(b.chart, b.points)
         if m.dim == 1:
-            wq = fscurrents._drop_vanished(bad, b.weights_lebesgue,
+            wq = fscurrents._drop_vanished(b, bad, b.weights_lebesgue,
                                            "reduced family")
             dens = np.real(H) / math.pi
         else:
-            wq = fscurrents._drop_vanished(bad, b.weights_lebesgue / 4.0,
+            wq = fscurrents._drop_vanished(b, bad, b.weights_lebesgue / 4.0,
                                            "reduced family")
             mats = [m.omega_basis_matrix(i, b.chart, b.points)
                     for i in range(m.factors)]
@@ -179,18 +181,18 @@ def _ref_restricted_pairings(space, comp, forms, surface):
     Rc, q_line = fscurrents._line_family(space, comp)
     exps = np.arange(q_line + 1)
     totals = np.zeros(len(forms))
-    for b in fscurrents._line_rule(q_line, surface).capped_blocks():
-        # a torus-invariant family's Hessian is taken once per radius
-        Z = (b.radial() if space.torus_invariant else b).points
+    rule = fscurrents._line_rule(q_line, surface)
+    # a torus-invariant family walks the line rule's torus reduction
+    walk = rule.torus_reduced() if space.torus_invariant else rule
+    for b in walk.capped_blocks():
+        Z = b.points
         e = exps if b.chart == 0 else q_line - exps
         V = eval_monomials(Z, e[:, None].astype(np.int64),
                            np.ones(q_line + 1)) @ Rc
         dV = eval_monomials(Z, np.maximum(e - 1, 0)[:, None].astype(np.int64),
                             e.astype(float)) @ Rc
         H, bad = fscurrents._curve_hessian(V, dV, space.p)
-        if space.torus_invariant:
-            H, bad = b.spread(H), b.spread(bad)
-        wq = fscurrents._drop_vanished(bad, b.weights_lebesgue,
+        wq = fscurrents._drop_vanished(b, bad, b.weights_lebesgue,
                                        "restricted family")
         chis = _ref_line_values(comp, forms, b)
         for i, chi in enumerate(chis):
@@ -205,19 +207,16 @@ def _ref_fs_wedge_pairings(space_a, space_b, forms, rule):
     field_a = ReducedHessianField(space_a)
     field_b = ReducedHessianField(space_b)
     totals = np.zeros(len(forms))
-    for b in rule.capped_blocks():
-        # two torus-invariant families' density is taken once per radius
-        at = b.radial() if toric else b
-        Ha, bad = field_a(at.chart, at.points)
+    # two torus-invariant families walk the rule's torus reduction
+    for b in (rule.torus_reduced() if toric else rule).capped_blocks():
+        Ha, bad = field_a(b.chart, b.points)
         if same:
             Hb = Ha
         else:
-            Hb, bad_b = field_b(at.chart, at.points)
+            Hb, bad_b = field_b(b.chart, b.points)
             bad = bad | bad_b
         dens = wedge_density_11(Ha, Hb)
-        if toric:
-            dens, bad = b.spread(dens), b.spread(bad)
-        wq = fscurrents._drop_vanished(bad, b.weights_lebesgue / 4.0,
+        wq = fscurrents._drop_vanished(b, bad, b.weights_lebesgue / 4.0,
                                        "reduced families")
         for i, f in enumerate(forms):
             totals[i] += float(np.dot(b.form_values(f) * dens, wq))

@@ -267,7 +267,7 @@ def _quadrature_diagonal(sp):
     """The diagonal Gram on the torus-reduced rule of the quadrature path."""
     return sp._gram_diagonal(quadrature_nodes(
         sp.manifold, 24, singular_refinement=sp.metric.refinement_centers(),
-        radial_min=sp._axis_plan()[0], angular_override=1))
+        radial_min=sp._axis_plan()[0]).torus_reduced())
 
 
 def _integer_lelong_case(case):
