@@ -628,6 +628,117 @@ def test_a_vanished_radial_node_drops_its_orbit(p2, monkeypatch, where):
         pairings()
 
 
+def _captured_densities(monkeypatch):
+    """Patch ``fscurrents.pair_blocks`` so that each walk appends a list of
+    ``(block, density)``: each density term's integrand at ``chi = 1``."""
+    walks = []
+    walk = fscurrents.pair_blocks
+
+    def capturing(rule, forms, potentials=(), densities=(), **kwargs):
+        seen = []
+        walks.append(seen)
+
+        def wrap(density):
+            def terms(b, mats):
+                out = density(b, mats)
+                seen.extend((b, integrand(np.ones(b.num_nodes), forms[0]))
+                            for _, integrand, _ in out)
+                return out
+            return terms
+
+        return walk(rule, forms, potentials, [wrap(d) for d in densities],
+                    **kwargs)
+
+    monkeypatch.setattr(fscurrents, "pair_blocks", capturing)
+    return walks
+
+
+def _node_line_hessian(space, comp, b):
+    """The restricted family's Hessian at every node of a line block."""
+    Rc, q_line = fscurrents._line_family(space, comp)
+    exps = np.arange(q_line + 1)
+    e = exps if b.chart == 0 else q_line - exps
+    V = eval_monomials(b.points, e[:, None], np.ones(q_line + 1)) @ Rc
+    dV = eval_monomials(b.points, np.maximum(e - 1, 0)[:, None],
+                        e.astype(float)) @ Rc
+    return fscurrents._curve_hessian(V, dV, space.p)[0]
+
+
+def _assert_spread(rule, seen, node_density):
+    """The densities ``seen`` on the walk of ``rule.torus_reduced()``, one
+    angle per axis, against ``node_density(b)`` at every node of the full
+    rule's capped blocks: each reduced node's density holds on its orbit."""
+    reduced = rule.torus_reduced()
+    assert [b for b, _ in seen] == reduced.capped_blocks()
+    got = np.concatenate([dens for _, dens in seen])
+    start = 0
+    for full, red in zip(rule.blocks, reduced.blocks):
+        dens = got[start:start + red.num_nodes].reshape(red.shape)
+        start += red.num_nodes
+        row = 0
+        for b in full.split(geometry._BLOCK_MAX_NODES):
+            ref = node_density(b).reshape(b.shape)
+            rows = len(b.axes[0].x)
+            gap = np.abs(dens[row:row + rows] - ref)
+            row += rows
+            assert np.max(gap) <= 1e-13 * np.max(np.abs(ref))
+        assert row == red.shape[0]
+    assert start == len(got)
+
+
+@pytest.mark.parametrize("resolution", [8, 16])
+@pytest.mark.parametrize("case", ["P2-self", "P2-transverse", "P1xP1"])
+def test_spread_densities_match_the_per_node_ones(case, resolution,
+                                                  monkeypatch):
+    # a torus-invariant walk takes each density at one angle per axis of
+    # the reduced rule; it must be the per-node density at every angle
+    m, sa, sb, _ = _wedge_spaces(case)
+    assert sa.torus_invariant and sb.torus_invariant
+    rule = quadrature_nodes(m, resolution)
+    forms = test_form_dictionary(m, 2, 2)
+    walks = _captured_densities(monkeypatch)
+
+    def wedge(b):
+        Ha, _ = fscurrents._reduced_hessian(sa, b.chart, b.points)
+        Hb, _ = fscurrents._reduced_hessian(sb, b.chart, b.points)
+        return wedge_density_11(Ha, Hb)
+
+    fs_wedge_pairings(sa, sb, forms, rule)
+    _assert_spread(rule, walks[0], wedge)
+    for sp, other in ((sa, sb), (sb, sa)):
+        for comp, _ in other.base_divisors:
+            del walks[:]
+            fscurrents._restricted_pairings(sp, comp, forms, rule)
+            (seen,) = walks
+            _, q_line = fscurrents._line_family(sp, comp)
+            _assert_spread(fscurrents._line_rule(q_line, rule), seen,
+                           lambda b: _node_line_hessian(sp, comp, b)
+                           / math.pi)
+
+
+@pytest.mark.parametrize("toric", [True, False])
+def test_reduced_hessian_takes_the_radial_slice_of_toric_spaces(p2, toric,
+                                                                monkeypatch):
+    sp = _toric_space(p2) if toric else _non_toric_space(p2)
+    rule = quadrature_nodes(p2, 8)
+    sizes = []
+    call = fscurrents.ReducedHessianField.__call__
+
+    def counted(self, chart, Z):
+        sizes.append(Z.shape[0])
+        return call(self, chart, Z)
+
+    monkeypatch.setattr(fscurrents.ReducedHessianField, "__call__", counted)
+    fs_wedge_pairings(sp, sp, test_form_dictionary(p2, 2, 2), rule)
+    reduced = rule.torus_reduced()
+    walked = reduced if toric else rule
+    assert sizes == [b.num_nodes for b in walked.capped_blocks()]
+    # a reduced block is its block's radial slice: one node per radial tuple
+    for b, r in zip(rule.blocks, reduced.blocks):
+        assert r.num_nodes == math.prod(len(ax.x) for ax in b.axes)
+        assert r.num_nodes < b.num_nodes
+
+
 def _mixed_form(m, omega_part=None):
     """A form with equal- and unequal-exponent term pairs and a complex
     ``c``: its torus average keeps the pairs of equal exponents."""
