@@ -34,7 +34,6 @@ points of all its point sets.
 """
 
 import functools
-import math
 
 import numpy as np
 
@@ -43,7 +42,7 @@ from .errors import (
     GeneralPositionError,
     UnsupportedMetricError,
 )
-from .geometry import too_many_dropped, wedge_density_11
+from .geometry import ddc_density, too_many_dropped
 from .polynomials import degree_tuple
 
 # ---------------------------------------------------------------------------
@@ -494,10 +493,10 @@ def pair_blocks(rule, forms, potentials=(), densities=()):
     potential maps a block to finite node values, each (N,) array one row
     paired by ``np.dot``, each (N, k) array k rows paired by one matrix
     product.
-    ``dens[k, j]`` sums ``c * np.dot(integrand(chi_j, forms[j]), w)`` over
-    the blocks' ``(c, integrand, w)`` terms from ``densities[k](block,
-    mats)``, with ``chi_j`` from :meth:`Block.form_values`, ``c`` a number
-    or one per form and ``mats(i)`` the basis matrix of factor i.
+    ``dens[k, j]`` sums ``np.dot(integrand(chi_j, forms[j]), w)`` over the
+    blocks' ``(integrand, w) = densities[k](block, mats)``, with ``chi_j``
+    from :meth:`Block.form_values` and ``mats(i)`` the (N, n, n) basis
+    matrix of factor i.
 
     ``dd^c`` weights stay in each block's memo under ``(form,
     "ddc_weights")`` for every later walk.  The basis matrices, taken once
@@ -515,9 +514,9 @@ def pair_blocks(rule, forms, potentials=(), densities=()):
         ws = [b.memo((f, "ddc_weights"), lambda: _ddc_weights(f, b, mats))
               for f in forms] if potentials else []
         for row, density in zip(dens, densities):
-            for c, integrand, w in density(b, mats):
-                row += c * np.array([float(np.dot(
-                    integrand(b.form_values(f), f), w)) for f in forms])
+            integrand, w = density(b, mats)
+            row += np.array([float(np.dot(integrand(b.form_values(f), f), w))
+                             for f in forms])
         del mats  # free before the potentials, the block's peak
         if not potentials:
             continue
@@ -542,10 +541,8 @@ def _ddc_weights(form, block, mats):
     if form.constant:
         return np.broadcast_to(0.0, (block.num_nodes,))
     H = form.hessian(block.chart, block.points)
-    if block.manifold.dim == 1:
-        return (np.real(H) / math.pi) * block.weights_lebesgue
-    return (wedge_density_11(H, _form_omega_matrix(form, mats))
-            * (block.weights_lebesgue / 4.0))
+    return (ddc_density(H, *_form_omega_factors(form, mats))
+            * block.weights_lebesgue)
 
 
 def _field_potential(u, integrable):
@@ -582,15 +579,18 @@ def finite_potential(u, integrable):
     return np.where(bad, 0.0, u)
 
 
-def _form_omega_matrix(form, mats):
-    """The form's omega part from a block's basis matrices, ``mats(i)``
-    that of factor i."""
+def _form_omega_factors(form, mats):
+    """The (1,1)-forms a form's omega part wedges into a density, from a
+    block's basis matrices, ``mats(i)`` that of factor i: none for a test
+    function, the omega part's matrix for a (1,1) test form."""
+    if form.omega_part is None:
+        return ()
     acc = None
     for i, c in enumerate(np.asarray(form.omega_part, dtype=float)):
         if c == 0.0:
             continue
         acc = c * mats(i) if acc is None else acc + c * mats(i)
-    return np.zeros_like(mats(0)) if acc is None else acc
+    return (np.zeros_like(mats(0)) if acc is None else acc,)
 
 
 def class_pairings(manifold, degree, forms):

@@ -95,7 +95,6 @@ def parse_metric(bundle, desc):
 class ExperimentConfig:
     study: str
     manifold: Manifold
-    degree: tuple
     metrics: list                  # [{"h": Metric, "g": Metric | None}]
     p_grid: list
     samples: int
@@ -107,13 +106,8 @@ class ExperimentConfig:
     thresholds: list
     lambda_kind: str
     dict_count: int
-    out: str
     cache: str
     raw: dict = field(repr=False)
-
-    @property
-    def bundle(self):
-        return LineBundle(self.manifold, self.degree)
 
 
 def _int_list(value, name):
@@ -131,7 +125,16 @@ def _int_list(value, name):
 
 
 def parse_config(data):
-    """Validate a config document and build its metric objects."""
+    """Validate a config document and build its metric objects; every
+    malformed document raises ``ConfigurationError``, also one whose values
+    do not convert (a text sample count, a pole without its ``t``)."""
+    try:
+        return _parse_config(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed config: {exc!r}") from exc
+
+
+def _parse_config(data):
     if not isinstance(data, dict):
         raise ConfigurationError("config must be a JSON object")
     unknown = set(data) - _ALLOWED_KEYS
@@ -239,11 +242,11 @@ def parse_config(data):
         "cache": cache,
     }
     return ExperimentConfig(
-        study=study, manifold=manifold, degree=bundle.degree,
-        metrics=metrics, p_grid=p_grid, samples=samples, seed=tuple(seed),
-        resolution=resolution, exclusion=exclusion, adjoint=adjoint,
-        eps_list=eps_list, thresholds=thresholds, lambda_kind=lambda_kind,
-        dict_count=dict_count, out=out, cache=cache, raw=normalized)
+        study=study, manifold=manifold, metrics=metrics, p_grid=p_grid,
+        samples=samples, seed=tuple(seed), resolution=resolution,
+        exclusion=exclusion, adjoint=adjoint, eps_list=eps_list,
+        thresholds=thresholds, lambda_kind=lambda_kind,
+        dict_count=dict_count, cache=cache, raw=normalized)
 
 
 def load_config(path):

@@ -62,19 +62,17 @@ It is freed with the rule.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ._kernels import eval_monomials
-from .bundles import (CurrentDescriptor, _form_omega_matrix,
+from .bundles import (CurrentDescriptor, _form_omega_factors,
                       _require_omega_parts, class_pairings,
                       curve_divisor_points, finite_potential, form_values_hom,
                       pair_blocks, point_mass_pairings, wedge_descriptors)
 # benchmarks/tracer.py patches curvature_pairing here
 from .bundles import curvature_pairing  # noqa: F401
 from .errors import (ConfigurationError, GeneralPositionError, NumericalError)
-from .geometry import too_many_dropped, wedge_density_11
+from .geometry import ddc_density, too_many_dropped
 # benchmarks/test_benchmark.py checks that the tracer patches it here
 from .geometry import quadrature_nodes  # noqa: F401
 
@@ -100,10 +98,10 @@ class ReducedHessianField:
     """Pointwise Hessian of ``log F_red / (2p)`` of one space.
 
     Called with a block's chart and nodes it returns ``(H, bad)`` where H
-    is (N,) on curves and (N, 2, 2) on surfaces and ``bad`` flags nodes
-    where the reduced family vanished (isolated; their quadrature weight is
-    dropped by the caller).  It keeps nothing: the pairings call it once
-    per block and serve every form from that one value.
+    is (N, n, n) and ``bad`` flags nodes where the reduced family vanished
+    (isolated; their quadrature weight is dropped by the caller).  It
+    keeps nothing: the pairings call it once per block and serve every
+    form from that one value.
     """
 
     def __init__(self, space):
@@ -114,40 +112,37 @@ class ReducedHessianField:
 
 
 def _reduced_hessian(space, chart, Z):
-    V, dV = space.reduced_section_values(chart, Z, derivs=True)
-    if space.manifold.dim == 1:
-        return _curve_hessian(V, dV[0], space.p)
+    return _family_hessian(
+        space.reduced_section_values(chart, Z, derivs=True), space.p)
+
+
+def _family_hessian(values, p):
+    """``(F_ab F - F_a conj(F_b)) / (2p F^2)``, the Hessian of ``log F /
+    (2p)`` of a family with ``F = sum |V|^2``, shape (N, n, n).
+
+    ``values`` is ``(V, dV)``: the family's values, one column per member,
+    and the list of its n chart derivatives.  V is overwritten, and freed
+    here when the caller keeps no reference to it.  Returns ``(H, bad)``
+    with ``bad`` flagging the nodes where F vanished; H is 0 there.
+    """
+    V, dV = values
+    del values
+    n = len(dV)
     F = np.einsum("nj,nj->n", np.abs(V), np.abs(V))
     bad = F < 1e-290
     Fs = np.where(bad, 1.0, F)
-    scale = 1.0 / (2.0 * space.p)
+    scale = 1.0 / (2.0 * p)
     Vc = np.conj(V, out=V)  # V is read no more
     Fa = [np.einsum("nj,nj->n", d, Vc) for d in dV]
     del V, Vc  # node-by-member sized: free before the second derivatives
     Fs2 = Fs ** 2
-    H = np.empty((Z.shape[0], 2, 2), dtype=complex)
-    for a in range(2):
-        for b in range(2):
+    H = np.empty((Fs.shape[0], n, n), dtype=complex)
+    for a in range(n):
+        for b in range(n):
             Fab = np.einsum("nj,nj->n", dV[a], np.conj(dV[b]))
             H[:, a, b] = scale * (Fab * Fs - Fa[a] * np.conj(Fa[b])) / Fs2
     H[bad] = 0.0
     return H, bad
-
-
-def _curve_hessian(V, dV, p):
-    """``(F_aa F - |F_a|^2) / (2p F^2)`` of a family on a curve chart.
-
-    ``V`` and ``dV`` hold the family's values and chart derivatives, one
-    column per member, and ``F = sum |V|^2``.  Returns ``(H, bad)`` with
-    ``bad`` flagging the nodes where F vanished; H is 0 there.
-    """
-    F = np.einsum("nj,nj->n", np.abs(V), np.abs(V))
-    bad = F < 1e-290
-    Fs = np.where(bad, 1.0, F)
-    Fa = np.einsum("nj,nj->n", dV, np.conj(V))
-    Faa = np.einsum("nj,nj->n", np.abs(dV), np.abs(dV))
-    H = np.real(Faa * Fs - np.abs(Fa) ** 2) / Fs ** 2 / (2.0 * p)
-    return np.where(bad, 0.0, H), bad
 
 
 def _drop_vanished(block, bad, weights, what):
@@ -264,18 +259,13 @@ def _log_norm_base(space, chart, Z):
 
 
 def _pointwise_pairings(space, forms, rule):
-    m = rule.manifold
     field = ReducedHessianField(space)
 
     def reduced(b, mats):
         H, bad = field(b.chart, b.points)
-        if m.dim == 1:
-            wq = _drop_vanished(b, bad, b.weights_lebesgue, "reduced family")
-            dens = np.real(H) / math.pi
-            return [(1.0, lambda chi, f: chi * dens, wq)]
-        wq = _drop_vanished(b, bad, b.weights_lebesgue / 4.0, "reduced family")
-        return [(1.0, lambda chi, f: chi * wedge_density_11(
-            H, _form_omega_matrix(f, mats)), wq)]
+        wq = _drop_vanished(b, bad, b.weights_lebesgue, "reduced family")
+        return (lambda chi, f: chi * ddc_density(
+            H, *_form_omega_factors(f, mats))), wq
 
     return pair_blocks(_walk_rule(rule, space), forms,
                        densities=[reduced])[1][0]
@@ -424,10 +414,9 @@ def fs_wedge_pairings(space_a, space_b, forms, rule):
         else:
             Hb, bad_b = field_b(b.chart, b.points)
             bad = bad | bad_b
-        dens = wedge_density_11(Ha, Hb)
-        wq = _drop_vanished(b, bad, b.weights_lebesgue / 4.0,
-                            "reduced families")
-        return [(1.0, lambda chi, f: chi * dens, wq)]
+        dens = ddc_density(Ha, Hb)
+        wq = _drop_vanished(b, bad, b.weights_lebesgue, "reduced families")
+        return (lambda chi, f: chi * dens), wq
 
     totals = pair_blocks(_walk_rule(rule, space_a, space_b), forms,
                          densities=[reduced_wedge])[1][0]
@@ -484,9 +473,10 @@ def _restricted_pairings(space, comp, forms, surface):
         V = eval_monomials(b.points, e[:, None], np.ones(q_line + 1)) @ Rc
         dV = eval_monomials(b.points, np.maximum(e - 1, 0)[:, None],
                             e.astype(float)) @ Rc
-        H, bad = _curve_hessian(V, dV, space.p)
+        H, bad = _family_hessian((V, [dV]), space.p)
         wq = _drop_vanished(b, bad, b.weights_lebesgue, "restricted family")
-        return [(1.0, lambda chi, f: chi * H / math.pi, wq)]
+        dens = ddc_density(H)
+        return (lambda chi, f: chi * dens), wq
 
     return pair_blocks(_walk_rule(_line_rule(q_line, surface), space),
                        [f.restriction(comp[1]) for f in forms],

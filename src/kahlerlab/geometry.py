@@ -7,7 +7,8 @@ and used everywhere:
 * ``d^c = (1/(2 pi i)) (d' - d'')`` so that ``dd^c log|z| = delta_0``.  For a
   scalar ``u`` with complex Hessian ``H`` the current ``dd^c u`` is the
   (1,1)-form ``(i/pi) sum H_{jk} dz_j dz_k-bar``; we represent (1,1)-forms by
-  that Hessian-convention matrix throughout.
+  that Hessian-convention matrix throughout, (N, n, n) on every manifold;
+  only :func:`ddc_density` turns ``n`` of them into a wedge's density.
 * The Kähler form is normalized to unit total volume: ``omega = dd^c (1/2)
   log(1+|z|^2)`` on P1 and P2 (mass 1), and ``omega = (omega_1 + omega_2) /
   sqrt(2)`` on P1xP1 so that ``omega^2 = omega_1 ^ omega_2`` is exactly the
@@ -182,7 +183,8 @@ class Manifold:
         pts = np.atleast_2d(np.asarray(points, dtype=complex))
         out = None
         for sl in self.factor_slices:
-            c = _argmax_low(np.abs(pts[:, sl]))
+            # np.argmax breaks ties toward the lowest index
+            c = np.argmax(np.abs(pts[:, sl]), axis=1)
             out = c if out is None else out * (sl.stop - sl.start) + c
         return out
 
@@ -265,20 +267,18 @@ class Manifold:
         return np.log1p(self.factor_squares(Z))
 
     def omega_basis_matrix(self, index, chart, Z):
-        """Hessian-convention matrix of the basis form ``omega_index``.
+        """Hessian-convention matrix of the basis form ``omega_index``,
+        shape (N, dim, dim).
 
         The basis spans the smooth reference curvatures, one factor
         pullback per factor: ``(omega,)`` on P1 and P2, ``(omega_1,
-        omega_2)`` on P1xP1.  Returned shape: (N,) on curves, (N, 2, 2) on
-        surfaces.
+        omega_2)`` on P1xP1.
         """
         Z = np.atleast_2d(np.asarray(Z, dtype=complex))
         D = 1.0 + self._factor_square(Z, index)
-        if self.dim == 1:
-            return 0.5 / D ** 2
         if self.factor_dims[index] == 1:
             a = self.axis_slices[index].start
-            H = np.zeros((Z.shape[0], 2, 2), dtype=complex)
+            H = np.zeros((Z.shape[0], self.dim, self.dim), dtype=complex)
             H[:, a, a] = 0.5 / D ** 2
             return H
         # a plane factor is the whole surface
@@ -360,11 +360,6 @@ class Manifold:
                                  base_shift=2 * sl.start)
                  for sl in self.factor_slices]
         return np.concatenate(parts, axis=1)
-
-
-def _argmax_low(score):
-    # np.argmax already breaks ties toward the lowest index
-    return np.argmax(score, axis=1).astype(int)
 
 
 def _sine_dist(a, b):
@@ -988,3 +983,18 @@ def wedge_density_11(A, B):
     perm = (A[:, 0, 0] * B[:, 1, 1] + A[:, 1, 1] * B[:, 0, 0]
             - A[:, 0, 1] * B[:, 1, 0] - A[:, 1, 0] * B[:, 0, 1])
     return (4.0 / math.pi ** 2) * np.real(perm)
+
+
+def ddc_density(*hessians):
+    """Density against ``Block.weights_lebesgue`` of the wedge of ``dim``
+    (1,1)-forms, each an (N, dim, dim) Hessian-convention matrix.
+
+    The weights carry ``2 dA`` on a curve, where the form of ``H`` is ``(Re
+    H / pi) 2 dA``, and ``4 dV`` on a surface, where the wedge of ``A`` and
+    ``B`` is ``wedge_density_11(A, B) dV``.
+    """
+    if len(hessians) != hessians[0].shape[-1]:
+        raise ConfigurationError("a density wedges dim (1,1)-forms")
+    if len(hessians) == 1:
+        return np.real(hessians[0][:, 0, 0]) / math.pi
+    return wedge_density_11(*hessians) / 4.0

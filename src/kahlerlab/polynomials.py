@@ -47,17 +47,17 @@ def _tails(k, d):
 
 
 def _as_int_degree(degree, k):
-    if k == 1:
-        if np.ndim(degree) != 0:
-            (degree,) = degree
-        d = int(degree)
-        if d < 0:
-            raise ConfigurationError("degree must be non-negative")
-        return (d,)
-    d1, d2 = (int(x) for x in degree)
-    if d1 < 0 or d2 < 0:
+    try:
+        out = tuple(int(d) for d in np.ravel(degree))
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"degree must be integers, got {degree!r}") from exc
+    if len(out) != k:
+        raise ConfigurationError(f"degree {degree!r} needs {k} integer(s), "
+                                 "one per factor")
+    if min(out) < 0:
         raise ConfigurationError("degrees must be non-negative")
-    return (d1, d2)
+    return out
 
 
 def degree_tuple(manifold, degree):
@@ -198,6 +198,9 @@ class SectionPoly:
 
 def coordinate_section(manifold, coord):
     """The section z_coord of the degree-one bundle along its factor."""
+    if not 0 <= coord < manifold.hom_len:
+        raise ConfigurationError(
+            f"no homogeneous coordinate {coord} on {manifold!r}")
     deg = tuple(int(f == manifold.coord_factors[coord])
                 for f in range(manifold.factors))
     e = np.zeros((1, manifold.hom_len), dtype=np.int64)

@@ -142,7 +142,7 @@ class SectionSpace:
             raise ConfigurationError(
                 f"section degree {max(self.q)} exceeds supported maximum "
                 f"{_MAX_DEGREE}")
-        self._resolution = resolution
+        self._resolution = resolution or 24  # of a rule-based Gram
         self._method = method
         self._build_basis()
         self._gram = None
@@ -307,14 +307,14 @@ class SectionSpace:
                     "position is only supported on P1")
             q = self.q[0]
             return method, {
-                "radial_min": max(q // 2 + 12, self._resolution or 24),
+                "radial_min": max(q // 2 + 12, self._resolution),
                 "angular_min": int(8.5 * q) + 32}
         raise ConfigurationError(f"unknown gram method {method!r}")
 
     def gram_fingerprint(self):
         """JSON-ready identity of the Gram numerics, built without nodes."""
         method, plan = self.gram_plan()
-        res = None if plan is None else self._resolution or 24
+        res = None if plan is None else self._resolution
         return {"numerics": NUMERICS_VERSION, "method": method,
                 "resolution": res, "rule": plan}
 
@@ -337,7 +337,7 @@ class SectionSpace:
                 self._gram = self._gram_closed_form()
             else:
                 self.rule = quadrature_nodes(
-                    self.manifold, self._resolution or 24,
+                    self.manifold, self._resolution,
                     singular_refinement=self.metric.refinement_centers(),
                     **plan)
                 if method == "diagonal":
@@ -355,11 +355,10 @@ class SectionSpace:
     def _axis_plan(self):
         """(radial_min, angular_min) for Gram quadrature."""
         qmax = max(self.q)
-        res = self._resolution or 24
         ang = 2 * qmax + 8
         if max(self.manifold.factor_dims) > 1:  # disk radial variables
-            return max(int(0.55 * qmax) + 14, res // 2 + 8), ang
-        return max(qmax // 2 + 10, res), ang
+            return max(int(0.55 * qmax) + 14, self._resolution // 2 + 8), ang
+        return max(qmax // 2 + 10, self._resolution), ang
 
     def _measure_weights(self, block):
         """Full per-node weights of the Gram measure on one block."""

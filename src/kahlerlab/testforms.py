@@ -204,14 +204,12 @@ class TestForm:
         return line
 
     def hessian(self, chart, Z):
-        """Complex Hessian of chi: (N,) on P1, (N, 2, 2) on surfaces."""
+        """Complex Hessian of chi, shape (N, dim, dim)."""
         Z = np.atleast_2d(np.asarray(Z, dtype=complex))
         n = self.manifold.dim
         N = Z.shape[0]
         if self.A is None:
-            if n == 1:
-                return np.zeros(N, dtype=complex)
-            return np.zeros((N, 2, 2), dtype=complex)
+            return np.zeros((N, n, n), dtype=complex)
         a, b, da, db = self._chart(chart)
         fac = self.manifold.axis_factors
         D = 1.0 + self.manifold.factor_squares(Z)
@@ -247,8 +245,6 @@ class TestForm:
                               + Sk_bar * E * e[j]
                               + S * E * (e[j] * np.conj(e[k]) + de))
         H *= self.scale
-        if n == 1:
-            return H[:, 0, 0]
         return H
 
     # -- metadata --------------------------------------------------------------
@@ -300,16 +296,12 @@ def _scalar_specs(manifold):
 def _normalize(form, grid_charts):
     sup_chi = 0.0
     sup_h = 0.0
-    n = form.manifold.dim
     for chart, Z in grid_charts:
         chi = form.chi(chart, Z)
         sup_chi = max(sup_chi, float(np.max(np.abs(chi))))
         H = form.hessian(chart, Z)
-        if n == 1:
-            sup_h = max(sup_h, float(np.max(np.abs(H))))
-        else:
-            ev = np.linalg.eigvalsh(0.5 * (H + np.conj(np.swapaxes(H, 1, 2))))
-            sup_h = max(sup_h, float(np.max(np.abs(ev))))
+        ev = np.linalg.eigvalsh(0.5 * (H + np.conj(np.swapaxes(H, 1, 2))))
+        sup_h = max(sup_h, float(np.max(np.abs(ev))))
     norm = sup_chi + sup_h / np.pi
     if norm < 1e-12:
         return None

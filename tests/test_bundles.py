@@ -291,7 +291,8 @@ def _ref_pair_omega_basis(index, form, rule):
         # the library's block values, so the batching is checked bit for bit
         chi = form.block_values(b)
         if m.dim == 1:
-            dens = np.real(m.omega_basis_matrix(index, b.chart, b.points))
+            dens = np.real(m.omega_basis_matrix(index, b.chart,
+                                                b.points)[:, 0, 0])
             total += float(np.dot(chi * dens, b.weights_lebesgue)) / math.pi
         else:
             A = m.omega_basis_matrix(index, b.chart, b.points)
@@ -309,7 +310,7 @@ def _ref_ddc_pairing(scalar_field, form, rule, integrable):
         u = finite_potential(u, integrable)
         H = form.hessian(b.chart, b.points)
         if m.dim == 1:
-            w = (np.real(H) / math.pi) * b.weights_lebesgue
+            w = (np.real(H[:, 0, 0]) / math.pi) * b.weights_lebesgue
         else:
             omega_a = _ref_form_omega_matrix(m, form, b.chart, b.points)
             w = wedge_density_11(H, omega_a) * (b.weights_lebesgue / 4.0)

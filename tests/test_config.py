@@ -110,8 +110,22 @@ _BASE = {"study": "bergman", "manifold": "P1", "p_grid": [4, 8]}
     dict(_BASE, study="approximation", eps_list=[0.5, 0.5]),
     dict(_BASE, study="approximation", eps_list=[0.25, 0.5]),
     dict(_BASE, study="approximation", p_grid=[[4, 8], [8, 16]]),
+    dict(_BASE, manifold="P1xP1"),
+    dict(_BASE, manifold="P1xP1", degree=[1, 2, 3]),
+    dict(_BASE, degree=[1, 2]),
+    dict(_BASE, degree="x"),
+    dict(_BASE, metrics=[{"h": {"kind": "log_pole", "t": 0.5,
+                                "Q": {"coord": 5}}}]),
+    dict(_BASE, metrics=[{"h": {"kind": "log_pole", "t": 0.5, "Q": {
+        "degree": 1, "terms": [[[1, 0]]]}}}]),
+    dict(_BASE, metrics=[{"h": {"kind": "log_pole", "Q": {"coord": 0}}}]),
+    dict(_BASE, samples="many"),
+    dict(_BASE, study="approximation", eps_list=["a"]),
 ], ids=["unknown-key", "repeated-p", "decreasing-p", "few-samples",
-        "repeated-eps", "increasing-eps", "nested-p-grid"])
+        "repeated-eps", "increasing-eps", "nested-p-grid",
+        "product-without-degree", "three-degrees", "two-degrees-on-a-line",
+        "text-degree", "no-such-coordinate", "term-without-coefficient",
+        "pole-without-strength", "text-samples", "text-eps"])
 def test_invalid_documents_raise(doc):
     with pytest.raises(ConfigurationError):
         parse_config(doc)

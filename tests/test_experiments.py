@@ -1,3 +1,4 @@
+import math
 import weakref
 
 import numpy as np
@@ -145,6 +146,29 @@ def test_dimension_study_reports_the_projective_dimension():
     rows = run_study(cfg)["rows"]
     assert rows[0] == {"p": 4, "dim": 15, "d_p": 14, "ratio": 14 / 16}
     assert rows[1]["dim"] == 45
+
+
+@pytest.mark.parametrize("doc", [
+    {"manifold": "P1", "adjoint": True},
+    {"manifold": "P1", "adjoint": False},
+    {"manifold": "P2", "adjoint": True},
+    {"manifold": "P2", "adjoint": False},
+    {"manifold": "P1xP1", "degree": [1, 1]},
+], ids=["P1-adjoint", "P1", "P2-adjoint", "P2", "P1xP1"])
+def test_bergman_study_of_fs_metrics_replays_log_dim_over_p(doc, tmp_path):
+    # the Bergman function of a Fubini-Study metric is the constant dim;
+    # the flags are not asserted, as rounding decides whether the exact
+    # sups of one power grid count as decreasing
+    cfg = parse_config(dict(doc, study="bergman", p_grid=[4, 8],
+                            cache=str(tmp_path / "cache")))
+    cold = run_study(cfg)
+    warm = run_study(cfg)
+    assert (cold["cache"], warm["cache"]) == ({"hits": 0, "misses": 2},
+                                              {"hits": 2, "misses": 0})
+    assert [r["p"] for r in cold["rows"]] == [4, 8]
+    for r in cold["rows"]:
+        assert abs(r["sup"] - math.log(r["dim"]) / r["p"]) <= 1e-14
+    _assert_same_bytes(cold, warm, tmp_path)
 
 
 _SMOOTHED_MAX = {"kind": "smoothed_max", "t": 0.5, "c": 0.1,

@@ -18,8 +18,8 @@ from kahlerlab.fscurrents import (descriptor_form_pairing,
                                   descriptor_wedge_pairings,
                                   form_values_hom, fs_pairing, fs_pairings,
                                   fs_wedge_pairing, fs_wedge_pairings)
-from kahlerlab.geometry import (build_manifold, quadrature_nodes,
-                                wedge_density_11)
+from kahlerlab.geometry import (build_manifold, ddc_density,
+                                quadrature_nodes, wedge_density_11)
 from kahlerlab.polynomials import SectionPoly, coordinate_section
 from kahlerlab.sections import build_section_space
 from kahlerlab.testforms import TestForm, constant_form, test_form_dictionary
@@ -203,7 +203,7 @@ def _ref_descriptor_form_pairing(descriptor, form, rule):
                 continue
             A = m.omega_basis_matrix(i, b.chart, b.points)
             if m.dim == 1:
-                total += c * float(np.dot(chi * np.real(A),
+                total += c * float(np.dot(chi * np.real(A[:, 0, 0]),
                                           b.weights_lebesgue)) / math.pi
                 continue
             Bm = sum(w * m.omega_basis_matrix(k, b.chart, b.points)
@@ -437,6 +437,31 @@ def _ref_reduced_hessian(space, chart, Z):
     return H, bad
 
 
+@pytest.mark.parametrize("kind", ["P1", "P2", "P1xP1"])
+def test_hessians_are_n_by_n_on_every_manifold(kind):
+    # every (1,1)-form is an (N, n, n) Hessian, curves included, and a
+    # density wedges exactly n of them
+    m = build_manifold(kind)
+    n = m.dim
+    L = LineBundle(m, (1,) * m.factors)
+    sp = build_section_space(
+        Metric.log_pole(L, coordinate_section(m, 0), 0.5), 6, resolution=16)
+    b = quadrature_nodes(m, 8).capped_blocks()[0]
+    shape = (b.num_nodes, n, n)
+    forms = test_form_dictionary(m, 1, 3)
+    assert forms[0].constant
+    for f in forms:
+        assert f.hessian(b.chart, b.points).shape == shape
+    mats = [m.omega_basis_matrix(i, b.chart, b.points)
+            for i in range(m.factors)]
+    assert [mat.shape for mat in mats] == [shape] * m.factors
+    H, bad = fscurrents.ReducedHessianField(sp)(b.chart, b.points)
+    assert H.shape == shape and bad.shape == (b.num_nodes,)
+    assert ddc_density(*[H] * n).shape == (b.num_nodes,)
+    with pytest.raises(ConfigurationError):
+        ddc_density(*[H] * (n + 1))
+
+
 @pytest.mark.parametrize("case", ["P2-self", "P1xP1"])
 def test_reduced_hessian_keeps_its_bits(case):
     m, h, _, p = _wedge_case(case)
@@ -551,16 +576,16 @@ def test_vanished_line_nodes_are_dropped_or_raise(p2, monkeypatch, nbad):
     forms = [test_form_dictionary(p2, 2, 10)[i] for i in (0, 6, 9)]
     rule = quadrature_nodes(p2, 8)
     clean = fscurrents._restricted_pairings(sp, comp, forms, rule)
-    curve_hessian = fscurrents._curve_hessian
+    family_hessian = fscurrents._family_hessian
 
-    def flagged(V, dV, p):
+    def flagged(values, p):
         # H stays finite at the flagged nodes: only the weights drop them
-        H, bad = curve_hessian(V, dV, p)
+        H, bad = family_hessian(values, p)
         bad = bad.copy()
         bad[:nbad] = True
         return H, bad
 
-    monkeypatch.setattr(fscurrents, "_curve_hessian", flagged)
+    monkeypatch.setattr(fscurrents, "_family_hessian", flagged)
     if nbad > 8:
         with pytest.raises(NumericalError):
             fscurrents._restricted_pairings(sp, comp, forms, rule)
@@ -592,7 +617,7 @@ def test_a_vanished_radial_node_drops_its_orbit(p2, monkeypatch, where):
     else:
         _, q_line = fscurrents._line_family(sp, comp)
         walked = fscurrents._line_rule(q_line, rule).torus_reduced()
-        name = "_curve_hessian"
+        name = "_family_hessian"
     blocks = walked.capped_blocks()
     field = getattr(fscurrents, name)
     k = 5  # the flagged node of each reduced block
@@ -630,7 +655,7 @@ def test_a_vanished_radial_node_drops_its_orbit(p2, monkeypatch, where):
 
 def _captured_densities(monkeypatch):
     """Patch ``fscurrents.pair_blocks`` so that each walk appends a list of
-    ``(block, density)``: each density term's integrand at ``chi = 1``."""
+    ``(block, density)``: each density's integrand at ``chi = 1``."""
     walks = []
     walk = fscurrents.pair_blocks
 
@@ -639,12 +664,11 @@ def _captured_densities(monkeypatch):
         walks.append(seen)
 
         def wrap(density):
-            def terms(b, mats):
-                out = density(b, mats)
-                seen.extend((b, integrand(np.ones(b.num_nodes), forms[0]))
-                            for _, integrand, _ in out)
-                return out
-            return terms
+            def seen_density(b, mats):
+                integrand, w = density(b, mats)
+                seen.append((b, integrand(np.ones(b.num_nodes), forms[0])))
+                return integrand, w
+            return seen_density
 
         return walk(rule, forms, potentials, [wrap(d) for d in densities],
                     **kwargs)
@@ -661,7 +685,7 @@ def _node_line_hessian(space, comp, b):
     V = eval_monomials(b.points, e[:, None], np.ones(q_line + 1)) @ Rc
     dV = eval_monomials(b.points, np.maximum(e - 1, 0)[:, None],
                         e.astype(float)) @ Rc
-    return fscurrents._curve_hessian(V, dV, space.p)[0]
+    return fscurrents._family_hessian((V, [dV]), space.p)[0]
 
 
 def _assert_spread(rule, seen, node_density):
@@ -701,7 +725,7 @@ def test_spread_densities_match_the_per_node_ones(case, resolution,
     def wedge(b):
         Ha, _ = fscurrents._reduced_hessian(sa, b.chart, b.points)
         Hb, _ = fscurrents._reduced_hessian(sb, b.chart, b.points)
-        return wedge_density_11(Ha, Hb)
+        return ddc_density(Ha, Hb)
 
     fs_wedge_pairings(sa, sb, forms, rule)
     _assert_spread(rule, walks[0], wedge)
@@ -712,8 +736,8 @@ def test_spread_densities_match_the_per_node_ones(case, resolution,
             (seen,) = walks
             _, q_line = fscurrents._line_family(sp, comp)
             _assert_spread(fscurrents._line_rule(q_line, rule), seen,
-                           lambda b: _node_line_hessian(sp, comp, b)
-                           / math.pi)
+                           lambda b: ddc_density(
+                               _node_line_hessian(sp, comp, b)))
 
 
 @pytest.mark.parametrize("toric", [True, False])
@@ -778,7 +802,7 @@ def _full_pointwise(space, forms, rule):
                 for i in range(m.factors)]
         for i, f in enumerate(forms):
             if m.dim == 1:
-                dens = np.real(H) / math.pi
+                dens = np.real(H[:, 0, 0]) / math.pi
                 w = b.weights_lebesgue
             else:
                 omega = sum(c * mat for c, mat in zip(f.omega_part, mats))

@@ -180,7 +180,8 @@ def test_p1_omega_density_matches_volume():
     total = 0.0
     for b in rule.blocks:
         dens = omega_matrix(m, b.chart, b.points)
-        total += float(np.dot(np.real(dens), b.weights_lebesgue) / np.pi)
+        total += float(np.dot(np.real(dens[:, 0, 0]), b.weights_lebesgue)
+                       / np.pi)
     assert abs(total - 1.0) < 1e-12
 
 

@@ -3,11 +3,11 @@ module, importing the package loads no scipy, running a study loads no
 ``numpy.ma``, every function the benchmark's tracer patches exists, no
 pairing walks a rule's blocks outside ``bundles.pair_blocks``, the
 closed-form pairings reach no walk at all and only the walk takes omega
-basis matrices, no module but ``geometry`` compares with a manifold kind or
-splits points by chart, no module but ``sections`` (and ``cache``, which
-stores it) reads a space's orthonormal frame, no module but ``geometry``
-builds a quadrature rule, block or axis, and every library function has a
-caller outside the tests.
+basis matrices, no module but ``geometry`` compares with a manifold kind,
+splits points by chart or takes a wedge density, no module but
+``sections`` (and ``cache``, which stores it) reads a space's orthonormal
+frame, no module but ``geometry`` builds a quadrature rule, block or axis,
+and every library function has a caller outside the tests.
 
 No linter ships with the package, so the first check is the unused-import
 check: each module of ``src/kahlerlab`` is parsed with ``ast`` and the names
@@ -255,7 +255,7 @@ def _omega_basis_calls(node, scope, target=None):
 
 
 def test_only_the_walk_takes_omega_basis_matrices():
-    # a basis matrix is an (N, 2, 2) complex array per block: only a
+    # a basis matrix is an (N, n, n) complex array per block: only a
     # Hessian meeting omega needs one, through pair_blocks' ``mats``
     calls = [c for module in MODULES
              for c in _omega_basis_calls(ast.parse(
@@ -311,6 +311,26 @@ def test_only_geometry_splits_points_by_chart():
                  (PACKAGE / module).read_text(encoding="utf-8")), "chart_of")]
     assert not found, f"chart_of calls outside geometry: {found}"
     assert _method_calls(ast.parse("m.chart_of(pts)"), "chart_of") == [1]
+
+
+def _name_reads(tree, name):
+    """Line numbers of reads of ``name``, bare or as an attribute."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name]
+
+
+def test_only_geometry_takes_wedge_densities():
+    # geometry.ddc_density is the one density of a wedge of (1,1)-forms
+    # against Lebesgue weights; no other module scales a wedge density
+    found = [f"{module}:{line}" for module in MODULES
+             if module != "geometry.py"
+             for line in _name_reads(ast.parse(
+                 (PACKAGE / module).read_text(encoding="utf-8")),
+                 "wedge_density_11")]
+    assert not found, f"wedge_density_11 outside geometry: {found}"
+    assert _name_reads(ast.parse("d = geometry.wedge_density_11(A, B) / 4"),
+                       "wedge_density_11") == [1]
 
 
 def test_only_sections_applies_the_orthonormal_frame():

@@ -26,7 +26,8 @@ from kahlerlab.fscurrents import (ReducedHessianField,
                                   descriptor_wedge_pairings, fs_wedge_pairings,
                                   log_norm_pairings)
 from kahlerlab.geometry import (Block, Manifold, build_manifold,
-                                quadrature_nodes, wedge_density_11)
+                                ddc_density, quadrature_nodes,
+                                wedge_density_11)
 from kahlerlab.polynomials import SectionPoly, coordinate_section
 from kahlerlab.sections import build_section_space
 from kahlerlab.testforms import TestForm, test_form_dictionary
@@ -55,7 +56,7 @@ def _ref_omega_terms(form, block, mats):
     # the library's block values, so the batching is checked bit for bit
     chi = form.block_values(block)
     if block.manifold.dim == 1:
-        return [float(np.dot(chi * np.real(mats[0]),
+        return [float(np.dot(chi * np.real(mats[0][:, 0, 0]),
                              block.weights_lebesgue)) / math.pi]
     Bm = _ref_form_omega_matrix(form, mats)
     wq = block.weights_lebesgue / 4.0
@@ -65,7 +66,7 @@ def _ref_omega_terms(form, block, mats):
 def _ref_ddc_weights(form, block, mats):
     H = form.hessian(block.chart, block.points)
     if block.manifold.dim == 1:
-        return (np.real(H) / math.pi) * block.weights_lebesgue
+        return (np.real(H[:, 0, 0]) / math.pi) * block.weights_lebesgue
     return (wedge_density_11(H, _ref_form_omega_matrix(form, mats))
             * (block.weights_lebesgue / 4.0))
 
@@ -145,7 +146,7 @@ def _ref_pointwise_pairings(space, forms, rule):
         if m.dim == 1:
             wq = fscurrents._drop_vanished(b, bad, b.weights_lebesgue,
                                            "reduced family")
-            dens = np.real(H) / math.pi
+            dens = np.real(H[:, 0, 0]) / math.pi
         else:
             wq = fscurrents._drop_vanished(b, bad, b.weights_lebesgue / 4.0,
                                            "reduced family")
@@ -191,12 +192,13 @@ def _ref_restricted_pairings(space, comp, forms, surface):
                            np.ones(q_line + 1)) @ Rc
         dV = eval_monomials(Z, np.maximum(e - 1, 0)[:, None].astype(np.int64),
                             e.astype(float)) @ Rc
-        H, bad = fscurrents._curve_hessian(V, dV, space.p)
+        H, bad = fscurrents._family_hessian((V, [dV]), space.p)
         wq = fscurrents._drop_vanished(b, bad, b.weights_lebesgue,
                                        "restricted family")
+        dens = ddc_density(H)
         chis = _ref_line_values(comp, forms, b)
         for i, chi in enumerate(chis):
-            totals[i] += float(np.dot(chi * H / math.pi, wq))
+            totals[i] += float(np.dot(chi * dens, wq))
     return totals
 
 
