@@ -29,8 +29,8 @@ so every later walk over the rule reuses them.  ``ddc_pairing`` and the
 potential of ``curvature_pairing`` are one-form calls of it.  Point masses
 (zeros on curves and of pairs on surfaces, divisors of curves, transverse
 divisor intersections) pair through the one routine
-:func:`point_mass_pairings`, which evaluates each form once on the stacked
-points of all its point sets.
+:func:`point_mass_pairings`, which evaluates all forms at once on the
+stacked points of all its point sets.
 """
 
 import functools
@@ -44,6 +44,7 @@ from .errors import (
 )
 from .geometry import ddc_density, too_many_dropped
 from .polynomials import degree_tuple
+from .testforms import form_chis
 
 # ---------------------------------------------------------------------------
 # bundles
@@ -650,10 +651,10 @@ def point_mass_pairings(manifold, forms, point_sets, totals=None):
     mass)`` pairs of each point set ``s``: the (sets, forms) matrix
     (``totals`` defaults to zeros and is added to in place).
 
-    Each form is evaluated once on the stacked points of all sets; the
-    masses add into each set's row one point after another, in point
-    order, so an entry is the same number whatever other sets share the
-    call.
+    The forms are evaluated once, together, on the stacked points of all
+    sets (:func:`form_values_hom`); the masses add into each set's row one
+    point after another, in point order, so an entry is the same number
+    whatever other sets share the call.
     """
     point_sets = list(point_sets)
     if totals is None:
@@ -662,17 +663,18 @@ def point_mass_pairings(manifold, forms, point_sets, totals=None):
     if not (points and forms):
         return totals
     owner = np.repeat(np.arange(len(point_sets)), [len(s) for s in point_sets])
-    P = np.stack([pt for pt, _ in points])
-    V = np.stack([form_values_hom(manifold, f, P) for f in forms], axis=1)
+    V = form_values_hom(manifold, forms, np.stack([pt for pt, _ in points]))
     mass = np.array([k for _, k in points], dtype=float)
     np.add.at(totals, owner, mass[:, None] * V)
     return totals
 
 
-def form_values_hom(manifold, form, points):
-    """chi at homogeneous points, preserving order."""
+def form_values_hom(manifold, forms, points):
+    """chi of each form at homogeneous points: shape (points, forms), the
+    points in their order, each chart's points in one
+    :func:`testforms.form_chis` call."""
     pts = manifold.normalize(points)
-    out = np.empty(pts.shape[0], dtype=float)
+    out = np.empty((pts.shape[0], len(forms)))
     for chart, mask, Z in manifold.chart_split(pts):
-        out[mask] = np.asarray(form.chi(chart, Z), dtype=float)
+        out[mask] = form_chis(forms, chart, Z).T
     return out

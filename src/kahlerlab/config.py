@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from .bundles import LineBundle, LogPoleAtom, Metric
 from .errors import ConfigurationError
 from .geometry import Manifold
-from .polynomials import SectionPoly, coordinate_section
+from .polynomials import SectionPoly, as_integer, coordinate_section
 from .zeros import MIN_EXPECTED_ZERO_SAMPLES
 
 STUDIES = ("bergman", "dimension", "equidistribution", "fs-convergence",
@@ -45,7 +45,8 @@ def parse_poly(manifold, desc):
         raise ConfigurationError(f"polynomial descriptor must be a dict, "
                                  f"got {desc!r}")
     if "coord" in desc:
-        return coordinate_section(manifold, int(desc["coord"]))
+        return coordinate_section(manifold,
+                                  as_integer(desc["coord"], "coord"))
     try:
         degree = desc["degree"]
         terms = desc["terms"]
@@ -53,12 +54,11 @@ def parse_poly(manifold, desc):
         raise ConfigurationError(
             f"polynomial descriptor needs 'coord' or 'degree'+'terms', "
             f"got keys {sorted(desc)}") from exc
-    if isinstance(degree, list):
-        degree = tuple(int(d) for d in degree)
     coeff_map = {}
     for entry in terms:
         exps, re, im = entry
-        coeff_map[tuple(int(e) for e in exps)] = complex(re, im)
+        coeff_map[tuple(as_integer(e, "exponent") for e in exps)] = \
+            complex(re, im)
     return SectionPoly.from_coeff_map(manifold, degree, coeff_map)
 
 
@@ -111,10 +111,9 @@ class ExperimentConfig:
 
 
 def _int_list(value, name):
-    try:
-        out = [int(v) for v in value]
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{name} must be a list of integers") from exc
+    if not isinstance(value, list):
+        raise ConfigurationError(f"{name} must be a list of integers")
+    out = [as_integer(v, f"{name} entry") for v in value]
     if not out:
         raise ConfigurationError(f"{name} must not be empty")
     if any(v <= 0 for v in out):
@@ -168,7 +167,7 @@ def _parse_config(data):
 
     p_grid = _int_list(data.get("p_grid", [8, 16, 32]), "p_grid")
 
-    samples = int(data.get("samples", 100))
+    samples = as_integer(data.get("samples", 100), "samples")
     if samples < 1:
         raise ConfigurationError("samples must be >= 1")
     if study == "expected-zero" and samples < MIN_EXPECTED_ZERO_SAMPLES:
@@ -181,13 +180,14 @@ def _parse_config(data):
     if isinstance(seed, int):
         seed = [seed]
     if (not isinstance(seed, list) or not seed
-            or not all(isinstance(s, int) for s in seed)):
+            or not all(isinstance(s, int) and not isinstance(s, bool)
+                       for s in seed)):
         raise ConfigurationError(
             f"seed must be an integer or a list of integers, got {seed!r}")
 
     resolution = data.get("resolution")
     if resolution is not None:
-        resolution = int(resolution)
+        resolution = as_integer(resolution, "resolution")
         if resolution < 8:
             raise ConfigurationError("resolution must be at least 8")
 
@@ -195,7 +195,10 @@ def _parse_config(data):
     if exclusion < 0:
         raise ConfigurationError("exclusion radius must be >= 0")
 
-    adjoint = bool(data.get("adjoint", True))
+    adjoint = data.get("adjoint", True)
+    if not isinstance(adjoint, bool):
+        raise ConfigurationError(
+            f"adjoint must be true or false, got {adjoint!r}")
 
     eps_list = data.get("eps_list")
     if eps_list is not None:
@@ -214,7 +217,7 @@ def _parse_config(data):
         raise ConfigurationError(
             f"lambda_kind must be one of {list(LAMBDA_KINDS)}")
 
-    dict_count = int(data.get("dict_count", 12))
+    dict_count = as_integer(data.get("dict_count", 12), "dict_count")
     if dict_count < 1:
         raise ConfigurationError("dict_count must be >= 1")
 

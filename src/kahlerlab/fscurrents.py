@@ -73,6 +73,7 @@ from .bundles import (CurrentDescriptor, _form_omega_factors,
 from .bundles import curvature_pairing  # noqa: F401
 from .errors import (ConfigurationError, GeneralPositionError, NumericalError)
 from .geometry import ddc_density, too_many_dropped
+from .testforms import form_chis
 # benchmarks/test_benchmark.py checks that the tracer patches it here
 from .geometry import quadrature_nodes  # noqa: F401
 
@@ -341,9 +342,8 @@ def descriptor_form_pairings(descriptor, forms):
         totals += nu * _divisor_pairings(m, comp, forms)
     if descriptor.circle:
         theta = 2.0 * np.pi * (np.arange(256) + 0.5) / 256
-        for j, f in enumerate(forms):
-            chi = np.asarray(f.chi(0, np.exp(1j * theta)[:, None]),
-                             dtype=float)
+        chis = form_chis(forms, 0, np.exp(1j * theta)[:, None])
+        for j, chi in enumerate(chis):
             totals[j] += descriptor.circle * float(chi.mean())
     return totals
 

@@ -12,6 +12,7 @@ so bases, Gram matrices and cached results are reproducible byte for byte.
 """
 
 import itertools
+import numbers
 
 import numpy as np
 
@@ -46,12 +47,19 @@ def _tails(k, d):
     return [(a,) + t for a in range(d + 1) for t in _tails(k - 1, d - a)]
 
 
+def as_integer(value, what):
+    """``value`` as an int: an integer, or a real number with an integral
+    value (JSON's ``4.0``).  A bool, text or a non-integral number raises
+    ``ConfigurationError``, where ``int()`` would read or truncate it."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+
+
 def _as_int_degree(degree, k):
-    try:
-        out = tuple(int(d) for d in np.ravel(degree))
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(
-            f"degree must be integers, got {degree!r}") from exc
+    out = tuple(as_integer(d, "degree")
+                for d in np.ravel(np.asarray(degree, dtype=object)).tolist())
     if len(out) != k:
         raise ConfigurationError(f"degree {degree!r} needs {k} integer(s), "
                                  "one per factor")

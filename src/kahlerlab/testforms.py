@@ -28,8 +28,28 @@ coordinate line ``{z_i = 0}`` of a surface chi is again a form of this
 family, of P1 (:meth:`TestForm.restriction`).  chi's mean against
 ``omega^n`` is a sum of Dirichlet moments (:meth:`TestForm.mean`).
 
+At chart points, forms are evaluated as one stack: :func:`form_chis` gives
+every form's chi and :func:`form_hessians` every form's complex Hessian.
+The A, B and partials of all forms share one exponent table per chart,
+which takes one ``eval_monomials`` call, and one product with their
+coefficient matrix gives every polynomial's values.  ``TestForm.chi`` and
+``TestForm.hessian`` are one-form calls of these.  The arithmetic runs on
+forms-major ``(F, N)`` rows, one contiguous row of points per form, in
+the operation order of a single form, so each form gets the bits of its
+own evaluation whatever other forms share the stack
+(``tests/test_testforms.py``).  Rows, not ``(N, F)`` columns, because a
+form's row then passes through the same numpy loops as a lone form's
+points: numpy's vectorized complex product rounds differently from its
+scalar one (see ``_kernels``), so a layout that sends values through
+other loops may move last bits.  The factors ``E = prod_f (1 +
+|zeta_f|^2)^(-s_f)`` and their derivatives depend on the degrees ``s``
+alone and are taken once per distinct ``s``.
+
 Every dictionary entry is normalized by a deterministic grid estimate of
 ``sup|chi| + sup rho(Hess chi) / pi`` so that entries share a common scale.
+The dictionary normalizes its candidates together: one stacked ``chi`` and
+Hessian per chart of the 600-point grid, and one ``eigvalsh`` over all
+their Hermitian parts.
 """
 
 import itertools
@@ -37,6 +57,7 @@ import math
 
 import numpy as np
 
+from ._kernels import eval_monomials
 from .errors import ConfigurationError
 from .geometry import projective_line, reference_monomial_log_norm
 from .polynomials import SectionPoly, monomial_exponents
@@ -81,6 +102,8 @@ class TestForm:
     # -- chart data ----------------------------------------------------------
 
     def _chart(self, chart):
+        """The chart polynomials ``(a, b, d_0 a, ..., d_0 b, ...)`` of A
+        and B and their partials, None for a constant form."""
         if chart not in self._charts:
             if self.A is None:
                 self._charts[chart] = None
@@ -89,21 +112,13 @@ class TestForm:
                 b = self.B.chart_poly(chart)
                 n = self.manifold.dim
                 self._charts[chart] = (
-                    a, b,
-                    [a.deriv(j) for j in range(n)],
-                    [b.deriv(j) for j in range(n)],
-                )
+                    (a, b) + tuple(a.deriv(j) for j in range(n))
+                    + tuple(b.deriv(j) for j in range(n)))
         return self._charts[chart]
 
     def chi(self, chart, Z):
-        Z = np.atleast_2d(np.asarray(Z, dtype=complex))
-        if self.A is None:
-            return np.full(Z.shape[0], np.real(self.c) * self.scale)
-        a, b, _, _ = self._chart(chart)
-        D = 1.0 + self.manifold.factor_squares(Z)
-        E = np.prod(D ** (-np.asarray(self.s, dtype=float)), axis=1)
-        S = np.real(self.c * a.eval(Z) * np.conj(b.eval(Z)))
-        return self.scale * S * E
+        """chi at chart points, shape (N,): :func:`form_chis` of this form."""
+        return form_chis([self], chart, Z)[0]
 
     def block_values(self, block):
         """chi at the nodes of a quadrature block, in its node order, taken
@@ -120,7 +135,7 @@ class TestForm:
         if self.A is None:
             return np.broadcast_to(np.real(self.c) * self.scale,
                                    (block.num_nodes,))
-        a, b, _, _ = self._chart(block.chart)
+        a, b = self._chart(block.chart)[:2]
         axes = block.axes
         radii = [ax.radius for ax in axes]
         dims = len(block.shape)
@@ -204,48 +219,9 @@ class TestForm:
         return line
 
     def hessian(self, chart, Z):
-        """Complex Hessian of chi, shape (N, dim, dim)."""
-        Z = np.atleast_2d(np.asarray(Z, dtype=complex))
-        n = self.manifold.dim
-        N = Z.shape[0]
-        if self.A is None:
-            return np.zeros((N, n, n), dtype=complex)
-        a, b, da, db = self._chart(chart)
-        fac = self.manifold.axis_factors
-        D = 1.0 + self.manifold.factor_squares(Z)
-        svec = np.asarray(self.s, dtype=float)
-        E = np.prod(D ** (-svec), axis=1)
-
-        Av = a.eval(Z)
-        Bv = b.eval(Z)
-        Aj = [da[j].eval(Z) for j in range(n)]
-        Bj = [db[j].eval(Z) for j in range(n)]
-
-        # e_j = d_j log E = -s_f conj(z_j) / D_f
-        e = [-svec[fac[j]] * np.conj(Z[:, j]) / D[:, fac[j]] for j in range(n)]
-
-        c = self.c
-        S = 0.5 * (c * Av * np.conj(Bv) + np.conj(c * Av * np.conj(Bv)))
-        Sj = [0.5 * (c * Aj[j] * np.conj(Bv)
-                     + np.conj(c) * np.conj(Av) * Bj[j]) for j in range(n)]
-
-        H = np.empty((N, n, n), dtype=complex)
-        for j in range(n):
-            for k in range(n):
-                Sjk = 0.5 * (c * Aj[j] * np.conj(Bj[k])
-                             + np.conj(c) * np.conj(Aj[k]) * Bj[j])
-                Sk_bar = np.conj(Sj[k])
-                if fac[j] == fac[k]:
-                    f = fac[j]
-                    de = -svec[f] * ((1.0 if j == k else 0.0) / D[:, f]
-                                     - np.conj(Z[:, j]) * Z[:, k] / D[:, f] ** 2)
-                else:
-                    de = 0.0
-                H[:, j, k] = (Sjk * E + Sj[j] * E * np.conj(e[k])
-                              + Sk_bar * E * e[j]
-                              + S * E * (e[j] * np.conj(e[k]) + de))
-        H *= self.scale
-        return H
+        """Complex Hessian of chi, shape (N, dim, dim): :func:`form_hessians`
+        of this form."""
+        return form_hessians([self], chart, Z)[0]
 
     # -- metadata --------------------------------------------------------------
 
@@ -259,6 +235,138 @@ class TestForm:
 
 def constant_form(manifold, omega_part=None, label="one"):
     return TestForm(manifold, 1.0, None, None, omega_part, label)
+
+
+# ---------------------------------------------------------------------------
+# stacked evaluation
+# ---------------------------------------------------------------------------
+
+
+def form_chis(forms, chart, Z):
+    """chi of each form, all of one manifold, at chart points ``Z`` (N,
+    dim): shape (F, N), one row per form, each with the bits of the form's
+    own evaluation (see the module docstring)."""
+    Z = np.atleast_2d(np.asarray(Z, dtype=complex))
+    out = np.empty((len(forms), Z.shape[0]))
+    live = []
+    for i, f in enumerate(forms):
+        if f.constant:
+            out[i] = np.real(f.c) * f.scale
+        else:
+            live.append(i)
+    if live:
+        fs = [forms[i] for i in live]
+        A, B = _section_rows(fs, chart, Z, partials=False)
+        c = np.array([f.c for f in fs])[:, None]
+        S = np.real(c * A * np.conj(B))
+        scale = np.array([f.scale for f in fs])[:, None]
+        out[live] = scale * S * _weight_rows(fs, Z, partials=False)
+    return out
+
+
+def form_hessians(forms, chart, Z):
+    """Complex Hessian of each form's chi, all of one manifold, at chart
+    points ``Z`` (N, dim): shape (F, N, dim, dim), zeros for a constant
+    form."""
+    Z = np.atleast_2d(np.asarray(Z, dtype=complex))
+    N, n = Z.shape
+    live = [i for i, f in enumerate(forms) if not f.constant]
+    if len(live) < len(forms) or not forms:
+        out = np.zeros((len(forms), N, n, n), dtype=complex)
+        if live:
+            out[live] = form_hessians([forms[i] for i in live], chart, Z)
+        return out
+    fac = forms[0].manifold.axis_factors
+    V = _section_rows(forms, chart, Z, partials=True)
+    Av, Bv, Aj, Bj = V[0], V[1], V[2:2 + n], V[2 + n:]
+    E, e, de = _weight_rows(forms, Z, partials=True)
+
+    c = np.array([f.c for f in forms])[:, None]
+    S = 0.5 * (c * Av * np.conj(Bv) + np.conj(c * Av * np.conj(Bv)))
+    Sj = [0.5 * (c * Aj[j] * np.conj(Bv)
+                 + np.conj(c) * np.conj(Av) * Bj[j]) for j in range(n)]
+
+    H = np.empty((len(forms), N, n, n), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            Sjk = 0.5 * (c * Aj[j] * np.conj(Bj[k])
+                         + np.conj(c) * np.conj(Aj[k]) * Bj[j])
+            Sk_bar = np.conj(Sj[k])
+            H[:, :, j, k] = (Sjk * E + Sj[j] * E * np.conj(e[k])
+                             + Sk_bar * E * e[j]
+                             + S * E * (e[j] * np.conj(e[k]) + de(j, k)))
+    H *= np.array([f.scale for f in forms])[:, None, None, None]
+    return H
+
+
+def _section_rows(forms, chart, Z, partials):
+    """The chart polynomials of non-constant forms at chart points, role
+    by role: a complex (roles, F, N) array whose role 0 holds each form's
+    A and role 1 its B; with ``partials`` the next ``dim`` roles hold the
+    partials ``d_j A`` and the last ``dim`` the ``d_j B``.
+
+    Every distinct exponent row of these polynomials enters one table,
+    which one ``eval_monomials`` call evaluates, and one product with the
+    (polynomials, table) coefficient matrix gives every polynomial's
+    values.  A one-term polynomial's row holds its one coefficient and
+    zeros, so it takes the one product ``ChartPoly.eval`` takes.
+    """
+    per_form = [f._chart(chart) for f in forms]
+    roles = len(per_form[0]) if partials else 2
+    polys = [polys_f[r] for r in range(roles) for polys_f in per_form]
+    where, table, entries = {}, [], []
+    for r, p in enumerate(polys):
+        for e, coeff in zip(p.exponents, p.coeffs):
+            col = where.setdefault(e.tobytes(), len(table))
+            if col == len(table):
+                table.append(e)
+            entries.append((r, col, coeff))
+    if not table:
+        return np.zeros((roles, len(forms), Z.shape[0]), dtype=complex)
+    rows, cols, coeffs = zip(*entries)
+    C = np.zeros((len(polys), len(table)), dtype=complex)
+    np.add.at(C, (list(rows), list(cols)), coeffs)
+    mono = eval_monomials(Z, np.array(table), np.ones(len(table)))
+    return (C @ mono.T).reshape(roles, len(forms), Z.shape[0])
+
+
+def _weight_rows(forms, Z, partials):
+    """``E = prod_f D_f^(-s_f)`` of each form on (F, N) rows, ``D_f = 1 +
+    |zeta_f|^2``; with ``partials`` also its log-derivatives ``e_j = d_j
+    log E`` (a list over j) and the function ``de(j, k)`` of the
+    second-order terms.
+
+    They depend on the form's degrees ``s`` alone, so each distinct ``s``
+    takes them once, in one form's arithmetic, and each form takes its
+    ``s``'s rows: a (1, N) view when the forms share one ``s``, a gathered
+    copy otherwise.
+    """
+    manifold = forms[0].manifold
+    fac = manifold.axis_factors
+    D = 1.0 + manifold.factor_squares(Z)
+    index = {}
+    pick = [index.setdefault(f.s, len(index)) for f in forms]
+    svecs = [np.asarray(s, dtype=float) for s in index]
+
+    def rows(per_s):
+        return per_s[0][None] if len(per_s) == 1 else np.stack(per_s)[pick]
+
+    E = rows([np.prod(D ** (-svec), axis=1) for svec in svecs])
+    if not partials:
+        return E
+    # e_j = d_j log E = -s_f conj(z_j) / D_f
+    e = [rows([-svec[fac[j]] * np.conj(Z[:, j]) / D[:, fac[j]]
+               for svec in svecs]) for j in range(manifold.dim)]
+
+    def de(j, k):
+        if fac[j] != fac[k]:
+            return 0.0
+        f = fac[j]
+        q = ((1.0 if j == k else 0.0) / D[:, f]
+             - np.conj(Z[:, j]) * Z[:, k] / D[:, f] ** 2)
+        return rows([-svec[f] * q for svec in svecs])
+
+    return E, e, de
 
 
 # ---------------------------------------------------------------------------
@@ -293,19 +401,48 @@ def _scalar_specs(manifold):
         s_total += 1
 
 
-def _normalize(form, grid_charts):
-    sup_chi = 0.0
-    sup_h = 0.0
-    for chart, Z in grid_charts:
-        chi = form.chi(chart, Z)
-        sup_chi = max(sup_chi, float(np.max(np.abs(chi))))
-        H = form.hessian(chart, Z)
-        ev = np.linalg.eigvalsh(0.5 * (H + np.conj(np.swapaxes(H, 1, 2))))
-        sup_h = max(sup_h, float(np.max(np.abs(ev))))
-    norm = sup_chi + sup_h / np.pi
-    if norm < 1e-12:
-        return None
-    return form.with_scale(form.scale / norm)
+def _candidates(manifold, omega_parts):
+    """The dictionary's stream of unnormalized forms: each scalar
+    generator times each omega part, the constant function first."""
+    for spec in _scalar_specs(manifold):
+        for op in omega_parts:
+            if spec is None:
+                label = "one" if op is None else f"one*w{_oplabel(op)}"
+                yield constant_form(manifold, op, label)
+                continue
+            c, A, B, lab = spec
+            if op is not None:
+                lab = f"{lab}*w{_oplabel(op)}"
+            yield TestForm(manifold, c, A, B, op, lab)
+
+
+def _normalized(forms, grid_charts):
+    """The forms with unit grid norm ``sup|chi| + sup rho(Hess chi) / pi``,
+    in order; a constant form is kept as it is and a form of norm below
+    1e-12 is dropped.  Every form's chi and Hessian on a grid chart come
+    from one stacked call each, with one ``eigvalsh`` over all their
+    Hermitian parts."""
+    live = [f for f in forms if not f.constant]
+    sup_chi = np.zeros(len(live))
+    sup_h = np.zeros(len(live))
+    if live:
+        for chart, Z in grid_charts:
+            chi = form_chis(live, chart, Z)
+            sup_chi = np.maximum(sup_chi, np.max(np.abs(chi), axis=1))
+            H = form_hessians(live, chart, Z)
+            ev = np.linalg.eigvalsh(
+                0.5 * (H + np.conj(np.swapaxes(H, -1, -2))))
+            sup_h = np.maximum(sup_h, np.max(np.abs(ev), axis=(1, 2)))
+    norms = iter(sup_chi + sup_h / np.pi)
+    out = []
+    for f in forms:
+        if f.constant:
+            out.append(f)
+            continue
+        norm = float(next(norms))
+        if not norm < 1e-12:
+            out.append(f.with_scale(f.scale / norm))
+    return out
 
 
 def _norm_grid(manifold):
@@ -319,7 +456,9 @@ def test_form_dictionary(manifold, m, count=12):
     ``m = 1``: test objects for (1,1)-currents (functions on P1, chi times a
     closed reference form on surfaces).  ``m = 2`` (surfaces): test functions
     for measures.  The first entry always has unit mass pairing (the constant
-    function / the Kähler form) and is exactly unnormalized.
+    function / the Kähler form) and is exactly unnormalized.  The first
+    ``count`` candidates of the stream are normalized together; the next
+    ones refill the places of any dropped.
     """
     if m not in (1, 2):
         raise ConfigurationError("codimension m must be 1 or 2")
@@ -336,24 +475,11 @@ def test_form_dictionary(manifold, m, count=12):
             omega_parts += list(np.eye(manifold.factors))
 
     grid = _norm_grid(manifold)
+    stream = _candidates(manifold, omega_parts)
     out = []
-    spec_it = _scalar_specs(manifold)
     while len(out) < count:
-        spec = next(spec_it)
-        for op in omega_parts:
-            if len(out) >= count:
-                break
-            if spec is None:
-                label = "one" if op is None else f"one*w{_oplabel(op)}"
-                out.append(constant_form(manifold, op, label))
-                continue
-            c, A, B, lab = spec
-            if op is not None:
-                lab = f"{lab}*w{_oplabel(op)}"
-            form = TestForm(manifold, c, A, B, op, lab)
-            form = _normalize(form, grid)
-            if form is not None:
-                out.append(form)
+        out += _normalized(list(itertools.islice(stream, count - len(out))),
+                           grid)
     return out
 
 

@@ -411,7 +411,7 @@ def _ref_point_pairings(zerosets, forms):
     man = zerosets[0].manifold
     for j, f in enumerate(forms):
         out[:, j] = np.bincount(owner, weights=mult * form_values_hom(
-            man, f, P), minlength=len(zerosets))
+            man, [f], P)[:, 0], minlength=len(zerosets))
     return out
 
 
@@ -420,7 +420,8 @@ def _ref_point_mass_pairings(manifold, forms, points, totals):
     mass * row`` one point after another."""
     totals = totals.copy()
     P = np.stack([pt for pt, _ in points])
-    V = np.stack([form_values_hom(manifold, f, P) for f in forms], axis=1)
+    V = np.stack([form_values_hom(manifold, [f], P)[:, 0] for f in forms],
+                 axis=1)
     for (_, mass), row in zip(points, V):
         totals += mass * row
     return totals

@@ -121,14 +121,45 @@ _BASE = {"study": "bergman", "manifold": "P1", "p_grid": [4, 8]}
     dict(_BASE, metrics=[{"h": {"kind": "log_pole", "Q": {"coord": 0}}}]),
     dict(_BASE, samples="many"),
     dict(_BASE, study="approximation", eps_list=["a"]),
+    dict(_BASE, p_grid=[4.7, 8]),
+    dict(_BASE, degree=2.5),
+    dict(_BASE, samples=3.9),
+    dict(_BASE, dict_count=2.2),
+    dict(_BASE, resolution=16.7),
+    dict(_BASE, dict_count=True),
+    dict(_BASE, samples=True),
+    dict(_BASE, p_grid=[True, 8]),
+    dict(_BASE, degree=True),
+    dict(_BASE, seed=True),
+    dict(_BASE, resolution="16"),
+    dict(_BASE, p_grid="48"),
+    dict(_BASE, adjoint="no"),
+    dict(_BASE, adjoint=1),
+    dict(_BASE, metrics=[{"h": {"kind": "log_pole", "t": 0.5,
+                                "Q": {"coord": 0.5}}}]),
 ], ids=["unknown-key", "repeated-p", "decreasing-p", "few-samples",
         "repeated-eps", "increasing-eps", "nested-p-grid",
         "product-without-degree", "three-degrees", "two-degrees-on-a-line",
         "text-degree", "no-such-coordinate", "term-without-coefficient",
-        "pole-without-strength", "text-samples", "text-eps"])
+        "pole-without-strength", "text-samples", "text-eps",
+        "fractional-p", "fractional-degree", "fractional-samples",
+        "fractional-dict-count", "fractional-resolution", "bool-dict-count",
+        "bool-samples", "bool-p", "bool-degree", "bool-seed",
+        "text-resolution", "text-p-grid", "text-adjoint", "number-adjoint",
+        "fractional-coordinate"])
 def test_invalid_documents_raise(doc):
     with pytest.raises(ConfigurationError):
         parse_config(doc)
+
+
+def test_integral_numbers_keep_the_hash_of_their_integers():
+    # JSON may spell an integer 4.0; it names the same run as 4
+    doc = dict(_BASE, degree=2, samples=3, dict_count=2, resolution=16,
+               adjoint=False)
+    spelled = dict(doc, p_grid=[4.0, 8.0], degree=2.0, samples=3.0,
+                   dict_count=2.0, resolution=16.0)
+    assert config_hash(parse_config(spelled)) \
+        == config_hash(parse_config(doc))
 
 
 def test_expected_zero_accepts_the_minimum_sample_count():

@@ -74,7 +74,7 @@ def test_distance_against_a_point_mass_current(p1, p1_dict):
     pole = np.zeros((1, 2), dtype=complex)
     pole[0, 1] = 1.0
     oracle = max(0.5 * abs(pair_omega_basis(0, f)
-                           - float(form_values_hom(p1, f, pole)[0]))
+                           - float(form_values_hom(p1, [f], pole)[0, 0]))
                  for f in p1_dict)
     assert abs(d - oracle) < 1e-12
 

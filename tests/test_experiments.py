@@ -87,7 +87,7 @@ def test_curve_equidistribution_replays_and_matches_the_sample_loop(
             pts = np.stack([pt for pt, _ in zs.points])
             row = []
             for f, t in zip(forms, targets):
-                vals = form_values_hom(man, f, pts)
+                vals = form_values_hom(man, [f], pts)[:, 0]
                 pair = sum(k * v for (_, k), v in zip(zs.points, vals))
                 row.append(abs(pair / p - t))
             errs.append(row)

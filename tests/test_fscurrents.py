@@ -212,7 +212,7 @@ def _ref_descriptor_form_pairing(descriptor, form, rule):
                                       b.weights_lebesgue / 4.0))
     for comp, nu in descriptor.divisors:
         if m.dim == 1:
-            total += nu * sum(float(form_values_hom(m, form, pt[None, :])[0])
+            total += nu * sum(float(form_values_hom(m, [form], pt[None])[0, 0])
                               for pt in curve_divisor_points(comp))
             continue
         _, factor = m.coordinate_line(comp[1])
@@ -303,8 +303,9 @@ def test_pairing_guards(p1, p2):
 def test_form_point_values_preserve_order(p2):
     f = test_form_dictionary(p2, 1)[1]
     pts = p2.sample_grid(40)
-    vals = form_values_hom(p2, f, pts)
-    single = [form_values_hom(p2, f, pts[i:i + 1])[0] for i in range(40)]
+    vals = form_values_hom(p2, [f], pts)[:, 0]
+    single = [form_values_hom(p2, [f], pts[i:i + 1])[0, 0]
+              for i in range(40)]
     assert np.allclose(vals, single, atol=1e-14)
 
 
@@ -376,7 +377,7 @@ def _ref_fs_wedge(sa, sb, form, rule, full=False):
             if comp_a[1] != comp_b[1]:
                 for pt in _coord_intersection(m, comp_a[1], comp_b[1]):
                     total += (ka * kb / (sa.p * sb.p)) * float(
-                        form_values_hom(m, form, pt[None, :])[0])
+                        form_values_hom(m, [form], pt[None, :])[0, 0])
     return total
 
 
@@ -399,7 +400,7 @@ def _ref_descriptor_wedge(m, wedge, form, rule):
             chi = _chi(form.restriction(comp[1]), b)
             total += vec[omega_index] * float(np.dot(chi, b.weights_volume))
     for pt, mass in wedge["points"]:
-        total += mass * float(form_values_hom(m, form, pt[None, :])[0])
+        total += mass * float(form_values_hom(m, [form], pt[None])[0, 0])
     return total
 
 

@@ -5,6 +5,7 @@ pairing walks a rule's blocks outside ``bundles.pair_blocks``, the
 closed-form pairings reach no walk at all and only the walk takes omega
 basis matrices, no module but ``geometry`` compares with a manifold kind,
 splits points by chart or takes a wedge density, no module but
+``testforms`` evaluates a form's ``chi`` at points, no module but
 ``sections`` (and ``cache``, which stores it) reads a space's orthonormal
 frame, no module but ``geometry`` builds a quadrature rule, block or axis,
 and every library function has a caller outside the tests.
@@ -311,6 +312,17 @@ def test_only_geometry_splits_points_by_chart():
                  (PACKAGE / module).read_text(encoding="utf-8")), "chart_of")]
     assert not found, f"chart_of calls outside geometry: {found}"
     assert _method_calls(ast.parse("m.chart_of(pts)"), "chart_of") == [1]
+
+
+def test_only_testforms_evaluates_forms_at_points():
+    # testforms.form_chis evaluates any forms at chart points as one
+    # stack; every other module calls it, not a form's own chi
+    found = [f"{module}:{line}" for module in MODULES
+             if module != "testforms.py"
+             for line in _method_calls(ast.parse(
+                 (PACKAGE / module).read_text(encoding="utf-8")), "chi")]
+    assert not found, f"form.chi calls outside testforms: {found}"
+    assert _method_calls(ast.parse("f.chi(chart, Z)"), "chi") == [1]
 
 
 def _name_reads(tree, name):

@@ -235,7 +235,7 @@ def _ref_fs_wedge_pairings(space_a, space_b, forms, rule):
                               fscurrents._family_class(space_b))
     for pt, mass in wedge["points"]:
         for i, f in enumerate(forms):
-            totals[i] += mass * float(form_values_hom(m, f, pt[None, :])[0])
+            totals[i] += mass * float(form_values_hom(m, [f], pt[None])[0, 0])
     return totals
 
 
@@ -261,7 +261,7 @@ def _ref_descriptor_wedge_pairings(manifold, wedge, forms, rule):
     for pt, mass in wedge["points"]:
         for fi, f in enumerate(forms):
             totals[fi] += mass * float(
-                form_values_hom(manifold, f, pt[None, :])[0])
+                form_values_hom(manifold, [f], pt[None, :])[0, 0])
     return totals
 
 

@@ -4,7 +4,9 @@ import pytest
 from kahlerlab.bundles import form_values_hom
 from kahlerlab.errors import ConfigurationError
 from kahlerlab.geometry import build_manifold, quadrature_nodes, integrate
-from kahlerlab.testforms import TestForm, constant_form, test_form_dictionary as form_dictionary
+from kahlerlab.testforms import (TestForm, _norm_grid, constant_form,
+                                 form_chis, form_hessians,
+                                 test_form_dictionary as form_dictionary)
 from kahlerlab.polynomials import SectionPoly, coordinate_section
 
 KINDS = ["P1", "P2", "P1xP1"]
@@ -194,7 +196,8 @@ def test_restrictions_match_the_form_on_the_line(name):
             assert g.manifold.kind == "P1" and g.omega_part is None
             for b in line_rule.capped_blocks():
                 got = g.block_values(b)
-                ref = form_values_hom(m, f, _embedded_line_nodes(m, coord, b))
+                ref = form_values_hom(
+                    m, [f], _embedded_line_nodes(m, coord, b))[:, 0]
                 if not np.any(ref):
                     vanish += 1
                     np.testing.assert_array_equal(got, 0.0)
@@ -289,3 +292,161 @@ def test_restriction_means_match_the_line_sums(kind):
             g = f.restriction(coord)
             assert abs(g.mean() - _block_mean(g, line_rule)) <= 1e-14
     assert factors == set(range(m.factors))
+
+
+# -- stacked evaluation: each form's own bits ---------------------------------
+#
+# The references are the one-form bodies of ``TestForm.chi`` and
+# ``TestForm.hessian`` and the per-form ``_normalize`` of the dictionary as
+# they were before the forms were evaluated as one stack, with each chart
+# polynomial evaluated by its own ``ChartPoly.eval``.
+
+
+def _ref_chart(self, chart):
+    a = self.A.chart_poly(chart)
+    b = self.B.chart_poly(chart)
+    n = self.manifold.dim
+    return (a, b, [a.deriv(j) for j in range(n)],
+            [b.deriv(j) for j in range(n)])
+
+
+def _ref_chi(self, chart, Z):
+    Z = np.atleast_2d(np.asarray(Z, dtype=complex))
+    if self.A is None:
+        return np.full(Z.shape[0], np.real(self.c) * self.scale)
+    a, b, _, _ = _ref_chart(self, chart)
+    D = 1.0 + self.manifold.factor_squares(Z)
+    E = np.prod(D ** (-np.asarray(self.s, dtype=float)), axis=1)
+    S = np.real(self.c * a.eval(Z) * np.conj(b.eval(Z)))
+    return self.scale * S * E
+
+
+def _ref_hessian(self, chart, Z):
+    Z = np.atleast_2d(np.asarray(Z, dtype=complex))
+    n = self.manifold.dim
+    N = Z.shape[0]
+    if self.A is None:
+        return np.zeros((N, n, n), dtype=complex)
+    a, b, da, db = _ref_chart(self, chart)
+    fac = self.manifold.axis_factors
+    D = 1.0 + self.manifold.factor_squares(Z)
+    svec = np.asarray(self.s, dtype=float)
+    E = np.prod(D ** (-svec), axis=1)
+
+    Av = a.eval(Z)
+    Bv = b.eval(Z)
+    Aj = [da[j].eval(Z) for j in range(n)]
+    Bj = [db[j].eval(Z) for j in range(n)]
+
+    # e_j = d_j log E = -s_f conj(z_j) / D_f
+    e = [-svec[fac[j]] * np.conj(Z[:, j]) / D[:, fac[j]] for j in range(n)]
+
+    c = self.c
+    S = 0.5 * (c * Av * np.conj(Bv) + np.conj(c * Av * np.conj(Bv)))
+    Sj = [0.5 * (c * Aj[j] * np.conj(Bv)
+                 + np.conj(c) * np.conj(Av) * Bj[j]) for j in range(n)]
+
+    H = np.empty((N, n, n), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            Sjk = 0.5 * (c * Aj[j] * np.conj(Bj[k])
+                         + np.conj(c) * np.conj(Aj[k]) * Bj[j])
+            Sk_bar = np.conj(Sj[k])
+            if fac[j] == fac[k]:
+                f = fac[j]
+                de = -svec[f] * ((1.0 if j == k else 0.0) / D[:, f]
+                                 - np.conj(Z[:, j]) * Z[:, k] / D[:, f] ** 2)
+            else:
+                de = 0.0
+            H[:, j, k] = (Sjk * E + Sj[j] * E * np.conj(e[k])
+                          + Sk_bar * E * e[j]
+                          + S * E * (e[j] * np.conj(e[k]) + de))
+    H *= self.scale
+    return H
+
+
+def _ref_normalize(form, grid_charts):
+    sup_chi = 0.0
+    sup_h = 0.0
+    for chart, Z in grid_charts:
+        chi = _ref_chi(form, chart, Z)
+        sup_chi = max(sup_chi, float(np.max(np.abs(chi))))
+        H = _ref_hessian(form, chart, Z)
+        ev = np.linalg.eigvalsh(0.5 * (H + np.conj(np.swapaxes(H, 1, 2))))
+        sup_h = max(sup_h, float(np.max(np.abs(ev))))
+    norm = sup_chi + sup_h / np.pi
+    if norm < 1e-12:
+        return None
+    return form.with_scale(form.scale / norm)
+
+
+def _stack_case(m):
+    """Dictionary forms at count 20 with a second constant form and an
+    unnormalized form at scale 2.5 mixed in, and grid points of each chart,
+    three of them with a zero chart coordinate."""
+    forms = form_dictionary(m, 1, count=20)
+    forms.insert(7, constant_form(m, label="two").with_scale(2.0))
+    forms.insert(3, forms[5].with_scale(2.5))
+    cases = []
+    for chart, _, Z in m.chart_split(m.sample_grid(300)):
+        Z = Z.copy()
+        Z[:3, 0] = 0.0
+        if m.dim == 2:
+            Z[3:5, 1] = 0.0
+        cases.append((chart, Z))
+    return forms, cases
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_stacks_give_each_form_its_own_bits(kind):
+    m = build_manifold(kind)
+    forms, cases = _stack_case(m)
+    assert any(f.constant for f in forms[1:])
+    for chart, Z in cases:
+        chis = form_chis(forms, chart, Z)
+        hess = form_hessians(forms, chart, Z)
+        assert chis.shape == (len(forms), len(Z))
+        assert hess.shape == (len(forms), len(Z), m.dim, m.dim)
+        for f, chi, H in zip(forms, chis, hess):
+            np.testing.assert_array_equal(chi, _ref_chi(f, chart, Z))
+            np.testing.assert_array_equal(H, _ref_hessian(f, chart, Z))
+        # a form's row does not depend on the other forms of the stack
+        f = forms[9]
+        np.testing.assert_array_equal(
+            form_chis([f], chart, Z)[0], form_chis(forms[:12], chart, Z)[9])
+        np.testing.assert_array_equal(
+            form_hessians([f], chart, Z)[0],
+            form_hessians(forms[:12], chart, Z)[9])
+        np.testing.assert_array_equal(f.chi(chart, Z), chis[9])
+        np.testing.assert_array_equal(f.hessian(chart, Z), hess[9])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_stacks_of_multi_term_forms_match_their_own_evaluation(kind):
+    # several terms per section sum in another order than ChartPoly.eval
+    m = build_manifold(kind)
+    multi = _multi_term_form(m)
+    forms = [multi, form_dictionary(m, 1, 3)[2], multi.with_scale(0.3)]
+    for chart, Z in _stack_case(m)[1]:
+        chis = form_chis(forms, chart, Z)
+        hess = form_hessians(forms, chart, Z)
+        for f, chi, H in zip(forms, chis, hess):
+            ref = _ref_chi(f, chart, Z)
+            assert np.max(np.abs(chi - ref)) <= 1e-15 * np.max(np.abs(ref))
+            ref = _ref_hessian(f, chart, Z)
+            assert np.max(np.abs(H - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("kind,m_codim", [
+    ("P1", 1), ("P2", 1), ("P1xP1", 1), ("P2", 2), ("P1xP1", 2),
+])
+def test_dictionary_scales_equal_the_per_form_normalization(kind, m_codim):
+    m = build_manifold(kind)
+    grid = _norm_grid(m)
+    forms = form_dictionary(m, m_codim, count=12)
+    for f in forms:
+        if f.constant:
+            assert f.scale == 1.0
+            continue
+        ref = _ref_normalize(f.with_scale(1.0), grid)
+        assert ref.scale == f.scale, f.label

@@ -1101,8 +1101,8 @@ def _loop_point_pairing(zs, form):
     summed in point order."""
     if not zs.points:
         return 0.0
-    vals = form_values_hom(zs.manifold, form,
-                           np.stack([pt for pt, _ in zs.points]))
+    vals = form_values_hom(zs.manifold, [form],
+                           np.stack([pt for pt, _ in zs.points]))[:, 0]
     return float(sum(k * v for (_, k), v in zip(zs.points, vals)))
 
 
