@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from .bundles import LineBundle, LogPoleAtom, Metric
 from .errors import ConfigurationError
 from .geometry import Manifold
-from .polynomials import SectionPoly, as_integer, coordinate_section
+from .polynomials import SectionPoly, as_integer, as_real, coordinate_section
 from .zeros import MIN_EXPECTED_ZERO_SAMPLES
 
 STUDIES = ("bergman", "dimension", "equidistribution", "fs-convergence",
@@ -77,17 +77,17 @@ def parse_metric(bundle, desc):
                 Q = parse_poly(manifold,
                                term["Q"] if "Q" in term
                                else {"coord": term["coord"]})
-                atoms.append((1.0, LogPoleAtom(Q, float(term["t"]))))
+                atoms.append((1.0, LogPoleAtom(Q, as_real(term["t"], "t"))))
             return Metric(bundle, atoms)
         return Metric.log_pole(bundle, parse_poly(manifold, desc["Q"]),
-                               float(desc["t"]))
+                               as_real(desc["t"], "t"))
     if kind == "max_log":
-        return Metric.max_log(bundle, float(desc["t"]))
+        return Metric.max_log(bundle, as_real(desc["t"], "t"))
     if kind == "smoothed_max":
-        return Metric.smoothed_max(bundle,
-                                   parse_poly(manifold, desc["Q1"]),
+        return Metric.smoothed_max(bundle, parse_poly(manifold, desc["Q1"]),
                                    parse_poly(manifold, desc["Q2"]),
-                                   c=float(desc["c"]), t=float(desc["t"]))
+                                   c=as_real(desc["c"], "c"),
+                                   t=as_real(desc["t"], "t"))
     raise ConfigurationError(f"unknown metric kind {kind!r}")
 
 
@@ -191,7 +191,7 @@ def _parse_config(data):
         if resolution < 8:
             raise ConfigurationError("resolution must be at least 8")
 
-    exclusion = float(data.get("exclusion", 0.05))
+    exclusion = as_real(data.get("exclusion", 0.05), "exclusion")
     if exclusion < 0:
         raise ConfigurationError("exclusion radius must be >= 0")
 
@@ -202,7 +202,7 @@ def _parse_config(data):
 
     eps_list = data.get("eps_list")
     if eps_list is not None:
-        eps_list = [float(e) for e in eps_list]
+        eps_list = [as_real(e, "eps_list entry") for e in eps_list]
         if any(e <= 0 for e in eps_list):
             raise ConfigurationError("eps_list entries must be positive")
         if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -210,7 +210,7 @@ def _parse_config(data):
 
     thresholds = data.get("thresholds")
     if thresholds is not None:
-        thresholds = [float(t) for t in thresholds]
+        thresholds = [as_real(t, "thresholds entry") for t in thresholds]
 
     lambda_kind = data.get("lambda_kind", "log2")
     if lambda_kind not in LAMBDA_KINDS:

@@ -57,6 +57,15 @@ def as_integer(value, what):
     raise ConfigurationError(f"{what} must be an integer, got {value!r}")
 
 
+def as_real(value, what):
+    """``value`` as a finite float.  A bool, text or a non-finite number
+    raises ``ConfigurationError``, where ``float()`` would read it."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and np.isfinite(value)):
+        return float(value)
+    raise ConfigurationError(f"{what} must be a finite number, got {value!r}")
+
+
 def _as_int_degree(degree, k):
     out = tuple(as_integer(d, "degree")
                 for d in np.ravel(np.asarray(degree, dtype=object)).tolist())

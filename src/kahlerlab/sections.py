@@ -28,7 +28,10 @@ Three Gram assembly strategies share one orthonormalization path:
   largest log weight.  The node weight is assembled from per-radius and
   per-angle vectors and one ``log|Q|`` per pole polynomial ``Q``, which
   nets the forced factor ``|Q|^(2k)`` against the pole weight; no node
-  mesh is built unless an atom other than a log pole needs one.
+  mesh is built unless an atom other than a log pole needs one.  Log poles
+  on one linear form ``a . Z`` are coordinate poles in ``w = U Z``, ``U``
+  unitary with ``w_0 = a . Z / |a|``: their Gram is ``T^T diag(g) conj(T)``
+  for the rotated closed form ``g`` and the change of basis ``T``, no rule.
 
 All of them run in log space wherever magnitudes can leave the comfortable
 range of double precision; overflow is detected and raised, never clipped.
@@ -45,7 +48,7 @@ import math
 import numpy as np
 
 from ._kernels import eval_monomials, gram_contract
-from .bundles import _poly_norm_key
+from .bundles import LogPoleAtom, Metric, _poly_norm_key
 from .errors import (ConfigurationError, DegenerateSpaceError,
                      EmptySpaceError, IllConditionedError, NumericalError,
                      UnsupportedMetricError)
@@ -73,8 +76,10 @@ _MAX_DEGREE = 400
 # at p = 10).  Version 6: closed-form diagonal Grams for monomial log poles
 # (exact where the rule missed by up to 0.64 in a log norm).  Version 7:
 # diagonal Grams orthonormalize entrywise, with the coefficient columns in
-# monomial order (``eigh`` sorted them by eigenvalue).
-NUMERICS_VERSION = 7
+# monomial order (``eigh`` sorted them by eigenvalue).  Version 8: log poles
+# on one linear form of P1 take the rotated closed form, no ``nodes`` rule
+# (exact where the rule missed by up to 1.6e-8 in a log Bergman function).
+NUMERICS_VERSION = 8
 
 _MODE_TABLE_BYTES = 2.5e8
 # Node budget of one radial slab of the tensor Gram paths (see ``gram``): a
@@ -284,9 +289,11 @@ class SectionSpace:
 
         The parameters are the keyword arguments ``quadrature_nodes`` takes
         besides the resolution and the refinement centers, or ``None`` for
-        a closed-form Gram, which needs no rule.  A rule-based ``diagonal``
-        Gram runs on the torus reduction of its rule.  No node is built, so
-        the plan is cheap enough to key caches on.
+        a closed-form Gram, which needs no rule: a ``diagonal`` Gram of log
+        poles, or a dispatched (not an explicit) ``nodes`` Gram of log poles
+        on one linear form.  A rule-based ``diagonal`` Gram runs on the
+        torus reduction of its rule.  No node is built, so the plan is cheap
+        enough to key caches on.
         """
         method = self._dispatch()
         if method == "diagonal":
@@ -305,6 +312,11 @@ class SectionSpace:
                 raise UnsupportedMetricError(
                     "Gram assembly for poles along curves in general "
                     "position is only supported on P1")
+            atoms = [a for _, a in self.metric.atoms]
+            if (self._method is None and all(
+                    a.kind == "log_pole" and a.dtot == 1 for a in atoms)
+                    and len({_poly_norm_key(a.Q) for a in atoms}) == 1):
+                return method, None  # see _gram_rotated
             q = self.q[0]
             return method, {
                 "radial_min": max(q // 2 + 12, self._resolution),
@@ -323,18 +335,20 @@ class SectionSpace:
 
         The ``diagonal`` method gives the real vector ``G_aa`` of the
         diagonal, ``modes`` and ``nodes`` the dense complex matrix.  A plan
-        without rule gives the closed form; otherwise builds
-        ``self.rule`` and sums the per-block Grams of the dispatched method.
-        The tensor paths (``modes`` and ``nodes``) walk each block in radial
-        slabs of at most ``_SLAB_NODES`` nodes and never build a block's
-        whole mesh, so their node-sized work arrays stay near 1 MB each
-        however finely the rule is refined; only arrays of one row per
-        radius span a whole block.
+        without rule gives the closed form: the Dirichlet moments, or for
+        ``nodes`` their rotated image ``T^T diag(g) conj(T)``
+        (``_gram_rotated``).  Otherwise builds ``self.rule`` and sums the
+        per-block Grams of the dispatched method.  The tensor paths
+        (``modes`` and ``nodes``) walk each block in radial slabs of at most
+        ``_SLAB_NODES`` nodes and never build a block's whole mesh, so their
+        node-sized work arrays stay near 1 MB each however finely the rule
+        is refined; only arrays of one row per radius span a whole block.
         """
         if self._gram is None:
             method, plan = self.gram_plan()
             if plan is None:
-                self._gram = self._gram_closed_form()
+                self._gram = (self._gram_closed_form() if method == "diagonal"
+                              else self._gram_rotated())
             else:
                 self.rule = quadrature_nodes(
                     self.manifold, self._resolution,
@@ -414,6 +428,40 @@ class SectionSpace:
         log_g = [reference_monomial_log_norm(m, q, e - s, self.adjoint)
                  for e in self.exponents]
         return np.exp(np.add(log_g, const) + 2.0 * self.log_scales)
+
+    def _gram_rotated(self):
+        """``T^T diag(g) conj(T)`` for log poles on one ``Q = q . Z`` of P1.
+
+        In ``w = U Z``, row ``b`` of ``T`` expands ``s_a z^a Q^k = s_a |q|^k
+        w_0^k (U^H w)^a`` over the basis ``s'_b w_0^k w_1^b`` of the rotated
+        space by the action ``D = exp(-i H)`` of ``U^H`` on binary forms of
+        degree ``n``: unitary on ``sqrt(C(n, b)) w_0^(n-b) w_1^b``, where its
+        Hermitian generator ``H`` is tridiagonal and one ``eigh`` takes it."""
+        Q, k = (self.sigma_polys or [(self.metric.atoms[0][1].Q, 0)])[0]
+        q = Q.exponents.T @ Q.coeffs  # the coefficients of z_0 and z_1
+        toric = SectionSpace(Metric(self.metric.bundle, [
+            (c, LogPoleAtom(SectionPoly(self.manifold, 1, [[1, 0]], [
+                np.linalg.norm(a.Q.coeffs)]), a.t))
+            for c, a in self.metric.atoms]), self.p, self.adjoint)
+        # U = [[u0, u1], [-conj u1, conj u0]] is exp(t N / sin t) for N =
+        # U - cos t, as N^2 = -sin^2 t; u1 != 0, as Q is no monomial
+        u = q / np.linalg.norm(q)
+        sin = math.hypot(u[0].imag, abs(u[1]))
+        ts = math.atan2(sin, u[0].real) / sin  # t / sin t
+        n, b = self.dim - 1, np.arange(self.dim)
+        off = -1j * ts * u[1] * np.sqrt(b[1:] * (n - b[:-1]))
+        lam, V = np.linalg.eigh(np.diag(ts * u[0].imag * (n - 2.0 * b))
+                                + np.diag(off, -1) + np.diag(off.conj(), 1))
+        # D_cb sqrt(C(n, c) / C(n, b)) is the monomial expansion, |D| <= 1
+        D = (V * np.exp(-1j * lam)) @ V.conj().T
+        h = 0.5 * np.cumsum(np.log(np.r_[1.0, b[1:] / (n + 1.0 - b[1:])]))
+        arg = (np.add.outer(-h - toric.log_scales, h + self.log_scales)
+               + k * math.log(np.linalg.norm(q)))
+        g = toric._gram_closed_form()
+        if 2.0 * arg.max() + math.log(g.max()) > 690.0:
+            raise NumericalError("Gram integrand overflows double precision")
+        T = D * np.exp(arg)
+        return T.T @ (g[:, None] * T.conj())
 
     def _gram_diagonal(self, rule):
         """The diagonal Gram as node sums on a torus-reduced ``rule``."""

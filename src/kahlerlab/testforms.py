@@ -421,25 +421,28 @@ def _normalized(forms, grid_charts):
     in order; a constant form is kept as it is and a form of norm below
     1e-12 is dropped.  Every form's chi and Hessian on a grid chart come
     from one stacked call each, with one ``eigvalsh`` over all their
-    Hermitian parts."""
-    live = [f for f in forms if not f.constant]
+    Hermitian parts, once per generator: its forms differ only in their
+    omega part, which the norm does not see."""
+    keys = [(f.c, f.scale, id(f.A), id(f.B)) for f in forms]
+    live = {k: f for k, f in zip(keys, forms) if not f.constant}
     sup_chi = np.zeros(len(live))
     sup_h = np.zeros(len(live))
     if live:
+        stack = list(live.values())
         for chart, Z in grid_charts:
-            chi = form_chis(live, chart, Z)
+            chi = form_chis(stack, chart, Z)
             sup_chi = np.maximum(sup_chi, np.max(np.abs(chi), axis=1))
-            H = form_hessians(live, chart, Z)
+            H = form_hessians(stack, chart, Z)
             ev = np.linalg.eigvalsh(
                 0.5 * (H + np.conj(np.swapaxes(H, -1, -2))))
             sup_h = np.maximum(sup_h, np.max(np.abs(ev), axis=(1, 2)))
-    norms = iter(sup_chi + sup_h / np.pi)
+    norms = dict(zip(live, sup_chi + sup_h / np.pi))
     out = []
-    for f in forms:
+    for f, k in zip(forms, keys):
         if f.constant:
             out.append(f)
             continue
-        norm = float(next(norms))
+        norm = float(norms[k])
         if not norm < 1e-12:
             out.append(f.with_scale(f.scale / norm))
     return out

@@ -30,6 +30,12 @@ def _off_axis_pole():
     return Metric.log_pole(LineBundle(P1, 2), Q, 0.5)
 
 
+def _degree_two_pole():
+    # the nodes Gram of a pole of degree 2 keeps its rule
+    Q = SectionPoly.from_coeff_map(P1, 2, {(2, 0): 1.0, (0, 2): -0.5})
+    return Metric.log_pole(LineBundle(P1, 3), Q, 0.5)
+
+
 def _toric_pole():
     return Metric.log_pole(LineBundle(P1, 1), coordinate_section(P1, 1), 0.3)
 
@@ -43,11 +49,17 @@ def test_key_is_computed_without_quadrature_nodes(monkeypatch):
         raise AssertionError("the cache key built quadrature nodes")
 
     monkeypatch.setattr(sections, "quadrature_nodes", no_nodes)
-    sp = build_section_space(_off_axis_pole(), 4, orthonormalize=False)
+    sp = build_section_space(_off_axis_pole(), 4, method="nodes",
+                             orthonormalize=False)
     gram = space_fragment(sp)["gram"]
     assert gram["numerics"] == sections.NUMERICS_VERSION
     assert gram["method"] == "nodes"
     assert gram["rule"] == {"radial_min": 24, "angular_min": 83}
+    # the closed form of the same pole keys no rule
+    sp = build_section_space(_off_axis_pole(), 4, orthonormalize=False)
+    assert space_fragment(sp)["gram"] == {
+        "numerics": sections.NUMERICS_VERSION, "method": "nodes",
+        "resolution": None, "rule": None}
 
 
 def test_entry_under_other_numerics_misses_and_is_rewritten(tmp_path,
@@ -92,13 +104,23 @@ def test_closed_form_key_has_no_rule_and_misses_older_numerics(tmp_path,
 
 
 def test_other_rule_plan_misses(tmp_path):
-    h = _off_axis_pole()
+    h = _degree_two_pole()
     cache_dir = str(tmp_path)
     assert cached_space(h, 4, cache_dir=cache_dir)[1] == "miss"
     assert cached_space(h, 4, cache_dir=cache_dir)[1] == "hit"
     # resolution 48 raises the nodes plan's radial_min from 24 to 48
     assert cached_space(h, 4, resolution=48, cache_dir=cache_dir)[1] == "miss"
     assert len(_entries(cache_dir)) == 2
+
+
+def test_linear_pole_closed_form_hits_at_any_resolution(tmp_path):
+    cache_dir = str(tmp_path)
+    h = _off_axis_pole()
+    assert cached_space(h, 4, cache_dir=cache_dir)[1] == "miss"
+    space, status = cached_space(h, 4, resolution=48, cache_dir=cache_dir)
+    # the resolution keys only a rule, and the closed form has none
+    assert status == "hit" and space.rule is None
+    assert len(_entries(cache_dir)) == 1
 
 
 def test_entry_of_an_older_schema_misses_and_is_rewritten(tmp_path):

@@ -137,6 +137,28 @@ _BASE = {"study": "bergman", "manifold": "P1", "p_grid": [4, 8]}
     dict(_BASE, adjoint=1),
     dict(_BASE, metrics=[{"h": {"kind": "log_pole", "t": 0.5,
                                 "Q": {"coord": 0.5}}}]),
+    dict(_BASE, exclusion=True),
+    dict(_BASE, exclusion="0.1"),
+    dict(_BASE, exclusion=float("nan")),
+    dict(_BASE, study="approximation", eps_list=[True, 0.5]),
+    dict(_BASE, study="approximation", eps_list=["0.5"]),
+    dict(_BASE, study="approximation", eps_list=[float("inf"), 0.5]),
+    dict(_BASE, thresholds=[True, 0.5]),
+    dict(_BASE, thresholds=["0.5"]),
+    dict(_BASE, thresholds=[0.5, float("nan")]),
+    dict(_BASE, metrics=[{"h": {"kind": "log_pole", "t": True,
+                                "Q": {"coord": 0}}}]),
+    dict(_BASE, metrics=[{"h": {"kind": "log_pole", "t": "0.5",
+                                "Q": {"coord": 0}}}]),
+    dict(_BASE, metrics=[{"h": {"kind": "log_pole", "terms": [
+        {"coord": 0, "t": "0.5"}]}}]),
+    dict(_BASE, metrics=[{"h": {"kind": "max_log", "t": True}}]),
+    dict(_BASE, metrics=[{"h": {"kind": "smoothed_max", "t": 0.5,
+                                "c": "0.1", "Q1": {"coord": 0},
+                                "Q2": {"coord": 1}}}]),
+    dict(_BASE, metrics=[{"h": {"kind": "smoothed_max", "t": 0.5,
+                                "c": float("inf"), "Q1": {"coord": 0},
+                                "Q2": {"coord": 1}}}]),
 ], ids=["unknown-key", "repeated-p", "decreasing-p", "few-samples",
         "repeated-eps", "increasing-eps", "nested-p-grid",
         "product-without-degree", "three-degrees", "two-degrees-on-a-line",
@@ -146,7 +168,10 @@ _BASE = {"study": "bergman", "manifold": "P1", "p_grid": [4, 8]}
         "fractional-dict-count", "fractional-resolution", "bool-dict-count",
         "bool-samples", "bool-p", "bool-degree", "bool-seed",
         "text-resolution", "text-p-grid", "text-adjoint", "number-adjoint",
-        "fractional-coordinate"])
+        "fractional-coordinate", "bool-exclusion", "text-exclusion",
+        "nan-exclusion", "bool-eps", "text-eps-number", "inf-eps",
+        "bool-threshold", "text-threshold", "nan-threshold", "bool-t",
+        "text-t", "text-term-t", "bool-max-log-t", "text-c", "inf-c"])
 def test_invalid_documents_raise(doc):
     with pytest.raises(ConfigurationError):
         parse_config(doc)
@@ -160,6 +185,21 @@ def test_integral_numbers_keep_the_hash_of_their_integers():
                    dict_count=2.0, resolution=16.0)
     assert config_hash(parse_config(spelled)) \
         == config_hash(parse_config(doc))
+
+
+def test_float_keys_keep_the_hash_of_their_numbers():
+    # the hash of this document before its float keys were checked
+    doc = {"study": "approximation", "manifold": "P2", "p_grid": [4, 8],
+           "metrics": [
+               {"h": {"kind": "log_pole", "t": 0.25, "Q": {"coord": 0}}},
+               {"h": {"kind": "log_pole", "terms": [{"coord": 0, "t": 0.5},
+                                                    {"coord": 1, "t": 1}]},
+                "g": {"kind": "max_log", "t": 0.5}},
+               {"h": {"kind": "smoothed_max", "t": 0.5, "c": 0.1,
+                      "Q1": {"coord": 0}, "Q2": {"coord": 1}}}],
+           "exclusion": 0.1, "eps_list": [1, 0.5, 0.25],
+           "thresholds": [0, 0.5, 2]}
+    assert config_hash(parse_config(doc)) == "0b35fefcc5b1"
 
 
 def test_expected_zero_accepts_the_minimum_sample_count():

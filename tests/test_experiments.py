@@ -98,13 +98,18 @@ def test_curve_equidistribution_replays_and_matches_the_sample_loop(
         assert s["x"] == [4, 6] and s["y"] == series[s["label"]]
 
 
-def test_each_space_is_logged_to_the_sidecar_only(tmp_path):
-    doc = {
+def _p1_pole_doc(Q):
+    return {
         "study": "equidistribution", "manifold": "P1", "degree": 2,
-        "metrics": [{"h": {"kind": "log_pole", "t": 0.5, "Q": {
-            "degree": 1, "terms": [[[1, 0], 1.0, 0.0], [[0, 1], 0.6, 0.3]]}}}],
+        "metrics": [{"h": {"kind": "log_pole", "t": 0.5, "Q": Q}}],
         "p_grid": [4, 5], "samples": 2, "dict_count": 2, "seed": [3],
     }
+
+
+def test_each_space_is_logged_to_the_sidecar_only(tmp_path):
+    # a degree-2 pole, whose nodes Gram builds a rule
+    doc = _p1_pole_doc({"degree": 2, "terms": [[[2, 0], 1.0, 0.0],
+                                               [[0, 2], -0.5, 0.0]]})
     reports = {"off": run_study(parse_config(doc))}
     doc["cache"] = str(tmp_path / "cache")
     reports["miss"] = run_study(parse_config(doc))
@@ -122,7 +127,7 @@ def test_each_space_is_logged_to_the_sidecar_only(tmp_path):
         with open(paths[status]["log"], encoding="utf-8") as fh:
             sidecar = fh.read()  # each line after a time stamp
         assert all(f" {ln}\n" in sidecar for ln in lines)
-    assert "nodes=320776 cache=miss" in reports["miss"]["log"][0]
+    assert "nodes=1263136 cache=miss" in reports["miss"]["log"][0]
     for kind in ("csv", "json", "svg"):
         blobs = set()
         for status in reports:
@@ -130,6 +135,19 @@ def test_each_space_is_logged_to_the_sidecar_only(tmp_path):
                 blobs.add(fh.read())
         assert len(blobs) == 1
         assert b"gram_condition" not in blobs.pop()
+
+
+def test_linear_pole_space_logs_no_nodes_on_a_miss(tmp_path):
+    # the closed form of a pole on one linear form builds no rule
+    doc = _p1_pole_doc({"degree": 1, "terms": [[[1, 0], 1.0, 0.0],
+                                               [[0, 1], 0.6, 0.3]]})
+    doc["cache"] = str(tmp_path / "cache")
+    lines = [ln for ln in run_study(parse_config(doc))["log"]
+             if ln.startswith("space ")]
+    assert len(lines) == 2
+    for line in lines:
+        assert "gram_method=nodes" in line
+        assert line.endswith("nodes=- cache=miss")
 
 
 def test_expected_zero_config_needs_100_samples(tmp_path):

@@ -1,14 +1,15 @@
 """Import hygiene: every name a package module imports is used in that
 module, importing the package loads no scipy, running a study loads no
-``numpy.ma``, every function the benchmark's tracer patches exists, no
-pairing walks a rule's blocks outside ``bundles.pair_blocks``, the
-closed-form pairings reach no walk at all and only the walk takes omega
-basis matrices, no module but ``geometry`` compares with a manifold kind,
-splits points by chart or takes a wedge density, no module but
-``testforms`` evaluates a form's ``chi`` at points, no module but
-``sections`` (and ``cache``, which stores it) reads a space's orthonormal
-frame, no module but ``geometry`` builds a quadrature rule, block or axis,
-and every library function has a caller outside the tests.
+``numpy.ma``, every function the benchmark's tracer patches exists and
+every Gram method has its tracer counter, no pairing walks a rule's blocks
+outside ``bundles.pair_blocks``, the closed-form pairings reach no walk at
+all and only the walk takes omega basis matrices, no module but
+``geometry`` compares with a manifold kind, splits points by chart or takes
+a wedge density, no module but ``testforms`` evaluates a form's ``chi`` at
+points, no module but ``sections`` (and ``cache``, which stores it) reads a
+space's orthonormal frame, no module but ``geometry`` builds a quadrature
+rule, block or axis, and every library function has a caller outside the
+tests.
 
 No linter ships with the package, so the first check is the unused-import
 check: each module of ``src/kahlerlab`` is parsed with ``ast`` and the names
@@ -19,6 +20,7 @@ A name listed in ``__all__`` counts as used.
 """
 
 import ast
+import functools
 import importlib
 import json
 import os
@@ -118,15 +120,21 @@ def test_studies_run_without_numpy_ma(tmp_path):
     assert out.stdout.strip() == "False"
 
 
-def _tracer_spans():
-    """``SPANS`` of the benchmark's tracer, read from its source."""
+def _tracer_literal(name):
+    """The literal ``name`` of the benchmark's tracer, read from its
+    source."""
     tree = ast.parse(TRACER.read_text(encoding="utf-8"))
     for node in tree.body:
         if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "SPANS"
+                and any(isinstance(t, ast.Name) and t.id == name
                         for t in node.targets)):
             return ast.literal_eval(node.value)
-    raise AssertionError("tracer.py defines no SPANS")
+    raise AssertionError(f"tracer.py defines no {name}")
+
+
+def _tracer_spans():
+    """``SPANS`` of the benchmark's tracer."""
+    return _tracer_literal("SPANS")
 
 
 def test_every_traced_function_resolves():
@@ -139,6 +147,35 @@ def test_every_traced_function_resolves():
         if not callable(target):
             missing.append(f"{name}: kahlerlab.{module}.{path}")
     assert not missing, f"tracer targets not found: {missing}"
+
+
+def test_every_gram_method_has_its_tracer_counter():
+    # a traced gram adds into sections.gram.<gram_method>, a fixed key of
+    # the tracer's COUNTERS: any other method name raises in a --trace run
+    from kahlerlab.bundles import LineBundle, Metric
+    from kahlerlab.geometry import build_manifold
+    from kahlerlab.polynomials import SectionPoly, coordinate_section
+    from kahlerlab.sections import build_section_space
+
+    counters = _tracer_literal("COUNTERS")
+    P1 = build_manifold("P1")
+    poly = functools.partial(SectionPoly.from_coeff_map, P1)
+    Q1, Q2 = poly(2, {(2, 0): 1.0, (0, 2): -0.5}), poly(2, {(1, 1): 1.0})
+    branches = {
+        "toric": (Metric.log_pole(LineBundle(P1, 1),
+                                  coordinate_section(P1, 0), 0.3), 6),
+        "smoothed max": (Metric.smoothed_max(LineBundle(P1, 1), Q1, Q2,
+                                             0.7, 0.6), 6),
+        "linear pole": (Metric.log_pole(LineBundle(P1, 2), poly(
+            1, {(1, 0): 1.0, (0, 1): 0.6 + 0.3j}), 0.5), 5),
+        "degree-2 pole": (Metric.log_pole(LineBundle(P1, 3), Q1, 0.5), 5),
+    }
+    methods = {}
+    for branch, (h, p) in branches.items():
+        methods[branch] = build_section_space(h, p).gram_method
+        assert f"sections.gram.{methods[branch]}" in counters, branch
+    assert methods == {"toric": "diagonal", "smoothed max": "modes",
+                       "linear pole": "nodes", "degree-2 pole": "nodes"}
 
 
 # The functions that may walk a rule's capped blocks: the one pairing walker

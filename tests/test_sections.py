@@ -325,21 +325,80 @@ def test_closed_form_matches_every_rule_at_integer_lelong(case, adjoint):
                       ) <= 1e-12
 
 
-@pytest.mark.parametrize("p", [4, 8])
+def _rotation():
+    """The unitary U with (U Z)_0 = Q(Z) / |a| for Q = a . Z of
+    _off_axis_q."""
+    a = np.array([1.0, 0.6 + 0.3j])
+    u = a / np.linalg.norm(a)
+    return np.array([u, [-np.conj(u[1]), np.conj(u[0])]])
+
+
+@pytest.mark.parametrize("p", [4, 5, 7, 8, 9, 33, 129])
 def test_off_axis_pole_space_is_the_rotated_coordinate_space(p):
     # U maps the pole {Q = 0} of the nodes space onto {z0 = 0}: (U Z)_0 =
     # Q(Z) / |a|, so the two metrics differ by a constant and FS is
-    # U-invariant.  At odd p the nodes rule misses by about 5e-9.
-    a = np.array([1.0, 0.6 + 0.3j])  # Q = a . Z, as in _off_axis_q
-    u = a / np.linalg.norm(a)
-    U = np.array([u, [-np.conj(u[1]), np.conj(u[0])]])
+    # U-invariant.  The closed form is exact at every p (3.1e-15 to
+    # 1.3e-13 here); the nodes rule missed by 3.7e-9 to 1.6e-8 at odd p.
     off = build_section_space(_off_axis_pole(), p)
     coord = build_section_space(Metric.log_pole(
         LineBundle(P1, 2), coordinate_section(P1, 0), 0.5), p)
     assert (off.gram_method, coord.gram_method) == ("nodes", "diagonal")
+    assert off.rule is None
     Z = P1.sample_grid(400)
-    err = off.log_bergman_hom(Z) - coord.log_bergman_hom(Z @ U.T)
+    err = off.log_bergman_hom(Z) - coord.log_bergman_hom(Z @ _rotation().T)
     assert np.max(np.abs(err)) <= 1e-12
+
+
+def _linear_pole_case(case):
+    """An off-axis metric on linear poles, its coordinate-pole image under
+    U (up to a constant, which no Bergman function sees), a power and the
+    adjoint flag."""
+    L = LineBundle(P1, 2)
+    z0 = coordinate_section(P1, 0)
+    if case == "adjoint-off":
+        return _off_axis_pole(), Metric.log_pole(L, z0, 0.5), 5, False
+    if case == "no-forced-factor":  # p t < 1
+        return _off_axis_pole(0.1), Metric.log_pole(L, z0, 0.1), 7, True
+    if case == "scaled-copies":
+        return (_scaled_copies(), Metric(L, [(1.0, LogPoleAtom(z0, 0.3)),
+                                             (1.0, LogPoleAtom(z0, 0.3))]),
+                7, True)
+    assert case == "interpolate-fs"
+    fs = Metric.fubini_study(L)
+    return (Metric.interpolate(_off_axis_pole(), fs, 0.4),
+            Metric.interpolate(Metric.log_pole(L, z0, 0.5), fs, 0.4), 9, True)
+
+
+@pytest.mark.parametrize("case", ["adjoint-off", "no-forced-factor",
+                                  "scaled-copies", "interpolate-fs"])
+def test_linear_pole_spaces_are_rotated_coordinate_spaces(case, monkeypatch):
+    def no_rule(*args, **kwargs):
+        raise AssertionError("a closed-form Gram built a quadrature rule")
+
+    monkeypatch.setattr(sections, "quadrature_nodes", no_rule)
+    h, g, p, adjoint = _linear_pole_case(case)
+    off = build_section_space(h, p, adjoint=adjoint)
+    coord = build_section_space(g, p, adjoint=adjoint)
+    assert off.gram_method == "nodes" and off.rule is None
+    assert bool(off.sigma_polys) == (case != "no-forced-factor")
+    Z = P1.sample_grid(400)
+    err = off.log_bergman_hom(Z) - coord.log_bergman_hom(Z @ _rotation().T)
+    assert np.max(np.abs(err)) <= 1e-12
+
+
+@pytest.mark.parametrize("case,p,adjoint", [
+    ("off-axis", 4, True), ("off-axis", 8, True), ("adjoint-off", 4, False),
+    ("adjoint-off", 6, False), ("scaled-copies", 5, True)])
+def test_linear_pole_closed_form_matches_the_rule_at_integer_lelong(
+        case, p, adjoint):
+    # delta_p = 0: the rule is exact to rounding as well
+    h = _scaled_copies() if case == "scaled-copies" else _off_axis_pole()
+    exact = build_section_space(h, p, adjoint=adjoint, orthonormalize=False)
+    rule = build_section_space(h, p, adjoint=adjoint, method="nodes",
+                               orthonormalize=False)
+    assert exact._gram is None and exact.gram_plan() == ("nodes", None)
+    assert np.max(np.abs(exact.gram() - rule.gram())) <= 1e-13
+    assert exact.rule is None and rule.rule is not None
 
 
 def test_toric_log_pole_grams_build_no_rule(monkeypatch):
@@ -359,6 +418,10 @@ def test_toric_log_pole_grams_build_no_rule(monkeypatch):
         assert np.all(np.isfinite(sp.coeff_matrix()))
     with pytest.raises(AssertionError, match="built a quadrature rule"):
         build_section_space(Metric.max_log(LineBundle(P1, 1), 0.5), 6)
+    # a degree-2 pole and a log pole beside another atom keep the rule
+    for case in ("degree-2-pole", "pole+max_log"):
+        with pytest.raises(AssertionError, match="built a quadrature rule"):
+            build_section_space(_nodes_case(case), 5)
 
 
 @pytest.mark.parametrize("adjoint", [True, False])
@@ -433,12 +496,26 @@ def _nodes_case(case):
     ("scaled-copies", 5, True)])
 def test_nodes_gram_matches_the_nodewise_sum(case, p, forced):
     sp = build_section_space(_nodes_case(case), p,
-                             adjoint=case != "adjoint-off",
+                             adjoint=case != "adjoint-off", method="nodes",
                              orthonormalize=False)
     G = sp.gram()
     assert sp.gram_method == "nodes"
     assert bool(sp.sigma_polys) == forced
     assert np.max(np.abs(G - _nodewise_gram(sp, sp.rule))) <= 1e-13
+
+
+@pytest.mark.parametrize("case,p", [
+    ("off-axis", 4), ("off-axis", 8), ("point-centers", 4),
+    ("adjoint-off", 5), ("adjoint-off", 6), ("scaled-copies", 5)])
+def test_linear_pole_cases_of_the_nodewise_sum_build_no_rule(case, p):
+    sp = build_section_space(_nodes_case(case), p,
+                             adjoint=case != "adjoint-off",
+                             orthonormalize=False)
+    assert sp.gram_plan() == ("nodes", None)
+    G = sp.gram()
+    assert sp.gram_method == "nodes" and sp.rule is None
+    assert np.all(np.isfinite(G)) and np.allclose(G, G.conj().T,
+                                                  rtol=0.0, atol=1e-14)
 
 
 def _rule_through_pole(monkeypatch):
@@ -456,33 +533,41 @@ def _rule_through_pole(monkeypatch):
 
 def test_node_on_forced_pole_contributes_nothing(monkeypatch):
     rule, Q = _rule_through_pole(monkeypatch)
-    sp = build_section_space(Metric.log_pole(LineBundle(P1, 1), Q, 0.5), 8,
-                             orthonormalize=False)
+    h = Metric.log_pole(LineBundle(P1, 1), Q, 0.5)
+    sp = build_section_space(h, 8, method="nodes", orthonormalize=False)
     assert sp.sigma_polys[0][1] == 4
     G = sp.gram()
     assert np.all(np.isfinite(G))
     assert np.max(np.abs(G - _nodewise_gram(sp, rule))) <= 1e-13
+    # the closed form of this linear pole has no node to skip
+    exact = build_section_space(h, 8, orthonormalize=False)
+    assert np.all(np.isfinite(exact.gram())) and exact.rule is None
 
 
 def test_infinite_node_weight_raises(monkeypatch):
     _, Q = _rule_through_pole(monkeypatch)
     # p t < 1: no forced factor cancels the pole at the node
-    sp = build_section_space(Metric.log_pole(LineBundle(P1, 1), Q, 0.1), 4,
-                             orthonormalize=False)
+    h = Metric.log_pole(LineBundle(P1, 1), Q, 0.1)
+    sp = build_section_space(h, 4, method="nodes", orthonormalize=False)
     assert not sp.sigma_polys
     with pytest.raises(NumericalError):
         sp.gram()
+    # the closed form integrates the pole exactly, at no node
+    exact = build_section_space(h, 4, orthonormalize=False)
+    assert np.all(np.isfinite(exact.gram())) and exact.rule is None
 
 
-@pytest.mark.parametrize("method", ["nodes", "modes"])
+@pytest.mark.parametrize("method", ["nodes", "modes", "closed-form"])
 def test_gram_overflow_raises_on_tensor_paths(method):
-    if method == "nodes":
-        h, p = _off_axis_pole(), 4
-    else:
+    if method == "modes":
         Q1, Q2 = _generic_pair()
         h, p = Metric.smoothed_max(LineBundle(P1, 1), Q1, Q2, 0.7, 0.6), 8
-    sp = build_section_space(h, p, orthonormalize=False)
-    assert sp._dispatch() == method
+    else:
+        h, p = _off_axis_pole(), 4
+    sp = build_section_space(h, p, orthonormalize=False,
+                             method=None if method == "closed-form"
+                             else method)
+    assert sp._dispatch() == method.replace("closed-form", "nodes")
     # each profile fits in double range, their products do not
     sp.log_scales = sp.log_scales + 400.0
     sp.scales = np.exp(sp.log_scales)
@@ -511,9 +596,11 @@ def _smoothed_max(manifold):
     return Metric.smoothed_max(LineBundle(P11, (1, 1)), Q1, Q2, 0.1, 0.5), 6
 
 
-@pytest.mark.parametrize("case", ["nodes", "modes-P2", "modes-P1xP1"])
+@pytest.mark.parametrize("case", ["nodes", "modes-P2", "modes-P1xP1",
+                                  "closed-form"])
 def test_gram_builds_only_slab_meshes(case, monkeypatch):
-    if case == "nodes":
+    method = case.split("-")[0]
+    if case in ("nodes", "closed-form"):
         h, p = _off_axis_pole(), 8
     else:
         h, p = _smoothed_max(P2 if case == "modes-P2" else P11)
@@ -525,9 +612,15 @@ def test_gram_builds_only_slab_meshes(case, monkeypatch):
         build(block)
 
     monkeypatch.setattr(Block, "_build", spy)
-    sp = build_section_space(h, p, orthonormalize=False)
+    sp = build_section_space(h, p, orthonormalize=False,
+                             method=None if method == "closed" else method)
     sp.gram()
-    assert sp.gram_method == case.split("-")[0]
+    if method == "closed":
+        # no rule, so no block and no node
+        assert sp.gram_method == "nodes" and sp.rule is None
+        assert built == []
+        return
+    assert sp.gram_method == method
     if case == "nodes":
         # a log-pole weight comes from per-axis tables: no node is built
         assert built == []
@@ -553,12 +646,18 @@ def test_nodes_gram_takes_each_pole_once_per_slab(monkeypatch):
     monkeypatch.setattr(ChartPoly, "eval", no_eval)
     monkeypatch.setattr(Block, "_build", lambda block: built.append(block))
     # two atoms and the forced factor share one divisor
-    sp = build_section_space(_scaled_copies(), 5, orthonormalize=False)
+    sp = build_section_space(_scaled_copies(), 5, method="nodes",
+                             orthonormalize=False)
     sp.gram()
     slabs = [s for b in sp.rule.blocks for s in b.split(sections._SLAB_NODES)]
     assert len(calls) == len(slabs)
     assert sum(calls) == sum(len(s.axes[0].x) for s in slabs)
     assert built == []
+    # the closed form evaluates no pole on any grid
+    calls.clear()
+    exact = build_section_space(_scaled_copies(), 5, orthonormalize=False)
+    exact.gram()
+    assert calls == [] and built == [] and exact.rule is None
 
 
 @pytest.mark.parametrize("p", [4, 8])
@@ -572,20 +671,28 @@ def test_forced_order_at_the_lelong_threshold_gives_the_identity(p):
     assert np.max(np.abs(sp.gram() - np.eye(sp.dim))) <= 1e-13
 
 
-def test_nodes_gram_traced_memory_stays_slab_sized():
-    sp = build_section_space(_off_axis_pole(), 8, orthonormalize=False)
+def _traced_gram_peak(space):
     tracemalloc.start()
     try:
-        sp.gram()
-        peak = tracemalloc.get_traced_memory()[1]
+        space.gram()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_nodes_gram_traced_memory_stays_slab_sized():
+    sp = build_section_space(_off_axis_pole(), 8, method="nodes",
+                             orthonormalize=False)
+    peak = _traced_gram_peak(sp)
     # the whole-block assembly peaked at 58 MB on this 405k-node rule
     assert sp.rule.num_nodes > 400_000
     assert peak < 24 * 2 ** 20
     # slab meshes peaked at 8.5 MB, the per-axis tables of a log-pole
     # weight at 3.6 MB
     assert peak < 5 * 2 ** 20
+    # the closed form holds a few dim x dim matrices
+    exact = build_section_space(_off_axis_pole(), 8, orthonormalize=False)
+    assert _traced_gram_peak(exact) < 2 ** 16 and exact.rule is None
 
 
 def test_tensor_gram_traced_memory_stays_chunk_sized():
@@ -605,12 +712,18 @@ def test_tensor_gram_traced_memory_stays_chunk_sized():
 
 @pytest.mark.parametrize("p", [4, 8])
 def test_slab_boundaries_keep_the_nodewise_sum(p, monkeypatch):
+    exact = build_section_space(_off_axis_pole(), p,
+                                orthonormalize=False).gram()
     monkeypatch.setattr(sections, "_SLAB_NODES", 30_000)
-    sp = build_section_space(_off_axis_pole(), p, orthonormalize=False)
+    sp = build_section_space(_off_axis_pole(), p, method="nodes",
+                             orthonormalize=False)
     G = sp.gram()
     refined = max(sp.rule.blocks, key=lambda b: b.num_nodes)
     assert len(list(refined.split(sections._SLAB_NODES))) >= 10
     assert np.max(np.abs(G - _nodewise_gram(sp, sp.rule))) <= 1e-13
+    # the closed form walks no slab, so the budget leaves its bits alone
+    again = build_section_space(_off_axis_pole(), p, orthonormalize=False)
+    assert np.array_equal(again.gram(), exact) and again.rule is None
 
 
 @pytest.mark.parametrize("manifold", [P1, P2, P11], ids=lambda m: m.kind)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kahlerlab import testforms
 from kahlerlab.bundles import form_values_hom
 from kahlerlab.errors import ConfigurationError
 from kahlerlab.geometry import build_manifold, quadrature_nodes, integrate
@@ -450,3 +451,35 @@ def test_dictionary_scales_equal_the_per_form_normalization(kind, m_codim):
             continue
         ref = _ref_normalize(f.with_scale(1.0), grid)
         assert ref.scale == f.scale, f.label
+
+
+# the P1xP1 codimension-1 dictionary at count 12: each generator's scale,
+# once per omega part (the Kahler form, then each factor form)
+_P11_GENERATOR_SCALES = [
+    ("one", "0x1.0000000000000p+0"),
+    ("re[0010|0010]s1", "0x1.85458eb32db7cp-1"),
+    ("re[0010|0001]s1", "0x1.818adc47f28d3p+0"),
+    ("im[0010|0001]s1", "0x1.818589c4e01c5p+0"),
+]
+
+
+@pytest.mark.parametrize("count", [4, 12])
+def test_product_dictionary_normalizes_each_generator_once(count,
+                                                           monkeypatch):
+    stacked = []
+    chis = testforms.form_chis
+
+    def spy(forms, chart, Z):
+        stacked.append(len(forms))
+        return chis(forms, chart, Z)
+
+    monkeypatch.setattr(testforms, "form_chis", spy)
+    m = build_manifold("P1xP1")
+    forms = form_dictionary(m, 1, count)
+    # labels, order and scales as before each generator was normalized once
+    expected = [(f"{gen}*w{op}", float.fromhex(scale))
+                for gen, scale in _P11_GENERATOR_SCALES
+                for op in ("0.7070.707", "10", "01")][:count]
+    assert [(f.label, f.scale) for f in forms] == expected
+    # one stacked row per generator on each grid chart
+    assert set(stacked) == {1 if count == 4 else 3}
