@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__
 from .bundles import wedge_descriptors
-from .cache import cached_space
+from .cache import cached_dictionary, cached_space
 from .config import config_fragment, config_hash
 from .distance import approximation_run
 from .errors import ConfigurationError
@@ -26,7 +26,6 @@ from .geometry import quadrature_nodes
 from .reports import (REPORT_SCHEMA, fit_loglog, linregress, svg_chart,
                       write_csv, write_json, write_log)
 from .sections import log_bergman_sup, space_dimension
-from .testforms import test_form_dictionary
 from .zeros import expected_zero_residuals, potential_rule, zero_pairings
 
 
@@ -77,6 +76,17 @@ def _space(cfg, report, metric, p):
         f"gram_condition={space.gram_condition:.6g} nodes={nodes} "
         f"cache={status}")
     return space
+
+
+def _dictionary(cfg, report, m):
+    """The (cached) test-form dictionary of codimension ``m``, logged to
+    the sidecar after the space lines (see :func:`run_study`); the
+    report's cache counters count spaces only."""
+    forms, status = cached_dictionary(cfg.manifold, m, cfg.dict_count,
+                                      cfg.cache)
+    report["log"].append(f"dictionary {cfg.manifold.kind} m={m} "
+                         f"count={cfg.dict_count} cache={status}")
+    return forms
 
 
 def _lambda(kind):
@@ -164,7 +174,7 @@ def _run_bergman(cfg, report):
 
 def _run_equidistribution(cfg, report):
     man = cfg.manifold
-    forms = test_form_dictionary(man, 1, cfg.dict_count)
+    forms = _dictionary(cfg, report, 1)
     labels = [f.label for f in forms]
     lam = _lambda(cfg.lambda_kind)
     summaries = []
@@ -241,7 +251,7 @@ def _run_fs_convergence(cfg, report):
     """
     man = cfg.manifold
     m = man.dim
-    forms = test_form_dictionary(man, m, cfg.dict_count)
+    forms = _dictionary(cfg, report, m)
     if m == 1:
         units = [(e["h"], None) for e in cfg.metrics]
     elif len(cfg.metrics) == 1:
@@ -337,7 +347,7 @@ def _run_approximation(cfg, report):
             "entries")
     h_list = [e["h"] for e in pairs]
     g_list = [e["g"] for e in pairs]
-    dictionary = test_form_dictionary(man, m, cfg.dict_count)
+    dictionary = _dictionary(cfg, report, m)
     result = approximation_run(h_list, g_list, cfg.eps_list, cfg.p_grid,
                                dictionary, cfg.adjoint, samples=cfg.samples,
                                seed=cfg.seed, thresholds=cfg.thresholds)
@@ -373,8 +383,7 @@ def _run_approximation(cfg, report):
 
 
 def _run_expected_zero(cfg, report):
-    man = cfg.manifold
-    forms = test_form_dictionary(man, 1, cfg.dict_count)
+    forms = _dictionary(cfg, report, 1)
     summaries = []
     for mi, entry in enumerate(cfg.metrics):
         h = entry["h"]
@@ -428,6 +437,8 @@ def run_study(cfg):
     """Execute a study and return its full report payload."""
     report = _base_report(cfg)
     _RUNNERS[cfg.study](cfg, report)
+    # a stable sort: the dictionary lines follow the space lines
+    report["log"].sort(key=lambda line: line.startswith("dictionary "))
     report["log"].append(f"rows={len(report['rows'])} "
                          f"flags={sorted(report['flags'].items())}")
     return report

@@ -64,9 +64,11 @@ CONDITION_CAP = 1.0e12
 # provably stay inside double range on the chart regions.
 _MAX_DEGREE = 400
 
-# Version of the Gram numerics, part of every cache key.  Bump it whenever a
-# change moves the bits of a Gram matrix, so that cached orthonormalizations
-# from older code miss.  Version 2: separable ``nodes`` assembly.  Version
+# Version of the Gram and dictionary numerics, part of every cache key.  Bump
+# it whenever a change moves the bits of a Gram matrix, or a change to the
+# test-form dictionary's grid, stream or normalization moves a scale, so
+# that cached orthonormalizations and dictionaries from older code miss.
+# The dictionary's pruned ``eigvalsh`` moved no scale.  Version 2: separable ``nodes`` assembly.  Version
 # 3: ``nodes`` angular moments taken per radial slab, whose matmuls round
 # differently from the whole block's (up to 1.3e-15 relative).  Version 4:
 # separable node weight, one log|Q| per pole (within 2e-15 of version 3 on

@@ -48,8 +48,15 @@ alone and are taken once per distinct ``s``.
 Every dictionary entry is normalized by a deterministic grid estimate of
 ``sup|chi| + sup rho(Hess chi) / pi`` so that entries share a common scale.
 The dictionary normalizes its candidates together: one stacked ``chi`` and
-Hessian per chart of the 600-point grid, and one ``eigvalsh`` over all
-their Hermitian parts.
+Hessian per chart of the 600-point grid.  A closed-form spectral radius of
+every Hermitian part picks each form's sup candidates, the points within
+1e-8 (relative) of its largest, and one ``eigvalsh`` over those alone gives
+the sup with the bits of an ``eigvalsh`` at every point.  The scales
+depend on the manifold, ``m`` and the count alone, so
+:func:`kahlerlab.cache.cached_dictionary` stores them and
+:func:`replay_dictionary` takes the forms back from the candidate stream
+with no grid; a change to the grid, the stream or the normalization that
+moves a scale bumps ``sections.NUMERICS_VERSION``, which keys that entry.
 """
 
 import itertools
@@ -420,9 +427,8 @@ def _normalized(forms, grid_charts):
     """The forms with unit grid norm ``sup|chi| + sup rho(Hess chi) / pi``,
     in order; a constant form is kept as it is and a form of norm below
     1e-12 is dropped.  Every form's chi and Hessian on a grid chart come
-    from one stacked call each, with one ``eigvalsh`` over all their
-    Hermitian parts, once per generator: its forms differ only in their
-    omega part, which the norm does not see."""
+    from one stacked call each, once per generator: its forms differ only
+    in their omega part, which the norm does not see."""
     keys = [(f.c, f.scale, id(f.A), id(f.B)) for f in forms]
     live = {k: f for k, f in zip(keys, forms) if not f.constant}
     sup_chi = np.zeros(len(live))
@@ -432,10 +438,8 @@ def _normalized(forms, grid_charts):
         for chart, Z in grid_charts:
             chi = form_chis(stack, chart, Z)
             sup_chi = np.maximum(sup_chi, np.max(np.abs(chi), axis=1))
-            H = form_hessians(stack, chart, Z)
-            ev = np.linalg.eigvalsh(
-                0.5 * (H + np.conj(np.swapaxes(H, -1, -2))))
-            sup_h = np.maximum(sup_h, np.max(np.abs(ev), axis=(1, 2)))
+            sup_h = np.maximum(sup_h, _sup_spectral_radii(
+                form_hessians(stack, chart, Z)))
     norms = dict(zip(live, sup_chi + sup_h / np.pi))
     out = []
     for f, k in zip(forms, keys):
@@ -448,9 +452,59 @@ def _normalized(forms, grid_charts):
     return out
 
 
+# points whose closed-form spectral radius lies this close (relative) to a
+# form's largest are sup candidates; both that estimate and eigvalsh are
+# within a few ulps of the exact radius, so the sup is always among them
+_SUP_SLACK = 1e-8
+
+
+def _sup_spectral_radii(H):
+    """Each form's largest spectral radius of the Hermitian parts of its
+    Hessians ``H`` (F, N, n, n), with the bits of an ``eigvalsh`` over all
+    of them.
+
+    The spectral radius of a Hermitian part ``[[a, b], [conj b, d]]`` is
+    ``|a + d| / 2 + sqrt(((a - d) / 2)^2 + |b|^2)`` (``|a|`` for 1x1).
+    That closed form picks each form's points within ``_SUP_SLACK`` of its
+    largest value, and one ``eigvalsh`` runs on those alone.  A point whose
+    estimate is NaN stays a candidate, so a NaN reaches the sup as it
+    would through the full ``eigvalsh``.
+    """
+    Hh = 0.5 * (H + np.conj(np.swapaxes(H, -1, -2)))
+    a = Hh[..., 0, 0].real
+    if H.shape[-1] == 1:
+        est = np.abs(a)
+    else:
+        d = Hh[..., 1, 1].real
+        est = (np.abs(a + d) / 2
+               + np.sqrt(((a - d) / 2) ** 2 + np.abs(Hh[..., 0, 1]) ** 2))
+    keep = ~(est < (1.0 - _SUP_SLACK) * np.max(est, axis=1, keepdims=True))
+    rows = np.nonzero(keep)[0]
+    out = np.zeros(len(H))
+    np.maximum.at(out, rows,
+                  np.max(np.abs(np.linalg.eigvalsh(Hh[keep])), axis=1))
+    return out
+
+
 def _norm_grid(manifold):
     return [(c, Z) for c, _, Z in manifold.chart_split(
         manifold.sample_grid(600))]
+
+
+def _stream(manifold, m):
+    """The candidate stream of the codimension-``m`` dictionary."""
+    if m not in (1, 2):
+        raise ConfigurationError("codimension m must be 1 or 2")
+    if m == 2 and manifold.dim != 2:
+        raise ConfigurationError("m = 2 needs a surface")
+    if m == 2 or manifold.dim == 1:
+        omega_parts = [None]
+    else:
+        # the Kähler form, then each factor form on products
+        omega_parts = [manifold.omega_coeffs()]
+        if manifold.factors > 1:
+            omega_parts += list(np.eye(manifold.factors))
+    return _candidates(manifold, omega_parts)
 
 
 def test_form_dictionary(manifold, m, count=12):
@@ -463,26 +517,29 @@ def test_form_dictionary(manifold, m, count=12):
     ``count`` candidates of the stream are normalized together; the next
     ones refill the places of any dropped.
     """
-    if m not in (1, 2):
-        raise ConfigurationError("codimension m must be 1 or 2")
-    if m == 2 and manifold.dim != 2:
-        raise ConfigurationError("m = 2 needs a surface")
-    scalar = m == 2 or manifold.dim == 1
-
-    if scalar:
-        omega_parts = [None]
-    else:
-        # the Kähler form, then each factor form on products
-        omega_parts = [manifold.omega_coeffs()]
-        if manifold.factors > 1:
-            omega_parts += list(np.eye(manifold.factors))
-
+    stream = _stream(manifold, m)
     grid = _norm_grid(manifold)
-    stream = _candidates(manifold, omega_parts)
     out = []
     while len(out) < count:
         out += _normalized(list(itertools.islice(stream, count - len(out))),
                            grid)
+    return out
+
+
+def replay_dictionary(manifold, m, labels, scales):
+    """The dictionary of :func:`test_form_dictionary` from its labels and
+    scales, with no grid and no normalization: the candidate stream's
+    forms in order, each non-constant one at its stored scale (a constant
+    keeps its own).  None when a label is not the stream's next one.
+
+    A form of the monomial stream never has grid norm 0, so a dictionary
+    drops no candidate and is the first ``count`` forms of its stream.
+    """
+    out = []
+    for form, label, scale in zip(_stream(manifold, m), labels, scales):
+        if form.label != label:
+            return None
+        out.append(form if form.constant else form.with_scale(scale))
     return out
 
 

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from kahlerlab import _kernels, experiments, geometry
+from kahlerlab import _kernels, experiments, geometry, testforms
 from kahlerlab.bundles import form_values_hom
 from kahlerlab.config import parse_config
 from kahlerlab.errors import (ConfigurationError, EmptySpaceError,
@@ -367,3 +367,74 @@ def test_monomial_kernel_strategy_never_reaches_a_report(doc, tmp_path,
     broadcast_only = run("broadcast")
     assert not tables
     _assert_same_bytes(with_tables, broadcast_only, tmp_path)
+
+
+# -- the test-form dictionary from the cache -----------------------------------
+
+# the study kinds of the benchmark's workloads, at small sizes
+_DICTIONARY_STUDIES = {
+    "fs-convergence": (
+        {"study": "fs-convergence", "manifold": "P2",
+         "metrics": [{"h": {"kind": "log_pole", "t": 0.5,
+                            "Q": {"coord": 0}}}],
+         "p_grid": [6, 8], "dict_count": 2}, "P2 m=2 count=2"),
+    "equidistribution": (
+        {"study": "equidistribution", "manifold": "P1", "degree": 2,
+         "metrics": [{"h": _LOG_POLE_OFF_AXES}], "p_grid": [4, 6],
+         "samples": 3, "dict_count": 3}, "P1 m=1 count=3"),
+    "expected-zero": (
+        {"study": "expected-zero", "manifold": "P2",
+         "metrics": [{"h": {"kind": "fs"}}], "p_grid": [4],
+         "samples": 100, "dict_count": 2}, "P2 m=1 count=2"),
+    "approximation": (
+        {"study": "approximation", "manifold": "P2",
+         "metrics": [{"h": {"kind": "log_pole", "t": 0.25,
+                            "Q": {"coord": 0}}},
+                     {"h": {"kind": "log_pole", "t": 0.25,
+                            "Q": {"coord": 1}}}],
+         "eps_list": [0.5], "p_grid": [4],
+         "samples": 1, "dict_count": 2}, "P2 m=2 count=2"),
+}
+
+
+def _no_normalization(*args):
+    raise AssertionError("the dictionary was normalized")
+
+
+@pytest.mark.parametrize("study", sorted(_DICTIONARY_STUDIES))
+def test_warm_run_replays_the_dictionary(study, tmp_path, monkeypatch):
+    doc, key = _DICTIONARY_STUDIES[study]
+    cfg = parse_config({**doc, "seed": [0], "cache": str(tmp_path / "c")})
+    cold = run_study(cfg)
+    monkeypatch.setattr(testforms, "_normalized", _no_normalization)
+    warm = run_study(cfg)
+    _assert_same_bytes(cold, warm, tmp_path)
+    for report, status in ((cold, "miss"), (warm, "hit")):
+        lines = [ln for ln in report["log"] if ln.startswith("dictionary ")]
+        assert lines == [f"dictionary {key} cache={status}"]
+        # after every space line, before the closing rows line
+        at = report["log"].index(lines[0])
+        assert not any(ln.startswith("space ")
+                       for ln in report["log"][at:])
+        assert report["log"][-1].startswith("rows=")
+    # the cache counters count spaces only
+    assert cold["cache"]["misses"] == warm["cache"]["hits"]
+
+
+def test_another_metric_shares_the_dictionary_entry(tmp_path, monkeypatch):
+    doc, key = _DICTIONARY_STUDIES["fs-convergence"]
+    run_study(parse_config({**doc, "seed": [0],
+                            "cache": str(tmp_path / "c")}))
+    monkeypatch.setattr(testforms, "_normalized", _no_normalization)
+    other = run_study(parse_config({
+        **doc, "metrics": [{"h": {"kind": "fs"}}], "p_grid": [3],
+        "seed": [0], "cache": str(tmp_path / "c")}))
+    assert f"dictionary {key} cache=hit" in other["log"]
+    assert other["cache"] == {"hits": 0, "misses": 1}
+
+
+def test_uncached_study_logs_its_dictionary_off():
+    doc, key = _DICTIONARY_STUDIES["equidistribution"]
+    report = run_study(parse_config({**doc, "seed": [0]}))
+    assert f"dictionary {key} cache=off" in report["log"]
+    assert report["log"][0].startswith("space ")

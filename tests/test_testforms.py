@@ -453,6 +453,47 @@ def test_dictionary_scales_equal_the_per_form_normalization(kind, m_codim):
         assert ref.scale == f.scale, f.label
 
 
+@pytest.mark.parametrize("kind,m_codim", [
+    ("P1", 1), ("P2", 1), ("P1xP1", 1), ("P2", 2), ("P1xP1", 2),
+])
+def test_dictionary_scales_at_count_30_equal_the_per_form_normalization(
+        kind, m_codim):
+    # degree-3 generators on surfaces, degree 5 on P1: more sup candidates
+    m = build_manifold(kind)
+    grid = _norm_grid(m)
+    forms = form_dictionary(m, m_codim, count=30)
+    assert len(forms) == 30
+    for f in forms[1:]:
+        ref = _ref_normalize(f.with_scale(1.0), grid)
+        assert ref.scale == f.scale, f.label
+
+
+def _full_sups(H):
+    ev = np.linalg.eigvalsh(0.5 * (H + np.conj(np.swapaxes(H, -1, -2))))
+    return np.max(np.abs(ev), axis=(1, 2))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_pruned_sups_equal_a_full_eigvalsh(kind):
+    # one eigvalsh at the closed-form candidates gives each form's sup with
+    # the bits of an eigvalsh at every point, also where points tie: a
+    # form whose Hessian vanishes on the whole chart (every point ties at
+    # 0), and one whose largest Hessian repeats at several points
+    m = build_manifold(kind)
+    forms = form_dictionary(m, 1, count=12)[1:]
+    for chart, Z in _norm_grid(m):
+        H = form_hessians(forms, chart, Z)
+        vanished = H.copy()
+        vanished[2] = 0.0
+        tied = H.copy()
+        top = np.argmax(np.abs(H[3, :, 0, 0]))
+        tied[3, ::7] = H[3, top]
+        for stack in (H, vanished, tied, np.zeros_like(H)):
+            got = testforms._sup_spectral_radii(stack)
+            np.testing.assert_array_equal(got, _full_sups(stack))
+        assert testforms._sup_spectral_radii(vanished)[2] == 0.0
+
+
 # the P1xP1 codimension-1 dictionary at count 12: each generator's scale,
 # once per omega part (the Kahler form, then each factor form)
 _P11_GENERATOR_SCALES = [
