@@ -70,11 +70,10 @@ _TABLE_ENTRIES = 1 << 15
 # tables take 0.56x the broadcast's time on a P1 basis of degree 2, 0.90x
 # on degree 3 and 0.99x on degree 4, but on 5,000 points 1.3x on degree 3.
 # The benchmark's one-axis inputs lie far from it, taking no power or nearly
-# all (the P1 bases).  Those taking none are the one-monomial test-form
-# sections in the Hessians of ``bundles._ddc_weights`` on 4,608-point P1
-# blocks: there the tables take 0.8-1.1x the broadcast's time on exponent 0
-# and 1.2-1.3x (about 10 us more) on exponent 1; exponents {0, 1, 2} on such
-# a block take 0.6-0.7x.
+# all (the P1 bases).  On one-monomial sections at 4,608 P1 points, such as
+# a test form's at a P1 block's nodes (``TestForm.hessian``), the tables
+# take 0.8-1.1x the broadcast's time on exponent 0 and 1.2-1.3x (about
+# 10 us more) on exponent 1; exponents {0, 1, 2} there take 0.6-0.7x.
 _TABLE_MIN_VALUES = 2048
 
 

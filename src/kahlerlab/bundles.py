@@ -42,7 +42,7 @@ from .errors import (
     GeneralPositionError,
     UnsupportedMetricError,
 )
-from .geometry import ddc_density, too_many_dropped
+from .geometry import too_many_dropped
 from .polynomials import degree_tuple
 from .testforms import form_chis
 
@@ -493,34 +493,36 @@ def pair_blocks(rule, forms, potentials=(), densities=()):
     ``pot[r, j] = int_X u_r dd^c(forms[j])`` (0.0 without potentials): a
     potential maps a block to finite node values, each (N,) array one row
     paired by ``np.dot``, each (N, k) array k rows paired by one matrix
-    product.
+    product, against the form's :func:`_ddc_weights`.
     ``dens[k, j]`` sums ``np.dot(integrand(chi_j, forms[j]), w)`` over the
     blocks' ``(integrand, w) = densities[k](block, mats)``, with ``chi_j``
     from :meth:`Block.form_values` and ``mats(i)`` the (N, n, n) basis
     matrix of factor i.
 
     ``dd^c`` weights stay in each block's memo under ``(form,
-    "ddc_weights")`` for every later walk.  The basis matrices, taken once
-    per block where a form Hessian or a density asks for them, are freed
-    before the potentials, the block's peak.  Entries add shares in block
-    order; a matrix product's last bits can move with the number of forms.
+    "ddc_weights")`` for every later walk.  The basis matrices serve the
+    densities alone: taken once per block where a density asks for them,
+    and freed before the potentials, the block's peak.  Entries add shares
+    in block order; a matrix product's last bits can move with the number
+    of forms.
     """
     m = rule.manifold
     forms = list(forms)
     dens = np.zeros((len(densities), len(forms)))
     pot = 0.0
     for b in rule.capped_blocks():
-        mats = functools.cache(
-            lambda i, b=b: m.omega_basis_matrix(i, b.chart, b.points))
-        ws = [b.memo((f, "ddc_weights"), lambda: _ddc_weights(f, b, mats))
-              for f in forms] if potentials else []
-        for row, density in zip(dens, densities):
-            integrand, w = density(b, mats)
-            row += np.array([float(np.dot(integrand(b.form_values(f), f), w))
-                             for f in forms])
-        del mats  # free before the potentials, the block's peak
+        if densities:
+            mats = functools.cache(
+                lambda i, b=b: m.omega_basis_matrix(i, b.chart, b.points))
+            for row, density in zip(dens, densities):
+                integrand, w = density(b, mats)
+                row += np.array([float(np.dot(integrand(b.form_values(f), f),
+                                              w)) for f in forms])
+            del mats  # free before the potentials, the block's peak
         if not potentials:
             continue
+        ws = [b.memo((f, "ddc_weights"), lambda: _ddc_weights(f, b))
+              for f in forms]
         W = np.stack(ws, axis=1)
         if len(forms) == 1:
             # BLAS sums a one-column product (gemv) in another order than a
@@ -534,16 +536,29 @@ def pair_blocks(rule, forms, potentials=(), densities=()):
     return pot, dens
 
 
-def _ddc_weights(form, block, mats):
-    """Node weights of ``u -> int u dd^c(form)`` over one block: the form's
-    ``dd^c`` density times the quadrature weights, ``mats(i)`` the block's
-    basis matrix of factor i.  A constant form takes no Hessian; its zero
-    weights are one value broadcast to the nodes."""
+def _ddc_weights(form, block):
+    """Node weights of ``u -> int u dd^c(form)`` over one block, from the
+    Fubini-Study Laplacians of the form's chi on the block's axes
+    (:meth:`TestForm.block_laplacian`), with no Hessian and no basis matrix.
+
+    The part of ``dd^c chi`` along a factor ``P^d`` has trace ``(2 / d)
+    Lap_f chi`` against ``omega_f``.  Wedged with the form's omega part (a
+    multiple of ``omega`` on P2, the factor forms on P1xP1, where the mixed
+    parts drop, and nothing on a curve) it gives ``sum_f (2 / d_f) I_f
+    Lap_f chi omega^n``, ``I_f`` the intersection number of the factor's
+    class with the omega part; the weights are that sum times the volume
+    weights.  A constant form's zero weights are one value broadcast to
+    the nodes; a test function on a surface has no ``dd^c`` pairing and
+    raises ``ConfigurationError``.
+    """
     if form.constant:
         return np.broadcast_to(0.0, (block.num_nodes,))
-    H = form.hessian(block.chart, block.points)
-    return (ddc_density(H, *_form_omega_factors(form, mats))
-            * block.weights_lebesgue)
+    m = form.manifold
+    _require_omega_parts(m, [form])
+    coeffs = [(2.0 / d) * m.intersection_number(
+        [_unit_degree(m, f)] + [form.omega_part] * (m.dim - 1))
+        for f, d in enumerate(m.factor_dims)]
+    return form.block_laplacian(block, coeffs) * block.weights_volume
 
 
 def _field_potential(u, integrable):

@@ -609,8 +609,10 @@ class Block:
     of values that do not depend on the power p: the test-form values of
     :meth:`form_values` (on the blocks of a divisor line rule, those of the
     forms' restrictions to the line) and each form's ``dd^c`` weights
-    (``bundles.pair_blocks``).  Each entry is a read-only array kept for as
-    long as the block lives; the blocks of
+    (``bundles.pair_blocks``), which come from the factor Laplacians of
+    chi on the block's axes (:meth:`TestForm.block_laplacian`) with no
+    Hessian and no basis matrix.  Each entry is a read-only array kept for
+    as long as the block lives; the blocks of
     :meth:`QuadratureRule.capped_blocks` live and die with their rule.
 
     A block of :meth:`QuadratureRule.torus_reduced` has ``torus_reduced``

@@ -193,6 +193,18 @@ class SectionPoly:
         self._charts[chart] = cp
         return cp
 
+    def partial(self, coord):
+        """The homogeneous partial ``d/dz_coord``: a section of one degree
+        less along the coordinate's factor, zero where no term holds
+        ``z_coord``."""
+        f = self.manifold.coord_factors[coord]
+        keep = self.exponents[:, coord] > 0
+        e = self.exponents[keep].copy()
+        c = self.coeffs[keep] * e[:, coord]
+        e[:, coord] -= 1
+        degree = tuple(d - (g == f) for g, d in enumerate(self.degree))
+        return SectionPoly(self.manifold, degree, e, c)
+
     def multiply(self, other):
         if self.manifold != other.manifold:
             raise ConfigurationError("manifold mismatch in product")

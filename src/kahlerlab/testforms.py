@@ -28,12 +28,25 @@ coordinate line ``{z_i = 0}`` of a surface chi is again a form of this
 family, of P1 (:meth:`TestForm.restriction`).  chi's mean against
 ``omega^n`` is a sum of Dirichlet moments (:meth:`TestForm.mean`).
 
+The family is also closed under the Fubini-Study Laplacian of each
+projective factor ``f = P^{n_f}``:
+
+    Lap_f chi = sum_{i in f} chi[c, d_i A, d_i B] - s_f (s_f + n_f) chi
+
+with ``d_i`` the homogeneous partials and ``chi[c, d_i A, d_i B]`` the
+member of degree ``s - e_f`` with the same ``c`` and scale
+(:meth:`TestForm.laplacian_forms`).  A form's ``dd^c`` against a potential
+is a combination of these Laplacians (``bundles._ddc_weights``), so on a
+quadrature block it comes from the same values on the block's axes as chi
+(:meth:`TestForm.block_laplacian`), with no complex Hessian.
+
 At chart points, forms are evaluated as one stack: :func:`form_chis` gives
 every form's chi and :func:`form_hessians` every form's complex Hessian.
 The A, B and partials of all forms share one exponent table per chart,
 which takes one ``eval_monomials`` call, and one product with their
 coefficient matrix gives every polynomial's values.  ``TestForm.chi`` and
-``TestForm.hessian`` are one-form calls of these.  The arithmetic runs on
+``TestForm.hessian`` are one-form calls of these; the Hessians serve the
+dictionary's normalization and the tests.  The arithmetic runs on
 forms-major ``(F, N)`` rows, one contiguous row of points per form, in
 the operation order of a single form, so each form gets the bits of its
 own evaluation whatever other forms share the stack
@@ -100,6 +113,7 @@ class TestForm:
         self.scale = float(scale)
         self._charts = {}
         self._lines = {}
+        self._laplacians = {}
 
     @property
     def constant(self):
@@ -224,6 +238,47 @@ class TestForm:
                             f"{self.label}|z{coord}=0", self.scale)
             self._lines[coord] = line
         return line
+
+    def laplacian_forms(self, factor):
+        """The family members ``chi[c, d_i A, d_i B]`` of degree ``s -
+        e_factor``, one per homogeneous coordinate ``i`` of the factor with
+        ``d_i A`` and ``d_i B`` both nonzero, at this form's ``c`` and
+        scale; with ``-s_f (s_f + n_f) chi`` they sum to the factor's
+        Laplacian (see the module docstring).  Made once per factor and
+        kept, as the restrictions are; none for a form of degree 0 there.
+        """
+        forms = self._laplacians.get(factor)
+        if forms is None:
+            forms = []
+            if self.s[factor]:
+                sl = self.manifold.factor_slices[factor]
+                for i in range(sl.start, sl.stop):
+                    dA, dB = self.A.partial(i), self.B.partial(i)
+                    if not (dA.is_zero or dB.is_zero):
+                        forms.append(TestForm(self.manifold, self.c, dA, dB,
+                                              None, f"{self.label}/d{i}",
+                                              self.scale))
+            self._laplacians[factor] = forms
+        return forms
+
+    def block_laplacian(self, block, coeffs):
+        """``sum_f coeffs[f] Lap_f chi`` at the nodes of a quadrature block,
+        ``Lap_f`` the Fubini-Study Laplacian of factor ``f``, from the
+        :meth:`block_values` of chi and of its :meth:`laplacian_forms`.
+        A factor of coefficient 0 or of degree 0 adds nothing; zeros when
+        none is left, as for a constant form.
+        """
+        live = [(f, float(k)) for f, k in enumerate(coeffs)
+                if k != 0.0 and self.s[f]]
+        if not live:
+            return np.zeros(block.num_nodes)
+        dims = self.manifold.factor_dims
+        shift = sum(k * self.s[f] * (self.s[f] + dims[f]) for f, k in live)
+        out = -shift * self.block_values(block)
+        for f, k in live:
+            for g in self.laplacian_forms(f):
+                out += k * g.block_values(block)
+        return out
 
     def hessian(self, chart, Z):
         """Complex Hessian of chi, shape (N, dim, dim): :func:`form_hessians`

@@ -144,9 +144,10 @@ def sample_section(space, seed):
         raise DegenerateSpaceError(
             f"space of dimension {space.dim} is a single projective point; "
             "there is nothing to sample")
-    rng = _rng(_seed_key(seed))
-    v = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-    return Section(space, v)
+    # one draw of both parts: the bits of a real-part draw, then an
+    # imaginary-part one, from the same generator
+    r = _rng(_seed_key(seed)).standard_normal((2, space.dim))
+    return Section(space, r[0] + 1j * r[1])
 
 
 def sample_tuple(spaces, seed):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,14 +6,16 @@ import pytest
 
 from kahlerlab.errors import (ConfigurationError, GeneralPositionError,
                               UnsupportedMetricError)
-from kahlerlab.geometry import (Manifold, build_manifold, quadrature_nodes,
-                                wedge_density_11)
+from kahlerlab.geometry import (Manifold, build_manifold, ddc_density,
+                                quadrature_nodes, wedge_density_11)
 from kahlerlab.polynomials import (SectionPoly, coordinate_section,
                                    monomial_exponents)
 from kahlerlab.bundles import (
     LineBundle,
     Metric,
     _coord_intersection,
+    _ddc_weights,
+    _form_omega_factors,
     _unit_degree,
     class_pairings,
     curvature_pairing,
@@ -303,19 +306,26 @@ def _ref_pair_omega_basis(index, form, rule):
 
 
 def _ref_ddc_pairing(scalar_field, form, rule, integrable):
-    m = rule.manifold
     total = 0.0
     for b in rule.capped_blocks():
         u = np.asarray(scalar_field(b.chart, b.points), dtype=float)
         u = finite_potential(u, integrable)
-        H = form.hessian(b.chart, b.points)
-        if m.dim == 1:
-            w = (np.real(H[:, 0, 0]) / math.pi) * b.weights_lebesgue
-        else:
-            omega_a = _ref_form_omega_matrix(m, form, b.chart, b.points)
-            w = wedge_density_11(H, omega_a) * (b.weights_lebesgue / 4.0)
-        total += float(np.dot(u, w))
+        # the library's weights, so the walk is checked bit for bit; the
+        # weights are held to the Hessian assembly below
+        total += float(np.dot(u, _ddc_weights(form, b)))
     return total
+
+
+def _ref_ddc_weights(forms, block, nodes):
+    """The ``dd^c`` weights at some nodes of a block as the Hessian
+    assembly took them, one row per form: its complex Hessian wedged with
+    its omega part's basis matrix, times the Lebesgue weights."""
+    m = block.manifold
+    Z = block.points[nodes]
+    mats = functools.cache(lambda i: m.omega_basis_matrix(i, block.chart, Z))
+    return [ddc_density(f.hessian(block.chart, Z),
+                        *_form_omega_factors(f, mats))
+            * block.weights_lebesgue[nodes] for f in forms]
 
 
 def _pole_case(kind):
@@ -358,6 +368,59 @@ def test_form_pairings_match_per_form_block_loops(kind):
     assert abs(ddc[0, -1]) > 1e-3 and np.any(ddc[1] != 0.0)
 
 
+def _weight_case_forms(m):
+    """The 30-form dictionary, the ``t1`` form above, a multi-term ``A !=
+    B`` form and, on the product, forms of degree 0 along one factor."""
+    rng = np.random.default_rng(11)
+    op = None if m.dim == 1 else m.omega_coeffs()
+    forms = form_dictionary(m, 1, 30)
+    A = coordinate_section(m, 1)
+    forms.append(TestForm(m, 1.0, A, A, op, "t1"))
+    deg = (1, 2) if m.factors == 2 else 2
+    exps = monomial_exponents(m, deg)
+    A = SectionPoly(m, deg, exps, rng.standard_normal(len(exps))
+                    + 1j * rng.standard_normal(len(exps)))
+    B = SectionPoly(m, deg, exps[-3:], [0.5, -1.0j, 0.25 + 0.75j])
+    forms.append(TestForm(m, 0.7 - 0.4j, A, B, op, "multi", scale=0.3))
+    if m.factors == 2:
+        A = SectionPoly.from_coeff_map(m, (0, 2), {(0, 0, 2, 0): 1.0,
+                                                   (0, 0, 1, 1): 0.5j})
+        B = SectionPoly.from_coeff_map(m, (0, 2), {(0, 0, 0, 2): 1.0,
+                                                   (0, 0, 1, 1): -0.3})
+        for op in (m.omega_coeffs(), np.array([0.3, 1.2])):
+            forms.append(TestForm(m, 1.0 + 0.5j, A, B, op, "s0"))
+    return forms
+
+
+@pytest.mark.parametrize("kind", ["P1", "P2", "P1xP1"])
+def test_ddc_weights_match_the_hessian_assembly(kind):
+    m, h, res = _pole_case(kind)
+    rule = quadrature_nodes(m, res,
+                            singular_refinement=h.refinement_centers())
+    forms = _weight_case_forms(m)
+    assert len(forms) >= 32 and forms[0].constant
+    rng = np.random.default_rng(5)
+    for b in rule.capped_blocks():
+        # the pointwise reference at a sixth of the nodes, drawn from all
+        # radii and angles, keeps the Hessians of 30 forms on these rules
+        # to a second
+        nodes = np.sort(rng.choice(b.num_nodes, b.num_nodes // 6,
+                                   replace=False))
+        for f, ref in zip(forms[1:], _ref_ddc_weights(forms[1:], b, nodes)):
+            np.testing.assert_allclose(_ddc_weights(f, b)[nodes], ref,
+                                       rtol=0,
+                                       atol=1e-13 * np.max(np.abs(ref)))
+        # a constant form's weights are one zero broadcast to the nodes
+        w = _ddc_weights(forms[0], b)
+        assert w.shape == (b.num_nodes,) and w.strides == (0,)
+        assert not w.any()
+    if m.dim == 2:
+        # a test function has no dd^c pairing on a surface
+        A = coordinate_section(m, 1)
+        with pytest.raises(ConfigurationError):
+            _ddc_weights(TestForm(m, 1.0, A, A, None, "scalar"), b)
+
+
 def test_potential_route_evaluates_each_form_once_per_block(p2, monkeypatch):
     h = Metric.log_pole(LineBundle(p2, 1), coordinate_section(p2, 0), 0.5)
     sp = build_section_space(h, 8)    # dimension 3: sections to sample
@@ -376,6 +439,7 @@ def test_potential_route_evaluates_each_form_once_per_block(p2, monkeypatch):
         monkeypatch.setattr(cls, name, wrapper)
 
     counted(TestForm, "hessian")
+    counted(TestForm, "block_laplacian")
     counted(TestForm, "chi")
     counted(Manifold, "omega_basis_matrix")
     counted(Metric, "psi")
@@ -384,13 +448,16 @@ def test_potential_route_evaluates_each_form_once_per_block(p2, monkeypatch):
     # the second walk takes every form's weights from the blocks' memo
     for pair, walks in ((lambda: fs_pairings(sp, forms, rule), 1),
                         (lambda: zero_pairings(sp, seeds, forms, rule), 0)):
-        calls.update(hessian=0, chi=0, omega_basis_matrix=0, psi=0)
+        calls.update(hessian=0, block_laplacian=0, chi=0,
+                     omega_basis_matrix=0, psi=0)
         pair()
         # the metric perturbation cancels between potential and closed part
         assert calls["psi"] == 0
-        # a constant form has zero dd^c weights and takes no Hessian
-        assert calls["hessian"] == 6 * walks
-        assert calls["omega_basis_matrix"] == 3 * walks
+        # the weights come from the blocks' axes, with no Hessian and no
+        # basis matrix; a constant form's are a broadcast zero
+        assert calls["block_laplacian"] == 6 * walks
+        assert calls["hessian"] == 0
+        assert calls["omega_basis_matrix"] == 0
         assert calls["chi"] <= 9 * walks
 
 

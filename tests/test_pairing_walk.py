@@ -1,12 +1,15 @@
 """One walk over a rule's blocks for every pairing (``bundles.pair_blocks``).
 
 The references below are the per-routine block loops that the walker
-replaced, kept as they were: every potential and density the walk still
-takes must reproduce them bit for bit.  Closed parts (the reference class
-of a log-norm pairing, the smooth and divisor parts of a closed-form wedge)
-left the walk for closed forms; they are compared with the kept loops at
-the rules' own quadrature error.  The call counts check that a form's block
-weights are taken once per rule, whatever the number of walks over it.
+replaced, kept as they were but for each form's ``dd^c`` weights, which
+they take from the library as they take its block values (the weights are
+held to the Hessian assembly in ``tests/test_bundles.py``): every potential
+and density the walk still takes must reproduce them bit for bit.  Closed
+parts (the reference class of a log-norm pairing, the smooth and divisor
+parts of a closed-form wedge) left the walk for closed forms; they are
+compared with the kept loops at the rules' own quadrature error.  The call
+counts check that a form's block weights are taken once per rule, whatever
+the number of walks over it.
 """
 
 import math
@@ -16,9 +19,10 @@ import pytest
 
 from kahlerlab import fscurrents
 from kahlerlab._kernels import eval_monomials
-from kahlerlab.bundles import (LineBundle, Metric, class_pairings,
-                               finite_potential, form_values_hom,
-                               pair_omega_basis, wedge_descriptors)
+from kahlerlab.bundles import (LineBundle, Metric, _ddc_weights,
+                               class_pairings, finite_potential,
+                               form_values_hom, pair_omega_basis,
+                               wedge_descriptors)
 from kahlerlab.config import parse_config
 from kahlerlab.experiments import run_study
 from kahlerlab.fscurrents import (ReducedHessianField,
@@ -63,14 +67,6 @@ def _ref_omega_terms(form, block, mats):
     return [float(np.dot(chi * wedge_density_11(A, Bm), wq)) for A in mats]
 
 
-def _ref_ddc_weights(form, block, mats):
-    H = form.hessian(block.chart, block.points)
-    if block.manifold.dim == 1:
-        return (np.real(H[:, 0, 0]) / math.pi) * block.weights_lebesgue
-    return (wedge_density_11(H, _ref_form_omega_matrix(form, mats))
-            * (block.weights_lebesgue / 4.0))
-
-
 def _ref_log_norm_pairings(space, C, forms, rule):
     """``(potential part, closed part)`` of the log-norm pairings, the
     closed part from the block loop's omega terms.  ``C`` holds section
@@ -84,8 +80,8 @@ def _ref_log_norm_pairings(space, C, forms, rule):
                 for i in range(m.factors)]
         for j, f in enumerate(forms):
             om[:, j] += _ref_omega_terms(f, b, mats)
-        ws = [_ref_ddc_weights(f, b, mats) for f in forms]
         del mats
+        ws = [_ddc_weights(f, b) for f in forms]  # the library's weights
         M = space.monomial_values(b.chart, b.points)
         base = fscurrents._log_norm_base(space, b.chart, b.points)
         if family:
@@ -366,19 +362,25 @@ def test_expected_zero_residuals_match_the_two_walks():
 
 
 def _count_calls(monkeypatch):
-    calls = {"hessian": {}, "omega_basis_matrix": 0}
-    hessian = TestForm.hessian
-    basis = Manifold.omega_basis_matrix
+    calls = {"hessian": {}, "block_laplacian": {}, "omega_basis_matrix": 0}
 
-    def counted_hessian(self, *args):
-        calls["hessian"][self.label] = calls["hessian"].get(self.label, 0) + 1
-        return hessian(self, *args)
+    def per_form(name):
+        method = getattr(TestForm, name)
+
+        def counted(self, *args):
+            calls[name][self.label] = calls[name].get(self.label, 0) + 1
+            return method(self, *args)
+
+        monkeypatch.setattr(TestForm, name, counted)
+
+    per_form("hessian")
+    per_form("block_laplacian")
+    basis = Manifold.omega_basis_matrix
 
     def counted_basis(self, *args):
         calls["omega_basis_matrix"] += 1
         return basis(self, *args)
 
-    monkeypatch.setattr(TestForm, "hessian", counted_hessian)
     monkeypatch.setattr(Manifold, "omega_basis_matrix", counted_basis)
     return calls
 
@@ -392,10 +394,11 @@ def test_expected_zero_residuals_take_one_walk(monkeypatch):
     assert forms[0].constant and not forms[1].constant
     calls = _count_calls(monkeypatch)
     expected_zero_residuals(sp, forms, 100, (3,), rule)
-    # one Hessian per block of the non-constant form, one basis matrix
-    # per block (the two walks took 12 and 6)
-    assert calls["hessian"] == {forms[1].label: 3}
-    assert calls["omega_basis_matrix"] == 3
+    # one set of weights per block of the non-constant form (the two walks
+    # took 6), from the blocks' axes: no Hessian and no basis matrix
+    assert calls["block_laplacian"] == {forms[1].label: 3}
+    assert calls["hessian"] == {}
+    assert calls["omega_basis_matrix"] == 0
 
 
 def test_closed_form_pairings_build_no_node(monkeypatch):
@@ -438,7 +441,8 @@ def test_fs_convergence_takes_form_weights_once_per_rule(monkeypatch,
                "p_grid": p_grid, "dict_count": 4, "seed": [0],
                "cache": str(tmp_path / f"cache{len(p_grid)}")}
         run_study(parse_config(doc))
-        assert calls["hessian"]
+        assert calls["block_laplacian"]
+        assert calls["hessian"] == {} and calls["omega_basis_matrix"] == 0
         counts.append(calls)
         monkeypatch.undo()
     assert counts[1] == counts[0]

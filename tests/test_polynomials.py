@@ -110,3 +110,21 @@ def test_dense_roundtrip():
     assert grid.shape == (3, 4)
     P = np.array([[0.4 - 0.1j, 1.2 + 0.3j], [0.0, 0.5]])
     assert np.allclose(cp.eval(P), npoly.polyval2d(P[:, 0], P[:, 1], grid))
+
+
+def test_homogeneous_partials_shift_exponents():
+    pp = build_manifold("P1xP1")
+    S = SectionPoly.from_coeff_map(pp, (2, 1), {(2, 0, 1, 0): 3.0,
+                                                (1, 1, 0, 1): 2.0j})
+    d0 = S.partial(0)
+    assert d0.degree == (1, 1)
+    assert dict(zip(map(tuple, d0.exponents.tolist()), d0.coeffs)) == {
+        (1, 0, 1, 0): 6.0, (0, 1, 0, 1): 2.0j}
+    d3 = S.partial(3)
+    assert d3.degree == (2, 0)
+    assert d3.exponents.tolist() == [[1, 1, 0, 0]] and d3.coeffs[0] == 2.0j
+    # d/dw_0 keeps the one term that holds w_0
+    assert S.partial(2).exponents.tolist() == [[2, 0, 0, 0]]
+    # a coordinate no term holds gives the zero section of lower degree
+    z = SectionPoly.from_coeff_map(pp, (2, 1), {(2, 0, 1, 0): 1.0}).partial(1)
+    assert z.is_zero and z.degree == (1, 1)

@@ -87,6 +87,20 @@ def test_sampling_is_deterministic_and_unit_norm(p1):
                           sample_section(sp, (5,)).coeffs)
 
 
+def test_one_draw_gives_the_bits_of_two(p1, p2):
+    # the (2, dim) draw of both parts is the real-part draw followed by
+    # the imaginary-part one, so sampled sections keep their bits
+    spaces = [fs_space(p1, 1, 4), fs_space(p1, 1, 5), fs_space(p2, 1, 5),
+              fs_space(p2, 1, 6)]
+    assert [sp.dim for sp in spaces] == [3, 4, 6, 10]
+    for sp in spaces:
+        for seed in (0, (7, 3), (13, 2, 5)):
+            rng = zeros._rng(zeros._seed_key(seed))
+            v = rng.standard_normal(sp.dim) + 1j * rng.standard_normal(sp.dim)
+            np.testing.assert_array_equal(sample_section(sp, seed).coeffs,
+                                          Section(sp, v).coeffs)
+
+
 def test_tuple_members_split_the_seed(p1):
     sp = fs_space(p1, 1, 8)
     tup = sample_tuple([sp, sp], (7, 3))
