@@ -179,9 +179,8 @@ def cached_space(metric, p, adjoint=True, resolution=None, cache_dir=None):
     if cache_dir is None:
         return sections.build_section_space(metric, p, adjoint=adjoint,
                                             resolution=resolution), "off"
-    space = sections.build_section_space(metric, p, adjoint=adjoint,
-                                         resolution=resolution,
-                                         orthonormalize=False)
+    space = sections.SectionSpace(metric, p, adjoint=adjoint,
+                                  resolution=resolution)
     fragment = space_fragment(space)
 
     def load(payload):

@@ -23,7 +23,6 @@ from .errors import ConfigurationError, GeneralPositionError, KahlerlabError
 from .fscurrents import descriptor_form_pairings, descriptor_wedge_pairings
 # benchmarks/test_benchmark.py checks that the tracer patches this here
 from .geometry import quadrature_nodes  # noqa: F401
-from .sections import build_section_space
 from .zeros import (_seed_key, common_zeros, point_pairings, sample_tuple,
                     zero_pairings)
 
@@ -89,7 +88,7 @@ def _check_target_position(descriptors):
             seen[key] = k
 
 
-def approximation_run(h_list, g_list, eps_list, p_grid, dictionary, adjoint,
+def approximation_run(h_list, g_list, eps_list, p_grid, dictionary, space,
                       samples=1, seed=0, thresholds=None):
     """Measure how fast scaled random zero sets approach a wedge of curvatures.
 
@@ -97,8 +96,8 @@ def approximation_run(h_list, g_list, eps_list, p_grid, dictionary, adjoint,
     powers every step shares; ``thresholds`` gives one distance threshold
     per step (default 1/j).  The target is the pairing vector of the wedge
     of the h-curvatures against ``dictionary``, paired in closed form.  For
-    every (eps_j, p) cell the metrics are interpolated, section spaces
-    built (``adjoint`` twists by the canonical bundle), ``samples`` tuples
+    every (eps_j, p) cell the metrics are interpolated, their orthonormalized
+    section spaces taken from ``space(metric, p)``, ``samples`` tuples
     drawn, and the mean pairing vector of ``p^(-m) [zeros]`` compared to the
     target by :func:`ds_distance`; its entry 0 is the cell's mass.  ``m``
     is the complex dimension, so the zeros are points and pair as such:
@@ -148,8 +147,7 @@ def approximation_run(h_list, g_list, eps_list, p_grid, dictionary, adjoint,
             record = {"j": j0 + 1, "eps": eps, "p": p, "samples": samples,
                       "seed": cell_seed}
             try:
-                spaces = [build_section_space(hk, p, adjoint=adjoint)
-                          for hk in interp]
+                spaces = [space(hk, p) for hk in interp]
                 seeds = [cell_seed + (i,) for i in range(samples)]
                 if m == 1:
                     vecs = zero_pairings(spaces[0], seeds, dictionary)
@@ -173,7 +171,6 @@ def approximation_run(h_list, g_list, eps_list, p_grid, dictionary, adjoint,
     return {
         "kind": "approximation",
         "m": m,
-        "adjoint": bool(adjoint),
         "samples": samples,
         "seed": list(key),
         "dictionary": [f.label for f in dictionary],

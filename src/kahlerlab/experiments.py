@@ -349,8 +349,10 @@ def _run_approximation(cfg, report):
     g_list = [e["g"] for e in pairs]
     dictionary = _dictionary(cfg, report, m)
     result = approximation_run(h_list, g_list, cfg.eps_list, cfg.p_grid,
-                               dictionary, cfg.adjoint, samples=cfg.samples,
-                               seed=cfg.seed, thresholds=cfg.thresholds)
+                               dictionary,
+                               lambda h, p: _space(cfg, report, h, p),
+                               samples=cfg.samples, seed=cfg.seed,
+                               thresholds=cfg.thresholds)
     for r in result["rows"]:
         report["rows"].append({
             "j": r["j"], "eps": r["eps"], "p": r["p"],
@@ -362,7 +364,7 @@ def _run_approximation(cfg, report):
                          "status"]
     report["summary"] = {
         "m": result["m"],
-        "adjoint": result["adjoint"],
+        "adjoint": cfg.adjoint,
         "dictionary": result["dictionary"],
         "target": result["target"],
         "selected": result["selected"],

@@ -204,10 +204,11 @@ def log_norm_pairings(space, forms, rule, sections=None, family=False):
     the space's orthonormal family (potential ``1/2 log sum_j |s_j|^2 +
     base``, ``s`` the :meth:`SectionSpace.orthonormal` frame of ``M``),
     then a row ``<[s_j = 0], f>`` per column c_j of ``sections``.  ``M``
-    and ``base`` serve all rows of a block.  A family goes in one frame
-    application, sections in column chunks of at most
-    ``_LOG_NORM_CHUNK`` (nodes, columns) entries.  A potential non-finite
-    at too many nodes of a block raises as in ``bundles.finite_potential``.
+    and ``base`` serve all rows of a block.  A family takes its frame in
+    node chunks of at most ``_LOG_NORM_CHUNK`` (node, member) entries,
+    sections go in column chunks of at most ``_LOG_NORM_CHUNK`` (nodes,
+    columns) entries.  A potential non-finite at too many nodes of a block
+    raises as in ``bundles.finite_potential``.
     """
     forms = list(forms)
     m = space.manifold
@@ -219,10 +220,14 @@ def log_norm_pairings(space, forms, rule, sections=None, family=False):
         M = space.monomial_values(b.chart, b.points)
         base = _log_norm_base(space, b.chart, b.points)
         if family:
-            A = np.abs(space.orthonormal(M))
-            u = 0.5 * _log_modulus(np.einsum("nj,nj->n", A, A)) + base
-            del A  # node-by-member sized: free before the sections' chunks
-            yield finite_potential(u, integrable=True)
+            sq = np.empty(len(M))
+            step = max(1, _LOG_NORM_CHUNK // space.dim)
+            for lo in range(0, len(M), step):
+                A = np.abs(space.orthonormal(M[lo:lo + step]))
+                sq[lo:lo + step] = np.einsum("nj,nj->n", A, A)
+                del A  # free before the sections' chunks
+            yield finite_potential(0.5 * _log_modulus(sq) + base,
+                                   integrable=True)
         if sections is not None:
             step = max(1, _LOG_NORM_CHUNK // M.shape[0])
             for lo in range(0, sections.shape[1], step):

@@ -18,20 +18,22 @@ Three Gram assembly strategies share one orthonormalization path:
   real exponents, taken in closed form with no rule; other atoms sum over
   the torus reduction of their rule (``QuadratureRule.torus_reduced``: one
   angle carrying the full 2 pi weight), exact in the angular directions;
-* smooth weights and coordinate-axis poles: the angular dependence enters
-  through finitely many Fourier modes of ``e^{-2 p psi}``, so an FFT over the
-  uniform angular grids contracts radial basis profiles against those modes;
-* poles along curves in general position (P1 only): the same separable
-  contraction on a grid refined toward the pole points, where the angular
-  moments of the node weight are taken by a cos/sin matmul over the
-  non-uniform refined angles and the radial profiles carry each row's
-  largest log weight.  The node weight is assembled from per-radius and
-  per-angle vectors and one ``log|Q|`` per pole polynomial ``Q``, which
-  nets the forced factor ``|Q|^(2k)`` against the pole weight; no node
-  mesh is built unless an atom other than a log pole needs one.  Log poles
-  on one linear form ``a . Z`` are coordinate poles in ``w = U Z``, ``U``
-  unitary with ``w_0 = a . Z / |a|``: their Gram is ``T^T diag(g) conj(T)``
-  for the rotated closed form ``g`` and the change of basis ``T``, no rule.
+* smooth weights and coordinate-axis poles (``modes``): the weight is
+  ``e^{-2 p psi}``, whose angular moments an FFT over the uniform angular
+  grids takes;
+* poles along curves in general position (``nodes``, P1 only): on a grid
+  refined toward the pole points, the weight is the node weight, assembled
+  from per-radius and per-angle vectors and one ``log|Q|`` per pole
+  polynomial ``Q``, which nets the forced factor ``|Q|^(2k)`` against the
+  pole weight (no node mesh is built unless an atom other than a log pole
+  needs one); a cos/sin matmul over the refined angles takes its moments.
+  Log poles on one linear form ``a . Z`` are coordinate poles in ``w = U
+  Z``, ``U`` unitary with ``w_0 = a . Z / |a|``: their Gram is ``T^T
+  diag(g) conj(T)`` for the rotated closed form ``g`` and the change of
+  basis ``T``, no rule.
+
+The tensor methods ``modes`` and ``nodes`` share one assembly, radial basis
+profiles contracted against the angular moments of their weight.
 
 All of them run in log space wherever magnitudes can leave the comfortable
 range of double precision; overflow is detected and raised, never clipped.
@@ -43,6 +45,7 @@ the one place that applies a frame, so no other module knows which form a
 space holds.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -340,11 +343,15 @@ class SectionSpace:
         without rule gives the closed form: the Dirichlet moments, or for
         ``nodes`` their rotated image ``T^T diag(g) conj(T)``
         (``_gram_rotated``).  Otherwise builds ``self.rule`` and sums the
-        per-block Grams of the dispatched method.  The tensor paths
-        (``modes`` and ``nodes``) walk each block in radial slabs of at most
-        ``_SLAB_NODES`` nodes and never build a block's whole mesh, so their
-        node-sized work arrays stay near 1 MB each however finely the rule
-        is refined; only arrays of one row per radius span a whole block.
+        per-block Grams of the dispatched method.  The tensor methods
+        (``modes`` and ``nodes``) share one assembly, :meth:`_tensor_gram`,
+        and differ only in the weight whose angular moments they take and in
+        the transform that takes them (:meth:`_modes_rows`,
+        :meth:`_nodes_rows`).  They walk each block in radial slabs of at
+        most ``_SLAB_NODES`` nodes and never build a block's whole mesh, so
+        their node-sized work arrays stay near 1 MB each however finely the
+        rule is refined; only arrays of one row per radius span a whole
+        block.
         """
         if self._gram is None:
             method, plan = self.gram_plan()
@@ -359,11 +366,15 @@ class SectionSpace:
                 if method == "diagonal":
                     self._gram = self._gram_diagonal(self.rule.torus_reduced())
                 else:
-                    block_gram = (self._gram_modes_block if method == "modes"
-                                  else self._gram_nodes_block)
+                    slab_rows = (self._modes_rows if method == "modes"
+                                 else self._nodes_rows)
                     G = np.zeros((self.dim, self.dim), dtype=complex)
                     for block in self.rule.blocks:
-                        G += block_gram(block)
+                        E = self.exponents[
+                            :, self.manifold.chart_columns(block.chart)]
+                        q = E.max(axis=0)
+                        G += self._tensor_gram(E, q, map(
+                            slab_rows(block, q), block.split(_SLAB_NODES)))
                     self._gram = G
             self.gram_method = method
         return self._gram
@@ -375,39 +386,6 @@ class SectionSpace:
         if max(self.manifold.factor_dims) > 1:  # disk radial variables
             return max(int(0.55 * qmax) + 14, self._resolution // 2 + 8), ang
         return max(qmax // 2 + 10, self._resolution), ang
-
-    def _measure_weights(self, block):
-        """Full per-node weights of the Gram measure on one block."""
-        return block.weights_lebesgue if self.adjoint else block.weights_volume
-
-    def _radial_split(self, block):
-        """Radial mesh data: log radii, reference weight, radial measure.
-
-        Returns (logr (R, n), phi_ref (R,), w_rad (R,)) over the radial
-        mesh in C order, with all scalar measure constants folded into
-        ``w_rad`` so angular weights can be used raw.
-        """
-        m = self.manifold
-        axs = block.axes
-        logr = [np.log(ax.radius) for ax in axs]
-        wr = [ax.leb_factor if self.adjoint else ax.wx for ax in axs]
-        # unit volume per factor: dx / (2 pi) on a line, (1/(2 pi^2))
-        # (1+u1+u2)^-3 du on a plane
-        const = 1.0
-        if not self.adjoint:
-            for d in m.factor_dims:
-                const *= 1.0 / TWO_PI if d == 1 else 1.0 / (2.0 * math.pi ** 2)
-        grids = np.meshgrid(*logr, indexing="ij")
-        LR = np.stack([g.ravel() for g in grids], axis=1)
-        wgrids = np.meshgrid(*wr, indexing="ij")
-        w_rad = const * np.prod([g.ravel() for g in wgrids], axis=0)
-        for sl, d in zip(m.axis_slices, m.factor_dims):
-            if d > 1 and not self.adjoint:
-                u = np.exp(2.0 * LR[:, sl])
-                w_rad = w_rad / (1.0 + u[:, 0] + u[:, 1]) ** 3
-        P = np.exp(LR).astype(complex)
-        phi_ref = self.metric.bundle.reference_weight(block.chart, P)
-        return LR, phi_ref, w_rad
 
     def _gram_closed_form(self):
         """The diagonal Gram of monomial log poles as Dirichlet moments.
@@ -478,83 +456,103 @@ class SectionSpace:
             if arg.max() > 690.0:
                 raise NumericalError(
                     "Gram integrand overflows double precision")
-            diag += self._measure_weights(block) @ np.exp(arg)
+            diag += (block.weights_lebesgue if self.adjoint
+                     else block.weights_volume) @ np.exp(arg)
         return diag
 
-    def _gram_modes_block(self, block):
-        """One block's Gram from radial profiles and FFT angular modes.
+    def _tensor_gram(self, E, q, slabs):
+        """One block's Gram from radial profiles and angular moments.
 
-        The block is walked in radial slabs of at most ``_SLAB_NODES``
-        nodes; each slab yields its rows of the radial profiles and of the
-        angular modes ``what`` (one FFT per angular line), and one
-        ``gram_contract`` call runs on the concatenated rows.  Node-sized
-        arrays therefore never exceed one slab, and the block's own mesh is
-        never built.
+        On the tensor grid ``z = r e^{i theta}`` a product of basis elements
+        is ``s_a s_b r^(e_a + e_b) e^{i (e_a - e_b) . theta}`` times the
+        weight, so the node sum contracts the profiles ``exp(log s_a + e_a .
+        log r + o(r))`` in pairs against the weight's moment at the mode
+        ``e_a - e_b`` (``gram_contract``); ``o`` is half the log of what of
+        the weight and measure depends on the radii alone.  ``q`` holds the per-axis maxima
+        of the chart exponents ``E``; a row of moments holds the modes
+        ``-q..q`` of every axis in C order.  ``slabs`` gives per radial
+        slab its log radii (row x axis), the terms of ``o`` (per-row arrays,
+        added in order) and its rows of moments.
+        """
+        didx = np.zeros((self.dim, self.dim), dtype=np.int64)
+        for e, qa in zip(E.T, q):
+            didx = didx * (2 * qa + 1) + (e[:, None] - e[None, :] + qa)
+        Et = E.T.astype(float)
+        args, moments = [], []
+        for LR, offsets, what in slabs:
+            arg = LR @ Et + self.log_scales
+            for off in offsets:
+                arg += off[:, None]
+            args.append(arg)
+            moments.append(what)
+        arg = np.concatenate(args)
+        # gram_contract multiplies two profiles, so products must fit
+        if 2.0 * arg.max() > 690.0:
+            raise NumericalError("Gram integrand overflows double precision")
+        return gram_contract(np.exp(arg), np.concatenate(moments), didx)
+
+    def _modes_rows(self, block, q):
+        """The slab -> rows function of a ``modes`` :meth:`_tensor_gram`.
+
+        The weight is ``e^{-2 p psi}`` on the slab mesh; its moments are
+        ``sum_k wtheta W(theta_k) e^{i d theta_k}``, one FFT over the
+        uniform angular axes gathered at ``-d`` with the midpoint phase
+        shift.  The offsets are the halves ``-p phi_ref`` and ``log(w) / 2``
+        of the reference weight and of the radial measure ``w``, into which
+        every scalar measure constant is folded, so the angular weights
+        enter raw.
         """
         m = self.manifold
-        for ax in block.axes:
+        n = len(block.axes)
+        idx, phases = [], []
+        for qa, ax in zip(q, block.axes):
             if not ax.theta_uniform:
                 raise ConfigurationError(
                     "Fourier-mode Gram assembly needs uniform angular grids")
-        cols = m.chart_columns(block.chart)
-        E = self.exponents[:, cols]
-        naxes = len(block.axes)
-
-        # angular transform: Theta[delta] = sum_k wtheta W(theta_k) e^{i
-        # delta theta_k}, computed by FFT with the midpoint phase shift
-        qax = [int(E[:, a].max()) if self.dim else 0 for a in range(naxes)]
-        idx, ph, nm = [], [], []
-        for a, ax in enumerate(block.axes):
             M = len(ax.theta)
-            if M < 2 * qax[a] + 2:
+            if M < 2 * qa + 2:
                 raise ConfigurationError("angular grid under-resolves modes")
-            d = np.arange(-qax[a], qax[a] + 1)
+            d = np.arange(-qa, qa + 1)
             idx.append((-d) % M)
-            ph.append(np.exp(1j * math.pi * d / M) * ax.wtheta[0])
-            nm.append(d.size)
-
-        R = int(np.prod([len(ax.x) for ax in block.axes]))
-        if R * int(np.prod(nm)) * 16 > _MODE_TABLE_BYTES:
+            phases.append(np.exp(1j * math.pi * d / M) * ax.wtheta[0])
+        phase = functools.reduce(np.multiply.outer, phases).ravel()
+        if math.prod(len(ax.x) for ax in block.axes) * phase.size * 16 \
+                > _MODE_TABLE_BYTES:
             raise ConfigurationError(
                 "Fourier mode table too large; lower the resolution or "
                 "the section degree")
-        if naxes == 1:
-            didx = (E[:, 0][:, None] - E[:, 0][None, :]) + qax[0]
-        else:
-            d1 = (E[:, 0][:, None] - E[:, 0][None, :]) + qax[0]
-            d2 = (E[:, 1][:, None] - E[:, 1][None, :]) + qax[1]
-            didx = d1 * nm[1] + d2
+        # unit volume per factor: dx / (2 pi) on a line, (1/(2 pi^2))
+        # (1+u1+u2)^-3 du on a plane
+        const = 1.0 if self.adjoint else math.prod(
+            1.0 / TWO_PI if d == 1 else 1.0 / (2.0 * math.pi ** 2)
+            for d in m.factor_dims)
 
-        rads, whats = [], []
-        for slab in block.split(_SLAB_NODES):
-            psi = self.metric.psi(slab.chart, slab.points)
-            expo = -2.0 * self.p * psi
+        def rows(slab):
+            expo = -2.0 * self.p * self.metric.psi(slab.chart, slab.points)
             if expo.max() > 690.0:
                 raise NumericalError("pole weight overflows double precision")
-            W = np.exp(expo).reshape(slab.shape)
-            if naxes == 1:
-                F = np.fft.fft(W, axis=1)
-                what = F[:, idx[0]] * ph[0][None, :]
-            else:
-                F = np.fft.fftn(W, axes=(1, 3))
-                gath = F[:, idx[0]][:, :, :, idx[1]]
-                gath = gath.transpose(0, 2, 1, 3)
-                what = gath.reshape(-1, nm[0] * nm[1])
-                what = what * np.outer(ph[0], ph[1]).ravel()[None, :]
-
-            LR, phi_ref, w_rad = self._radial_split(slab)
+            F = np.fft.fftn(np.exp(expo).reshape(slab.shape),
+                            axes=tuple(range(1, 2 * n, 2)))
+            for a, ix in enumerate(idx):
+                F = np.take(F, ix, axis=2 * a + 1)
+            what = F.transpose(*range(0, 2 * n, 2), *range(1, 2 * n, 2))
+            # the radial mesh in C order
+            LR = np.stack(np.meshgrid(*[np.log(ax.radius) for ax in slab.axes],
+                                      indexing="ij"), axis=-1).reshape(-1, n)
+            w_rad = const * functools.reduce(np.multiply.outer, [
+                ax.leb_factor if self.adjoint else ax.wx
+                for ax in slab.axes]).ravel()
+            for sl, d in zip(m.axis_slices, m.factor_dims):
+                if d > 1 and not self.adjoint:
+                    u = np.exp(2.0 * LR[:, sl])
+                    w_rad = w_rad / (1.0 + u[:, 0] + u[:, 1]) ** 3
+            phi_ref = self.metric.bundle.reference_weight(
+                slab.chart, np.exp(LR).astype(complex))
             with np.errstate(divide="ignore"):
                 lw = np.log(w_rad)
-            arg = (LR @ E.T.astype(float) + self.log_scales[None, :]
-                   - self.p * phi_ref[:, None] + 0.5 * lw[:, None])
-            # gram_contract multiplies two profiles, so products must fit
-            if 2.0 * arg.max() > 690.0:
-                raise NumericalError(
-                    "Gram integrand overflows double precision")
-            rads.append(np.exp(arg))
-            whats.append(what)
-        return gram_contract(np.concatenate(rads), np.concatenate(whats),
-                             didx.astype(np.int64))
+            return (LR, (-self.p * phi_ref, 0.5 * lw),
+                    what.reshape(len(LR), phase.size) * phase)
+        return rows
 
     def _node_weight_terms(self):
         """The real node weight of the ``nodes`` Gram, in separable parts.
@@ -597,32 +595,25 @@ class SectionSpace:
             add(Q, 2.0 * k, True)
         return ref, const, list(poles.values()), others
 
-    def _gram_nodes_block(self, block):
-        """One block's Gram from radial profiles and angular moments.
+    def _nodes_rows(self, block, q):
+        """The slab -> rows function of a ``nodes`` :meth:`_tensor_gram`.
 
-        On the tensor grid ``z = r e^{i theta}`` of a P1 block a product of
-        basis elements is ``s_a s_b r^(e_a + e_b) e^{i (e_a - e_b) theta}
-        |prod_j Q_j^k_j|^2``.  So the node sum splits into the real node
-        weight ``ell = -2 p phi + sum_j 2 k_j log|Q_j| + log w``, its
-        angular moments per radius (a cos/sin matmul, so refined non-uniform
-        angles are fine), and the radial profiles ``exp(log s_a + e_a log r
-        + c(r) / 2)``, where ``c(r)`` is the row maximum of ``ell``.
+        The weight is the real node weight ``ell = -2 p phi + sum_j 2 k_j
+        log|Q_j| + log w`` on a P1 block.  Its offset is ``c(r) / 2`` for the
+        row maximum ``c(r)`` of ``ell``, and its moments are those of
+        ``exp(ell - c)`` by a cos/sin matmul, so refined non-uniform angles
+        are fine.
 
         ``ell`` is assembled from the parts of ``_node_weight_terms``, each
         pole polynomial on the grid being a per-radius table times a
         per-angle one.  So the two powers of ``|Q|`` share one logarithm,
         ``kappa_Q = 0`` takes none, and only atoms other than log poles are
         evaluated at the nodes and build a mesh, one slab's at a time.
-
-        The block is walked in radial slabs of at most ``_SLAB_NODES``
-        nodes, so ``ell`` and its density never exceed one slab.  Slabs
-        hold whole angular rows, so each ``c(r)`` is the row maximum over
-        the whole block.
+        Slabs hold whole angular rows, so each ``c(r)`` is the row maximum
+        over the whole block.
         """
         (ax,) = block.axes
-        E = self.exponents[:, self.manifold.chart_columns(block.chart)[0]]
-        qe = int(E.max())
-        phase = np.multiply.outer(ax.theta, np.arange(-qe, qe + 1))
+        phase = np.multiply.outer(ax.theta, np.arange(-q[0], q[0] + 1))
         cos, sin = np.cos(phase), np.sin(phase)
         ref, const, poles, others = self._node_weight_terms()
         tables = []
@@ -633,8 +624,8 @@ class SectionSpace:
                 e, ax.theta)), kappa, forced))
         with np.errstate(divide="ignore"):
             b = np.log(ax.wtheta if self.adjoint else ax.wtheta / TWO_PI)
-        cs, whats = [], []
-        for slab in block.split(_SLAB_NODES):
+
+        def rows(slab):
             sax = slab.axes[0]
             r = sax.radius
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -661,15 +652,9 @@ class SectionSpace:
                 raise NumericalError("Gram weight is infinite at a node")
             c[c == -np.inf] = 0.0
             dens = np.exp(ell - c[:, None])
-            whats.append(dens @ cos + 1j * (dens @ sin))
-            cs.append(c)
-        arg = (np.multiply.outer(np.log(ax.radius), E)
-               + self.log_scales[None, :] + 0.5 * np.concatenate(cs)[:, None])
-        # gram_contract multiplies two profiles, so their product must fit
-        if 2.0 * arg.max() > 690.0:
-            raise NumericalError("Gram integrand overflows double precision")
-        return gram_contract(np.exp(arg), np.concatenate(whats),
-                             E[:, None] - E[None, :] + qe)
+            return (np.log(r)[:, None], (0.5 * c,),
+                    dens @ cos + 1j * (dens @ sin))
+        return rows
 
     # -- orthonormalization ------------------------------------------------------
 
@@ -754,17 +739,16 @@ class SectionSpace:
 
 
 def build_section_space(metric, p, adjoint=True, resolution=None,
-                        method=None, orthonormalize=True):
-    """Construct the section space and (by default) its orthonormal basis.
+                        method=None):
+    """Construct the section space and its orthonormal basis.
 
     ``method`` overrides Gram dispatch for cross-validation: "diagonal",
-    "modes", or "nodes".  With ``orthonormalize=False`` only the filtered
-    basis is built, which is enough to read off dimensions.
+    "modes", or "nodes".  A :class:`SectionSpace` constructed directly
+    holds the filtered basis alone and orthonormalizes on first use.
     """
     space = SectionSpace(metric, p, adjoint=adjoint, resolution=resolution,
                          method=method)
-    if orthonormalize:
-        space.coeff_matrix()
+    space.coeff_matrix()
     return space
 
 

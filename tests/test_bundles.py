@@ -28,7 +28,7 @@ from kahlerlab.bundles import (
 )
 from kahlerlab.fscurrents import (descriptor_form_pairing,
                                   descriptor_form_pairings, fs_pairings)
-from kahlerlab.sections import build_section_space
+from kahlerlab.sections import SectionSpace, build_section_space
 from kahlerlab.testforms import TestForm, constant_form, test_form_dictionary as form_dictionary
 from kahlerlab.zeros import (ZeroSet, curve_zero_sets, point_pairings,
                              sample_section, zero_pairings)
@@ -500,8 +500,7 @@ def test_point_masses_of_curve_zero_sets_keep_their_bits(p1):
                                                  (0, 1): 0.6 + 0.3j})
     sets = []
     for Q in (coordinate_section(p1, 0), off_axis):
-        sp = build_section_space(Metric.log_pole(LineBundle(p1, 2), Q, 0.8),
-                                 6, orthonormalize=False)
+        sp = SectionSpace(Metric.log_pole(LineBundle(p1, 2), Q, 0.8), 6)
         C = np.stack([sample_section(sp, (31, i)).coeffs for i in range(3)],
                      axis=1)
         sets += curve_zero_sets(sp, C)

@@ -23,7 +23,7 @@ from kahlerlab.cache import (cache_get, cache_key, cache_path, cache_put,
                              dictionary_fragment, space_fragment, space_payload)
 from kahlerlab.geometry import build_manifold
 from kahlerlab.polynomials import SectionPoly, coordinate_section
-from kahlerlab.sections import build_section_space
+from kahlerlab.sections import SectionSpace
 from kahlerlab.testforms import test_form_dictionary
 
 P1 = build_manifold("P1")
@@ -54,14 +54,13 @@ def test_key_is_computed_without_quadrature_nodes(monkeypatch):
         raise AssertionError("the cache key built quadrature nodes")
 
     monkeypatch.setattr(sections, "quadrature_nodes", no_nodes)
-    sp = build_section_space(_off_axis_pole(), 4, method="nodes",
-                             orthonormalize=False)
+    sp = SectionSpace(_off_axis_pole(), 4, method="nodes")
     gram = space_fragment(sp)["gram"]
     assert gram["numerics"] == sections.NUMERICS_VERSION
     assert gram["method"] == "nodes"
     assert gram["rule"] == {"radial_min": 24, "angular_min": 83}
     # the closed form of the same pole keys no rule
-    sp = build_section_space(_off_axis_pole(), 4, orthonormalize=False)
+    sp = SectionSpace(_off_axis_pole(), 4)
     assert space_fragment(sp)["gram"] == {
         "numerics": sections.NUMERICS_VERSION, "method": "nodes",
         "resolution": None, "rule": None}
@@ -91,7 +90,7 @@ def test_entry_under_other_numerics_misses_and_is_rewritten(tmp_path,
 def test_closed_form_key_has_no_rule_and_misses_older_numerics(tmp_path,
                                                               monkeypatch):
     h = _toric_pole()
-    sp = build_section_space(h, 7, orthonormalize=False)
+    sp = SectionSpace(h, 7)
     gram = space_fragment(sp)["gram"]
     assert sections.NUMERICS_VERSION >= 6
     assert gram == {"numerics": sections.NUMERICS_VERSION,

@@ -14,6 +14,7 @@ from kahlerlab.fscurrents import (descriptor_form_pairing,
                                   descriptor_wedge_pairing, form_values_hom)
 from kahlerlab.geometry import build_manifold
 from kahlerlab.polynomials import SectionPoly, coordinate_section
+from kahlerlab.sections import build_section_space
 from kahlerlab.testforms import test_form_dictionary
 
 
@@ -201,9 +202,15 @@ def test_unresolved_rows_are_flagged_and_skipped():
 # -- the end-to-end run -------------------------------------------------------------
 
 
+def _spaces(adjoint):
+    """The section spaces of an approximation run, built afresh."""
+    return lambda h, p: build_section_space(h, p, adjoint=adjoint)
+
+
 def _curve_run(p1, h, g, eps_list, p_grid, **kw):
     return approximation_run([h], [g], eps_list, p_grid,
-                             test_form_dictionary(p1, 1), False, **kw)
+                             test_form_dictionary(p1, 1), _spaces(False),
+                             **kw)
 
 
 def test_approximation_run_on_the_reference_family(p1):
@@ -225,7 +232,8 @@ def test_approximation_masses_follow_the_twist_deficit(p2):
     h2 = Metric.log_pole(L, coordinate_section(p2, 1), 0.5)
     g = Metric.fubini_study(L)
     rep = approximation_run([h1, h2], [g, g], [0.5], [6, 8],
-                            test_form_dictionary(p2, 2), True, seed=(42,))
+                            test_form_dictionary(p2, 2), _spaces(True),
+                            seed=(42,))
     assert abs(rep["target"][0] - 1.0) < 1e-9
     for r in rep["rows"]:
         assert r["status"] == "ok"
@@ -237,7 +245,7 @@ def test_one_factor_per_complex_dimension(p2):
     fs = Metric.fubini_study(LineBundle(p2, 1))
     with pytest.raises(ConfigurationError):
         approximation_run([fs], [fs], [0.5], [4],
-                          test_form_dictionary(p2, 1, 2), True)
+                          test_form_dictionary(p2, 1, 2), _spaces(True))
 
 
 def test_smoothing_metrics_must_be_positive(p1):

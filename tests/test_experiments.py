@@ -4,15 +4,15 @@ import weakref
 import numpy as np
 import pytest
 
-from kahlerlab import _kernels, experiments, geometry, testforms
-from kahlerlab.bundles import form_values_hom
+from kahlerlab import _kernels, experiments, geometry, sections, testforms
+from kahlerlab.bundles import Metric, form_values_hom
 from kahlerlab.config import parse_config
 from kahlerlab.errors import (ConfigurationError, EmptySpaceError,
                               UnsupportedMetricError)
 from kahlerlab.experiments import emit_report, run_study
 from kahlerlab.fscurrents import descriptor_form_pairing, log_norm_pairings
 from kahlerlab.geometry import quadrature_nodes
-from kahlerlab.sections import build_section_space
+from kahlerlab.sections import SectionSpace, build_section_space
 from kahlerlab.testforms import test_form_dictionary
 from kahlerlab.zeros import sample_section, zeros_on_curve
 
@@ -148,6 +148,56 @@ def test_linear_pole_space_logs_no_nodes_on_a_miss(tmp_path):
     for line in lines:
         assert "gram_method=nodes" in line
         assert line.endswith("nodes=- cache=miss")
+
+
+def _no_gram(space):
+    raise AssertionError("a Gram was solved")
+
+
+def test_approximation_cell_spaces_replay_from_the_cache(tmp_path,
+                                                         monkeypatch):
+    doc = {"study": "approximation", "manifold": "P2",
+           "metrics": [{"h": {"kind": "log_pole", "t": 0.25,
+                              "Q": {"coord": i}}} for i in (0, 1)],
+           "eps_list": [0.5, 0.25], "p_grid": [4, 6], "samples": 1,
+           "dict_count": 2, "seed": [0]}
+    off = run_study(parse_config(doc))
+    cfg = parse_config({**doc, "cache": str(tmp_path / "cache")})
+    cold = run_study(cfg)
+    monkeypatch.setattr(sections.SectionSpace, "gram", _no_gram)
+    warm = run_study(cfg)
+    # 2 steps x 2 powers x one space per factor of the wedge
+    assert (cold["cache"], warm["cache"]) == ({"hits": 0, "misses": 8},
+                                              {"hits": 8, "misses": 0})
+    for report, status in ((off, "off"), (cold, "miss"), (warm, "hit")):
+        assert [r["status"] for r in report["rows"]] == ["ok"] * 4
+        lines = [ln for ln in report["log"] if ln.startswith("space ")]
+        assert [int(ln.partition(" p=")[2].split()[0]) for ln in lines] \
+            == [4, 4, 6, 6] * 2
+        assert all(ln.endswith(f"cache={status}") for ln in lines)
+    _assert_same_bytes(off, cold, tmp_path / "cold")
+    _assert_same_bytes(off, warm, tmp_path / "warm")
+
+
+def test_approximation_cell_spaces_take_the_config_resolution():
+    # max_log is no log pole: its diagonal Gram sums over a rule
+    cfg = parse_config({
+        "study": "approximation", "manifold": "P1",
+        "metrics": [{"h": {"kind": "max_log", "t": 0.5}}],
+        "eps_list": [0.5], "p_grid": [4, 6], "samples": 1, "dict_count": 2,
+        "seed": [0], "resolution": 40})
+    lines = [ln for ln in run_study(cfg)["log"] if ln.startswith("space ")]
+    assert len(lines) == 2
+    h = Metric.interpolate(cfg.metrics[0]["h"], cfg.metrics[0]["g"], 0.5)
+    for line, p in zip(lines, cfg.p_grid):
+        nodes = []
+        for resolution in (cfg.resolution, None):
+            sp = SectionSpace(h, p, resolution=resolution)
+            sp.gram()
+            nodes.append(sp.rule.num_nodes)
+        assert nodes[0] != nodes[1]
+        assert " gram_method=diagonal " in line
+        assert f" nodes={nodes[0]} cache=off" in line
 
 
 def test_expected_zero_config_needs_100_samples(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,12 +18,14 @@ from kahlerlab.fscurrents import (descriptor_form_pairing,
                                   descriptor_wedge_pairing,
                                   descriptor_wedge_pairings,
                                   form_values_hom, fs_pairing, fs_pairings,
-                                  fs_wedge_pairing, fs_wedge_pairings)
+                                  fs_wedge_pairing, fs_wedge_pairings,
+                                  log_norm_pairings)
 from kahlerlab.geometry import (build_manifold, ddc_density,
                                 quadrature_nodes, wedge_density_11)
 from kahlerlab.polynomials import SectionPoly, coordinate_section
 from kahlerlab.sections import build_section_space
 from kahlerlab.testforms import TestForm, constant_form, test_form_dictionary
+from kahlerlab.zeros import potential_rule
 
 
 @pytest.fixture(scope="module")
@@ -522,6 +525,27 @@ def test_batched_potential_pairings_match_the_per_form_loop(p1):
         ref.append(total / sp.p)
     np.testing.assert_allclose(fs_pairings(sp, forms, rule), ref,
                                rtol=1e-12, atol=0)
+
+
+def test_family_row_traced_memory_stays_chunk_sized(p1):
+    # the p1-zeros pole at p = 8: 11 members on a potential rule whose
+    # largest capped block holds 249,280 nodes
+    h = Metric.log_pole(LineBundle(p1, 2), SectionPoly.from_coeff_map(
+        p1, 1, {(1, 0): 1.0, (0, 1): 0.6 + 0.3j}), 0.5)
+    sp = build_section_space(h, 8)
+    rule = potential_rule(h)
+    nodes = max(b.num_nodes for b in rule.capped_blocks())
+    assert (sp.dim, nodes) == (11, 249_280)
+    tracemalloc.start()
+    try:
+        log_norm_pairings(sp, [constant_form(p1)], rule, family=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # beyond the block's 43.9 MB monomial values, the whole block's frame
+    # product and its modulus peaked at 74 MB; in node chunks the rest of
+    # the walk (the block's mesh, weights and potential) takes 23 MB
+    assert peak - 16 * sp.dim * nodes < 32 * 2 ** 20
 
 
 def _non_toric_space(p2):

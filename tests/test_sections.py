@@ -19,9 +19,9 @@ from kahlerlab.errors import (ConfigurationError, EmptySpaceError,
 from kahlerlab.geometry import (Axis, Block, QuadratureRule, build_manifold,
                                 quadrature_nodes)
 from kahlerlab.polynomials import ChartPoly, SectionPoly, coordinate_section
-from kahlerlab.sections import (build_section_space, log_bergman_sup,
-                                section_degree, space_dimension,
-                                vanishing_order_required)
+from kahlerlab.sections import (SectionSpace, build_section_space,
+                                log_bergman_sup, section_degree,
+                                space_dimension, vanishing_order_required)
 
 P1 = build_manifold("P1")
 P2 = build_manifold("P2")
@@ -89,7 +89,7 @@ def test_vanishing_order_threshold():
 def test_coordinate_pole_filter():
     L = LineBundle(P1, 1)
     h = Metric.log_pole(L, coordinate_section(P1, 1), 0.5)
-    sp = build_section_space(h, 10, orthonormalize=False)
+    sp = SectionSpace(h, 10)
     assert sp.dim == 4  # degree 8, forced order 5 along z1
     assert sp.base_divisors == [(("coord", 1), 5)]
     assert all(e[1] >= 5 for e in sp.exponents)
@@ -101,7 +101,7 @@ def test_two_pole_filter_on_p2():
                    (Metric.log_pole(L, coordinate_section(P2, 0), 0.25).atoms
                     + Metric.log_pole(L, coordinate_section(P2, 1),
                                       0.25).atoms)])
-    sp = build_section_space(h, 12, orthonormalize=False)
+    sp = SectionSpace(h, 12)
     # degree 9, order 3 forced along each of two coordinate lines
     assert sp.dim == 10
     assert sorted(k for _, k in sp.base_divisors) == [3, 3]
@@ -120,7 +120,7 @@ def test_generic_pole_filter():
     L = LineBundle(P1, 1)
     Q1, _ = _generic_pair()
     h = Metric.log_pole(L, Q1, 0.7)
-    sp = build_section_space(h, 16, orthonormalize=False)
+    sp = SectionSpace(h, 16)
     assert sp.dim == 5  # degree 14, order 5 along a conic pair of points
     assert sp.base_divisors[0][1] == 5
     assert sp.sigma_polys[0][1] == 5
@@ -198,8 +198,7 @@ def test_gram_paths_agree_smooth_generic():
     spn = build_section_space(g, 8, method="nodes", resolution=64)
     assert spm.gram_method == "modes"
     assert np.max(np.abs(spm.gram() - spn.gram())) < 1e-10
-    assert build_section_space(g, 8, orthonormalize=False)._dispatch() \
-        == "modes"
+    assert SectionSpace(g, 8)._dispatch() == "modes"
 
 
 def test_gram_dispatch_and_validation():
@@ -209,8 +208,7 @@ def test_gram_dispatch_and_validation():
     with pytest.raises(ConfigurationError):
         build_section_space(g, 8, method="diagonal")
     h = Metric.log_pole(L, Q1, 0.7)
-    assert build_section_space(h, 8, orthonormalize=False)._dispatch() \
-        == "nodes"
+    assert SectionSpace(h, 8)._dispatch() == "nodes"
 
 
 def test_generic_pole_gram_unsupported_on_surfaces():
@@ -308,15 +306,13 @@ def _integer_lelong_case(case):
 @pytest.mark.parametrize("adjoint", [True, False])
 def test_closed_form_matches_every_rule_at_integer_lelong(case, adjoint):
     h, p = _integer_lelong_case(case)
-    sp = build_section_space(h, p, adjoint=adjoint, orthonormalize=False)
+    sp = SectionSpace(h, p, adjoint=adjoint)
     exact = sp.gram()
     assert sp.rule is None
-    grams = [_quadrature_diagonal(build_section_space(
-        h, p, adjoint=adjoint, orthonormalize=False))]
+    grams = [_quadrature_diagonal(SectionSpace(h, p, adjoint=adjoint))]
     on_p1 = sp.manifold.dim == 1
     for method in ("modes", "nodes") if on_p1 else ("modes",):
-        grams.append(build_section_space(h, p, adjoint=adjoint, method=method,
-                                         orthonormalize=False).gram())
+        grams.append(SectionSpace(h, p, adjoint=adjoint, method=method).gram())
     inv = exact ** -0.5
     for G in grams:
         if G.ndim == 1:  # the quadrature diagonal
@@ -393,9 +389,8 @@ def test_linear_pole_closed_form_matches_the_rule_at_integer_lelong(
         case, p, adjoint):
     # delta_p = 0: the rule is exact to rounding as well
     h = _scaled_copies() if case == "scaled-copies" else _off_axis_pole()
-    exact = build_section_space(h, p, adjoint=adjoint, orthonormalize=False)
-    rule = build_section_space(h, p, adjoint=adjoint, method="nodes",
-                               orthonormalize=False)
+    exact = SectionSpace(h, p, adjoint=adjoint)
+    rule = SectionSpace(h, p, adjoint=adjoint, method="nodes")
     assert exact._gram is None and exact.gram_plan() == ("nodes", None)
     assert np.max(np.abs(exact.gram() - rule.gram())) <= 1e-13
     assert exact.rule is None and rule.rule is not None
@@ -429,8 +424,8 @@ def test_fubini_study_gram_is_exactly_the_identity(adjoint):
     # the closed form subtracts nothing from the reference moments, whose
     # negated halves are the log scales
     for m, deg, p in ((P1, 1, 9), (P2, 1, 7), (P11, (1, 1), 5)):
-        sp = build_section_space(Metric.fubini_study(LineBundle(m, deg)), p,
-                                 adjoint=adjoint, orthonormalize=False)
+        sp = SectionSpace(Metric.fubini_study(LineBundle(m, deg)), p,
+                          adjoint=adjoint)
         assert np.array_equal(sp.gram(), np.ones(sp.dim))
 
 
@@ -495,9 +490,8 @@ def _nodes_case(case):
     ("degree-2-pole", 5, True), ("degree-2-pole", 6, True),
     ("scaled-copies", 5, True)])
 def test_nodes_gram_matches_the_nodewise_sum(case, p, forced):
-    sp = build_section_space(_nodes_case(case), p,
-                             adjoint=case != "adjoint-off", method="nodes",
-                             orthonormalize=False)
+    sp = SectionSpace(_nodes_case(case), p, adjoint=case != "adjoint-off",
+                      method="nodes")
     G = sp.gram()
     assert sp.gram_method == "nodes"
     assert bool(sp.sigma_polys) == forced
@@ -508,9 +502,7 @@ def test_nodes_gram_matches_the_nodewise_sum(case, p, forced):
     ("off-axis", 4), ("off-axis", 8), ("point-centers", 4),
     ("adjoint-off", 5), ("adjoint-off", 6), ("scaled-copies", 5)])
 def test_linear_pole_cases_of_the_nodewise_sum_build_no_rule(case, p):
-    sp = build_section_space(_nodes_case(case), p,
-                             adjoint=case != "adjoint-off",
-                             orthonormalize=False)
+    sp = SectionSpace(_nodes_case(case), p, adjoint=case != "adjoint-off")
     assert sp.gram_plan() == ("nodes", None)
     G = sp.gram()
     assert sp.gram_method == "nodes" and sp.rule is None
@@ -534,13 +526,13 @@ def _rule_through_pole(monkeypatch):
 def test_node_on_forced_pole_contributes_nothing(monkeypatch):
     rule, Q = _rule_through_pole(monkeypatch)
     h = Metric.log_pole(LineBundle(P1, 1), Q, 0.5)
-    sp = build_section_space(h, 8, method="nodes", orthonormalize=False)
+    sp = SectionSpace(h, 8, method="nodes")
     assert sp.sigma_polys[0][1] == 4
     G = sp.gram()
     assert np.all(np.isfinite(G))
     assert np.max(np.abs(G - _nodewise_gram(sp, rule))) <= 1e-13
     # the closed form of this linear pole has no node to skip
-    exact = build_section_space(h, 8, orthonormalize=False)
+    exact = SectionSpace(h, 8)
     assert np.all(np.isfinite(exact.gram())) and exact.rule is None
 
 
@@ -548,12 +540,12 @@ def test_infinite_node_weight_raises(monkeypatch):
     _, Q = _rule_through_pole(monkeypatch)
     # p t < 1: no forced factor cancels the pole at the node
     h = Metric.log_pole(LineBundle(P1, 1), Q, 0.1)
-    sp = build_section_space(h, 4, method="nodes", orthonormalize=False)
+    sp = SectionSpace(h, 4, method="nodes")
     assert not sp.sigma_polys
     with pytest.raises(NumericalError):
         sp.gram()
     # the closed form integrates the pole exactly, at no node
-    exact = build_section_space(h, 4, orthonormalize=False)
+    exact = SectionSpace(h, 4)
     assert np.all(np.isfinite(exact.gram())) and exact.rule is None
 
 
@@ -564,9 +556,7 @@ def test_gram_overflow_raises_on_tensor_paths(method):
         h, p = Metric.smoothed_max(LineBundle(P1, 1), Q1, Q2, 0.7, 0.6), 8
     else:
         h, p = _off_axis_pole(), 4
-    sp = build_section_space(h, p, orthonormalize=False,
-                             method=None if method == "closed-form"
-                             else method)
+    sp = SectionSpace(h, p, method=None if method == "closed-form" else method)
     assert sp._dispatch() == method.replace("closed-form", "nodes")
     # each profile fits in double range, their products do not
     sp.log_scales = sp.log_scales + 400.0
@@ -612,8 +602,7 @@ def test_gram_builds_only_slab_meshes(case, monkeypatch):
         build(block)
 
     monkeypatch.setattr(Block, "_build", spy)
-    sp = build_section_space(h, p, orthonormalize=False,
-                             method=None if method == "closed" else method)
+    sp = SectionSpace(h, p, method=None if method == "closed" else method)
     sp.gram()
     if method == "closed":
         # no rule, so no block and no node
@@ -646,8 +635,7 @@ def test_nodes_gram_takes_each_pole_once_per_slab(monkeypatch):
     monkeypatch.setattr(ChartPoly, "eval", no_eval)
     monkeypatch.setattr(Block, "_build", lambda block: built.append(block))
     # two atoms and the forced factor share one divisor
-    sp = build_section_space(_scaled_copies(), 5, method="nodes",
-                             orthonormalize=False)
+    sp = SectionSpace(_scaled_copies(), 5, method="nodes")
     sp.gram()
     slabs = [s for b in sp.rule.blocks for s in b.split(sections._SLAB_NODES)]
     assert len(calls) == len(slabs)
@@ -655,7 +643,7 @@ def test_nodes_gram_takes_each_pole_once_per_slab(monkeypatch):
     assert built == []
     # the closed form evaluates no pole on any grid
     calls.clear()
-    exact = build_section_space(_scaled_copies(), 5, orthonormalize=False)
+    exact = SectionSpace(_scaled_copies(), 5)
     exact.gram()
     assert calls == [] and built == [] and exact.rule is None
 
@@ -664,7 +652,7 @@ def test_nodes_gram_takes_each_pole_once_per_slab(monkeypatch):
 def test_forced_order_at_the_lelong_threshold_gives_the_identity(p):
     # k = p t: the forced factor cancels the pole weight exactly, leaving
     # the reference weight on the cofactor
-    sp = build_section_space(_off_axis_pole(), p, orthonormalize=False)
+    sp = SectionSpace(_off_axis_pole(), p)
     _, _, poles, others = sp._node_weight_terms()
     assert [(kappa, forced) for _, kappa, forced in poles] == [(0.0, True)]
     assert others == []
@@ -681,8 +669,7 @@ def _traced_gram_peak(space):
 
 
 def test_nodes_gram_traced_memory_stays_slab_sized():
-    sp = build_section_space(_off_axis_pole(), 8, method="nodes",
-                             orthonormalize=False)
+    sp = SectionSpace(_off_axis_pole(), 8, method="nodes")
     peak = _traced_gram_peak(sp)
     # the whole-block assembly peaked at 58 MB on this 405k-node rule
     assert sp.rule.num_nodes > 400_000
@@ -691,13 +678,13 @@ def test_nodes_gram_traced_memory_stays_slab_sized():
     # weight at 3.6 MB
     assert peak < 5 * 2 ** 20
     # the closed form holds a few dim x dim matrices
-    exact = build_section_space(_off_axis_pole(), 8, orthonormalize=False)
+    exact = SectionSpace(_off_axis_pole(), 8)
     assert _traced_gram_peak(exact) < 2 ** 16 and exact.rule is None
 
 
 def test_tensor_gram_traced_memory_stays_chunk_sized():
     h, _ = _smoothed_max(P11)
-    sp = build_section_space(h, 10, orthonormalize=False)
+    sp = SectionSpace(h, 10)
     tracemalloc.start()
     try:
         sp.gram()
@@ -712,17 +699,15 @@ def test_tensor_gram_traced_memory_stays_chunk_sized():
 
 @pytest.mark.parametrize("p", [4, 8])
 def test_slab_boundaries_keep_the_nodewise_sum(p, monkeypatch):
-    exact = build_section_space(_off_axis_pole(), p,
-                                orthonormalize=False).gram()
+    exact = SectionSpace(_off_axis_pole(), p).gram()
     monkeypatch.setattr(sections, "_SLAB_NODES", 30_000)
-    sp = build_section_space(_off_axis_pole(), p, method="nodes",
-                             orthonormalize=False)
+    sp = SectionSpace(_off_axis_pole(), p, method="nodes")
     G = sp.gram()
     refined = max(sp.rule.blocks, key=lambda b: b.num_nodes)
     assert len(list(refined.split(sections._SLAB_NODES))) >= 10
     assert np.max(np.abs(G - _nodewise_gram(sp, sp.rule))) <= 1e-13
     # the closed form walks no slab, so the budget leaves its bits alone
-    again = build_section_space(_off_axis_pole(), p, orthonormalize=False)
+    again = SectionSpace(_off_axis_pole(), p)
     assert np.array_equal(again.gram(), exact) and again.rule is None
 
 
@@ -732,10 +717,44 @@ def test_modes_gram_is_independent_of_the_slab_size(manifold, monkeypatch):
     grams = []
     for budget in (1 << 40, 1):  # one slab per block, one radial row each
         monkeypatch.setattr(sections, "_SLAB_NODES", budget)
-        sp = build_section_space(h, p, resolution=16, orthonormalize=False)
+        sp = SectionSpace(h, p, resolution=16)
         grams.append(sp.gram())
         assert sp.gram_method == "modes"
     assert np.array_equal(grams[0], grams[1])
+
+
+def _unequal_modes_case(manifold):
+    """A metric off the torus whose chart blocks take unequal per-axis
+    degrees: a coordinate pole and a smoothed max on P2 (forced order on
+    ``{z0 = 0}`` caps one affine exponent in the charts of ``z1`` and
+    ``z2``), a smoothed max of bidegree (2, 1) on P1xP1."""
+    if manifold is P2:
+        Q1, Q2 = (SectionPoly.from_coeff_map(P2, 1, c) for c in (
+            {(1, 0, 0): 1.0, (0, 1, 0): 0.5},
+            {(0, 0, 1): 1.0, (0, 1, 0): -0.3}))
+        return Metric(LineBundle(P2, 1), [
+            (1.0, LogPoleAtom(coordinate_section(P2, 0), 0.5)),
+            (0.5, SmoothedMaxAtom(Q1, Q2, 0.1, 0.5))]), 4, False
+    Q1, Q2 = (SectionPoly.from_coeff_map(P11, (2, 1), c) for c in (
+        {(2, 0, 1, 0): 1.0, (0, 2, 0, 1): 0.5},
+        {(1, 1, 0, 1): 1.0, (0, 2, 1, 0): -0.3}))
+    h = Metric.smoothed_max(LineBundle(P11, (2, 1)), Q1, Q2, 0.1, 0.5)
+    return h, 4, True
+
+
+@pytest.mark.parametrize("manifold", [P2, P11], ids=lambda m: m.kind)
+def test_modes_gram_matches_the_nodewise_sum(manifold):
+    # the same rule summed node by node, with no FFT and no mode index
+    h, p, adjoint = _unequal_modes_case(manifold)
+    sp = SectionSpace(h, p, adjoint=adjoint, resolution=8)
+    G = sp.gram()
+    assert sp.gram_method == "modes"
+    maxima = {tuple(sp.exponents[:, manifold.chart_columns(b.chart)].max(
+        axis=0)) for b in sp.rule.blocks}
+    assert any(len(set(q)) > 1 for q in maxima)
+    assert np.max(np.abs(G - np.diag(np.diag(G)))) > 1.0
+    ref = _nodewise_gram(sp, sp.rule)
+    assert np.max(np.abs(G - ref)) <= 1e-13 * np.max(np.abs(G))
 
 
 # -- orthonormalization --------------------------------------------------------

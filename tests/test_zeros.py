@@ -47,9 +47,9 @@ def section_of(poly):
     """The `Section` whose polynomial is ``poly`` up to scale: its
     coefficients over the scaled monomial basis of the Fubini-Study space
     of ``poly``'s degree, a space that needs no Gram matrix."""
-    sp = build_section_space(
+    sp = SectionSpace(
         Metric.fubini_study(LineBundle(poly.manifold, poly.degree)), 1,
-        adjoint=False, orthonormalize=False)
+        adjoint=False)
     coeff = dict(zip(map(tuple, poly.exponents.tolist()), poly.coeffs))
     return Section(sp, [coeff.get(tuple(e), 0.0) / scale for e, scale
                         in zip(sp.exponents.tolist(), sp.scales)])
